@@ -14,13 +14,12 @@ import argparse
 import hashlib
 import json
 import sys
-import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, debug_economics, fault_tolerance, model_jm, model_nelson
 from . import model_schumann, model_weibull
-from .errors import DataError, EstimationError
+from .errors import DataError, EstimationError, OutOfRange
 from .failure_data import (
     Outcome,
     intervals_from_epochs,
@@ -54,7 +53,10 @@ def _provenance(inputs: list[tuple[str, str]], seed: int | None) -> dict:
 
 
 def _emit(report: dict, output: str | None) -> None:
-    body = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    try:
+        body = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise OutOfRange(f"report holds a value that is not a finite number: {exc}") from exc
     if output:
         Path(output).write_text(body, encoding="utf-8")
     else:
@@ -111,9 +113,7 @@ def _handle_fit_weibull(ns: argparse.Namespace) -> dict:
     epochs = parse_failure_epochs(_read_text(ns.input))
     intervals = intervals_from_epochs(epochs)
     form = model_weibull.MomentForm(ns.moment_form)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        fit = model_weibull.fit_moments(intervals, form)
+    fit = model_weibull.fit_moments(intervals, form)
     report = {
         "model": "weibull",
         "m": fit.m,
@@ -123,8 +123,8 @@ def _handle_fit_weibull(ns: argparse.Namespace) -> dict:
         "k_obs": len(intervals),
         "provenance": _provenance([("input", ns.input)], None),
     }
-    if caught:
-        report["warning"] = str(caught[0].message)
+    if fit.m >= 1.0:
+        report["warning"] = f"fitted shape {fit.m:.6g} is >= 1: the data show no reliability growth"
     return report
 
 
@@ -432,7 +432,7 @@ def run_cli(args: list[str]) -> int:
         # usage problems are exit code 1 in this tool.
         return 0 if exc.code in (None, 0) else 1
     try:
-        report = ns.handler(ns)
+        _emit(ns.handler(ns), ns.output)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -440,9 +440,10 @@ def run_cli(args: list[str]) -> int:
         return _fail(exc, 2)
     except EstimationError as exc:
         return _fail(exc, 3)
+    except OverflowError as exc:
+        return _fail(OutOfRange(f"a result overflowed a float: {exc}"), 2)
     except OSError as exc:
         return _fail(exc, 2)
-    _emit(report, ns.output)
     return 0
 
 

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, NoConvergence, OutOfRange, Underdetermined
 from .failure_data import _data_rows, _parse_float
+from .numerics import minimize_bounded
 
 
 @dataclass(frozen=True)
@@ -206,8 +206,7 @@ def fit_discovery_curve(
 
     lo = math.log(taus[0] / 100.0)
     hi = math.log(taus[-1] * 100.0)
-    result = minimize_scalar(sse, bounds=(lo, hi), method="bounded", options={"xatol": 1e-13})
-    log_tau0 = float(result.x)
+    log_tau0 = minimize_bounded(sse, lo, hi)
     if log_tau0 < lo + 1e-6 or log_tau0 > hi - 1e-6:
         raise NoConvergence(
             "no interior optimum for the discovery time constant within "

@@ -37,25 +37,17 @@ class DualRunConfig:
         Comparison and checkpoint cost a paid once per module.
     failure_rate
         Failure intensity lam of a single execution.
-    k_results
-        Optional count of intermediate results per module, carried for
-        reporting only.
     """
 
     total_time: float
     overhead: float
     failure_rate: float
-    k_results: int | None = None
 
     def __post_init__(self) -> None:
         for name in ("total_time", "overhead", "failure_rate"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise DomainError(f"{name} must be positive, got {value}")
-        if self.k_results is not None and not (
-            isinstance(self.k_results, int) and self.k_results >= 1
-        ):
-            raise DomainError(f"k_results must be a positive integer, got {self.k_results}")
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import (
     DomainError,
@@ -25,9 +25,8 @@ from .errors import (
     SingularInformation,
     TooFewIntervals,
 )
-from .numerics import Bracket, find_root_bracketed
+from .numerics import find_root_bracketed, scan_bracket
 
-_SCAN_DOUBLINGS = 60
 _RESIDUAL_LIMIT = 1e-9
 
 
@@ -126,30 +125,14 @@ def fit_mle(intervals: Sequence[float]) -> JmFit:
     def objective(e0: float) -> float:
         return stationarity_residual(e0, xs)
 
-    floor = float(k - 1)
-    step = max(floor, 1.0) * 1e-9
-    previous: tuple[float, float] | None = None
-    bracket = None
-    offset = step
-    for _ in range(_SCAN_DOUBLINGS + 1):
-        value = objective(floor + offset)
-        if value == 0.0:
-            bracket = (offset * 0.5 if previous is None else previous[0], offset)
-            break
-        if previous is not None and (value > 0.0) != (previous[1] > 0.0):
-            bracket = (previous[0], offset)
-            break
-        previous = (offset, value)
-        offset *= 2.0
+    bracket = scan_bracket(objective, float(k - 1))
     if bracket is None:
         raise NoGrowthEvidence(
             "the likelihood has no finite maximizer: early intervals are not shorter "
             f"on average (interval-weighted mean index {b / a:.6g} vs threshold {(k - 1) / 2:.6g})",
             diagnostic={"b_over_a": b / a, "threshold": (k - 1) / 2.0},
         )
-    e0 = find_root_bracketed(
-        objective, Bracket(floor + bracket[0], floor + bracket[1], tol_rel=1e-13)
-    )
+    e0 = find_root_bracketed(objective, bracket)
     k_hat = k / (e0 * a - b)
     fit = JmFit(e0_hat=e0, k_hat=k_hat, k_obs=k)
     if abs(stationarity_residual(e0, xs)) > _RESIDUAL_LIMIT:
@@ -198,7 +181,7 @@ def confidence_intervals(fit: JmFit, level: float = 0.95) -> dict[str, tuple[flo
         raise DomainError("confidence intervals need variances; run covariance first")
     if not (0.0 < level < 1.0):
         raise DomainError(f"confidence level must lie in (0, 1), got {level}")
-    z = float(norm.ppf(0.5 + level / 2.0))
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     half_e0 = z * math.sqrt(fit.var_e0)
     half_k = z * math.sqrt(fit.var_k)
     return {

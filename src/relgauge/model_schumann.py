@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import (
     DegenerateGamma,
@@ -34,9 +34,8 @@ from .errors import (
     Underdetermined,
 )
 from .failure_data import DebugPeriod, _data_rows, _parse_float, _parse_int
-from .numerics import Bracket, Info2x2, find_root_bracketed, invert_information
+from .numerics import Info2x2, find_root_bracketed, invert_information, scan_bracket
 
-_SCAN_DOUBLINGS = 60
 _RESIDUAL_LIMIT = 1e-9
 
 
@@ -220,29 +219,13 @@ def fit_mle(
     def objective(e0: float) -> float:
         return _stationarity(e0, periods, instructions)
 
-    floor = float(max(p.corrected for p in periods))
-    step = max(floor, 1.0) * 1e-9
-    previous: tuple[float, float] | None = None
-    bracket = None
-    offset = step
-    for _ in range(_SCAN_DOUBLINGS + 1):
-        value = objective(floor + offset)
-        if value == 0.0:
-            bracket = (offset * 0.5 if previous is None else previous[0], offset)
-            break
-        if previous is not None and (value > 0.0) != (previous[1] > 0.0):
-            bracket = (previous[0], offset)
-            break
-        previous = (offset, value)
-        offset *= 2.0
+    bracket = scan_bracket(objective, float(max(p.corrected for p in periods)))
     if bracket is None:
         raise NoConvergence(
             "the likelihood stationarity condition has no root above the feasibility "
             "boundary after 60 doublings; the periods show no reliability growth"
         )
-    e0 = find_root_bracketed(
-        objective, Bracket(floor + bracket[0], floor + bracket[1], tol_rel=1e-13)
-    )
+    e0 = find_root_bracketed(objective, bracket)
     c = _c_from_exposure(e0, periods, instructions)
     fit = SchumannFit(e0_hat=e0, c_hat=c, instructions=instructions, ci_level=ci_level)
     if max(stationarity_residuals(fit, periods)) > _RESIDUAL_LIMIT:
@@ -292,7 +275,7 @@ def confidence_intervals(fit: SchumannFit) -> dict[str, tuple[float, float]]:
     """Two-sided Gaussian confidence intervals at the fit's ci_level."""
     if fit.var_e0 is None or fit.var_c is None:
         raise DomainError("confidence intervals need variances; run covariance first")
-    z = float(norm.ppf(0.5 + fit.ci_level / 2.0))
+    z = NormalDist().inv_cdf(0.5 + fit.ci_level / 2.0)
     half_e0 = z * math.sqrt(fit.var_e0)
     half_c = z * math.sqrt(fit.var_c)
     return {

@@ -3,7 +3,7 @@
 Hazard ``m * lam^m * t^(m-1)``, reliability ``exp(-(lam*t)^m)``.  A shape
 below one means the hazard falls with time (reliability growth), which is
 the regime debugging data is expected to occupy; fits with m >= 1 are
-allowed but warned about.
+allowed, and the command line report flags them.
 
 The moment fit equates the sample coefficient of variation with its model
 expression through the gamma-ratio function G(m) = Gamma(1+2/m) /
@@ -18,7 +18,6 @@ moment ratio instead.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -93,8 +92,8 @@ def fit_moments(
 
     Raises DegenerateSample when the sample variance vanishes and
     NoConvergence when the dispersion ratio is outside the range the
-    bracket can reach.  Emits a UserWarning when the fitted shape is >= 1,
-    since that contradicts the falling-hazard regime.
+    bracket can reach.  A fitted shape >= 1 is returned like any other;
+    callers that expect reliability growth check ``fit.m < 1`` themselves.
     """
     xs = [float(x) for x in intervals]
     if len(xs) < 2:
@@ -122,12 +121,6 @@ def fit_moments(
         )
     m_hat = find_root_bracketed(objective, Bracket(_M_LO, _M_HI, tol_rel=1e-13))
     lam = math.exp(log_gamma(1.0 + 1.0 / m_hat)) / t_bar
-    if m_hat >= 1.0:
-        warnings.warn(
-            f"fitted shape {m_hat:.6g} is >= 1: the data show no reliability growth",
-            UserWarning,
-            stacklevel=2,
-        )
     return WeibullFit(m=m_hat, lam=lam, moment_form=form)
 
 

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -363,6 +367,30 @@ def test_predict_weibull(capsys):
     assert at_zero["reliability"] == 1.0
 
 
+def test_non_finite_report_value_is_out_of_range(tmp_path, capsys):
+    # The intensity overflows to infinity, which strict JSON cannot carry.
+    out = tmp_path / "report.json"
+    args = ["predict", "jm", "--e0", "1e308", "--k", "1e308", "--index", "1", "--dt", "1"]
+    code, stdout, err = run(capsys, *args, "--output", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert not out.exists()
+    assert len(err.strip().splitlines()) == 1
+    assert error_json(err)["error"] == "OutOfRange"
+    assert error_json(err)["exit_code"] == 2
+
+
+def test_overflow_in_handler_is_out_of_range(capsys):
+    # Gamma(1 + 1/m) overflows a float for m = 0.001.
+    code, stdout, err = run(
+        capsys, "predict", "weibull", "--shape", "0.001", "--scale", "1", "--time", "1"
+    )
+    assert code == 2
+    assert stdout == ""
+    assert len(err.strip().splitlines()) == 1
+    assert error_json(err)["error"] == "OutOfRange"
+
+
 def test_output_file_and_determinism(tmp_path, capsys):
     path = tmp_path / "failures.csv"
     path.write_text(EPOCHS_GROWTH)
@@ -386,3 +414,13 @@ def test_output_file_and_determinism(tmp_path, capsys):
         if a != b
     ]
     assert all("generated_at" in a for a, _ in diff)
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    check = (
+        "import relgauge.cli, sys; "
+        "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+    )
+    subprocess.run([sys.executable, "-c", check], env=env, check=True, timeout=120)

@@ -36,8 +36,6 @@ def bisect_oracle(f, lo, hi, tol=1e-10):
 def test_config_validation():
     with pytest.raises(DomainError):
         DualRunConfig(total_time=0.0, overhead=1.0, failure_rate=0.001)
-    with pytest.raises(DomainError):
-        DualRunConfig(total_time=1.0, overhead=1.0, failure_rate=0.001, k_results=0)
 
 
 def test_rerun_probability_failure_free():

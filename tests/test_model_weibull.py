@@ -86,10 +86,7 @@ def test_gamma_moment_ratio_strictly_decreasing():
 
 
 def test_fit_exact_ratio_one():
-    with warnings.catch_warnings():
-        # The root sits exactly at m = 1, the warning boundary.
-        warnings.simplefilter("ignore")
-        fit = fit_moments(RATIO1_DATA)
+    fit = fit_moments(RATIO1_DATA)
     assert fit.m == pytest.approx(1.0, abs=1e-9)
     t_bar = math.fsum(RATIO1_DATA) / 3.0
     assert fit.lam == pytest.approx(1.0 / t_bar, rel=1e-9)
@@ -114,9 +111,13 @@ def test_fit_raw_ratio_form():
 
 
 def test_fit_shape_warning_above_one():
-    with pytest.warns(UserWarning, match="no reliability growth"):
+    # A shape >= 1 is an ordinary result; the CLI report carries the signal,
+    # so the library touches no process-global warning state.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         fit = fit_moments([1.0, 1.2, 1.4, 1.6])
     assert fit.m > 1.0
+    assert caught == []
 
 
 def test_fit_degenerate_sample():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from relgauge.debug_economics import fit_discovery_curve
 from relgauge.errors import DomainError, NonFinite, NoSignChange, SingularInformation
 from relgauge.numerics import (
     Bracket,
@@ -12,6 +13,8 @@ from relgauge.numerics import (
     find_root_bracketed,
     invert_information,
     log_gamma,
+    minimize_bounded,
+    scan_bracket,
 )
 
 
@@ -102,6 +105,61 @@ def test_root_residual_property_on_random_cubics():
         assert lo <= root <= hi
         assert abs(f(root)) <= tol * max(abs(f(lo)), abs(f(hi))) + 1e-300
         checked += 1
+
+
+def test_scan_bracket_finds_sign_change():
+    # Scan points sit at 10 + 1e-8 * 2^j; the sign flips between j = 16 and 17.
+    bracket = scan_bracket(lambda x: x - 10.001, 10.0)
+    assert bracket.lo == 10.0 + 1e-8 * 2**16
+    assert bracket.hi == 10.0 + 1e-8 * 2**17
+    assert bracket.tol_rel == 1e-13
+    assert find_root_bracketed(lambda x: x - 10.001, bracket) == pytest.approx(10.001, rel=1e-13)
+
+
+def test_scan_bracket_none_without_sign_change():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 1.0 / (x - 3.0)
+
+    assert scan_bracket(f, 3.0) is None
+    assert len(calls) == 61
+
+
+def test_scan_bracket_exact_zero_at_scan_point():
+    # f vanishes exactly at the third scan point, 1e-9 * 4 above the floor 0.
+    zero = 4e-9
+    bracket = scan_bracket(lambda x: 0.0 if x == zero else x - zero, 0.0)
+    assert (bracket.lo, bracket.hi) == (2e-9, zero)
+    assert find_root_bracketed(lambda x: 0.0 if x == zero else x - zero, bracket) == zero
+    # An exact zero at the first point brackets from half its offset.
+    first = scan_bracket(lambda x: 0.0, 0.0)
+    assert (first.lo, first.hi) == (0.5e-9, 1e-9)
+
+
+def test_minimize_bounded_parabola():
+    x = minimize_bounded(lambda x: (x - 1.25) ** 2 + 3.0, -4.0, 7.0)
+    assert x == pytest.approx(1.25, abs=1e-7)
+
+
+def test_minimize_bounded_minimum_at_edge():
+    # Increasing over the whole interval: the minimiser closes on the left end.
+    x = minimize_bounded(lambda x: math.exp(x), 2.0, 5.0)
+    assert 2.0 <= x < 2.0 + 1e-6
+    x = minimize_bounded(lambda x: -x, 2.0, 5.0)
+    assert 5.0 - 1e-6 < x <= 5.0
+
+
+def test_fit_discovery_curve_golden():
+    """The fit on one fixed dataset is pinned bit for bit, so a change to the
+    minimiser that moves tau0 by even one ulp shows up here."""
+    taus = [float(t) for t in range(5, 125, 5)]
+    counts = [29, 60, 85, 117, 140, 161, 178, 192, 202, 214, 226, 236, 246, 255,
+              257, 264, 272, 274, 278, 278, 284, 290, 292, 295]
+    eps0, tau0 = fit_discovery_curve(list(zip(taus, map(float, counts))), 1000)
+    assert eps0 == float.fromhex("0x1.38f5df5d3bcc3p+8")
+    assert tau0 == float.fromhex("0x1.571d5de91ab79p+5")
 
 
 def test_log_gamma_small_integers():
