@@ -152,16 +152,20 @@ def optimal_debug_time(params: DiscoveryParams, econ: EconParams) -> DebugOptimu
     When ``arg`` is below one the stationary point would be negative, so the
     minimum sits at the boundary tau = 0 and the result is flagged.
     """
-    arg = (
-        econ.cost_error
-        * econ.horizon
-        * params.eps0
-        * params.tempo
-        / (econ.cost_test * params.commands * params.tau0)
-    )
+    denominator = econ.cost_test * params.commands * params.tau0
+    numerator = econ.cost_error * econ.horizon * params.eps0 * params.tempo
+    arg = numerator / denominator if denominator > 0.0 else math.inf
+    if not math.isfinite(arg):
+        raise OutOfRange(
+            f"the optimum's log argument arg = {numerator} / {denominator} is not a finite float"
+        )
     if arg < 1.0:
         return DebugOptimum(0.0, total_cost(params, econ, 0.0), True)
     tau_m = params.tau0 * math.log(arg)
+    if not math.isfinite(tau_m):
+        raise OutOfRange(
+            f"the optimal debugging time tau0 * ln(arg) overflows: tau0 = {params.tau0}, arg = {arg}"
+        )
     return DebugOptimum(tau_m, total_cost(params, econ, tau_m), False)
 
 

@@ -25,7 +25,7 @@ from .errors import (
     SingularInformation,
     TooFewIntervals,
 )
-from .numerics import find_root_bracketed, scan_bracket
+from .numerics import find_root_bracketed, fsum_array, pole_sum, scan_bracket
 
 _RESIDUAL_LIMIT = 1e-9
 
@@ -79,19 +79,27 @@ def reliability(e0: float, k_jm: float, i: int, dt: float) -> float:
 
 
 def _sums(intervals: Sequence[float]) -> tuple[float, float]:
-    a = math.fsum(intervals)
-    b = math.fsum((i - 1) * x for i, x in enumerate(intervals, start=1))
-    return a, b
+    """A = sum(x_i) and B = sum((i-1) * x_i), each exactly rounded."""
+    x = np.asarray(intervals, dtype=float)
+    return fsum_array(x), fsum_array(np.arange(len(x), dtype=float) * x)
+
+
+def _residual_counts(e0: float, k: int) -> np.ndarray:
+    """e0 - i + 1 for i = 1..k, rounded exactly as the scalar expression is."""
+    return e0 - np.arange(1, k + 1) + 1
 
 
 def stationarity_residual(e0: float, intervals: Sequence[float]) -> float:
     """Relative defect of the likelihood stationarity condition at ``e0``.
 
-    Zero exactly when sum(1/(e0 - i + 1)) equals k*A/(e0*A - B).
+    Zero exactly when sum(1/(e0 - i + 1)) equals k*A/(e0*A - B).  Every sum
+    is taken term by term, so this is an O(k) check independent of the
+    O(1) objective that :func:`fit_mle` solves.
     """
     k = len(intervals)
     a, b = _sums(intervals)
-    lhs = math.fsum(1.0 / (e0 - i + 1) for i in range(1, k + 1))
+    with np.errstate(divide="ignore"):  # the sum is infinite at a pole
+        lhs = fsum_array(1.0 / _residual_counts(e0, k))
     rhs = k * a / (e0 * a - b)
     return lhs / rhs - 1.0
 
@@ -111,10 +119,13 @@ def fit_mle(intervals: Sequence[float]) -> JmFit:
 
         sum_{i=1..k} 1/(e0 - i + 1) = k * A / (e0 * A - B)
 
-    and then k_hat = k / (e0 * A - B).  The root is bracketed by doubling
-    steps above the pole at e0 = k - 1.  A finite root exists only when
-    B/A < (k-1)/2, i.e. when failures cluster early; otherwise
-    NoGrowthEvidence is raised carrying that diagnostic.
+    and then k_hat = k / (e0 * A - B).  A and B are summed once; the left
+    side is :func:`numerics.pole_sum`, so each objective evaluation is O(1)
+    and a fit costs one O(k) pass for the sums plus one for the final
+    :func:`stationarity_residual` check, which must be within 1e-9.  The
+    root is bracketed by doubling steps above the pole at e0 = k - 1.  A
+    finite root exists only when B/A < (k-1)/2, i.e. when failures cluster
+    early; otherwise NoGrowthEvidence is raised carrying that diagnostic.
     """
     xs = _check_intervals(intervals)
     k = len(xs)
@@ -123,7 +134,7 @@ def fit_mle(intervals: Sequence[float]) -> JmFit:
     a, b = _sums(xs)
 
     def objective(e0: float) -> float:
-        return stationarity_residual(e0, xs)
+        return pole_sum(e0, k) / (k * a / (e0 * a - b)) - 1.0
 
     bracket = scan_bracket(objective, float(k - 1))
     if bracket is None:
@@ -161,11 +172,16 @@ def covariance(fit: JmFit, intervals: Sequence[float]) -> JmFit:
         )
     k = fit.k_obs
     a = math.fsum(xs)
-    s2 = math.fsum(1.0 / (fit.e0_hat - i + 1) ** 2 for i in range(1, k + 1))
+    # float_power calls the C library's pow, as Python's ** does, so each
+    # term keeps the bits of the scalar expression.  A square that overflows
+    # makes its term 0; one that underflows to 0 makes S2 infinite, which
+    # the determinant check below rejects.
+    with np.errstate(over="ignore", divide="ignore"):
+        s2 = fsum_array(1.0 / np.float_power(_residual_counts(fit.e0_hat, k), 2))
     denom = k * s2 - (a * fit.k_hat) ** 2
-    if denom <= 0.0:
+    if not 0.0 < denom < math.inf:
         raise SingularInformation(
-            f"information determinant k*S2 - (A*k_hat)^2 = {denom} is not positive"
+            f"information determinant k*S2 - (A*k_hat)^2 = {denom} is not positive and finite"
         )
     return replace(
         fit,

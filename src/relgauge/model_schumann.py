@@ -28,15 +28,18 @@ from .errors import (
     DomainError,
     NegativeEstimate,
     NoConvergence,
+    OutOfRange,
     ParseError,
     ResidualNonPositive,
     SingularInformation,
     Underdetermined,
 )
 from .failure_data import DebugPeriod, _data_rows, _parse_float, _parse_int
-from .numerics import Info2x2, find_root_bracketed, invert_information, scan_bracket
+from .numerics import Info2x2, find_root_bracketed, fsum_array, invert_information, scan_bracket
 
 _RESIDUAL_LIMIT = 1e-9
+# The largest mean numpy's Poisson sampler accepts (its POISSON_LAM_MAX).
+_POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -159,28 +162,47 @@ def fit_two_period_from_totals(
     )
 
 
-def _c_from_exposure(e0: float, periods: Sequence[DebugPeriod], instructions: int) -> float:
-    total = sum(p.failures for p in periods)
-    weighted = math.fsum((e0 / instructions - p.corrected / instructions) * p.exposure for p in periods)
-    return total / weighted
+class _Columns(NamedTuple):
+    """Per-period arrays and the e0-free totals of the likelihood, built once per fit."""
+
+    instructions: int
+    corrected: np.ndarray  # corrected_j / I
+    exposure: np.ndarray  # H_j
+    failures: np.ndarray  # n_j as floats
+    total: int  # sum(n_j)
+    exposure_sum: float  # sum(H_j)
 
 
-def _c_from_rates(e0: float, periods: Sequence[DebugPeriod], instructions: int) -> float:
-    rate_sum = math.fsum(
-        p.failures / (e0 / instructions - p.corrected / instructions) for p in periods
+def _columns(periods: Sequence[DebugPeriod], instructions: int) -> _Columns:
+    exposure = np.array([p.exposure for p in periods], dtype=float)
+    return _Columns(
+        instructions=instructions,
+        corrected=np.array([p.corrected / instructions for p in periods], dtype=float),
+        exposure=exposure,
+        failures=np.array([p.failures for p in periods], dtype=float),
+        total=sum(p.failures for p in periods),
+        exposure_sum=fsum_array(exposure),
     )
-    return rate_sum / math.fsum(p.exposure for p in periods)
 
 
-def _stationarity(e0: float, periods: Sequence[DebugPeriod], instructions: int) -> float:
+def _c_from_exposure(e0: float, cols: _Columns) -> float:
+    return cols.total / fsum_array((e0 / cols.instructions - cols.corrected) * cols.exposure)
+
+
+def _c_from_rates(e0: float, cols: _Columns) -> float:
+    return fsum_array(cols.failures / (e0 / cols.instructions - cols.corrected)) / cols.exposure_sum
+
+
+def _stationarity(e0: float, cols: _Columns) -> float:
     """Relative disagreement of the two likelihood expressions for c at this e0."""
-    return _c_from_exposure(e0, periods, instructions) / _c_from_rates(e0, periods, instructions) - 1.0
+    return _c_from_exposure(e0, cols) / _c_from_rates(e0, cols) - 1.0
 
 
 def stationarity_residuals(fit: SchumannFit, periods: Sequence[DebugPeriod]) -> tuple[float, float]:
     """Relative residuals of the two likelihood expressions for c at the fit."""
-    c1 = _c_from_exposure(fit.e0_hat, periods, fit.instructions)
-    c2 = _c_from_rates(fit.e0_hat, periods, fit.instructions)
+    cols = _columns(periods, fit.instructions)
+    c1 = _c_from_exposure(fit.e0_hat, cols)
+    c2 = _c_from_rates(fit.e0_hat, cols)
     return abs(c1 / fit.c_hat - 1.0), abs(c2 / fit.c_hat - 1.0)
 
 
@@ -210,14 +232,18 @@ def fit_mle(
     agree only at the stationary e0, which is located by scanning upward
     from the feasibility boundary (e0 slightly above the largest corrected
     count) with doubling steps and then root-finding on the bracketed sign
-    change.  Raises NoConvergence when no sign change appears within 60
-    doublings, which is the signature of data without reliability growth.
+    change.  The per-period columns, sum(n_j) and sum(H_j) are built once,
+    so each evaluation is two numpy passes over the periods, each summed
+    exactly with fsum.  Raises NoConvergence when no sign change appears
+    within 60 doublings, which is the signature of data without
+    reliability growth.
     """
     periods = list(periods)
     _check_periods(periods, instructions)
+    cols = _columns(periods, instructions)
 
     def objective(e0: float) -> float:
-        return _stationarity(e0, periods, instructions)
+        return _stationarity(e0, cols)
 
     bracket = scan_bracket(objective, float(max(p.corrected for p in periods)))
     if bracket is None:
@@ -226,7 +252,7 @@ def fit_mle(
             "boundary after 60 doublings; the periods show no reliability growth"
         )
     e0 = find_root_bracketed(objective, bracket)
-    c = _c_from_exposure(e0, periods, instructions)
+    c = _c_from_exposure(e0, cols)
     fit = SchumannFit(e0_hat=e0, c_hat=c, instructions=instructions, ci_level=ci_level)
     if max(stationarity_residuals(fit, periods)) > _RESIDUAL_LIMIT:
         raise NoConvergence(
@@ -360,6 +386,11 @@ def generate_periods(
     periods = []
     for tau, corrected, exposure in schedule:
         mean = c * (e0 / instructions - corrected / instructions) * exposure
+        if not mean <= _POISSON_MEAN_MAX:
+            raise OutOfRange(
+                f"Poisson mean {mean} for the period at corrected count {corrected} "
+                f"exceeds the sampler's limit {_POISSON_MEAN_MAX:.6g}"
+            )
         count = int(rng.poisson(mean))
         periods.append(DebugPeriod(tau=tau, corrected=corrected, exposure=exposure, failures=count))
     return periods

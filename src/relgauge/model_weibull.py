@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateSample, DomainError, NoConvergence
+from .errors import DegenerateSample, DomainError, NoConvergence, OutOfRange
 from .numerics import Bracket, find_root_bracketed, log_gamma
 
 _M_LO = 0.05
@@ -141,7 +141,12 @@ def generate(m: float, lam: float, n: int, seed: int) -> list[float]:
         raise DomainError(f"sample size must be an integer >= 1, got {n}")
     rng = np.random.default_rng(seed)
     u = 1.0 - rng.random(n)  # in (0, 1], so the log below never overflows
-    draws = (-np.log(u)) ** (1.0 / m) / lam
+    # The power or the division may still overflow for extreme m or lam;
+    # errstate is context-local, so this stays silent and thread-safe.
+    with np.errstate(over="ignore"):
+        draws = (-np.log(u)) ** (1.0 / m) / lam
+    if not np.isfinite(draws).all():
+        raise OutOfRange(f"a failure time overflows a float for shape {m} and scale {lam}")
     # u exactly 1 would give a zero time; clip to keep every draw positive.
     draws = np.maximum(draws, np.finfo(float).tiny)
     return [float(x) for x in draws]

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -385,6 +386,50 @@ def test_overflow_in_handler_is_out_of_range(capsys):
     code, stdout, err = run(
         capsys, "predict", "weibull", "--shape", "0.001", "--scale", "1", "--time", "1"
     )
+    assert code == 2
+    assert stdout == ""
+    assert len(err.strip().splitlines()) == 1
+    assert error_json(err)["error"] == "OutOfRange"
+
+
+def test_simulate_schumann_poisson_mean_overflow_is_out_of_range(tmp_path, capsys):
+    # The Poisson mean c * (e0/I) * exposure overflows to infinity.
+    schedule = tmp_path / "schedule.csv"
+    schedule.write_text("tau,corrected,exposure\n0.0,0,1e300\n")
+    code, stdout, err = run(
+        capsys,
+        "simulate", "schumann",
+        "--e0", "1e300", "--c", "1e300", "--instructions", "1",
+        "--schedule", str(schedule), "--seed", "1",
+    )
+    assert code == 2
+    assert stdout == ""
+    assert len(err.strip().splitlines()) == 1
+    assert error_json(err)["error"] == "OutOfRange"
+
+
+def test_economics_overflowed_optimum_is_out_of_range(capsys):
+    # cost_error * horizon * eps0 * tempo overflows; the flags themselves are finite.
+    code, stdout, err = run(
+        capsys,
+        "economics",
+        "--eps0", "1e300", "--tau0", "1e-3", "--size", "1", "--tempo", "1e300",
+        "--cost-error", "1e300", "--cost-test", "1e-300", "--horizon", "1",
+    )
+    assert code == 2
+    assert stdout == ""
+    assert len(err.strip().splitlines()) == 1
+    assert error_json(err)["error"] == "OutOfRange"
+    assert "arg" in error_json(err)["message"]
+
+
+def test_simulate_weibull_overflow_emits_no_warning(capsys):
+    # (-ln u)^(1/m) overflows for m = 0.001; numpy must not warn on stderr.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(
+            capsys, "simulate", "weibull", "--shape", "1e-3", "--scale", "1", "--count", "3", "--seed", "1"
+        )
     assert code == 2
     assert stdout == ""
     assert len(err.strip().splitlines()) == 1

@@ -213,3 +213,19 @@ def test_fit_discovery_input_validation():
 def test_parse_discovery():
     observations = parse_discovery("tau,corrected\n10,63.2\n20,86.5\n")
     assert observations == [(10.0, 63.2), (20.0, 86.5)]
+
+
+def test_optimal_debug_time_overflowed_argument_is_out_of_range():
+    """Finite parameters whose log argument overflows (or whose denominator
+    underflows) are the computation's own limit, not bad input."""
+    overflow = DiscoveryParams(eps0=1e300, tau0=1e-3, commands=1, tempo=1e300)
+    econ = EconParams(cost_error=1e300, cost_test=1e-300, horizon=1.0)
+    with pytest.raises(OutOfRange, match="arg"):
+        optimal_debug_time(overflow, econ)
+    underflow = DiscoveryParams(eps0=1.0, tau0=1e-200, commands=1, tempo=1.0)
+    with pytest.raises(OutOfRange, match="arg"):
+        optimal_debug_time(underflow, EconParams(cost_error=1.0, cost_test=1e-200, horizon=1.0))
+    # arg is finite, but tau0 * ln(arg) is not.
+    huge_tau0 = DiscoveryParams(eps0=1.7e308, tau0=1e306, commands=1, tempo=1.0)
+    with pytest.raises(OutOfRange, match="tau0"):
+        optimal_debug_time(huge_tau0, EconParams(cost_error=1.0, cost_test=1e-300, horizon=1.0))

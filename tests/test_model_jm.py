@@ -12,6 +12,7 @@ from relgauge.errors import (
     SingularInformation,
     TooFewIntervals,
 )
+from relgauge import model_jm
 from relgauge.model_jm import (
     JmFit,
     confidence_intervals,
@@ -23,6 +24,7 @@ from relgauge.model_jm import (
     stationarity_residual,
 )
 from relgauge import model_schumann
+from relgauge.numerics import find_root_bracketed, scan_bracket
 
 
 def test_intensity_examples():
@@ -222,3 +224,46 @@ def test_generate_interval_means():
     # Exponential sd equals its mean.
     assert abs(first.mean() - mean_first) <= 3.0 * mean_first / math.sqrt(reps)
     assert abs(last.mean() - mean_last) <= 3.0 * mean_last / math.sqrt(reps)
+
+
+@pytest.mark.parametrize("k", [1_000, 10_000])
+def test_fit_matches_direct_sum_objective(k):
+    """The O(1) objective finds the root that the term-by-term stationarity
+    residual would find, to 1e-10 relative, and passes the 1e-9 gate."""
+    intervals = generate_intervals(1.25 * k, 1.0 / (1.25 * k), k, seed=1)
+
+    def direct(e0):
+        return stationarity_residual(e0, intervals)
+
+    e0_direct = find_root_bracketed(direct, scan_bracket(direct, float(k - 1)))
+    fit = fit_mle(intervals)
+    assert fit.e0_hat == pytest.approx(e0_direct, rel=1e-10)
+    assert abs(stationarity_residual(fit.e0_hat, intervals)) <= 1e-9
+
+
+def test_fit_checks_the_direct_residual_once(monkeypatch):
+    """The O(k) stationarity residual is only the final gate: a fit at
+    k = 10^4 calls it exactly once, so its cost cannot grow with the
+    number of objective evaluations."""
+    calls = []
+    original = model_jm.stationarity_residual
+
+    def counted(e0, intervals):
+        calls.append(e0)
+        return original(e0, intervals)
+
+    monkeypatch.setattr(model_jm, "stationarity_residual", counted)
+    fit = fit_mle(generate_intervals(12_500.0, 8e-5, 10_000, seed=2))
+    assert calls == [fit.e0_hat]
+
+
+def test_covariance_bits_match_direct_sum():
+    """S2 is summed from numpy terms; fsum is exactly rounded, so the
+    variances equal the term-by-term formula bit for bit."""
+    intervals = generate_intervals(60.0, 0.02, 50, seed=4)
+    fit = covariance(fit_mle(intervals), intervals)
+    k, e0 = fit.k_obs, fit.e0_hat
+    s2 = math.fsum(1.0 / (e0 - i + 1) ** 2 for i in range(1, k + 1))
+    denom = k * s2 - (math.fsum(intervals) * fit.k_hat) ** 2
+    assert fit.var_e0 == k / denom
+    assert fit.var_k == s2 * fit.k_hat**2 / denom

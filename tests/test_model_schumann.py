@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from relgauge import model_schumann
 from relgauge.errors import (
     DegenerateGamma,
     DomainError,
     NegativeEstimate,
     NoConvergence,
+    OutOfRange,
     ResidualNonPositive,
     SingularInformation,
     Underdetermined,
@@ -266,3 +268,69 @@ def test_parse_schedule():
     assert schedule == [(0.0, 10, 1570.0), (1.0, 40, 1570.0)]
     with pytest.raises(DomainError, match="row 2"):
         parse_schedule("tau,corrected,exposure\n0.0,10,-4\n")
+
+
+def test_generate_poisson_mean_overflow():
+    with pytest.raises(OutOfRange):
+        generate_periods(1e300, 1e300, 1, [(0.0, 0, 1e300)], seed=1)
+    # Finite, but beyond what numpy's Poisson sampler accepts.
+    with pytest.raises(OutOfRange):
+        generate_periods(1e20, 1.0, 1, [(0.0, 0, 1.0)], seed=1)
+
+
+def _golden_periods():
+    rng = np.random.default_rng(20261018)
+    instructions = 100_000
+    corrected = np.sort(rng.integers(0, 4_000, 1_000))
+    exposure = rng.uniform(1.0, 10.0, 1_000)
+    failures = rng.poisson(40.0 * (5_000.0 - corrected) / instructions * exposure)
+    periods = [
+        DebugPeriod(float(j), int(m), float(h), int(n))
+        for j, (m, h, n) in enumerate(zip(corrected, exposure, failures))
+    ]
+    return periods, instructions
+
+
+def test_mle_golden_thousand_periods():
+    """A seeded 1000-period fit is pinned bit for bit: the array objective
+    sums the same terms as the per-period formulas did, with fsum."""
+    periods, instructions = _golden_periods()
+    fit = fit_mle(periods, instructions)
+    assert fit.e0_hat == float.fromhex("0x1.3dcd0bd4f80d9p+12")
+    assert fit.c_hat == float.fromhex("0x1.3999436455e8dp+5")
+
+
+class _WatchedPeriod(DebugPeriod):
+    """A period that counts attribute reads while ``watching`` is set."""
+
+    watching = False
+    reads = 0
+
+    def __getattribute__(self, name):
+        if _WatchedPeriod.watching:
+            _WatchedPeriod.reads += 1
+        return super().__getattribute__(name)
+
+
+def test_mle_objective_reads_no_period_after_setup(monkeypatch):
+    """The objective works on arrays built once: no DebugPeriod attribute is
+    read while the bracket is scanned or the root is solved."""
+    periods, instructions = _golden_periods()
+    watched = [_WatchedPeriod(p.tau, p.corrected, p.exposure, p.failures) for p in periods[:200]]
+
+    def watch(solver):
+        def wrapped(*args):
+            _WatchedPeriod.watching = True
+            try:
+                return solver(*args)
+            finally:
+                _WatchedPeriod.watching = False
+
+        return wrapped
+
+    monkeypatch.setattr(model_schumann, "scan_bracket", watch(model_schumann.scan_bracket))
+    monkeypatch.setattr(model_schumann, "find_root_bracketed", watch(model_schumann.find_root_bracketed))
+    monkeypatch.setattr(_WatchedPeriod, "reads", 0)
+    fit = fit_mle(watched, instructions)
+    assert fit.e0_hat > max(p.corrected for p in periods[:200])
+    assert _WatchedPeriod.reads == 0

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from relgauge.errors import DegenerateSample, DomainError, NoConvergence
+from relgauge.errors import DegenerateSample, DomainError, NoConvergence, OutOfRange
 from relgauge.model_weibull import (
     MomentForm,
     WeibullFit,
@@ -184,3 +184,12 @@ def test_generate_fit_round_trip():
     fit = fit_moments(draws)
     assert fit.m == pytest.approx(0.5, rel=0.02)
     assert fit.lam == pytest.approx(2.0, rel=0.02)
+
+
+def test_generate_overflow_raises_without_warning():
+    """(-ln u)^(1/m) overflows for m = 0.001: the draw is reported as
+    OutOfRange, and numpy's overflow warning never reaches the caller."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange):
+            generate(1e-3, 1.0, 3, seed=1)

@@ -14,6 +14,7 @@ from relgauge.numerics import (
     invert_information,
     log_gamma,
     minimize_bounded,
+    pole_sum,
     scan_bracket,
 )
 
@@ -232,3 +233,29 @@ def test_info_validation():
         Info2x2(0.0, 0.0, 1.0)
     with pytest.raises(DomainError):
         Info2x2(1.0, 0.0, -1.0)
+
+
+def direct_pole_sum(e0, k):
+    return math.fsum(1.0 / (e0 - np.arange(1, k + 1) + 1))
+
+
+@pytest.mark.parametrize("k", [64, 65, 100, 1_000, 12_345, 100_000, 1_000_000])
+def test_pole_sum_matches_direct_sum(k):
+    for lower in (1e-9, 1e-3, 0.5, 1.0, 15.5, 16.0, 17.25, 1e3, 1e8, 1e15):
+        e0 = lower + (k - 1)
+        assert pole_sum(e0, k) == pytest.approx(direct_pole_sum(e0, k), rel=1e-14, abs=0.0)
+
+
+def test_pole_sum_is_the_direct_sum_up_to_64_terms():
+    rng = np.random.default_rng(64)
+    for _ in range(500):
+        k = int(rng.integers(0, 65))
+        e0 = float(k - 1 + 10.0 ** rng.uniform(-9.0, 6.0))
+        assert pole_sum(e0, k) == math.fsum(1.0 / (e0 - i + 1) for i in range(1, k + 1))
+
+
+def test_pole_sum_requires_e0_above_the_pole():
+    with pytest.raises(DomainError):
+        pole_sum(99.0, 100)
+    with pytest.raises(DomainError):
+        pole_sum(math.nan, 3)
