@@ -46,7 +46,7 @@ from .fault_tolerance import (
 )
 from .model_jm import JmFit
 from .model_nelson import PartitionSpec, RunProfile
-from .model_schumann import ExpGrowthParams, SchumannFit
+from .model_schumann import SchumannFit
 from .model_weibull import MomentForm, WeibullFit
 from .numerics import Bracket, Info2x2, find_root_bracketed, invert_information, log_gamma
 
@@ -61,7 +61,6 @@ __all__ = [
     "DualRunPlan",
     "EconParams",
     "EstimationError",
-    "ExpGrowthParams",
     "FailureEpochs",
     "Info2x2",
     "JmFit",

@@ -11,15 +11,17 @@ JSON line on standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 from . import __version__, debug_economics, fault_tolerance, model_jm, model_nelson
 from . import model_schumann, model_weibull
-from .errors import DataError, EstimationError, OutOfRange
+from .errors import DataError, EstimationError, OutOfRange, ParseError
 from .failure_data import (
     Outcome,
     intervals_from_epochs,
@@ -33,19 +35,27 @@ class _UsageError(Exception):
     pass
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+# Handlers read their input files through this: read(role, path) -> text.
+_Read = Callable[[str, str], str]
 
 
-def _sha256(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _read_input(inputs: list[dict], role: str, path: str) -> str:
+    """Read an input file once: record its SHA-256 for provenance, decode it as UTF-8."""
+    data = Path(path).read_bytes()
+    inputs.append({"role": role, "path": path, "sha256": hashlib.sha256(data).hexdigest()})
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The sentinel byte makes a partial last line count as a line.
+        row = len((data[: exc.start] + b".").splitlines())
+        raise ParseError(
+            f"{path} is not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}", row=row
+        ) from None
 
 
-def _provenance(inputs: list[tuple[str, str]], seed: int | None) -> dict:
+def _provenance(inputs: list[dict], seed: int | None) -> dict:
     return {
-        "inputs": [
-            {"role": role, "path": path, "sha256": _sha256(path)} for role, path in inputs
-        ],
+        "inputs": inputs,
         "seed": seed,
         "version": __version__,
         "generated_at": datetime.now(timezone.utc).isoformat(),
@@ -63,8 +73,8 @@ def _emit(report: dict, output: str | None) -> None:
         sys.stdout.write(body)
 
 
-def _handle_fit_schumann(ns: argparse.Namespace) -> dict:
-    periods = parse_debug_periods(_read_text(ns.input))
+def _handle_fit_schumann(ns: argparse.Namespace, read: _Read) -> dict:
+    periods = parse_debug_periods(read("input", ns.input))
     fit = model_schumann.fit_mle(periods, ns.instructions, ci_level=ns.confidence)
     fit = model_schumann.covariance(fit, periods)
     ci = model_schumann.confidence_intervals(fit)
@@ -82,12 +92,11 @@ def _handle_fit_schumann(ns: argparse.Namespace) -> dict:
         "ci": {"e0": list(ci["e0"]), "c": list(ci["c"])},
         "residuals": list(residuals),
         "k": len(periods),
-        "provenance": _provenance([("input", ns.input)], None),
     }
 
 
-def _handle_fit_jm(ns: argparse.Namespace) -> dict:
-    epochs = parse_failure_epochs(_read_text(ns.input))
+def _handle_fit_jm(ns: argparse.Namespace, read: _Read) -> dict:
+    epochs = parse_failure_epochs(read("input", ns.input))
     intervals = intervals_from_epochs(epochs)
     fit = model_jm.fit_mle(intervals)
     fit = model_jm.covariance(fit, intervals)
@@ -105,12 +114,11 @@ def _handle_fit_jm(ns: argparse.Namespace) -> dict:
         "confidence": ns.confidence,
         "ci": {"e0": list(ci["e0"]), "k": list(ci["k"])},
         "residuals": [abs(residual)],
-        "provenance": _provenance([("input", ns.input)], None),
     }
 
 
-def _handle_fit_weibull(ns: argparse.Namespace) -> dict:
-    epochs = parse_failure_epochs(_read_text(ns.input))
+def _handle_fit_weibull(ns: argparse.Namespace, read: _Read) -> dict:
+    epochs = parse_failure_epochs(read("input", ns.input))
     intervals = intervals_from_epochs(epochs)
     form = model_weibull.MomentForm(ns.moment_form)
     fit = model_weibull.fit_moments(intervals, form)
@@ -121,17 +129,15 @@ def _handle_fit_weibull(ns: argparse.Namespace) -> dict:
         "mttf": model_weibull.mttf(fit),
         "moment_form": fit.moment_form.value,
         "k_obs": len(intervals),
-        "provenance": _provenance([("input", ns.input)], None),
     }
     if fit.m >= 1.0:
         report["warning"] = f"fitted shape {fit.m:.6g} is >= 1: the data show no reliability growth"
     return report
 
 
-def _handle_fit_nelson(ns: argparse.Namespace) -> dict:
-    profiles = model_nelson.parse_profiles(_read_text(ns.profile))
+def _handle_fit_nelson(ns: argparse.Namespace, read: _Read) -> dict:
+    profiles = model_nelson.parse_profiles(read("profile", ns.profile))
     qs = [model_nelson.run_failure_prob(p) for p in profiles]
-    inputs = [("profile", ns.profile)]
     report = {
         "model": "nelson",
         "runs": len(qs),
@@ -140,27 +146,22 @@ def _handle_fit_nelson(ns: argparse.Namespace) -> dict:
         "certain_failure": any(q == 1.0 for q in qs),
     }
     if ns.simplified:
-        log = parse_run_log(_read_text(ns.simplified))
+        log = parse_run_log(read("simplified", ns.simplified))
         error_free = [1 if r.outcome is Outcome.SUCCESS else 0 for r in log.runs]
-        inputs.append(("simplified", ns.simplified))
         if ns.weights:
-            weights = model_nelson.parse_weights(_read_text(ns.weights))
-            inputs.append(("weights", ns.weights))
+            weights = model_nelson.parse_weights(read("weights", ns.weights))
         else:
             weights = [1.0] * len(error_free)
         report["simplified"] = model_nelson.simplified_reliability(error_free, weights)
-    report["provenance"] = _provenance(inputs, None)
     return report
 
 
-def _handle_economics(ns: argparse.Namespace) -> dict:
-    inputs: list[tuple[str, str]] = []
+def _handle_economics(ns: argparse.Namespace, read: _Read) -> dict:
     report: dict = {}
     eps0, tau0 = ns.eps0, ns.tau0
     if ns.fit:
-        observations = debug_economics.parse_discovery(_read_text(ns.fit))
+        observations = debug_economics.parse_discovery(read("discovery", ns.fit))
         eps0, tau0 = debug_economics.fit_discovery_curve(observations, ns.size)
-        inputs.append(("discovery", ns.fit))
         report["fitted"] = {"eps0": eps0, "tau0": tau0}
     if eps0 is None or tau0 is None:
         raise _UsageError("economics requires --eps0 and --tau0, or --fit with a discovery file")
@@ -179,11 +180,10 @@ def _handle_economics(ns: argparse.Namespace) -> dict:
             "mttf_at_tau_m": debug_economics.mttf(params, optimum.tau_m),
         }
     )
-    report["provenance"] = _provenance(inputs, None)
     return report
 
 
-def _handle_faulttol(ns: argparse.Namespace) -> dict:
+def _handle_faulttol(ns: argparse.Namespace, read: _Read) -> dict:
     config = fault_tolerance.DualRunConfig(
         total_time=ns.total_time, overhead=ns.overhead, failure_rate=ns.failure_rate
     )
@@ -207,11 +207,10 @@ def _handle_faulttol(ns: argparse.Namespace) -> dict:
             "histogram": [[i, c] for i, c in sorted(result.histogram.items())],
             "elapsed": result.elapsed,
         }
-    report["provenance"] = _provenance([], ns.seed)
     return report
 
 
-def _handle_simulate_jm(ns: argparse.Namespace) -> dict:
+def _handle_simulate_jm(ns: argparse.Namespace, read: _Read) -> dict:
     intervals = model_jm.generate_intervals(ns.e0, ns.k, ns.count, ns.seed)
     epochs = []
     acc = 0.0
@@ -222,12 +221,11 @@ def _handle_simulate_jm(ns: argparse.Namespace) -> dict:
         "model": "jm",
         "intervals": intervals,
         "epochs": epochs,
-        "provenance": _provenance([], ns.seed),
     }
 
 
-def _handle_simulate_schumann(ns: argparse.Namespace) -> dict:
-    schedule = model_schumann.parse_schedule(_read_text(ns.schedule))
+def _handle_simulate_schumann(ns: argparse.Namespace, read: _Read) -> dict:
+    schedule = model_schumann.parse_schedule(read("schedule", ns.schedule))
     periods = model_schumann.generate_periods(
         ns.e0, ns.c, ns.instructions, schedule, ns.seed
     )
@@ -242,20 +240,15 @@ def _handle_simulate_schumann(ns: argparse.Namespace) -> dict:
             }
             for p in periods
         ],
-        "provenance": _provenance([("schedule", ns.schedule)], ns.seed),
     }
 
 
-def _handle_simulate_weibull(ns: argparse.Namespace) -> dict:
+def _handle_simulate_weibull(ns: argparse.Namespace, read: _Read) -> dict:
     times = model_weibull.generate(ns.shape, ns.scale, ns.count, ns.seed)
-    return {
-        "model": "weibull",
-        "times": times,
-        "provenance": _provenance([], ns.seed),
-    }
+    return {"model": "weibull", "times": times}
 
 
-def _handle_predict_schumann(ns: argparse.Namespace) -> dict:
+def _handle_predict_schumann(ns: argparse.Namespace, read: _Read) -> dict:
     fit = model_schumann.SchumannFit(
         e0_hat=ns.e0, c_hat=ns.c, instructions=ns.instructions
     )
@@ -264,26 +257,23 @@ def _handle_predict_schumann(ns: argparse.Namespace) -> dict:
         "model": "schumann",
         "reliability": model_schumann.reliability(fit, eps_b, ns.time),
         "mttf": model_schumann.mttf(fit, eps_b),
-        "provenance": _provenance([], None),
     }
 
 
-def _handle_predict_jm(ns: argparse.Namespace) -> dict:
+def _handle_predict_jm(ns: argparse.Namespace, read: _Read) -> dict:
     return {
         "model": "jm",
         "intensity": model_jm.intensity(ns.e0, ns.k, ns.index),
         "reliability": model_jm.reliability(ns.e0, ns.k, ns.index, ns.dt),
-        "provenance": _provenance([], None),
     }
 
 
-def _handle_predict_weibull(ns: argparse.Namespace) -> dict:
+def _handle_predict_weibull(ns: argparse.Namespace, read: _Read) -> dict:
     fit = model_weibull.WeibullFit(m=ns.shape, lam=ns.scale)
     report = {
         "model": "weibull",
         "reliability": model_weibull.reliability(fit, ns.time),
         "mttf": model_weibull.mttf(fit),
-        "provenance": _provenance([], None),
     }
     if ns.time > 0.0 or fit.m >= 1.0:
         report["hazard"] = model_weibull.hazard(fit, ns.time)
@@ -431,8 +421,11 @@ def run_cli(args: list[str]) -> int:
         # argparse exits 0 for --help/--version and 2 for usage problems;
         # usage problems are exit code 1 in this tool.
         return 0 if exc.code in (None, 0) else 1
+    inputs: list[dict] = []
     try:
-        _emit(ns.handler(ns), ns.output)
+        report = ns.handler(ns, functools.partial(_read_input, inputs))
+        report["provenance"] = _provenance(inputs, getattr(ns, "seed", None))
+        _emit(report, ns.output)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, NoConvergence, OutOfRange, Underdetermined
-from .failure_data import _data_rows, _parse_float
+from .failure_data import read_rows
 from .numerics import minimize_bounded
 
 
@@ -124,6 +124,13 @@ def mttf(params: DiscoveryParams, tau: float) -> float:
     return params.commands / (params.eps0 * params.tempo) * math.exp(tau / params.tau0)
 
 
+def reliability(params: DiscoveryParams, tau: float, t: float) -> float:
+    """Probability of no failure over operating time ``t`` after debugging for ``tau``."""
+    if not (math.isfinite(t) and t >= 0.0):
+        raise DomainError(f"operating time must be finite and non-negative, got {t}")
+    return math.exp(-residual_errors(params, tau) * params.tempo * t)
+
+
 def total_cost(params: DiscoveryParams, econ: EconParams, tau: float) -> float:
     """Expected in-service failure losses plus debugging cost at ``tau``."""
     tau = _check_tau(tau)
@@ -224,9 +231,5 @@ def fit_discovery_curve(
 
 def parse_discovery(text: str) -> list[tuple[float, float]]:
     """Parse ``tau,corrected`` CSV text into (time, cumulative count) pairs."""
-    observations = []
-    for row_number, fields in _data_rows(text, ("tau", "corrected")):
-        tau = _parse_float(fields[0], row_number, "tau")
-        corrected = _parse_float(fields[1], row_number, "corrected")
-        observations.append((tau, corrected))
-    return observations
+    columns = (("tau", float), ("corrected", float))
+    return [(tau, corrected) for _, (tau, corrected) in read_rows(text, columns)]

@@ -1,9 +1,10 @@
 """Failure observations and the CSV formats they travel in.
 
 Three record shapes cover every estimator in the package: per-run outcome
-logs, cumulative failure epochs, and per-debugging-period counts.  Parsers
-report the offending 1-based row (the header is row 1) so bad files can be
-fixed without guesswork.
+logs, cumulative failure epochs, and per-debugging-period counts.  Every
+CSV parser in the package reads through :func:`read_rows`, which reports
+the offending 1-based row (the header is row 1) so bad files can be fixed
+without guesswork.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import io
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .errors import DomainError, NoFailures, NotMonotone, ParseError
 
@@ -99,39 +100,61 @@ class DebugPeriod:
             raise DomainError(f"failure count must be a non-negative integer, got {self.failures}")
 
 
-def _data_rows(text: str, expected_header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
-    reader = csv.reader(io.StringIO(text))
+def read_rows(
+    text: str, columns: Sequence[tuple[str, Callable[[str], Any]]]
+) -> Iterator[tuple[int, list]]:
+    """Yield ``(row_number, values)`` for each data row of CSV ``text``.
+
+    ``columns`` names each expected column with the callable (``float``,
+    ``int``, ``str``) that converts its token.  The header must match the
+    names case-insensitively, blank rows are skipped, every other row must
+    have one field per column, and any line ending is accepted.  Structural
+    problems raise ParseError with the 1-based row (the header is row 1).
+    """
+    names = [name for name, _ in columns]
+    kinds = [kind for _, kind in columns]
+    width = len(columns)
+    reader = csv.reader(io.StringIO(text, newline=None))
+    row_number = 0  # the last row read; csv errors belong to the next one
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError(f"empty input, expected header {','.join(expected_header)!r}", row=1) from None
-    normalized = [h.strip().lower() for h in header]
-    if normalized != list(expected_header):
-        raise ParseError(
-            f"expected header {','.join(expected_header)!r}, got {','.join(header)!r}", row=1
-        )
-    for row_number, row in enumerate(reader, start=2):
-        if not row or all(not field.strip() for field in row):
-            continue
-        if len(row) != len(expected_header):
+        header = next(reader, None)
+        row_number = 1
+        if header is None:
+            raise ParseError(f"empty input, expected header {','.join(names)!r}", row=1)
+        if [h.strip().lower() for h in header] != names:
             raise ParseError(
-                f"expected {len(expected_header)} fields, got {len(row)}", row=row_number
+                f"expected header {','.join(names)!r}, got {','.join(header)!r}", row=1
             )
-        yield row_number, [field.strip() for field in row]
+        for row in reader:
+            row_number += 1
+            if len(row) == width:
+                try:
+                    # float and int accept the surrounding whitespace themselves.
+                    values = [kind(token) for kind, token in zip(kinds, row)]
+                except ValueError:
+                    pass
+                else:
+                    yield row_number, values
+                    continue
+            if all(not field.strip() for field in row):
+                continue
+            if len(row) != width:
+                raise ParseError(f"expected {width} fields, got {len(row)}", row=row_number)
+            # Strip before converting again: str.strip also removes the
+            # separators \x1c-\x1f, which float and int reject.
+            yield row_number, [
+                _convert(kind, token.strip(), name, row_number)
+                for name, kind, token in zip(names, kinds, row)
+            ]
+    except csv.Error as exc:
+        raise ParseError(str(exc), row=row_number + 1) from None
 
 
-def _parse_float(token: str, row: int, name: str) -> float:
+def _convert(kind: Callable[[str], Any], token: str, name: str, row_number: int) -> Any:
     try:
-        return float(token)
+        return kind(token)
     except ValueError:
-        raise ParseError(f"could not parse {name} from {token!r}", row=row) from None
-
-
-def _parse_int(token: str, row: int, name: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"could not parse {name} from {token!r}", row=row) from None
+        raise ParseError(f"could not parse {name} from {token!r}", row=row_number) from None
 
 
 def parse_run_log(text: str) -> RunLog:
@@ -142,13 +165,14 @@ def parse_run_log(text: str) -> RunLog:
     outside the domain.
     """
     runs: list[RunRecord] = []
-    for row_number, (duration_token, outcome_token) in _data_rows(text, ("duration", "outcome")):
-        duration = _parse_float(duration_token, row_number, "duration")
+    for row_number, (duration, outcome_token) in read_rows(
+        text, (("duration", float), ("outcome", str))
+    ):
         if not (math.isfinite(duration) and duration > 0.0):
             raise DomainError(f"row {row_number}: run duration must be positive, got {duration}")
-        token = outcome_token.lower()
+        outcome_token = outcome_token.strip()
         try:
-            outcome = Outcome(token)
+            outcome = Outcome(outcome_token.lower())
         except ValueError:
             raise DomainError(f"row {row_number}: unknown outcome token {outcome_token!r}") from None
         runs.append(RunRecord(duration, outcome))
@@ -163,10 +187,7 @@ def serialize_run_log(log: RunLog) -> str:
 
 def parse_failure_epochs(text: str) -> FailureEpochs:
     """Parse single-column ``epoch`` CSV text into validated FailureEpochs."""
-    epochs: list[float] = []
-    for row_number, (token,) in _data_rows(text, ("epoch",)):
-        epochs.append(_parse_float(token, row_number, "epoch"))
-    return FailureEpochs(tuple(epochs))
+    return FailureEpochs(tuple(epoch for _, (epoch,) in read_rows(text, (("epoch", float),))))
 
 
 def serialize_failure_epochs(epochs: FailureEpochs) -> str:
@@ -178,13 +199,10 @@ def serialize_failure_epochs(epochs: FailureEpochs) -> str:
 def parse_debug_periods(text: str) -> list[DebugPeriod]:
     """Parse ``tau,corrected,exposure,failures`` CSV text into DebugPeriod records."""
     periods: list[DebugPeriod] = []
-    for row_number, fields in _data_rows(text, ("tau", "corrected", "exposure", "failures")):
-        tau = _parse_float(fields[0], row_number, "tau")
-        corrected = _parse_int(fields[1], row_number, "corrected")
-        exposure = _parse_float(fields[2], row_number, "exposure")
-        failures = _parse_int(fields[3], row_number, "failures")
+    columns = (("tau", float), ("corrected", int), ("exposure", float), ("failures", int))
+    for row_number, values in read_rows(text, columns):
         try:
-            periods.append(DebugPeriod(tau, corrected, exposure, failures))
+            periods.append(DebugPeriod(*values))
         except DomainError as exc:
             raise DomainError(f"row {row_number}: {exc}") from None
     return periods

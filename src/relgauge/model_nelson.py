@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, ParseError, WeightSumMismatch
-from .failure_data import _data_rows, _parse_float, _parse_int
+from .failure_data import read_rows
 
 _SUM_TOL = 1e-9
 
@@ -123,40 +123,35 @@ def partitioned_single_run(spec: PartitionSpec) -> float:
 def parse_profiles(text: str) -> list[RunProfile]:
     """Parse profile CSV text into per-run profiles.
 
-    Two layouts are accepted: header ``p,y`` for a single run, or
-    ``run,p,y`` where consecutive rows sharing a run id form one profile
-    (ids must be grouped; order of first appearance is preserved).
+    Two layouts are accepted, told apart by the header: ``p,y`` for a single
+    run, or ``run,p,y`` where consecutive rows sharing a run id form one
+    profile.  The rows of one run must be contiguous (ParseError names the
+    row where an earlier id reappears); runs keep their file order.
     """
-    first_line = text.splitlines()[0] if text.splitlines() else ""
-    has_run_column = first_line.strip().lower().startswith("run")
-    groups: dict[int, tuple[list[float], list[int]]] = {}
-    order: list[int] = []
+    columns = (("p", float), ("y", int))
+    has_run_column = text.partition("\n")[0].strip().lower().startswith("run")
     if has_run_column:
-        for row_number, fields in _data_rows(text, ("run", "p", "y")):
-            run_id = _parse_int(fields[0], row_number, "run")
-            p = _parse_float(fields[1], row_number, "p")
-            y = _parse_int(fields[2], row_number, "y")
-            if run_id not in groups:
-                groups[run_id] = ([], [])
-                order.append(run_id)
-            groups[run_id][0].append(p)
-            groups[run_id][1].append(y)
-    else:
-        groups[0] = ([], [])
-        order.append(0)
-        for row_number, fields in _data_rows(text, ("p", "y")):
-            p = _parse_float(fields[0], row_number, "p")
-            y = _parse_int(fields[1], row_number, "y")
-            groups[0][0].append(p)
-            groups[0][1].append(y)
-    if not groups[order[0]][0]:
+        columns = (("run", int),) + columns
+    groups: dict[int, tuple[list[float], list[int]]] = {}
+    current = None
+    for row_number, values in read_rows(text, columns):
+        run_id = values[0] if has_run_column else 0
+        if run_id != current:
+            if run_id in groups:
+                raise ParseError(
+                    f"run {run_id} reappears after other runs; "
+                    "the rows of one run must be contiguous",
+                    row=row_number,
+                )
+            probs, indicators = groups[run_id] = ([], [])
+            current = run_id
+        probs.append(values[-2])
+        indicators.append(values[-1])
+    if not groups:
         raise ParseError("profile file contains no data rows", row=2)
-    return [RunProfile(tuple(groups[r][0]), tuple(groups[r][1])) for r in order]
+    return [RunProfile(tuple(probs), tuple(indicators)) for probs, indicators in groups.values()]
 
 
 def parse_weights(text: str) -> list[float]:
     """Parse single-column ``weight`` CSV text."""
-    weights = []
-    for row_number, (token,) in _data_rows(text, ("weight",)):
-        weights.append(_parse_float(token, row_number, "weight"))
-    return weights
+    return [weight for _, (weight,) in read_rows(text, (("weight", float),))]

@@ -10,8 +10,8 @@ Two estimation routes are provided: a closed form from two debugging
 periods, and a maximum-likelihood fit over any number of periods with
 asymptotic variances, correlation, and Gaussian confidence intervals from
 the observed information matrix.  A seeded period generator supports
-round-trip testing, and an exponential-decay variant predicts how
-reliability grows as debugging time accumulates.
+round-trip testing.  Reliability growth over debugging time, with residual
+errors decaying exponentially, lives in :mod:`debug_economics`.
 """
 
 from __future__ import annotations
@@ -29,12 +29,11 @@ from .errors import (
     NegativeEstimate,
     NoConvergence,
     OutOfRange,
-    ParseError,
     ResidualNonPositive,
     SingularInformation,
     Underdetermined,
 )
-from .failure_data import DebugPeriod, _data_rows, _parse_float, _parse_int
+from .failure_data import DebugPeriod, read_rows
 from .numerics import Info2x2, find_root_bracketed, fsum_array, invert_information, scan_bracket
 
 _RESIDUAL_LIMIT = 1e-9
@@ -310,54 +309,6 @@ def confidence_intervals(fit: SchumannFit) -> dict[str, tuple[float, float]]:
     }
 
 
-@dataclass(frozen=True)
-class ExpGrowthParams:
-    """Error-rate model combined with exponential decay of residual errors over debugging time."""
-
-    e0: float
-    tau0: float
-    c: float
-    instructions: int
-
-    def __post_init__(self) -> None:
-        for name in ("e0", "tau0", "c"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise DomainError(f"{name} must be positive, got {value}")
-        if not (isinstance(self.instructions, int) and self.instructions >= 1):
-            raise DomainError(f"instructions must be an integer >= 1, got {self.instructions}")
-
-
-class GrowthPrediction(NamedTuple):
-    reliability: float
-    mttf: float
-
-
-def expected_corrected_fraction(params: ExpGrowthParams, tau: float) -> float:
-    """Corrected errors per instruction after debugging time ``tau``."""
-    if not (math.isfinite(tau) and tau >= 0.0):
-        raise DomainError(f"debugging time must be non-negative, got {tau}")
-    return -(params.e0 / params.instructions) * math.expm1(-tau / params.tau0)
-
-
-def exp_growth_predict(params: ExpGrowthParams, tau: float, t: float) -> GrowthPrediction:
-    """Reliability over exposure ``t`` and MTTF after debugging for ``tau``.
-
-    Residual errors decay as ``(e0/I) * exp(-tau/tau0)``, so the mean time
-    to failure grows exponentially in debugging time.
-    """
-    if not (math.isfinite(tau) and tau >= 0.0):
-        raise DomainError(f"debugging time must be non-negative, got {tau}")
-    if not (math.isfinite(t) and t >= 0.0):
-        raise DomainError(f"exposure must be non-negative, got {t}")
-    rate0 = params.c * params.e0 / params.instructions
-    decay = math.exp(-tau / params.tau0)
-    return GrowthPrediction(
-        reliability=math.exp(-rate0 * decay * t),
-        mttf=math.exp(tau / params.tau0) / rate0,
-    )
-
-
 def generate_periods(
     e0: float,
     c: float,
@@ -399,10 +350,8 @@ def generate_periods(
 def parse_schedule(text: str) -> list[tuple[float, int, float]]:
     """Parse ``tau,corrected,exposure`` CSV text into generator schedule triples."""
     schedule = []
-    for row_number, fields in _data_rows(text, ("tau", "corrected", "exposure")):
-        tau = _parse_float(fields[0], row_number, "tau")
-        corrected = _parse_int(fields[1], row_number, "corrected")
-        exposure = _parse_float(fields[2], row_number, "exposure")
+    columns = (("tau", float), ("corrected", int), ("exposure", float))
+    for row_number, (tau, corrected, exposure) in read_rows(text, columns):
         if not (math.isfinite(tau) and tau >= 0.0):
             raise DomainError(f"row {row_number}: tau must be non-negative, got {tau}")
         if not (math.isfinite(exposure) and exposure > 0.0):

@@ -81,6 +81,57 @@ def test_fit_jm_malformed_csv(tmp_path, capsys):
     assert "row 2" in payload["message"]
 
 
+def test_non_utf8_input_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "failures.csv"
+    path.write_bytes(b"epoch\n1\n\xff\xfe2\n")
+    code, out, err = run(capsys, "fit", "jm", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    payload = error_json(err)
+    assert payload["error"] == "ParseError"
+    assert payload["message"].startswith("row 3: ")
+    assert "UTF-8" in payload["message"]
+
+
+def test_oversized_field_is_parse_error(tmp_path, capsys):
+    # csv's default field limit is 131072 characters; it stays in force.
+    path = tmp_path / "failures.csv"
+    path.write_text("epoch\n1\n" + "9" * 200_000 + "\n")
+    code, out, err = run(capsys, "fit", "jm", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    payload = error_json(err)
+    assert payload["error"] == "ParseError"
+    assert payload["message"].startswith("row 3: field larger than field limit")
+
+
+def test_each_input_file_is_read_once(tmp_path, capsys, monkeypatch):
+    profile = tmp_path / "profile.csv"
+    profile.write_text(PROFILE_TWO_RUNS)
+    runs = tmp_path / "runs.csv"
+    runs.write_text("duration,outcome\n5.0,success\n3.0,failure\n")
+    weights = tmp_path / "w.csv"
+    weights.write_text("weight\n1.5\n0.5\n")
+    opened = []
+    path_open = Path.open
+
+    def counting_open(self, *args, **kwargs):
+        opened.append(self.name)
+        return path_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    report = run_json(
+        capsys,
+        "fit", "nelson",
+        "--profile", str(profile), "--simplified", str(runs), "--weights", str(weights),
+    )
+    assert opened == ["profile.csv", "runs.csv", "w.csv"]
+    inputs = report["provenance"]["inputs"]
+    assert [e["path"] for e in inputs] == [str(profile), str(runs), str(weights)]
+
+
 def test_missing_input_file(tmp_path, capsys):
     code, _, err = run(capsys, "fit", "jm", "--input", str(tmp_path / "absent.csv"))
     assert code == 2

@@ -14,6 +14,7 @@ from relgauge.debug_economics import (
     mttf,
     optimal_debug_time,
     parse_discovery,
+    reliability,
     residual_errors,
     total_cost,
 )
@@ -107,6 +108,27 @@ def test_mttf_is_reciprocal_rate():
         tau = i * 0.25
         product = mttf(PARAMS, tau) * residual_errors(PARAMS, tau) * PARAMS.tempo
         assert abs(product - 1.0) <= 1e-12
+
+
+def test_exp_growth_predictions():
+    params = DiscoveryParams(eps0=100.0, tau0=5.0, commands=1000, tempo=10.0)
+    assert params.tempo * params.eps0 / params.commands == 1.0
+    assert reliability(params, 0.0, 0.0) == 1.0
+    assert mttf(params, 0.0) == pytest.approx(1.0, rel=1e-12)
+    assert mttf(params, 5.0) == pytest.approx(math.e, rel=1e-12)
+    at_tau0 = reliability(params, 5.0, 1.0)
+    assert at_tau0 == pytest.approx(math.exp(-math.exp(-1.0)), rel=1e-12)
+    assert at_tau0 == pytest.approx(0.69220, abs=1e-5)
+    with pytest.raises(DomainError):
+        reliability(params, 5.0, -1.0)
+
+
+def test_expected_corrected_fraction():
+    params = DiscoveryParams(eps0=100.0, tau0=5.0, commands=1000, tempo=10.0)
+    assert cumulative_corrected(params, 0.0) == 0.0
+    assert cumulative_corrected(params, 5.0) == pytest.approx(
+        0.1 * (1.0 - math.exp(-1.0)), rel=1e-12
+    )
 
 
 def test_total_cost():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from relgauge.debug_economics import parse_discovery
 from relgauge.errors import DomainError, NoFailures, NotMonotone, ParseError
 from relgauge.failure_data import (
     DebugPeriod,
@@ -21,6 +22,8 @@ from relgauge.failure_data import (
     serialize_run_log,
     summarize_runs,
 )
+from relgauge.model_nelson import parse_profiles, parse_weights
+from relgauge.model_schumann import parse_schedule
 
 
 def test_parse_run_log_basic():
@@ -191,3 +194,59 @@ def test_parse_debug_periods_errors():
 def test_blank_rows_are_skipped():
     log = parse_run_log("duration,outcome\n1,success\n\n2,failure\n")
     assert log.total_runs == 2
+
+
+# Every parser goes through failure_data.read_rows; this contract is the one
+# place a change to the shared reader shows up.  Each case: the parser, its
+# header, two valid data rows, and a row whose bad token belongs to `name`.
+PARSER_CASES = [
+    (parse_run_log, "duration,outcome", ["1.5,success", "0.5,failure"], " x ,success", "duration"),
+    (parse_failure_epochs, "epoch", ["1.5", "2.5"], " x ", "epoch"),
+    (
+        parse_debug_periods,
+        "tau,corrected,exposure,failures",
+        ["1.0,20,1000.0,10", "2.0,50,1600.0,10"],
+        "3.0,60,1600.0, x ",
+        "failures",
+    ),
+    (
+        parse_schedule,
+        "tau,corrected,exposure",
+        ["1.0,10,1570.0", "2.0,30,1570.0"],
+        "3.0, x ,1.0",
+        "corrected",
+    ),
+    (parse_discovery, "tau,corrected", ["10,63.2", "20,86.5"], "30, x ", "corrected"),
+    (parse_profiles, "p,y", ["0.25,1", "0.75,0"], "0.5, x ", "y"),
+    (parse_profiles, "run,p,y", ["1,0.5,0", "1,0.5,1"], " x ,0.5,0", "run"),
+    (parse_weights, "weight", ["1.5", "0.5"], " x ", "weight"),
+]
+
+
+@pytest.mark.parametrize(
+    "parser, header, rows, bad_row, name",
+    PARSER_CASES,
+    ids=[f"{case[0].__name__}-{case[1]}" for case in PARSER_CASES],
+)
+def test_parser_contract(parser, header, rows, bad_row, name):
+    def text(*lines):
+        return "\n".join(lines) + "\n"
+
+    width = header.count(",") + 1
+    expected = parser(text(header, *rows))
+    assert expected  # the valid rows parse to something
+
+    with pytest.raises(ParseError, match="^row 1: expected header"):
+        parser(text("wrong," + header, *rows))
+    if width > 1:
+        short = rows[1].rsplit(",", 1)[0]
+        with pytest.raises(ParseError, match=f"^row 3: expected {width} fields, got {width - 1}$"):
+            parser(text(header, rows[0], short))
+    with pytest.raises(ParseError, match=f"^row 3: expected {width} fields, got {width + 1}$"):
+        parser(text(header, rows[0], rows[1] + ",1"))
+    with pytest.raises(ParseError, match=f"^row 4: could not parse {name} from 'x'$"):
+        parser(text(header, rows[0], rows[1], bad_row))
+
+    assert parser(text(header, "", rows[0], "   ", "," * (width - 1), rows[1], "")) == expected
+    assert parser(text(header, *rows).replace("\n", "\r\n")) == expected
+    assert parser(text(header, *rows).replace("\n", "\r")) == expected

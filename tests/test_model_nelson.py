@@ -205,3 +205,15 @@ def test_parse_weights():
     assert parse_weights("weight\n1.5\n0.5\n") == [1.5, 0.5]
     with pytest.raises(ParseError):
         parse_weights("wrong\n1.0\n")
+
+
+def test_parse_profiles_run_layout_without_rows():
+    with pytest.raises(ParseError, match="^row 2: profile file contains no data rows"):
+        parse_profiles("run,p,y\n")
+
+
+def test_parse_profiles_rejects_ungrouped_run_ids():
+    # Merging the two halves of run 1 would give a valid profile.
+    text = "run,p,y\n1,0.5,0\n2,1.0,0\n1,0.5,1\n"
+    with pytest.raises(ParseError, match="^row 4: run 1 reappears"):
+        parse_profiles(text)

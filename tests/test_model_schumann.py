@@ -18,12 +18,9 @@ from relgauge.errors import (
 )
 from relgauge.failure_data import DebugPeriod
 from relgauge.model_schumann import (
-    ExpGrowthParams,
     SchumannFit,
     confidence_intervals,
     covariance,
-    exp_growth_predict,
-    expected_corrected_fraction,
     fit_mle,
     fit_two_period,
     fit_two_period_from_totals,
@@ -207,26 +204,6 @@ def test_confidence_intervals():
 
 def test_rounded_e0():
     assert rounded_e0(SchumannFit(99.6, 0.125, 1000)) == 100
-
-
-def test_exp_growth_predictions():
-    params = ExpGrowthParams(e0=100.0, tau0=5.0, c=10.0, instructions=1000)
-    assert params.c * params.e0 / params.instructions == 1.0
-    at_zero = exp_growth_predict(params, 0.0, 0.0)
-    assert at_zero.reliability == 1.0
-    assert at_zero.mttf == pytest.approx(1.0, rel=1e-12)
-    at_tau0 = exp_growth_predict(params, 5.0, 1.0)
-    assert at_tau0.mttf == pytest.approx(math.e, rel=1e-12)
-    assert at_tau0.reliability == pytest.approx(math.exp(-math.exp(-1.0)), rel=1e-12)
-    assert at_tau0.reliability == pytest.approx(0.69220, abs=1e-5)
-
-
-def test_expected_corrected_fraction():
-    params = ExpGrowthParams(e0=100.0, tau0=5.0, c=10.0, instructions=1000)
-    assert expected_corrected_fraction(params, 0.0) == 0.0
-    assert expected_corrected_fraction(params, 5.0) == pytest.approx(
-        0.1 * (1.0 - math.exp(-1.0)), rel=1e-12
-    )
 
 
 def test_generate_zero_intensity():
