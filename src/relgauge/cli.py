@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -40,11 +42,15 @@ _Read = Callable[[str, str], str]
 
 
 def _read_input(inputs: list[dict], role: str, path: str) -> str:
-    """Read an input file once: record its SHA-256 for provenance, decode it as UTF-8."""
+    """Read an input file once: record its SHA-256 for provenance, decode it as UTF-8.
+
+    One leading byte-order mark, as spreadsheet programs write it, is dropped.
+    """
     data = Path(path).read_bytes()
     inputs.append({"role": role, "path": path, "sha256": hashlib.sha256(data).hexdigest()})
     try:
-        return data.decode("utf-8")
+        # Drop the mark after decoding, so an error offset counts from the file's start.
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         # The sentinel byte makes a partial last line count as a line.
         row = len((data[: exc.start] + b".").splitlines())
@@ -62,9 +68,38 @@ def _provenance(inputs: list[dict], seed: int | None) -> dict:
     }
 
 
+def _encode(value, pad: str = "") -> str:
+    """``value`` laid out as json.dumps(indent=2, sort_keys=True, allow_nan=False) does.
+
+    json's indented encoder is pure Python and handles each float on its
+    own; a list of plain floats is written here in one join instead.  Dict
+    keys must be strings.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        brackets = "{}"
+        items = (f"{json.dumps(key)}: {_encode(value[key], inner)}" for key in sorted(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        brackets = "[]"
+        if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
+            items = map(float.__repr__, value)
+        else:
+            # Item by item; a non-finite float raises when it is reached.
+            items = (_encode(x, inner) for x in value)
+    else:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return json.dumps(value)
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+
+
 def _emit(report: dict, output: str | None) -> None:
     try:
-        body = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        body = _encode(report) + "\n"
     except ValueError as exc:
         raise OutOfRange(f"report holds a value that is not a finite number: {exc}") from exc
     if output:
@@ -212,15 +247,10 @@ def _handle_faulttol(ns: argparse.Namespace, read: _Read) -> dict:
 
 def _handle_simulate_jm(ns: argparse.Namespace, read: _Read) -> dict:
     intervals = model_jm.generate_intervals(ns.e0, ns.k, ns.count, ns.seed)
-    epochs = []
-    acc = 0.0
-    for x in intervals:
-        acc += x
-        epochs.append(acc)
     return {
         "model": "jm",
         "intervals": intervals,
-        "epochs": epochs,
+        "epochs": list(itertools.accumulate(intervals)),
     }
 
 
@@ -284,7 +314,9 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", help="write the JSON report here instead of stdout")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser; built once per process, since parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="relgauge",
         description="Reliability estimation for tested software",

@@ -123,7 +123,7 @@ def read_rows(
             raise ParseError(f"empty input, expected header {','.join(names)!r}", row=1)
         if [h.strip().lower() for h in header] != names:
             raise ParseError(
-                f"expected header {','.join(names)!r}, got {','.join(header)!r}", row=1
+                f"expected header {','.join(names)!r}, got {_shown(','.join(header))}", row=1
             )
         for row in reader:
             row_number += 1
@@ -150,11 +150,22 @@ def read_rows(
         raise ParseError(str(exc), row=row_number + 1) from None
 
 
+# Longer tokens are cut in error messages, which must stay one short line.
+_SHOWN_CHARS = 40
+
+
+def _shown(token: str) -> str:
+    """``token`` quoted for an error message, its head and length if it is long."""
+    if len(token) <= _SHOWN_CHARS:
+        return repr(token)
+    return f"{token[:_SHOWN_CHARS]!r}... ({len(token)} characters)"
+
+
 def _convert(kind: Callable[[str], Any], token: str, name: str, row_number: int) -> Any:
     try:
         return kind(token)
     except ValueError:
-        raise ParseError(f"could not parse {name} from {token!r}", row=row_number) from None
+        raise ParseError(f"could not parse {name} from {_shown(token)}", row=row_number) from None
 
 
 def parse_run_log(text: str) -> RunLog:
@@ -174,7 +185,9 @@ def parse_run_log(text: str) -> RunLog:
         try:
             outcome = Outcome(outcome_token.lower())
         except ValueError:
-            raise DomainError(f"row {row_number}: unknown outcome token {outcome_token!r}") from None
+            raise DomainError(
+                f"row {row_number}: unknown outcome token {_shown(outcome_token)}"
+            ) from None
         runs.append(RunRecord(duration, outcome))
     return RunLog(tuple(runs))
 

@@ -226,4 +226,4 @@ def generate_intervals(e0: float, k_jm: float, count: int, seed: int) -> list[fl
     # A uniform draw of exactly 0.0 would yield a zero interval, which the
     # likelihood cannot accept; clip to the smallest positive normal float.
     draws = np.maximum(draws, np.finfo(float).tiny)
-    return [float(x) for x in draws]
+    return draws.tolist()

@@ -149,4 +149,4 @@ def generate(m: float, lam: float, n: int, seed: int) -> list[float]:
         raise OutOfRange(f"a failure time overflows a float for shape {m} and scale {lam}")
     # u exactly 1 would give a zero time; clip to keep every draw positive.
     draws = np.maximum(draws, np.finfo(float).tiny)
-    return [float(x) for x in draws]
+    return draws.tolist()

@@ -1,5 +1,7 @@
 """End-to-end tests for the command line interface."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,8 +11,12 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from relgauge import cli
 from relgauge.cli import run_cli
+from relgauge.errors import OutOfRange
 
 EPOCHS_GROWTH = "epoch\n1.0\n3.0\n"
 EPOCHS_NO_GROWTH = "epoch\n2.0\n3.0\n"
@@ -92,6 +98,44 @@ def test_non_utf8_input_is_parse_error(tmp_path, capsys):
     assert payload["error"] == "ParseError"
     assert payload["message"].startswith("row 3: ")
     assert "UTF-8" in payload["message"]
+
+
+def test_byte_order_mark_is_dropped(tmp_path, capsys):
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes(b"epoch\n1\n3\n4\n")
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbfepoch\n1\n3\n4\n")
+    reports = [run_json(capsys, "fit", "jm", "--input", str(p)) for p in (plain, marked)]
+    provenance = [r.pop("provenance") for r in reports]
+    assert reports[0] == reports[1]
+    # The digest is taken over the file's bytes, mark included.
+    digests = [prov["inputs"][0]["sha256"] for prov in provenance]
+    assert digests[0] != digests[1]
+
+
+def test_byte_order_mark_keeps_file_offsets(tmp_path, capsys):
+    path = tmp_path / "failures.csv"
+    path.write_bytes(b"\xef\xbb\xbfepoch\n1\n\xff2\n")
+    code, out, err = run(capsys, "fit", "jm", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    message = error_json(err)["message"]
+    assert message.startswith("row 3: ")
+    assert "byte 0xff at offset 11" in message
+
+
+def test_long_token_is_cut_in_parse_error(tmp_path, capsys):
+    path = tmp_path / "periods.csv"
+    path.write_text("tau,corrected,exposure,failures\n1.0," + "1" * 5000 + ",1000.0,10\n")
+    code, out, err = run(capsys, "fit", "schumann", "--input", str(path), "--instructions", "1000")
+    assert code == 2
+    assert out == ""
+    (line,) = err.strip().splitlines()
+    assert len(line) < 200
+    payload = json.loads(line)
+    assert payload["error"] == "ParseError"
+    assert payload["message"].startswith("row 2: could not parse corrected from '1111")
+    assert "(5000 characters)" in payload["message"]
 
 
 def test_oversized_field_is_parse_error(tmp_path, capsys):
@@ -520,3 +564,106 @@ def test_cli_import_does_not_load_scipy():
         "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
     )
     subprocess.run([sys.executable, "-c", check], env=env, check=True, timeout=120)
+
+
+def test_successive_calls_do_not_share_options(tmp_path, capsys):
+    # The parser is built once per process; each call must start clean.
+    profile = tmp_path / "profile.csv"
+    profile.write_text(PROFILE_TWO_RUNS)
+    runs = tmp_path / "runs.csv"
+    runs.write_text("duration,outcome\n5.0,success\n3.0,failure\n")
+    first = run_json(capsys, "fit", "nelson", "--profile", str(profile), "--simplified", str(runs))
+    second = run_json(capsys, "fit", "nelson", "--profile", str(profile))
+    assert first["simplified"] == pytest.approx(0.5, rel=1e-12)
+    assert "simplified" not in second
+    assert [e["role"] for e in second["provenance"]["inputs"]] == ["profile"]
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e16, 1e22]
+)
+_SCALARS = st.none() | st.booleans() | st.integers() | st.text() | _FLOATS
+_TREES = st.recursive(
+    _SCALARS,
+    lambda children: (
+        st.lists(_FLOATS)
+        | st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.dictionaries(st.text(), children)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TREES)
+def test_emit_matches_json_dumps(tree):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(tree, None)
+    assert out.getvalue() == json.dumps(tree, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "place",
+    [
+        lambda x: {"xs": [1.0, x, 2.0]},
+        lambda x: {"xs": [[1, 2.0], [3, x]]},
+        lambda x: {"a": {"b": x}, "z": [1.0]},
+    ],
+    ids=["float-list", "nested-list", "dict-value"],
+)
+def test_emit_non_finite_is_out_of_range(tmp_path, bad, place):
+    out = tmp_path / "report.json"
+    with pytest.raises(OutOfRange) as info:
+        cli._emit(place(bad), str(out))
+    assert f"Out of range float values are not JSON compliant: {bad!r}" in str(info.value)
+    assert not out.exists()
+
+
+def _verb_args(tmp_path):
+    epochs = tmp_path / "failures.csv"
+    epochs.write_text(EPOCHS_GROWTH)
+    periods = tmp_path / "periods.csv"
+    periods.write_text(PERIODS_TWO)
+    profile = tmp_path / "profile.csv"
+    profile.write_text(PROFILE_TWO_RUNS)
+    runs = tmp_path / "runs.csv"
+    runs.write_text("duration,outcome\n5.0,success\n3.0,failure\n")
+    discovery = tmp_path / "discovery.csv"
+    discovery.write_text(
+        "tau,corrected\n"
+        + "".join(f"{t!r},{100.0 * -math.expm1(-t / 10.0)!r}\n" for t in (5.0, 10.0, 20.0, 40.0))
+    )
+    schedule = tmp_path / "schedule.csv"
+    schedule.write_text("tau,corrected,exposure\n1.0,10,1570.0\n2.0,30,1570.0\n")
+    econ = [
+        "--size", "10000", "--tempo", "1000",
+        "--cost-error", "7.5", "--cost-test", "1", "--horizon", "1",
+    ]
+    return [
+        ["fit", "jm", "--input", str(epochs)],
+        ["fit", "weibull", "--input", str(epochs)],
+        ["fit", "schumann", "--input", str(periods), "--instructions", "1000"],
+        ["fit", "nelson", "--profile", str(profile), "--simplified", str(runs)],
+        ["economics", "--eps0", "100", "--tau0", "10", *econ],
+        ["economics", "--fit", str(discovery), *econ],
+        ["faulttol", "--total-time", "1000", "--overhead", "100", "--failure-rate", "0.001",
+         "--simulate", "200", "--seed", "7"],
+        ["simulate", "jm", "--e0", "50", "--k", "0.004", "--count", "40", "--seed", "7"],
+        ["simulate", "schumann", "--e0", "100", "--c", "0.125", "--instructions", "1000",
+         "--schedule", str(schedule), "--seed", "11"],
+        ["simulate", "weibull", "--shape", "0.5", "--scale", "2.0", "--count", "25", "--seed", "3"],
+        ["predict", "jm", "--e0", "2", "--k", "0.5", "--index", "2", "--dt", "2.0"],
+        ["predict", "schumann", "--e0", "100", "--c", "0.125", "--instructions", "1000",
+         "--corrected", "20", "--time", "1.0"],
+        ["predict", "weibull", "--shape", "0.5", "--scale", "1.0", "--time", "4.0"],
+    ]
+
+
+def test_every_report_has_json_dumps_layout(tmp_path, capsys):
+    for args in _verb_args(tmp_path):
+        code, body, err = run(capsys, *args)
+        assert code == 0, (args, err)
+        assert body == json.dumps(json.loads(body), indent=2, sort_keys=True) + "\n", args

@@ -63,6 +63,24 @@ def test_parse_run_log_bad_structure():
         parse_run_log("")
 
 
+def test_long_tokens_are_cut_in_messages():
+    # Short tokens keep their full quoted form.
+    with pytest.raises(ParseError, match=r"^row 2: could not parse duration from 'abc'$"):
+        parse_run_log("duration,outcome\nabc,success\n")
+    long = "x" * 5000
+    cases = [
+        (ParseError, f"duration,outcome\n{long},success\n"),
+        (DomainError, f"duration,outcome\n1,{long}\n"),
+        (ParseError, f"{long}\n1,success\n"),
+    ]
+    for error, text in cases:
+        with pytest.raises(error) as info:
+            parse_run_log(text)
+        message = str(info.value)
+        assert f"{'x' * 40}'... (" in message
+        assert len(message) < 150
+
+
 def test_run_log_round_trip():
     text = "duration,outcome\n1.5,success\n0.25,failure\n3.75,success\n"
     log = parse_run_log(text)
