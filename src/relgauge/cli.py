@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable
 
@@ -68,32 +69,62 @@ def _provenance(inputs: list[dict], seed: int | None) -> dict:
     }
 
 
+def _float(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+_BLOCK = 4096  # floats joined at a time
+
+# How json.dumps writes each plain scalar type.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
 def _encode(value, pad: str = "") -> str:
     """``value`` laid out as json.dumps(indent=2, sort_keys=True, allow_nan=False) does.
 
-    json's indented encoder is pure Python and handles each float on its
-    own; a list of plain floats is written here in one join instead.  Dict
-    keys must be strings.
+    json's indented encoder is pure Python and handles each item on its
+    own; a list of plain floats is joined here in C, a block at a time.
+    Dict keys must be strings.
     """
+    write = _SCALARS.get(type(value))
+    if write is not None:
+        return write(value)
     inner = pad + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"
         brackets = "{}"
-        items = (f"{json.dumps(key)}: {_encode(value[key], inner)}" for key in sorted(value))
+        items = (
+            f"{encode_basestring_ascii(key)}: {_encode(value[key], inner)}" for key in sorted(value)
+        )
     elif isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         brackets = "[]"
         if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
-            items = map(float.__repr__, value)
+            # Joined a block at a time, so the item strings of one block at most are alive.
+            sep = f",\n{inner}"
+            items = (
+                sep.join(map(float.__repr__, value[i : i + _BLOCK]))
+                for i in range(0, len(value), _BLOCK)
+            )
         else:
             # Item by item; a non-finite float raises when it is reached.
-            items = (_encode(x, inner) for x in value)
+            items = [
+                write(x) if (write := _SCALARS.get(type(x))) else _encode(x, inner) for x in value
+            ]
+    elif isinstance(value, float):
+        return _float(value)
     else:
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return json.dumps(value)
+        return json.dumps(value)  # a str or int subclass; TypeError for any other type
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
 
 
@@ -314,9 +345,7 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", help="write the JSON report here instead of stdout")
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser; built once per process, since parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="relgauge",
         description="Reliability estimation for tested software",
