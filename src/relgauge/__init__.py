@@ -24,6 +24,7 @@ from .debug_economics import (
 from .errors import DataError, EstimationError, RelgaugeError
 from .failure_data import (
     DebugPeriod,
+    DebugPeriods,
     FailureEpochs,
     Outcome,
     RunLog,
@@ -56,6 +57,7 @@ __all__ = [
     "DataError",
     "DebugOptimum",
     "DebugPeriod",
+    "DebugPeriods",
     "DiscoveryParams",
     "DualRunConfig",
     "DualRunPlan",

@@ -144,7 +144,6 @@ def _handle_fit_schumann(ns: argparse.Namespace, read: _Read) -> dict:
     fit = model_schumann.fit_mle(periods, ns.instructions, ci_level=ns.confidence)
     fit = model_schumann.covariance(fit, periods)
     ci = model_schumann.confidence_intervals(fit)
-    residuals = model_schumann.stationarity_residuals(fit, periods)
     return {
         "model": "schumann",
         "e0": fit.e0_hat,
@@ -156,7 +155,7 @@ def _handle_fit_schumann(ns: argparse.Namespace, read: _Read) -> dict:
         "rho": fit.rho,
         "confidence": fit.ci_level,
         "ci": {"e0": list(ci["e0"]), "c": list(ci["c"])},
-        "residuals": list(residuals),
+        "residuals": list(fit.residuals),
         "k": len(periods),
     }
 
@@ -167,7 +166,6 @@ def _handle_fit_jm(ns: argparse.Namespace, read: _Read) -> dict:
     fit = model_jm.fit_mle(intervals)
     fit = model_jm.covariance(fit, intervals)
     ci = model_jm.confidence_intervals(fit, level=ns.confidence)
-    residual = model_jm.stationarity_residual(fit.e0_hat, intervals)
     return {
         "model": "jm",
         "e0": fit.e0_hat,
@@ -179,7 +177,7 @@ def _handle_fit_jm(ns: argparse.Namespace, read: _Read) -> dict:
         "rho": fit.rho,
         "confidence": ns.confidence,
         "ci": {"e0": list(ci["e0"]), "k": list(ci["k"])},
-        "residuals": [abs(residual)],
+        "residuals": [abs(fit.residual)],
     }
 
 

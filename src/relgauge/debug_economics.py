@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, NoConvergence, OutOfRange, Underdetermined
-from .failure_data import read_rows
+from .failure_data import read_columns
 from .numerics import minimize_bounded
 
 
@@ -231,5 +231,5 @@ def fit_discovery_curve(
 
 def parse_discovery(text: str) -> list[tuple[float, float]]:
     """Parse ``tau,corrected`` CSV text into (time, cumulative count) pairs."""
-    columns = (("tau", float), ("corrected", float))
-    return [(tau, corrected) for _, (tau, corrected) in read_rows(text, columns)]
+    _, (taus, counts) = read_columns(text, (("tau", float), ("corrected", float)))
+    return list(zip(taus, counts))

@@ -2,21 +2,27 @@
 
 Three record shapes cover every estimator in the package: per-run outcome
 logs, cumulative failure epochs, and per-debugging-period counts.  Every
-CSV parser in the package reads through :func:`read_rows`, which reports
-the offending 1-based row (the header is row 1) so bad files can be fixed
-without guesswork.
+CSV parser in the package reads through :func:`read_rows` or
+:func:`read_columns`, which report the offending 1-based row (the header is
+row 1) so bad files can be fixed without guesswork.  A regular file is
+split once and converted a whole column at a time; any other file is read
+row by row, and that reader owns every error message.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
+import operator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any
 
 from .errors import DomainError, NoFailures, NotMonotone, ParseError
+from .numerics import all_at_least
 
 
 class Outcome(Enum):
@@ -69,6 +75,9 @@ class FailureEpochs:
     epochs: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        e = self.epochs
+        if all_at_least(e, 0.0, strict=True) and all(map(operator.lt, e, e[1:])):
+            return
         prev = 0.0
         for i, t in enumerate(self.epochs):
             if not (math.isfinite(t) and t > 0.0):
@@ -100,9 +109,65 @@ class DebugPeriod:
             raise DomainError(f"failure count must be a non-negative integer, got {self.failures}")
 
 
-def read_rows(
-    text: str, columns: Sequence[tuple[str, Callable[[str], Any]]]
-) -> Iterator[tuple[int, list]]:
+@dataclass(frozen=True, eq=False)
+class DebugPeriods(Sequence):
+    """Debugging periods held column by column, as :func:`parse_debug_periods` returns them.
+
+    Indexing and iteration give DebugPeriod records, and it compares equal
+    to any sequence of the same periods.  Each column is checked once, with
+    DebugPeriod's rules.
+    """
+
+    tau: tuple[float, ...]
+    corrected: tuple[int, ...]
+    exposure: tuple[float, ...]
+    failures: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len({len(self.tau), len(self.corrected), len(self.exposure), len(self.failures)}) > 1:
+            raise DomainError("period columns must have equal lengths")
+        counts = _all_counts(self.corrected) and _all_counts(self.failures)
+        times = all_at_least(self.tau, 0.0) and all_at_least(self.exposure, 0.0, strict=True)
+        if not (counts and times):
+            for values in zip(self.tau, self.corrected, self.exposure, self.failures):
+                DebugPeriod(*values)  # raises for the first bad period
+
+    @classmethod
+    def of(cls, periods: Iterable[DebugPeriod]) -> DebugPeriods:
+        """``periods`` as columns; a DebugPeriods is returned as it is."""
+        if isinstance(periods, DebugPeriods):
+            return periods
+        periods = list(periods)
+        return cls(*(tuple(getattr(p, name) for p in periods) for name in _PERIOD_FIELDS))
+
+    def __len__(self) -> int:
+        return len(self.tau)
+
+    def __getitem__(self, index):
+        values = (self.tau[index], self.corrected[index], self.exposure[index], self.failures[index])
+        return DebugPeriods(*values) if isinstance(index, slice) else DebugPeriod(*values)
+
+    def __iter__(self) -> Iterator[DebugPeriod]:
+        return map(DebugPeriod, self.tau, self.corrected, self.exposure, self.failures)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+_PERIOD_FIELDS = ("tau", "corrected", "exposure", "failures")
+
+
+def _all_counts(values: Sequence) -> bool:
+    """Whether every value is a non-negative int, in C passes; False when unsure."""
+    return set(map(type, values)) <= {int} and min(values, default=0) >= 0
+
+
+_ColumnSpec = Sequence[tuple[str, Callable[[str], Any]]]
+
+
+def read_rows(text: str, columns: _ColumnSpec) -> Iterator[tuple[int, Sequence]]:
     """Yield ``(row_number, values)`` for each data row of CSV ``text``.
 
     ``columns`` names each expected column with the callable (``float``,
@@ -111,6 +176,88 @@ def read_rows(
     have one field per column, and any line ending is accepted.  Structural
     problems raise ParseError with the 1-based row (the header is row 1).
     """
+    table = _split_columns(text, columns)
+    if table is None:
+        return _read_rows(text, columns)
+    return zip(itertools.count(2), zip(*table))
+
+
+def read_columns(
+    text: str,
+    columns: _ColumnSpec,
+    check_row: Callable[[int, Sequence], None] | None = None,
+) -> tuple[Sequence[int], list[list]]:
+    """The row numbers and the columns (one list each) of the data rows of CSV ``text``.
+
+    The rules and errors are those of :func:`read_rows`.  A file that is not
+    split whole is read row by row, and ``check_row(row_number, values)``
+    is then called on each row as it is read, so that a bad value is
+    reported before a parse error on a later row, as a row-by-row parser
+    reports it.  On a regular file the caller checks the whole columns.
+    """
+    table = _split_columns(text, columns)
+    if table is not None:
+        return range(2, len(table[0]) + 2), table
+    rows, values = [], []
+    for row_number, row in _read_rows(text, columns):
+        if check_row is not None:
+            check_row(row_number, row)
+        rows.append(row_number)
+        values.append(row)
+    return rows, [list(column) for column in zip(*values)] or [[] for _ in columns]
+
+
+def _split_columns(text: str, columns: _ColumnSpec) -> list[list] | None:
+    """Each column of ``text`` converted whole, or None unless the file is regular.
+
+    Regular means: no quote and no carriage return, a matching header,
+    then only lines with one field per column, no blank line, no field
+    over csv's size limit, and every token accepted by its column's
+    callable.  csv then yields exactly these rows, so the values are those
+    of the row reader.  Lines are split on "\n" alone: csv ends a line at
+    no other character (str.splitlines would also split on \v, \f,
+    \x1c-\x1e, \x85, \u2028 and \u2029).
+    """
+    if '"' in text or "\r" in text or "\n\n" in text:
+        return None
+    # A field over the limit would hold a whole aligned block of half the
+    # limit with no separator in it.
+    block = max(csv.field_size_limit() // 2, 1)
+    for start in range(0, len(text) - block + 1, block):
+        if text.find(",", start, start + block) < 0 and text.find("\n", start, start + block) < 0:
+            return None
+    header, _, body = text.partition("\n")
+    if [h.strip().lower() for h in header.split(",")] != [name for name, _ in columns]:
+        return None
+    body = body.removesuffix("\n")
+    # A "\n" token between lines marks where each line's fields end; no
+    # field holds a "\n", so the marks sit every len(columns) + 1 tokens
+    # exactly when every line has one field per column.  The body is taken a
+    # block of lines at a time, so only one block's tokens are alive at once.
+    stride = len(columns) + 1
+    table: list[list] = [[] for _ in columns]
+    start = 0
+    while start < len(body):
+        end = body.find("\n", start + _SPLIT_CHARS)
+        end = len(body) if end < 0 else end
+        lines = body.count("\n", start, end) + 1
+        tokens = body[start:end].replace("\n", ",\n,").split(",")
+        if len(tokens) != lines * stride - 1 or tokens[stride - 1 :: stride].count("\n") != lines - 1:
+            return None
+        try:
+            for i, (column, (_, kind)) in enumerate(zip(table, columns)):
+                column.extend(map(kind, tokens[i::stride]))
+        except Exception:  # the row reader reports the first bad token, by row
+            return None
+        start = end + 1
+    return table
+
+
+_SPLIT_CHARS = 1 << 16  # about the text split at a time
+
+
+def _read_rows(text: str, columns: _ColumnSpec) -> Iterator[tuple[int, list]]:
+    """The row-by-row reader behind :func:`read_rows`, for any file."""
     names = [name for name, _ in columns]
     kinds = [kind for _, kind in columns]
     width = len(columns)
@@ -200,7 +347,8 @@ def serialize_run_log(log: RunLog) -> str:
 
 def parse_failure_epochs(text: str) -> FailureEpochs:
     """Parse single-column ``epoch`` CSV text into validated FailureEpochs."""
-    return FailureEpochs(tuple(epoch for _, (epoch,) in read_rows(text, (("epoch", float),))))
+    _, (epochs,) = read_columns(text, (("epoch", float),))
+    return FailureEpochs(tuple(epochs))
 
 
 def serialize_failure_epochs(epochs: FailureEpochs) -> str:
@@ -209,16 +357,23 @@ def serialize_failure_epochs(epochs: FailureEpochs) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_debug_periods(text: str) -> list[DebugPeriod]:
-    """Parse ``tau,corrected,exposure,failures`` CSV text into DebugPeriod records."""
-    periods: list[DebugPeriod] = []
+def parse_debug_periods(text: str) -> DebugPeriods:
+    """Parse ``tau,corrected,exposure,failures`` CSV text into checked period columns."""
     columns = (("tau", float), ("corrected", int), ("exposure", float), ("failures", int))
-    for row_number, values in read_rows(text, columns):
-        try:
-            periods.append(DebugPeriod(*values))
-        except DomainError as exc:
-            raise DomainError(f"row {row_number}: {exc}") from None
-    return periods
+    rows, table = read_columns(text, columns, _check_period)
+    try:
+        return DebugPeriods(*map(tuple, table))
+    except DomainError:
+        for row_number, *values in zip(rows, *table):
+            _check_period(row_number, values)
+        raise
+
+
+def _check_period(row_number: int, values: Sequence) -> None:
+    try:
+        DebugPeriod(*values)
+    except DomainError as exc:
+        raise DomainError(f"row {row_number}: {exc}") from None
 
 
 def serialize_debug_periods(periods: Sequence[DebugPeriod]) -> str:
@@ -252,9 +407,5 @@ def intervals_from_epochs(epochs: FailureEpochs) -> list[float]:
     The first interval is measured from time zero.  The cumulative sum of
     the result reproduces the epochs.
     """
-    out: list[float] = []
-    prev = 0.0
-    for t in epochs.epochs:
-        out.append(t - prev)
-        prev = t
-    return out
+    e = epochs.epochs
+    return list(map(operator.sub, e, itertools.chain((0.0,), e)))

@@ -11,7 +11,7 @@ and the fitter reports the absence of that trend as a first-class outcome
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 from typing import Sequence
 
@@ -25,7 +25,7 @@ from .errors import (
     SingularInformation,
     TooFewIntervals,
 )
-from .numerics import find_root_bracketed, fsum_array, pole_sum, scan_bracket
+from .numerics import check_intervals, find_root_bracketed, fsum_array, pole_sum, scan_bracket
 
 _RESIDUAL_LIMIT = 1e-9
 
@@ -40,6 +40,8 @@ class JmFit:
     var_e0: float | None = None
     var_k: float | None = None
     rho: float | None = None
+    # The stationarity residual that fit_mle checked at this root.
+    residual: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not (isinstance(self.k_obs, int) and self.k_obs >= 1):
@@ -104,12 +106,11 @@ def stationarity_residual(e0: float, intervals: Sequence[float]) -> float:
     return lhs / rhs - 1.0
 
 
-def _check_intervals(intervals: Sequence[float]) -> list[float]:
-    xs = [float(x) for x in intervals]
-    for x in xs:
-        if not (math.isfinite(x) and x > 0.0):
-            raise DomainError(f"intervals must be finite and positive, got {x}")
-    return xs
+def _check_intervals(intervals: Sequence[float]) -> np.ndarray:
+    """The intervals as a float array, each checked finite and positive."""
+    x = np.fromiter(map(float, intervals), dtype=float)
+    check_intervals(x)
+    return x
 
 
 def fit_mle(intervals: Sequence[float]) -> JmFit:
@@ -127,11 +128,11 @@ def fit_mle(intervals: Sequence[float]) -> JmFit:
     finite root exists only when B/A < (k-1)/2, i.e. when failures cluster
     early; otherwise NoGrowthEvidence is raised carrying that diagnostic.
     """
-    xs = _check_intervals(intervals)
-    k = len(xs)
+    x = _check_intervals(intervals)
+    k = len(x)
     if k < 2:
         raise TooFewIntervals(f"need at least 2 intervals to fit two parameters, got {k}")
-    a, b = _sums(xs)
+    a, b = _sums(x)
 
     def objective(e0: float) -> float:
         return pole_sum(e0, k) / (k * a / (e0 * a - b)) - 1.0
@@ -146,11 +147,12 @@ def fit_mle(intervals: Sequence[float]) -> JmFit:
     e0 = find_root_bracketed(objective, bracket)
     k_hat = k / (e0 * a - b)
     fit = JmFit(e0_hat=e0, k_hat=k_hat, k_obs=k)
-    if abs(stationarity_residual(e0, xs)) > _RESIDUAL_LIMIT:
+    residual = stationarity_residual(e0, x)
+    if abs(residual) > _RESIDUAL_LIMIT:
         raise NoConvergence(
             f"stationarity residual exceeds {_RESIDUAL_LIMIT} at the located root"
         )
-    return fit
+    return replace(fit, residual=residual)
 
 
 def covariance(fit: JmFit, intervals: Sequence[float]) -> JmFit:
@@ -165,13 +167,13 @@ def covariance(fit: JmFit, intervals: Sequence[float]) -> JmFit:
     Raises SingularInformation when the denominator is not positive, which
     includes every single-interval fit.
     """
-    xs = _check_intervals(intervals)
-    if len(xs) != fit.k_obs:
+    x = _check_intervals(intervals)
+    if len(x) != fit.k_obs:
         raise DomainError(
-            f"fit was made from {fit.k_obs} intervals but {len(xs)} were supplied"
+            f"fit was made from {fit.k_obs} intervals but {len(x)} were supplied"
         )
     k = fit.k_obs
-    a = math.fsum(xs)
+    a = fsum_array(x)
     # float_power calls the C library's pow, as Python's ** does, so each
     # term keeps the bits of the scalar expression.  A square that overflows
     # makes its term 0; one that underflows to 0 makes S2 infinite, which

@@ -10,12 +10,15 @@ weighted estimator and a partitioned single-run form are also provided.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import DomainError, ParseError, WeightSumMismatch
-from .failure_data import read_rows
+from .failure_data import read_columns
+from .numerics import all_at_least
 
 _SUM_TOL = 1e-9
 
@@ -30,15 +33,15 @@ class RunProfile:
     def __post_init__(self) -> None:
         if len(self.probs) != len(self.indicators) or not self.probs:
             raise DomainError("probs and indicators must be non-empty and of equal length")
-        for p in self.probs:
-            if not (math.isfinite(p) and p >= 0.0):
-                raise DomainError(f"profile probabilities must be non-negative, got {p}")
+        if not all_at_least(self.probs, 0.0):
+            p = next(p for p in self.probs if not (math.isfinite(p) and p >= 0.0))
+            raise DomainError(f"profile probabilities must be non-negative, got {p}")
         total = math.fsum(self.probs)
         if abs(total - 1.0) > _SUM_TOL:
             raise DomainError(f"profile probabilities must sum to 1, got {total}")
-        for y in self.indicators:
-            if y not in (0, 1):
-                raise DomainError(f"failure indicators must be 0 or 1, got {y}")
+        if not all(map((0, 1).__contains__, self.indicators)):
+            y = next(y for y in self.indicators if y not in (0, 1))
+            raise DomainError(f"failure indicators must be 0 or 1, got {y}")
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,7 @@ class PartitionSpec:
 
 def run_failure_prob(profile: RunProfile) -> float:
     """Failure probability of one run: profile mass on failing input sets."""
-    q = math.fsum(p * y for p, y in zip(profile.probs, profile.indicators))
+    q = math.fsum(map(operator.mul, profile.probs, profile.indicators))
     return min(1.0, max(0.0, q))
 
 
@@ -129,29 +132,50 @@ def parse_profiles(text: str) -> list[RunProfile]:
     row where an earlier id reappears); runs keep their file order.
     """
     columns = (("p", float), ("y", int))
-    has_run_column = text.partition("\n")[0].strip().lower().startswith("run")
-    if has_run_column:
-        columns = (("run", int),) + columns
-    groups: dict[int, tuple[list[float], list[int]]] = {}
+    if not text.partition("\n")[0].strip().lower().startswith("run"):
+        rows, (probs, indicators) = read_columns(text, columns)
+        starts = [0]
+    else:
+        rows, (runs, probs, indicators) = read_columns(
+            text, (("run", int),) + columns, _contiguous_runs()
+        )
+        # A run starts where its id differs from the row before.
+        changed = map(operator.ne, runs, itertools.chain((None,), runs))
+        starts = list(itertools.compress(range(len(runs)), changed))
+        check = _contiguous_runs()
+        for start in starts:
+            check(rows[start], (runs[start],))
+    if not rows:
+        raise ParseError("profile file contains no data rows", row=2)
+    ends = starts[1:] + [len(probs)]
+    return [
+        RunProfile(tuple(probs[start:end]), tuple(indicators[start:end]))
+        for start, end in zip(starts, ends)
+    ]
+
+
+def _contiguous_runs() -> Callable[[int, Sequence], None]:
+    """A row check that raises ParseError where a run id reappears after other runs."""
+    seen: set[int] = set()
     current = None
-    for row_number, values in read_rows(text, columns):
-        run_id = values[0] if has_run_column else 0
+
+    def check(row_number: int, values: Sequence) -> None:
+        nonlocal current
+        run_id = values[0]
         if run_id != current:
-            if run_id in groups:
+            if run_id in seen:
                 raise ParseError(
                     f"run {run_id} reappears after other runs; "
                     "the rows of one run must be contiguous",
                     row=row_number,
                 )
-            probs, indicators = groups[run_id] = ([], [])
+            seen.add(run_id)
             current = run_id
-        probs.append(values[-2])
-        indicators.append(values[-1])
-    if not groups:
-        raise ParseError("profile file contains no data rows", row=2)
-    return [RunProfile(tuple(probs), tuple(indicators)) for probs, indicators in groups.values()]
+
+    return check
 
 
 def parse_weights(text: str) -> list[float]:
     """Parse single-column ``weight`` CSV text."""
-    return [weight for _, (weight,) in read_rows(text, (("weight", float),))]
+    _, (weights,) = read_columns(text, (("weight", float),))
+    return weights

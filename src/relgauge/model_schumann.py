@@ -16,10 +16,12 @@ errors decaying exponentially, lives in :mod:`debug_economics`.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass, field, replace
 from statistics import NormalDist
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .errors import (
     SingularInformation,
     Underdetermined,
 )
-from .failure_data import DebugPeriod, read_rows
+from .failure_data import DebugPeriod, DebugPeriods, read_rows
 from .numerics import Info2x2, find_root_bracketed, fsum_array, invert_information, scan_bracket
 
 _RESIDUAL_LIMIT = 1e-9
@@ -58,6 +60,8 @@ class SchumannFit:
     var_c: float | None = None
     rho: float | None = None
     ci_level: float = 0.95
+    # The stationarity residuals that fit_mle checked at this root.
+    residuals: tuple[float, float] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not (isinstance(self.instructions, int) and self.instructions >= 1):
@@ -172,16 +176,21 @@ class _Columns(NamedTuple):
     exposure_sum: float  # sum(H_j)
 
 
-def _columns(periods: Sequence[DebugPeriod], instructions: int) -> _Columns:
-    exposure = np.array([p.exposure for p in periods], dtype=float)
+def _columns(periods: DebugPeriods, instructions: int) -> _Columns:
+    exposure = np.array(periods.exposure, dtype=float)
     return _Columns(
         instructions=instructions,
-        corrected=np.array([p.corrected / instructions for p in periods], dtype=float),
+        corrected=np.fromiter(_per_instruction(periods.corrected, instructions), dtype=float),
         exposure=exposure,
-        failures=np.array([p.failures for p in periods], dtype=float),
-        total=sum(p.failures for p in periods),
+        failures=np.array(periods.failures, dtype=float),
+        total=sum(periods.failures),
         exposure_sum=fsum_array(exposure),
     )
+
+
+def _per_instruction(counts: Sequence[int], instructions: int) -> Iterator[float]:
+    """count / I for each count, divided as Python divides ints."""
+    return map(operator.truediv, counts, itertools.repeat(instructions))
 
 
 def _c_from_exposure(e0: float, cols: _Columns) -> float:
@@ -199,20 +208,23 @@ def _stationarity(e0: float, cols: _Columns) -> float:
 
 def stationarity_residuals(fit: SchumannFit, periods: Sequence[DebugPeriod]) -> tuple[float, float]:
     """Relative residuals of the two likelihood expressions for c at the fit."""
-    cols = _columns(periods, fit.instructions)
+    return _residuals(fit, _columns(DebugPeriods.of(periods), fit.instructions))
+
+
+def _residuals(fit: SchumannFit, cols: _Columns) -> tuple[float, float]:
     c1 = _c_from_exposure(fit.e0_hat, cols)
     c2 = _c_from_rates(fit.e0_hat, cols)
     return abs(c1 / fit.c_hat - 1.0), abs(c2 / fit.c_hat - 1.0)
 
 
-def _check_periods(periods: Sequence[DebugPeriod], instructions: int) -> None:
+def _check_periods(periods: DebugPeriods, instructions: int) -> None:
     if not (isinstance(instructions, int) and instructions >= 1):
         raise DomainError(f"instructions must be an integer >= 1, got {instructions}")
     if len(periods) < 2:
         raise Underdetermined(f"need at least 2 debugging periods, got {len(periods)}")
-    if sum(p.failures for p in periods) < 2:
+    if sum(periods.failures) < 2:
         raise DomainError("need at least 2 failures overall to fit two parameters")
-    if len({p.corrected for p in periods}) < 2:
+    if len(set(periods.corrected)) < 2:
         raise Underdetermined(
             "all periods share one corrected count, so the error total is unidentifiable"
         )
@@ -237,14 +249,14 @@ def fit_mle(
     within 60 doublings, which is the signature of data without
     reliability growth.
     """
-    periods = list(periods)
+    periods = DebugPeriods.of(periods)
     _check_periods(periods, instructions)
     cols = _columns(periods, instructions)
 
     def objective(e0: float) -> float:
         return _stationarity(e0, cols)
 
-    bracket = scan_bracket(objective, float(max(p.corrected for p in periods)))
+    bracket = scan_bracket(objective, float(max(periods.corrected)))
     if bracket is None:
         raise NoConvergence(
             "the likelihood stationarity condition has no root above the feasibility "
@@ -253,11 +265,12 @@ def fit_mle(
     e0 = find_root_bracketed(objective, bracket)
     c = _c_from_exposure(e0, cols)
     fit = SchumannFit(e0_hat=e0, c_hat=c, instructions=instructions, ci_level=ci_level)
-    if max(stationarity_residuals(fit, periods)) > _RESIDUAL_LIMIT:
+    residuals = _residuals(fit, cols)
+    if max(residuals) > _RESIDUAL_LIMIT:
         raise NoConvergence(
             f"stationarity residuals exceed {_RESIDUAL_LIMIT} at the located root"
         )
-    return fit
+    return replace(fit, residuals=residuals)
 
 
 def covariance(fit: SchumannFit, periods: Sequence[DebugPeriod]) -> SchumannFit:
@@ -274,25 +287,23 @@ def covariance(fit: SchumannFit, periods: Sequence[DebugPeriod]) -> SchumannFit:
     """
     if len(periods) < 2:
         raise SingularInformation("a single period carries rank-1 information")
+    periods = DebugPeriods.of(periods)
     I = fit.instructions
-    residuals = []
-    for p in periods:
-        r = fit.e0_hat / I - p.corrected / I
-        if r <= 0.0:
-            raise ResidualNonPositive(
-                f"period with corrected count {p.corrected} has non-positive residual at the fit"
-            )
-        residuals.append(r)
-    total = sum(p.failures for p in periods)
-    info = Info2x2(
-        a11=total / fit.c_hat**2,
-        a12=math.fsum(p.exposure for p in periods) / I,
-        a22=math.fsum(p.failures / r**2 for p, r in zip(periods, residuals)) / I**2,
+    # Python scalar arithmetic mapped in C: the bits and the errors of the per-period loop.
+    residuals = list(
+        map(operator.sub, itertools.repeat(fit.e0_hat / I), _per_instruction(periods.corrected, I))
     )
+    if not min(residuals) > 0.0:
+        corrected = next(c for c, r in zip(periods.corrected, residuals) if r <= 0.0)
+        raise ResidualNonPositive(
+            f"period with corrected count {corrected} has non-positive residual at the fit"
+        )
+    total = sum(periods.failures)
+    squares = map(pow, residuals, itertools.repeat(2))
+    s2 = math.fsum(map(operator.truediv, periods.failures, squares))
+    info = Info2x2(a11=total / fit.c_hat**2, a12=math.fsum(periods.exposure) / I, a22=s2 / I**2)
     inverse = invert_information(info)
-    rho = math.fsum(p.failures / r for p, r in zip(periods, residuals)) / math.sqrt(
-        total * math.fsum(p.failures / r**2 for p, r in zip(periods, residuals))
-    )
+    rho = math.fsum(map(operator.truediv, periods.failures, residuals)) / math.sqrt(total * s2)
     return replace(fit, var_c=inverse.var1, var_e0=inverse.var2, rho=rho)
 
 

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateSample, DomainError, NoConvergence, OutOfRange
-from .numerics import Bracket, find_root_bracketed, log_gamma
+from .numerics import Bracket, check_intervals, find_root_bracketed, fsum_array, log_gamma
 
 _M_LO = 0.05
 _M_HI = 20.0
@@ -70,8 +70,15 @@ def reliability(fit: WeibullFit, t: float) -> float:
 
 
 def mttf(fit: WeibullFit) -> float:
-    """Mean failure time Gamma(1 + 1/m) / lam."""
-    return math.exp(log_gamma(1.0 + 1.0 / fit.m)) / fit.lam
+    """Mean failure time Gamma(1 + 1/m) / lam.
+
+    Where Gamma(1 + 1/m) alone overflows, the quotient is taken in log space.
+    """
+    log_g = log_gamma(1.0 + 1.0 / fit.m)
+    try:
+        return math.exp(log_g) / fit.lam
+    except OverflowError:
+        return math.exp(log_g - math.log(fit.lam))
 
 
 def gamma_moment_ratio(m: float) -> float:
@@ -95,15 +102,20 @@ def fit_moments(
     bracket can reach.  A fitted shape >= 1 is returned like any other;
     callers that expect reliability growth check ``fit.m < 1`` themselves.
     """
-    xs = [float(x) for x in intervals]
-    if len(xs) < 2:
-        raise DomainError(f"need at least 2 intervals, got {len(xs)}")
-    for x in xs:
-        if not (math.isfinite(x) and x > 0.0):
-            raise DomainError(f"intervals must be finite and positive, got {x}")
-    k = len(xs)
-    t_bar = math.fsum(xs) / k
-    s2 = math.fsum((x - t_bar) ** 2 for x in xs) / k
+    x = np.fromiter(map(float, intervals), dtype=float)
+    k = len(x)
+    if k < 2:
+        raise DomainError(f"need at least 2 intervals, got {k}")
+    check_intervals(x)
+    t_bar = fsum_array(x) / k
+    # float_power calls the C library's pow, as Python's ** does, so each
+    # square keeps the bits of the scalar expression.
+    with np.errstate(over="ignore"):
+        squares = np.float_power(x - t_bar, 2)
+    if np.isfinite(squares).all():
+        s2 = fsum_array(squares) / k
+    else:  # a square overflows: raise OverflowError as the scalar ** does
+        s2 = math.fsum(d**2 for d in (x - t_bar).tolist()) / k
     if s2 == 0.0:
         raise DegenerateSample("zero sample variance; the shape estimate diverges")
     ratio = s2 / t_bar**2

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import DomainError, NonFinite, NoSignChange, SingularInformation
 
@@ -205,6 +205,29 @@ def fsum_array(values) -> float:
     the same values held in a list.
     """
     return math.fsum(memoryview(values))
+
+
+def all_at_least(values: Sequence, low: float, strict: bool = False) -> bool:
+    """Whether every value is finite and at least ``low`` (above it if ``strict``), in C passes.
+
+    Anything else, a value of an unexpected type included, gives False and
+    never an exception: callers then check item by item, which finds the
+    first bad value and raises its own error.
+    """
+    try:
+        if not all(map(math.isfinite, values)):
+            return False
+        least = min(values, default=math.inf)
+        return least > low if strict else least >= low
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def check_intervals(values) -> None:
+    """Raise DomainError naming the first of the float array ``values`` not finite and positive."""
+    ok = (values > 0.0) & (values < math.inf)
+    if not ok.all():
+        raise DomainError(f"intervals must be finite and positive, got {float(values[ok.argmin()])}")
 
 
 def _digamma_tail(z: float) -> float:

@@ -8,9 +8,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from relgauge import cli
+from relgauge import cli, failure_data, model_jm, model_schumann
 from relgauge.cli import run_cli
 from relgauge.errors import OutOfRange
 
@@ -459,6 +460,14 @@ def test_predict_weibull(capsys):
     assert at_zero["reliability"] == 1.0
 
 
+def test_predict_weibull_mttf_past_the_gamma_overflow(capsys):
+    # Gamma(1 + 1/0.005) overflows a float; the mean, about 7.9e74, does not.
+    report = run_json(
+        capsys, "predict", "weibull", "--shape", "0.005", "--scale", "1e300", "--time", "1"
+    )
+    assert report["mttf"] == pytest.approx(math.exp(math.lgamma(201.0) - math.log(1e300)), rel=1e-11)
+
+
 def test_non_finite_report_value_is_out_of_range(tmp_path, capsys):
     # The intensity overflows to infinity, which strict JSON cannot carry.
     out = tmp_path / "report.json"
@@ -634,3 +643,73 @@ def test_every_report_has_json_dumps_layout(tmp_path, capsys):
         code, body, err = run(capsys, *args)
         assert code == 0, (args, err)
         assert body == json.dumps(json.loads(body), indent=2, sort_keys=True) + "\n", args
+
+
+def _large_inputs():
+    """Files of k = 2*10^4 epochs, 2*10^3 periods and 2*10^4 profile rows (200 runs)."""
+    rng = np.random.default_rng(6)
+    k = 20_000
+    epochs = np.cumsum(rng.exponential(1.25 * k / (1.25 * k - np.arange(k))))
+    count = 2_000
+    corrected = np.floor(np.linspace(0.0, 0.7 * 5000, count)).astype(int)
+    exposure = rng.uniform(0.5, 1.5, count)
+    failures = rng.poisson(10.0 * (5000 - corrected) / 5000 * exposure)
+    probs = rng.dirichlet(np.ones(100), size=200)
+    indicators = (rng.random((200, 100)) < 0.05).astype(int)
+    lines = {
+        "epochs": ["epoch", *map(repr, epochs.tolist())],
+        "periods": ["tau,corrected,exposure,failures"]
+        + [
+            f"{i + 1.0!r},{c},{e!r},{f}"
+            for i, (c, e, f) in enumerate(zip(corrected.tolist(), exposure.tolist(), failures.tolist()))
+        ],
+        "profile": ["run,p,y"]
+        + [
+            f"{run + 1},{p!r},{y}"
+            for run in range(200)
+            for p, y in zip(probs[run].tolist(), indicators[run].tolist())
+        ],
+    }
+    return lines
+
+
+def test_fallback_file_gives_the_same_report(tmp_path, capsys, monkeypatch):
+    """A quoted token sends a whole file down the row-by-row reader; the report must not change."""
+    reads = []
+    row_reader = failure_data._read_rows
+    monkeypatch.setattr(failure_data, "_read_rows", lambda *args: reads.append(1) or row_reader(*args))
+    commands = {
+        "epochs": [["fit", "jm"], ["fit", "weibull"]],
+        "periods": [["fit", "schumann", "--instructions", "1000000"]],
+        "profile": [["fit", "nelson"]],
+    }
+    for name, lines in _large_inputs().items():
+        plain, quoted = tmp_path / f"{name}.csv", tmp_path / f"{name}-quoted.csv"
+        plain.write_text("\n".join(lines) + "\n")
+        token, _, rest = lines[1].partition(",")
+        quoted.write_text("\n".join([lines[0], f'"{token}"' + _ + rest, *lines[2:]]) + "\n")
+        flag = "--profile" if name == "profile" else "--input"
+        for command in commands[name]:
+            reports = []
+            for path, fallbacks in ((plain, 0), (quoted, 1)):
+                report = run_json(capsys, *command, flag, str(path))
+                assert len(reads) == fallbacks, (command, path.name)
+                del report["provenance"]
+                reports.append(json.dumps(report, sort_keys=True))
+                reads.clear()
+            assert reports[0] == reports[1], command
+
+
+def test_fits_report_the_residuals_they_checked(tmp_path, capsys, monkeypatch):
+    """Each fit computes its O(k) stationarity check once; the report reuses it."""
+    calls = []
+    for module, name in ((model_jm, "stationarity_residual"), (model_schumann, "_columns")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+    epochs = tmp_path / "epochs.csv"
+    epochs.write_text(EPOCHS_GROWTH)
+    periods = tmp_path / "periods.csv"
+    periods.write_text(PERIODS_TWO)
+    run_json(capsys, "fit", "jm", "--input", str(epochs))
+    run_json(capsys, "fit", "schumann", "--input", str(periods), "--instructions", "1000")
+    assert calls == ["stationarity_residual", "_columns"]

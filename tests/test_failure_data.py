@@ -1,14 +1,17 @@
 """Tests for run logs, failure epochs, debugging periods, and their CSV forms."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from relgauge.debug_economics import parse_discovery
+from relgauge import failure_data
 from relgauge.errors import DomainError, NoFailures, NotMonotone, ParseError
 from relgauge.failure_data import (
     DebugPeriod,
+    DebugPeriods,
     FailureEpochs,
     Outcome,
     RunLog,
@@ -202,6 +205,23 @@ def test_parse_debug_periods():
     assert parse_debug_periods(serialize_debug_periods(periods)) == periods
 
 
+def test_debug_periods_hold_columns():
+    rows = [DebugPeriod(1.0, 20, 1000.0, 10), DebugPeriod(2.0, 50, 1600.0, 10)]
+    periods = DebugPeriods.of(rows)
+    assert periods == rows and rows == periods
+    assert len(periods) == 2 and periods[1] == rows[1] and periods[-2] == rows[0]
+    assert list(periods) == rows and periods[:1] == rows[:1]
+    assert periods.exposure == (1000.0, 1600.0)
+    assert DebugPeriods.of(periods) is periods
+    assert DebugPeriods((0.0,), (True,), (1.0,), (0,))  # bools pass, as DebugPeriod takes them
+    with pytest.raises(DomainError, match="^exposure must be finite and positive, got -5.0$"):
+        DebugPeriods((1.0, 2.0), (0, 1), (1.0, -5.0), (0, 0))
+    with pytest.raises(DomainError, match="^corrected count must be a non-negative integer, got 1.5$"):
+        DebugPeriods((1.0,), (1.5,), (1.0,), (0,))
+    with pytest.raises(DomainError, match="equal lengths"):
+        DebugPeriods((1.0,), (0, 1), (1.0,), (0,))
+
+
 def test_parse_debug_periods_errors():
     with pytest.raises(ParseError, match="row 2"):
         parse_debug_periods("tau,corrected,exposure,failures\n1.0,20.5,1000,10\n")
@@ -268,3 +288,58 @@ def test_parser_contract(parser, header, rows, bad_row, name):
     assert parser(text(header, "", rows[0], "   ", "," * (width - 1), rows[1], "")) == expected
     assert parser(text(header, *rows).replace("\n", "\r\n")) == expected
     assert parser(text(header, *rows).replace("\n", "\r")) == expected
+
+
+def test_bad_value_is_reported_before_a_later_parse_error():
+    """Row checks run as rows are read, whatever path the file takes."""
+    header = "tau,corrected,exposure,failures"
+    for tail in ("", '\n"2.0",x,1,1'):  # a regular file, then one read row by row
+        with pytest.raises(DomainError, match="^row 3: exposure must be finite"):
+            parse_debug_periods(f"{header}\n1.0,20,1000,10\n2.0,30,-5,1{tail}\n")
+        with pytest.raises(ParseError, match="^row 4: run 1 reappears"):
+            parse_profiles(f"run,p,y\n1,1.0,0\n2,1.0,0\n1,1.0,0{tail.replace('x,1,1', 'x,0')}\n")
+    with pytest.raises(ParseError, match="^row 3: could not parse p"):
+        parse_profiles("run,p,y\n1,1.0,0\n2,x,0\n1,1.0,0\n")
+
+
+def _fallback_cases():
+    """The parser cases above, with their valid rows and the width of each."""
+    for parser, header, rows, _, _ in PARSER_CASES:
+        yield parser, header, rows, header.count(",") + 1
+
+
+# Each way a file leaves the columnar path, with what the row reader makes of it:
+# the same result as the plain file, or its own ParseError.
+FALLBACK_TRIGGERS = {
+    "quoted token": (lambda h, r, w: [h, '"' + r[0].replace(",", '","') + '"', r[1]], None),
+    "carriage return": (lambda h, r, w: [h + "\r", r[0] + "\r", r[1] + "\r"], None),
+    "blank line": (lambda h, r, w: [h, r[0], "", r[1]], None),
+    "wrong width": (lambda h, r, w: [h, r[0], r[1] + ",1"], "^row 3: expected {w} fields, got {w1}$"),
+    "field over the csv limit": (
+        lambda h, r, w: [h, r[0], " " * csv.field_size_limit() + r[1]],
+        r"^row 3: field larger than field limit \(\d+\)$",
+    ),
+    "failed conversion": (
+        lambda h, r, w: [h, r[0], ",".join(["?", *r[1].split(",")[1:]])],
+        "^row 3: could not parse .* from '\\?'$",
+    ),
+}
+
+
+@pytest.mark.parametrize("trigger", list(FALLBACK_TRIGGERS))
+def test_fallback_trigger(trigger, monkeypatch):
+    build, error = FALLBACK_TRIGGERS[trigger]
+    reads = []
+    row_reader = failure_data._read_rows
+    monkeypatch.setattr(failure_data, "_read_rows", lambda *args: reads.append(1) or row_reader(*args))
+    for parser, header, rows, width in _fallback_cases():
+        expected = parser("\n".join([header, *rows]) + "\n")
+        assert not reads  # the plain file is read whole
+        text = "\n".join(build(header, rows, width)) + "\n"
+        if error is None:
+            assert parser(text) == expected
+        else:
+            with pytest.raises(ParseError, match=error.format(w=width, w1=width + 1)):
+                parser(text)
+        assert reads, parser.__name__
+        reads.clear()

@@ -267,3 +267,19 @@ def test_covariance_bits_match_direct_sum():
     denom = k * s2 - (math.fsum(intervals) * fit.k_hat) ** 2
     assert fit.var_e0 == k / denom
     assert fit.var_k == s2 * fit.k_hat**2 / denom
+
+
+def test_fit_carries_its_checked_residual():
+    """fit_mle keeps the residual it checked, so a report need not recompute it."""
+    intervals = generate_intervals(60.0, 0.02, 50, seed=4)
+    fit = fit_mle(intervals)
+    assert fit.residual == stationarity_residual(fit.e0_hat, intervals)
+    assert covariance(fit, intervals).residual == fit.residual
+    assert fit == JmFit(e0_hat=fit.e0_hat, k_hat=fit.k_hat, k_obs=fit.k_obs)
+
+
+def test_bad_interval_is_named():
+    with pytest.raises(DomainError, match="^intervals must be finite and positive, got -2.0$"):
+        fit_mle([1.0, -2.0, math.nan])
+    with pytest.raises(DomainError, match="^intervals must be finite and positive, got inf$"):
+        covariance(JmFit(e0_hat=2.0, k_hat=0.5, k_obs=2), [1.0, math.inf])

@@ -17,6 +17,7 @@ from relgauge.errors import (
     Underdetermined,
 )
 from relgauge.failure_data import DebugPeriod
+from relgauge.numerics import Info2x2, invert_information
 from relgauge.model_schumann import (
     SchumannFit,
     confidence_intervals,
@@ -311,3 +312,35 @@ def test_mle_objective_reads_no_period_after_setup(monkeypatch):
     fit = fit_mle(watched, instructions)
     assert fit.e0_hat > max(p.corrected for p in periods[:200])
     assert _WatchedPeriod.reads == 0
+
+
+def test_fit_carries_its_checked_residuals():
+    """fit_mle keeps the residuals it checked, so a report need not rebuild the columns."""
+    periods, instructions = _golden_periods()
+    fit = fit_mle(periods, instructions)
+    assert fit.residuals == stationarity_residuals(fit, periods)
+    assert covariance(fit, periods).residuals == fit.residuals
+    assert fit == SchumannFit(fit.e0_hat, fit.c_hat, instructions)
+
+
+def test_covariance_bits_match_the_period_loop():
+    periods, instructions = _golden_periods()
+    fit = covariance(fit_mle(periods, instructions), periods)
+    r = [fit.e0_hat / instructions - p.corrected / instructions for p in periods]
+    total = sum(p.failures for p in periods)
+    s2 = math.fsum(p.failures / x**2 for p, x in zip(periods, r))
+    inverse = invert_information(
+        Info2x2(
+            a11=total / fit.c_hat**2,
+            a12=math.fsum(p.exposure for p in periods) / instructions,
+            a22=s2 / instructions**2,
+        )
+    )
+    assert (fit.var_c, fit.var_e0) == (inverse.var1, inverse.var2)
+    assert fit.rho == math.fsum(p.failures / x for p, x in zip(periods, r)) / math.sqrt(total * s2)
+
+
+def test_covariance_names_the_first_exhausted_period():
+    periods = PERIODS + [DebugPeriod(3.0, 120, 10.0, 1), DebugPeriod(4.0, 150, 10.0, 1)]
+    with pytest.raises(ResidualNonPositive, match="corrected count 120 "):
+        covariance(FIT, periods)

@@ -73,6 +73,14 @@ def test_mttf_examples():
     assert mttf(WeibullFit(m=1.0, lam=0.25)) == pytest.approx(4.0, rel=1e-12)
 
 
+def test_mttf_when_the_gamma_factor_alone_overflows():
+    # Gamma(201) is about 7.9e374, past a float; divided by 1e300 it is not.
+    expected = math.exp(math.lgamma(201.0) - math.log(1e300))
+    assert mttf(WeibullFit(m=0.005, lam=1e300)) == pytest.approx(expected, rel=1e-11)
+    with pytest.raises(OverflowError):
+        mttf(WeibullFit(m=0.001, lam=1.0))  # a mean past a float still raises
+
+
 def test_gamma_moment_ratio_values():
     assert gamma_moment_ratio(1.0) == pytest.approx(2.0, rel=1e-12)
     assert gamma_moment_ratio(0.5) == pytest.approx(6.0, rel=1e-12)
@@ -130,7 +138,26 @@ def test_fit_tiny_dispersion_has_no_solution():
         fit_moments([1.0, 1.0001, 1.0002])
 
 
+def test_fit_bits_match_the_scalar_moments():
+    # Taken with the moments summed as math.fsum((x - tbar) ** 2 for x in xs).
+    rng = np.random.default_rng(2024)
+    sample = (rng.weibull(0.7, 1000) * 3.0).tolist()
+    cv = fit_moments(sample, MomentForm.CV_CORRECTED)
+    raw = fit_moments(sample, MomentForm.RAW_RATIO)
+    assert (cv.m.hex(), cv.lam.hex()) == ("0x1.657acc21e487cp-1", "0x1.5a1ddffc5faf5p-2")
+    assert (raw.m.hex(), raw.lam.hex()) == ("0x1.dd83dec683042p-1", "0x1.19aef7c87b763p-2")
+
+
+def test_fit_overflowing_square_raises_as_the_scalar_square_does():
+    with pytest.raises(OverflowError, match="Numerical result out of range"):
+        fit_moments([1e300, 1.5e308])
+
+
 def test_fit_rejects_bad_input():
+    with pytest.raises(DomainError, match="^need at least 2 intervals, got 1$"):
+        fit_moments([-1.0])
+    with pytest.raises(DomainError, match="^intervals must be finite and positive, got nan$"):
+        fit_moments([1.0, 2.0, math.nan, -1.0])
     with pytest.raises(DomainError):
         fit_moments([1.0])
     with pytest.raises(DomainError):
