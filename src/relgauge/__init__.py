@@ -49,7 +49,7 @@ from .model_jm import JmFit
 from .model_nelson import PartitionSpec, RunProfile
 from .model_schumann import SchumannFit
 from .model_weibull import MomentForm, WeibullFit
-from .numerics import Bracket, Info2x2, find_root_bracketed, invert_information, log_gamma
+from .numerics import Bracket, find_root_bracketed
 
 __all__ = [
     "__version__",
@@ -64,7 +64,6 @@ __all__ = [
     "EconParams",
     "EstimationError",
     "FailureEpochs",
-    "Info2x2",
     "JmFit",
     "MomentForm",
     "Outcome",
@@ -83,8 +82,6 @@ __all__ = [
     "find_root_bracketed",
     "fit_discovery_curve",
     "intervals_from_epochs",
-    "invert_information",
-    "log_gamma",
     "optimal_debug_time",
     "optimal_module_time",
     "parse_debug_periods",

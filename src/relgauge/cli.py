@@ -141,9 +141,9 @@ def _emit(report: dict, output: str | None) -> None:
 
 def _handle_fit_schumann(ns: argparse.Namespace, read: _Read) -> dict:
     periods = parse_debug_periods(read("input", ns.input))
-    fit = model_schumann.fit_mle(periods, ns.instructions, ci_level=ns.confidence)
+    fit = model_schumann.fit_mle(periods, ns.instructions)
     fit = model_schumann.covariance(fit, periods)
-    ci = model_schumann.confidence_intervals(fit)
+    ci = model_schumann.confidence_intervals(fit, level=ns.confidence)
     return {
         "model": "schumann",
         "e0": fit.e0_hat,
@@ -153,7 +153,7 @@ def _handle_fit_schumann(ns: argparse.Namespace, read: _Read) -> dict:
         "var_e0": fit.var_e0,
         "var_c": fit.var_c,
         "rho": fit.rho,
-        "confidence": fit.ci_level,
+        "confidence": ns.confidence,
         "ci": {"e0": list(ci["e0"]), "c": list(ci["c"])},
         "residuals": list(fit.residuals),
         "k": len(periods),

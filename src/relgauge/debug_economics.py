@@ -121,7 +121,10 @@ def mttf(params: DiscoveryParams, tau: float) -> float:
     multiplies the expected life by e.
     """
     tau = _check_tau(tau)
-    return params.commands / (params.eps0 * params.tempo) * math.exp(tau / params.tau0)
+    rate = params.eps0 * params.tempo
+    if rate == 0.0:
+        raise OutOfRange(f"the failure rate eps0 * tempo = {params.eps0} * {params.tempo} underflows to 0")
+    return params.commands / rate * math.exp(tau / params.tau0)
 
 
 def reliability(params: DiscoveryParams, tau: float, t: float) -> float:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +24,8 @@ from .errors import (
     SingularInformation,
     TooFewIntervals,
 )
-from .numerics import check_intervals, find_root_bracketed, fsum_array, pole_sum, scan_bracket
+from .numerics import find_root_bracketed, fsum_array, gaussian_intervals, interval_array
+from .numerics import pole_sum, scan_bracket
 
 _RESIDUAL_LIMIT = 1e-9
 
@@ -106,13 +106,6 @@ def stationarity_residual(e0: float, intervals: Sequence[float]) -> float:
     return lhs / rhs - 1.0
 
 
-def _check_intervals(intervals: Sequence[float]) -> np.ndarray:
-    """The intervals as a float array, each checked finite and positive."""
-    x = np.fromiter(map(float, intervals), dtype=float)
-    check_intervals(x)
-    return x
-
-
 def fit_mle(intervals: Sequence[float]) -> JmFit:
     """Maximum-likelihood (e0, k_jm) from ordered inter-failure intervals.
 
@@ -128,7 +121,7 @@ def fit_mle(intervals: Sequence[float]) -> JmFit:
     finite root exists only when B/A < (k-1)/2, i.e. when failures cluster
     early; otherwise NoGrowthEvidence is raised carrying that diagnostic.
     """
-    x = _check_intervals(intervals)
+    x = interval_array(intervals)
     k = len(x)
     if k < 2:
         raise TooFewIntervals(f"need at least 2 intervals to fit two parameters, got {k}")
@@ -167,7 +160,7 @@ def covariance(fit: JmFit, intervals: Sequence[float]) -> JmFit:
     Raises SingularInformation when the denominator is not positive, which
     includes every single-interval fit.
     """
-    x = _check_intervals(intervals)
+    x = interval_array(intervals)
     if len(x) != fit.k_obs:
         raise DomainError(
             f"fit was made from {fit.k_obs} intervals but {len(x)} were supplied"
@@ -197,15 +190,7 @@ def confidence_intervals(fit: JmFit, level: float = 0.95) -> dict[str, tuple[flo
     """Two-sided Gaussian confidence intervals for e0 and k_jm."""
     if fit.var_e0 is None or fit.var_k is None:
         raise DomainError("confidence intervals need variances; run covariance first")
-    if not (0.0 < level < 1.0):
-        raise DomainError(f"confidence level must lie in (0, 1), got {level}")
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    half_e0 = z * math.sqrt(fit.var_e0)
-    half_k = z * math.sqrt(fit.var_k)
-    return {
-        "e0": (fit.e0_hat - half_e0, fit.e0_hat + half_e0),
-        "k": (fit.k_hat - half_k, fit.k_hat + half_k),
-    }
+    return gaussian_intervals(level, e0=(fit.e0_hat, fit.var_e0), k=(fit.k_hat, fit.var_k))
 
 
 def generate_intervals(e0: float, k_jm: float, count: int, seed: int) -> list[float]:

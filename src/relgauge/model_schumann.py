@@ -20,7 +20,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from statistics import NormalDist
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -36,7 +35,7 @@ from .errors import (
     Underdetermined,
 )
 from .failure_data import DebugPeriod, DebugPeriods, read_rows
-from .numerics import Info2x2, find_root_bracketed, fsum_array, invert_information, scan_bracket
+from .numerics import find_root_bracketed, fsum_array, gaussian_intervals, scan_bracket
 
 _RESIDUAL_LIMIT = 1e-9
 # The largest mean numpy's Poisson sampler accepts (its POISSON_LAM_MAX).
@@ -59,7 +58,6 @@ class SchumannFit:
     var_e0: float | None = None
     var_c: float | None = None
     rho: float | None = None
-    ci_level: float = 0.95
     # The stationarity residuals that fit_mle checked at this root.
     residuals: tuple[float, float] | None = field(default=None, compare=False)
 
@@ -70,8 +68,6 @@ class SchumannFit:
             raise DomainError(f"e0_hat must be positive, got {self.e0_hat}")
         if not (math.isfinite(self.c_hat) and self.c_hat > 0.0):
             raise DomainError(f"c_hat must be positive, got {self.c_hat}")
-        if not (0.0 < self.ci_level < 1.0):
-            raise DomainError(f"ci_level must lie in (0, 1), got {self.ci_level}")
 
 
 def rounded_e0(fit: SchumannFit) -> int:
@@ -101,7 +97,11 @@ def reliability(fit: SchumannFit, eps_b: float, t: float) -> float:
 
 def mttf(fit: SchumannFit, eps_b: float) -> float:
     """Mean time to failure at corrected fraction ``eps_b``."""
-    return 1.0 / (fit.c_hat * _residual_fraction(fit, eps_b))
+    residual = _residual_fraction(fit, eps_b)
+    rate = fit.c_hat * residual
+    if rate == 0.0:
+        raise OutOfRange(f"the failure rate c * r = {fit.c_hat} * {residual} underflows to 0")
+    return 1.0 / rate
 
 
 def fit_two_period(
@@ -230,9 +230,7 @@ def _check_periods(periods: DebugPeriods, instructions: int) -> None:
         )
 
 
-def fit_mle(
-    periods: Sequence[DebugPeriod], instructions: int, ci_level: float = 0.95
-) -> SchumannFit:
+def fit_mle(periods: Sequence[DebugPeriod], instructions: int) -> SchumannFit:
     """Maximum-likelihood (e0, c) over any number of debugging periods.
 
     The two likelihood expressions for c,
@@ -264,7 +262,7 @@ def fit_mle(
         )
     e0 = find_root_bracketed(objective, bracket)
     c = _c_from_exposure(e0, cols)
-    fit = SchumannFit(e0_hat=e0, c_hat=c, instructions=instructions, ci_level=ci_level)
+    fit = SchumannFit(e0_hat=e0, c_hat=c, instructions=instructions)
     residuals = _residuals(fit, cols)
     if max(residuals) > _RESIDUAL_LIMIT:
         raise NoConvergence(
@@ -282,8 +280,11 @@ def covariance(fit: SchumannFit, periods: Sequence[DebugPeriod]) -> SchumannFit:
          [sum(H_j)/I,             sum(n_j/r_j^2)/I^2]]
 
     with r_j the per-instruction residual in period j.  Its inverse gives
-    var(c), var(e0), and their covariance; the correlation magnitude is
-    ``sum(n_j/r_j) / sqrt(sum(n_j) * sum(n_j/r_j^2))``.
+    var(c) = a22/det and var(e0) = a11/det; the correlation magnitude is
+    ``sum(n_j/r_j) / sqrt(sum(n_j) * sum(n_j/r_j^2))``.  Raises
+    SingularInformation when the determinant is not positive and finite,
+    and when a square overflows or underflows a float, so that the entries
+    cannot be formed.
     """
     if len(periods) < 2:
         raise SingularInformation("a single period carries rank-1 information")
@@ -300,24 +301,28 @@ def covariance(fit: SchumannFit, periods: Sequence[DebugPeriod]) -> SchumannFit:
         )
     total = sum(periods.failures)
     squares = map(pow, residuals, itertools.repeat(2))
-    s2 = math.fsum(map(operator.truediv, periods.failures, squares))
-    info = Info2x2(a11=total / fit.c_hat**2, a12=math.fsum(periods.exposure) / I, a22=s2 / I**2)
-    inverse = invert_information(info)
+    try:
+        s2 = math.fsum(map(operator.truediv, periods.failures, squares))
+        a11 = total / fit.c_hat**2
+        a22 = s2 / I**2
+    except (ZeroDivisionError, OverflowError) as exc:
+        # A square beyond a float's range: the entries cannot be formed in floats.
+        raise SingularInformation(f"an information entry is not a finite float: {exc}") from None
+    a12 = math.fsum(periods.exposure) / I
+    det = a11 * a22 - a12 * a12
+    if not 0.0 < det < math.inf:
+        raise SingularInformation(
+            f"information determinant a11*a22 - a12^2 = {det} is not positive and finite"
+        )
     rho = math.fsum(map(operator.truediv, periods.failures, residuals)) / math.sqrt(total * s2)
-    return replace(fit, var_c=inverse.var1, var_e0=inverse.var2, rho=rho)
+    return replace(fit, var_c=a22 / det, var_e0=a11 / det, rho=rho)
 
 
-def confidence_intervals(fit: SchumannFit) -> dict[str, tuple[float, float]]:
-    """Two-sided Gaussian confidence intervals at the fit's ci_level."""
+def confidence_intervals(fit: SchumannFit, level: float = 0.95) -> dict[str, tuple[float, float]]:
+    """Two-sided Gaussian confidence intervals for e0 and c."""
     if fit.var_e0 is None or fit.var_c is None:
         raise DomainError("confidence intervals need variances; run covariance first")
-    z = NormalDist().inv_cdf(0.5 + fit.ci_level / 2.0)
-    half_e0 = z * math.sqrt(fit.var_e0)
-    half_c = z * math.sqrt(fit.var_c)
-    return {
-        "e0": (fit.e0_hat - half_e0, fit.e0_hat + half_e0),
-        "c": (fit.c_hat - half_c, fit.c_hat + half_c),
-    }
+    return gaussian_intervals(level, e0=(fit.e0_hat, fit.var_e0), c=(fit.c_hat, fit.var_c))
 
 
 def generate_periods(

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateSample, DomainError, NoConvergence, OutOfRange
-from .numerics import Bracket, check_intervals, find_root_bracketed, fsum_array, log_gamma
+from .numerics import Bracket, find_root_bracketed, fsum_array, interval_array
 
 _M_LO = 0.05
 _M_HI = 20.0
@@ -74,7 +74,7 @@ def mttf(fit: WeibullFit) -> float:
 
     Where Gamma(1 + 1/m) alone overflows, the quotient is taken in log space.
     """
-    log_g = log_gamma(1.0 + 1.0 / fit.m)
+    log_g = math.lgamma(1.0 + 1.0 / fit.m)
     try:
         return math.exp(log_g) / fit.lam
     except OverflowError:
@@ -85,7 +85,7 @@ def gamma_moment_ratio(m: float) -> float:
     """G(m) = Gamma(1 + 2/m) / Gamma(1 + 1/m)^2, strictly decreasing in m."""
     if not (math.isfinite(m) and m > 0.0):
         raise DomainError(f"shape must be positive, got {m}")
-    return math.exp(log_gamma(1.0 + 2.0 / m) - 2.0 * log_gamma(1.0 + 1.0 / m))
+    return math.exp(math.lgamma(1.0 + 2.0 / m) - 2.0 * math.lgamma(1.0 + 1.0 / m))
 
 
 def fit_moments(
@@ -102,11 +102,10 @@ def fit_moments(
     bracket can reach.  A fitted shape >= 1 is returned like any other;
     callers that expect reliability growth check ``fit.m < 1`` themselves.
     """
-    x = np.fromiter(map(float, intervals), dtype=float)
-    k = len(x)
+    k = len(intervals)
     if k < 2:
         raise DomainError(f"need at least 2 intervals, got {k}")
-    check_intervals(x)
+    x = interval_array(intervals)
     t_bar = fsum_array(x) / k
     # float_power calls the C library's pow, as Python's ** does, so each
     # square keeps the bits of the scalar expression.
@@ -132,7 +131,7 @@ def fit_moments(
             f"under the {form.name} moment equation"
         )
     m_hat = find_root_bracketed(objective, Bracket(_M_LO, _M_HI, tol_rel=1e-13))
-    lam = math.exp(log_gamma(1.0 + 1.0 / m_hat)) / t_bar
+    lam = math.exp(math.lgamma(1.0 + 1.0 / m_hat)) / t_bar
     return WeibullFit(m=m_hat, lam=lam, moment_form=form)
 
 

@@ -4,18 +4,19 @@ Provides a doubling scan that brackets the first sign change above a pole,
 a bracketed scalar root finder (bisection with secant acceleration, so
 convergence is guaranteed whenever the bracket is valid), Brent's bounded
 scalar minimiser, the pole sum sum(1/(e0 - i + 1)) in O(1) through the
-digamma function, a log-gamma implementation accurate to about 1e-13
-relative on the range the fitters use, and the closed-form inverse of a
-symmetric 2x2 information matrix.
+digamma function, an exactly rounded array sum, the checked array of
+failure intervals that the JM and Weibull fits read, and two-sided Gaussian
+confidence intervals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from statistics import NormalDist
+from typing import Callable, Sequence
 
-from .errors import DomainError, NonFinite, NoSignChange, SingularInformation
+from .errors import DomainError, NonFinite, NoSignChange
 
 DEFAULT_TOL_REL = 1e-10
 
@@ -223,11 +224,27 @@ def all_at_least(values: Sequence, low: float, strict: bool = False) -> bool:
         return False
 
 
-def check_intervals(values) -> None:
-    """Raise DomainError naming the first of the float array ``values`` not finite and positive."""
-    ok = (values > 0.0) & (values < math.inf)
+def interval_array(intervals: Sequence[float]):
+    """The intervals as a float array; DomainError names the first not finite and positive."""
+    import numpy as np  # loaded by the fits that call this; numerics itself needs no numpy
+
+    x = np.fromiter(map(float, intervals), dtype=float)
+    ok = (x > 0.0) & (x < math.inf)
     if not ok.all():
-        raise DomainError(f"intervals must be finite and positive, got {float(values[ok.argmin()])}")
+        raise DomainError(f"intervals must be finite and positive, got {float(x[ok.argmin()])}")
+    return x
+
+
+def gaussian_intervals(level: float, **estimates: tuple[float, float]) -> dict[str, tuple[float, float]]:
+    """Two-sided Gaussian confidence intervals at ``level``, one per name=(estimate, variance)."""
+    if not (0.0 < level < 1.0):
+        raise DomainError(f"confidence level must lie in (0, 1), got {level}")
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
+    intervals = {}
+    for name, (estimate, variance) in estimates.items():
+        half = z * math.sqrt(variance)
+        intervals[name] = (estimate - half, estimate + half)
+    return intervals
 
 
 def _digamma_tail(z: float) -> float:
@@ -264,73 +281,3 @@ def pole_sum(e0: float, k: int) -> float:
     hi = lo + n
     terms += (math.log1p(n / lo), n / (2.0 * lo * hi), _digamma_tail(lo) - _digamma_tail(hi))
     return math.fsum(terms)
-
-
-# Lanczos approximation, g = 7, nine coefficients.  Relative accuracy of the
-# reconstructed gamma function is near machine precision over the range used
-# here; the log form below is well under 1e-12 relative error on [0.5, 50].
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"log_gamma requires finite x > 0, got {x}")
-    if x < 0.5:
-        # Recurrence ln G(x) = ln G(x + 1) - ln x keeps the Lanczos series
-        # on its accurate range.
-        return log_gamma(x + 1.0) - math.log(x)
-    series = _LANCZOS_COEFFS[0]
-    for k in range(1, len(_LANCZOS_COEFFS)):
-        series += _LANCZOS_COEFFS[k] / (x - 1.0 + k)
-    t = x + _LANCZOS_G - 0.5
-    return _HALF_LOG_TWO_PI + (x - 0.5) * math.log(t) - t + math.log(series)
-
-
-@dataclass(frozen=True)
-class Info2x2:
-    """Symmetric observed-information matrix [[a11, a12], [a12, a22]]."""
-
-    a11: float
-    a12: float
-    a22: float
-
-    def __post_init__(self) -> None:
-        for name in ("a11", "a12", "a22"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"information entry {name} must be finite")
-        if self.a11 <= 0.0 or self.a22 <= 0.0:
-            raise DomainError("information diagonal entries must be positive")
-
-
-class InverseInfo(NamedTuple):
-    var1: float
-    var2: float
-    cov: float
-
-
-def invert_information(info: Info2x2) -> InverseInfo:
-    """Invert a 2x2 information matrix, returning (var1, var2, cov).
-
-    Raises SingularInformation when the determinant is not positive, which
-    is exactly the condition under which the asymptotic variances do not
-    exist.
-    """
-    det = info.a11 * info.a22 - info.a12 * info.a12
-    if det <= 0.0:
-        raise SingularInformation(
-            f"information matrix is singular or indefinite (determinant {det})"
-        )
-    return InverseInfo(info.a22 / det, info.a11 / det, -info.a12 / det)

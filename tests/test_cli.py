@@ -205,6 +205,57 @@ def test_fit_schumann(tmp_path, capsys):
     assert 0.0 < report["rho"] < 1.0
 
 
+def test_fit_schumann_confidence_echoes_the_flag(tmp_path, capsys):
+    path = tmp_path / "periods.csv"
+    path.write_text(PERIODS_TWO)
+    args = ["fit", "schumann", "--input", str(path), "--instructions", "1000"]
+    wide = run_json(capsys, *args)
+    narrow = run_json(capsys, *args, "--confidence", "0.9")
+    assert (wide["confidence"], narrow["confidence"]) == (0.95, 0.9)
+    for name in ("e0", "c"):
+        assert wide["ci"][name][0] < narrow["ci"][name][0] < narrow["ci"][name][1] < wide["ci"][name][1]
+
+
+def test_fit_jm_and_schumann_reject_a_level_alike(tmp_path, capsys):
+    epochs, periods = tmp_path / "failures.csv", tmp_path / "periods.csv"
+    epochs.write_text(EPOCHS_GROWTH)
+    periods.write_text(PERIODS_TWO)
+    payloads = []
+    for args in (
+        ["fit", "jm", "--input", str(epochs)],
+        ["fit", "schumann", "--input", str(periods), "--instructions", "1000"],
+    ):
+        code, stdout, err = run(capsys, *args, "--confidence", "1.5")
+        assert (code, stdout, len(err.strip().splitlines())) == (2, "", 1)
+        payloads.append(error_json(err))
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["message"] == "confidence level must lie in (0, 1), got 1.5"
+
+
+@pytest.mark.parametrize(
+    "exposures, instructions",
+    [
+        (("1000", "1600"), 10**165),  # each squared per-instruction residual underflows to 0
+        (("1000", "1600"), 10**158),  # I^2 overflows a float
+        (("1.0e170", "1.6e170"), 1000),  # c is about 1e-170: c^2 underflows to 0
+        (("1.0e160", "1.6e160"), 1000),  # c is about 1e-160: sum(n_j) / c^2 overflows
+    ],
+    ids=["residual-square", "instructions-square", "c-square", "infinite-entry"],
+)
+def test_fit_schumann_non_finite_information_is_singular(tmp_path, capsys, exposures, instructions):
+    path = tmp_path / "periods.csv"
+    path.write_text(
+        "tau,corrected,exposure,failures\n"
+        f"1,20,{exposures[0]},10\n"
+        f"2,50,{exposures[1]},10\n"
+    )
+    code, stdout, err = run(
+        capsys, "fit", "schumann", "--input", str(path), "--instructions", str(instructions)
+    )
+    assert (code, stdout, len(err.strip().splitlines())) == (3, "", 1)
+    assert error_json(err)["error"] == "SingularInformation"
+
+
 def test_fit_weibull_and_moment_forms(tmp_path, capsys):
     spike = 1.0 + 35.0 + math.sqrt(1470.0)
     epochs = []
@@ -521,6 +572,29 @@ def test_economics_overflowed_optimum_is_out_of_range(capsys):
     assert len(err.strip().splitlines()) == 1
     assert error_json(err)["error"] == "OutOfRange"
     assert "arg" in error_json(err)["message"]
+
+
+def test_predict_schumann_underflowing_rate_is_out_of_range(capsys):
+    # c * (e0/I - corrected/I) = 1e-300 * 1e-300 underflows to 0, the MTTF's denominator.
+    code, stdout, err = run(
+        capsys,
+        "predict", "schumann",
+        "--e0", "1e-300", "--c", "1e-300", "--instructions", "1", "--corrected", "0", "--time", "1",
+    )
+    assert (code, stdout, len(err.strip().splitlines())) == (2, "", 1)
+    assert error_json(err)["error"] == "OutOfRange"
+
+
+def test_economics_underflowing_rate_is_out_of_range(capsys):
+    # eps0 * tempo = 1e-300 * 1e-300 underflows to 0, the MTTF's denominator.
+    code, stdout, err = run(
+        capsys,
+        "economics",
+        "--eps0", "1e-300", "--tau0", "1e-300", "--size", "1", "--tempo", "1e-300",
+        "--cost-error", "1", "--cost-test", "1", "--horizon", "1",
+    )
+    assert (code, stdout, len(err.strip().splitlines())) == (2, "", 1)
+    assert error_json(err)["error"] == "OutOfRange"
 
 
 def test_simulate_weibull_overflow_emits_no_warning(capsys):

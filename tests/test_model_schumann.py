@@ -17,7 +17,6 @@ from relgauge.errors import (
     Underdetermined,
 )
 from relgauge.failure_data import DebugPeriod
-from relgauge.numerics import Info2x2, invert_information
 from relgauge.model_schumann import (
     SchumannFit,
     confidence_intervals,
@@ -203,6 +202,13 @@ def test_confidence_intervals():
         confidence_intervals(FIT)  # no variances attached
 
 
+def test_confidence_intervals_narrow_with_the_level():
+    fit = covariance(SchumannFit(100.0, 0.125, 1000), PERIODS)
+    wide, narrow = confidence_intervals(fit), confidence_intervals(fit, level=0.9)
+    for name in ("e0", "c"):
+        assert wide[name][0] < narrow[name][0] < narrow[name][1] < wide[name][1]
+
+
 def test_rounded_e0():
     assert rounded_e0(SchumannFit(99.6, 0.125, 1000)) == 100
 
@@ -329,14 +335,11 @@ def test_covariance_bits_match_the_period_loop():
     r = [fit.e0_hat / instructions - p.corrected / instructions for p in periods]
     total = sum(p.failures for p in periods)
     s2 = math.fsum(p.failures / x**2 for p, x in zip(periods, r))
-    inverse = invert_information(
-        Info2x2(
-            a11=total / fit.c_hat**2,
-            a12=math.fsum(p.exposure for p in periods) / instructions,
-            a22=s2 / instructions**2,
-        )
-    )
-    assert (fit.var_c, fit.var_e0) == (inverse.var1, inverse.var2)
+    a11 = total / fit.c_hat**2
+    a12 = math.fsum(p.exposure for p in periods) / instructions
+    a22 = s2 / instructions**2
+    det = a11 * a22 - a12 * a12
+    assert (fit.var_c, fit.var_e0) == (a22 / det, a11 / det)
     assert fit.rho == math.fsum(p.failures / x for p, x in zip(periods, r)) / math.sqrt(total * s2)
 
 

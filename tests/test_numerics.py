@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from relgauge.debug_economics import fit_discovery_curve
-from relgauge.errors import DomainError, NonFinite, NoSignChange, SingularInformation
+from relgauge.errors import DomainError, NonFinite, NoSignChange
 from relgauge.numerics import (
     Bracket,
-    Info2x2,
     find_root_bracketed,
-    invert_information,
-    log_gamma,
+    gaussian_intervals,
+    interval_array,
     minimize_bounded,
     pole_sum,
     scan_bracket,
@@ -163,76 +162,30 @@ def test_fit_discovery_curve_golden():
     assert tau0 == float.fromhex("0x1.571d5de91ab79p+5")
 
 
-def test_log_gamma_small_integers():
-    assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-13)
-    assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-13)
-    assert log_gamma(1.5) == pytest.approx(math.log(math.sqrt(math.pi) / 2.0), abs=1e-13)
+def test_interval_array_returns_the_checked_floats():
+    x = interval_array([1, 2.5, 1e-300])
+    assert x.dtype == np.float64
+    assert x.tolist() == [1.0, 2.5, 1e-300]
 
 
-def test_log_gamma_against_stdlib():
-    # math.lgamma is an independent implementation; 1e-12 relative over the
-    # working range, absolute near the zeros of ln Gamma.
-    for i in range(1001):
-        x = 0.5 + i * (49.5 / 1000.0)
-        expected = math.lgamma(x)
-        assert log_gamma(x) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+def test_interval_array_names_the_first_bad_interval():
+    for bad, shown in ((0.0, "0.0"), (-1.0, "-1.0"), (math.inf, "inf"), (math.nan, "nan")):
+        with pytest.raises(DomainError, match=f"^intervals must be finite and positive, got {shown}$"):
+            interval_array([1.0, bad, -2.0])
 
 
-def test_log_gamma_recurrence():
-    for i in range(500):
-        x = 0.5 + i * (19.5 / 499.0)
-        assert abs(log_gamma(x + 1.0) - log_gamma(x) - math.log(x)) <= 1e-12
+def test_gaussian_intervals_half_widths():
+    z = 1.959963984540054  # the 0.975 normal quantile
+    ci = gaussian_intervals(0.95, e0=(10.0, 4.0), c=(0.5, 0.0))
+    assert list(ci) == ["e0", "c"]
+    assert ci["e0"] == pytest.approx((10.0 - 2.0 * z, 10.0 + 2.0 * z), rel=1e-15)
+    assert ci["c"] == (0.5, 0.5)
 
 
-def test_log_gamma_below_half():
-    for x in (0.05, 0.2, 0.49):
-        assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-12)
-
-
-def test_log_gamma_domain():
-    with pytest.raises(DomainError):
-        log_gamma(0.0)
-    with pytest.raises(DomainError):
-        log_gamma(-2.0)
-
-
-def test_invert_identity():
-    inv = invert_information(Info2x2(1.0, 0.0, 1.0))
-    assert (inv.var1, inv.var2, inv.cov) == (1.0, 1.0, 0.0)
-
-
-def test_invert_diagonal():
-    inv = invert_information(Info2x2(4.0, 0.0, 1.0))
-    assert (inv.var1, inv.var2, inv.cov) == (0.25, 1.0, 0.0)
-
-
-def test_invert_singular():
-    with pytest.raises(SingularInformation):
-        invert_information(Info2x2(1.0, 1.0, 1.0))
-
-
-def test_invert_round_trip_random():
-    """J times its reported inverse is the identity to 1e-12 whenever the
-    determinant is comfortably positive."""
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        ell = np.array([[rng.uniform(0.5, 2.0), 0.0], [rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0)]])
-        j = ell @ ell.T
-        info = Info2x2(a11=float(j[0, 0]), a12=float(j[0, 1]), a22=float(j[1, 1]))
-        det = info.a11 * info.a22 - info.a12**2
-        if det <= 1e-9:
-            continue
-        inv = invert_information(info)
-        matrix = np.array([[info.a11, info.a12], [info.a12, info.a22]])
-        inverse = np.array([[inv.var1, inv.cov], [inv.cov, inv.var2]])
-        np.testing.assert_allclose(matrix @ inverse, np.eye(2), atol=1e-12)
-
-
-def test_info_validation():
-    with pytest.raises(DomainError):
-        Info2x2(0.0, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        Info2x2(1.0, 0.0, -1.0)
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, math.nan])
+def test_gaussian_intervals_level_must_lie_in_the_open_unit_interval(level):
+    with pytest.raises(DomainError, match=r"^confidence level must lie in \(0, 1\), got "):
+        gaussian_intervals(level, e0=(10.0, 4.0))
 
 
 def direct_pole_sum(e0, k):
