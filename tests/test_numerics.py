@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from relgauge.debug_economics import fit_discovery_curve
-from relgauge.errors import DomainError, NonFinite, NoSignChange
+from relgauge.errors import DomainError, NonFinite, NoSignChange, SingularInformation
+from relgauge.failure_data import DebugPeriod
+from relgauge.model_schumann import SchumannFit, covariance
 from relgauge.numerics import (
     Bracket,
     find_root_bracketed,
@@ -186,6 +188,42 @@ def test_gaussian_intervals_half_widths():
 def test_gaussian_intervals_level_must_lie_in_the_open_unit_interval(level):
     with pytest.raises(DomainError, match=r"^confidence level must lie in \(0, 1\), got "):
         gaussian_intervals(level, e0=(10.0, 4.0))
+
+
+def schumann_information(n1, n2, c, r, h):
+    """A Schumann fit whose 2x2 information matrix is (N/c^2, h, N/r^2), N = n1 + n2.
+
+    One instruction, two periods with nothing corrected and exposures h/2:
+    each residual is e0 = r, and the off-diagonal sum(H_j)/I is h.
+    """
+    periods = [DebugPeriod(1.0, 0, h / 2, n1), DebugPeriod(2.0, 0, h / 2, n2)]
+    return SchumannFit(r, c, 1), periods
+
+
+def test_invert_singular():
+    """The inline 2x2 inverse in the Schumann covariance refuses (1, 1, 1)."""
+    fit, periods = schumann_information(2, 2, 2.0, 2.0, 1.0)
+    with pytest.raises(SingularInformation):
+        covariance(fit, periods)
+
+
+def test_invert_round_trip_random():
+    """J times the inverse built from the reported variances is the identity
+    to 1e-12 whenever the determinant is comfortably positive."""
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        n1, n2 = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        c, r = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+        total = n1 + n2
+        a11, a22 = total / c**2, total / r**2
+        a12 = rng.uniform(0.05, 0.9) * math.sqrt(a11 * a22)
+        det = a11 * a22 - a12**2
+        if det <= 1e-9:
+            continue
+        fit = covariance(*schumann_information(n1, n2, c, r, a12))
+        matrix = np.array([[a11, a12], [a12, a22]])
+        inverse = np.array([[fit.var_c, -a12 / det], [-a12 / det, fit.var_e0]])
+        np.testing.assert_allclose(matrix @ inverse, np.eye(2), atol=1e-12)
 
 
 def direct_pole_sum(e0, k):
