@@ -4,6 +4,11 @@ Growth-model fitting (exponential debugging-period model, stepwise
 intensity model, Weibull moments), input-profile reliability, debugging
 economics, and double-execution fault-tolerance planning, with seeded
 generators for every stochastic model and a JSON-reporting command line.
+
+numpy is imported inside the functions that build or draw arrays, never at
+module level, so importing the package and the closed-form calls (predictions,
+economics from given parameters, fault-tolerance planning, the input-profile
+estimate) do not pay its start-up cost; tests/test_cli.py guards this.
 """
 
 from __future__ import annotations

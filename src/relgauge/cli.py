@@ -32,6 +32,7 @@ from .failure_data import (
     parse_failure_epochs,
     parse_run_log,
 )
+from .numerics import check_level
 
 
 class _UsageError(Exception):
@@ -140,6 +141,7 @@ def _emit(report: dict, output: str | None) -> None:
 
 
 def _handle_fit_schumann(ns: argparse.Namespace, read: _Read) -> dict:
+    check_level(ns.confidence)  # before the input is read, so a failing fit cannot hide it
     periods = parse_debug_periods(read("input", ns.input))
     fit = model_schumann.fit_mle(periods, ns.instructions)
     fit = model_schumann.covariance(fit, periods)
@@ -161,6 +163,7 @@ def _handle_fit_schumann(ns: argparse.Namespace, read: _Read) -> dict:
 
 
 def _handle_fit_jm(ns: argparse.Namespace, read: _Read) -> dict:
+    check_level(ns.confidence)  # before the input is read, so a failing fit cannot hide it
     epochs = parse_failure_epochs(read("input", ns.input))
     intervals = intervals_from_epochs(epochs)
     fit = model_jm.fit_mle(intervals)

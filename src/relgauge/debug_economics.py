@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import DomainError, NoConvergence, OutOfRange, Underdetermined
 from .failure_data import read_columns
 from .numerics import minimize_bounded
@@ -207,6 +205,8 @@ def fit_discovery_curve(
         if not (math.isfinite(count) and count >= prev_count):
             raise DomainError(f"corrected counts must be non-decreasing, got {count}")
         prev_tau, prev_count = tau, count
+    import numpy as np
+
     taus = np.array([t for t, _ in obs])
     counts = np.array([c for _, c in obs])
     if counts.max() == counts.min():

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DomainError
 from .numerics import Bracket, find_root_bracketed
 
@@ -147,6 +145,8 @@ def simulate_dual_execution(
     if not (isinstance(modules, int) and modules >= 1):
         raise DomainError(f"module count must be a positive integer, got {modules}")
     p1 = success_probability(config, t)
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     executions = rng.geometric(p1, size=modules) + rng.geometric(p1, size=modules)
     values, counts = np.unique(executions, return_counts=True)

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     DomainError,
@@ -26,6 +24,9 @@ from .errors import (
 )
 from .numerics import find_root_bracketed, fsum_array, gaussian_intervals, interval_array
 from .numerics import pole_sum, scan_bracket
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _RESIDUAL_LIMIT = 1e-9
 
@@ -82,12 +83,16 @@ def reliability(e0: float, k_jm: float, i: int, dt: float) -> float:
 
 def _sums(intervals: Sequence[float]) -> tuple[float, float]:
     """A = sum(x_i) and B = sum((i-1) * x_i), each exactly rounded."""
+    import numpy as np
+
     x = np.asarray(intervals, dtype=float)
     return fsum_array(x), fsum_array(np.arange(len(x), dtype=float) * x)
 
 
 def _residual_counts(e0: float, k: int) -> np.ndarray:
     """e0 - i + 1 for i = 1..k, rounded exactly as the scalar expression is."""
+    import numpy as np
+
     return e0 - np.arange(1, k + 1) + 1
 
 
@@ -98,6 +103,8 @@ def stationarity_residual(e0: float, intervals: Sequence[float]) -> float:
     is taken term by term, so this is an O(k) check independent of the
     O(1) objective that :func:`fit_mle` solves.
     """
+    import numpy as np
+
     k = len(intervals)
     a, b = _sums(intervals)
     with np.errstate(divide="ignore"):  # the sum is infinite at a pole
@@ -160,6 +167,8 @@ def covariance(fit: JmFit, intervals: Sequence[float]) -> JmFit:
     Raises SingularInformation when the denominator is not positive, which
     includes every single-interval fit.
     """
+    import numpy as np
+
     x = interval_array(intervals)
     if len(x) != fit.k_obs:
         raise DomainError(
@@ -206,6 +215,8 @@ def generate_intervals(e0: float, k_jm: float, count: int, seed: int) -> list[fl
         raise DomainError(f"cannot observe {count} failures from e0 = {e0} errors")
     if count == 0:
         return []
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     u = rng.random(count)
     rates = k_jm * (e0 - np.arange(count))

@@ -20,9 +20,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from typing import Iterator, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DegenerateGamma,
@@ -37,9 +35,13 @@ from .errors import (
 from .failure_data import DebugPeriod, DebugPeriods, read_rows
 from .numerics import find_root_bracketed, fsum_array, gaussian_intervals, scan_bracket
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _RESIDUAL_LIMIT = 1e-9
-# The largest mean numpy's Poisson sampler accepts (its POISSON_LAM_MAX).
-_POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
+# The largest mean numpy's Poisson sampler accepts (its POISSON_LAM_MAX),
+# written with the int64 maximum so that importing this module loads no numpy.
+_POISSON_MEAN_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
 
 
 @dataclass(frozen=True)
@@ -177,6 +179,8 @@ class _Columns(NamedTuple):
 
 
 def _columns(periods: DebugPeriods, instructions: int) -> _Columns:
+    import numpy as np
+
     exposure = np.array(periods.exposure, dtype=float)
     return _Columns(
         instructions=instructions,
@@ -349,6 +353,8 @@ def generate_periods(
                 f"corrected counts must be non-decreasing integers bounded by e0={e0}, got {corrected}"
             )
         previous = corrected
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     periods = []
     for tau, corrected, exposure in schedule:

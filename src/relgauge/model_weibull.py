@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DegenerateSample, DomainError, NoConvergence, OutOfRange
 from .numerics import Bracket, find_root_bracketed, fsum_array, interval_array
 
@@ -102,6 +100,8 @@ def fit_moments(
     bracket can reach.  A fitted shape >= 1 is returned like any other;
     callers that expect reliability growth check ``fit.m < 1`` themselves.
     """
+    import numpy as np
+
     k = len(intervals)
     if k < 2:
         raise DomainError(f"need at least 2 intervals, got {k}")
@@ -150,6 +150,8 @@ def generate(m: float, lam: float, n: int, seed: int) -> list[float]:
         raise DomainError(f"parameters must be positive, got m={m}, lam={lam}")
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"sample size must be an integer >= 1, got {n}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     u = 1.0 - rng.random(n)  # in (0, 1], so the log below never overflows
     # The power or the division may still overflow for extreme m or lam;

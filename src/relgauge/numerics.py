@@ -235,10 +235,15 @@ def interval_array(intervals: Sequence[float]):
     return x
 
 
-def gaussian_intervals(level: float, **estimates: tuple[float, float]) -> dict[str, tuple[float, float]]:
-    """Two-sided Gaussian confidence intervals at ``level``, one per name=(estimate, variance)."""
+def check_level(level: float) -> None:
+    """Raise DomainError unless ``level`` is a confidence level, strictly between 0 and 1."""
     if not (0.0 < level < 1.0):
         raise DomainError(f"confidence level must lie in (0, 1), got {level}")
+
+
+def gaussian_intervals(level: float, **estimates: tuple[float, float]) -> dict[str, tuple[float, float]]:
+    """Two-sided Gaussian confidence intervals at ``level``, one per name=(estimate, variance)."""
+    check_level(level)
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
     intervals = {}
     for name, (estimate, variance) in estimates.items():

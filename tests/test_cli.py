@@ -233,6 +233,30 @@ def test_fit_jm_and_schumann_reject_a_level_alike(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "args, text",
+    [
+        (["fit", "jm"], EPOCHS_NO_GROWTH),  # the fit raises NoGrowthEvidence
+        (  # the covariance raises SingularInformation
+            ["fit", "schumann", "--instructions", str(10**165)],
+            "tau,corrected,exposure,failures\n1,20,1000,10\n2,50,1600,10\n",
+        ),
+    ],
+    ids=["jm-no-growth", "schumann-singular"],
+)
+def test_bad_level_is_reported_before_the_fit(tmp_path, capsys, args, text):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    for input_path in (path, tmp_path / "missing.csv"):  # the input is not even read
+        code, stdout, err = run(capsys, *args, "--input", str(input_path), "--confidence", "1.5")
+        assert (code, stdout, len(err.strip().splitlines())) == (2, "", 1)
+        assert error_json(err) == {
+            "error": "DomainError",
+            "message": "confidence level must lie in (0, 1), got 1.5",
+            "exit_code": 2,
+        }
+
+
+@pytest.mark.parametrize(
     "exposures, instructions",
     [
         (("1000", "1600"), 10**165),  # each squared per-instruction residual underflows to 0
@@ -635,14 +659,92 @@ def test_output_file_and_determinism(tmp_path, capsys):
     assert all("generated_at" in a for a, _ in diff)
 
 
-def test_cli_import_does_not_load_scipy():
+def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this checkout's relgauge."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    check = (
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, check=True, timeout=120, capture_output=True, text=True
+    )
+
+
+def test_cli_import_does_not_load_scipy():
+    _fresh_python(
         "import relgauge.cli, sys; "
         "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
     )
-    subprocess.run([sys.executable, "-c", check], env=env, check=True, timeout=120)
+
+
+# Whether numpy is loaded after `import relgauge`, after `import relgauge.cli`
+# and after one CLI call, printed with the call's exit code as the last line.
+_NUMPY_PROBE = """
+import json, sys
+import relgauge
+loaded = ["numpy" in sys.modules]
+import relgauge.cli
+loaded.append("numpy" in sys.modules)
+code = relgauge.cli.run_cli(sys.argv[1:])
+loaded.append("numpy" in sys.modules)
+print(json.dumps([code, loaded]))
+"""
+
+
+def _numpy_probe(args: list[str]) -> list:
+    return json.loads(_fresh_python(_NUMPY_PROBE, *args).stdout.splitlines()[-1])
+
+
+def test_closed_form_verbs_do_not_load_numpy(tmp_path):
+    profile = tmp_path / "profile.csv"
+    profile.write_text(PROFILE_TWO_RUNS)
+    runs = tmp_path / "runs.csv"
+    runs.write_text("duration,outcome\n5.0,success\n3.0,failure\n")
+    weights = tmp_path / "w.csv"
+    weights.write_text("weight\n1.5\n0.5\n")
+    for args in (
+        ["predict", "jm", "--e0", "2", "--k", "0.5", "--index", "2", "--dt", "2.0"],
+        ["predict", "weibull", "--shape", "0.5", "--scale", "1.0", "--time", "4.0"],
+        ["predict", "schumann", "--e0", "100", "--c", "0.125", "--instructions", "1000",
+         "--corrected", "20", "--time", "1.0"],
+        ["economics", "--eps0", "100", "--tau0", "10", "--size", "10000", "--tempo", "1000",
+         "--cost-error", "7.5", "--cost-test", "1", "--horizon", "1"],
+        ["faulttol", "--total-time", "1000", "--overhead", "1", "--failure-rate", "0.001"],
+        ["fit", "nelson", "--profile", str(profile), "--simplified", str(runs), "--weights", str(weights)],
+    ):
+        assert _numpy_probe(args) == [0, [False, False, False]], args
+
+
+def test_simulate_loads_numpy_when_it_draws(tmp_path):
+    args = ["simulate", "jm", "--e0", "50", "--k", "0.004", "--count", "40", "--seed", "7"]
+    assert _numpy_probe(args) == [0, [False, False, True]]
+
+
+def test_first_generator_calls_are_safe_across_threads():
+    """Four threads make the first, numpy-importing, calls at once; results match serial calls."""
+    _fresh_python("""
+import sys, threading
+from relgauge import model_jm, model_weibull
+
+assert "numpy" not in sys.modules
+draws = [
+    lambda seed: model_jm.generate_intervals(50.0, 0.004, 40, seed),
+    lambda seed: model_weibull.generate(0.5, 2.0, 25, seed),
+]
+start = threading.Barrier(4, timeout=60)
+results = [None] * 4
+
+def work(i):
+    start.wait()
+    results[i] = [draw(i) for draw in draws[i % 2 :] + draws[: i % 2]]
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=60)
+assert not any(thread.is_alive() for thread in threads)
+assert results == [[draw(i) for draw in draws[i % 2 :] + draws[: i % 2]] for i in range(4)], results
+""")
 
 
 def test_emit_long_float_lists_match_json_dumps(tmp_path):

@@ -262,6 +262,12 @@ def test_generate_poisson_mean_overflow():
         generate_periods(1e20, 1.0, 1, [(0.0, 0, 1.0)], seed=1)
 
 
+def test_poisson_mean_limit_is_numpys():
+    int64_max = np.iinfo(np.int64).max
+    limit = int64_max - 10 * math.sqrt(int64_max)
+    assert model_schumann._POISSON_MEAN_MAX.hex() == limit.hex()
+
+
 def _golden_periods():
     rng = np.random.default_rng(20261018)
     instructions = 100_000
