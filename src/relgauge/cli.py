@@ -35,8 +35,15 @@ from .failure_data import (
 from .numerics import check_level
 
 
-class _UsageError(Exception):
-    pass
+class UsageError(Exception):
+    """The command line itself is wrong: an unknown verb, a missing or malformed flag."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises UsageError where argparse would print usage and exit."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 # Handlers read their input files through this: read(role, path) -> text.
@@ -231,7 +238,7 @@ def _handle_economics(ns: argparse.Namespace, read: _Read) -> dict:
         eps0, tau0 = debug_economics.fit_discovery_curve(observations, ns.size)
         report["fitted"] = {"eps0": eps0, "tau0": tau0}
     if eps0 is None or tau0 is None:
-        raise _UsageError("economics requires --eps0 and --tau0, or --fit with a discovery file")
+        raise UsageError("economics requires --eps0 and --tau0, or --fit with a discovery file")
     params = debug_economics.DiscoveryParams(
         eps0=eps0, tau0=tau0, commands=ns.size, tempo=ns.tempo
     )
@@ -264,7 +271,7 @@ def _handle_faulttol(ns: argparse.Namespace, read: _Read) -> dict:
     }
     if ns.simulate is not None:
         if ns.seed is None:
-            raise _UsageError("--simulate requires --seed")
+            raise UsageError("--simulate requires --seed")
         t = ns.module_time if ns.module_time is not None else plan.t_star
         result = fault_tolerance.simulate_dual_execution(config, t, ns.simulate, ns.seed)
         report["simulation"] = {
@@ -347,7 +354,7 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="relgauge",
         description="Reliability estimation for tested software",
     )
@@ -476,21 +483,16 @@ def _fail(exc: BaseException, code: int) -> int:
 
 
 def run_cli(args: list[str]) -> int:
-    parser = _build_parser()
-    try:
-        ns = parser.parse_args(args)
-    except SystemExit as exc:
-        # argparse exits 0 for --help/--version and 2 for usage problems;
-        # usage problems are exit code 1 in this tool.
-        return 0 if exc.code in (None, 0) else 1
     inputs: list[dict] = []
     try:
+        ns = _build_parser().parse_args(args)
         report = ns.handler(ns, functools.partial(_read_input, inputs))
         report["provenance"] = _provenance(inputs, getattr(ns, "seed", None))
         _emit(report, ns.output)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    except SystemExit:
+        return 0  # --help or --version, printed by argparse; usage errors raise UsageError
+    except UsageError as exc:
+        return _fail(exc, 1)
     except DataError as exc:
         return _fail(exc, 2)
     except EstimationError as exc:

@@ -189,9 +189,10 @@ def fit_discovery_curve(
 
     Returns the fitted (eps0, tau0) pair, with eps0 in error counts (not
     per instruction).  Raises Underdetermined when fewer than three points
-    or no variation in the counts is provided, and NoConvergence when the
+    or no variation in the counts is provided, NoConvergence when the
     objective pins to an edge of the search range instead of an interior
-    minimum.
+    minimum, and OutOfRange when the search range or the squared residuals
+    leave the range of a float.
     """
     if not (isinstance(commands, int) and commands >= 1):
         raise DomainError(f"commands must be an integer >= 1, got {commands}")
@@ -212,24 +213,32 @@ def fit_discovery_curve(
     if counts.max() == counts.min():
         raise Underdetermined("corrected counts show no variation, tau0 is not identifiable")
 
-    def sse(log_tau0: float) -> float:
-        growth = -np.expm1(-taus / math.exp(log_tau0))
-        eps0 = float(counts @ growth) / float(growth @ growth)
-        resid = counts - eps0 * growth
-        return float(resid @ resid)
+    tau_lo, tau_hi = obs[0][0] / 100.0, obs[-1][0] * 100.0
+    if not (tau_lo > 0.0 and tau_hi < math.inf):
+        raise OutOfRange(f"the search range [{tau_lo}, {tau_hi}] for tau0 leaves the float range")
+    lo, hi = math.log(tau_lo), math.log(tau_hi)
 
-    lo = math.log(taus[0] / 100.0)
-    hi = math.log(taus[-1] * 100.0)
-    log_tau0 = minimize_bounded(sse, lo, hi)
+    def profile(log_tau0: float) -> tuple[float, float]:
+        """Residual sum of squares at this tau0, and the eps0 that attains it."""
+        # Extreme counts or times overflow here; the check below reports them.
+        with np.errstate(all="ignore"):
+            growth = -np.expm1(-taus / math.exp(log_tau0))
+            eps0 = float(counts @ growth) / float(growth @ growth)
+            resid = counts - eps0 * growth
+            sse = float(resid @ resid)
+        if not math.isfinite(sse):
+            raise OutOfRange(
+                f"the least-squares fit at tau0 = {math.exp(log_tau0)} is not a finite float"
+            )
+        return sse, eps0
+
+    log_tau0 = minimize_bounded(lambda x: profile(x)[0], lo, hi)
     if log_tau0 < lo + 1e-6 or log_tau0 > hi - 1e-6:
         raise NoConvergence(
             "no interior optimum for the discovery time constant within "
             f"[{math.exp(lo)}, {math.exp(hi)}]"
         )
-    tau0 = math.exp(log_tau0)
-    growth = -np.expm1(-taus / tau0)
-    eps0 = float(counts @ growth) / float(growth @ growth)
-    return eps0, tau0
+    return profile(log_tau0)[1], math.exp(log_tau0)
 
 
 def parse_discovery(text: str) -> list[tuple[float, float]]:

@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError
-from .numerics import Bracket, find_root_bracketed
+from .errors import DomainError, OutOfRange
+from .numerics import Bracket, find_root_bracketed, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -147,9 +147,13 @@ def simulate_dual_execution(
     p1 = success_probability(config, t)
     import numpy as np
 
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     executions = rng.geometric(p1, size=modules) + rng.geometric(p1, size=modules)
     values, counts = np.unique(executions, return_counts=True)
+    # numpy clips a draw beyond the int64 range, so the sum of two wraps
+    # negative; a largest count under this bound keeps the total in range.
+    if values[0] < 2 or values[-1] > (2**63 - 1) // modules:
+        raise OutOfRange(f"execution counts overflow a 64-bit integer at success probability {p1}")
     histogram = {int(v): int(c) for v, c in zip(values, counts)}
     total = int(executions.sum())
     return SimulationResult(

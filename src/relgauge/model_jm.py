@@ -18,12 +18,13 @@ from .errors import (
     DomainError,
     NoConvergence,
     NoGrowthEvidence,
+    OutOfRange,
     ResidualNonPositive,
     SingularInformation,
     TooFewIntervals,
 )
 from .numerics import find_root_bracketed, fsum_array, gaussian_intervals, interval_array
-from .numerics import pole_sum, scan_bracket
+from .numerics import pole_sum, scan_bracket, seeded_rng
 
 if TYPE_CHECKING:
     import numpy as np
@@ -217,10 +218,16 @@ def generate_intervals(e0: float, k_jm: float, count: int, seed: int) -> list[fl
         return []
     import numpy as np
 
-    rng = np.random.default_rng(seed)
-    u = rng.random(count)
-    rates = k_jm * (e0 - np.arange(count))
-    draws = -np.log1p(-u) / rates
+    u = seeded_rng(seed).random(count)
+    # A rate or a draw may overflow or underflow for extreme e0 or k_jm;
+    # errstate is context-local, so this stays silent and thread-safe.
+    with np.errstate(all="ignore"):
+        rates = k_jm * (e0 - np.arange(count))
+        draws = -np.log1p(-u) / rates
+    if not (np.isfinite(rates).all() and np.isfinite(draws).all()):
+        raise OutOfRange(
+            f"a failure rate or interval is not a finite float for e0 {e0} and k_jm {k_jm}"
+        )
     # A uniform draw of exactly 0.0 would yield a zero interval, which the
     # likelihood cannot accept; clip to the smallest positive normal float.
     draws = np.maximum(draws, np.finfo(float).tiny)

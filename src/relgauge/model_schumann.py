@@ -33,7 +33,7 @@ from .errors import (
     Underdetermined,
 )
 from .failure_data import DebugPeriod, DebugPeriods, read_rows
-from .numerics import find_root_bracketed, fsum_array, gaussian_intervals, scan_bracket
+from .numerics import find_root_bracketed, fsum_array, gaussian_intervals, scan_bracket, seeded_rng
 
 if TYPE_CHECKING:
     import numpy as np
@@ -197,27 +197,18 @@ def _per_instruction(counts: Sequence[int], instructions: int) -> Iterator[float
     return map(operator.truediv, counts, itertools.repeat(instructions))
 
 
-def _c_from_exposure(e0: float, cols: _Columns) -> float:
-    return cols.total / fsum_array((e0 / cols.instructions - cols.corrected) * cols.exposure)
-
-
-def _c_from_rates(e0: float, cols: _Columns) -> float:
-    return fsum_array(cols.failures / (e0 / cols.instructions - cols.corrected)) / cols.exposure_sum
-
-
-def _stationarity(e0: float, cols: _Columns) -> float:
-    """Relative disagreement of the two likelihood expressions for c at this e0."""
-    return _c_from_exposure(e0, cols) / _c_from_rates(e0, cols) - 1.0
+def _c_estimates(e0: float, cols: _Columns) -> tuple[float, float]:
+    """The two likelihood expressions for c at this e0, from exposures and from rates."""
+    residual = e0 / cols.instructions - cols.corrected
+    return (
+        cols.total / fsum_array(residual * cols.exposure),
+        fsum_array(cols.failures / residual) / cols.exposure_sum,
+    )
 
 
 def stationarity_residuals(fit: SchumannFit, periods: Sequence[DebugPeriod]) -> tuple[float, float]:
     """Relative residuals of the two likelihood expressions for c at the fit."""
-    return _residuals(fit, _columns(DebugPeriods.of(periods), fit.instructions))
-
-
-def _residuals(fit: SchumannFit, cols: _Columns) -> tuple[float, float]:
-    c1 = _c_from_exposure(fit.e0_hat, cols)
-    c2 = _c_from_rates(fit.e0_hat, cols)
+    c1, c2 = _c_estimates(fit.e0_hat, _columns(DebugPeriods.of(periods), fit.instructions))
     return abs(c1 / fit.c_hat - 1.0), abs(c2 / fit.c_hat - 1.0)
 
 
@@ -246,17 +237,18 @@ def fit_mle(periods: Sequence[DebugPeriod], instructions: int) -> SchumannFit:
     from the feasibility boundary (e0 slightly above the largest corrected
     count) with doubling steps and then root-finding on the bracketed sign
     change.  The per-period columns, sum(n_j) and sum(H_j) are built once,
-    so each evaluation is two numpy passes over the periods, each summed
-    exactly with fsum.  Raises NoConvergence when no sign change appears
-    within 60 doublings, which is the signature of data without
-    reliability growth.
+    so each evaluation forms the per-period residuals e0/I - corrected_j/I
+    once and sums the two arrays built from them exactly with fsum.
+    Raises NoConvergence when no sign change appears within 60 doublings,
+    which is the signature of data without reliability growth.
     """
     periods = DebugPeriods.of(periods)
     _check_periods(periods, instructions)
     cols = _columns(periods, instructions)
 
     def objective(e0: float) -> float:
-        return _stationarity(e0, cols)
+        c1, c2 = _c_estimates(e0, cols)
+        return c1 / c2 - 1.0
 
     bracket = scan_bracket(objective, float(max(periods.corrected)))
     if bracket is None:
@@ -265,9 +257,9 @@ def fit_mle(periods: Sequence[DebugPeriod], instructions: int) -> SchumannFit:
             "boundary after 60 doublings; the periods show no reliability growth"
         )
     e0 = find_root_bracketed(objective, bracket)
-    c = _c_from_exposure(e0, cols)
+    c, c2 = _c_estimates(e0, cols)
     fit = SchumannFit(e0_hat=e0, c_hat=c, instructions=instructions)
-    residuals = _residuals(fit, cols)
+    residuals = (abs(c / c - 1.0), abs(c2 / c - 1.0))
     if max(residuals) > _RESIDUAL_LIMIT:
         raise NoConvergence(
             f"stationarity residuals exceed {_RESIDUAL_LIMIT} at the located root"
@@ -353,9 +345,7 @@ def generate_periods(
                 f"corrected counts must be non-decreasing integers bounded by e0={e0}, got {corrected}"
             )
         previous = corrected
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     periods = []
     for tau, corrected, exposure in schedule:
         mean = c * (e0 / instructions - corrected / instructions) * exposure

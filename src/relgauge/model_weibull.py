@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Sequence
 
 from .errors import DegenerateSample, DomainError, NoConvergence, OutOfRange
-from .numerics import Bracket, find_root_bracketed, fsum_array, interval_array
+from .numerics import Bracket, find_root_bracketed, fsum_array, interval_array, seeded_rng
 
 _M_LO = 0.05
 _M_HI = 20.0
@@ -152,7 +152,7 @@ def generate(m: float, lam: float, n: int, seed: int) -> list[float]:
         raise DomainError(f"sample size must be an integer >= 1, got {n}")
     import numpy as np
 
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     u = 1.0 - rng.random(n)  # in (0, 1], so the log below never overflows
     # The power or the division may still overflow for extreme m or lam;
     # errstate is context-local, so this stays silent and thread-safe.

@@ -5,8 +5,8 @@ a bracketed scalar root finder (bisection with secant acceleration, so
 convergence is guaranteed whenever the bracket is valid), Brent's bounded
 scalar minimiser, the pole sum sum(1/(e0 - i + 1)) in O(1) through the
 digamma function, an exactly rounded array sum, the checked array of
-failure intervals that the JM and Weibull fits read, and two-sided Gaussian
-confidence intervals.
+failure intervals that the JM and Weibull fits read, the seeded generator
+every simulation draws from, and two-sided Gaussian confidence intervals.
 """
 
 from __future__ import annotations
@@ -233,6 +233,15 @@ def interval_array(intervals: Sequence[float]):
     if not ok.all():
         raise DomainError(f"intervals must be finite and positive, got {float(x[ok.argmin()])}")
     return x
+
+
+def seeded_rng(seed: int):
+    """numpy's default generator seeded with ``seed``; DomainError unless it is an int >= 0."""
+    if not (isinstance(seed, int) and seed >= 0):
+        raise DomainError(f"seed must be a non-negative integer, got {seed}")
+    import numpy as np
+
+    return np.random.default_rng(seed)
 
 
 def check_level(level: float) -> None:

@@ -179,16 +179,42 @@ def test_missing_input_file(tmp_path, capsys):
     assert error_json(err)["exit_code"] == 2
 
 
+ECONOMICS_COSTS = (
+    "--size", "1000", "--tempo", "1", "--cost-error", "1", "--cost-test", "1", "--horizon", "1",
+)
+
+
 def test_usage_errors_exit_one(capsys):
-    assert run(capsys, "fit", "jm")[0] == 1  # missing --input
-    assert run(capsys, "fit", "jm", "--bogus", "x")[0] == 1
-    assert run(capsys, "frobnicate")[0] == 1
-    assert run(capsys, "fit")[0] == 1  # missing model
+    for argv in [
+        ("fit", "jm"),  # missing --input
+        ("fit", "jm", "--bogus", "x"),
+        ("frobnicate",),
+        ("fit",),  # missing model
+        ("simulate", "jm", "--e0", "5", "--k", "1", "--count", "x", "--seed", "1"),
+        ("economics", *ECONOMICS_COSTS),  # neither --eps0/--tau0 nor --fit
+        ("faulttol", "--total-time", "1", "--overhead", "0.1", "--failure-rate", "0.1",
+         "--simulate", "3"),  # --simulate without --seed
+    ]:
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout, len(err.splitlines())) == (1, "", 1), argv
+        line = json.loads(err)
+        assert list(line) == ["error", "message", "exit_code"]
+        assert (line["error"], line["exit_code"]) == ("UsageError", 1)
+    # argparse's own message, prefixed with the subcommand it came from.
+    assert json.loads(run(capsys, "fit", "jm")[2])["message"] == (
+        "relgauge fit jm: the following arguments are required: --input"
+    )
 
 
 def test_version_and_help_exit_zero(capsys):
-    assert run(capsys, "--version")[0] == 0
-    assert run(capsys, "--help")[0] == 0
+    for argv, text in (
+        (["--version"], "relgauge 0."),
+        (["--help"], "usage: relgauge"),
+        (["fit", "jm", "--help"], "usage: relgauge fit jm"),
+    ):
+        code, stdout, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert stdout.startswith(text)
 
 
 def test_fit_schumann(tmp_path, capsys):
@@ -632,6 +658,95 @@ def test_simulate_weibull_overflow_emits_no_warning(capsys):
     assert stdout == ""
     assert len(err.strip().splitlines()) == 1
     assert error_json(err)["error"] == "OutOfRange"
+
+
+def test_simulate_jm_overflow_is_out_of_range_without_warning(capsys):
+    # k * e0 = 1e308 * 50 overflows the rate; the run used to exit 0 with clipped intervals.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(
+            capsys, "simulate", "jm", "--e0", "50", "--k", "1e308", "--count", "2", "--seed", "50"
+        )
+    assert (code, stdout, len(err.splitlines())) == (2, "", 1)
+    assert error_json(err)["error"] == "OutOfRange"
+
+
+def test_simulate_jm_overflowing_interval_emits_no_warning(capsys):
+    # -log1p(-u) / (k * e0) with k = 5e-324 overflows the interval, not the rate.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(
+            capsys, "simulate", "jm", "--e0", "50", "--k", "5e-324", "--count", "2", "--seed", "5"
+        )
+    assert (code, stdout, len(err.splitlines())) == (2, "", 1)
+    assert error_json(err)["error"] == "OutOfRange"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "jm", "--e0", "50", "--k", "0.004", "--count", "3"),
+        ("simulate", "schumann", "--e0", "100", "--c", "0.125", "--instructions", "1000"),
+        ("simulate", "weibull", "--shape", "0.5", "--scale", "2", "--count", "3"),
+        ("faulttol", "--total-time", "100", "--overhead", "1", "--failure-rate", "0.01",
+         "--simulate", "3"),
+    ],
+    ids=["jm", "schumann", "weibull", "faulttol"],
+)
+def test_negative_seed_is_a_domain_error(tmp_path, capsys, argv):
+    schedule = tmp_path / "schedule.csv"
+    schedule.write_text("tau,corrected,exposure\n0.0,0,100.0\n")
+    if "schumann" in argv:
+        argv = (*argv, "--schedule", str(schedule))
+    code, stdout, err = run(capsys, *argv, "--seed=-5")
+    assert (code, stdout, len(err.splitlines())) == (2, "", 1)
+    assert json.loads(err) == {
+        "error": "DomainError",
+        "message": "seed must be a non-negative integer, got -5",
+        "exit_code": 2,
+    }
+
+
+def test_faulttol_simulation_overflowing_int64_is_out_of_range(capsys):
+    # p1 = exp(-0.5 * 90) ~ 3e-20: geometric draws pass 2**63 and their sum
+    # used to wrap, reporting negative executions and elapsed time with exit 0.
+    code, stdout, err = run(
+        capsys,
+        "faulttol", "--total-time", "100", "--overhead", "1", "--failure-rate", "0.5",
+        "--module-time", "90", "--simulate", "3", "--seed", "1",
+    )
+    assert (code, stdout, len(err.splitlines())) == (2, "", 1)
+    assert error_json(err)["error"] == "OutOfRange"
+
+
+def _fit_discovery(tmp_path, capsys, rows):
+    path = tmp_path / "discovery.csv"
+    path.write_text("tau,corrected\n" + "".join(f"{t},{c}\n" for t, c in rows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(capsys, "economics", "--fit", str(path), *ECONOMICS_COSTS)
+    assert (code, stdout, len(err.splitlines())) == (2, "", 1)
+    assert error_json(err)["error"] == "OutOfRange"
+    return error_json(err)["message"]
+
+
+def test_economics_fit_search_range_overflow_is_out_of_range(tmp_path, capsys):
+    # 100 * 3e306 overflows the upper end of the tau0 search; this used to die
+    # with a ZeroDivisionError traceback after a RuntimeWarning.
+    message = _fit_discovery(tmp_path, capsys, [("1e306", 1), ("2e306", 2), ("3e306", 5)])
+    assert "search range" in message
+
+
+def test_economics_fit_search_range_underflow_is_out_of_range(tmp_path, capsys):
+    # 5e-324 / 100 underflows the lower end to 0; its log used to raise ValueError.
+    message = _fit_discovery(tmp_path, capsys, [("5e-324", 1), ("1", 2), ("2", 5)])
+    assert "search range" in message
+
+
+def test_economics_fit_overflowing_profile_is_out_of_range(tmp_path, capsys):
+    # counts @ growth overflows; numpy used to warn before an exit-3 line.
+    message = _fit_discovery(tmp_path, capsys, [("1", "1"), ("2", "1e308"), ("3", "1.7e308")])
+    assert "least-squares" in message
 
 
 def test_output_file_and_determinism(tmp_path, capsys):
