@@ -5,96 +5,83 @@ intensity model, Weibull moments), input-profile reliability, debugging
 economics, and double-execution fault-tolerance planning, with seeded
 generators for every stochastic model and a JSON-reporting command line.
 
-numpy is imported inside the functions that build or draw arrays, never at
-module level, so importing the package and the closed-form calls (predictions,
-economics from given parameters, fault-tolerance planning, the input-profile
-estimate) do not pay its start-up cost; tests/test_cli.py guards this.
+A cold call pays only for the code it runs:
+
+- ``import relgauge`` loads no submodule. Each name in ``__all__`` is
+  imported from its module on first access (PEP 562), so
+  ``from relgauge import JmFit`` loads ``model_jm`` and what it needs, and
+  ``from relgauge import *`` loads them all.
+- ``relgauge.cli`` imports a model module inside the handler that calls it,
+  so ``relgauge predict jm`` loads ``model_jm`` and none of the others.
+- numpy is imported inside the functions that build or draw arrays, never
+  at module level, so the closed-form calls (predictions, economics from
+  given parameters, fault-tolerance planning, the input-profile estimate)
+  do not pay its start-up cost.
+
+tests/test_cli.py guards all three in fresh interpreters.
 """
 
 from __future__ import annotations
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .debug_economics import (
-    DebugOptimum,
-    DiscoveryParams,
-    EconParams,
-    cumulative_corrected,
-    failure_probability,
-    fit_discovery_curve,
-    optimal_debug_time,
-    residual_errors,
-    total_cost,
-)
-from .errors import DataError, EstimationError, RelgaugeError
-from .failure_data import (
-    DebugPeriod,
-    DebugPeriods,
-    FailureEpochs,
-    Outcome,
-    RunLog,
-    RunRecord,
-    RunSummary,
-    intervals_from_epochs,
-    parse_debug_periods,
-    parse_failure_epochs,
-    parse_run_log,
-    summarize_runs,
-)
-from .fault_tolerance import (
-    DualRunConfig,
-    DualRunPlan,
-    SimulationResult,
-    expected_executions,
-    optimal_module_time,
-    rerun_probability,
-    simulate_dual_execution,
-)
-from .model_jm import JmFit
-from .model_nelson import PartitionSpec, RunProfile
-from .model_schumann import SchumannFit
-from .model_weibull import MomentForm, WeibullFit
-from .numerics import Bracket, find_root_bracketed
+# Each public name, in the order of __all__, and the submodule that defines it.
+_EXPORTS = {
+    "Bracket": "numerics",
+    "DataError": "errors",
+    "DebugOptimum": "debug_economics",
+    "DebugPeriod": "failure_data",
+    "DebugPeriods": "failure_data",
+    "DiscoveryParams": "debug_economics",
+    "DualRunConfig": "fault_tolerance",
+    "DualRunPlan": "fault_tolerance",
+    "EconParams": "debug_economics",
+    "EstimationError": "errors",
+    "FailureEpochs": "failure_data",
+    "JmFit": "model_jm",
+    "MomentForm": "model_weibull",
+    "Outcome": "failure_data",
+    "PartitionSpec": "model_nelson",
+    "RelgaugeError": "errors",
+    "RunLog": "failure_data",
+    "RunProfile": "model_nelson",
+    "RunRecord": "failure_data",
+    "RunSummary": "failure_data",
+    "SchumannFit": "model_schumann",
+    "SimulationResult": "fault_tolerance",
+    "WeibullFit": "model_weibull",
+    "cumulative_corrected": "debug_economics",
+    "expected_executions": "fault_tolerance",
+    "failure_probability": "debug_economics",
+    "find_root_bracketed": "numerics",
+    "fit_discovery_curve": "debug_economics",
+    "intervals_from_epochs": "failure_data",
+    "optimal_debug_time": "debug_economics",
+    "optimal_module_time": "fault_tolerance",
+    "parse_debug_periods": "failure_data",
+    "parse_failure_epochs": "failure_data",
+    "parse_run_log": "failure_data",
+    "rerun_probability": "fault_tolerance",
+    "residual_errors": "debug_economics",
+    "simulate_dual_execution": "fault_tolerance",
+    "summarize_runs": "failure_data",
+    "total_cost": "debug_economics",
+}
 
-__all__ = [
-    "__version__",
-    "Bracket",
-    "DataError",
-    "DebugOptimum",
-    "DebugPeriod",
-    "DebugPeriods",
-    "DiscoveryParams",
-    "DualRunConfig",
-    "DualRunPlan",
-    "EconParams",
-    "EstimationError",
-    "FailureEpochs",
-    "JmFit",
-    "MomentForm",
-    "Outcome",
-    "PartitionSpec",
-    "RelgaugeError",
-    "RunLog",
-    "RunProfile",
-    "RunRecord",
-    "RunSummary",
-    "SchumannFit",
-    "SimulationResult",
-    "WeibullFit",
-    "cumulative_corrected",
-    "expected_executions",
-    "failure_probability",
-    "find_root_bracketed",
-    "fit_discovery_curve",
-    "intervals_from_epochs",
-    "optimal_debug_time",
-    "optimal_module_time",
-    "parse_debug_periods",
-    "parse_failure_epochs",
-    "parse_run_log",
-    "rerun_probability",
-    "residual_errors",
-    "simulate_dual_execution",
-    "summarize_runs",
-    "total_cost",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    """Import ``name`` from its submodule on first access and keep it in the namespace."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

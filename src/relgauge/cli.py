@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import itertools
 import json
 import math
@@ -22,9 +21,11 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable
 
-from . import __version__, debug_economics, fault_tolerance, model_jm, model_nelson
-from . import model_schumann, model_weibull
-from .errors import DataError, EstimationError, OutOfRange, ParseError
+# Each handler imports the model module it calls, so a call loads only its own
+# model. The failure_data names stay globals here because perfbench/tracing.py
+# wraps them as cli attributes.
+from . import __version__
+from .errors import DataError, DomainError, EstimationError, OutOfRange, ParseError
 from .failure_data import (
     Outcome,
     intervals_from_epochs,
@@ -49,12 +50,23 @@ class _Parser(argparse.ArgumentParser):
 # Handlers read their input files through this: read(role, path) -> text.
 _Read = Callable[[str, str], str]
 
+# The most 8-byte items one array can hold; numpy refuses more with a ValueError.
+_MAX_ITEMS = sys.maxsize // 8
+
+
+def _check_count(flag: str, count: int) -> None:
+    """Raise DomainError naming ``flag`` when no array can hold ``count`` draws."""
+    if count > _MAX_ITEMS:
+        raise DomainError(f"{flag} {count} is more than one array can hold (at most {_MAX_ITEMS})")
+
 
 def _read_input(inputs: list[dict], role: str, path: str) -> str:
     """Read an input file once: record its SHA-256 for provenance, decode it as UTF-8.
 
     One leading byte-order mark, as spreadsheet programs write it, is dropped.
     """
+    import hashlib
+
     data = Path(path).read_bytes()
     inputs.append({"role": role, "path": path, "sha256": hashlib.sha256(data).hexdigest()})
     try:
@@ -148,6 +160,8 @@ def _emit(report: dict, output: str | None) -> None:
 
 
 def _handle_fit_schumann(ns: argparse.Namespace, read: _Read) -> dict:
+    from . import model_schumann
+
     check_level(ns.confidence)  # before the input is read, so a failing fit cannot hide it
     periods = parse_debug_periods(read("input", ns.input))
     fit = model_schumann.fit_mle(periods, ns.instructions)
@@ -170,6 +184,8 @@ def _handle_fit_schumann(ns: argparse.Namespace, read: _Read) -> dict:
 
 
 def _handle_fit_jm(ns: argparse.Namespace, read: _Read) -> dict:
+    from . import model_jm
+
     check_level(ns.confidence)  # before the input is read, so a failing fit cannot hide it
     epochs = parse_failure_epochs(read("input", ns.input))
     intervals = intervals_from_epochs(epochs)
@@ -192,6 +208,8 @@ def _handle_fit_jm(ns: argparse.Namespace, read: _Read) -> dict:
 
 
 def _handle_fit_weibull(ns: argparse.Namespace, read: _Read) -> dict:
+    from . import model_weibull
+
     epochs = parse_failure_epochs(read("input", ns.input))
     intervals = intervals_from_epochs(epochs)
     form = model_weibull.MomentForm(ns.moment_form)
@@ -210,6 +228,10 @@ def _handle_fit_weibull(ns: argparse.Namespace, read: _Read) -> dict:
 
 
 def _handle_fit_nelson(ns: argparse.Namespace, read: _Read) -> dict:
+    from . import model_nelson
+
+    if ns.weights and not ns.simplified:
+        raise UsageError("--weights requires --simplified")
     profiles = model_nelson.parse_profiles(read("profile", ns.profile))
     qs = [model_nelson.run_failure_prob(p) for p in profiles]
     report = {
@@ -231,6 +253,8 @@ def _handle_fit_nelson(ns: argparse.Namespace, read: _Read) -> dict:
 
 
 def _handle_economics(ns: argparse.Namespace, read: _Read) -> dict:
+    from . import debug_economics
+
     report: dict = {}
     eps0, tau0 = ns.eps0, ns.tau0
     if ns.fit:
@@ -258,6 +282,10 @@ def _handle_economics(ns: argparse.Namespace, read: _Read) -> dict:
 
 
 def _handle_faulttol(ns: argparse.Namespace, read: _Read) -> dict:
+    from . import fault_tolerance
+
+    if ns.module_time is not None and ns.simulate is None:
+        raise UsageError("--module-time requires --simulate")
     config = fault_tolerance.DualRunConfig(
         total_time=ns.total_time, overhead=ns.overhead, failure_rate=ns.failure_rate
     )
@@ -272,6 +300,7 @@ def _handle_faulttol(ns: argparse.Namespace, read: _Read) -> dict:
     if ns.simulate is not None:
         if ns.seed is None:
             raise UsageError("--simulate requires --seed")
+        _check_count("--simulate", ns.simulate)
         t = ns.module_time if ns.module_time is not None else plan.t_star
         result = fault_tolerance.simulate_dual_execution(config, t, ns.simulate, ns.seed)
         report["simulation"] = {
@@ -285,6 +314,9 @@ def _handle_faulttol(ns: argparse.Namespace, read: _Read) -> dict:
 
 
 def _handle_simulate_jm(ns: argparse.Namespace, read: _Read) -> dict:
+    from . import model_jm
+
+    _check_count("--count", ns.count)
     intervals = model_jm.generate_intervals(ns.e0, ns.k, ns.count, ns.seed)
     return {
         "model": "jm",
@@ -294,6 +326,8 @@ def _handle_simulate_jm(ns: argparse.Namespace, read: _Read) -> dict:
 
 
 def _handle_simulate_schumann(ns: argparse.Namespace, read: _Read) -> dict:
+    from . import model_schumann
+
     schedule = model_schumann.parse_schedule(read("schedule", ns.schedule))
     periods = model_schumann.generate_periods(
         ns.e0, ns.c, ns.instructions, schedule, ns.seed
@@ -313,11 +347,16 @@ def _handle_simulate_schumann(ns: argparse.Namespace, read: _Read) -> dict:
 
 
 def _handle_simulate_weibull(ns: argparse.Namespace, read: _Read) -> dict:
+    from . import model_weibull
+
+    _check_count("--count", ns.count)
     times = model_weibull.generate(ns.shape, ns.scale, ns.count, ns.seed)
     return {"model": "weibull", "times": times}
 
 
 def _handle_predict_schumann(ns: argparse.Namespace, read: _Read) -> dict:
+    from . import model_schumann
+
     fit = model_schumann.SchumannFit(
         e0_hat=ns.e0, c_hat=ns.c, instructions=ns.instructions
     )
@@ -330,6 +369,8 @@ def _handle_predict_schumann(ns: argparse.Namespace, read: _Read) -> dict:
 
 
 def _handle_predict_jm(ns: argparse.Namespace, read: _Read) -> dict:
+    from . import model_jm
+
     return {
         "model": "jm",
         "intensity": model_jm.intensity(ns.e0, ns.k, ns.index),
@@ -338,6 +379,8 @@ def _handle_predict_jm(ns: argparse.Namespace, read: _Read) -> dict:
 
 
 def _handle_predict_weibull(ns: argparse.Namespace, read: _Read) -> dict:
+    from . import model_weibull
+
     fit = model_weibull.WeibullFit(m=ns.shape, lam=ns.scale)
     report = {
         "model": "weibull",
@@ -381,8 +424,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="failures.csv (epoch)")
     p.add_argument(
         "--moment-form",
-        choices=[f.value for f in model_weibull.MomentForm],
-        default=model_weibull.MomentForm.CV_CORRECTED.value,
+        # The MomentForm values, spelled out so the parser does not load model_weibull.
+        choices=["cv", "literal"],
+        default="cv",
     )
     _add_output(p)
     p.set_defaults(handler=_handle_fit_weibull)
@@ -499,6 +543,8 @@ def run_cli(args: list[str]) -> int:
         return _fail(exc, 3)
     except OverflowError as exc:
         return _fail(OutOfRange(f"a result overflowed a float: {exc}"), 2)
+    except MemoryError as exc:
+        return _fail(OutOfRange(f"not enough memory: {exc}"), 2)
     except OSError as exc:
         return _fail(exc, 2)
     return 0

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Callable, Sequence
 
 from .errors import DomainError, NonFinite, NoSignChange
@@ -252,6 +251,8 @@ def check_level(level: float) -> None:
 
 def gaussian_intervals(level: float, **estimates: tuple[float, float]) -> dict[str, tuple[float, float]]:
     """Two-sided Gaussian confidence intervals at ``level``, one per name=(estimate, variance)."""
+    from statistics import NormalDist  # only the fits with intervals need it
+
     check_level(level)
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
     intervals = {}

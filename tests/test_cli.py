@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import argparse
 import json
 import math
 import os
@@ -442,6 +443,23 @@ def test_faulttol_simulate_needs_seed(capsys):
     assert "--seed" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("fit", "nelson", "--profile", "profile.csv", "--weights", "w.csv"),
+         "--weights requires --simplified"),
+        (("faulttol", "--total-time", "1000", "--overhead", "100", "--failure-rate", "0.001",
+          "--module-time", "20"), "--module-time requires --simulate"),
+    ],
+    ids=["weights", "module-time"],
+)
+def test_flag_that_would_be_ignored_is_a_usage_error(capsys, argv, message):
+    # Checked before any file is read, so the named files need not exist.
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout, len(err.splitlines())) == (1, "", 1)
+    assert json.loads(err) == {"error": "UsageError", "message": message, "exit_code": 1}
+
+
 def test_faulttol_simulation_block(capsys):
     report = run_json(
         capsys,
@@ -719,6 +737,39 @@ def test_faulttol_simulation_overflowing_int64_is_out_of_range(capsys):
     assert error_json(err)["error"] == "OutOfRange"
 
 
+# Each verb that draws an array, with the flag that sizes it last.
+_COUNTED = [
+    ("simulate", "weibull", "--shape", "1", "--scale", "1", "--seed", "1", "--count"),
+    ("simulate", "jm", "--e0", "1e300", "--k", "1", "--seed", "1", "--count"),
+    ("faulttol", "--total-time", "100", "--overhead", "1", "--failure-rate", "0.01",
+     "--seed", "1", "--simulate"),
+]
+
+
+@pytest.mark.parametrize("argv", _COUNTED, ids=["weibull", "jm", "faulttol"])
+@pytest.mark.parametrize("count", [2**63, cli._MAX_ITEMS + 1])
+def test_count_beyond_any_array_names_the_flag(capsys, argv, count):
+    # numpy used to raise "Maximum allowed dimension exceeded" through a traceback.
+    code, stdout, err = run(capsys, *argv, str(count))
+    assert (code, stdout, len(err.splitlines())) == (2, "", 1)
+    assert json.loads(err) == {
+        "error": "DomainError",
+        "message": f"{argv[-1]} {count} is more than one array can hold (at most {cli._MAX_ITEMS})",
+        "exit_code": 2,
+    }
+
+
+@pytest.mark.skipif(sys.maxsize < 2**63 - 1, reason="on a 32-bit build this count can be allocated")
+@pytest.mark.parametrize("argv", _COUNTED, ids=["weibull", "jm", "faulttol"])
+def test_count_beyond_memory_is_out_of_range(capsys, argv):
+    # 8 EiB of draws: more than any address space, so the allocation fails at once.
+    code, stdout, err = run(capsys, *argv, str(cli._MAX_ITEMS))
+    assert (code, stdout, len(err.splitlines())) == (2, "", 1)
+    line = json.loads(err)
+    assert line["error"] == "OutOfRange"
+    assert line["message"].startswith("not enough memory: ")
+
+
 def _fit_discovery(tmp_path, capsys, rows):
     path = tmp_path / "discovery.csv"
     path.write_text("tau,corrected\n" + "".join(f"{t},{c}\n" for t, c in rows))
@@ -860,6 +911,136 @@ for thread in threads:
 assert not any(thread.is_alive() for thread in threads)
 assert results == [[draw(i) for draw in draws[i % 2 :] + draws[: i % 2]] for i in range(4)], results
 """)
+
+
+def test_package_import_loads_no_submodule():
+    _fresh_python(
+        "import relgauge, sys; "
+        "assert [m for m in sys.modules if m.startswith('relgauge.')] == [], sys.modules"
+    )
+
+
+def test_cli_import_and_parser_load_no_model_module():
+    unwanted = sorted({f"relgauge.{m}" for m in _COLD_KINDS.values()}) + ["hashlib", "statistics"]
+    _fresh_python(f"""
+import sys
+import relgauge.cli
+relgauge.cli._build_parser()
+loaded = [m for m in {unwanted!r} if m in sys.modules]
+assert loaded == [], loaded
+""")
+
+
+# The relgauge submodules loaded by one CLI call, printed with its exit code.
+_MODULE_PROBE = """
+import json, sys
+import relgauge.cli
+code = relgauge.cli.run_cli(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("relgauge."))]))
+"""
+
+
+# The benchmark's 14 cli-cold kinds and the one model module each needs.
+_COLD_KINDS = {
+    "fit_jm": "model_jm",
+    "fit_weibull": "model_weibull",
+    "fit_schumann": "model_schumann",
+    "fit_nelson": "model_nelson",
+    "economics_params": "debug_economics",
+    "economics_fit": "debug_economics",
+    "faulttol_plan": "fault_tolerance",
+    "faulttol_simulate": "fault_tolerance",
+    "simulate_jm": "model_jm",
+    "simulate_schumann": "model_schumann",
+    "simulate_weibull": "model_weibull",
+    "predict_jm": "model_jm",
+    "predict_schumann": "model_schumann",
+    "predict_weibull": "model_weibull",
+}
+
+
+def _cold_argv(tmp_path, kind):
+    weights = tmp_path / "w.csv"
+    weights.write_text("weight\n1.5\n0.5\n")
+    argvs = {}
+    for args in _verb_args(tmp_path):
+        if args[0] == "economics":
+            argvs["economics_fit" if "--fit" in args else "economics_params"] = args
+        elif args[0] == "faulttol":
+            argvs["faulttol_plan"] = args[: args.index("--simulate")]
+            argvs["faulttol_simulate"] = args
+        else:
+            argvs[f"{args[0]}_{args[1]}"] = args
+    argvs["fit_nelson"] = [*argvs["fit_nelson"], "--weights", str(weights)]
+    assert argvs.keys() == _COLD_KINDS.keys()
+    return argvs[kind]
+
+
+@pytest.mark.parametrize("kind", _COLD_KINDS)
+def test_each_cold_kind_loads_only_its_model_module(tmp_path, kind):
+    args = _cold_argv(tmp_path, kind)
+    code, loaded = json.loads(_fresh_python(_MODULE_PROBE, *args).stdout.splitlines()[-1])
+    assert code == 0, args
+    base = ["cli", "errors", "failure_data", "numerics", _COLD_KINDS[kind]]
+    assert loaded == sorted(f"relgauge.{m}" for m in base), args
+
+
+def test_every_export_resolves_and_is_listed():
+    _fresh_python("""
+import relgauge
+listed = dir(relgauge)
+for name in relgauge.__all__:
+    assert name in listed, name
+    assert getattr(relgauge, name) is not None, name
+namespace = {}
+exec("from relgauge import *", namespace)
+assert all(namespace[name] is getattr(relgauge, name) for name in relgauge.__all__)
+try:
+    relgauge.NoSuchName
+except AttributeError as exc:
+    assert "NoSuchName" in str(exc)
+else:
+    raise AssertionError("an unknown name resolved")
+""")
+
+
+def test_first_touch_of_exports_is_safe_across_threads():
+    """Four threads resolve two lazy exports at once; all get the objects a serial import gives."""
+    _fresh_python("""
+import sys, threading
+import relgauge
+
+start = threading.Barrier(4, timeout=60)
+results = [None] * 4
+
+def work(i):
+    start.wait()
+    names = ["JmFit", "WeibullFit"][:: 1 if i % 2 else -1]
+    results[i] = {name: getattr(relgauge, name) for name in names}
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=60)
+assert not any(thread.is_alive() for thread in threads)
+from relgauge.model_jm import JmFit
+from relgauge.model_weibull import WeibullFit
+assert results == [{"JmFit": JmFit, "WeibullFit": WeibullFit}] * 4, results  # classes compare by identity
+""")
+
+
+def test_moment_form_choices_are_the_enum_values():
+    from relgauge.model_weibull import MomentForm
+
+    parser = cli._build_parser()
+    for name in ("fit", "weibull"):
+        verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = verbs.choices[name]
+    moment_form = next(a for a in parser._actions if a.dest == "moment_form")
+    assert moment_form.choices == [f.value for f in MomentForm]
+    assert moment_form.default == MomentForm.CV_CORRECTED.value
 
 
 def test_emit_long_float_lists_match_json_dumps(tmp_path):

@@ -34,7 +34,7 @@ EXTREME_FLOATS = [
     str(2**63),
 ]
 EXTREME_INTS = ["0", "-1", "-7", str(2**63), "1e308", "nan"]
-SMALL_COUNTS = ["0", "1", "2", "3", "50", "-1", "-50", "1e308"]
+COUNTS = ["0", "1", "2", "3", "50", "-1", "-50", "1e308", str(2**63)]
 
 # Each flag: (kind, ordinary value); "file" flags name an entry of FILES.
 VERBS = {
@@ -70,7 +70,7 @@ VERBS = {
 ODD_VALUES = {
     "float": EXTREME_FLOATS,
     "int": EXTREME_INTS,
-    "count": SMALL_COUNTS,
+    "count": COUNTS,
     "choice": ["literal", "bogus"],
 }
 
