@@ -255,6 +255,8 @@ def _handle_fit_nelson(ns: argparse.Namespace, read: _Read) -> dict:
 def _handle_economics(ns: argparse.Namespace, read: _Read) -> dict:
     from . import debug_economics
 
+    if ns.fit and (ns.eps0 is not None or ns.tau0 is not None):
+        raise UsageError("--fit cannot be combined with --eps0 or --tau0")
     report: dict = {}
     eps0, tau0 = ns.eps0, ns.tau0
     if ns.fit:
@@ -284,8 +286,9 @@ def _handle_economics(ns: argparse.Namespace, read: _Read) -> dict:
 def _handle_faulttol(ns: argparse.Namespace, read: _Read) -> dict:
     from . import fault_tolerance
 
-    if ns.module_time is not None and ns.simulate is None:
-        raise UsageError("--module-time requires --simulate")
+    for flag, value in (("--module-time", ns.module_time), ("--seed", ns.seed)):
+        if value is not None and ns.simulate is None:
+            raise UsageError(f"{flag} requires --simulate")
     config = fault_tolerance.DualRunConfig(
         total_time=ns.total_time, overhead=ns.overhead, failure_rate=ns.failure_rate
     )

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import DomainError, NoConvergence, OutOfRange, Underdetermined
 from .failure_data import read_columns
-from .numerics import minimize_bounded
+from .numerics import Bracket, find_root_bracketed
 
 
 @dataclass(frozen=True)
@@ -184,15 +184,18 @@ def fit_discovery_curve(
 
     ``observations`` is a sequence of (tau, cumulative corrected count)
     pairs at strictly increasing positive times with non-decreasing counts.
-    For fixed tau0 the best eps0 is available in closed form, so only tau0
-    is searched, over log space to cover [tau_min / 100, 100 * tau_max].
+    For fixed tau0 the best eps0 is available in closed form.  By the
+    envelope theorem the slope of the error so profiled, taken in log tau0,
+    is 2 * eps0 * resid @ rate with rate = (tau / tau0) * exp(-tau / tau0),
+    so the fitted tau0 is where resid @ rate turns from negative to
+    positive, solved for over [tau_min / 100, 100 * tau_max].
 
     Returns the fitted (eps0, tau0) pair, with eps0 in error counts (not
     per instruction).  Raises Underdetermined when fewer than three points
-    or no variation in the counts is provided, NoConvergence when the
-    objective pins to an edge of the search range instead of an interior
-    minimum, and OutOfRange when the search range or the squared residuals
-    leave the range of a float.
+    or no variation in the counts is provided, NoConvergence when the slope
+    does not turn from negative to positive over the search range, so the
+    least-squares optimum sits at an edge of it, and OutOfRange when the
+    search range or the least-squares fit leaves the range of a float.
     """
     if not (isinstance(commands, int) and commands >= 1):
         raise DomainError(f"commands must be an integer >= 1, got {commands}")
@@ -213,32 +216,30 @@ def fit_discovery_curve(
     if counts.max() == counts.min():
         raise Underdetermined("corrected counts show no variation, tau0 is not identifiable")
 
-    tau_lo, tau_hi = obs[0][0] / 100.0, obs[-1][0] * 100.0
-    if not (tau_lo > 0.0 and tau_hi < math.inf):
-        raise OutOfRange(f"the search range [{tau_lo}, {tau_hi}] for tau0 leaves the float range")
-    lo, hi = math.log(tau_lo), math.log(tau_hi)
+    lo, hi = obs[0][0] / 100.0, obs[-1][0] * 100.0
+    if not (lo > 0.0 and hi < math.inf):
+        raise OutOfRange(f"the search range [{lo}, {hi}] for tau0 leaves the float range")
 
-    def profile(log_tau0: float) -> tuple[float, float]:
-        """Residual sum of squares at this tau0, and the eps0 that attains it."""
+    def profile(tau0: float) -> tuple[float, float]:
+        """resid @ rate / |rate|, of the sign of the profiled error's slope, and the best eps0."""
         # Extreme counts or times overflow here; the check below reports them.
         with np.errstate(all="ignore"):
-            growth = -np.expm1(-taus / math.exp(log_tau0))
-            eps0 = float(counts @ growth) / float(growth @ growth)
-            resid = counts - eps0 * growth
-            sse = float(resid @ resid)
-        if not math.isfinite(sse):
-            raise OutOfRange(
-                f"the least-squares fit at tau0 = {math.exp(log_tau0)} is not a finite float"
-            )
-        return sse, eps0
+            x = taus / tau0
+            growth = -np.expm1(-x)
+            eps0 = counts @ growth / (growth @ growth)
+            rate = x * np.exp(-x)
+            # Normalised, so the slope is not ~1e-41 at the low end, where a
+            # root solver that keeps the smallest |f| would stop.
+            slope = float((counts - eps0 * growth) @ rate / np.sqrt(rate @ rate))
+        if not (math.isfinite(slope) and math.isfinite(eps0)):
+            raise OutOfRange(f"the least-squares fit at tau0 = {tau0} is not a finite float")
+        return slope, float(eps0)
 
-    log_tau0 = minimize_bounded(lambda x: profile(x)[0], lo, hi)
-    if log_tau0 < lo + 1e-6 or log_tau0 > hi - 1e-6:
-        raise NoConvergence(
-            "no interior optimum for the discovery time constant within "
-            f"[{math.exp(lo)}, {math.exp(hi)}]"
-        )
-    return profile(log_tau0)[1], math.exp(log_tau0)
+    if not (profile(lo)[0] < 0.0 < profile(hi)[0]):
+        raise NoConvergence(f"no interior optimum for the discovery time constant within [{lo}, {hi}]")
+    # Solved in tau0 itself: the solver's relative tolerance has no scale at log tau0 = 0.
+    tau0 = find_root_bracketed(lambda t: profile(t)[0], Bracket(lo, hi))
+    return profile(tau0)[1], tau0
 
 
 def parse_discovery(text: str) -> list[tuple[float, float]]:

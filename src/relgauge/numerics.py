@@ -1,12 +1,13 @@
 """Numerical kernels used by the estimation modules.
 
 Provides a doubling scan that brackets the first sign change above a pole,
-a bracketed scalar root finder (bisection with secant acceleration, so
-convergence is guaranteed whenever the bracket is valid), Brent's bounded
-scalar minimiser, the pole sum sum(1/(e0 - i + 1)) in O(1) through the
-digamma function, an exactly rounded array sum, the checked array of
-failure intervals that the JM and Weibull fits read, the seeded generator
-every simulation draws from, and two-sided Gaussian confidence intervals.
+the one scalar solver that the fits and the planner share (a bracketed
+root finder, bisection with secant acceleration, so convergence is
+guaranteed whenever the bracket is valid), the pole sum
+sum(1/(e0 - i + 1)) in O(1) through the digamma function, an exactly
+rounded array sum, the checked array of failure intervals that the JM and
+Weibull fits read, the seeded generator every simulation draws from, and
+two-sided Gaussian confidence intervals.
 """
 
 from __future__ import annotations
@@ -24,11 +25,6 @@ _WIDTH_FLOOR = 1e-30
 
 _SCAN_DOUBLINGS = 60
 _SCAN_TOL_REL = 1e-13
-
-_MIN_XATOL = 1e-13
-_MIN_MAX_EVALS = 500
-_SQRT_EPS = math.sqrt(2.2e-16)  # relative resolution of the minimiser's steps
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 _POLE_SUM_DIRECT = 64  # up to this many terms the pole sum is added term by term
 _DIGAMMA_ASYMPTOTIC = 16.0  # smallest argument handed to the digamma expansion
@@ -133,68 +129,6 @@ def scan_bracket(f: Callable[[float], float], floor: float) -> Bracket | None:
         previous = (offset, value)
         offset *= 2.0
     return None
-
-
-def minimize_bounded(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Return x in the finite interval [lo, hi] minimising ``f``, by Brent's bounded method.
-
-    Golden-section steps safeguard parabolic interpolation through the three
-    best points; iteration stops once the bracket around the best point is
-    within 1e-13 absolute plus sqrt(eps) relative, or after 500 evaluations.
-    The best point found is returned either way.
-    """
-    a, b = lo, hi
-    # x: best point so far, w: second best, v: the previous w.
-    x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = f(x)
-    d = e = 0.0
-    for _ in range(_MIN_MAX_EVALS - 1):
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + _MIN_XATOL / 3.0
-        tol2 = 2.0 * tol1
-        if abs(x - xm) <= tol2 - 0.5 * (b - a):
-            break
-        parabolic = False
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = d
-            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-                parabolic = True
-                d = p / q
-                # Never evaluate closer than tol2 to either end.
-                if x + d - a < tol2 or b - (x + d) < tol2:
-                    d = tol1 if xm >= x else -tol1
-        if not parabolic:
-            e = (a - x) if x >= xm else (b - x)
-            d = _GOLDEN * e
-        u = x + (1.0 if d >= 0.0 else -1.0) * max(abs(d), tol1)
-        fu = f(u)
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv = w, fw
-            w, fw = x, fx
-            x, fx = u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv = w, fw
-                w, fw = u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    return x
 
 
 def fsum_array(values) -> float:

@@ -450,8 +450,14 @@ def test_faulttol_simulate_needs_seed(capsys):
          "--weights requires --simplified"),
         (("faulttol", "--total-time", "1000", "--overhead", "100", "--failure-rate", "0.001",
           "--module-time", "20"), "--module-time requires --simulate"),
+        (("faulttol", "--total-time", "1000", "--overhead", "1", "--failure-rate", "0.001",
+          "--seed", "5"), "--seed requires --simulate"),
+        (("economics", "--fit", "discovery.csv", "--eps0", "1", *ECONOMICS_COSTS),
+         "--fit cannot be combined with --eps0 or --tau0"),
+        (("economics", "--fit", "discovery.csv", "--tau0", "1", *ECONOMICS_COSTS),
+         "--fit cannot be combined with --eps0 or --tau0"),
     ],
-    ids=["weights", "module-time"],
+    ids=["weights", "module-time", "seed", "fit-eps0", "fit-tau0"],
 )
 def test_flag_that_would_be_ignored_is_a_usage_error(capsys, argv, message):
     # Checked before any file is read, so the named files need not exist.

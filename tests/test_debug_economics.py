@@ -18,7 +18,7 @@ from relgauge.debug_economics import (
     residual_errors,
     total_cost,
 )
-from relgauge.errors import DomainError, OutOfRange, Underdetermined
+from relgauge.errors import DomainError, NoConvergence, OutOfRange, Underdetermined
 
 
 def exp_series(x, terms=30):
@@ -205,8 +205,17 @@ def test_fit_discovery_round_trip():
     assert tau0 == pytest.approx(10.0, rel=1e-6)
 
 
+def _profiled_sse(observations, tau0):
+    """Squared error of the curve with time constant tau0 and the best eps0 for it."""
+    taus, counts = np.array(observations).T
+    growth = -np.expm1(-taus / tau0)
+    resid = counts - (counts @ growth) / (growth @ growth) * growth
+    return float(resid @ resid)
+
+
 def test_fit_discovery_round_trip_random():
     rng = np.random.default_rng(8080)
+    noise = np.random.default_rng(8081)
     for _ in range(20):
         eps0 = float(rng.uniform(10.0, 1000.0))
         tau0 = float(rng.uniform(0.5, 80.0))
@@ -216,6 +225,36 @@ def test_fit_discovery_round_trip_random():
         got_eps0, got_tau0 = fit_discovery_curve(observations, 1000)
         assert got_eps0 == pytest.approx(eps0, rel=1e-6)
         assert got_tau0 == pytest.approx(tau0, rel=1e-6)
+        # Each increment off by up to 10 %: the fit is a local least-squares minimum.
+        counts = np.cumsum(np.diff([0.0] + [c for _, c in observations]) * noise.uniform(0.9, 1.1, 6))
+        noisy = list(zip(taus.tolist(), counts.tolist()))
+        _, fit_tau0 = fit_discovery_curve(noisy, 1000)
+        at_fit = _profiled_sse(noisy, fit_tau0 * (1.0 - 1e-12))
+        for step in (1.0 - 1e-4, 1.0 + 1e-4):
+            assert _profiled_sse(noisy, fit_tau0 * step) >= at_fit
+
+
+def test_fit_discovery_round_trip_at_unit_tau0(monkeypatch):
+    """tau0 = 1 puts log tau0 at 0; the fit still ends in a bounded number of evaluations."""
+    truth = DiscoveryParams(eps0=100.0, tau0=1.0, commands=1000, tempo=1.0)
+    observations = [(t, 1000 * cumulative_corrected(truth, t)) for t in (0.3, 0.7, 1.0, 1.5, 2.5, 4.0)]
+    # Each evaluation of the profiled error builds its growth curve with one np.expm1 call.
+    calls = []
+    expm1 = np.expm1
+    monkeypatch.setattr(np, "expm1", lambda x: calls.append(x) or expm1(x))
+    eps0, tau0 = fit_discovery_curve(observations, 1000)
+    assert eps0 == pytest.approx(100.0, rel=1e-6)
+    assert tau0 == pytest.approx(1.0, rel=1e-6)
+    assert 0 < len(calls) <= 60
+
+
+def test_fit_discovery_edge_optimum_is_no_convergence():
+    """Counts that grow linearly, faster than linearly, or only at the last point
+    are fitted best at an edge of the tau0 range, not at an interior optimum."""
+    taus = [float(t) for t in range(1, 7)]
+    for counts in ([2.0 * t for t in taus], [t * t for t in taus], [0.0] * 5 + [10.0]):
+        with pytest.raises(NoConvergence, match="no interior optimum"):
+            fit_discovery_curve(list(zip(taus, counts)), 10)
 
 
 def test_fit_discovery_underdetermined():
