@@ -235,10 +235,11 @@ def fit_discovery_curve(
             raise OutOfRange(f"the least-squares fit at tau0 = {tau0} is not a finite float")
         return slope, float(eps0)
 
-    if not (profile(lo)[0] < 0.0 < profile(hi)[0]):
+    slope_lo, slope_hi = profile(lo)[0], profile(hi)[0]
+    if not (slope_lo < 0.0 < slope_hi):
         raise NoConvergence(f"no interior optimum for the discovery time constant within [{lo}, {hi}]")
     # Solved in tau0 itself: the solver's relative tolerance has no scale at log tau0 = 0.
-    tau0 = find_root_bracketed(lambda t: profile(t)[0], Bracket(lo, hi))
+    tau0 = find_root_bracketed(lambda t: profile(t)[0], Bracket(lo, hi, f_lo=slope_lo, f_hi=slope_hi))
     return profile(tau0)[1], tau0
 
 

@@ -108,10 +108,11 @@ def optimal_module_time(config: DualRunConfig) -> DualRunPlan:
     def stationarity(t: float) -> float:
         return 2.0 * lam * t * t * math.exp(lam * t) - a
 
-    if stationarity(T) <= 0.0:
+    at_end = stationarity(T)
+    if at_end <= 0.0:
         t_star, boundary = T, True
     else:
-        bracket = Bracket(T * 1e-15, T, tol_rel=1e-12)
+        bracket = Bracket(T * 1e-15, T, tol_rel=1e-12, f_hi=at_end)
         t_star, boundary = find_root_bracketed(stationarity, bracket), False
     return DualRunPlan(
         t_star=t_star,

@@ -125,9 +125,10 @@ def fit_mle(intervals: Sequence[float]) -> JmFit:
     side is :func:`numerics.pole_sum`, so each objective evaluation is O(1)
     and a fit costs one O(k) pass for the sums plus one for the final
     :func:`stationarity_residual` check, which must be within 1e-9.  The
-    root is bracketed by doubling steps above the pole at e0 = k - 1.  A
-    finite root exists only when B/A < (k-1)/2, i.e. when failures cluster
-    early; otherwise NoGrowthEvidence is raised carrying that diagnostic.
+    root is bracketed at offsets growing 16-fold above the pole at
+    e0 = k - 1.  A finite root exists only when B/A < (k-1)/2, i.e. when
+    failures cluster early; otherwise NoGrowthEvidence is raised carrying
+    that diagnostic.
     """
     x = interval_array(intervals)
     k = len(x)

@@ -235,12 +235,13 @@ def fit_mle(periods: Sequence[DebugPeriod], instructions: int) -> SchumannFit:
 
     agree only at the stationary e0, which is located by scanning upward
     from the feasibility boundary (e0 slightly above the largest corrected
-    count) with doubling steps and then root-finding on the bracketed sign
-    change.  The per-period columns, sum(n_j) and sum(H_j) are built once,
+    count) at offsets that grow 16-fold, then root-finding on the bracketed
+    sign change.  The per-period columns, sum(n_j) and sum(H_j) are built once,
     so each evaluation forms the per-period residuals e0/I - corrected_j/I
     once and sums the two arrays built from them exactly with fsum.
-    Raises NoConvergence when no sign change appears within 60 doublings,
-    which is the signature of data without reliability growth.
+    Raises NoConvergence when no sign change appears within 2^60 times the
+    first step (60 doublings), which is the signature of data without
+    reliability growth.
     """
     periods = DebugPeriods.of(periods)
     _check_periods(periods, instructions)

@@ -130,7 +130,7 @@ def fit_moments(
             f"dispersion ratio {ratio} has no shape solution in [{_M_LO}, {_M_HI}] "
             f"under the {form.name} moment equation"
         )
-    m_hat = find_root_bracketed(objective, Bracket(_M_LO, _M_HI, tol_rel=1e-13))
+    m_hat = find_root_bracketed(objective, Bracket(_M_LO, _M_HI, tol_rel=1e-13, f_lo=lo_val, f_hi=hi_val))
     lam = math.exp(math.lgamma(1.0 + 1.0 / m_hat)) / t_bar
     return WeibullFit(m=m_hat, lam=lam, moment_form=form)
 

@@ -1,9 +1,10 @@
 """Numerical kernels used by the estimation modules.
 
-Provides a doubling scan that brackets the first sign change above a pole,
-the one scalar solver that the fits and the planner share (a bracketed
-root finder, bisection with secant acceleration, so convergence is
-guaranteed whenever the bracket is valid), the pole sum
+Provides a geometric scan that brackets the first sign change above a
+pole, the one scalar solver that the fits and the planner share (a
+bracketed root finder, inverse quadratic interpolation safeguarded by
+bisection, which keeps the root bracketed and never evaluates an end whose
+value the bracket carries), the pole sum
 sum(1/(e0 - i + 1)) in O(1) through the digamma function, an exactly
 rounded array sum, the checked array of failure intervals that the JM and
 Weibull fits read, the seeded generator every simulation draws from, and
@@ -23,7 +24,8 @@ DEFAULT_TOL_REL = 1e-10
 _MAX_ITER = 600
 _WIDTH_FLOOR = 1e-30
 
-_SCAN_DOUBLINGS = 60
+_SCAN_FACTOR = 16.0
+_SCAN_POINTS = 16  # offsets s, 16 s, ..., 16^15 s = 2^60 s
 _SCAN_TOL_REL = 1e-13
 
 _POLE_SUM_DIRECT = 64  # up to this many terms the pole sum is added term by term
@@ -35,11 +37,18 @@ _DIGAMMA_COEFFS = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1
 
 @dataclass(frozen=True)
 class Bracket:
-    """Interval [lo, hi] expected to contain a sign change of the target function."""
+    """Interval [lo, hi] expected to contain a sign change of the target function.
+
+    ``f_lo`` and ``f_hi`` are the function's values at the ends when the
+    caller has already evaluated them; :func:`find_root_bracketed` then
+    uses them instead of evaluating the ends again.
+    """
 
     lo: float
     hi: float
     tol_rel: float = DEFAULT_TOL_REL
+    f_lo: float | None = None
+    f_hi: float | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
@@ -48,8 +57,7 @@ class Bracket:
             raise DomainError(f"bracket tolerance must be positive, got {self.tol_rel}")
 
 
-def _eval_checked(f: Callable[[float], float], x: float) -> float:
-    y = f(x)
+def _checked(y: float, x: float) -> float:
     if not math.isfinite(y):
         raise NonFinite(f"function evaluated to {y!r} at x={x!r}")
     return float(y)
@@ -58,20 +66,28 @@ def _eval_checked(f: Callable[[float], float], x: float) -> float:
 def find_root_bracketed(f: Callable[[float], float], bracket: Bracket) -> float:
     """Return x in [lo, hi] with f(x) ~ 0, given a sign change over the bracket.
 
-    Alternates secant estimates with plain bisection, so the interval width
-    is guaranteed to halve at least every other iteration no matter how the
-    function behaves.  Iteration stops once the residual has dropped below
-    ``tol_rel`` times the larger endpoint residual and the interval is
-    narrower than ``tol_rel`` relative to the root location.
+    Chandrupatla's method (Adv. Eng. Software 28, 1997): each new point
+    comes from inverse quadratic interpolation through the two bracket ends
+    and the end dropped last, when the three points make that interpolant
+    monotone, and from bisection otherwise.  The root stays bracketed
+    throughout, and while the bracket is wider than the tolerance each new
+    point keeps half a tolerance away from both ends, so the end that
+    interpolation approaches from one side is overtaken once it is close.
+    Iteration stops once the residual has dropped below ``tol_rel`` times
+    the larger endpoint residual and the bracket is narrower than
+    ``tol_rel`` relative to the root location, or once no float lies
+    strictly between the bracket ends.  The result is the bracket end with
+    the smaller residual, so it always lies in the final bracket.  Ends
+    whose values the bracket carries are not evaluated again.
 
     Raises NoSignChange if f has the same sign at both ends, and NonFinite
     if any evaluation produces NaN or infinity.
     """
     a, b = bracket.lo, bracket.hi
-    fa = _eval_checked(f, a)
+    fa = _checked(f(a) if bracket.f_lo is None else bracket.f_lo, a)
     if fa == 0.0:
         return a
-    fb = _eval_checked(f, b)
+    fb = _checked(f(b) if bracket.f_hi is None else bracket.f_hi, b)
     if fb == 0.0:
         return b
     if (fa > 0.0) == (fb > 0.0):
@@ -80,54 +96,56 @@ def find_root_bracketed(f: Callable[[float], float], bracket: Bracket) -> float:
         )
 
     f_tol = bracket.tol_rel * max(abs(fa), abs(fb))
-    best_x, best_f = (a, abs(fa)) if abs(fa) <= abs(fb) else (b, abs(fb))
-    use_secant = False
+    # x1 is the newest point, x2 the other end of the bracket and x3 the
+    # end dropped last, so f3 has the sign of f1 and x1 lies between x2 and x3.
+    x1, f1, x2, f2 = b, fb, a, fa
+    t = 0.5
     for _ in range(_MAX_ITER):
-        width = b - a
-        x = 0.5 * (a + b)
-        if use_secant:
-            # fb - fa cannot vanish here: the endpoints have opposite signs.
-            s = b - fb * width / (fb - fa)
-            # Accept the secant point only when it lands comfortably inside
-            # the interval; otherwise keep the bisection midpoint.
-            margin = 0.125 * width
-            if a + margin < s < b - margin:
-                x = s
-        use_secant = not use_secant
-        fx = _eval_checked(f, x)
-        if abs(fx) < best_f:
-            best_x, best_f = x, abs(fx)
+        x = x1 + t * (x2 - x1)
+        fx = _checked(f(x), x)
         if fx == 0.0:
             return x
-        if (fx > 0.0) == (fb > 0.0):
-            b, fb = x, fx
+        if (fx > 0.0) == (f1 > 0.0):
+            x3, f3 = x1, f1
         else:
-            a, fa = x, fx
-        narrow = (b - a) <= bracket.tol_rel * max(abs(best_x), _WIDTH_FLOOR)
-        if best_f <= f_tol and narrow:
-            return best_x
-    return best_x
+            x3, f3, x2, f2 = x2, f2, x1, f1
+        x1, f1 = x, fx
+        xm, fm = (x1, f1) if abs(f1) < abs(f2) else (x2, f2)
+        width = abs(x2 - x1)
+        tol = bracket.tol_rel * max(abs(xm), _WIDTH_FLOOR)
+        if (abs(fm) <= f_tol and width <= tol) or math.nextafter(x1, x2) == x2:
+            return xm
+        xi = (x1 - x2) / (x3 - x2)
+        phi = (f1 - f2) / (f3 - f2)
+        if 1.0 - math.sqrt(1.0 - xi) < phi < math.sqrt(xi):
+            alpha = (x3 - x1) / (x2 - x1)
+            t = f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3)
+        else:
+            t = 0.5
+        margin = min(0.5 * tol / width, 0.5)
+        t = min(max(t, margin), 1.0 - margin)
+    return xm
 
 
 def scan_bracket(f: Callable[[float], float], floor: float) -> Bracket | None:
     """Bracket the first sign change of ``f`` above ``floor``, or return None.
 
-    Evaluates f at floor + d for d = s, 2s, 4s, ... with s = 1e-9 * max(floor, 1),
-    at most 61 points, and stops at the first point whose sign differs from
-    the one before it or where f is exactly zero.  The bracket carries a
-    1e-13 relative tolerance for :func:`find_root_bracketed`.
+    Evaluates f at floor + d for d = s, 16s, 256s, ... with
+    s = 1e-9 * max(floor, 1), at most 16 points (the offsets span 2^60),
+    and stops at the first point whose sign differs from the one before it
+    or where f is exactly zero.  The bracket carries a 1e-13 relative
+    tolerance for :func:`find_root_bracketed` and the values seen at its
+    ends, so the solver does not evaluate them again.
     """
     offset = max(floor, 1.0) * 1e-9
     previous: tuple[float, float] | None = None
-    for _ in range(_SCAN_DOUBLINGS + 1):
+    for _ in range(_SCAN_POINTS):
         value = f(floor + offset)
-        if value == 0.0:
-            lo = offset * 0.5 if previous is None else previous[0]
-            return Bracket(floor + lo, floor + offset, tol_rel=_SCAN_TOL_REL)
-        if previous is not None and (value > 0.0) != (previous[1] > 0.0):
-            return Bracket(floor + previous[0], floor + offset, tol_rel=_SCAN_TOL_REL)
+        if value == 0.0 or (previous is not None and (value > 0.0) != (previous[1] > 0.0)):
+            lo, f_lo = (offset / _SCAN_FACTOR, None) if previous is None else previous
+            return Bracket(floor + lo, floor + offset, tol_rel=_SCAN_TOL_REL, f_lo=f_lo, f_hi=value)
         previous = (offset, value)
-        offset *= 2.0
+        offset *= _SCAN_FACTOR
     return None
 
 

@@ -245,7 +245,7 @@ def test_fit_discovery_round_trip_at_unit_tau0(monkeypatch):
     eps0, tau0 = fit_discovery_curve(observations, 1000)
     assert eps0 == pytest.approx(100.0, rel=1e-6)
     assert tau0 == pytest.approx(1.0, rel=1e-6)
-    assert 0 < len(calls) <= 60
+    assert 0 < len(calls) <= 24
 
 
 def test_fit_discovery_edge_optimum_is_no_convergence():

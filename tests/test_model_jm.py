@@ -257,6 +257,15 @@ def test_fit_checks_the_direct_residual_once(monkeypatch):
     assert calls == [fit.e0_hat]
 
 
+def test_fit_objective_evaluation_count(monkeypatch):
+    """A seeded fit evaluates its O(1) objective at most 25 times, scan included."""
+    calls = []
+    original = model_jm.pole_sum
+    monkeypatch.setattr(model_jm, "pole_sum", lambda e0, k: calls.append(e0) or original(e0, k))
+    fit_mle(generate_intervals(125.0, 0.01, 100, seed=7))
+    assert len(calls) <= 25
+
+
 def test_covariance_bits_match_direct_sum():
     """S2 is summed from numpy terms; fsum is exactly rounded, so the
     variances equal the term-by-term formula bit for bit."""

@@ -286,8 +286,21 @@ def test_mle_golden_thousand_periods():
     sums the same terms as the per-period formulas did, with fsum."""
     periods, instructions = _golden_periods()
     fit = fit_mle(periods, instructions)
-    assert fit.e0_hat == float.fromhex("0x1.3dcd0bd4f80d9p+12")
-    assert fit.c_hat == float.fromhex("0x1.3999436455e8dp+5")
+    assert fit.e0_hat == float.fromhex("0x1.3dcd0bd4f80dcp+12")
+    assert fit.c_hat == float.fromhex("0x1.3999436455e88p+5")
+    # The pair the bisection-and-secant solver pinned has residuals no smaller.
+    old_e0, old_c = float.fromhex("0x1.3dcd0bd4f80d9p+12"), float.fromhex("0x1.3999436455e8dp+5")
+    old = SchumannFit(old_e0, old_c, instructions)
+    assert max(fit.residuals) <= max(stationarity_residuals(old, periods))
+
+
+def test_mle_golden_evaluation_count(monkeypatch):
+    """The 1000-period fit makes at most 25 O(P) evaluations: scan, solve and final check."""
+    calls = []
+    original = model_schumann._c_estimates
+    monkeypatch.setattr(model_schumann, "_c_estimates", lambda e0, c: calls.append(e0) or original(e0, c))
+    fit_mle(*_golden_periods())
+    assert len(calls) <= 25
 
 
 class _WatchedPeriod(DebugPeriod):

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from relgauge import model_weibull
 from relgauge.errors import DegenerateSample, DomainError, NoConvergence, OutOfRange
 from relgauge.model_weibull import (
     MomentForm,
@@ -145,8 +146,31 @@ def test_fit_bits_match_the_scalar_moments():
     sample = (rng.weibull(0.7, 1000) * 3.0).tolist()
     cv = fit_moments(sample, MomentForm.CV_CORRECTED)
     raw = fit_moments(sample, MomentForm.RAW_RATIO)
-    assert (cv.m.hex(), cv.lam.hex()) == ("0x1.657acc21e487cp-1", "0x1.5a1ddffc5faf0p-2")
-    assert (raw.m.hex(), raw.lam.hex()) == ("0x1.dd83dec683059p-1", "0x1.19aef7c87b75bp-2")
+    assert (cv.m.hex(), cv.lam.hex()) == ("0x1.657acc21e4881p-1", "0x1.5a1ddffc5fae9p-2")
+    assert (raw.m.hex(), raw.lam.hex()) == ("0x1.dd83dec683060p-1", "0x1.19aef7c87b759p-2")
+
+    # Against the shapes the bisection-and-secant solver pinned: each moved by
+    # less than the solver's 1e-13 tolerance, and the CV shape's moment
+    # residual is no larger.  The raw-ratio shape's is 2.2e-15 against
+    # 1.3e-15, both at the rounding noise of the gamma ratio.
+    old_cv, old_raw = float.fromhex("0x1.657acc21e487cp-1"), float.fromhex("0x1.dd83dec683059p-1")
+    assert cv.m == pytest.approx(old_cv, rel=1e-13, abs=0.0)
+    assert raw.m == pytest.approx(old_raw, rel=1e-13, abs=0.0)
+    t_bar = math.fsum(sample) / len(sample)
+    target = math.fsum((x - t_bar) ** 2 for x in sample) / len(sample) / t_bar**2 + 1.0
+    assert abs(gamma_moment_ratio(cv.m) - target) <= abs(gamma_moment_ratio(old_cv) - target)
+
+
+@pytest.mark.parametrize("form", list(MomentForm))
+def test_fit_objective_evaluation_count(monkeypatch, form):
+    """A seeded fit evaluates the gamma ratio at most 20 times, end checks included."""
+    calls = []
+    ratio = gamma_moment_ratio
+    monkeypatch.setattr(model_weibull, "gamma_moment_ratio", lambda m: calls.append(m) or ratio(m))
+    sample = (np.random.default_rng(2024).weibull(0.7, 1000) * 3.0).tolist()
+    fit_moments(sample, form)
+    assert len(calls) <= 20
+    assert len(set(calls)) == len(calls)
 
 
 def test_fit_overflowing_square_raises_as_the_scalar_square_does():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from relgauge import debug_economics, fault_tolerance, model_weibull
 from relgauge.debug_economics import fit_discovery_curve
 from relgauge.errors import DomainError, NonFinite, NoSignChange, SingularInformation
 from relgauge.failure_data import DebugPeriod
@@ -108,12 +109,89 @@ def test_root_residual_property_on_random_cubics():
         checked += 1
 
 
+def test_root_of_step_function_lands_in_the_final_bracket():
+    """A jump never meets the residual test: the solve ends once no float lies
+    between the bracket ends, at an end of that bracket, next to the jump."""
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return -1.0 if x < 0.3 else 1.0
+
+    root = find_root_bracketed(f, Bracket(0.0, 1.0))
+    assert root in (math.nextafter(0.3, 0.0), 0.3)
+    assert abs(root - 0.3) <= 1e-10 * 0.3
+    assert len(calls) <= 60
+
+
+def test_root_does_not_evaluate_the_ends_the_bracket_carries():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x * x - 2.0
+
+    root = find_root_bracketed(f, Bracket(1.0, 2.0, f_lo=-1.0, f_hi=2.0))
+    assert root == pytest.approx(math.sqrt(2.0), rel=1e-10)
+    assert 1.0 not in calls and 2.0 not in calls
+    # A value carried for an end is checked as an evaluated one would be.
+    with pytest.raises(NonFinite):
+        find_root_bracketed(f, Bracket(1.0, 2.0, f_hi=math.inf))
+    with pytest.raises(NoSignChange):
+        find_root_bracketed(f, Bracket(1.0, 2.0, f_lo=1.0))
+
+
+def _discovery_fit():
+    taus = [float(t) for t in range(1, 9)]
+    fit_discovery_curve([(t, 50.0 * -math.expm1(-t / 3.0)) for t in taus], 100)
+
+
+def _weibull_fit():
+    model_weibull.fit_moments([0.1, 0.3, 1.0, 2.0, 7.0])
+
+
+def _module_plan():
+    fault_tolerance.optimal_module_time(fault_tolerance.DualRunConfig(1000.0, 1.0, 0.001))
+
+
+@pytest.mark.parametrize(
+    "module, fit, carried",
+    [
+        (debug_economics, _discovery_fit, ("lo", "hi")),
+        (model_weibull, _weibull_fit, ("lo", "hi")),
+        (fault_tolerance, _module_plan, ("hi",)),
+    ],
+    ids=["discovery", "weibull", "faulttol"],
+)
+def test_callers_hand_the_ends_they_checked_to_the_solver(monkeypatch, module, fit, carried):
+    """A caller that evaluates a bracket end before solving passes the value on,
+    so the solver's calls of the objective never include that end."""
+    solves = []
+    original = module.find_root_bracketed
+
+    def spy(f, bracket):
+        calls = []
+        root = original(lambda x: calls.append(x) or f(x), bracket)
+        solves.append((bracket, calls))
+        return root
+
+    monkeypatch.setattr(module, "find_root_bracketed", spy)
+    fit()
+    [(bracket, calls)] = solves
+    for end in carried:
+        assert getattr(bracket, f"f_{end}") is not None
+        assert calls.count(getattr(bracket, end)) == 0
+    assert len(set(calls)) == len(calls)
+
+
 def test_scan_bracket_finds_sign_change():
-    # Scan points sit at 10 + 1e-8 * 2^j; the sign flips between j = 16 and 17.
+    # Scan points sit at 10 + 1e-8 * 16^j; the sign flips between j = 4 and 5.
     bracket = scan_bracket(lambda x: x - 10.001, 10.0)
-    assert bracket.lo == 10.0 + 1e-8 * 2**16
-    assert bracket.hi == 10.0 + 1e-8 * 2**17
+    assert bracket.lo == 10.0 + 1e-8 * 16**4
+    assert bracket.hi == 10.0 + 1e-8 * 16**5
     assert bracket.tol_rel == 1e-13
+    # The bracket carries the values the scan saw at its ends.
+    assert (bracket.f_lo, bracket.f_hi) == (bracket.lo - 10.001, bracket.hi - 10.001)
     assert find_root_bracketed(lambda x: x - 10.001, bracket) == pytest.approx(10.001, rel=1e-13)
 
 
@@ -125,18 +203,21 @@ def test_scan_bracket_none_without_sign_change():
         return 1.0 / (x - 3.0)
 
     assert scan_bracket(f, 3.0) is None
-    assert len(calls) == 61
+    # 16 points, from s = 3 * 1e-9 to s * 16^15 = s * 2^60 above the floor.
+    assert len(calls) == 16
+    assert calls[-1] == 3.0 + 3.0 * 1e-9 * 2.0**60
 
 
 def test_scan_bracket_exact_zero_at_scan_point():
-    # f vanishes exactly at the third scan point, 1e-9 * 4 above the floor 0.
-    zero = 4e-9
+    # f vanishes exactly at the third scan point, 1e-9 * 16^2 above the floor 0.
+    zero = 256e-9
     bracket = scan_bracket(lambda x: 0.0 if x == zero else x - zero, 0.0)
-    assert (bracket.lo, bracket.hi) == (2e-9, zero)
+    assert (bracket.lo, bracket.hi) == (16e-9, zero)
+    assert bracket.f_hi == 0.0
     assert find_root_bracketed(lambda x: 0.0 if x == zero else x - zero, bracket) == zero
-    # An exact zero at the first point brackets from half its offset.
+    # An exact zero at the first point brackets from the grid point below it.
     first = scan_bracket(lambda x: 0.0, 0.0)
-    assert (first.lo, first.hi) == (0.5e-9, 1e-9)
+    assert (first.lo, first.hi) == (1e-9 / 16, 1e-9)
 
 
 def test_fit_discovery_curve_golden():
@@ -146,19 +227,29 @@ def test_fit_discovery_curve_golden():
     counts = [29, 60, 85, 117, 140, 161, 178, 192, 202, 214, 226, 236, 246, 255,
               257, 264, 272, 274, 278, 278, 284, 290, 292, 295]
     eps0, tau0 = fit_discovery_curve(list(zip(taus, map(float, counts))), 1000)
-    assert eps0 == float.fromhex("0x1.38f5df684b4e1p+8")
-    assert tau0 == float.fromhex("0x1.571d5e0a7a86ap+5")
+    assert eps0 == float.fromhex("0x1.38f5df684b3f3p+8")
+    assert tau0 == float.fromhex("0x1.571d5e0a7a5a0p+5")
 
-    # The pair pinned when a bounded minimiser fitted this curve fits it no better.
     t, c = np.array(taus), np.array(counts, dtype=float)
 
     def sse(eps0, tau0):
         resid = c + eps0 * np.expm1(-t / tau0)
         return float(resid @ resid)
 
+    def slope(tau0):
+        """The normalised slope of the profiled error that the fit solves for."""
+        x = t / tau0
+        growth = -np.expm1(-x)
+        rate = x * np.exp(-x)
+        resid = c - (c @ growth) / (growth @ growth) * growth
+        return float(resid @ rate / np.sqrt(rate @ rate))
+
+    # The pair pinned when a bounded minimiser fitted this curve fits it no better.
     old_tau0 = float.fromhex("0x1.571d5de91ab79p+5")
     growth = -np.expm1(-t / old_tau0)
     assert sse(eps0, tau0) <= sse(float(c @ growth / (growth @ growth)), old_tau0)
+    # The root the bisection-and-secant solver pinned has the larger stationarity residual.
+    assert abs(slope(tau0)) <= abs(slope(float.fromhex("0x1.571d5e0a7a86ap+5")))
 
 
 def test_interval_array_returns_the_checked_floats():
