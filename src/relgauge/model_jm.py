@@ -83,11 +83,20 @@ def reliability(e0: float, k_jm: float, i: int, dt: float) -> float:
 
 
 def _sums(intervals: Sequence[float]) -> tuple[float, float]:
-    """A = sum(x_i) and B = sum((i-1) * x_i), each exactly rounded."""
+    """A = sum(x_i) and B = sum((i-1) * x_i), each exactly rounded.
+
+    (k-1) * A bounds B and each of its terms, so OutOfRange when it overflows.
+    """
     import numpy as np
 
     x = np.asarray(intervals, dtype=float)
-    return fsum_array(x), fsum_array(np.arange(len(x), dtype=float) * x)
+    try:
+        a = fsum_array(x)
+    except OverflowError:  # the exact sum of finite terms is beyond the float range
+        a = math.inf
+    if not (len(x) - 1) * a < math.inf:
+        raise OutOfRange(f"(k - 1) * A = {len(x) - 1} * {a} overflows a float, so B cannot be formed")
+    return a, fsum_array(np.arange(len(x), dtype=float) * x)
 
 
 def _residual_counts(e0: float, k: int) -> np.ndarray:
@@ -100,7 +109,7 @@ def _residual_counts(e0: float, k: int) -> np.ndarray:
 def stationarity_residual(e0: float, intervals: Sequence[float]) -> float:
     """Relative defect of the likelihood stationarity condition at ``e0``.
 
-    Zero exactly when sum(1/(e0 - i + 1)) equals k*A/(e0*A - B).  Every sum
+    Zero exactly when sum(1/(e0 - i + 1)) equals k/(e0 - B/A).  Every sum
     is taken term by term, so this is an O(k) check independent of the
     O(1) objective that :func:`fit_mle` solves.
     """
@@ -110,44 +119,55 @@ def stationarity_residual(e0: float, intervals: Sequence[float]) -> float:
     a, b = _sums(intervals)
     with np.errstate(divide="ignore"):  # the sum is infinite at a pole
         lhs = fsum_array(1.0 / _residual_counts(e0, k))
-    rhs = k * a / (e0 * a - b)
-    return lhs / rhs - 1.0
+    return lhs * (e0 - b / a) / k - 1.0
 
 
 def fit_mle(intervals: Sequence[float]) -> JmFit:
     """Maximum-likelihood (e0, k_jm) from ordered inter-failure intervals.
 
-    With A = sum(x_i) and B = sum((i-1) * x_i), the stationary e0 solves
+    With A = sum(x_i), B = sum((i-1) * x_i) and beta = B/A, the stationary
+    e0 solves
 
-        sum_{i=1..k} 1/(e0 - i + 1) = k * A / (e0 * A - B)
+        sum_{i=1..k} 1/(e0 - i + 1) * (e0 - beta) / k = 1
 
-    and then k_hat = k / (e0 * A - B).  A and B are summed once; the left
-    side is :func:`numerics.pole_sum`, so each objective evaluation is O(1)
-    and a fit costs one O(k) pass for the sums plus one for the final
+    and then k_hat = k / (e0 * A - B).  A and B are summed once; the sum is
+    :func:`numerics.pole_sum`, so each objective evaluation is O(1) and a
+    fit costs one O(k) pass for the sums plus one for the final
     :func:`stationarity_residual` check, which must be within 1e-9.  The
     root is bracketed at offsets growing 16-fold above the pole at
-    e0 = k - 1.  A finite root exists only when B/A < (k-1)/2, i.e. when
-    failures cluster early; otherwise NoGrowthEvidence is raised carrying
-    that diagnostic.
+    e0 = k - 1.  A finite root exists only when beta > (k-1)/2, i.e. when
+    later intervals are longer; otherwise NoGrowthEvidence is raised
+    carrying that diagnostic, and NoConvergence when the scan misses the
+    root.  OutOfRange when (k-1) * A or k_hat leaves the float range.
     """
     x = interval_array(intervals)
     k = len(x)
     if k < 2:
         raise TooFewIntervals(f"need at least 2 intervals to fit two parameters, got {k}")
     a, b = _sums(x)
+    beta = b / a
 
     def objective(e0: float) -> float:
-        return pole_sum(e0, k) / (k * a / (e0 * a - b)) - 1.0
+        return pole_sum(e0, k) * (e0 - beta) / k - 1.0
 
     bracket = scan_bracket(objective, float(k - 1))
     if bracket is None:
-        raise NoGrowthEvidence(
-            "the likelihood has no finite maximizer: early intervals are not shorter "
-            f"on average (interval-weighted mean index {b / a:.6g} vs threshold {(k - 1) / 2:.6g})",
-            diagnostic={"b_over_a": b / a, "threshold": (k - 1) / 2.0},
+        threshold = (k - 1) / 2.0
+        if beta <= threshold:
+            raise NoGrowthEvidence(
+                "the likelihood has no finite maximizer: early intervals are not shorter "
+                f"on average (interval-weighted mean index {beta:.6g} vs threshold {threshold:.6g})",
+                diagnostic={"b_over_a": beta, "threshold": threshold},
+            )
+        raise NoConvergence(
+            f"interval-weighted mean index {beta:.17g} exceeds threshold {threshold:.6g}, but the "
+            "stationarity condition changes sign nowhere in the scanned range, from 1e-9 to "
+            f"2^60 * 1e-9 times {max(k - 1, 1)} above the pole at e0 = {k - 1}"
         )
     e0 = find_root_bracketed(objective, bracket)
-    k_hat = k / (e0 * a - b)
+    k_hat = k / (e0 * a - b) if e0 * a > b else math.inf
+    if not 0.0 < k_hat < math.inf:
+        raise OutOfRange(f"k_hat = k / (e0 * A - B) at e0 = {e0} is not a positive finite float")
     fit = JmFit(e0_hat=e0, k_hat=k_hat, k_obs=k)
     residual = stationarity_residual(e0, x)
     if abs(residual) > _RESIDUAL_LIMIT:

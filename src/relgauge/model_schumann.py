@@ -16,11 +16,9 @@ errors decaying exponentially, lives in :mod:`debug_economics`.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     DegenerateGamma,
@@ -34,9 +32,6 @@ from .errors import (
 )
 from .failure_data import DebugPeriod, DebugPeriods, read_rows
 from .numerics import find_root_bracketed, fsum_array, gaussian_intervals, scan_bracket, seeded_rng
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _RESIDUAL_LIMIT = 1e-9
 # The largest mean numpy's Poisson sampler accepts (its POISSON_LAM_MAX),
@@ -167,48 +162,36 @@ def fit_two_period_from_totals(
     )
 
 
-class _Columns(NamedTuple):
-    """Per-period arrays and the e0-free totals of the likelihood, built once per fit."""
+def _c_estimates(periods: DebugPeriods, instructions: int) -> Callable[[float], tuple[float, float]]:
+    """e0 -> the two likelihood expressions for c, from exposures and from rates.
 
-    instructions: int
-    corrected: np.ndarray  # corrected_j / I
-    exposure: np.ndarray  # H_j
-    failures: np.ndarray  # n_j as floats
-    total: int  # sum(n_j)
-    exposure_sum: float  # sum(H_j)
-
-
-def _columns(periods: DebugPeriods, instructions: int) -> _Columns:
+    Each call sums, with fsum, two arrays formed from the residuals
+    e0/I - corrected_j/I; OutOfRange when an estimate is not a positive finite float.
+    """
     import numpy as np
 
+    corrected = np.array([n / instructions for n in periods.corrected], dtype=float)
     exposure = np.array(periods.exposure, dtype=float)
-    return _Columns(
-        instructions=instructions,
-        corrected=np.fromiter(_per_instruction(periods.corrected, instructions), dtype=float),
-        exposure=exposure,
-        failures=np.array(periods.failures, dtype=float),
-        total=sum(periods.failures),
-        exposure_sum=fsum_array(exposure),
-    )
+    failures = np.array(periods.failures, dtype=float)
+    total = sum(periods.failures)
+    exposure_sum = fsum_array(exposure)
 
+    def estimates(e0: float) -> tuple[float, float]:
+        residual = e0 / instructions - corrected
+        with np.errstate(over="ignore"):  # an infinite term makes its sum infinite
+            exposed = fsum_array(residual * exposure)
+            rates = fsum_array(failures / residual)
+        c = (total / exposed if exposed else math.inf), rates / exposure_sum
+        if not (0.0 < min(c) and max(c) < math.inf):
+            raise OutOfRange(f"an estimate of c at e0 = {e0} is not a positive finite float")
+        return c
 
-def _per_instruction(counts: Sequence[int], instructions: int) -> Iterator[float]:
-    """count / I for each count, divided as Python divides ints."""
-    return map(operator.truediv, counts, itertools.repeat(instructions))
-
-
-def _c_estimates(e0: float, cols: _Columns) -> tuple[float, float]:
-    """The two likelihood expressions for c at this e0, from exposures and from rates."""
-    residual = e0 / cols.instructions - cols.corrected
-    return (
-        cols.total / fsum_array(residual * cols.exposure),
-        fsum_array(cols.failures / residual) / cols.exposure_sum,
-    )
+    return estimates
 
 
 def stationarity_residuals(fit: SchumannFit, periods: Sequence[DebugPeriod]) -> tuple[float, float]:
     """Relative residuals of the two likelihood expressions for c at the fit."""
-    c1, c2 = _c_estimates(fit.e0_hat, _columns(DebugPeriods.of(periods), fit.instructions))
+    c1, c2 = _c_estimates(DebugPeriods.of(periods), fit.instructions)(fit.e0_hat)
     return abs(c1 / fit.c_hat - 1.0), abs(c2 / fit.c_hat - 1.0)
 
 
@@ -236,29 +219,28 @@ def fit_mle(periods: Sequence[DebugPeriod], instructions: int) -> SchumannFit:
     agree only at the stationary e0, which is located by scanning upward
     from the feasibility boundary (e0 slightly above the largest corrected
     count) at offsets that grow 16-fold, then root-finding on the bracketed
-    sign change.  The per-period columns, sum(n_j) and sum(H_j) are built once,
-    so each evaluation forms the per-period residuals e0/I - corrected_j/I
-    once and sums the two arrays built from them exactly with fsum.
-    Raises NoConvergence when no sign change appears within 2^60 times the
-    first step (60 doublings), which is the signature of data without
-    reliability growth.
+    sign change.  Both expressions come from one closure that builds the
+    per-period arrays once, so each evaluation is one O(P) pass.  Raises
+    OutOfRange when an estimate of c leaves the float range, and
+    NoConvergence when no sign change appears within 2^60 first offsets,
+    the signature of data without reliability growth.
     """
     periods = DebugPeriods.of(periods)
     _check_periods(periods, instructions)
-    cols = _columns(periods, instructions)
+    estimates = _c_estimates(periods, instructions)
 
     def objective(e0: float) -> float:
-        c1, c2 = _c_estimates(e0, cols)
+        c1, c2 = estimates(e0)
         return c1 / c2 - 1.0
 
     bracket = scan_bracket(objective, float(max(periods.corrected)))
     if bracket is None:
         raise NoConvergence(
             "the likelihood stationarity condition has no root above the feasibility "
-            "boundary after 60 doublings; the periods show no reliability growth"
+            "boundary within 2^60 scan offsets; the periods show no reliability growth"
         )
     e0 = find_root_bracketed(objective, bracket)
-    c, c2 = _c_estimates(e0, cols)
+    c, c2 = estimates(e0)
     fit = SchumannFit(e0_hat=e0, c_hat=c, instructions=instructions)
     residuals = (abs(c / c - 1.0), abs(c2 / c - 1.0))
     if max(residuals) > _RESIDUAL_LIMIT:
@@ -287,19 +269,15 @@ def covariance(fit: SchumannFit, periods: Sequence[DebugPeriod]) -> SchumannFit:
         raise SingularInformation("a single period carries rank-1 information")
     periods = DebugPeriods.of(periods)
     I = fit.instructions
-    # Python scalar arithmetic mapped in C: the bits and the errors of the per-period loop.
-    residuals = list(
-        map(operator.sub, itertools.repeat(fit.e0_hat / I), _per_instruction(periods.corrected, I))
-    )
+    residuals = [fit.e0_hat / I - c / I for c in periods.corrected]
     if not min(residuals) > 0.0:
         corrected = next(c for c, r in zip(periods.corrected, residuals) if r <= 0.0)
         raise ResidualNonPositive(
             f"period with corrected count {corrected} has non-positive residual at the fit"
         )
     total = sum(periods.failures)
-    squares = map(pow, residuals, itertools.repeat(2))
     try:
-        s2 = math.fsum(map(operator.truediv, periods.failures, squares))
+        s2 = math.fsum([n / r**2 for n, r in zip(periods.failures, residuals)])
         a11 = total / fit.c_hat**2
         a22 = s2 / I**2
     except (ZeroDivisionError, OverflowError) as exc:
@@ -311,7 +289,7 @@ def covariance(fit: SchumannFit, periods: Sequence[DebugPeriod]) -> SchumannFit:
         raise SingularInformation(
             f"information determinant a11*a22 - a12^2 = {det} is not positive and finite"
         )
-    rho = math.fsum(map(operator.truediv, periods.failures, residuals)) / math.sqrt(total * s2)
+    rho = math.fsum([n / r for n, r in zip(periods.failures, residuals)]) / math.sqrt(total * s2)
     return replace(fit, var_c=a22 / det, var_e0=a11 / det, rho=rho)
 
 

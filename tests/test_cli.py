@@ -806,6 +806,45 @@ def test_economics_fit_overflowing_profile_is_out_of_range(tmp_path, capsys):
     assert "least-squares" in message
 
 
+def _fit_error(tmp_path, capsys, model, text, *flags):
+    """Run a fit that must fail: one JSON line on stderr, nothing on stdout, no warning."""
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(capsys, "fit", model, "--input", str(path), *flags)
+    assert (stdout, len(err.splitlines())) == ("", 1)
+    payload = error_json(err)
+    assert payload["exit_code"] == code
+    return payload
+
+
+def test_fit_schumann_overflowing_exposure_is_out_of_range(tmp_path, capsys):
+    # residual * H overflows during the scan; numpy used to warn before an
+    # exit-3 NoConvergence line.
+    text = "tau,corrected,exposure,failures\n1.0,20,1000.0,10\n2.0,50,1.7976931348623157e308,10\n"
+    payload = _fit_error(tmp_path, capsys, "schumann", text, "--instructions", "1000")
+    assert (payload["exit_code"], payload["error"]) == (2, "OutOfRange")
+
+
+def test_fit_jm_overflowing_weighted_sum_is_out_of_range(tmp_path, capsys):
+    # (i - 1) * x_i overflows in B; numpy used to warn before a NoGrowthEvidence
+    # line that reported the overflow as an infinite mean index.
+    payload = _fit_error(tmp_path, capsys, "jm", "epoch\n1\n99\n1.7976931348623157e308\n")
+    assert (payload["exit_code"], payload["error"]) == (2, "OutOfRange")
+
+
+@pytest.mark.parametrize("last", ["1e300", "1e200"], ids=["e0-times-a-overflow", "root-at-pole"])
+def test_fit_jm_root_beside_the_pole_is_no_convergence(tmp_path, capsys, last):
+    # B/A rounds to 1 > (k - 1)/2, so a root exists, but within 2e-200 of the
+    # pole at e0 = 1.  With 1e300, e0 * A used to overflow into a
+    # ZeroDivisionError traceback; with 1e200 the run used to report
+    # NoGrowthEvidence with a mean index above its threshold.
+    payload = _fit_error(tmp_path, capsys, "jm", f"epoch\n2\n{last}\n")
+    assert (payload["exit_code"], payload["error"]) == (3, "NoConvergence")
+    assert "scanned range" in payload["message"]
+
+
 def test_output_file_and_determinism(tmp_path, capsys):
     path = tmp_path / "failures.csv"
     path.write_text(EPOCHS_GROWTH)
@@ -1181,7 +1220,7 @@ def test_fallback_file_gives_the_same_report(tmp_path, capsys, monkeypatch):
 def test_fits_report_the_residuals_they_checked(tmp_path, capsys, monkeypatch):
     """Each fit computes its O(k) stationarity check once; the report reuses it."""
     calls = []
-    for module, name in ((model_jm, "stationarity_residual"), (model_schumann, "_columns")):
+    for module, name in ((model_jm, "stationarity_residual"), (model_schumann, "_c_estimates")):
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
     epochs = tmp_path / "epochs.csv"
@@ -1190,4 +1229,4 @@ def test_fits_report_the_residuals_they_checked(tmp_path, capsys, monkeypatch):
     periods.write_text(PERIODS_TWO)
     run_json(capsys, "fit", "jm", "--input", str(epochs))
     run_json(capsys, "fit", "schumann", "--input", str(periods), "--instructions", "1000")
-    assert calls == ["stationarity_residual", "_columns"]
+    assert calls == ["stationarity_residual", "_c_estimates"]

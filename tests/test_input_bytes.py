@@ -1,0 +1,146 @@
+"""The CLI's error contract over the bytes of every input file.
+
+Whatever a file holds, ``run_cli`` either returns 0 with strict JSON on
+stdout and nothing on stderr, or returns 1, 2 or 3 with exactly one JSON
+line on stderr.  It never raises, and no warning escapes.
+"""
+
+import io
+import json
+import math
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from relgauge import model_jm
+from relgauge.cli import run_cli
+from relgauge.errors import NoConvergence, NoGrowthEvidence, OutOfRange
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+EXTREMES = [
+    "0", "-0.0", "5e-324", "1e-310", "1e300", "1.7976931348623157e308",
+    "nan", "inf", "-inf", str(2**63), str(10**400),
+]
+FLOATS = st.floats(1e-3, 1e4).map(repr)
+INTS = st.integers(0, 60).map(str)
+ANY = st.one_of(
+    st.sampled_from(EXTREMES + ["", "x", "-1", "success", '"1"']), st.floats().map(repr), st.integers().map(str)
+)
+# Ordinary tokens by column name; any other column holds floats.
+COLUMNS = {
+    "corrected": INTS,
+    "failures": INTS,
+    "run": st.integers(1, 3).map(str),
+    "y": st.sampled_from(["0", "1"]),
+    "outcome": st.sampled_from(["success", "failure", "FAILURE"]),
+}
+
+PROFILE = "run,p,y\n1,0.9,0\n1,0.1,1\n2,0.8,0\n2,0.2,1\n"
+RUNS = "duration,outcome\n5.0,success\n3.0,failure\n"
+ECONOMICS = ["--size", "10000", "--tempo", "1000", "--cost-error", "7.4", "--cost-test", "1", "--horizon", "1"]
+
+# argv before the fuzzed flag, the flag, and the header of the fuzzed file.
+CASES = {
+    "fit-jm": (["fit", "jm"], "--input", "epoch"),
+    "fit-weibull": (["fit", "weibull"], "--input", "epoch"),
+    "fit-schumann": (["fit", "schumann", "--instructions", "1000"], "--input", "tau,corrected,exposure,failures"),
+    "nelson-profile": (["fit", "nelson"], "--profile", "run,p,y"),
+    "nelson-single-profile": (["fit", "nelson"], "--profile", "p,y"),
+    "nelson-simplified": (["fit", "nelson", "--profile", "profile.csv"], "--simplified", "duration,outcome"),
+    "nelson-weights": (
+        ["fit", "nelson", "--profile", "profile.csv", "--simplified", "runs.csv"], "--weights", "weight"
+    ),
+    "economics-fit": (["economics", *ECONOMICS], "--fit", "tau,corrected"),
+    "simulate-schedule": (
+        ["simulate", "schumann", "--e0", "100", "--c", "0.125", "--instructions", "1000", "--seed", "1"],
+        "--schedule",
+        "tau,corrected,exposure",
+    ),
+}
+
+
+def _ascending(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        return math.inf
+
+
+@st.composite
+def csv_bytes(draw, header: str) -> bytes:
+    """The right header over rows of ordinary tokens, some of them extreme or
+    malformed; sometimes any text or bytes at all."""
+    kind = draw(st.sampled_from(["rows"] * 6 + ["text", "bytes"]))
+    if kind == "text":
+        return draw(st.text(max_size=60)).encode("utf-8")
+    if kind == "bytes":
+        return draw(st.binary(max_size=60))
+    names = header.split(",")
+    if draw(st.integers(0, 9)) == 0:
+        names = names[: draw(st.integers(0, len(names)))] + ["extra"] * draw(st.integers(0, 1))
+    odd = draw(st.sampled_from([0, 0, 2, 8]))  # about one token in odd is extreme or malformed
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        ordinary = [COLUMNS.get(name, FLOATS) for name in names]
+        rows.append([draw(ANY if odd and draw(st.integers(1, odd)) == 1 else o) for o in ordinary])
+    if draw(st.integers(0, 3)) > 0:  # ascending columns reach the fits more often
+        rows = list(dict.fromkeys(zip(*(sorted(column, key=_ascending) for column in zip(*rows)))))
+    return (header + "\n" + "".join(",".join(r) + "\n" for r in rows)).encode("utf-8")
+
+
+def _reject(token: str):
+    raise ValueError(f"non-finite constant {token} in a report")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_any_input_file_ends_in_a_report_or_one_error_line(case, tmp_path_factory):
+    prefix, flag, header = CASES[case]
+    workdir = tmp_path_factory.mktemp(case)
+    (workdir / "profile.csv").write_text(PROFILE)
+    (workdir / "runs.csv").write_text(RUNS)
+    argv = [str(workdir / a) if a.endswith(".csv") else a for a in prefix]
+    target = workdir / "fuzzed.csv"
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(data=csv_bytes(header))
+    def check(data):
+        target.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = run_cli([*argv, flag, str(target)])
+        if code == 0:
+            json.loads(out.getvalue(), parse_constant=_reject)
+            assert err.getvalue() == ""
+        else:
+            assert code in (1, 2, 3)
+            assert out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1, lines
+            assert json.loads(lines[0])["exit_code"] == code
+
+    check()
+
+
+INTERVALS = st.one_of(
+    st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+    st.sampled_from([5e-324, 1e-310, 1.0, 2.0, 1e200, 1e300, 1.7976931348623157e308]),
+)
+
+
+@hypothesis.settings(max_examples=100, deadline=None, database=None)
+@hypothesis.given(intervals=st.lists(INTERVALS, min_size=2, max_size=12))
+def test_jm_reports_no_growth_only_below_the_threshold(intervals):
+    """A JM fit on any positive intervals returns a fit or raises one of three
+    errors, and NoGrowthEvidence only when B/A is at most (k-1)/2."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            model_jm.fit_mle(intervals)
+        except NoGrowthEvidence as exc:
+            assert exc.diagnostic["b_over_a"] <= exc.diagnostic["threshold"]
+        except (NoConvergence, OutOfRange):
+            pass

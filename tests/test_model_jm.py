@@ -8,6 +8,7 @@ import pytest
 from relgauge.errors import (
     DomainError,
     NoGrowthEvidence,
+    OutOfRange,
     ResidualNonPositive,
     SingularInformation,
     TooFewIntervals,
@@ -96,6 +97,13 @@ def test_fit_no_growth():
     assert excinfo.value.diagnostic["threshold"] == 0.5
     for e0 in np.linspace(1.01, 1e4, 500):
         assert stationarity_residual(float(e0), [2.0, 1.0]) > 0.0
+
+
+def test_fit_overflowing_k_hat_is_out_of_range():
+    """Subnormal intervals put k_hat = k / (e0 A - B) beyond the float range:
+    OutOfRange, where JmFit used to raise DomainError for an infinite k_hat."""
+    with pytest.raises(OutOfRange, match="k_hat"):
+        fit_mle([1e-310, 3e-310])
 
 
 def test_fit_too_few():

@@ -298,9 +298,23 @@ def test_mle_golden_evaluation_count(monkeypatch):
     """The 1000-period fit makes at most 25 O(P) evaluations: scan, solve and final check."""
     calls = []
     original = model_schumann._c_estimates
-    monkeypatch.setattr(model_schumann, "_c_estimates", lambda e0, c: calls.append(e0) or original(e0, c))
+
+    def counted(periods, instructions):
+        estimates = original(periods, instructions)
+        return lambda e0: calls.append(e0) or estimates(e0)
+
+    monkeypatch.setattr(model_schumann, "_c_estimates", counted)
     fit_mle(*_golden_periods())
     assert len(calls) <= 25
+
+
+def test_mle_scan_past_the_float_range_is_out_of_range():
+    """With a largest corrected count of 1e300 the scan's last offsets pass
+    the largest float, where c1 = N / sum(r_j H_j) is 0 and c2 underflows;
+    the objective used to divide 0 by 0."""
+    periods = [DebugPeriod(1.0, 0, 1.0, 1), DebugPeriod(2.0, 10**300, 1e-300, 1)]
+    with pytest.raises(OutOfRange, match="estimate of c"):
+        fit_mle(periods, 1)
 
 
 class _WatchedPeriod(DebugPeriod):

@@ -1,0 +1,112 @@
+"""Exact oracles, at 40 significant digits, for the equations the fits solve.
+
+Each root is compared with the exact root of the same equation over the
+exact values of the same float inputs.  The solver stops on a bracket
+narrower than TOL relative to the root, around a sign change of the
+float objective; the float objective is off by a few ulps, which moves its
+sign change by kappa ulps relative, with kappa = 1 / |x f'(x)| at the root
+(the condition of the root under a relative perturbation of the
+objective).  So each bound is TOL * max(1, kappa): one solver tolerance,
+scaled by the condition.  Nothing is asserted about bits.
+"""
+
+import statistics
+
+import pytest
+
+from relgauge import model_jm, model_schumann
+from relgauge.errors import NoGrowthEvidence
+from relgauge.numerics import find_root_bracketed, pole_sum, scan_bracket
+
+mp = pytest.importorskip("mpmath")
+
+TOL = 1e-13  # the relative bracket width scan_bracket hands the solver
+JM_SEEDS = range(40)
+
+
+@pytest.fixture(autouse=True)
+def forty_digits():
+    with mp.workdps(40):
+        yield
+
+
+def _exact_root(f, guess):
+    """The root of f near ``guess`` and its condition 1 / |x f'(x)|."""
+    root = mp.findroot(f, mp.mpf(guess))
+    return root, 1 / abs(root * mp.diff(f, root))
+
+
+def _relative(x: float, exact) -> float:
+    return float(abs(mp.mpf(x) - exact) / abs(exact))
+
+
+@pytest.mark.parametrize("k", [65, 1000, 10**5])
+@pytest.mark.parametrize("gap", [1e-9, 0.5, 16.0, 1e6])
+def test_pole_sum_matches_the_digamma_difference(k, gap):
+    e0 = (k - 1) + gap
+    exact = mp.digamma(mp.mpf(e0) + 1) - mp.digamma(mp.mpf(e0) - k + 1)
+    assert _relative(pole_sum(e0, k), exact) <= 1e-15
+
+
+def _jm_exact(intervals, guess):
+    """The exact root of S(e0) (e0 - B/A) / k = 1 over the exact interval values."""
+    k = len(intervals)
+    a = mp.fsum(mp.mpf(x) for x in intervals)
+    beta = mp.fsum(i * mp.mpf(x) for i, x in enumerate(intervals)) / a
+    return _exact_root(lambda e0: (mp.digamma(e0 + 1) - mp.digamma(e0 - k + 1)) * (e0 - beta) / k - 1, guess)
+
+
+def _head_form_root(intervals) -> float:
+    """The root of the objective as written before it was put in B/A: S / (k A / (e0 A - B)) - 1."""
+    a, b = model_jm._sums(intervals)
+    k = len(intervals)
+
+    def objective(e0):
+        return pole_sum(e0, k) / (k * a / (e0 * a - b)) - 1.0
+
+    return find_root_bracketed(objective, scan_bracket(objective, float(k - 1)))
+
+
+def test_jm_roots_are_within_tolerance_of_the_exact_root_and_no_farther_than_before():
+    """On seeded fits of 20, 100 and 1000 intervals each root lies within
+    TOL * max(1, kappa) of the exact root, and the median distance of the
+    B/A form is no larger than that of the form it replaced."""
+    distances, before = [], []
+    for count in (20, 100, 1000):
+        for seed in JM_SEEDS:
+            intervals = model_jm.generate_intervals(1.25 * count, 1.0 / count, count, seed)
+            try:
+                fit = model_jm.fit_mle(intervals)
+            except NoGrowthEvidence:
+                continue
+            root, kappa = _jm_exact(intervals, fit.e0_hat)
+            distances.append(_relative(fit.e0_hat, root))
+            assert distances[-1] <= TOL * max(1.0, float(kappa)), (count, seed)
+            before.append(_relative(_head_form_root(intervals), root))
+    assert len(distances) >= 100
+    assert statistics.median(distances) <= statistics.median(before)
+
+
+def _schumann_exact(periods, instructions, guess):
+    """The exact root of c1 = c2, with every corrected_j / I exact."""
+    total = sum(p.failures for p in periods)
+    exposure_sum = mp.fsum(mp.mpf(p.exposure) for p in periods)
+
+    def objective(e0):
+        residuals = [(e0 - p.corrected) / instructions for p in periods]
+        c1 = total / mp.fsum(r * mp.mpf(p.exposure) for r, p in zip(residuals, periods))
+        c2 = mp.fsum(p.failures / r for r, p in zip(residuals, periods)) / exposure_sum
+        return c1 / c2 - 1
+
+    return _exact_root(objective, guess)
+
+
+@pytest.mark.parametrize("count", [5, 40, 300])
+@pytest.mark.parametrize("seed", range(4))
+def test_schumann_root_is_within_tolerance_of_the_exact_root(count, seed):
+    instructions, corrected = 10_000, 10 * count
+    schedule = [(float(j + 1), j * corrected // count, 1.0 + j % 7) for j in range(count)]
+    periods = model_schumann.generate_periods(1.5 * corrected, 50_000.0, instructions, schedule, seed)
+    fit = model_schumann.fit_mle(periods, instructions)
+    root, kappa = _schumann_exact(periods, instructions, fit.e0_hat)
+    assert _relative(fit.e0_hat, root) <= TOL * max(1.0, float(kappa))
