@@ -11,6 +11,7 @@ JSON line on standard error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -293,13 +294,7 @@ def _handle_faulttol(ns: argparse.Namespace, read: _Read) -> dict:
         total_time=ns.total_time, overhead=ns.overhead, failure_rate=ns.failure_rate
     )
     plan = fault_tolerance.optimal_module_time(config)
-    report = {
-        "t_star": plan.t_star,
-        "module_count": plan.module_count,
-        "tp_min": plan.tp_min,
-        "p1_at_t": plan.p1_at_t,
-        "boundary": plan.boundary,
-    }
+    report = dataclasses.asdict(plan)
     if ns.simulate is not None:
         if ns.seed is None:
             raise UsageError("--simulate requires --seed")
@@ -335,18 +330,7 @@ def _handle_simulate_schumann(ns: argparse.Namespace, read: _Read) -> dict:
     periods = model_schumann.generate_periods(
         ns.e0, ns.c, ns.instructions, schedule, ns.seed
     )
-    return {
-        "model": "schumann",
-        "periods": [
-            {
-                "tau": p.tau,
-                "corrected": p.corrected,
-                "exposure": p.exposure,
-                "failures": p.failures,
-            }
-            for p in periods
-        ],
-    }
+    return {"model": "schumann", "periods": list(map(vars, periods))}
 
 
 def _handle_simulate_weibull(ns: argparse.Namespace, read: _Read) -> dict:
@@ -395,35 +379,35 @@ def _handle_predict_weibull(ns: argparse.Namespace, read: _Read) -> dict:
     return report
 
 
-def _add_output(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--output", help="write the JSON report here instead of stdout")
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="relgauge",
-        description="Reliability estimation for tested software",
-    )
+    parser = _Parser(prog="relgauge", description="Reliability estimation for tested software")
     parser.add_argument("--version", action="version", version=f"relgauge {__version__}")
     verbs = parser.add_subparsers(dest="verb", required=True)
+    commands = []
 
-    fit = verbs.add_parser("fit", help="estimate model parameters from CSV data")
-    fit_models = fit.add_subparsers(dest="model", required=True)
+    def command(group, name: str, handler, **help) -> argparse.ArgumentParser:
+        p = group.add_parser(name, **help)
+        p.set_defaults(handler=handler)
+        commands.append(p)
+        return p
 
-    p = fit_models.add_parser("schumann", help="exponential growth model over debugging periods")
+    def subcommands(name: str, help: str):
+        return verbs.add_parser(name, help=help).add_subparsers(dest="model", required=True)
+
+    fit = subcommands("fit", "estimate model parameters from CSV data")
+
+    p = command(
+        fit, "schumann", _handle_fit_schumann, help="exponential growth model over debugging periods"
+    )
     p.add_argument("--input", required=True, help="periods.csv (tau,corrected,exposure,failures)")
     p.add_argument("--instructions", type=int, required=True, help="program size in instructions")
     p.add_argument("--confidence", type=float, default=0.95)
-    _add_output(p)
-    p.set_defaults(handler=_handle_fit_schumann)
 
-    p = fit_models.add_parser("jm", help="stepwise intensity model over failure epochs")
+    p = command(fit, "jm", _handle_fit_jm, help="stepwise intensity model over failure epochs")
     p.add_argument("--input", required=True, help="failures.csv (epoch)")
     p.add_argument("--confidence", type=float, default=0.95)
-    _add_output(p)
-    p.set_defaults(handler=_handle_fit_jm)
 
-    p = fit_models.add_parser("weibull", help="Weibull moment fit over failure epochs")
+    p = command(fit, "weibull", _handle_fit_weibull, help="Weibull moment fit over failure epochs")
     p.add_argument("--input", required=True, help="failures.csv (epoch)")
     p.add_argument(
         "--moment-form",
@@ -431,17 +415,13 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["cv", "literal"],
         default="cv",
     )
-    _add_output(p)
-    p.set_defaults(handler=_handle_fit_weibull)
 
-    p = fit_models.add_parser("nelson", help="input-profile reliability estimate")
+    p = command(fit, "nelson", _handle_fit_nelson, help="input-profile reliability estimate")
     p.add_argument("--profile", required=True, help="profile.csv (p,y or run,p,y)")
     p.add_argument("--simplified", help="runs.csv for the weighted run-fraction estimate")
     p.add_argument("--weights", help="w.csv (weight) matching the runs file")
-    _add_output(p)
-    p.set_defaults(handler=_handle_fit_nelson)
 
-    p = verbs.add_parser("economics", help="optimal debugging stop time")
+    p = command(verbs, "economics", _handle_economics, help="optimal debugging stop time")
     p.add_argument("--eps0", type=float, help="initial error count")
     p.add_argument("--tau0", type=float, help="discovery decay time constant")
     p.add_argument("--size", type=int, required=True, help="program size in commands")
@@ -450,74 +430,60 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost-test", type=float, required=True, help="cost per debugging time unit")
     p.add_argument("--horizon", type=float, required=True, help="planned operating time")
     p.add_argument("--fit", help="discovery.csv (tau,corrected) to fit eps0 and tau0 from")
-    _add_output(p)
-    p.set_defaults(handler=_handle_economics)
 
-    p = verbs.add_parser("faulttol", help="double-execution module planning")
+    p = command(verbs, "faulttol", _handle_faulttol, help="double-execution module planning")
     p.add_argument("--total-time", type=float, required=True, help="single-pass program time")
     p.add_argument("--overhead", type=float, required=True, help="per-module comparison overhead")
     p.add_argument("--failure-rate", type=float, required=True, help="failure intensity")
     p.add_argument("--simulate", type=int, help="also simulate this many modules")
     p.add_argument("--seed", type=int, help="seed for --simulate")
     p.add_argument("--module-time", type=float, help="simulate at this module time instead of t*")
-    _add_output(p)
-    p.set_defaults(handler=_handle_faulttol)
 
-    simulate = verbs.add_parser("simulate", help="generate seeded synthetic data")
-    sim_models = simulate.add_subparsers(dest="model", required=True)
+    simulate = subcommands("simulate", "generate seeded synthetic data")
 
-    p = sim_models.add_parser("jm", help="inter-failure intervals")
+    p = command(simulate, "jm", _handle_simulate_jm, help="inter-failure intervals")
     p.add_argument("--e0", type=float, required=True)
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    _add_output(p)
-    p.set_defaults(handler=_handle_simulate_jm)
 
-    p = sim_models.add_parser("schumann", help="debugging-period failure counts")
+    p = command(simulate, "schumann", _handle_simulate_schumann, help="debugging-period failure counts")
     p.add_argument("--e0", type=float, required=True)
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--instructions", type=int, required=True)
     p.add_argument("--schedule", required=True, help="schedule.csv (tau,corrected,exposure)")
     p.add_argument("--seed", type=int, required=True)
-    _add_output(p)
-    p.set_defaults(handler=_handle_simulate_schumann)
 
-    p = sim_models.add_parser("weibull", help="failure times")
+    p = command(simulate, "weibull", _handle_simulate_weibull, help="failure times")
     p.add_argument("--shape", type=float, required=True)
     p.add_argument("--scale", type=float, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    _add_output(p)
-    p.set_defaults(handler=_handle_simulate_weibull)
 
-    predict = verbs.add_parser("predict", help="point predictions from given parameters")
-    pred_models = predict.add_subparsers(dest="model", required=True)
+    predict = subcommands("predict", "point predictions from given parameters")
 
-    p = pred_models.add_parser("schumann")
+    # No help: a help string would list the model in `relgauge predict --help`.
+    p = command(predict, "schumann", _handle_predict_schumann)
     p.add_argument("--e0", type=float, required=True)
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--instructions", type=int, required=True)
     p.add_argument("--corrected", type=int, required=True, help="errors corrected so far")
     p.add_argument("--time", type=float, required=True, help="exposure to survive")
-    _add_output(p)
-    p.set_defaults(handler=_handle_predict_schumann)
 
-    p = pred_models.add_parser("jm")
+    p = command(predict, "jm", _handle_predict_jm)
     p.add_argument("--e0", type=float, required=True)
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--index", type=int, required=True, help="failure index being awaited")
     p.add_argument("--dt", type=float, required=True, help="time beyond the last failure")
-    _add_output(p)
-    p.set_defaults(handler=_handle_predict_jm)
 
-    p = pred_models.add_parser("weibull")
+    p = command(predict, "weibull", _handle_predict_weibull)
     p.add_argument("--shape", type=float, required=True)
     p.add_argument("--scale", type=float, required=True)
     p.add_argument("--time", type=float, required=True)
-    _add_output(p)
-    p.set_defaults(handler=_handle_predict_weibull)
 
+    # Last, so that every command's help lists its own flags first.
+    for p in commands:
+        p.add_argument("--output", help="write the JSON report here instead of stdout")
     return parser
 
 

@@ -2,11 +2,11 @@
 
 Three record shapes cover every estimator in the package: per-run outcome
 logs, cumulative failure epochs, and per-debugging-period counts.  Every
-CSV parser in the package reads through :func:`read_rows` or
-:func:`read_columns`, which report the offending 1-based row (the header is
-row 1) so bad files can be fixed without guesswork.  A regular file is
-split once and converted a whole column at a time; any other file is read
-row by row, and that reader owns every error message.
+CSV parser in the package reads through :func:`read_columns`, which reports
+the offending 1-based row (the header is row 1) so bad files can be fixed
+without guesswork.  A regular file is split once and converted a whole
+column at a time; any other file is read row by row, and that reader owns
+every error message.
 """
 
 from __future__ import annotations
@@ -167,21 +167,6 @@ def _all_counts(values: Sequence) -> bool:
 _ColumnSpec = Sequence[tuple[str, Callable[[str], Any]]]
 
 
-def read_rows(text: str, columns: _ColumnSpec) -> Iterator[tuple[int, Sequence]]:
-    """Yield ``(row_number, values)`` for each data row of CSV ``text``.
-
-    ``columns`` names each expected column with the callable (``float``,
-    ``int``, ``str``) that converts its token.  The header must match the
-    names case-insensitively, blank rows are skipped, every other row must
-    have one field per column, and any line ending is accepted.  Structural
-    problems raise ParseError with the 1-based row (the header is row 1).
-    """
-    table = _split_columns(text, columns)
-    if table is None:
-        return _read_rows(text, columns)
-    return zip(itertools.count(2), zip(*table))
-
-
 def read_columns(
     text: str,
     columns: _ColumnSpec,
@@ -189,11 +174,17 @@ def read_columns(
 ) -> tuple[Sequence[int], list[list]]:
     """The row numbers and the columns (one list each) of the data rows of CSV ``text``.
 
-    The rules and errors are those of :func:`read_rows`.  A file that is not
-    split whole is read row by row, and ``check_row(row_number, values)``
-    is then called on each row as it is read, so that a bad value is
-    reported before a parse error on a later row, as a row-by-row parser
-    reports it.  On a regular file the caller checks the whole columns.
+    ``columns`` names each expected column with the callable (``float``,
+    ``int``, ``str``) that converts its token.  The header must match the
+    names case-insensitively, blank rows are skipped, every other row must
+    have one field per column, and any line ending is accepted.  Structural
+    problems raise ParseError with the 1-based row (the header is row 1).
+
+    A file that is not split whole is read row by row, and
+    ``check_row(row_number, values)`` is then called on each row as it is
+    read, so that a bad value is reported before a parse error on a later
+    row, as a row-by-row parser reports it.  On a regular file the caller
+    checks the whole columns.
     """
     table = _split_columns(text, columns)
     if table is not None:
@@ -257,7 +248,7 @@ _SPLIT_CHARS = 1 << 16  # about the text split at a time
 
 
 def _read_rows(text: str, columns: _ColumnSpec) -> Iterator[tuple[int, list]]:
-    """The row-by-row reader behind :func:`read_rows`, for any file."""
+    """The row-by-row reader behind :func:`read_columns`, for any file."""
     names = [name for name, _ in columns]
     kinds = [kind for _, kind in columns]
     width = len(columns)
@@ -322,21 +313,20 @@ def parse_run_log(text: str) -> RunLog:
     structural problems and DomainError (with the row number) for values
     outside the domain.
     """
-    runs: list[RunRecord] = []
-    for row_number, (duration, outcome_token) in read_rows(
-        text, (("duration", float), ("outcome", str))
-    ):
-        if not (math.isfinite(duration) and duration > 0.0):
-            raise DomainError(f"row {row_number}: run duration must be positive, got {duration}")
-        outcome_token = outcome_token.strip()
-        try:
-            outcome = Outcome(outcome_token.lower())
-        except ValueError:
-            raise DomainError(
-                f"row {row_number}: unknown outcome token {_shown(outcome_token)}"
-            ) from None
-        runs.append(RunRecord(duration, outcome))
-    return RunLog(tuple(runs))
+    rows, table = read_columns(text, (("duration", float), ("outcome", str)), _run_record)
+    return RunLog(tuple(map(_run_record, rows, zip(*table))))
+
+
+def _run_record(row_number: int, values: Sequence) -> RunRecord:
+    duration, outcome_token = values
+    if not (math.isfinite(duration) and duration > 0.0):
+        raise DomainError(f"row {row_number}: run duration must be positive, got {duration}")
+    outcome_token = outcome_token.strip()
+    try:
+        outcome = Outcome(outcome_token.lower())
+    except ValueError:
+        raise DomainError(f"row {row_number}: unknown outcome token {_shown(outcome_token)}") from None
+    return RunRecord(duration, outcome)
 
 
 def serialize_run_log(log: RunLog) -> str:

@@ -30,7 +30,7 @@ from .errors import (
     SingularInformation,
     Underdetermined,
 )
-from .failure_data import DebugPeriod, DebugPeriods, read_rows
+from .failure_data import DebugPeriod, DebugPeriods, read_columns
 from .numerics import find_root_bracketed, fsum_array, gaussian_intervals, scan_bracket, seeded_rng
 
 _RESIDUAL_LIMIT = 1e-9
@@ -340,12 +340,17 @@ def generate_periods(
 
 def parse_schedule(text: str) -> list[tuple[float, int, float]]:
     """Parse ``tau,corrected,exposure`` CSV text into generator schedule triples."""
-    schedule = []
     columns = (("tau", float), ("corrected", int), ("exposure", float))
-    for row_number, (tau, corrected, exposure) in read_rows(text, columns):
-        if not (math.isfinite(tau) and tau >= 0.0):
-            raise DomainError(f"row {row_number}: tau must be non-negative, got {tau}")
-        if not (math.isfinite(exposure) and exposure > 0.0):
-            raise DomainError(f"row {row_number}: exposure must be positive, got {exposure}")
-        schedule.append((tau, corrected, exposure))
+    rows, table = read_columns(text, columns, _check_schedule_row)
+    schedule = list(zip(*table))
+    for row_number, values in zip(rows, schedule):
+        _check_schedule_row(row_number, values)
     return schedule
+
+
+def _check_schedule_row(row_number: int, values: Sequence) -> None:
+    tau, _, exposure = values
+    if not (math.isfinite(tau) and tau >= 0.0):
+        raise DomainError(f"row {row_number}: tau must be non-negative, got {tau}")
+    if not (math.isfinite(exposure) and exposure > 0.0):
+        raise DomainError(f"row {row_number}: exposure must be positive, got {exposure}")

@@ -95,29 +95,40 @@ def fit_moments(
     deviation.  The shape solves the gamma-ratio equation for the selected
     ``form`` on m in [0.05, 20]; the scale follows as Gamma(1+1/m)/tbar.
 
-    Raises DegenerateSample when the sample variance vanishes and
-    NoConvergence when the dispersion ratio is outside the range the
-    bracket can reach.  A fitted shape >= 1 is returned like any other;
-    callers that expect reliability growth check ``fit.m < 1`` themselves.
+    Raises DegenerateSample when the sample variance vanishes, OutOfRange
+    when a moment overflows a float, and NoConvergence when the dispersion
+    ratio is outside the range the bracket can reach.  A fitted shape >= 1
+    is returned like any other; callers that expect reliability growth
+    check ``fit.m < 1`` themselves.
     """
     import numpy as np
 
     k = len(intervals)
     if k < 2:
         raise DomainError(f"need at least 2 intervals, got {k}")
+
+    def mean(values, name: str) -> float:
+        try:
+            total = fsum_array(values)  # inf, or OverflowError, once the sum leaves the floats
+        except OverflowError:
+            total = math.inf
+        if total == math.inf:
+            raise OutOfRange(f"the sum behind the {name} of the {k} intervals overflows a float")
+        return total / k
+
     x = interval_array(intervals)
-    t_bar = fsum_array(x) / k
+    t_bar = mean(x, "mean")
     # float_power calls the C library's pow, as Python's ** does, so each
     # square keeps the bits of the scalar expression.
     with np.errstate(over="ignore"):
         squares = np.float_power(x - t_bar, 2)
-    if np.isfinite(squares).all():
-        s2 = fsum_array(squares) / k
-    else:  # a square overflows: raise OverflowError as the scalar ** does
-        s2 = math.fsum(d**2 for d in (x - t_bar).tolist()) / k
+    s2 = mean(squares, "mean squared deviation")
     if s2 == 0.0:
         raise DegenerateSample("zero sample variance; the shape estimate diverges")
-    ratio = s2 / t_bar**2
+    try:
+        ratio = s2 / t_bar**2
+    except OverflowError:
+        raise OutOfRange(f"the square of the mean interval {t_bar} overflows a float") from None
     target = ratio + 1.0 if form is MomentForm.CV_CORRECTED else ratio
 
     def objective(m: float) -> float:

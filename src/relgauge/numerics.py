@@ -206,7 +206,9 @@ def gaussian_intervals(level: float, **estimates: tuple[float, float]) -> dict[s
     from statistics import NormalDist  # only the fits with intervals need it
 
     check_level(level)
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
+    upper = 0.5 + level / 2.0
+    # upper rounds to 1 only at the largest level below 1; the lower tail is exact there.
+    z = NormalDist().inv_cdf(upper) if upper < 1.0 else -NormalDist().inv_cdf(0.5 - level / 2.0)
     intervals = {}
     for name, (estimate, variance) in estimates.items():
         half = z * math.sqrt(variance)

@@ -207,15 +207,50 @@ def test_usage_errors_exit_one(capsys):
     )
 
 
+VERB_GROUPS = [["fit"], ["simulate"], ["predict"]]
+COMMANDS = [
+    *(["fit", model] for model in ("schumann", "jm", "weibull", "nelson")),
+    ["economics"],
+    ["faulttol"],
+    *(["simulate", model] for model in ("jm", "schumann", "weibull")),
+    *(["predict", model] for model in ("schumann", "jm", "weibull")),
+]
+
+
 def test_version_and_help_exit_zero(capsys):
     for argv, text in (
         (["--version"], "relgauge 0."),
         (["--help"], "usage: relgauge"),
-        (["fit", "jm", "--help"], "usage: relgauge fit jm"),
+        *(([*words, "--help"], " ".join(["usage: relgauge", *words])) for words in VERB_GROUPS + COMMANDS),
     ):
         code, stdout, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert stdout.startswith(text)
+
+
+def _subcommands(parser):
+    """(name, parser) of each subcommand of ``parser``; none for a command."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices.items()
+    return ()
+
+
+def test_every_command_has_one_output_flag_last_and_a_handler():
+    commands = []
+    levels = [([], cli._build_parser())]
+    while levels:
+        words, parser = levels.pop()
+        children = _subcommands(parser)
+        levels.extend(([*words, name], child) for name, child in children)
+        if children:
+            assert parser.get_default("handler") is None, words
+            continue
+        commands.append(words)
+        options = [action for action in parser._actions if action.option_strings]
+        assert [a for a in options if "--output" in a.option_strings] == [options[-1]], words
+        assert callable(parser.get_default("handler")), words
+    assert sorted(commands) == sorted(COMMANDS)
 
 
 def test_fit_schumann(tmp_path, capsys):

@@ -234,7 +234,7 @@ def test_blank_rows_are_skipped():
     assert log.total_runs == 2
 
 
-# Every parser goes through failure_data.read_rows; this contract is the one
+# Every parser goes through failure_data.read_columns; this contract is the one
 # place a change to the shared reader shows up.  Each case: the parser, its
 # header, two valid data rows, and a row whose bad token belongs to `name`.
 PARSER_CASES = [

@@ -91,36 +91,134 @@ def csv_bytes(draw, header: str) -> bytes:
     return (header + "\n" + "".join(",".join(r) + "\n" for r in rows)).encode("utf-8")
 
 
+HUGE = 1.7976931348623157e308
+# Values a valid file or flag may hold, from the float and int limits inwards.
+POSITIVE = st.one_of(
+    st.sampled_from([5e-324, 1e-310, 1e-300, 1e-30, 1e30, 1e300, HUGE]), st.floats(5e-324, HUGE)
+)
+COUNTS = st.one_of(
+    st.sampled_from([2**31, 2**53 + 1, 2**63 - 1, 2**63, 10**18, 10**300]), st.integers(0, 2**64)
+)
+UNIT = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 2**-53, 0.5, 1 - 2**-53, 1.0]), st.floats(0.0, 1.0))
+LEVELS = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 2**-53, 0.5, 1 - 2**-52, 1 - 2**-53]),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+SIZES = st.one_of(st.sampled_from([1, 2**53 + 1, 2**63, 10**18, 10**300]), st.integers(1, 10**300))
+# Ordinary values of each column of a valid file, the extremes one of them
+# may be moved to, and the columns that must ascend or should descend.
+ORDINARY = {
+    "corrected": st.integers(0, 60),
+    "failures": st.integers(0, 60),
+    "outcome": st.sampled_from(["success", "failure"]),
+}
+ORDINARY_FLOATS = st.floats(1e-3, 1e4)
+EXTREME = {"corrected": COUNTS, "failures": COUNTS}
+STRICTLY_ASCENDING = {"epoch", "tau"}
+ASCENDING = STRICTLY_ASCENDING | {"corrected"}
+DESCENDING = {"failures"}  # so that most periods show reliability growth
+# The flags each case draws, after the fixed ones of its argv: the last value given wins.
+FLAGS = {
+    "fit-jm": {"--confidence": LEVELS},
+    "fit-weibull": {"--moment-form": st.sampled_from(["cv", "literal"])},
+    "fit-schumann": {"--instructions": SIZES, "--confidence": LEVELS},
+    "economics-fit": {"--size": SIZES},
+    "simulate-schedule": {"--instructions": SIZES, "--c": POSITIVE},
+}
+
+
+@st.composite
+def valid_file_with_one_extreme(draw, header: str) -> bytes:
+    """Ordinary rows that make a valid file for ``header``, one value of them moved to an extreme."""
+    names = header.split(",")
+    if names[-2:] == ["p", "y"]:  # a profile: each run's two probabilities sum to 1
+        runs = draw(st.integers(1, 3)) if "run" in names else 1
+        extreme = draw(st.integers(0, runs - 1))
+        rows = []
+        for run in range(runs):
+            p = draw(UNIT if run == extreme else st.floats(0.01, 0.99))
+            rows += [[run + 1, p, draw(st.integers(0, 1))], [run + 1, 1.0 - p, draw(st.integers(0, 1))]]
+        rows = [row[-len(names) :] for row in rows]
+    elif names == ["weight"]:  # as many weights as RUNS has runs, summing to that count
+        w = draw(st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 2.0, 2.0 - 2**-52]), st.floats(0.0, 2.0)))
+        rows = draw(st.permutations([[w], [2.0 - w]]))
+    else:
+        count = draw(st.integers(3, 8))
+        columns = [
+            draw(st.lists(ORDINARY.get(name, ORDINARY_FLOATS), min_size=count, max_size=count,
+                          unique=name in STRICTLY_ASCENDING))
+            for name in names
+        ]
+        i = draw(st.sampled_from([i for i, name in enumerate(names) if name != "outcome"]))
+        columns[i][draw(st.integers(0, count - 1))] = draw(EXTREME.get(names[i], POSITIVE))
+        for name, column in zip(names, columns):
+            if name in ASCENDING or name in DESCENDING:
+                column.sort(reverse=name in DESCENDING)
+        rows = zip(*columns)
+    lines = [header, *(",".join(map(str, row)) for row in rows)]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def _reject(token: str):
     raise ValueError(f"non-finite constant {token} in a report")
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_any_input_file_ends_in_a_report_or_one_error_line(case, tmp_path_factory):
-    prefix, flag, header = CASES[case]
+def _check_contract(argv: list[str]) -> None:
+    """run_cli(argv) ends in strict JSON on stdout or one JSON error line, with no warning."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = run_cli(argv)
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject)
+        assert err.getvalue() == ""
+    else:
+        assert code in (1, 2, 3)
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, lines
+        assert json.loads(lines[0])["exit_code"] == code
+
+
+def _case_dir(case: str, tmp_path_factory):
+    """A directory holding the fixed files of ``case``, and its argv before the fuzzed flag."""
+    prefix, _, _ = CASES[case]
     workdir = tmp_path_factory.mktemp(case)
     (workdir / "profile.csv").write_text(PROFILE)
     (workdir / "runs.csv").write_text(RUNS)
-    argv = [str(workdir / a) if a.endswith(".csv") else a for a in prefix]
+    return workdir, [str(workdir / a) if a.endswith(".csv") else a for a in prefix]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_any_input_file_ends_in_a_report_or_one_error_line(case, tmp_path_factory):
+    _, flag, header = CASES[case]
+    workdir, argv = _case_dir(case, tmp_path_factory)
     target = workdir / "fuzzed.csv"
 
     @hypothesis.settings(max_examples=40, deadline=None, database=None)
     @hypothesis.given(data=csv_bytes(header))
     def check(data):
         target.write_bytes(data)
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
-            warnings.simplefilter("error")
-            code = run_cli([*argv, flag, str(target)])
-        if code == 0:
-            json.loads(out.getvalue(), parse_constant=_reject)
-            assert err.getvalue() == ""
-        else:
-            assert code in (1, 2, 3)
-            assert out.getvalue() == ""
-            lines = err.getvalue().splitlines()
-            assert len(lines) == 1, lines
-            assert json.loads(lines[0])["exit_code"] == code
+        _check_contract([*argv, flag, str(target)])
+
+    check()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_valid_file_with_an_extreme_value_ends_in_a_report_or_one_error_line(case, tmp_path_factory):
+    """Files that parse and pass their domain checks, so most examples reach
+    the fit or generator, with one value and the case's numeric flags drawn
+    up to the float and int limits."""
+    _, flag, header = CASES[case]
+    workdir, argv = _case_dir(case, tmp_path_factory)
+    target = workdir / "fuzzed.csv"
+    flags = st.fixed_dictionaries(FLAGS.get(case, {}))
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(data=valid_file_with_one_extreme(header), drawn=flags)
+    def check(data, drawn):
+        target.write_bytes(data)
+        _check_contract([*argv, *(f"{k}={v}" for k, v in drawn.items()), flag, str(target)])
 
     check()
 

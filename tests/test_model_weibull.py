@@ -174,8 +174,19 @@ def test_fit_objective_evaluation_count(monkeypatch, form):
 
 
 def test_fit_overflowing_square_raises_as_the_scalar_square_does():
-    with pytest.raises(OverflowError, match="Numerical result out of range"):
+    with pytest.raises(OutOfRange, match="^the sum behind the mean squared deviation of the 2 "):
         fit_moments([1e300, 1.5e308])
+
+
+def test_fit_overflowing_sum_of_intervals_is_out_of_range():
+    """fsum of 1.7e308 twice overflows although each interval and their mean are finite."""
+    with pytest.raises(OutOfRange, match="^the sum behind the mean of the 2 intervals overflows"):
+        fit_moments([1.7e308, 1.7e308])
+
+
+def test_fit_overflowing_squared_mean_is_out_of_range():
+    with pytest.raises(OutOfRange, match="^the square of the mean interval 1.00000005e"):
+        fit_moments([1e160, 1.0000001e160])
 
 
 def test_fit_rejects_bad_input():

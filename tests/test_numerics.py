@@ -1,6 +1,7 @@
 """Tests for the shared numerical kernels."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -270,6 +271,15 @@ def test_gaussian_intervals_half_widths():
     assert list(ci) == ["e0", "c"]
     assert ci["e0"] == pytest.approx((10.0 - 2.0 * z, 10.0 + 2.0 * z), rel=1e-15)
     assert ci["c"] == (0.5, 0.5)
+
+
+def test_gaussian_intervals_at_the_largest_level_below_one():
+    """0.5 + level / 2 rounds to 1 there; the half width is the 1 - 2^-54 quantile."""
+    (lo, hi), = gaussian_intervals(1.0 - 2.0**-53, e0=(10.0, 4.0)).values()
+    (lo_next, hi_next), = gaussian_intervals(1.0 - 2.0**-52, e0=(10.0, 4.0)).values()
+    z = -NormalDist().inv_cdf(2.0**-54)
+    assert (lo, hi) == (10.0 - 2.0 * z, 10.0 + 2.0 * z)
+    assert lo < lo_next < hi_next < hi
 
 
 @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, math.nan])

@@ -12,11 +12,12 @@ scaled by the condition.  Nothing is asserted about bits.
 
 import statistics
 
+import numpy as np
 import pytest
 
-from relgauge import model_jm, model_schumann
+from relgauge import debug_economics, fault_tolerance, model_jm, model_schumann, model_weibull
 from relgauge.errors import NoGrowthEvidence
-from relgauge.numerics import find_root_bracketed, pole_sum, scan_bracket
+from relgauge.numerics import DEFAULT_TOL_REL, find_root_bracketed, pole_sum, scan_bracket
 
 mp = pytest.importorskip("mpmath")
 
@@ -110,3 +111,72 @@ def test_schumann_root_is_within_tolerance_of_the_exact_root(count, seed):
     fit = model_schumann.fit_mle(periods, instructions)
     root, kappa = _schumann_exact(periods, instructions, fit.e0_hat)
     assert _relative(fit.e0_hat, root) <= TOL * max(1.0, float(kappa))
+
+
+def _weibull_exact(intervals, form, guess):
+    """The exact root of G(m) / target - 1, with the target from the exact moments."""
+    k = len(intervals)
+    xs = [mp.mpf(x) for x in intervals]
+    t_bar = mp.fsum(xs) / k
+    ratio = mp.fsum((x - t_bar) ** 2 for x in xs) / k / t_bar**2
+    target = ratio + 1 if form is model_weibull.MomentForm.CV_CORRECTED else ratio
+    return _exact_root(lambda m: mp.gamma(1 + 2 / m) / mp.gamma(1 + 1 / m) ** 2 / target - 1, guess)
+
+
+@pytest.mark.parametrize("form", list(model_weibull.MomentForm))
+@pytest.mark.parametrize("shape", [0.4, 0.7, 0.9])
+def test_weibull_shape_is_within_tolerance_of_the_exact_root(form, shape):
+    """Both moment forms, on seeded samples of 10 to 1000 draws; shapes below
+    one give a dispersion ratio above one, so the raw-ratio form has a root."""
+    for seed, count in enumerate((10, 100, 1000)):
+        intervals = (np.random.default_rng(seed).weibull(shape, count) * 3.0).tolist()
+        fit = model_weibull.fit_moments(intervals, form)
+        root, kappa = _weibull_exact(intervals, form, fit.m)
+        assert _relative(fit.m, root) <= TOL * max(1.0, float(kappa)), (seed, count)
+
+
+def _discovery_exact(observations, guess):
+    """The exact root in tau0 of the profiled error's slope, resid @ rate over |rate| |counts|."""
+    taus = [mp.mpf(t) for t, _ in observations]
+    counts = [mp.mpf(c) for _, c in observations]
+    norm = mp.sqrt(mp.fsum(c * c for c in counts))
+
+    def slope(tau0):
+        xs = [t / tau0 for t in taus]
+        growth = [-mp.expm1(-x) for x in xs]
+        eps0 = mp.fsum(c * g for c, g in zip(counts, growth)) / mp.fsum(g * g for g in growth)
+        rate = [x * mp.exp(-x) for x in xs]
+        resid = mp.fsum((c - eps0 * g) * r for c, g, r in zip(counts, growth, rate))
+        return resid / (mp.sqrt(mp.fsum(r * r for r in rate)) * norm)
+
+    return _exact_root(slope, guess)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_discovery_tau0_is_within_tolerance_of_the_exact_root(seed):
+    """Seeded noisy discovery curves: each increment of the exact curve off by up to 10 %."""
+    rng = np.random.default_rng(seed)
+    tau0 = float(rng.uniform(0.5, 80.0))
+    taus = np.sort(rng.uniform(0.2 * tau0, 4.0 * tau0, size=6))
+    exact = float(rng.uniform(10.0, 1000.0)) * -np.expm1(-taus / tau0)
+    counts = np.cumsum(np.diff(exact, prepend=0.0) * rng.uniform(0.9, 1.1, taus.size))
+    observations = list(zip(taus.tolist(), counts.tolist()))
+    _, fit_tau0 = debug_economics.fit_discovery_curve(observations, 1000)
+    root, kappa = _discovery_exact(observations, fit_tau0)
+    assert _relative(fit_tau0, root) <= DEFAULT_TOL_REL * max(1.0, float(kappa))
+
+
+FAULTTOL_TOL = 1e-12  # the relative bracket width optimal_module_time hands the solver
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_faulttol_t_star_is_within_tolerance_of_the_exact_root(seed):
+    """Seeded plans with an interior optimum: the root of 2 lam t^2 exp(lam t) / a - 1."""
+    rng = np.random.default_rng(seed)
+    total, lam = float(rng.uniform(10.0, 1e4)), float(10.0 ** rng.uniform(-6.0, -1.0))
+    overhead = float(rng.uniform(1e-3, 0.5)) * 2.0 * lam * total**2 * np.exp(min(lam * total, 50.0))
+    plan = fault_tolerance.optimal_module_time(fault_tolerance.DualRunConfig(total, overhead, lam))
+    assert not plan.boundary
+    a, lam = mp.mpf(overhead), mp.mpf(lam)
+    root, kappa = _exact_root(lambda t: 2 * lam * t * t * mp.exp(lam * t) / a - 1, plan.t_star)
+    assert _relative(plan.t_star, root) <= FAULTTOL_TOL * max(1.0, float(kappa))
