@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .errors import (
     DomainError,
@@ -23,11 +23,8 @@ from .errors import (
     SingularInformation,
     TooFewIntervals,
 )
-from .numerics import find_root_bracketed, fsum_array, gaussian_intervals, interval_array
-from .numerics import pole_sum, scan_bracket, seeded_rng
-
-if TYPE_CHECKING:
-    import numpy as np
+from .numerics import at_data_scale, find_root_bracketed, fsum_array, gaussian_intervals
+from .numerics import interval_array, pole_sum, scan_bracket, seeded_rng
 
 _RESIDUAL_LIMIT = 1e-9
 
@@ -82,44 +79,18 @@ def reliability(e0: float, k_jm: float, i: int, dt: float) -> float:
     return math.exp(-rate * dt)
 
 
-def _sums(intervals: Sequence[float]) -> tuple[float, float]:
-    """A = sum(x_i) and B = sum((i-1) * x_i), each exactly rounded.
-
-    (k-1) * A bounds B and each of its terms, so OutOfRange when it overflows.
-    """
-    import numpy as np
-
-    x = np.asarray(intervals, dtype=float)
-    try:
-        a = fsum_array(x)
-    except OverflowError:  # the exact sum of finite terms is beyond the float range
-        a = math.inf
-    if not (len(x) - 1) * a < math.inf:
-        raise OutOfRange(f"(k - 1) * A = {len(x) - 1} * {a} overflows a float, so B cannot be formed")
-    return a, fsum_array(np.arange(len(x), dtype=float) * x)
-
-
-def _residual_counts(e0: float, k: int) -> np.ndarray:
-    """e0 - i + 1 for i = 1..k, rounded exactly as the scalar expression is."""
-    import numpy as np
-
-    return e0 - np.arange(1, k + 1) + 1
-
-
-def stationarity_residual(e0: float, intervals: Sequence[float]) -> float:
+def stationarity_residual(e0: float, k: int, beta: float) -> float:
     """Relative defect of the likelihood stationarity condition at ``e0``.
 
-    Zero exactly when sum(1/(e0 - i + 1)) equals k/(e0 - B/A).  Every sum
-    is taken term by term, so this is an O(k) check independent of the
-    O(1) objective that :func:`fit_mle` solves.
+    Zero exactly when sum(1/(e0 - i + 1)) equals k/(e0 - beta), beta = B/A.
+    The sum is taken term by term, so this is an O(k) check independent of
+    the O(1) :func:`numerics.pole_sum` that :func:`fit_mle`'s objective uses.
     """
     import numpy as np
 
-    k = len(intervals)
-    a, b = _sums(intervals)
     with np.errstate(divide="ignore"):  # the sum is infinite at a pole
-        lhs = fsum_array(1.0 / _residual_counts(e0, k))
-    return lhs * (e0 - b / a) / k - 1.0
+        lhs = fsum_array(1.0 / (e0 - np.arange(1, k + 1) + 1))
+    return lhs * (e0 - beta) / k - 1.0
 
 
 def fit_mle(intervals: Sequence[float]) -> JmFit:
@@ -130,21 +101,27 @@ def fit_mle(intervals: Sequence[float]) -> JmFit:
 
         sum_{i=1..k} 1/(e0 - i + 1) * (e0 - beta) / k = 1
 
-    and then k_hat = k / (e0 * A - B).  A and B are summed once; the sum is
+    and then k_hat = k / (e0 * A - B).  A and B are summed once, over the
+    intervals at unit scale (:func:`numerics.interval_array`); the sum is
     :func:`numerics.pole_sum`, so each objective evaluation is O(1) and a
     fit costs one O(k) pass for the sums plus one for the final
-    :func:`stationarity_residual` check, which must be within 1e-9.  The
-    root is bracketed at offsets growing 16-fold above the pole at
-    e0 = k - 1.  A finite root exists only when beta > (k-1)/2, i.e. when
-    later intervals are longer; otherwise NoGrowthEvidence is raised
-    carrying that diagnostic, and NoConvergence when the scan misses the
-    root.  OutOfRange when (k-1) * A or k_hat leaves the float range.
+    :func:`stationarity_residual` check.  That residual must be within
+    1e-9, or change sign between the floats next to e0 where one ulp moves
+    it by more (roots within about 1e-7 of the pole).  The root is
+    bracketed at offsets growing 16-fold above the pole at e0 = k - 1.  A
+    finite root exists only when beta > (k-1)/2, i.e. when later intervals
+    are longer; otherwise NoGrowthEvidence is raised carrying that
+    diagnostic, and NoConvergence when the scan misses the root.
+    OutOfRange when k_hat leaves the float range.
     """
-    x = interval_array(intervals)
+    import numpy as np
+
+    x, e = interval_array(intervals)
     k = len(x)
     if k < 2:
         raise TooFewIntervals(f"need at least 2 intervals to fit two parameters, got {k}")
-    a, b = _sums(x)
+    a = fsum_array(x)
+    b = fsum_array(np.arange(k, dtype=float) * x)
     beta = b / a
 
     def objective(e0: float) -> float:
@@ -165,16 +142,17 @@ def fit_mle(intervals: Sequence[float]) -> JmFit:
             f"2^60 * 1e-9 times {max(k - 1, 1)} above the pole at e0 = {k - 1}"
         )
     e0 = find_root_bracketed(objective, bracket)
-    k_hat = k / (e0 * a - b) if e0 * a > b else math.inf
-    if not 0.0 < k_hat < math.inf:
-        raise OutOfRange(f"k_hat = k / (e0 * A - B) at e0 = {e0} is not a positive finite float")
-    fit = JmFit(e0_hat=e0, k_hat=k_hat, k_obs=k)
-    residual = stationarity_residual(e0, x)
+    # The bracket keeps e0 above k - 1 >= B/A by far more than rounding, so e0 * A > B.
+    k_hat = at_data_scale(k / (e0 * a - b), e, "k_hat")
+    residual = stationarity_residual(e0, k, beta)
     if abs(residual) > _RESIDUAL_LIMIT:
-        raise NoConvergence(
-            f"stationarity residual exceeds {_RESIDUAL_LIMIT} at the located root"
-        )
-    return replace(fit, residual=residual)
+        sides = [stationarity_residual(math.nextafter(e0, to), k, beta) for to in (-math.inf, math.inf)]
+        if min(sides) > 0.0 or max(sides) < 0.0:
+            raise NoConvergence(
+                f"stationarity residual {residual:.3g} at the located root e0 = {e0!r} exceeds "
+                f"{_RESIDUAL_LIMIT} and keeps its sign at the floats next to it"
+            )
+    return JmFit(e0_hat=e0, k_hat=k_hat, k_obs=k, residual=residual)
 
 
 def covariance(fit: JmFit, intervals: Sequence[float]) -> JmFit:
@@ -191,20 +169,20 @@ def covariance(fit: JmFit, intervals: Sequence[float]) -> JmFit:
     """
     import numpy as np
 
-    x = interval_array(intervals)
+    x, e = interval_array(intervals)
     if len(x) != fit.k_obs:
         raise DomainError(
             f"fit was made from {fit.k_obs} intervals but {len(x)} were supplied"
         )
     k = fit.k_obs
-    a = fsum_array(x)
+    a_k = fsum_array(x) * math.ldexp(fit.k_hat, e)  # A * k_hat, from A at unit scale
     # float_power calls the C library's pow, as Python's ** does, so each
     # term keeps the bits of the scalar expression.  A square that overflows
     # makes its term 0; one that underflows to 0 makes S2 infinite, which
     # the determinant check below rejects.
     with np.errstate(over="ignore", divide="ignore"):
-        s2 = fsum_array(1.0 / np.float_power(_residual_counts(fit.e0_hat, k), 2))
-    denom = k * s2 - (a * fit.k_hat) ** 2
+        s2 = fsum_array(1.0 / np.float_power(fit.e0_hat - np.arange(1, k + 1) + 1, 2))
+    denom = k * s2 - a_k**2
     if not 0.0 < denom < math.inf:
         raise SingularInformation(
             f"information determinant k*S2 - (A*k_hat)^2 = {denom} is not positive and finite"
@@ -213,7 +191,7 @@ def covariance(fit: JmFit, intervals: Sequence[float]) -> JmFit:
         fit,
         var_e0=k / denom,
         var_k=s2 * fit.k_hat**2 / denom,
-        rho=a * fit.k_hat / math.sqrt(k * s2),
+        rho=a_k / math.sqrt(k * s2),
     )
 
 

@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Sequence
 
 from .errors import DegenerateSample, DomainError, NoConvergence, OutOfRange
-from .numerics import Bracket, find_root_bracketed, fsum_array, interval_array, seeded_rng
+from .numerics import Bracket, at_data_scale, find_root_bracketed, fsum_array, interval_array, seeded_rng
 
 _M_LO = 0.05
 _M_HI = 20.0
@@ -91,12 +91,13 @@ def fit_moments(
 ) -> WeibullFit:
     """Method-of-moments (m, lam) from failure intervals.
 
-    Sample moments use the 1/k normalization: tbar = mean, s2 = mean squared
+    Sample moments use the 1/k normalization, over the intervals at unit
+    scale (:func:`numerics.interval_array`): tbar = mean, s2 = mean squared
     deviation.  The shape solves the gamma-ratio equation for the selected
     ``form`` on m in [0.05, 20]; the scale follows as Gamma(1+1/m)/tbar.
 
     Raises DegenerateSample when the sample variance vanishes, OutOfRange
-    when a moment overflows a float, and NoConvergence when the dispersion
+    when lam leaves the float range, and NoConvergence when the dispersion
     ratio is outside the range the bracket can reach.  A fitted shape >= 1
     is returned like any other; callers that expect reliability growth
     check ``fit.m < 1`` themselves.
@@ -106,29 +107,14 @@ def fit_moments(
     k = len(intervals)
     if k < 2:
         raise DomainError(f"need at least 2 intervals, got {k}")
-
-    def mean(values, name: str) -> float:
-        try:
-            total = fsum_array(values)  # inf, or OverflowError, once the sum leaves the floats
-        except OverflowError:
-            total = math.inf
-        if total == math.inf:
-            raise OutOfRange(f"the sum behind the {name} of the {k} intervals overflows a float")
-        return total / k
-
-    x = interval_array(intervals)
-    t_bar = mean(x, "mean")
+    x, e = interval_array(intervals)
+    t_bar = fsum_array(x) / k
     # float_power calls the C library's pow, as Python's ** does, so each
     # square keeps the bits of the scalar expression.
-    with np.errstate(over="ignore"):
-        squares = np.float_power(x - t_bar, 2)
-    s2 = mean(squares, "mean squared deviation")
+    s2 = fsum_array(np.float_power(x - t_bar, 2)) / k
     if s2 == 0.0:
         raise DegenerateSample("zero sample variance; the shape estimate diverges")
-    try:
-        ratio = s2 / t_bar**2
-    except OverflowError:
-        raise OutOfRange(f"the square of the mean interval {t_bar} overflows a float") from None
+    ratio = s2 / t_bar**2
     target = ratio + 1.0 if form is MomentForm.CV_CORRECTED else ratio
 
     def objective(m: float) -> float:
@@ -142,7 +128,7 @@ def fit_moments(
             f"under the {form.name} moment equation"
         )
     m_hat = find_root_bracketed(objective, Bracket(_M_LO, _M_HI, tol_rel=1e-13, f_lo=lo_val, f_hi=hi_val))
-    lam = math.exp(math.lgamma(1.0 + 1.0 / m_hat)) / t_bar
+    lam = at_data_scale(math.exp(math.lgamma(1.0 + 1.0 / m_hat)) / t_bar, e, "lam")
     return WeibullFit(m=m_hat, lam=lam, moment_form=form)
 
 

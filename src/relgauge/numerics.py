@@ -6,8 +6,8 @@ bracketed root finder, inverse quadratic interpolation safeguarded by
 bisection, which keeps the root bracketed and never evaluates an end whose
 value the bracket carries), the pole sum
 sum(1/(e0 - i + 1)) in O(1) through the digamma function, an exactly
-rounded array sum, the checked array of failure intervals that the JM and
-Weibull fits read, the seeded generator every simulation draws from, and
+rounded array sum, the checked failure intervals at unit scale that the JM
+and Weibull fits read, the seeded generator every simulation draws from, and
 two-sided Gaussian confidence intervals.
 """
 
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import DomainError, NonFinite, NoSignChange
+from .errors import DomainError, NonFinite, NoSignChange, OutOfRange
 
 DEFAULT_TOL_REL = 1e-10
 
@@ -176,14 +176,30 @@ def all_at_least(values: Sequence, low: float, strict: bool = False) -> bool:
 
 
 def interval_array(intervals: Sequence[float]):
-    """The intervals as a float array; DomainError names the first not finite and positive."""
+    """The checked intervals at unit scale, (x * 2^-e, e) with the largest in [0.5, 1).
+
+    DomainError names the first that is not finite and positive.  The
+    scaling rounds nothing for intervals within 2^1021 of the largest.
+    """
     import numpy as np  # loaded by the fits that call this; numerics itself needs no numpy
 
     x = np.fromiter(map(float, intervals), dtype=float)
     ok = (x > 0.0) & (x < math.inf)
     if not ok.all():
         raise DomainError(f"intervals must be finite and positive, got {float(x[ok.argmin()])}")
-    return x
+    e = math.frexp(x.max(initial=0.0))[1]
+    return np.ldexp(x, -e), e
+
+
+def at_data_scale(rate: float, e: int, name: str) -> float:
+    """A rate fitted at unit scale, rate * 2^-e; OutOfRange naming ``name`` unless finite and positive."""
+    try:
+        scaled = math.ldexp(rate, -e)
+    except OverflowError:
+        scaled = math.inf
+    if not 0.0 < scaled < math.inf:
+        raise OutOfRange(f"{name} = {rate!r} * 2**{-e} is not a positive finite float")
+    return scaled
 
 
 def seeded_rng(seed: int):

@@ -862,11 +862,13 @@ def test_fit_schumann_overflowing_exposure_is_out_of_range(tmp_path, capsys):
     assert (payload["exit_code"], payload["error"]) == (2, "OutOfRange")
 
 
-def test_fit_jm_overflowing_weighted_sum_is_out_of_range(tmp_path, capsys):
-    # (i - 1) * x_i overflows in B; numpy used to warn before a NoGrowthEvidence
-    # line that reported the overflow as an infinite mean index.
+def test_fit_jm_weighted_sum_past_the_float_range_is_no_convergence(tmp_path, capsys):
+    # (i - 1) * x_i overflows in B at the data's scale, not at unit scale.
+    # There B/A rounds to k - 1 = 2, so the root lies within about 1e-306 of
+    # the pole, closer than the scan reaches.
     payload = _fit_error(tmp_path, capsys, "jm", "epoch\n1\n99\n1.7976931348623157e308\n")
-    assert (payload["exit_code"], payload["error"]) == (2, "OutOfRange")
+    assert (payload["exit_code"], payload["error"]) == (3, "NoConvergence")
+    assert "mean index 2 exceeds threshold 1" in payload["message"]
 
 
 @pytest.mark.parametrize("last", ["1e300", "1e200"], ids=["e0-times-a-overflow", "root-at-pole"])

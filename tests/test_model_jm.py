@@ -7,6 +7,7 @@ import pytest
 
 from relgauge.errors import (
     DomainError,
+    NoConvergence,
     NoGrowthEvidence,
     OutOfRange,
     ResidualNonPositive,
@@ -26,6 +27,11 @@ from relgauge.model_jm import (
 )
 from relgauge import model_schumann
 from relgauge.numerics import find_root_bracketed, scan_bracket
+
+
+def _beta(intervals):
+    """B/A as fit_mle forms it: each sum is exactly rounded, and B/A does not depend on the scale."""
+    return math.fsum(i * x for i, x in enumerate(intervals)) / math.fsum(intervals)
 
 
 def test_intensity_examples():
@@ -81,7 +87,7 @@ def test_fit_exact_two_intervals():
     assert fit.k_obs == 2
 
     grid = np.linspace(1.001, 50.0, 200_000)
-    values = np.array([stationarity_residual(float(e0), [1.0, 2.0]) for e0 in grid])
+    values = np.array([stationarity_residual(float(e0), 2, 2.0 / 3.0) for e0 in grid])
     signs = np.sign(values)
     crossings = np.nonzero(np.diff(signs))[0]
     assert len(crossings) == 1
@@ -96,7 +102,7 @@ def test_fit_no_growth():
     assert excinfo.value.diagnostic["b_over_a"] == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert excinfo.value.diagnostic["threshold"] == 0.5
     for e0 in np.linspace(1.01, 1e4, 500):
-        assert stationarity_residual(float(e0), [2.0, 1.0]) > 0.0
+        assert stationarity_residual(float(e0), 2, 1.0 / 3.0) > 0.0
 
 
 def test_fit_overflowing_k_hat_is_out_of_range():
@@ -104,6 +110,27 @@ def test_fit_overflowing_k_hat_is_out_of_range():
     OutOfRange, where JmFit used to raise DomainError for an infinite k_hat."""
     with pytest.raises(OutOfRange, match="k_hat"):
         fit_mle([1e-310, 3e-310])
+
+
+def test_fit_root_within_float_resolution_of_the_pole_passes_the_gate():
+    """Within about 1e-7 of the pole at e0 = 1, one ulp of e0 moves the
+    residual by about 1e-8, more than the 1e-9 gate.  The root's residual is
+    2.8e-9, but it changes sign between the floats next to e0, so the fit
+    stands; it used to raise NoConvergence."""
+    intervals = [8.710478184300544e299, 5.313456262806313e307 - 8.710478184300544e299]
+    fit = fit_mle(intervals)
+    assert fit.e0_hat == 1.0000000163932439
+    assert 1e-9 < fit.residual < 3e-9
+    beta = _beta(intervals)
+    below, above = (stationarity_residual(math.nextafter(fit.e0_hat, to), 2, beta) for to in (0.0, math.inf))
+    assert below > 0.0 > above
+
+
+def test_fit_residual_above_the_gate_without_a_sign_change_is_no_convergence(monkeypatch):
+    """A residual above 1e-9 that keeps its sign at both neighbouring floats fails the fit."""
+    monkeypatch.setattr(model_jm, "stationarity_residual", lambda e0, k, beta: 2e-9)
+    with pytest.raises(NoConvergence, match="keeps its sign at the floats next to it"):
+        fit_mle([1.0, 2.0])
 
 
 def test_fit_too_few():
@@ -121,7 +148,7 @@ def test_fit_rejects_bad_intervals():
 def test_fit_synthetic_residual():
     intervals = generate_intervals(50.0, 0.004, 40, seed=7)
     fit = fit_mle(intervals)
-    assert abs(stationarity_residual(fit.e0_hat, intervals)) <= 1e-9
+    assert abs(stationarity_residual(fit.e0_hat, len(intervals), _beta(intervals))) <= 1e-9
     assert fit.e0_hat > 39.0
 
 
@@ -239,14 +266,15 @@ def test_fit_matches_direct_sum_objective(k):
     """The O(1) objective finds the root that the term-by-term stationarity
     residual would find, to 1e-10 relative, and passes the 1e-9 gate."""
     intervals = generate_intervals(1.25 * k, 1.0 / (1.25 * k), k, seed=1)
+    beta = _beta(intervals)
 
     def direct(e0):
-        return stationarity_residual(e0, intervals)
+        return stationarity_residual(e0, k, beta)
 
     e0_direct = find_root_bracketed(direct, scan_bracket(direct, float(k - 1)))
     fit = fit_mle(intervals)
     assert fit.e0_hat == pytest.approx(e0_direct, rel=1e-10)
-    assert abs(stationarity_residual(fit.e0_hat, intervals)) <= 1e-9
+    assert abs(direct(fit.e0_hat)) <= 1e-9
 
 
 def test_fit_checks_the_direct_residual_once(monkeypatch):
@@ -256,9 +284,9 @@ def test_fit_checks_the_direct_residual_once(monkeypatch):
     calls = []
     original = model_jm.stationarity_residual
 
-    def counted(e0, intervals):
+    def counted(e0, k, beta):
         calls.append(e0)
-        return original(e0, intervals)
+        return original(e0, k, beta)
 
     monkeypatch.setattr(model_jm, "stationarity_residual", counted)
     fit = fit_mle(generate_intervals(12_500.0, 8e-5, 10_000, seed=2))
@@ -290,7 +318,7 @@ def test_fit_carries_its_checked_residual():
     """fit_mle keeps the residual it checked, so a report need not recompute it."""
     intervals = generate_intervals(60.0, 0.02, 50, seed=4)
     fit = fit_mle(intervals)
-    assert fit.residual == stationarity_residual(fit.e0_hat, intervals)
+    assert fit.residual == stationarity_residual(fit.e0_hat, len(intervals), _beta(intervals))
     assert covariance(fit, intervals).residual == fit.residual
     assert fit == JmFit(e0_hat=fit.e0_hat, k_hat=fit.k_hat, k_obs=fit.k_obs)
 

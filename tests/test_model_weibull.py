@@ -173,20 +173,30 @@ def test_fit_objective_evaluation_count(monkeypatch, form):
     assert len(set(calls)) == len(calls)
 
 
-def test_fit_overflowing_square_raises_as_the_scalar_square_does():
-    with pytest.raises(OutOfRange, match="^the sum behind the mean squared deviation of the 2 "):
-        fit_moments([1e300, 1.5e308])
+def test_fit_near_the_top_of_the_float_range_is_the_unit_scale_fit():
+    """The squared deviation of 1e300 and 1.5e308 overflows at the data's
+    scale; at unit scale it does not, and the fit is that of the same
+    intervals scaled down exactly by 2^1000."""
+    fit = fit_moments([1e300, 1.5e308])
+    down = fit_moments([math.ldexp(1e300, -1000), math.ldexp(1.5e308, -1000)])
+    assert fit.m == down.m
+    assert fit.lam == math.ldexp(down.lam, -1000)
 
 
-def test_fit_overflowing_sum_of_intervals_is_out_of_range():
-    """fsum of 1.7e308 twice overflows although each interval and their mean are finite."""
-    with pytest.raises(OutOfRange, match="^the sum behind the mean of the 2 intervals overflows"):
-        fit_moments([1.7e308, 1.7e308])
+def test_fit_of_equal_intervals_at_the_float_limit_is_degenerate():
+    """fsum of 1.7e308 twice overflows at the data's scale; at unit scale the
+    two equal intervals have zero variance."""
+    for form in MomentForm:
+        with pytest.raises(DegenerateSample, match="^zero sample variance"):
+            fit_moments([1.7e308, 1.7e308], form)
 
 
-def test_fit_overflowing_squared_mean_is_out_of_range():
-    with pytest.raises(OutOfRange, match="^the square of the mean interval 1.00000005e"):
-        fit_moments([1e160, 1.0000001e160])
+def test_fit_of_nearly_equal_intervals_near_1e160_has_no_shape():
+    """The mean's square overflows at the data's scale; at unit scale the
+    dispersion ratio is 2.5e-15, below what any shape up to 20 gives."""
+    for form in MomentForm:
+        with pytest.raises(NoConvergence, match="^dispersion ratio 2.49999974642"):
+            fit_moments([1e160, 1.0000001e160], form)
 
 
 def test_fit_rejects_bad_input():

@@ -8,13 +8,14 @@ import pytest
 
 from relgauge import debug_economics, fault_tolerance, model_weibull
 from relgauge.debug_economics import fit_discovery_curve
-from relgauge.errors import DomainError, NonFinite, NoSignChange, SingularInformation
+from relgauge.errors import DomainError, NonFinite, NoSignChange, OutOfRange, SingularInformation
 from relgauge.failure_data import DebugPeriod
 from relgauge.model_schumann import SchumannFit, covariance
 from relgauge.numerics import (
     Bracket,
     find_root_bracketed,
     gaussian_intervals,
+    at_data_scale,
     interval_array,
     pole_sum,
     scan_bracket,
@@ -254,9 +255,22 @@ def test_fit_discovery_curve_golden():
 
 
 def test_interval_array_returns_the_checked_floats():
-    x = interval_array([1, 2.5, 1e-300])
+    x, e = interval_array([1, 2.5, 1e-300])
     assert x.dtype == np.float64
-    assert x.tolist() == [1.0, 2.5, 1e-300]
+    assert e == 2
+    assert x.tolist() == [0.25, 0.625, 0.25e-300]
+    for value, scaled, exponent in ((5e-324, 0.5, -1073), (1.7976931348623157e308, 1.0 - 2.0**-53, 1024)):
+        x, e = interval_array([value])
+        assert (x.tolist(), e) == ([scaled], exponent)
+    x, e = interval_array([])
+    assert (x.tolist(), e) == ([], 0)
+
+
+def test_at_data_scale_is_an_exact_power_of_two_or_out_of_range():
+    assert at_data_scale(0.75, -1000, "lam") == math.ldexp(0.75, 1000)
+    for rate, e in ((1.5, -1024), (math.inf, 0), (1.0, 1075)):
+        with pytest.raises(OutOfRange, match="^lam = "):
+            at_data_scale(rate, e, "lam")
 
 
 def test_interval_array_names_the_first_bad_interval():

@@ -10,19 +10,24 @@ objective).  So each bound is TOL * max(1, kappa): one solver tolerance,
 scaled by the condition.  Nothing is asserted about bits.
 """
 
+import math
 import statistics
+import sys
 
 import numpy as np
 import pytest
 
 from relgauge import debug_economics, fault_tolerance, model_jm, model_schumann, model_weibull
-from relgauge.errors import NoGrowthEvidence
+from relgauge.errors import DegenerateSample, NoConvergence, NoGrowthEvidence, OutOfRange
 from relgauge.numerics import DEFAULT_TOL_REL, find_root_bracketed, pole_sum, scan_bracket
 
 mp = pytest.importorskip("mpmath")
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
 
 TOL = 1e-13  # the relative bracket width scan_bracket hands the solver
 JM_SEEDS = range(40)
+SMALL_SAMPLES = st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=30)
 
 
 @pytest.fixture(autouse=True)
@@ -59,7 +64,7 @@ def _jm_exact(intervals, guess):
 
 def _head_form_root(intervals) -> float:
     """The root of the objective as written before it was put in B/A: S / (k A / (e0 A - B)) - 1."""
-    a, b = model_jm._sums(intervals)
+    a, b = math.fsum(intervals), math.fsum(i * x for i, x in enumerate(intervals))
     k = len(intervals)
 
     def objective(e0):
@@ -86,6 +91,33 @@ def test_jm_roots_are_within_tolerance_of_the_exact_root_and_no_farther_than_bef
             before.append(_relative(_head_form_root(intervals), root))
     assert len(distances) >= 100
     assert statistics.median(distances) <= statistics.median(before)
+
+
+@hypothesis.settings(max_examples=40, deadline=None, database=None)
+@hypothesis.given(intervals=SMALL_SAMPLES)
+def test_jm_root_of_a_drawn_sample_is_within_tolerance_of_the_exact_root(intervals):
+    try:
+        fit = model_jm.fit_mle(intervals)
+    except (NoGrowthEvidence, NoConvergence):
+        return
+    root, kappa = _jm_exact(intervals, fit.e0_hat)
+    assert _relative(fit.e0_hat, root) <= TOL * max(1.0, float(kappa))
+
+
+def test_jm_root_beside_the_pole_lies_between_the_exact_sign_change_floats():
+    """The intervals behind the root 1.6e-8 above the pole, whose float
+    residual exceeds 1e-9: the exact objective changes sign between the
+    floats next to the fitted e0, so no float lies closer to the root."""
+    intervals = [8.710478184300544e299, 5.313456262806313e307 - 8.710478184300544e299]
+    e0 = model_jm.fit_mle(intervals).e0_hat
+    a = mp.fsum(mp.mpf(x) for x in intervals)
+    beta = mp.fsum(i * mp.mpf(x) for i, x in enumerate(intervals)) / a
+
+    def exact(x):
+        x = mp.mpf(x)
+        return (mp.digamma(x + 1) - mp.digamma(x - 1)) * (x - beta) / 2 - 1
+
+    assert exact(math.nextafter(e0, 0.0)) > 0 > exact(math.nextafter(e0, math.inf))
 
 
 def _schumann_exact(periods, instructions, guess):
@@ -133,6 +165,51 @@ def test_weibull_shape_is_within_tolerance_of_the_exact_root(form, shape):
         fit = model_weibull.fit_moments(intervals, form)
         root, kappa = _weibull_exact(intervals, form, fit.m)
         assert _relative(fit.m, root) <= TOL * max(1.0, float(kappa)), (seed, count)
+
+
+@hypothesis.settings(max_examples=40, deadline=None, database=None)
+@hypothesis.given(intervals=SMALL_SAMPLES, form=st.sampled_from(list(model_weibull.MomentForm)))
+def test_weibull_shape_of_a_drawn_sample_is_within_tolerance_of_the_exact_root(intervals, form):
+    try:
+        fit = model_weibull.fit_moments(intervals, form)
+    except (DegenerateSample, NoConvergence):
+        return
+    root, kappa = _weibull_exact(intervals, form, fit.m)
+    assert _relative(fit.m, root) <= TOL * max(1.0, float(kappa))
+
+
+def test_weibull_subnormal_sample_has_the_shape_of_its_exact_moments():
+    """At the data's scale the squared deviations of these subnormal intervals
+    underflowed to zero ("zero sample variance").  Their exact scale
+    Gamma(1 + 1/m) / tbar lies past the largest float, so the fit is
+    OutOfRange naming lam; the same intervals scaled up exactly by 2^1000
+    fit the shape of the exact root."""
+    intervals = [1e-310, 3e-310, 2e-310]
+    with pytest.raises(OutOfRange, match="^lam = "):
+        model_weibull.fit_moments(intervals)
+    fit = model_weibull.fit_moments([math.ldexp(x, 1000) for x in intervals])
+    root, kappa = _weibull_exact(intervals, model_weibull.MomentForm.CV_CORRECTED, fit.m)
+    assert _relative(fit.m, root) <= TOL * max(1.0, float(kappa))
+    t_bar = mp.fsum(mp.mpf(x) for x in intervals) / len(intervals)
+    assert mp.gamma(1 + 1 / root) / t_bar > mp.mpf(sys.float_info.max)
+
+
+def test_weibull_nearly_equal_sample_near_1e160_has_no_shape_in_range():
+    """At the data's scale tbar^2 overflowed.  The exact dispersion ratio of
+    these intervals is 2.5e-15, below G(20) - 1 = 0.0038, and G decreases,
+    so neither moment equation has a root in [0.05, 20]: NoConvergence,
+    naming the ratio.  The two intervals lie within a factor of two, so
+    their deviations are exact and the reported ratio carries a few
+    roundings."""
+    intervals = [1e160, 1.0000001e160]
+    xs = [mp.mpf(x) for x in intervals]
+    t_bar = mp.fsum(xs) / 2
+    ratio = mp.fsum((x - t_bar) ** 2 for x in xs) / 2 / t_bar**2
+    assert ratio < mp.gamma(1 + mp.mpf(2) / 20) / mp.gamma(1 + mp.mpf(1) / 20) ** 2 - 1
+    for form in model_weibull.MomentForm:
+        with pytest.raises(NoConvergence) as info:
+            model_weibull.fit_moments(intervals, form)
+        assert _relative(float(str(info.value).split()[2]), ratio) <= 1e-15
 
 
 def _discovery_exact(observations, guess):

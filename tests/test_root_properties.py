@@ -1,11 +1,12 @@
 """Property tests of the bracketed root finder and of the fits built on it."""
 
+import functools
 import math
 
 import pytest
 
-from relgauge import model_jm, model_schumann
-from relgauge.errors import NoConvergence, NoGrowthEvidence
+from relgauge import model_jm, model_schumann, model_weibull
+from relgauge.errors import NoConvergence, NoGrowthEvidence, RelgaugeError
 from relgauge.numerics import Bracket, find_root_bracketed
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -79,7 +80,8 @@ def test_seeded_jm_fits_are_stationary(seed, count, surplus):
         fit = model_jm.fit_mle(intervals)
     except NoGrowthEvidence:
         return
-    assert abs(model_jm.stationarity_residual(fit.e0_hat, intervals)) <= 1e-9
+    beta = math.fsum(i * x for i, x in enumerate(intervals)) / math.fsum(intervals)
+    assert abs(model_jm.stationarity_residual(fit.e0_hat, count, beta)) <= 1e-9
 
 
 @hypothesis.settings(max_examples=25, deadline=None)
@@ -102,3 +104,34 @@ def test_seeded_schumann_fits_are_stationary(seed, periods, surplus):
         assert "no root above the feasibility boundary" in str(exc)
         return
     assert max(model_schumann.stationarity_residuals(fit, data)) <= 1e-9
+
+
+def _outcome(fit, intervals):
+    try:
+        return fit(intervals)
+    except RelgaugeError as exc:
+        return type(exc)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(
+    intervals=st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=30),
+    j=st.integers(-900, 900),
+)
+@hypothesis.example(intervals=[1.0, 3.0, 2.0], j=1000)
+@hypothesis.example(intervals=[1.0, 3.0, 2.0], j=-1000)
+def test_fits_are_invariant_under_power_of_two_scaling(intervals, j):
+    """Fitting the intervals times 2^j gives the same e0, residual and m bits,
+    with k_hat and lam times exactly 2^-j, or the same error."""
+    scaled = [math.ldexp(x, j) for x in intervals]
+    fits = [model_jm.fit_mle, *(functools.partial(model_weibull.fit_moments, form=f) for f in model_weibull.MomentForm)]
+    for fit in fits:
+        base, moved = _outcome(fit, intervals), _outcome(fit, scaled)
+        if isinstance(base, model_jm.JmFit):
+            assert (moved.e0_hat, moved.residual) == (base.e0_hat, base.residual)
+            assert moved.k_hat == math.ldexp(base.k_hat, -j)
+        elif isinstance(base, model_weibull.WeibullFit):
+            assert moved.m == base.m
+            assert moved.lam == math.ldexp(base.lam, -j)
+        else:
+            assert moved is base
