@@ -110,8 +110,10 @@ def fit_mle(intervals: Sequence[float]) -> JmFit:
     it by more (roots within about 1e-7 of the pole).  The root is
     bracketed at offsets growing 16-fold above the pole at e0 = k - 1.  A
     finite root exists only when beta > (k-1)/2, i.e. when later intervals
-    are longer; otherwise NoGrowthEvidence is raised carrying that
-    diagnostic, and NoConvergence when the scan misses the root.
+    are longer.  That is tested before the scan, which on the threshold
+    would bracket the O(1) objective's rounding to zero far above the pole;
+    NoGrowthEvidence carries the diagnostic.  NoConvergence when the scan
+    misses the root.
     OutOfRange when k_hat leaves the float range.
     """
     import numpy as np
@@ -124,18 +126,19 @@ def fit_mle(intervals: Sequence[float]) -> JmFit:
     b = fsum_array(np.arange(k, dtype=float) * x)
     beta = b / a
 
+    threshold = (k - 1) / 2.0
+    if beta <= threshold:
+        raise NoGrowthEvidence(
+            "the likelihood has no finite maximizer: early intervals are not shorter "
+            f"on average (interval-weighted mean index {beta:.6g} vs threshold {threshold:.6g})",
+            diagnostic={"b_over_a": beta, "threshold": threshold},
+        )
+
     def objective(e0: float) -> float:
         return pole_sum(e0, k) * (e0 - beta) / k - 1.0
 
     bracket = scan_bracket(objective, float(k - 1))
     if bracket is None:
-        threshold = (k - 1) / 2.0
-        if beta <= threshold:
-            raise NoGrowthEvidence(
-                "the likelihood has no finite maximizer: early intervals are not shorter "
-                f"on average (interval-weighted mean index {beta:.6g} vs threshold {threshold:.6g})",
-                diagnostic={"b_over_a": beta, "threshold": threshold},
-            )
         raise NoConvergence(
             f"interval-weighted mean index {beta:.17g} exceeds threshold {threshold:.6g}, but the "
             "stationarity condition changes sign nowhere in the scanned range, from 1e-9 to "
@@ -164,8 +167,10 @@ def covariance(fit: JmFit, intervals: Sequence[float]) -> JmFit:
         var(k)  = S2 * k_hat^2 / (k*S2 - A^2*k_hat^2)
         rho     = A * k_hat / sqrt(k * S2)
 
-    Raises SingularInformation when the denominator is not positive, which
-    includes every single-interval fit.
+    var(k) is formed from k_hat for the intervals at unit scale and scaled
+    back once, so it is OutOfRange only when it leaves the float range
+    itself.  Raises SingularInformation when the denominator is not
+    positive, which includes every single-interval fit.
     """
     import numpy as np
 
@@ -175,7 +180,8 @@ def covariance(fit: JmFit, intervals: Sequence[float]) -> JmFit:
             f"fit was made from {fit.k_obs} intervals but {len(x)} were supplied"
         )
     k = fit.k_obs
-    a_k = fsum_array(x) * math.ldexp(fit.k_hat, e)  # A * k_hat, from A at unit scale
+    k_unit = math.ldexp(fit.k_hat, e)  # k_hat for the intervals at unit scale
+    a_k = fsum_array(x) * k_unit  # A * k_hat, from A at unit scale
     # float_power calls the C library's pow, as Python's ** does, so each
     # term keeps the bits of the scalar expression.  A square that overflows
     # makes its term 0; one that underflows to 0 makes S2 infinite, which
@@ -190,7 +196,7 @@ def covariance(fit: JmFit, intervals: Sequence[float]) -> JmFit:
     return replace(
         fit,
         var_e0=k / denom,
-        var_k=s2 * fit.k_hat**2 / denom,
+        var_k=at_data_scale(s2 * k_unit**2 / denom, 2 * e, "var_k"),
         rho=a_k / math.sqrt(k * s2),
     )
 

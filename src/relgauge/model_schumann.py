@@ -267,29 +267,40 @@ def covariance(fit: SchumannFit, periods: Sequence[DebugPeriod]) -> SchumannFit:
     """
     if len(periods) < 2:
         raise SingularInformation("a single period carries rank-1 information")
+    import numpy as np
+
     periods = DebugPeriods.of(periods)
     I = fit.instructions
-    residuals = [fit.e0_hat / I - c / I for c in periods.corrected]
-    if not min(residuals) > 0.0:
+    residuals = fit.e0_hat / I - np.array([c / I for c in periods.corrected], dtype=float)
+    if not residuals.min() > 0.0:
         corrected = next(c for c, r in zip(periods.corrected, residuals) if r <= 0.0)
         raise ResidualNonPositive(
             f"period with corrected count {corrected} has non-positive residual at the fit"
         )
     total = sum(periods.failures)
-    try:
-        s2 = math.fsum([n / r**2 for n, r in zip(periods.failures, residuals)])
-        a11 = total / fit.c_hat**2
-        a22 = s2 / I**2
-    except (ZeroDivisionError, OverflowError) as exc:
-        # A square beyond a float's range: the entries cannot be formed in floats.
-        raise SingularInformation(f"an information entry is not a finite float: {exc}") from None
-    a12 = math.fsum(periods.exposure) / I
+    # float_power calls the C library's pow, as Python's ** does, so each
+    # square keeps the bits of the scalar expression; a term n/r^2 that
+    # overflows makes S2 infinite, which the determinant check rejects.
+    with np.errstate(over="ignore"):
+        squares = np.float_power(residuals, 2)
+        if not (squares.min() > 0.0 and squares.max() < math.inf):
+            raise SingularInformation("a squared per-instruction residual is not a positive finite float")
+        try:
+            failures = np.array(periods.failures, dtype=float)
+            s2 = fsum_array(failures / squares)
+            a11 = total / fit.c_hat**2
+            a22 = s2 / I**2
+        except (ZeroDivisionError, OverflowError) as exc:
+            # A count, c^2 or I^2 beyond a float's range: the entries cannot be formed in floats.
+            raise SingularInformation(f"an information entry is not a finite float: {exc}") from None
+        rho_numerator = fsum_array(failures / residuals)
+    a12 = fsum_array(np.array(periods.exposure, dtype=float)) / I
     det = a11 * a22 - a12 * a12
     if not 0.0 < det < math.inf:
         raise SingularInformation(
             f"information determinant a11*a22 - a12^2 = {det} is not positive and finite"
         )
-    rho = math.fsum([n / r for n, r in zip(periods.failures, residuals)]) / math.sqrt(total * s2)
+    rho = rho_numerator / math.sqrt(total * s2)
     return replace(fit, var_c=a22 / det, var_e0=a11 / det, rho=rho)
 
 

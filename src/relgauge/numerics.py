@@ -6,15 +6,18 @@ bracketed root finder, inverse quadratic interpolation safeguarded by
 bisection, which keeps the root bracketed and never evaluates an end whose
 value the bracket carries), the pole sum
 sum(1/(e0 - i + 1)) in O(1) through the digamma function, an exactly
-rounded array sum, the checked failure intervals at unit scale that the JM
-and Weibull fits read, the seeded generator every simulation draws from, and
-two-sided Gaussian confidence intervals.
+rounded array sum with the bits of math.fsum (a few numpy passes of
+error-free extraction, and math.fsum itself below 64 values or for zero,
+infinite, NaN or near-overflow values), the checked failure intervals at
+unit scale that the JM and Weibull fits read, the seeded generator every
+simulation draws from, and two-sided Gaussian confidence intervals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 from .errors import DomainError, NonFinite, NoSignChange, OutOfRange
@@ -27,6 +30,9 @@ _WIDTH_FLOOR = 1e-30
 _SCAN_FACTOR = 16.0
 _SCAN_POINTS = 16  # offsets s, 16 s, ..., 16^15 s = 2^60 s
 _SCAN_TOL_REL = 1e-13
+
+_EXTRACT_MIN = 64  # below this many values fsum_array is math.fsum itself
+_EXTRACT_PASSES = 6  # then math.fsum adds the remainders that are still nonzero
 
 _POLE_SUM_DIRECT = 64  # up to this many terms the pole sum is added term by term
 _DIGAMMA_ASYMPTOTIC = 16.0  # smallest argument handed to the digamma expansion
@@ -150,13 +156,47 @@ def scan_bracket(f: Callable[[float], float], floor: float) -> Bracket | None:
 
 
 def fsum_array(values) -> float:
-    """Exactly rounded sum of a 1-D float array.
+    """Exactly rounded sum of a 1-D float64 array: the bits of math.fsum over its values.
 
-    math.fsum reads the array through a memoryview, which hands it Python
-    floats one at a time: no list is built and the bits equal fsum over
-    the same values held in a list.
+    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
+    summation, Part I", SIAM J. Sci. Comput. 31(1), 2008, ExtractVector).
+    With 2^m >= n + 2 and max|p| < 2^e, sigma = 2^(m + e) splits each value
+    exactly into q = (sigma + p) - sigma, a multiple of 2^-53 sigma, and
+    p - q, at most 2^-53 sigma.  The q sum to less than sigma, so their sum
+    is exact in any order and numpy's pairwise, SIMD sum returns it as is.
+    Each pass extracts the next 53 - m bits of the remainders, until they
+    are all zero or for at most 6 passes; math.fsum of the exact pass sums
+    and the nonzero remainders then rounds once.  Every step is exact, so
+    the bits do not depend on the CPU's SIMD dispatch.  The passes use two
+    scratch arrays and never write to ``values``.
+
+    Below 64 values, when the largest magnitude is 0, infinite or NaN, or
+    when sigma would leave the float range, the sum is math.fsum over a
+    memoryview of the array, which hands it the values one at a time; so
+    every NaN, OverflowError and ValueError of math.fsum stays as it is.
     """
-    return math.fsum(memoryview(values))
+    n = len(values)
+    m = (n + 1).bit_length()
+    top = max(values.max(), -values.min()) if n >= _EXTRACT_MIN else 0.0
+    if not (0.0 < top < math.inf and m + math.frexp(top)[1] < 1024):
+        return math.fsum(memoryview(values))
+    import numpy as np  # the callers' arrays have loaded it already
+
+    p, q = values, np.empty(n)
+    sums = []
+    for _ in range(_EXTRACT_PASSES):
+        sigma = math.ldexp(1.0, m + math.frexp(top)[1])
+        np.add(p, sigma, out=q)
+        q -= sigma
+        sums.append(q.sum())
+        if p is values:  # the first remainder goes to q, so values is only read
+            p, q = np.subtract(values, q, out=q), np.empty(n)
+        else:
+            p -= q
+        top = max(p.max(), -p.min())
+        if top == 0.0:
+            return math.fsum(sums)
+    return math.fsum(chain(sums, memoryview(p[p != 0.0])))
 
 
 def all_at_least(values: Sequence, low: float, strict: bool = False) -> bool:

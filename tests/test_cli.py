@@ -75,6 +75,16 @@ def test_fit_jm_no_growth_is_estimation_error(tmp_path, capsys):
     assert payload["exit_code"] == 3
 
 
+def test_fit_jm_on_constant_intervals_is_no_growth(tmp_path, capsys):
+    """Epochs 1, 2 are intervals 1, 1, on the no-growth boundary; the fit used
+    to exit 0 with e0 = 72,057,595.04."""
+    path = tmp_path / "failures.csv"
+    path.write_text("epoch\n1\n2\n")
+    code, out, err = run(capsys, "fit", "jm", "--input", str(path))
+    assert (code, out, len(err.strip().splitlines())) == (3, "", 1)
+    assert error_json(err)["error"] == "NoGrowthEvidence"
+
+
 def test_fit_jm_malformed_csv(tmp_path, capsys):
     path = tmp_path / "failures.csv"
     path.write_text("epoch\nbanana\n")
@@ -100,9 +110,9 @@ def test_non_utf8_input_is_parse_error(tmp_path, capsys):
 
 def test_byte_order_mark_is_dropped(tmp_path, capsys):
     plain = tmp_path / "plain.csv"
-    plain.write_bytes(b"epoch\n1\n3\n4\n")
+    plain.write_bytes(b"epoch\n1\n3\n6\n")
     marked = tmp_path / "marked.csv"
-    marked.write_bytes(b"\xef\xbb\xbfepoch\n1\n3\n4\n")
+    marked.write_bytes(b"\xef\xbb\xbfepoch\n1\n3\n6\n")
     reports = [run_json(capsys, "fit", "jm", "--input", str(p)) for p in (plain, marked)]
     provenance = [r.pop("provenance") for r in reports]
     assert reports[0] == reports[1]

@@ -105,6 +105,54 @@ def test_fit_no_growth():
         assert stationarity_residual(float(e0), 2, 1.0 / 3.0) > 0.0
 
 
+@pytest.mark.parametrize(
+    "intervals",
+    [[1.0, 1.0], [2.0, 2.0, 2.0], [1.0, 2.0, 1.0], [5.0] * 5, [2.0, 1.0, 1.0, 2.0], [1.0] * 100],
+    ids=["1-1", "2-2-2", "1-2-1", "5x5", "2-1-1-2", "100-ones"],
+)
+def test_fit_on_the_no_growth_boundary_is_no_growth(intervals):
+    """B/A equals (k - 1)/2 exactly: the exact objective is positive for every
+    e0 above the pole, so no finite maximiser exists.  The O(1) objective
+    rounds to zero far above the pole, and the scan used to bracket that
+    rounding and return e0 between 7e7 and 7e9."""
+    with pytest.raises(NoGrowthEvidence) as excinfo:
+        fit_mle(intervals)
+    diagnostic = excinfo.value.diagnostic
+    assert diagnostic["b_over_a"] == diagnostic["threshold"] == (len(intervals) - 1) / 2
+
+
+def test_fit_on_the_boundary_is_decided_before_the_scan(monkeypatch):
+    """The boundary test needs no objective evaluation at all."""
+    monkeypatch.setattr(model_jm, "scan_bracket", lambda f, floor: pytest.fail("scanned"))
+    with pytest.raises(NoGrowthEvidence):
+        fit_mle([1.0, 2.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "intervals",
+    [[1e-300, 3e-300], [1e-200, 2e-200, 4e-200], [1e-160, 3e-160]],
+    ids=["1e-300", "1e-200", "1e-160"],
+)
+def test_covariance_with_var_k_beyond_the_float_range_is_out_of_range(intervals):
+    """Real growth fits with k_hat above 1e154: var_k is formed at unit scale,
+    so only var_k itself leaves the float range, where k_hat**2 used to raise
+    a bare OverflowError."""
+    fit = fit_mle(intervals)
+    assert fit.k_hat > 1e154
+    with pytest.raises(OutOfRange, match="^var_k = "):
+        covariance(fit, intervals)
+
+
+def test_covariance_with_var_k_below_the_float_range_is_out_of_range():
+    """k_hat = 6.7e-201 and var_k about 1e-400: var_k used to underflow to 0.0,
+    a zero variance that gave k the interval [k_hat, k_hat]."""
+    intervals = [1e200, 3e200]
+    with pytest.raises(OutOfRange, match=r"^var_k = .* \* 2\*\*-1332 is not a positive finite float$"):
+        covariance(fit_mle(intervals), intervals)
+    fit = covariance(fit_mle([1e150, 4e150]), [1e150, 4e150])
+    assert fit.var_k == 1.0624999999999994e-300
+
+
 def test_fit_overflowing_k_hat_is_out_of_range():
     """Subnormal intervals put k_hat = k / (e0 A - B) beyond the float range:
     OutOfRange, where JmFit used to raise DomainError for an infinite k_hat."""

@@ -170,6 +170,14 @@ def test_covariance_identical_corrected_is_singular():
         covariance(FIT, periods)
 
 
+def test_covariance_without_failures_is_singular():
+    """No failures make a11 = 0: the determinant check answers before rho
+    could divide by sqrt(0)."""
+    periods = [DebugPeriod(1.0, 20, 1000.0, 0), DebugPeriod(2.0, 50, 1600.0, 0)]
+    with pytest.raises(SingularInformation, match="determinant"):
+        covariance(FIT, periods)
+
+
 def test_covariance_rho_bounded_random():
     """The information matrix at an actual interior likelihood maximum is
     positive definite, so every successful fit gets |rho| < 1 and positive

@@ -1,10 +1,16 @@
 """Tests for the shared numerical kernels."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from statistics import NormalDist
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from relgauge import debug_economics, fault_tolerance, model_weibull
 from relgauge.debug_economics import fit_discovery_curve
@@ -14,6 +20,7 @@ from relgauge.model_schumann import SchumannFit, covariance
 from relgauge.numerics import (
     Bracket,
     find_root_bracketed,
+    fsum_array,
     gaussian_intervals,
     at_data_scale,
     interval_array,
@@ -252,6 +259,155 @@ def test_fit_discovery_curve_golden():
     assert sse(eps0, tau0) <= sse(float(c @ growth / (growth @ growth)), old_tau0)
     # The root the bisection-and-secant solver pinned has the larger stationarity residual.
     assert abs(slope(tau0)) <= abs(slope(float.fromhex("0x1.571d5e0a7a86ap+5")))
+
+
+def _sum_outcome(total, values):
+    """``total(values)`` as comparable bits, or the type and message of its error."""
+    try:
+        result = total(values)
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+    return "nan" if math.isnan(result) else float(result).hex()
+
+
+# Values at the edges of the float range, subnormals and signed zeros.
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1.7976931348623157e308,
+          -1.7976931348623157e308, 8.98846567431158e307, 1e16, -1e16, 1.0, -1.0, 1e-16]
+
+
+def _drawn_array(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "spread":  # magnitudes over 10^-300 .. 10^300
+        return rng.standard_normal(n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+    if kind == "cancel":  # +-1e16 terms that cancel down to the small ones
+        big = rng.standard_normal(n // 2) * 1e16
+        x = np.concatenate([big, -big[::-1], rng.standard_normal(n - 2 * (n // 2))])
+        x[::7] += rng.standard_normal(len(x[::7]))
+        return x
+    if kind == "subnormal":
+        return rng.integers(-(2**52), 2**52, n) * 5e-324
+    if kind == "huge":  # sigma leaves the float range; the sum may overflow
+        return rng.uniform(-1.0, 1.0, n) * 1.7976931348623157e308
+    if kind == "indexed":
+        return np.arange(n, dtype=float) * rng.exponential(1.0, n)
+    if kind == "binade":  # one binade, so the sum reaches n times the largest value
+        return rng.uniform(0.5, 1.0, n)
+    return rng.weibull(0.7, n)
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None)
+@hypothesis.given(
+    kind=st.sampled_from(["spread", "cancel", "subnormal", "huge", "indexed", "binade", "weibull"]),
+    n=st.integers(0, 3000),
+    seed=st.integers(0, 2**32 - 1),
+    edges=st.lists(st.sampled_from(_EDGES) | st.floats(allow_nan=False, allow_infinity=False), max_size=20),
+)
+def test_fsum_array_has_the_bits_of_math_fsum(kind, n, seed, edges):
+    x = np.concatenate([_drawn_array(kind, n, seed), edges])
+    np.random.default_rng(seed).shuffle(x)
+    assert _sum_outcome(fsum_array, x) == _sum_outcome(math.fsum, x.tolist())
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [(kind, 10**6) for kind in ("weibull", "cancel", "indexed", "binade")]
+    + [(kind, 10**5) for kind in ("weibull", "spread", "cancel")],
+)
+def test_fsum_array_has_the_bits_of_math_fsum_on_large_arrays(kind, n):
+    x = _drawn_array(kind, n, seed=n + len(kind))
+    assert fsum_array(x) == math.fsum(x.tolist())
+
+
+@pytest.mark.parametrize("n", [64, 10**4])
+def test_fsum_array_adds_the_remainders_left_after_the_last_pass(n):
+    """1 + 2^-53 is a tie that rounds to even, 1.0; a value 2^-600 far below,
+    left over after every extraction pass, breaks it either way.  Pairs
+    +-2^(-45 j) that cancel keep each pass from reaching it."""
+    x = np.zeros(n)
+    x[[0, n // 2]] = 1.0, 2.0**-53
+    x[1:21] = [sign * 2.0 ** (-45 * j) for j in range(1, 11) for sign in (1.0, -1.0)]
+    for tiny, total in ((2.0**-600, 1.0 + 2.0**-52), (-(2.0**-600), 1.0), (0.0, 1.0)):
+        x[-1] = tiny
+        assert fsum_array(x) == math.fsum(x.tolist()) == total
+
+
+@pytest.mark.parametrize("m", [7, 14, 17])
+def test_fsum_array_needs_sigma_of_at_least_n_plus_2_times_the_largest(m):
+    """n = 2^m - 3 values below 1 sum to more than 2^(m-1); a sigma of only
+    2^(m-1) would leave the extracted sum needing one bit more than a float
+    has, and the 2^-100 below it could no longer break the tie."""
+    n = 2**m - 3
+    x = np.full(n, 0.75)
+    g = 2.0 ** (m - 54)
+    x[-3:] = 2 * g, -g, 2.0**-100
+    assert fsum_array(x) == math.fsum(x.tolist()) == 0.75 * (n - 3) + 2 * g
+
+
+def test_fsum_array_raises_where_math_fsum_raises():
+    for x in (np.full(64, 1e308), np.full(100, -1.7976931348623157e308)):
+        with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
+            fsum_array(x)
+    x = np.ones(100)
+    x[[3, 70]] = math.inf, -math.inf
+    with pytest.raises(ValueError, match=r"^-inf \+ inf in fsum$"):
+        fsum_array(x)
+    x[70] = 2.0
+    assert fsum_array(x) == math.inf
+    near_max = np.tile([1.7976931348623157e308, -1.7976931348623157e308, 3.0], 40)
+    assert fsum_array(near_max) == 120.0
+
+
+@pytest.mark.parametrize("n", [10, 1000])
+def test_fsum_array_of_nan_is_nan(n):
+    x = np.ones(n)
+    x[n // 2] = math.nan
+    assert math.isnan(fsum_array(x))
+    x[n // 3] = math.inf
+    assert math.isnan(fsum_array(x))
+
+
+def test_fsum_array_of_zeros_and_of_nothing_is_positive_zero():
+    for x in (np.array([]), np.full(10, -0.0), np.full(1000, -0.0), np.tile([1.5, -1.5], 500)):
+        assert math.copysign(1.0, fsum_array(x)) == 1.0 and fsum_array(x) == 0.0
+
+
+def test_fsum_array_leaves_the_array_unchanged():
+    x = np.random.default_rng(3).weibull(0.7, 10**4)
+    x[::9] *= 1e-200
+    before = x.copy()
+    total = fsum_array(x)
+    assert np.array_equal(x, before)
+    x.flags.writeable = False  # nothing may be written through it
+    assert fsum_array(x) == total == math.fsum(before.tolist())
+    strided = before[::3]
+    assert fsum_array(strided) == math.fsum(strided.tolist())
+
+
+def test_fsum_array_bits_do_not_depend_on_the_simd_dispatch():
+    """numpy's AVX-512 kernels are switched off in the child only; every
+    step of the extraction is exact, so the bits stay those of math.fsum."""
+    code = (
+        "import math, sys, numpy as np\n"
+        "from relgauge.numerics import fsum_array\n"
+        "rng = np.random.default_rng(11)\n"
+        "arrays = [rng.weibull(0.7, 10**5), rng.standard_normal(5000) * 10.0 ** rng.uniform(-300, 300, 5000),\n"
+        "          np.arange(10**4) * rng.exponential(1.0, 10**4), np.concatenate([np.full(99, 1e16), -np.full(99, 1e16), [0.5]])]\n"
+        "for x in arrays:\n"
+        "    print(fsum_array(x).hex(), math.fsum(x.tolist()).hex())\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+    }
+    child = subprocess.run([sys.executable, "-c", code], env=env, timeout=120, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    lines = child.stdout.split("\n")[:-1]
+    assert len(lines) == 4
+    for line in lines:
+        kernel, reference = line.split()
+        assert kernel == reference
 
 
 def test_interval_array_returns_the_checked_floats():

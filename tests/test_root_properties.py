@@ -2,6 +2,7 @@
 
 import functools
 import math
+import sys
 
 import pytest
 
@@ -135,3 +136,25 @@ def test_fits_are_invariant_under_power_of_two_scaling(intervals, j):
             assert moved.lam == math.ldexp(base.lam, -j)
         else:
             assert moved is base
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(
+    intervals=st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=30),
+    j=st.integers(-400, 400),
+)
+@hypothesis.example(intervals=[1.0, 3.0, 2.0], j=400)
+@hypothesis.example(intervals=[1.0, 3.0, 2.0], j=-400)
+def test_jm_covariance_is_invariant_under_power_of_two_scaling(intervals, j):
+    """The covariance of the intervals times 2^j has the same var_e0 and rho
+    bits, and var_k times exactly 2^-2j, wherever that is a normal float."""
+    try:
+        base = model_jm.covariance(model_jm.fit_mle(intervals), intervals)
+    except RelgaugeError:
+        hypothesis.assume(False)
+    expected = math.ldexp(base.var_k, -2 * j)
+    hypothesis.assume(sys.float_info.min <= expected < math.inf)
+    scaled = [math.ldexp(x, j) for x in intervals]
+    moved = model_jm.covariance(model_jm.fit_mle(scaled), scaled)
+    assert (moved.var_e0, moved.rho) == (base.var_e0, base.rho)
+    assert moved.var_k == expected
