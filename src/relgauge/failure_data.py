@@ -11,9 +11,9 @@ every error message.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
-import itertools
 import math
 import operator
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -76,8 +76,10 @@ class FailureEpochs:
 
     def __post_init__(self) -> None:
         e = self.epochs
-        if all_at_least(e, 0.0, strict=True) and all(map(operator.lt, e, e[1:])):
-            return
+        # Increasing from a positive first to a finite last: each finite and positive.
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            if not e or (e[0] > 0.0 and math.isfinite(e[-1]) and all(map(operator.lt, e, e[1:]))):
+                return
         prev = 0.0
         for i, t in enumerate(self.epochs):
             if not (math.isfinite(t) and t > 0.0):
@@ -391,11 +393,13 @@ def summarize_runs(log: RunLog) -> RunSummary:
     return RunSummary(exposure=exposure, lambda_hat=lambda_hat, t_hat=exposure / failures)
 
 
-def intervals_from_epochs(epochs: FailureEpochs) -> list[float]:
-    """Difference cumulative failure epochs into inter-failure intervals.
+def intervals_from_epochs(epochs: FailureEpochs):
+    """Difference cumulative failure epochs into inter-failure intervals, as a float64 ndarray.
 
-    The first interval is measured from time zero.  The cumulative sum of
-    the result reproduces the epochs.
+    The first interval is measured from time zero.  A running sum of the
+    intervals gives the epochs back only when every subtraction is exact.
     """
+    import numpy as np  # loaded by the fits that read the intervals
+
     e = epochs.epochs
-    return list(map(operator.sub, e, itertools.chain((0.0,), e)))
+    return np.diff(np.fromiter(e, dtype=float, count=len(e)), prepend=0.0)

@@ -10,6 +10,7 @@ weighted estimator and a partitioned single-run form are also provided.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import operator
@@ -39,9 +40,11 @@ class RunProfile:
         total = math.fsum(self.probs)
         if abs(total - 1.0) > _SUM_TOL:
             raise DomainError(f"profile probabilities must sum to 1, got {total}")
-        if not all(map((0, 1).__contains__, self.indicators)):
-            y = next(y for y in self.indicators if y not in (0, 1))
-            raise DomainError(f"failure indicators must be 0 or 1, got {y}")
+        with contextlib.suppress(TypeError):  # an unhashable indicator is named below
+            if set(self.indicators) <= {0, 1}:
+                return
+        y = next(y for y in self.indicators if y not in (0, 1))
+        raise DomainError(f"failure indicators must be 0 or 1, got {y}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +68,8 @@ class PartitionSpec:
 
 
 def run_failure_prob(profile: RunProfile) -> float:
-    """Failure probability of one run: profile mass on failing input sets."""
-    q = math.fsum(map(operator.mul, profile.probs, profile.indicators))
+    """Failure probability of one run: profile mass on failing input sets, whose y is 1."""
+    q = math.fsum(itertools.compress(profile.probs, profile.indicators))
     return min(1.0, max(0.0, q))
 
 

@@ -218,12 +218,15 @@ def all_at_least(values: Sequence, low: float, strict: bool = False) -> bool:
 def interval_array(intervals: Sequence[float]):
     """The checked intervals at unit scale, (x * 2^-e, e) with the largest in [0.5, 1).
 
-    DomainError names the first that is not finite and positive.  The
-    scaling rounds nothing for intervals within 2^1021 of the largest.
+    A 1-D native float64 ndarray is read as it is; anything else goes
+    through float() value by value, so a None raises.  DomainError names
+    the first that is not finite and positive.  The scaling rounds nothing
+    for intervals within 2^1021 of the largest.
     """
     import numpy as np  # loaded by the fits that call this; numerics itself needs no numpy
 
-    x = np.fromiter(map(float, intervals), dtype=float)
+    native = type(intervals) is np.ndarray and intervals.ndim == 1 and intervals.dtype == float
+    x = intervals if native else np.fromiter(map(float, intervals), dtype=float)
     ok = (x > 0.0) & (x < math.inf)
     if not ok.all():
         raise DomainError(f"intervals must be finite and positive, got {float(x[ok.argmin()])}")

@@ -1,13 +1,17 @@
 """Tests for run logs, failure epochs, debugging periods, and their CSV forms."""
 
 import csv
+import itertools
 import math
+import operator
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from relgauge.debug_economics import parse_discovery
-from relgauge import failure_data
+from relgauge import failure_data, model_jm, model_weibull
 from relgauge.errors import DomainError, NoFailures, NotMonotone, ParseError
 from relgauge.failure_data import (
     DebugPeriod,
@@ -146,9 +150,103 @@ def test_epochs_validation():
         FailureEpochs((-1.0, 1.0))
 
 
+def _epochs_check_before(e):
+    """FailureEpochs' check before its one ordered pass: a finiteness and sign pass, then the order.
+
+    Returns ``e`` when it passes.
+    """
+    try:
+        fast = all(map(math.isfinite, e)) and min(e, default=math.inf) > 0.0
+    except (TypeError, ValueError, OverflowError):
+        fast = False
+    if fast and all(map(operator.lt, e, e[1:])):
+        return e
+    prev = 0.0
+    for i, t in enumerate(e):
+        if not (math.isfinite(t) and t > 0.0):
+            raise DomainError(f"epoch {i + 1} must be finite and positive, got {t}")
+        if t <= prev:
+            raise NotMonotone(f"epochs must be strictly increasing: epoch {i + 1} is {t} after {prev}")
+        prev = t
+    return e
+
+
+def _outcome(compute):
+    try:
+        return "ok", compute()
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+_EPOCH_EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.7976931348623157e308,
+                1, 2**53, 2**53 + 1, 10**400, None, "1.0"]
+_EPOCH_VALUES = st.floats() | st.sampled_from(_EPOCH_EDGES) | st.integers(-3, 2**60)
+
+
+@st.composite
+def _epoch_tuples(draw):
+    """Any few values, or increasing ones with equal, decreasing or extreme neighbours put in."""
+    if draw(st.booleans()):
+        return tuple(draw(st.lists(_EPOCH_VALUES, max_size=6)))
+    values = sorted(draw(st.lists(st.floats(5e-324, 1e308) | st.integers(1, 2**60), max_size=6)))
+    for _ in range(draw(st.integers(0, 2)) if values else 0):
+        i = draw(st.integers(0, len(values) - 1))
+        how = draw(st.sampled_from(["equal", "swap", "edge"]))
+        if how == "equal":
+            values.insert(i, values[i])
+        elif how == "swap" and i + 1 < len(values):
+            values[i], values[i + 1] = values[i + 1], values[i]
+        else:
+            values[i] = draw(st.sampled_from(_EPOCH_EDGES))
+    return tuple(values)
+
+
+@hypothesis.settings(max_examples=400, deadline=None, database=None)
+@hypothesis.given(epochs=_epoch_tuples())
+@hypothesis.example(epochs=())
+@hypothesis.example(epochs=(math.nan,))
+@hypothesis.example(epochs=(1.0, 10**400))
+@hypothesis.example(epochs=(1, 10**400, 2))
+@hypothesis.example(epochs=(2**53, 2**53 + 1))
+@hypothesis.example(epochs=(-0.0, 1.0))
+def test_epochs_check_accepts_and_rejects_as_before(epochs):
+    got = _outcome(lambda: FailureEpochs(epochs).epochs)
+    assert got == _outcome(lambda: _epochs_check_before(epochs))
+
+
+def _fit_outcomes(intervals):
+    """The JM fit with its covariance and both Weibull moment fits, as reprs or errors."""
+    jm = _outcome(lambda: repr(model_jm.covariance(model_jm.fit_mle(intervals), intervals)))
+    weibull = [_outcome(lambda: repr(model_weibull.fit_moments(intervals, form)))
+               for form in model_weibull.MomentForm]
+    return jm, weibull
+
+
+@hypothesis.settings(max_examples=150, deadline=None, database=None)
+@hypothesis.given(steps=st.lists(st.floats(1e-300, 1e300) | st.floats(0.5, 2.0), min_size=1, max_size=40))
+def test_fits_give_the_same_bits_on_the_interval_array_and_its_list(steps):
+    epochs = tuple(itertools.accumulate(steps))
+    hypothesis.assume(all(map(operator.lt, epochs, epochs[1:])) and math.isfinite(epochs[-1]))
+    intervals = intervals_from_epochs(FailureEpochs(epochs))
+    differences = map(operator.sub, epochs, itertools.chain((0.0,), epochs))
+    assert intervals.dtype == np.float64
+    assert list(map(float.hex, intervals.tolist())) == list(map(float.hex, differences))
+    assert _fit_outcomes(intervals) == _fit_outcomes(intervals.tolist())
+
+
+def test_fits_give_the_same_bits_on_the_interval_array_and_its_list_at_1e5():
+    rng = np.random.default_rng(22)
+    rates = (125_000.0 - np.arange(100_000)) / 125_000.0
+    epochs = tuple(np.cumsum(rng.exponential(1.0 / rates)).tolist())
+    intervals = intervals_from_epochs(FailureEpochs(epochs))
+    outcomes = _fit_outcomes(intervals)
+    assert outcomes[0][0] == "ok" and all(kind == "ok" for kind, _ in outcomes[1])
+    assert outcomes == _fit_outcomes(intervals.tolist())
+
+
 def test_intervals_examples():
-    assert intervals_from_epochs(FailureEpochs((1.0, 3.0, 6.0))) == [1.0, 2.0, 3.0]
-    assert intervals_from_epochs(FailureEpochs((5.0,))) == [5.0]
+    assert intervals_from_epochs(FailureEpochs((1.0, 3.0, 6.0))).tolist() == [1.0, 2.0, 3.0]
+    assert intervals_from_epochs(FailureEpochs((5.0,))).tolist() == [5.0]
 
 
 def test_intervals_round_trip_exact():

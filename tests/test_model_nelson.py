@@ -1,9 +1,12 @@
 """Tests for structural reliability from input-profile runs."""
 
 import math
+import operator
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from relgauge.errors import DomainError, ParseError, WeightSumMismatch
 from relgauge.model_nelson import (
@@ -217,3 +220,78 @@ def test_parse_profiles_rejects_ungrouped_run_ids():
     text = "run,p,y\n1,0.5,0\n2,1.0,0\n1,0.5,1\n"
     with pytest.raises(ParseError, match="^row 4: run 1 reappears"):
         parse_profiles(text)
+
+
+def _q_before(probs, indicators) -> float:
+    """RunProfile's check and run_failure_prob before the set check and compress."""
+    if len(probs) != len(indicators) or not probs:
+        raise DomainError("probs and indicators must be non-empty and of equal length")
+    try:
+        fast = all(map(math.isfinite, probs)) and min(probs, default=math.inf) >= 0.0
+    except (TypeError, ValueError, OverflowError):
+        fast = False
+    if not fast:
+        p = next(p for p in probs if not (math.isfinite(p) and p >= 0.0))
+        raise DomainError(f"profile probabilities must be non-negative, got {p}")
+    total = math.fsum(probs)
+    if abs(total - 1.0) > 1e-9:
+        raise DomainError(f"profile probabilities must sum to 1, got {total}")
+    if not all(map((0, 1).__contains__, indicators)):
+        y = next(y for y in indicators if y not in (0, 1))
+        raise DomainError(f"failure indicators must be 0 or 1, got {y}")
+    return min(1.0, max(0.0, math.fsum(map(operator.mul, probs, indicators))))
+
+
+def _outcome(compute):
+    try:
+        return "ok", compute()
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+_GOOD_PROBS = [-0.0, 0.0, 5e-324, 1.0, 0.5]
+_PROB_EDGES = _GOOD_PROBS + [math.nan, math.inf, -1.0]
+
+
+@st.composite
+def _profile(draw, indicators=st.sampled_from([0, 1, True, False, 1.0, -0.0, 0.0, 2]) | st.just([1])):
+    """Probabilities summing to about 1, at times off by up to or more than 1e-9, or with an edge value."""
+    weights = draw(st.lists(st.floats(0.0, 1.0) | st.sampled_from(_GOOD_PROBS), min_size=1, max_size=8))
+    total = math.fsum(weights)
+    probs = [w / total for w in weights] if total > 0.0 else weights
+    how = draw(st.sampled_from(["as drawn", "near", "off", "edge"]))
+    i = draw(st.integers(0, len(probs) - 1))
+    if how in ("near", "off"):
+        size = st.floats(1e-12, 9e-10) if how == "near" else st.floats(2e-9, 0.5)
+        probs[i] += draw(st.sampled_from([-1.0, 1.0])) * draw(size)
+    elif how == "edge":
+        probs[i] = draw(st.sampled_from(_PROB_EDGES))
+    ys = draw(st.lists(indicators, min_size=len(probs), max_size=len(probs) + 1))
+    return tuple(probs), tuple(ys)
+
+
+@hypothesis.settings(max_examples=400, deadline=None, database=None)
+@hypothesis.given(profile=_profile())
+@hypothesis.example(profile=((-0.0, 1.0), (1, 0)))
+@hypothesis.example(profile=((5e-324, 1.0), (True, -0.0)))
+@hypothesis.example(profile=((0.5, 0.5), (1.0, [1])))
+@hypothesis.example(profile=((0.5, 0.5), ([1], 2)))
+@hypothesis.example(profile=((0.5, 0.5000000005), (1, 1)))
+def test_run_failure_prob_has_the_bits_and_errors_of_the_products(profile):
+    got = _outcome(lambda: float.hex(run_failure_prob(RunProfile(*profile))))
+    assert got == _outcome(lambda: float.hex(_q_before(*profile)))
+
+
+@hypothesis.settings(max_examples=150, deadline=None, database=None)
+@hypothesis.given(
+    runs=st.lists(_profile(st.sampled_from([0, 1, 2])), min_size=1, max_size=5), grouped=st.booleans()
+)
+def test_profile_files_give_the_bits_and_errors_of_the_products(runs, grouped):
+    runs = [(probs, ys[: len(probs)]) for probs, ys in (runs if grouped else runs[:1])]
+    if grouped:
+        rows = [f"{j},{p!r},{y}" for j, (probs, ys) in enumerate(runs) for p, y in zip(probs, ys)]
+        text = "run,p,y\n" + "\n".join(rows) + "\n"
+    else:
+        text = "p,y\n" + "".join(f"{p!r},{y}\n" for p, y in zip(*runs[0]))
+    got = _outcome(lambda: [float.hex(run_failure_prob(profile)) for profile in parse_profiles(text)])
+    assert got == _outcome(lambda: [float.hex(_q_before(*run)) for run in runs])

@@ -435,6 +435,60 @@ def test_interval_array_names_the_first_bad_interval():
             interval_array([1.0, bad, -2.0])
 
 
+def _interval_array_before(intervals):
+    """interval_array before its ndarray pass-through: every value goes through float()."""
+    x = np.fromiter(map(float, intervals), dtype=float)
+    ok = (x > 0.0) & (x < math.inf)
+    if not ok.all():
+        raise DomainError(f"intervals must be finite and positive, got {float(x[ok.argmin()])}")
+    e = math.frexp(x.max(initial=0.0))[1]
+    return np.ldexp(x, -e), e
+
+
+def _scaled_outcome(scale, values):
+    try:
+        x, e = scale(values)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return x.dtype.str, x.tobytes(), e
+
+
+def _read_only(values):
+    values.flags.writeable = False
+    return values
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        _read_only(np.array([3.0, 0.5, 1e-300])),
+        _read_only(np.array([3.0, 0.0, 1.0])),
+        np.arange(1.0, 20.0)[::3],
+        np.arange(1.0, 20.0)[::-2],
+        np.array([1.0, np.nan, 2.0, 4.0])[::2],
+        np.array([1.0, np.nan, 2.0, 4.0])[1::2],
+        np.array([[1.0], [2.5]]),
+        np.array([[1.0, 2.0], [3.0, 4.0]]),
+        np.array([1, 2, 7], dtype=np.int64),
+        np.array([1, 0], dtype=np.int64),
+        np.array([0.1, 3.0], dtype=np.float32),
+        np.array([0.1, 3.0, 2.0**-1074], dtype=">f8"),
+        np.array([0.1, -3.0], dtype=">f8"),
+        np.array(2.5),
+        np.array([]),
+        [1.0, None],
+    ],
+)
+def test_interval_array_gives_the_value_by_value_result_on_any_input(values):
+    """A 1-D native float64 ndarray is read as it is and anything else value
+    by value, with the result or error that converting every value with
+    float() gives; the caller's array keeps its values."""
+    before = np.copy(values) if isinstance(values, np.ndarray) else None
+    assert _scaled_outcome(interval_array, values) == _scaled_outcome(_interval_array_before, values)
+    if before is not None:
+        assert values.tobytes() == before.tobytes()
+
+
 def test_gaussian_intervals_half_widths():
     z = 1.959963984540054  # the 0.975 normal quantile
     ci = gaussian_intervals(0.95, e0=(10.0, 4.0), c=(0.5, 0.0))
