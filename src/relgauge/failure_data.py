@@ -5,7 +5,9 @@ logs, cumulative failure epochs, and per-debugging-period counts.  Every
 CSV parser in the package reads through :func:`read_columns`, which reports
 the offending 1-based row (the header is row 1) so bad files can be fixed
 without guesswork.  A regular file is split once and converted a whole
-column at a time; any other file is read row by row, and that reader owns
+column at a time: a one-column file is split at its line ends alone, and
+an int column whose tokens repeat (run ids, 0/1 flags) calls int once per
+distinct token.  Any other file is read row by row, and that reader owns
 every error message.
 """
 
@@ -211,7 +213,7 @@ def _split_columns(text: str, columns: _ColumnSpec) -> list[list] | None:
     no other character (str.splitlines would also split on \v, \f,
     \x1c-\x1e, \x85, \u2028 and \u2029).
     """
-    if '"' in text or "\r" in text or "\n\n" in text:
+    if '"' in text or "\r" in text:
         return None
     # A field over the limit would hold a whole aligned block of half the
     # limit with no separator in it.
@@ -223,27 +225,55 @@ def _split_columns(text: str, columns: _ColumnSpec) -> list[list] | None:
     if [h.strip().lower() for h in header.split(",")] != [name for name, _ in columns]:
         return None
     body = body.removesuffix("\n")
-    # A "\n" token between lines marks where each line's fields end; no
-    # field holds a "\n", so the marks sit every len(columns) + 1 tokens
-    # exactly when every line has one field per column.  The body is taken a
-    # block of lines at a time, so only one block's tokens are alive at once.
-    stride = len(columns) + 1
+    width = len(columns)
+    if width == 1 and "," in body:
+        return None
+    # The body is taken a block of lines at a time, so only one block's
+    # tokens are alive at once.
     table: list[list] = [[] for _ in columns]
     start = 0
     while start < len(body):
         end = body.find("\n", start + _SPLIT_CHARS)
         end = len(body) if end < 0 else end
-        lines = body.count("\n", start, end) + 1
-        tokens = body[start:end].replace("\n", ",\n,").split(",")
-        if len(tokens) != lines * stride - 1 or tokens[stride - 1 :: stride].count("\n") != lines - 1:
+        tokens = _block_columns(body[start:end], width)
+        if tokens is None:
             return None
         try:
-            for i, (column, (_, kind)) in enumerate(zip(table, columns)):
-                column.extend(map(kind, tokens[i::stride]))
+            for column, (_, kind), column_tokens in zip(table, columns, tokens):
+                column.extend(_converted(kind, column_tokens))
         except Exception:  # the row reader reports the first bad token, by row
             return None
         start = end + 1
     return table
+
+
+def _block_columns(block: str, width: int) -> list[list[str]] | None:
+    """The tokens of each column of a block of lines, or None unless each line has ``width`` fields."""
+    if width == 1:
+        tokens = block.split("\n")
+        return None if "" in tokens else [tokens]  # an empty token is a blank line
+    # A "\n" token between lines marks where each line's fields end; no
+    # field holds a "\n", so the marks sit every width + 1 tokens exactly
+    # when every line has one field per column, and a blank line has one.
+    stride = width + 1
+    lines = block.count("\n") + 1
+    tokens = block.replace("\n", ",\n,").split(",")
+    if len(tokens) != lines * stride - 1 or tokens[width::stride].count("\n") != lines - 1:
+        return None
+    return [tokens[i::stride] for i in range(width)]
+
+
+def _converted(kind: Callable[[str], Any], tokens: list[str]) -> Iterable:
+    """``kind`` applied to each token, through a table of the distinct tokens for int.
+
+    An int column where some token repeats the one before it (a run id, a
+    0/1 flag) calls int once per distinct token.  One with no such repeat,
+    such as a cumulative count, calls it per token, as a table would not pay.
+    """
+    if kind is not int or not any(map(operator.eq, tokens, tokens[1:])):
+        return map(kind, tokens)
+    values = {token: int(token) for token in set(tokens)}
+    return map(values.__getitem__, tokens)
 
 
 _SPLIT_CHARS = 1 << 16  # about the text split at a time

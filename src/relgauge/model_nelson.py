@@ -34,6 +34,15 @@ class RunProfile:
     def __post_init__(self) -> None:
         if len(self.probs) != len(self.indicators) or not self.probs:
             raise DomainError("probs and indicators must be non-empty and of equal length")
+        # One pass per test accepts a valid profile: a NaN fails the sum
+        # test, and an infinity the minimum or the sum test.
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            if (
+                min(self.probs) >= 0.0
+                and abs(math.fsum(self.probs) - 1.0) <= _SUM_TOL
+                and set(self.indicators) <= {0, 1}
+            ):
+                return
         if not all_at_least(self.probs, 0.0):
             p = next(p for p in self.probs if not (math.isfinite(p) and p >= 0.0))
             raise DomainError(f"profile probabilities must be non-negative, got {p}")
@@ -151,10 +160,8 @@ def parse_profiles(text: str) -> list[RunProfile]:
     if not rows:
         raise ParseError("profile file contains no data rows", row=2)
     ends = starts[1:] + [len(probs)]
-    return [
-        RunProfile(tuple(probs[start:end]), tuple(indicators[start:end]))
-        for start, end in zip(starts, ends)
-    ]
+    probs, indicators = tuple(probs), tuple(indicators)  # so that each slice is a tuple
+    return [RunProfile(probs[start:end], indicators[start:end]) for start, end in zip(starts, ends)]
 
 
 def _contiguous_runs() -> Callable[[int, Sequence], None]:

@@ -218,20 +218,42 @@ def all_at_least(values: Sequence, low: float, strict: bool = False) -> bool:
 def interval_array(intervals: Sequence[float]):
     """The checked intervals at unit scale, (x * 2^-e, e) with the largest in [0.5, 1).
 
-    A 1-D native float64 ndarray is read as it is; anything else goes
-    through float() value by value, so a None raises.  DomainError names
-    the first that is not finite and positive.  The scaling rounds nothing
-    for intervals within 2^1021 of the largest.
+    A 1-D native float64 ndarray is read as it is; anything else has the
+    values float() gives, and a None raises.  DomainError names the first
+    that is not finite and positive.  The scaling rounds nothing for
+    intervals within 2^1021 of the largest.
     """
     import numpy as np  # loaded by the fits that call this; numerics itself needs no numpy
 
-    native = type(intervals) is np.ndarray and intervals.ndim == 1 and intervals.dtype == float
-    x = intervals if native else np.fromiter(map(float, intervals), dtype=float)
+    if type(intervals) is np.ndarray and intervals.ndim == 1 and intervals.dtype == float:
+        x = intervals
+    elif type(intervals) in (list, tuple):
+        x = _list_floats(intervals)
+    else:
+        x = np.fromiter(map(float, intervals), dtype=float)
     ok = (x > 0.0) & (x < math.inf)
     if not ok.all():
         raise DomainError(f"intervals must be finite and positive, got {float(x[ok.argmin()])}")
     e = math.frexp(x.max(initial=0.0))[1]
     return np.ldexp(x, -e), e
+
+
+def _list_floats(values: list | tuple):
+    """``np.fromiter(map(float, values))``, in one C pass when every value is finite and positive.
+
+    numpy converts each value as float() does, except that it reads None as
+    NaN; so a list that fails the check, or that numpy cannot convert, is
+    converted again through float(), which raises float()'s error.
+    """
+    import numpy as np
+
+    try:
+        x = np.fromiter(values, dtype=float, count=len(values))
+        if ((x > 0.0) & (x < math.inf)).all():
+            return x
+    except Exception:  # float() raises it again below
+        pass
+    return np.fromiter(map(float, values), dtype=float)
 
 
 def at_data_scale(rate: float, e: int, name: str) -> float:

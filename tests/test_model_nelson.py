@@ -277,6 +277,11 @@ def _profile(draw, indicators=st.sampled_from([0, 1, True, False, 1.0, -0.0, 0.0
 @hypothesis.example(profile=((0.5, 0.5), (1.0, [1])))
 @hypothesis.example(profile=((0.5, 0.5), ([1], 2)))
 @hypothesis.example(profile=((0.5, 0.5000000005), (1, 1)))
+@hypothesis.example(profile=((0.0, math.nan, 1.0), (0, 0, 1)))  # a NaN after a valid minimum
+@hypothesis.example(profile=((math.inf, -math.inf, 1.0), (0, 1, 0)))
+@hypothesis.example(profile=(("0.5", 0.5), (0, 1)))
+@hypothesis.example(profile=((0, 1), (0, 1)))
+@hypothesis.example(profile=((-0.5, 1.5), (0, 1)))  # sums to 1 with a negative probability
 def test_run_failure_prob_has_the_bits_and_errors_of_the_products(profile):
     got = _outcome(lambda: float.hex(run_failure_prob(RunProfile(*profile))))
     assert got == _outcome(lambda: float.hex(_q_before(*profile)))

@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from statistics import NormalDist
 
@@ -458,6 +460,20 @@ def _read_only(values):
     return values
 
 
+# Values that numpy and float() might convert differently, in lists and
+# tuples, where the first bad value must be the one named.
+_ODD_VALUES = [
+    None, "2.5", " 3 ", "x", b"1.5", "nan", Decimal("0.1"), Decimal("sNaN"), Fraction(1, 3), True, False,
+    2**60 + 1, 10**400, np.float32(0.1),
+]
+_ODD_LISTS = [
+    container(values)
+    for odd in _ODD_VALUES
+    for container in (list, tuple)
+    for values in ([1.0, odd, 2.0], [odd], [odd, None], [odd, "x"], [0.5, odd, -1.0])
+]
+
+
 @pytest.mark.parametrize(
     "values",
     [
@@ -477,6 +493,7 @@ def _read_only(values):
         np.array(2.5),
         np.array([]),
         [1.0, None],
+        *_ODD_LISTS,
     ],
 )
 def test_interval_array_gives_the_value_by_value_result_on_any_input(values):

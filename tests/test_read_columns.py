@@ -87,6 +87,11 @@ _LONG_FIELD = " " * _LONG + "1"
 @hypothesis.example((LAYOUTS[0], "epoch\n" + "1\n" * 40_000))  # text longer than the limit
 @hypothesis.example((LAYOUTS[0], "epoch\n" + "1\n" * 40_000 + "x\n"))  # a bad token late in the text
 @hypothesis.example((LAYOUTS[1], "tau,corrected\n" + "1,2\n" * 20_000 + "3\n"))  # a short row late
+@hypothesis.example((LAYOUTS[1], "tau,corrected\n" + "1,7\n1,7\n1,07\n1, 7\n1,+7\n" * 8_000))  # one int, four spellings
+@hypothesis.example((LAYOUTS[2], "run,p,y\n" + "7,0.5,0\n7,0.5,0\n7,0.5,1\n" * 33_333 + "7,0.5,2\n"))  # a 2 late in a 0/1 column
+@hypothesis.example((LAYOUTS[2], "run,p,y\n" + "7,0.5,0\n7,0.5,0\n7,0.5,1\n" * 33_333 + "7,0.5,x\n"))  # an x late in a 0/1 column
+@hypothesis.example((LAYOUTS[0], "epoch\n" + "1\n" * 40_000 + "1,2\n"))  # a comma late in a one-column file
+@hypothesis.example((LAYOUTS[4], "outcome\n" + "a\n" * 40_000 + "a,b\n"))  # where str would take it
 def test_fast_path_matches_row_reader(case):
     columns, text = case
     reference = _outcome(lambda: failure_data._read_rows(text, columns))
