@@ -8,7 +8,9 @@ without guesswork.  A regular file is split once and converted a whole
 column at a time: a one-column file is split at its line ends alone, and
 an int column whose tokens repeat (run ids, 0/1 flags) calls int once per
 distinct token.  Any other file is read row by row, and that reader owns
-every error message.
+every error message.  A parser checks its values in one ``build`` hook,
+which :func:`read_columns` runs once, so the first bad row in file order
+is reported whichever path the file takes.
 """
 
 from __future__ import annotations
@@ -174,9 +176,9 @@ _ColumnSpec = Sequence[tuple[str, Callable[[str], Any]]]
 def read_columns(
     text: str,
     columns: _ColumnSpec,
-    check_row: Callable[[int, Sequence], None] | None = None,
-) -> tuple[Sequence[int], list[list]]:
-    """The row numbers and the columns (one list each) of the data rows of CSV ``text``.
+    build: Callable[[Sequence[int], list[list]], Any] = lambda rows, table: (rows, table),
+) -> Any:
+    """``build(rows, table)`` of the row numbers and the columns (one list each) of CSV ``text``.
 
     ``columns`` names each expected column with the callable (``float``,
     ``int``, ``str``) that converts its token.  The header must match the
@@ -184,22 +186,28 @@ def read_columns(
     have one field per column, and any line ending is accepted.  Structural
     problems raise ParseError with the 1-based row (the header is row 1).
 
-    A file that is not split whole is read row by row, and
-    ``check_row(row_number, values)`` is then called on each row as it is
-    read, so that a bad value is reported before a parse error on a later
-    row, as a row-by-row parser reports it.  On a regular file the caller
-    checks the whole columns.
+    ``build``, which checks the values and makes the parser's result, runs
+    exactly once.  When a row cannot be parsed it runs on the rows before
+    that one, and that row's ParseError is raised unless ``build`` raises
+    first, so the first bad row in file order is the one reported.
+    Without it the row numbers and the columns are returned.
     """
     table = _split_columns(text, columns)
     if table is not None:
-        return range(2, len(table[0]) + 2), table
+        return build(range(2, len(table[0]) + 2), table)
     rows, values = [], []
-    for row_number, row in _read_rows(text, columns):
-        if check_row is not None:
-            check_row(row_number, row)
-        rows.append(row_number)
-        values.append(row)
-    return rows, [list(column) for column in zip(*values)] or [[] for _ in columns]
+    try:
+        for row_number, row in _read_rows(text, columns):
+            rows.append(row_number)
+            values.append(row)
+    except ParseError:
+        build(rows, _transposed(values, len(columns)))
+        raise
+    return build(rows, _transposed(values, len(columns)))
+
+
+def _transposed(rows: list[list], width: int) -> list[list]:
+    return [list(column) for column in zip(*rows)] or [[] for _ in range(width)]
 
 
 def _split_columns(text: str, columns: _ColumnSpec) -> list[list] | None:
@@ -345,12 +353,11 @@ def parse_run_log(text: str) -> RunLog:
     structural problems and DomainError (with the row number) for values
     outside the domain.
     """
-    rows, table = read_columns(text, (("duration", float), ("outcome", str)), _run_record)
-    return RunLog(tuple(map(_run_record, rows, zip(*table))))
+    columns = (("duration", float), ("outcome", str))
+    return read_columns(text, columns, lambda rows, table: RunLog(tuple(map(_run_record, rows, *table))))
 
 
-def _run_record(row_number: int, values: Sequence) -> RunRecord:
-    duration, outcome_token = values
+def _run_record(row_number: int, duration: float, outcome_token: str) -> RunRecord:
     if not (math.isfinite(duration) and duration > 0.0):
         raise DomainError(f"row {row_number}: run duration must be positive, got {duration}")
     outcome_token = outcome_token.strip()
@@ -382,20 +389,19 @@ def serialize_failure_epochs(epochs: FailureEpochs) -> str:
 def parse_debug_periods(text: str) -> DebugPeriods:
     """Parse ``tau,corrected,exposure,failures`` CSV text into checked period columns."""
     columns = (("tau", float), ("corrected", int), ("exposure", float), ("failures", int))
-    rows, table = read_columns(text, columns, _check_period)
+    return read_columns(text, columns, _debug_periods)
+
+
+def _debug_periods(rows: Sequence[int], table: list[list]) -> DebugPeriods:
     try:
         return DebugPeriods(*map(tuple, table))
     except DomainError:
         for row_number, *values in zip(rows, *table):
-            _check_period(row_number, values)
+            try:
+                DebugPeriod(*values)
+            except DomainError as exc:
+                raise DomainError(f"row {row_number}: {exc}") from None
         raise
-
-
-def _check_period(row_number: int, values: Sequence) -> None:
-    try:
-        DebugPeriod(*values)
-    except DomainError as exc:
-        raise DomainError(f"row {row_number}: {exc}") from None
 
 
 def serialize_debug_periods(periods: Sequence[DebugPeriod]) -> str:

@@ -15,7 +15,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DomainError, ParseError, WeightSumMismatch
 from .failure_data import read_columns
@@ -145,44 +145,32 @@ def parse_profiles(text: str) -> list[RunProfile]:
     """
     columns = (("p", float), ("y", int))
     if not text.partition("\n")[0].strip().lower().startswith("run"):
-        rows, (probs, indicators) = read_columns(text, columns)
+        _, (probs, indicators) = read_columns(text, columns)
         starts = [0]
     else:
-        rows, (runs, probs, indicators) = read_columns(
-            text, (("run", int),) + columns, _contiguous_runs()
-        )
-        # A run starts where its id differs from the row before.
-        changed = map(operator.ne, runs, itertools.chain((None,), runs))
-        starts = list(itertools.compress(range(len(runs)), changed))
-        check = _contiguous_runs()
-        for start in starts:
-            check(rows[start], (runs[start],))
-    if not rows:
+        starts, probs, indicators = read_columns(text, (("run", int),) + columns, _run_starts)
+    if not probs:
         raise ParseError("profile file contains no data rows", row=2)
     ends = starts[1:] + [len(probs)]
     probs, indicators = tuple(probs), tuple(indicators)  # so that each slice is a tuple
     return [RunProfile(probs[start:end], indicators[start:end]) for start, end in zip(starts, ends)]
 
 
-def _contiguous_runs() -> Callable[[int, Sequence], None]:
-    """A row check that raises ParseError where a run id reappears after other runs."""
+def _run_starts(rows: Sequence[int], table: list[list]) -> tuple[list[int], list, list]:
+    """Where each run starts, then the p and y columns; ParseError where a run id reappears."""
+    runs, probs, indicators = table
+    # A run starts where its id differs from the row before.
+    changed = map(operator.ne, runs, itertools.chain((None,), runs))
+    starts = list(itertools.compress(range(len(runs)), changed))
     seen: set[int] = set()
-    current = None
-
-    def check(row_number: int, values: Sequence) -> None:
-        nonlocal current
-        run_id = values[0]
-        if run_id != current:
-            if run_id in seen:
-                raise ParseError(
-                    f"run {run_id} reappears after other runs; "
-                    "the rows of one run must be contiguous",
-                    row=row_number,
-                )
-            seen.add(run_id)
-            current = run_id
-
-    return check
+    for start in starts:
+        if runs[start] in seen:
+            raise ParseError(
+                f"run {runs[start]} reappears after other runs; the rows of one run must be contiguous",
+                row=rows[start],
+            )
+        seen.add(runs[start])
+    return starts, probs, indicators
 
 
 def parse_weights(text: str) -> list[float]:

@@ -241,13 +241,13 @@ def fit_mle(periods: Sequence[DebugPeriod], instructions: int) -> SchumannFit:
         )
     e0 = find_root_bracketed(objective, bracket)
     c, c2 = estimates(e0)
-    fit = SchumannFit(e0_hat=e0, c_hat=c, instructions=instructions)
-    residuals = (abs(c / c - 1.0), abs(c2 / c - 1.0))
-    if max(residuals) > _RESIDUAL_LIMIT:
+    # c is the exposure-form estimate itself, so its residual is exactly 0.
+    fit = SchumannFit(e0_hat=e0, c_hat=c, instructions=instructions, residuals=(0.0, abs(c2 / c - 1.0)))
+    if max(fit.residuals) > _RESIDUAL_LIMIT:
         raise NoConvergence(
             f"stationarity residuals exceed {_RESIDUAL_LIMIT} at the located root"
         )
-    return replace(fit, residuals=residuals)
+    return fit
 
 
 def covariance(fit: SchumannFit, periods: Sequence[DebugPeriod]) -> SchumannFit:
@@ -334,6 +334,7 @@ def generate_periods(
             raise DomainError(
                 f"corrected counts must be non-decreasing integers bounded by e0={e0}, got {corrected}"
             )
+        DebugPeriod(tau, corrected, exposure, 0)  # raises for a bad tau or exposure
         previous = corrected
     rng = seeded_rng(seed)
     periods = []
@@ -352,16 +353,14 @@ def generate_periods(
 def parse_schedule(text: str) -> list[tuple[float, int, float]]:
     """Parse ``tau,corrected,exposure`` CSV text into generator schedule triples."""
     columns = (("tau", float), ("corrected", int), ("exposure", float))
-    rows, table = read_columns(text, columns, _check_schedule_row)
+    return read_columns(text, columns, _schedule)
+
+
+def _schedule(rows: Sequence[int], table: list[list]) -> list[tuple[float, int, float]]:
     schedule = list(zip(*table))
-    for row_number, values in zip(rows, schedule):
-        _check_schedule_row(row_number, values)
+    for row_number, (tau, _, exposure) in zip(rows, schedule):
+        if not (math.isfinite(tau) and tau >= 0.0):
+            raise DomainError(f"row {row_number}: tau must be non-negative, got {tau}")
+        if not (math.isfinite(exposure) and exposure > 0.0):
+            raise DomainError(f"row {row_number}: exposure must be positive, got {exposure}")
     return schedule
-
-
-def _check_schedule_row(row_number: int, values: Sequence) -> None:
-    tau, _, exposure = values
-    if not (math.isfinite(tau) and tau >= 0.0):
-        raise DomainError(f"row {row_number}: tau must be non-negative, got {tau}")
-    if not (math.isfinite(exposure) and exposure > 0.0):
-        raise DomainError(f"row {row_number}: exposure must be positive, got {exposure}")

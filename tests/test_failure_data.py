@@ -398,6 +398,48 @@ def test_bad_value_is_reported_before_a_later_parse_error():
             parse_profiles(f"run,p,y\n1,1.0,0\n2,1.0,0\n1,1.0,0{tail.replace('x,1,1', 'x,0')}\n")
     with pytest.raises(ParseError, match="^row 3: could not parse p"):
         parse_profiles("run,p,y\n1,1.0,0\n2,x,0\n1,1.0,0\n")
+    for newline in ("\n", "\r\n"):  # a regular file, then one read row by row
+        run_log = newline.join(["duration,outcome", "1.0,success", "-1,failure", "x,success", ""])
+        with pytest.raises(DomainError, match="^row 3: run duration must be positive, got -1.0$"):
+            parse_run_log(run_log)
+        schedule = newline.join(["tau,corrected,exposure", "0.0,10,1570", "1.0,20,-5", "x,30,1570", ""])
+        with pytest.raises(DomainError, match="^row 3: exposure must be positive, got -5.0$"):
+            parse_schedule(schedule)
+
+
+def test_read_columns_builds_once():
+    """build runs once: on every row, or on the rows before the first unparseable one."""
+    calls = []
+
+    def build(rows, table):
+        calls.append((list(rows), table))
+        return "built"
+
+    columns = (("a", float), ("b", int))
+    for text in ("a,b\n1,2\n3,4\n", "a,b\r\n1,2\r\n\r\n3,4\r\n"):  # columnar, then row by row
+        assert failure_data.read_columns(text, columns, build) == "built"
+    assert calls == [([2, 3], [[1.0, 3.0], [2, 4]]), ([2, 4], [[1.0, 3.0], [2, 4]])]
+    calls.clear()
+    with pytest.raises(ParseError, match="^row 4: could not parse b from 'x'$"):
+        failure_data.read_columns("a,b\n1,2\n\n3,x\n5,6\n", columns, build)
+    with pytest.raises(ParseError, match="^row 1: expected header"):
+        failure_data.read_columns("b,a\n1,2\n", columns, build)
+    assert calls == [([2], [[1.0], [2]]), ([], [[], []])]
+
+
+def test_each_value_is_checked_once(monkeypatch):
+    """A file read row by row has its values checked once, as a regular file has."""
+    records, periods = [], []
+    run_record, debug_period = failure_data._run_record, failure_data.DebugPeriod
+    monkeypatch.setattr(failure_data, "_run_record", lambda *args: records.append(1) or run_record(*args))
+    monkeypatch.setattr(failure_data, "DebugPeriod", lambda *args: periods.append(1) or debug_period(*args))
+    for newline in ("\n", "\r\n"):
+        parse_run_log(newline.join(["duration,outcome", "1.0,success", "2.0,failure", "3.0,success", ""]))
+        assert len(records) == 3
+        periods_text = ["tau,corrected,exposure,failures", "1.0,20,1000,10", "2.0,50,1600,10", ""]
+        parse_debug_periods(newline.join(periods_text))
+        assert not periods  # the columns are checked whole
+        records.clear()
 
 
 def _fallback_cases():

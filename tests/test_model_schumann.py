@@ -253,6 +253,15 @@ def test_generate_validates_schedule():
         generate_periods(100.0, 0.125, 1000, [(0.0, 50, 100.0), (1.0, 20, 100.0)], seed=1)
     with pytest.raises(DomainError):
         generate_periods(100.0, 0.125, 1000, [(0.0, 150, 100.0)], seed=1)
+    # A bad exposure or tau is bad input, caught before any draw, with DebugPeriod's message.
+    for tau, exposure, message in [
+        (0.0, -1.0, "exposure must be finite and positive, got -1.0"),
+        (0.0, math.nan, "exposure must be finite and positive, got nan"),
+        (0.0, math.inf, "exposure must be finite and positive, got inf"),
+        (-1.0, 100.0, "debug time must be finite and non-negative, got -1.0"),
+    ]:
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            generate_periods(100.0, 0.125, 1000, [(0.0, 10, 100.0), (tau, 20, exposure)], seed=1)
 
 
 def test_parse_schedule():
