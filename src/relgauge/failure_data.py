@@ -5,12 +5,12 @@ logs, cumulative failure epochs, and per-debugging-period counts.  Every
 CSV parser in the package reads through :func:`read_columns`, which reports
 the offending 1-based row (the header is row 1) so bad files can be fixed
 without guesswork.  A regular file is split once and converted a whole
-column at a time: a one-column file is split at its line ends alone, and
-an int column whose tokens repeat (run ids, 0/1 flags) calls int once per
-distinct token.  Any other file is read row by row, and that reader owns
-every error message.  A parser checks its values in one ``build`` hook,
-which :func:`read_columns` runs once, so the first bad row in file order
-is reported whichever path the file takes.
+column at a time, CR and CRLF line ends read as LF: a one-column file is
+split at its line ends alone, and an int column whose tokens repeat (run
+ids, 0/1 flags) calls int once per distinct token.  Any other file is read
+row by row, and that reader owns every error message.  A parser checks its
+values in one ``build`` hook, which :func:`read_columns` runs once, so the
+first bad row in file order is reported whichever path the file takes.
 """
 
 from __future__ import annotations
@@ -213,16 +213,18 @@ def _transposed(rows: list[list], width: int) -> list[list]:
 def _split_columns(text: str, columns: _ColumnSpec) -> list[list] | None:
     """Each column of ``text`` converted whole, or None unless the file is regular.
 
-    Regular means: no quote and no carriage return, a matching header,
-    then only lines with one field per column, no blank line, no field
-    over csv's size limit, and every token accepted by its column's
-    callable.  csv then yields exactly these rows, so the values are those
-    of the row reader.  Lines are split on "\n" alone: csv ends a line at
-    no other character (str.splitlines would also split on \v, \f,
-    \x1c-\x1e, \x85, \u2028 and \u2029).
+    Regular means: no quote, a matching header, then only lines with one
+    field per column, no blank line between them, no field over csv's
+    size limit, and every token accepted by its column's callable.  csv
+    then yields exactly these rows, so the values are those of the row
+    reader.  "\r\n" and "\r" become "\n" as in the row reader, and lines
+    are split on "\n" alone: csv ends a line at no other character
+    (str.splitlines would also split on \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029).
     """
-    if '"' in text or "\r" in text:
+    if '"' in text:
         return None
+    if "\r" in text:  # the test costs a fortieth of the two scans it spares
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     # A field over the limit would hold a whole aligned block of half the
     # limit with no separator in it.
     block = max(csv.field_size_limit() // 2, 1)
@@ -232,7 +234,7 @@ def _split_columns(text: str, columns: _ColumnSpec) -> list[list] | None:
     header, _, body = text.partition("\n")
     if [h.strip().lower() for h in header.split(",")] != [name for name, _ in columns]:
         return None
-    body = body.removesuffix("\n")
+    body = body.rstrip("\n")  # csv skips the blank lines at the end
     width = len(columns)
     if width == 1 and "," in body:
         return None

@@ -144,7 +144,7 @@ def parse_profiles(text: str) -> list[RunProfile]:
     row where an earlier id reappears); runs keep their file order.
     """
     columns = (("p", float), ("y", int))
-    if not text.partition("\n")[0].strip().lower().startswith("run"):
+    if not text.partition("\n")[0].strip().lstrip('"').lower().startswith("run"):
         _, (probs, indicators) = read_columns(text, columns)
         starts = [0]
     else:

@@ -398,7 +398,7 @@ def test_bad_value_is_reported_before_a_later_parse_error():
             parse_profiles(f"run,p,y\n1,1.0,0\n2,1.0,0\n1,1.0,0{tail.replace('x,1,1', 'x,0')}\n")
     with pytest.raises(ParseError, match="^row 3: could not parse p"):
         parse_profiles("run,p,y\n1,1.0,0\n2,x,0\n1,1.0,0\n")
-    for newline in ("\n", "\r\n"):  # a regular file, then one read row by row
+    for newline in ("\n", "\r\n"):  # the x on row 4 sends both to the row reader
         run_log = newline.join(["duration,outcome", "1.0,success", "-1,failure", "x,success", ""])
         with pytest.raises(DomainError, match="^row 3: run duration must be positive, got -1.0$"):
             parse_run_log(run_log)
@@ -429,16 +429,19 @@ def test_read_columns_builds_once():
 
 def test_each_value_is_checked_once(monkeypatch):
     """A file read row by row has its values checked once, as a regular file has."""
-    records, periods = [], []
+    records, periods, reads = [], [], []
     run_record, debug_period = failure_data._run_record, failure_data.DebugPeriod
+    row_reader = failure_data._read_rows
     monkeypatch.setattr(failure_data, "_run_record", lambda *args: records.append(1) or run_record(*args))
     monkeypatch.setattr(failure_data, "DebugPeriod", lambda *args: periods.append(1) or debug_period(*args))
-    for newline in ("\n", "\r\n"):
-        parse_run_log(newline.join(["duration,outcome", "1.0,success", "2.0,failure", "3.0,success", ""]))
+    monkeypatch.setattr(failure_data, "_read_rows", lambda *args: reads.append(1) or row_reader(*args))
+    for blank, row_reads in (([], 0), ([""], 2)):  # a regular file, then one read row by row
+        parse_run_log("\n".join(["duration,outcome", "1.0,success", *blank, "2.0,failure", "3.0,success", ""]))
         assert len(records) == 3
-        periods_text = ["tau,corrected,exposure,failures", "1.0,20,1000,10", "2.0,50,1600,10", ""]
-        parse_debug_periods(newline.join(periods_text))
+        periods_text = ["tau,corrected,exposure,failures", "1.0,20,1000,10", *blank, "2.0,50,1600,10", ""]
+        parse_debug_periods("\n".join(periods_text))
         assert not periods  # the columns are checked whole
+        assert len(reads) == row_reads
         records.clear()
 
 
@@ -448,11 +451,25 @@ def _fallback_cases():
         yield parser, header, rows, header.count(",") + 1
 
 
+def test_line_ends_are_read_whole(monkeypatch):
+    """CRLF, CR and trailing blank lines keep a file on the columnar path, with the LF result."""
+    reads = []
+    row_reader = failure_data._read_rows
+    monkeypatch.setattr(failure_data, "_read_rows", lambda *args: reads.append(1) or row_reader(*args))
+    for parser, header, rows, _ in _fallback_cases():
+        plain = "\n".join([header, *rows]) + "\n"
+        expected = parser(plain)
+        for newline in ("\r\n", "\r"):
+            assert parser(plain.replace("\n", newline)) == expected, (parser.__name__, newline)
+            assert parser(plain.replace("\n", newline) + newline * 2) == expected, (parser.__name__, newline)
+        assert parser(plain + "\n\n") == expected, parser.__name__
+        assert not reads, parser.__name__
+
+
 # Each way a file leaves the columnar path, with what the row reader makes of it:
 # the same result as the plain file, or its own ParseError.
 FALLBACK_TRIGGERS = {
     "quoted token": (lambda h, r, w: [h, '"' + r[0].replace(",", '","') + '"', r[1]], None),
-    "carriage return": (lambda h, r, w: [h + "\r", r[0] + "\r", r[1] + "\r"], None),
     "blank line": (lambda h, r, w: [h, r[0], "", r[1]], None),
     "wrong width": (lambda h, r, w: [h, r[0], r[1] + ",1"], "^row 3: expected {w} fields, got {w1}$"),
     "field over the csv limit": (

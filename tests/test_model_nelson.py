@@ -215,6 +215,20 @@ def test_parse_profiles_run_layout_without_rows():
         parse_profiles("run,p,y\n")
 
 
+def test_parse_profiles_tells_the_layout_by_the_header_quoted_or_not():
+    """A quoted run header, and its CRLF and CR twins, read as the run layout."""
+    rows = ["1,0.9,0", "1,0.1,1", "2,0.8,0", "2,0.2,1"]
+    expected = parse_profiles("\n".join(["run,p,y", *rows, ""]))
+    assert len(expected) == 2
+    for header in ('"run","p","y"', '"Run",p,y', " run , p , y "):
+        for newline in ("\n", "\r\n", "\r"):
+            assert parse_profiles(newline.join([header, *rows, ""])) == expected, (header, newline)
+    single = parse_profiles("p,y\n0.9,0\n0.1,1\n")
+    assert parse_profiles('"p","y"\r\n0.9,0\r\n0.1,1\r\n') == single
+    with pytest.raises(ParseError, match="^row 1: expected header 'run,p,y', got 'runs,p,y'$"):
+        parse_profiles("\n".join(["runs,p,y", *rows, ""]))
+
+
 def test_parse_profiles_rejects_ungrouped_run_ids():
     # Merging the two halves of run 1 would give a valid profile.
     text = "run,p,y\n1,0.5,0\n2,1.0,0\n1,0.5,1\n"

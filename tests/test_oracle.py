@@ -10,6 +10,7 @@ objective).  So each bound is TOL * max(1, kappa): one solver tolerance,
 scaled by the condition.  Nothing is asserted about bits.
 """
 
+import itertools
 import math
 import statistics
 import sys
@@ -18,7 +19,15 @@ import numpy as np
 import pytest
 
 from relgauge import debug_economics, fault_tolerance, model_jm, model_schumann, model_weibull
-from relgauge.errors import DegenerateSample, NoConvergence, NoGrowthEvidence, OutOfRange
+from relgauge.errors import (
+    DataError,
+    DegenerateSample,
+    EstimationError,
+    NoConvergence,
+    NoGrowthEvidence,
+    OutOfRange,
+)
+from relgauge.failure_data import DebugPeriod
 from relgauge.numerics import DEFAULT_TOL_REL, find_root_bracketed, pole_sum, scan_bracket
 
 mp = pytest.importorskip("mpmath")
@@ -141,6 +150,30 @@ def test_schumann_root_is_within_tolerance_of_the_exact_root(count, seed):
     schedule = [(float(j + 1), j * corrected // count, 1.0 + j % 7) for j in range(count)]
     periods = model_schumann.generate_periods(1.5 * corrected, 50_000.0, instructions, schedule, seed)
     fit = model_schumann.fit_mle(periods, instructions)
+    root, kappa = _schumann_exact(periods, instructions, fit.e0_hat)
+    assert _relative(fit.e0_hat, root) <= TOL * max(1.0, float(kappa))
+
+
+@st.composite
+def _drawn_periods(draw):
+    """2 to 25 periods with non-decreasing corrected counts."""
+    count = draw(st.integers(2, 25))
+    steps = draw(st.lists(st.integers(0, 50), min_size=count, max_size=count))
+    exposures = draw(st.lists(st.floats(0.01, 1e3), min_size=count, max_size=count))
+    failures = draw(st.lists(st.integers(0, 60), min_size=count, max_size=count))
+    return [
+        DebugPeriod(float(j), corrected, exposure, n)
+        for j, (corrected, exposure, n) in enumerate(zip(itertools.accumulate(steps), exposures, failures))
+    ]
+
+
+@hypothesis.settings(max_examples=40, deadline=None, database=None)
+@hypothesis.given(periods=_drawn_periods(), instructions=st.sampled_from([1, 10**3, 10**6]))
+def test_schumann_root_of_drawn_periods_is_within_tolerance_of_the_exact_root(periods, instructions):
+    try:
+        fit = model_schumann.fit_mle(periods, instructions)
+    except (EstimationError, DataError):  # a draw the fit rejects: draw another
+        hypothesis.reject()
     root, kappa = _schumann_exact(periods, instructions, fit.e0_hat)
     assert _relative(fit.e0_hat, root) <= TOL * max(1.0, float(kappa))
 

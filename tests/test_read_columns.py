@@ -92,6 +92,11 @@ _LONG_FIELD = " " * _LONG + "1"
 @hypothesis.example((LAYOUTS[2], "run,p,y\n" + "7,0.5,0\n7,0.5,0\n7,0.5,1\n" * 33_333 + "7,0.5,x\n"))  # an x late in a 0/1 column
 @hypothesis.example((LAYOUTS[0], "epoch\n" + "1\n" * 40_000 + "1,2\n"))  # a comma late in a one-column file
 @hypothesis.example((LAYOUTS[4], "outcome\n" + "a\n" * 40_000 + "a,b\n"))  # where str would take it
+@hypothesis.example((LAYOUTS[1], "tau,corrected\r\n1,2\r3,4\n5,6\r\n"))  # three line ends in one file
+@hypothesis.example((LAYOUTS[0], "epoch\n1\n2\r"))  # a carriage return as the last character
+@hypothesis.example((_FLOAT_STR, "duration,outcome\r\n1,a\r\n\r\n"))  # a trailing blank CRLF line
+@hypothesis.example((LAYOUTS[4], "outcome\na\rb\n"))  # a carriage return inside a token ends its line
+@hypothesis.example((LAYOUTS[1], "tau,corrected\n1,2\r3\n"))  # and leaves a short row after it
 def test_fast_path_matches_row_reader(case):
     columns, text = case
     reference = _outcome(lambda: failure_data._read_rows(text, columns))
