@@ -23,8 +23,9 @@ from pathlib import Path
 from typing import Callable
 
 # Each handler imports the model module it calls, so a call loads only its own
-# model. The failure_data names stay globals here because perfbench/tracing.py
-# wraps them as cli attributes.
+# model. A fit's report is built by its model's ``report``; the handlers here
+# only read, fit and attach the covariance. The failure_data names stay globals
+# here because perfbench/tracing.py wraps them as cli attributes.
 from . import __version__
 from .errors import DataError, DomainError, EstimationError, OutOfRange, ParseError
 from .failure_data import (
@@ -167,65 +168,25 @@ def _handle_fit_schumann(ns: argparse.Namespace, read: _Read) -> dict:
     periods = parse_debug_periods(read("input", ns.input))
     fit = model_schumann.fit_mle(periods, ns.instructions)
     fit = model_schumann.covariance(fit, periods)
-    ci = model_schumann.confidence_intervals(fit, level=ns.confidence)
-    return {
-        "model": "schumann",
-        "e0": fit.e0_hat,
-        "e0_rounded": model_schumann.rounded_e0(fit),
-        "c": fit.c_hat,
-        "instructions": fit.instructions,
-        "var_e0": fit.var_e0,
-        "var_c": fit.var_c,
-        "rho": fit.rho,
-        "confidence": ns.confidence,
-        "ci": {"e0": list(ci["e0"]), "c": list(ci["c"])},
-        "residuals": list(fit.residuals),
-        "k": len(periods),
-    }
+    return model_schumann.report(fit, ns.confidence, len(periods))
 
 
 def _handle_fit_jm(ns: argparse.Namespace, read: _Read) -> dict:
     from . import model_jm
 
     check_level(ns.confidence)  # before the input is read, so a failing fit cannot hide it
-    epochs = parse_failure_epochs(read("input", ns.input))
-    intervals = intervals_from_epochs(epochs)
+    intervals = intervals_from_epochs(parse_failure_epochs(read("input", ns.input)))
     fit = model_jm.fit_mle(intervals)
     fit = model_jm.covariance(fit, intervals)
-    ci = model_jm.confidence_intervals(fit, level=ns.confidence)
-    return {
-        "model": "jm",
-        "e0": fit.e0_hat,
-        "e0_rounded": int(round(fit.e0_hat)),
-        "k": fit.k_hat,
-        "k_obs": fit.k_obs,
-        "var_e0": fit.var_e0,
-        "var_k": fit.var_k,
-        "rho": fit.rho,
-        "confidence": ns.confidence,
-        "ci": {"e0": list(ci["e0"]), "k": list(ci["k"])},
-        "residuals": [abs(fit.residual)],
-    }
+    return model_jm.report(fit, ns.confidence)
 
 
 def _handle_fit_weibull(ns: argparse.Namespace, read: _Read) -> dict:
     from . import model_weibull
 
-    epochs = parse_failure_epochs(read("input", ns.input))
-    intervals = intervals_from_epochs(epochs)
-    form = model_weibull.MomentForm(ns.moment_form)
-    fit = model_weibull.fit_moments(intervals, form)
-    report = {
-        "model": "weibull",
-        "m": fit.m,
-        "lambda": fit.lam,
-        "mttf": model_weibull.mttf(fit),
-        "moment_form": fit.moment_form.value,
-        "k_obs": len(intervals),
-    }
-    if fit.m >= 1.0:
-        report["warning"] = f"fitted shape {fit.m:.6g} is >= 1: the data show no reliability growth"
-    return report
+    intervals = intervals_from_epochs(parse_failure_epochs(read("input", ns.input)))
+    fit = model_weibull.fit_moments(intervals, model_weibull.MomentForm(ns.moment_form))
+    return model_weibull.report(fit, len(intervals))
 
 
 def _handle_fit_nelson(ns: argparse.Namespace, read: _Read) -> dict:

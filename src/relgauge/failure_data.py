@@ -370,22 +370,10 @@ def _run_record(row_number: int, duration: float, outcome_token: str) -> RunReco
     return RunRecord(duration, outcome)
 
 
-def serialize_run_log(log: RunLog) -> str:
-    lines = ["duration,outcome"]
-    lines.extend(f"{r.duration!r},{r.outcome.value}" for r in log.runs)
-    return "\n".join(lines) + "\n"
-
-
 def parse_failure_epochs(text: str) -> FailureEpochs:
     """Parse single-column ``epoch`` CSV text into validated FailureEpochs."""
     _, (epochs,) = read_columns(text, (("epoch", float),))
     return FailureEpochs(tuple(epochs))
-
-
-def serialize_failure_epochs(epochs: FailureEpochs) -> str:
-    lines = ["epoch"]
-    lines.extend(f"{t!r}" for t in epochs.epochs)
-    return "\n".join(lines) + "\n"
 
 
 def parse_debug_periods(text: str) -> DebugPeriods:
@@ -404,12 +392,6 @@ def _debug_periods(rows: Sequence[int], table: list[list]) -> DebugPeriods:
             except DomainError as exc:
                 raise DomainError(f"row {row_number}: {exc}") from None
         raise
-
-
-def serialize_debug_periods(periods: Sequence[DebugPeriod]) -> str:
-    lines = ["tau,corrected,exposure,failures"]
-    lines.extend(f"{p.tau!r},{p.corrected},{p.exposure!r},{p.failures}" for p in periods)
-    return "\n".join(lines) + "\n"
 
 
 def summarize_runs(log: RunLog) -> RunSummary:

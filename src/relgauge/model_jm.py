@@ -208,6 +208,23 @@ def confidence_intervals(fit: JmFit, level: float = 0.95) -> dict[str, tuple[flo
     return gaussian_intervals(level, e0=(fit.e0_hat, fit.var_e0), k=(fit.k_hat, fit.var_k))
 
 
+def report(fit: JmFit, level: float) -> dict:
+    """The ``fit jm`` report of a fit with covariance, its intervals at ``level``."""
+    return {
+        "model": "jm",
+        "e0": fit.e0_hat,
+        "e0_rounded": round(fit.e0_hat),
+        "k": fit.k_hat,
+        "k_obs": fit.k_obs,
+        "var_e0": fit.var_e0,
+        "var_k": fit.var_k,
+        "rho": fit.rho,
+        "confidence": level,
+        "ci": confidence_intervals(fit, level),
+        "residuals": [abs(fit.residual)],
+    }
+
+
 def generate_intervals(e0: float, k_jm: float, count: int, seed: int) -> list[float]:
     """Draw ``count`` intervals with exponential law of rate k_jm * (e0 - i + 1).
 

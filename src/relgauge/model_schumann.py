@@ -43,9 +43,8 @@ _POISSON_MEAN_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
 class SchumannFit:
     """Fitted error content and detection coefficient.
 
-    ``e0_hat`` is the estimated initial error count (continuous; see
-    :func:`rounded_e0` for the integer view), ``c_hat`` the per-residual
-    failure intensity.  Variance fields are populated by
+    ``e0_hat`` is the estimated initial error count (continuous), ``c_hat``
+    the per-residual failure intensity.  Variance fields are populated by
     :func:`covariance`.
     """
 
@@ -65,11 +64,6 @@ class SchumannFit:
             raise DomainError(f"e0_hat must be positive, got {self.e0_hat}")
         if not (math.isfinite(self.c_hat) and self.c_hat > 0.0):
             raise DomainError(f"c_hat must be positive, got {self.c_hat}")
-
-
-def rounded_e0(fit: SchumannFit) -> int:
-    """Nearest integer error count for reporting alongside the continuous estimate."""
-    return int(round(fit.e0_hat))
 
 
 def _residual_fraction(fit: SchumannFit, eps_b: float) -> float:
@@ -309,6 +303,24 @@ def confidence_intervals(fit: SchumannFit, level: float = 0.95) -> dict[str, tup
     if fit.var_e0 is None or fit.var_c is None:
         raise DomainError("confidence intervals need variances; run covariance first")
     return gaussian_intervals(level, e0=(fit.e0_hat, fit.var_e0), c=(fit.c_hat, fit.var_c))
+
+
+def report(fit: SchumannFit, level: float, k: int) -> dict:
+    """The ``fit schumann`` report of a fit with covariance to ``k`` periods, its intervals at ``level``."""
+    return {
+        "model": "schumann",
+        "e0": fit.e0_hat,
+        "e0_rounded": round(fit.e0_hat),
+        "c": fit.c_hat,
+        "instructions": fit.instructions,
+        "var_e0": fit.var_e0,
+        "var_c": fit.var_c,
+        "rho": fit.rho,
+        "confidence": level,
+        "ci": confidence_intervals(fit, level),
+        "residuals": fit.residuals,
+        "k": k,
+    }
 
 
 def generate_periods(

@@ -3,7 +3,7 @@
 Hazard ``m * lam^m * t^(m-1)``, reliability ``exp(-(lam*t)^m)``.  A shape
 below one means the hazard falls with time (reliability growth), which is
 the regime debugging data is expected to occupy; fits with m >= 1 are
-allowed, and the command line report flags them.
+allowed, and their :func:`report` flags them.
 
 The moment fit equates the sample coefficient of variation with its model
 expression through the gamma-ratio function G(m) = Gamma(1+2/m) /
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import DegenerateSample, DomainError, NoConvergence, OutOfRange
+from .errors import DegenerateSample, DomainError, NoConvergence, OutOfRange, TooFewIntervals
 from .numerics import Bracket, at_data_scale, find_root_bracketed, fsum_array, interval_array, seeded_rng
 
 _M_LO = 0.05
@@ -96,18 +96,18 @@ def fit_moments(
     deviation.  The shape solves the gamma-ratio equation for the selected
     ``form`` on m in [0.05, 20]; the scale follows as Gamma(1+1/m)/tbar.
 
-    Raises DegenerateSample when the sample variance vanishes, OutOfRange
-    when lam leaves the float range, and NoConvergence when the dispersion
-    ratio is outside the range the bracket can reach.  A fitted shape >= 1
-    is returned like any other; callers that expect reliability growth
-    check ``fit.m < 1`` themselves.
+    Raises TooFewIntervals for fewer than two intervals, DegenerateSample
+    when the sample variance vanishes, OutOfRange when lam leaves the float
+    range, and NoConvergence when the dispersion ratio is outside the range
+    the bracket can reach.  A fitted shape >= 1 is returned like any other;
+    callers that expect reliability growth check ``fit.m < 1`` themselves.
     """
     import numpy as np
 
-    k = len(intervals)
-    if k < 2:
-        raise DomainError(f"need at least 2 intervals, got {k}")
     x, e = interval_array(intervals)
+    k = len(x)
+    if k < 2:
+        raise TooFewIntervals(f"need at least 2 intervals to fit two parameters, got {k}")
     t_bar = fsum_array(x) / k
     # float_power calls the C library's pow, as Python's ** does, so each
     # square keeps the bits of the scalar expression.
@@ -132,21 +132,27 @@ def fit_moments(
     return WeibullFit(m=m_hat, lam=lam, moment_form=form)
 
 
-def survival_inverse(u: float, m: float, lam: float) -> float:
-    """Time at which reliability equals ``u``: (-ln u)^(1/m) / lam."""
-    if not (0.0 < u <= 1.0):
-        raise DomainError(f"survival probability must lie in (0, 1], got {u}")
-    if not (math.isfinite(m) and m > 0.0 and math.isfinite(lam) and lam > 0.0):
-        raise DomainError(f"parameters must be positive, got m={m}, lam={lam}")
-    return (-math.log(u)) ** (1.0 / m) / lam
+def report(fit: WeibullFit, k: int) -> dict:
+    """The ``fit weibull`` report of a fit to ``k`` intervals, with a warning when m >= 1."""
+    body = {
+        "model": "weibull",
+        "m": fit.m,
+        "lambda": fit.lam,
+        "mttf": mttf(fit),
+        "moment_form": fit.moment_form.value,
+        "k_obs": k,
+    }
+    if fit.m >= 1.0:
+        body["warning"] = f"fitted shape {fit.m:.6g} is >= 1: the data show no reliability growth"
+    return body
 
 
 def generate(m: float, lam: float, n: int, seed: int) -> list[float]:
     """Draw ``n`` failure times by inverting the survival function on seeded uniforms."""
     if not (math.isfinite(m) and m > 0.0 and math.isfinite(lam) and lam > 0.0):
         raise DomainError(f"parameters must be positive, got m={m}, lam={lam}")
-    if not (isinstance(n, int) and n >= 1):
-        raise DomainError(f"sample size must be an integer >= 1, got {n}")
+    if not (isinstance(n, int) and n >= 0):
+        raise DomainError(f"sample size must be an integer >= 0, got {n}")
     import numpy as np
 
     rng = seeded_rng(seed)

@@ -1209,6 +1209,40 @@ def test_every_report_has_json_dumps_layout(tmp_path, capsys):
         assert body == json.dumps(json.loads(body), indent=2, sort_keys=True) + "\n", args
 
 
+# The keys of each fit report, with the keys of its nested "ci".
+_FIT_KEYS = {
+    "jm": ({"model", "e0", "e0_rounded", "k", "k_obs", "var_e0", "var_k", "rho", "confidence",
+            "ci", "residuals", "provenance"}, {"e0", "k"}),
+    "schumann": ({"model", "e0", "e0_rounded", "c", "instructions", "var_e0", "var_c", "rho",
+                  "confidence", "ci", "residuals", "k", "provenance"}, {"e0", "c"}),
+    "weibull": ({"model", "m", "lambda", "mttf", "moment_form", "k_obs", "warning", "provenance"},
+                None),
+    "nelson": ({"model", "runs", "q", "reliability", "certain_failure", "simplified",
+                "provenance"}, None),
+}
+
+
+def test_each_fit_report_has_its_keys(tmp_path, capsys):
+    fits = [args for args in _verb_args(tmp_path) if args[0] == "fit"]
+    assert sorted(args[1] for args in fits) == sorted(_FIT_KEYS)
+    for args in fits:
+        report = run_json(capsys, *args)
+        keys, ci_keys = _FIT_KEYS[args[1]]
+        assert report.keys() == keys, args
+        assert (report["ci"].keys() if "ci" in report else None) == ci_keys, args
+        if "e0_rounded" in report:
+            assert report["e0_rounded"] == round(report["e0"]), args
+        if args[1] == "schumann":
+            assert report["k"] == len(PERIODS_TWO.splitlines()) - 1, args  # one per period row
+
+
+@pytest.mark.parametrize("model, key", [("jm", "intervals"), ("weibull", "times")])
+def test_simulate_count_zero_draws_nothing(capsys, model, key):
+    params = {"jm": ["--e0", "50", "--k", "0.004"], "weibull": ["--shape", "0.5", "--scale", "2"]}
+    report = run_json(capsys, "simulate", model, *params[model], "--count", "0", "--seed", "1")
+    assert report[key] == []
+
+
 def _large_inputs():
     """Files of k = 2*10^4 epochs, 2*10^3 periods and 2*10^4 profile rows (200 runs)."""
     rng = np.random.default_rng(6)

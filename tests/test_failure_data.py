@@ -24,13 +24,15 @@ from relgauge.failure_data import (
     parse_debug_periods,
     parse_failure_epochs,
     parse_run_log,
-    serialize_debug_periods,
-    serialize_failure_epochs,
-    serialize_run_log,
     summarize_runs,
 )
 from relgauge.model_nelson import parse_profiles, parse_weights
 from relgauge.model_schumann import parse_schedule
+
+
+def _csv(header: str, rows) -> str:
+    """CSV text: ``header``, then one line per row with its values joined by commas."""
+    return "".join(f"{line}\n" for line in [header, *(",".join(map(str, row)) for row in rows)])
 
 
 def test_parse_run_log_basic():
@@ -91,8 +93,7 @@ def test_long_tokens_are_cut_in_messages():
 def test_run_log_round_trip():
     text = "duration,outcome\n1.5,success\n0.25,failure\n3.75,success\n"
     log = parse_run_log(text)
-    assert serialize_run_log(log) == text
-    assert parse_run_log(serialize_run_log(log)) == log
+    assert _csv("duration,outcome", ((r.duration, r.outcome.value) for r in log.runs)) == text
 
 
 def test_summarize_runs_example():
@@ -281,7 +282,7 @@ def test_parse_failure_epochs():
 
 def test_failure_epochs_round_trip():
     epochs = FailureEpochs((0.5, 1.25, 9.0))
-    assert parse_failure_epochs(serialize_failure_epochs(epochs)) == epochs
+    assert parse_failure_epochs(_csv("epoch", ((t,) for t in epochs.epochs))) == epochs
 
 
 def test_debug_period_validation():
@@ -300,7 +301,8 @@ def test_parse_debug_periods():
     text = "tau,corrected,exposure,failures\n1.0,20,1000.0,10\n2.0,50,1600.0,10\n"
     periods = parse_debug_periods(text)
     assert periods == [DebugPeriod(1.0, 20, 1000.0, 10), DebugPeriod(2.0, 50, 1600.0, 10)]
-    assert parse_debug_periods(serialize_debug_periods(periods)) == periods
+    rows = ((p.tau, p.corrected, p.exposure, p.failures) for p in periods)
+    assert parse_debug_periods(_csv("tau,corrected,exposure,failures", rows)) == periods
 
 
 def test_debug_periods_hold_columns():

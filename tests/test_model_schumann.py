@@ -28,7 +28,7 @@ from relgauge.model_schumann import (
     mttf,
     parse_schedule,
     reliability,
-    rounded_e0,
+    report,
     stationarity_residuals,
 )
 
@@ -217,8 +217,24 @@ def test_confidence_intervals_narrow_with_the_level():
         assert wide[name][0] < narrow[name][0] < narrow[name][1] < wide[name][1]
 
 
-def test_rounded_e0():
-    assert rounded_e0(SchumannFit(99.6, 0.125, 1000)) == 100
+def test_report():
+    fit = covariance(SchumannFit(99.6, 0.125, 1000, residuals=(0.0, 1e-12)), PERIODS)
+    body = report(fit, 0.9, len(PERIODS))
+    assert body == {
+        "model": "schumann",
+        "e0": 99.6,
+        "e0_rounded": 100,
+        "c": 0.125,
+        "instructions": 1000,
+        "var_e0": fit.var_e0,
+        "var_c": fit.var_c,
+        "rho": fit.rho,
+        "confidence": 0.9,
+        "ci": confidence_intervals(fit, level=0.9),
+        "residuals": (0.0, 1e-12),
+        "k": 2,
+    }
+    assert type(body["e0_rounded"]) is int
 
 
 def test_generate_zero_intensity():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from relgauge import model_weibull
-from relgauge.errors import DegenerateSample, DomainError, NoConvergence, OutOfRange
+from relgauge.errors import DegenerateSample, DomainError, NoConvergence, OutOfRange, TooFewIntervals
 from relgauge.model_weibull import (
     MomentForm,
     WeibullFit,
@@ -17,7 +17,6 @@ from relgauge.model_weibull import (
     hazard,
     mttf,
     reliability,
-    survival_inverse,
 )
 
 # One-spike samples [1, ..., 1, 1+w] engineered so that the population
@@ -200,36 +199,19 @@ def test_fit_of_nearly_equal_intervals_near_1e160_has_no_shape():
 
 
 def test_fit_rejects_bad_input():
-    with pytest.raises(DomainError, match="^need at least 2 intervals, got 1$"):
+    with pytest.raises(DomainError, match="^intervals must be finite and positive, got -1.0$"):
         fit_moments([-1.0])
     with pytest.raises(DomainError, match="^intervals must be finite and positive, got nan$"):
         fit_moments([1.0, 2.0, math.nan, -1.0])
-    with pytest.raises(DomainError):
-        fit_moments([1.0])
+    for intervals in ([1.0], []):
+        with pytest.raises(
+            TooFewIntervals, match=f"^need at least 2 intervals to fit two parameters, got {len(intervals)}$"
+        ):
+            fit_moments(intervals)
     with pytest.raises(DomainError):
         fit_moments([1.0, -2.0])
     with pytest.raises(DomainError):
         fit_moments([1.0, 0.0])
-
-
-def test_survival_inverse():
-    assert survival_inverse(math.exp(-1.0), 0.5, 4.0) == pytest.approx(0.25, rel=1e-12)
-    assert survival_inverse(math.exp(-1.0), 2.0, 4.0) == pytest.approx(0.25, rel=1e-12)
-    assert survival_inverse(1.0, 1.0, 1.0) == 0.0
-    with pytest.raises(DomainError):
-        survival_inverse(0.0, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        survival_inverse(1.5, 1.0, 1.0)
-
-
-def test_survival_inverse_matches_reliability():
-    rng = np.random.default_rng(99)
-    for _ in range(50):
-        m = float(rng.uniform(0.1, 5.0))
-        lam = float(rng.uniform(0.1, 10.0))
-        u = float(rng.uniform(0.01, 0.99))
-        t = survival_inverse(u, m, lam)
-        assert reliability(WeibullFit(m=m, lam=lam), t) == pytest.approx(u, rel=1e-10)
 
 
 def test_generate_deterministic():
@@ -238,6 +220,12 @@ def test_generate_deterministic():
     assert a == b
     assert generate(0.5, 2.0, 100, seed=6) != a
     assert all(x > 0.0 for x in a)
+
+
+def test_generate_count_zero():
+    assert generate(0.5, 2.0, 0, seed=1) == []
+    with pytest.raises(DomainError, match="^sample size must be an integer >= 0, got -1$"):
+        generate(0.5, 2.0, -1, seed=1)
 
 
 def test_generate_sample_means():
