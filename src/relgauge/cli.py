@@ -340,6 +340,7 @@ def _handle_predict_weibull(ns: argparse.Namespace, read: _Read) -> dict:
     return report
 
 
+@functools.cache  # parse_args leaves the parser as it is, so one serves every call and thread
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="relgauge", description="Reliability estimation for tested software")
     parser.add_argument("--version", action="version", version=f"relgauge {__version__}")

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
+from . import numerics
 from .errors import DomainError, NoFailures, NotMonotone, ParseError
 from .numerics import all_at_least
 
@@ -414,12 +415,17 @@ def summarize_runs(log: RunLog) -> RunSummary:
 
 
 def intervals_from_epochs(epochs: FailureEpochs):
-    """Difference cumulative failure epochs into inter-failure intervals, as a float64 ndarray.
+    """Difference cumulative failure epochs into inter-failure intervals.
 
-    The first interval is measured from time zero.  A running sum of the
+    They are a list of floats below ``numerics.ARRAY_MIN`` epochs, so that a
+    small fit loads no numpy, and a float64 ndarray from there on.  The
+    first interval is measured from time zero.  A running sum of the
     intervals gives the epochs back only when every subtraction is exact.
     """
-    import numpy as np  # loaded by the fits that read the intervals
-
     e = epochs.epochs
+    if len(e) < numerics.ARRAY_MIN:
+        x = list(map(float, e))
+        return list(map(operator.sub, x, [0.0, *x[:-1]]))
+    import numpy as np
+
     return np.diff(np.fromiter(e, dtype=float, count=len(e)), prepend=0.0)

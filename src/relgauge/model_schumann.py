@@ -17,9 +17,11 @@ errors decaying exponentially, lives in :mod:`debug_economics`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
+from . import numerics
 from .errors import (
     DegenerateGamma,
     DomainError,
@@ -31,7 +33,8 @@ from .errors import (
     Underdetermined,
 )
 from .failure_data import DebugPeriod, DebugPeriods, read_columns
-from .numerics import find_root_bracketed, fsum_array, gaussian_intervals, scan_bracket, seeded_rng
+from .numerics import find_root_bracketed, fsum_array, gaussian_intervals, quotients, scan_bracket
+from .numerics import seeded_rng, squares
 
 _RESIDUAL_LIMIT = 1e-9
 # The largest mean numpy's Poisson sampler accepts (its POISSON_LAM_MAX),
@@ -92,6 +95,8 @@ def mttf(fit: SchumannFit, eps_b: float) -> float:
     rate = fit.c_hat * residual
     if rate == 0.0:
         raise OutOfRange(f"the failure rate c * r = {fit.c_hat} * {residual} underflows to 0")
+    if rate == math.inf:
+        raise OutOfRange(f"the failure rate c * r = {fit.c_hat} * {residual} overflows a float")
     return 1.0 / rate
 
 
@@ -160,21 +165,39 @@ def _c_estimates(periods: DebugPeriods, instructions: int) -> Callable[[float], 
     """e0 -> the two likelihood expressions for c, from exposures and from rates.
 
     Each call sums, with fsum, two arrays formed from the residuals
-    e0/I - corrected_j/I; OutOfRange when an estimate is not a positive finite float.
+    e0/I - corrected_j/I, lists below ``numerics.ARRAY_MIN`` periods;
+    OutOfRange when an estimate is not a positive finite float.
     """
-    import numpy as np
-
-    corrected = np.array([n / instructions for n in periods.corrected], dtype=float)
-    exposure = np.array(periods.exposure, dtype=float)
-    failures = np.array(periods.failures, dtype=float)
+    corrected = [n / instructions for n in periods.corrected]
     total = sum(periods.failures)
+    if len(periods) < numerics.ARRAY_MIN:
+        exposure = list(map(float, periods.exposure))
+        failures = list(map(float, periods.failures))
+
+        def sums(e0: float) -> tuple[float, float]:
+            scaled = e0 / instructions
+            residual = [scaled - c for c in corrected]
+            exposed = math.fsum(map(operator.mul, residual, exposure))
+            return exposed, math.fsum(quotients(failures, residual))
+
+    else:
+        import numpy as np
+
+        corrected = np.array(corrected, dtype=float)
+        exposure = np.array(periods.exposure, dtype=float)
+        failures = np.array(periods.failures, dtype=float)
+
+        def sums(e0: float) -> tuple[float, float]:
+            residual = e0 / instructions - corrected
+            # An infinite or NaN term, as the list path's quotients give it, makes
+            # its sum infinite or NaN, which the check below rejects.
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                return fsum_array(residual * exposure), fsum_array(failures / residual)
+
     exposure_sum = fsum_array(exposure)
 
     def estimates(e0: float) -> tuple[float, float]:
-        residual = e0 / instructions - corrected
-        with np.errstate(over="ignore"):  # an infinite term makes its sum infinite
-            exposed = fsum_array(residual * exposure)
-            rates = fsum_array(failures / residual)
+        exposed, rates = sums(e0)
         c = (total / exposed if exposed else math.inf), rates / exposure_sum
         if not (0.0 < min(c) and max(c) < math.inf):
             raise OutOfRange(f"an estimate of c at e0 = {e0} is not a positive finite float")
@@ -261,34 +284,50 @@ def covariance(fit: SchumannFit, periods: Sequence[DebugPeriod]) -> SchumannFit:
     """
     if len(periods) < 2:
         raise SingularInformation("a single period carries rank-1 information")
-    import numpy as np
-
     periods = DebugPeriods.of(periods)
     I = fit.instructions
-    residuals = fit.e0_hat / I - np.array([c / I for c in periods.corrected], dtype=float)
-    if not residuals.min() > 0.0:
+    scaled = fit.e0_hat / I
+    residuals = [scaled - c / I for c in periods.corrected]
+    if not min(residuals) > 0.0:
         corrected = next(c for c, r in zip(periods.corrected, residuals) if r <= 0.0)
         raise ResidualNonPositive(
             f"period with corrected count {corrected} has non-positive residual at the fit"
         )
     total = sum(periods.failures)
+    # Lists below numerics.ARRAY_MIN periods, numpy arrays from there on.
     # float_power calls the C library's pow, as Python's ** does, so each
     # square keeps the bits of the scalar expression; a term n/r^2 that
     # overflows makes S2 infinite, which the determinant check rejects.
-    with np.errstate(over="ignore"):
-        squares = np.float_power(residuals, 2)
-        if not (squares.min() > 0.0 and squares.max() < math.inf):
-            raise SingularInformation("a squared per-instruction residual is not a positive finite float")
-        try:
-            failures = np.array(periods.failures, dtype=float)
-            s2 = fsum_array(failures / squares)
-            a11 = total / fit.c_hat**2
-            a22 = s2 / I**2
-        except (ZeroDivisionError, OverflowError) as exc:
-            # A count, c^2 or I^2 beyond a float's range: the entries cannot be formed in floats.
-            raise SingularInformation(f"an information entry is not a finite float: {exc}") from None
-        rho_numerator = fsum_array(failures / residuals)
-    a12 = fsum_array(np.array(periods.exposure, dtype=float)) / I
+    if len(periods) < numerics.ARRAY_MIN:
+        squared = squares(residuals)
+        finite = min(squared) > 0.0 and max(squared) < math.inf
+
+        def sum_of_quotients(denominators) -> float:  # fsum(n_j / d_j), the counts as floats
+            return math.fsum(quotients(list(map(float, periods.failures)), denominators))
+
+    else:
+        import numpy as np
+
+        residuals = np.array(residuals)
+        with np.errstate(over="ignore"):
+            squared = np.float_power(residuals, 2)
+        finite = squared.min() > 0.0 and squared.max() < math.inf
+
+        def sum_of_quotients(denominators) -> float:
+            with np.errstate(over="ignore"):  # an infinite term makes its sum infinite
+                return fsum_array(np.array(periods.failures, dtype=float) / denominators)
+
+    if not finite:
+        raise SingularInformation("a squared per-instruction residual is not a positive finite float")
+    try:
+        s2 = sum_of_quotients(squared)
+        a11 = total / fit.c_hat**2
+        a22 = s2 / I**2
+    except (ZeroDivisionError, OverflowError) as exc:
+        # A count, c^2 or I^2 beyond a float's range: the entries cannot be formed in floats.
+        raise SingularInformation(f"an information entry is not a finite float: {exc}") from None
+    rho_numerator = sum_of_quotients(residuals)
+    a12 = math.fsum(periods.exposure) / I
     det = a11 * a22 - a12 * a12
     if not 0.0 < det < math.inf:
         raise SingularInformation(

@@ -7,18 +7,27 @@ bisection, which keeps the root bracketed and never evaluates an end whose
 value the bracket carries), the pole sum
 sum(1/(e0 - i + 1)) in O(1) through the digamma function, an exactly
 rounded array sum with the bits of math.fsum (a few numpy passes of
-error-free extraction, and math.fsum itself below 64 values or for zero,
-infinite, NaN or near-overflow values), the checked failure intervals at
-unit scale that the JM and Weibull fits read, the seeded generator every
-simulation draws from, and two-sided Gaussian confidence intervals.
+error-free extraction, and math.fsum itself below ARRAY_MIN values or for
+zero, infinite, NaN or near-overflow values), the checked failure
+intervals at unit scale that the JM and Weibull fits read, the quotients
+and squares that the fits' list path forms with numpy's results, the
+seeded generator every simulation draws from, and two-sided Gaussian
+confidence intervals.
+
+Below ARRAY_MIN values a fit runs on Python lists and never imports
+numpy, whose import costs more than such a fit; from there on it runs on
+numpy arrays, whose per-element cost is lower.  Every per-element step is
++, -, *, / or the C library's pow, and every sum is exactly rounded, so
+both paths give the same bits.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, NonFinite, NoSignChange, OutOfRange
 
@@ -31,7 +40,13 @@ _SCAN_FACTOR = 16.0
 _SCAN_POINTS = 16  # offsets s, 16 s, ..., 16^15 s = 2^60 s
 _SCAN_TOL_REL = 1e-13
 
-_EXTRACT_MIN = 64  # below this many values fsum_array is math.fsum itself
+# The fewest values the fits hand to numpy; below it they run on lists and
+# fsum_array is math.fsum itself.  With numpy already loaded, a whole fit
+# costs the same on both paths at about 224-256 intervals for JM with its
+# covariance and for Weibull, and at 288-320 periods for Schumann with its
+# covariance; so a Schumann fit on 256-319 periods takes the array path
+# though lists would be up to about 7 % faster there.
+ARRAY_MIN = 256
 _EXTRACT_PASSES = 6  # then math.fsum adds the remainders that are still nonzero
 
 _POLE_SUM_DIRECT = 64  # up to this many terms the pole sum is added term by term
@@ -156,7 +171,7 @@ def scan_bracket(f: Callable[[float], float], floor: float) -> Bracket | None:
 
 
 def fsum_array(values) -> float:
-    """Exactly rounded sum of a 1-D float64 array: the bits of math.fsum over its values.
+    """Exactly rounded sum of a 1-D float64 array, or of a list below ARRAY_MIN floats: math.fsum's bits.
 
     Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
     summation, Part I", SIAM J. Sci. Comput. 31(1), 2008, ExtractVector).
@@ -170,16 +185,17 @@ def fsum_array(values) -> float:
     the bits do not depend on the CPU's SIMD dispatch.  The passes use two
     scratch arrays and never write to ``values``.
 
-    Below 64 values, when the largest magnitude is 0, infinite or NaN, or
-    when sigma would leave the float range, the sum is math.fsum over a
-    memoryview of the array, which hands it the values one at a time; so
-    every NaN, OverflowError and ValueError of math.fsum stays as it is.
+    Below ARRAY_MIN values, when the largest magnitude is 0, infinite or
+    NaN, or when sigma would leave the float range, the sum is math.fsum
+    over the list or over a memoryview of the array, which hands it the
+    values one at a time; so every NaN, OverflowError and ValueError of
+    math.fsum stays as it is.
     """
     n = len(values)
     m = (n + 1).bit_length()
-    top = max(values.max(), -values.min()) if n >= _EXTRACT_MIN else 0.0
+    top = max(values.max(), -values.min()) if n >= ARRAY_MIN else 0.0
     if not (0.0 < top < math.inf and m + math.frexp(top)[1] < 1024):
-        return math.fsum(memoryview(values))
+        return math.fsum(values if type(values) is list else memoryview(values))
     import numpy as np  # the callers' arrays have loaded it already
 
     p, q = values, np.empty(n)
@@ -218,11 +234,25 @@ def all_at_least(values: Sequence, low: float, strict: bool = False) -> bool:
 def interval_array(intervals: Sequence[float]):
     """The checked intervals at unit scale, (x * 2^-e, e) with the largest in [0.5, 1).
 
-    A 1-D native float64 ndarray is read as it is; anything else has the
-    values float() gives, and a None raises.  DomainError names the first
-    that is not finite and positive.  The scaling rounds nothing for
-    intervals within 2^1021 of the largest.
+    x is a list of floats below ARRAY_MIN intervals and a float64 ndarray
+    from there on; an input without len() is made a list first.  A 1-D
+    native float64 ndarray is read as it is; anything else has the values
+    float() gives, and a None raises.  DomainError names the first that is
+    not finite and positive.  The scaling rounds nothing for intervals
+    within 2^1021 of the largest.
     """
+    try:
+        n = len(intervals)
+    except TypeError:
+        intervals = list(intervals)
+        n = len(intervals)
+    if n < ARRAY_MIN:
+        x = list(map(float, intervals))
+        bad = next((v for v in x if not 0.0 < v < math.inf), None)
+        if bad is not None:
+            raise DomainError(f"intervals must be finite and positive, got {bad}")
+        e = math.frexp(max(x, default=0.0))[1]
+        return [math.ldexp(v, -e) for v in x], e
     import numpy as np  # loaded by the fits that call this; numerics itself needs no numpy
 
     if type(intervals) is np.ndarray and intervals.ndim == 1 and intervals.dtype == float:
@@ -254,6 +284,40 @@ def _list_floats(values: list | tuple):
     except Exception:  # float() raises it again below
         pass
     return np.fromiter(map(float, values), dtype=float)
+
+
+def _quotient(a: float, b: float) -> float:
+    try:
+        return a / b
+    except ZeroDivisionError:  # IEEE 754: a signed infinity, or NaN for 0/0 and NaN/0
+        return math.copysign(math.inf, a) * math.copysign(1.0, b) if a and a == a else math.nan
+
+
+def quotients(numerators: Iterable[float], denominators: Sequence[float]) -> list[float]:
+    """a / b for each pair, as numpy divides: a zero b gives an infinity or NaN where Python raises.
+
+    The numerators are read once, or twice when a b is zero: pass a list or
+    an ``itertools.repeat``.
+    """
+    try:
+        return list(map(operator.truediv, numerators, denominators))
+    except ZeroDivisionError:
+        return list(map(_quotient, numerators, denominators))
+
+
+def _square(v: float) -> float:
+    try:
+        return v**2
+    except OverflowError:  # where np.float_power gives inf
+        return math.inf
+
+
+def squares(values: Sequence[float]) -> list[float]:
+    """v ** 2 for each value: the C library's pow, as np.float_power calls it; inf where it overflows."""
+    try:
+        return [v**2 for v in values]
+    except OverflowError:
+        return list(map(_square, values))
 
 
 def at_data_scale(rate: float, e: int, name: str) -> float:

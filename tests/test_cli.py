@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -15,7 +16,9 @@ import pytest
 from relgauge import cli, failure_data, model_jm, model_schumann
 from relgauge.cli import run_cli
 from relgauge.errors import OutOfRange
+from relgauge.numerics import ARRAY_MIN
 
+NTDS = Path(__file__).with_name("ntds_epochs.csv")
 EPOCHS_GROWTH = "epoch\n1.0\n3.0\n"
 EPOCHS_NO_GROWTH = "epoch\n2.0\n3.0\n"
 PERIODS_TWO = (
@@ -704,6 +707,21 @@ def test_predict_schumann_underflowing_rate_is_out_of_range(capsys):
     assert error_json(err)["error"] == "OutOfRange"
 
 
+def test_predict_schumann_overflowing_rate_is_out_of_range(capsys):
+    # c * (e0/I - corrected/I) = 1e308 * 100 overflows; the MTTF was reported as 0.0.
+    code, stdout, err = run(
+        capsys,
+        "predict", "schumann",
+        "--e0", "100", "--c", "1e308", "--instructions", "1", "--corrected", "0", "--time", "1",
+    )
+    assert (code, stdout, len(err.strip().splitlines())) == (2, "", 1)
+    assert error_json(err) == {
+        "error": "OutOfRange",
+        "message": "the failure rate c * r = 1e+308 * 100.0 overflows a float",
+        "exit_code": 2,
+    }
+
+
 def test_economics_underflowing_rate_is_out_of_range(capsys):
     # eps0 * tempo = 1e-300 * 1e-300 underflows to 0, the MTTF's denominator.
     code, stdout, err = run(
@@ -974,6 +992,95 @@ def test_closed_form_verbs_do_not_load_numpy(tmp_path):
 def test_simulate_loads_numpy_when_it_draws(tmp_path):
     args = ["simulate", "jm", "--e0", "50", "--k", "0.004", "--count", "40", "--seed", "7"]
     assert _numpy_probe(args) == [0, [False, False, True]]
+
+
+def test_small_fits_do_not_load_numpy(tmp_path):
+    periods = tmp_path / "periods.csv"
+    periods.write_text(PERIODS_TWO)
+    for args in (
+        ["fit", "jm", "--input", str(NTDS)],
+        ["fit", "weibull", "--input", str(NTDS)],
+        ["fit", "schumann", "--input", str(periods), "--instructions", "1000"],
+    ):
+        assert _numpy_probe(args) == [0, [False, False, False]], args
+
+
+def test_fits_load_numpy_from_array_min_values_on(tmp_path):
+    """The list path ends at numerics.ARRAY_MIN epochs, whatever sizes the benchmark uses."""
+    for count, loaded in ((ARRAY_MIN - 1, False), (ARRAY_MIN, True)):
+        path = tmp_path / f"epochs{count}.csv"
+        # Intervals 1/(e0 - i + 1) for e0 = count + 9: growth, so the fit exists.
+        epochs = itertools.accumulate(1.0 / (count + 10 - i) for i in range(1, count + 1))
+        path.write_text("epoch\n" + "".join(f"{t!r}\n" for t in epochs))
+        assert _numpy_probe(["fit", "jm", "--input", str(path)]) == [0, [False, False, loaded]], count
+
+
+# run_cli on ``args`` with its report going to ``output``: the exit code and
+# the report without its timestamp.  Errors go to the process's stderr.
+_ONE_CALL = """
+import json, sys
+from pathlib import Path
+import relgauge.cli
+
+def call(args, output):
+    code = relgauge.cli.run_cli([*args, "--output", output])
+    report = json.loads(Path(output).read_text()) if Path(output).exists() else None
+    if report:
+        del report["provenance"]["generated_at"]
+    return [code, report]
+"""
+
+
+def test_calls_in_one_process_give_what_fresh_processes_give(tmp_path):
+    """The parser is built once per process: a usage error, then a JM fit,
+    then a Weibull fit with its defaults, each as a fresh process gives it."""
+    calls = [
+        ["fit", "jm", "--confidence", "x"],
+        ["fit", "jm", "--input", str(NTDS)],
+        ["fit", "weibull", "--input", str(NTDS)],
+    ]
+    program = _ONE_CALL + (
+        "print(json.dumps([call(a, f'{sys.argv[1]}{i}.json') for i, a in enumerate(json.loads(sys.argv[2]))]))"
+    )
+    fresh = [_fresh_python(program, str(tmp_path / f"fresh{i}-"), json.dumps([args])) for i, args in enumerate(calls)]
+    serial = _fresh_python(program, str(tmp_path / "serial-"), json.dumps(calls))
+    assert json.loads(serial.stdout) == [json.loads(child.stdout)[0] for child in fresh]
+    assert serial.stderr == "".join(child.stderr for child in fresh)
+    assert [code for code, _ in json.loads(serial.stdout)] == [1, 0, 0]
+
+
+def test_cli_calls_are_safe_across_threads(tmp_path):
+    """Four threads make their first run_cli calls at once, on mixed verbs; each result is the serial one."""
+    periods = tmp_path / "periods.csv"
+    periods.write_text(PERIODS_TWO)
+    calls = [
+        ["fit", "jm", "--input", str(NTDS)],
+        ["fit", "weibull", "--input", str(NTDS), "--moment-form", "literal"],
+        ["fit", "schumann", "--input", str(periods), "--instructions", "1000"],
+        ["predict", "jm", "--e0", "2", "--k", "0.5", "--index", "2", "--dt", "2.0"],
+        ["fit", "jm", "--confidence", "x"],
+    ]
+    _fresh_python(_ONE_CALL + """
+import threading
+out, calls = sys.argv[1], json.loads(sys.argv[2])
+start = threading.Barrier(4, timeout=60)
+results = [None] * 4
+
+def work(i):
+    start.wait()
+    results[i] = [call(calls[(i + j) % len(calls)], f"{out}/{i}-{j}.json") for j in range(len(calls))]
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=60)
+assert not any(thread.is_alive() for thread in threads)
+serial = [call(args, f"{out}/serial-{j}.json") for j, args in enumerate(calls)]
+for i, result in enumerate(results):
+    assert result == serial[i:] + serial[:i], (i, result)
+""", str(tmp_path), json.dumps(calls))
 
 
 def test_first_generator_calls_are_safe_across_threads():

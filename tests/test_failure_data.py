@@ -4,6 +4,7 @@ import csv
 import itertools
 import math
 import operator
+from unittest import mock
 
 import hypothesis
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import strategies as st
 
 from relgauge.debug_economics import parse_discovery
-from relgauge import failure_data, model_jm, model_weibull
+from relgauge import failure_data, model_jm, model_weibull, numerics
 from relgauge.errors import DomainError, NoFailures, NotMonotone, ParseError
 from relgauge.failure_data import (
     DebugPeriod,
@@ -228,11 +229,17 @@ def _fit_outcomes(intervals):
 def test_fits_give_the_same_bits_on_the_interval_array_and_its_list(steps):
     epochs = tuple(itertools.accumulate(steps))
     hypothesis.assume(all(map(operator.lt, epochs, epochs[1:])) and math.isfinite(epochs[-1]))
-    intervals = intervals_from_epochs(FailureEpochs(epochs))
-    differences = map(operator.sub, epochs, itertools.chain((0.0,), epochs))
+    differences = list(map(float.hex, map(operator.sub, epochs, itertools.chain((0.0,), epochs))))
+    with mock.patch.object(numerics, "ARRAY_MIN", 0):  # the array path at every size
+        intervals = intervals_from_epochs(FailureEpochs(epochs))
+        array = _fit_outcomes(intervals)
+        assert _fit_outcomes(intervals.tolist()) == array
     assert intervals.dtype == np.float64
-    assert list(map(float.hex, intervals.tolist())) == list(map(float.hex, differences))
-    assert _fit_outcomes(intervals) == _fit_outcomes(intervals.tolist())
+    assert list(map(float.hex, intervals.tolist())) == differences
+    listed = intervals_from_epochs(FailureEpochs(epochs))  # the list path below ARRAY_MIN epochs
+    assert type(listed) is list
+    assert list(map(float.hex, listed)) == differences
+    assert _fit_outcomes(listed) == array
 
 
 def test_fits_give_the_same_bits_on_the_interval_array_and_its_list_at_1e5():
@@ -246,8 +253,8 @@ def test_fits_give_the_same_bits_on_the_interval_array_and_its_list_at_1e5():
 
 
 def test_intervals_examples():
-    assert intervals_from_epochs(FailureEpochs((1.0, 3.0, 6.0))).tolist() == [1.0, 2.0, 3.0]
-    assert intervals_from_epochs(FailureEpochs((5.0,))).tolist() == [5.0]
+    assert intervals_from_epochs(FailureEpochs((1.0, 3.0, 6.0))) == [1.0, 2.0, 3.0]
+    assert intervals_from_epochs(FailureEpochs((5.0,))) == [5.0]
 
 
 def test_intervals_round_trip_exact():

@@ -31,7 +31,7 @@ def _intervals():
 
 
 def test_the_fixture_is_the_published_data():
-    assert _intervals().tolist() == DAYS
+    assert _intervals() == DAYS
     assert sum(DAYS) == 250
 
 

@@ -1,5 +1,6 @@
 """Tests for the shared numerical kernels."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from relgauge import debug_economics, fault_tolerance, model_weibull
+from relgauge import debug_economics, fault_tolerance, model_weibull, numerics
 from relgauge.debug_economics import fit_discovery_curve
 from relgauge.errors import DomainError, NonFinite, NoSignChange, OutOfRange, SingularInformation
 from relgauge.failure_data import DebugPeriod
@@ -321,10 +322,12 @@ def test_fsum_array_has_the_bits_of_math_fsum_on_large_arrays(kind, n):
 
 
 @pytest.mark.parametrize("n", [64, 10**4])
-def test_fsum_array_adds_the_remainders_left_after_the_last_pass(n):
+def test_fsum_array_adds_the_remainders_left_after_the_last_pass(n, monkeypatch):
     """1 + 2^-53 is a tie that rounds to even, 1.0; a value 2^-600 far below,
     left over after every extraction pass, breaks it either way.  Pairs
-    +-2^(-45 j) that cancel keep each pass from reaching it."""
+    +-2^(-45 j) that cancel keep each pass from reaching it.  The extraction
+    runs at every size, so that n = 64 does not fall to math.fsum."""
+    monkeypatch.setattr(numerics, "ARRAY_MIN", 0)
     x = np.zeros(n)
     x[[0, n // 2]] = 1.0, 2.0**-53
     x[1:21] = [sign * 2.0 ** (-45 * j) for j in range(1, 11) for sign in (1.0, -1.0)]
@@ -334,10 +337,12 @@ def test_fsum_array_adds_the_remainders_left_after_the_last_pass(n):
 
 
 @pytest.mark.parametrize("m", [7, 14, 17])
-def test_fsum_array_needs_sigma_of_at_least_n_plus_2_times_the_largest(m):
+def test_fsum_array_needs_sigma_of_at_least_n_plus_2_times_the_largest(m, monkeypatch):
     """n = 2^m - 3 values below 1 sum to more than 2^(m-1); a sigma of only
     2^(m-1) would leave the extracted sum needing one bit more than a float
-    has, and the 2^-100 below it could no longer break the tie."""
+    has, and the 2^-100 below it could no longer break the tie.  The
+    extraction runs at every size, so that n = 125 does not fall to math.fsum."""
+    monkeypatch.setattr(numerics, "ARRAY_MIN", 0)
     n = 2**m - 3
     x = np.full(n, 0.75)
     g = 2.0 ** (m - 54)
@@ -412,16 +417,24 @@ def test_fsum_array_bits_do_not_depend_on_the_simd_dispatch():
         assert kernel == reference
 
 
-def test_interval_array_returns_the_checked_floats():
-    x, e = interval_array([1, 2.5, 1e-300])
-    assert x.dtype == np.float64
-    assert e == 2
-    assert x.tolist() == [0.25, 0.625, 0.25e-300]
-    for value, scaled, exponent in ((5e-324, 0.5, -1073), (1.7976931348623157e308, 1.0 - 2.0**-53, 1024)):
-        x, e = interval_array([value])
-        assert (x.tolist(), e) == ([scaled], exponent)
-    x, e = interval_array([])
-    assert (x.tolist(), e) == ([], 0)
+# interval_array's two paths: the container it returns, and the numerics.ARRAY_MIN
+# that selects it (every input in these tests is below the constant as it is).
+_PATHS = ((np.ndarray, 0), (list, numerics.ARRAY_MIN))
+
+
+def test_interval_array_returns_the_checked_floats(monkeypatch):
+    for path, limit in _PATHS:
+        monkeypatch.setattr(numerics, "ARRAY_MIN", limit)
+        x, e = interval_array([1, 2.5, 1e-300])
+        assert type(x) is path
+        assert path is list or x.dtype == np.float64
+        assert e == 2
+        assert list(x) == [0.25, 0.625, 0.25e-300]
+        for value, scaled, exponent in ((5e-324, 0.5, -1073), (1.7976931348623157e308, 1.0 - 2.0**-53, 1024)):
+            x, e = interval_array([value])
+            assert (list(x), e) == ([scaled], exponent)
+        x, e = interval_array([])
+        assert (list(x), e) == ([], 0)
 
 
 def test_at_data_scale_is_an_exact_power_of_two_or_out_of_range():
@@ -431,28 +444,35 @@ def test_at_data_scale_is_an_exact_power_of_two_or_out_of_range():
             at_data_scale(rate, e, "lam")
 
 
-def test_interval_array_names_the_first_bad_interval():
-    for bad, shown in ((0.0, "0.0"), (-1.0, "-1.0"), (math.inf, "inf"), (math.nan, "nan")):
+def test_interval_array_names_the_first_bad_interval(monkeypatch):
+    for (_, limit), (bad, shown) in itertools.product(
+        _PATHS, ((0.0, "0.0"), (-1.0, "-1.0"), (math.inf, "inf"), (math.nan, "nan"))
+    ):
+        monkeypatch.setattr(numerics, "ARRAY_MIN", limit)
         with pytest.raises(DomainError, match=f"^intervals must be finite and positive, got {shown}$"):
             interval_array([1.0, bad, -2.0])
 
 
-def _interval_array_before(intervals):
-    """interval_array before its ndarray pass-through: every value goes through float()."""
+def _interval_array_before(intervals, container=np.ndarray):
+    """interval_array before its ndarray pass-through: every value goes through float().
+
+    The scaled values come as an ndarray, or as a list for ``container=list``."""
     x = np.fromiter(map(float, intervals), dtype=float)
     ok = (x > 0.0) & (x < math.inf)
     if not ok.all():
         raise DomainError(f"intervals must be finite and positive, got {float(x[ok.argmin()])}")
     e = math.frexp(x.max(initial=0.0))[1]
-    return np.ldexp(x, -e), e
+    x = np.ldexp(x, -e)
+    return (x.tolist() if container is list else x), e
 
 
 def _scaled_outcome(scale, values):
+    """The container, dtype and bytes of the scaled values and the exponent, or the error."""
     try:
         x, e = scale(values)
     except Exception as exc:  # the type and message are what is compared
         return type(exc), str(exc)
-    return x.dtype.str, x.tobytes(), e
+    return type(x), np.asarray(x).dtype.str, np.asarray(x).tobytes(), e
 
 
 def _read_only(values):
@@ -496,14 +516,17 @@ _ODD_LISTS = [
         *_ODD_LISTS,
     ],
 )
-def test_interval_array_gives_the_value_by_value_result_on_any_input(values):
+def test_interval_array_gives_the_value_by_value_result_on_any_input(values, monkeypatch):
     """A 1-D native float64 ndarray is read as it is and anything else value
     by value, with the result or error that converting every value with
-    float() gives; the caller's array keeps its values."""
+    float() gives, on both paths; the caller's array keeps its values."""
     before = np.copy(values) if isinstance(values, np.ndarray) else None
-    assert _scaled_outcome(interval_array, values) == _scaled_outcome(_interval_array_before, values)
-    if before is not None:
-        assert values.tobytes() == before.tobytes()
+    for path, limit in _PATHS:
+        monkeypatch.setattr(numerics, "ARRAY_MIN", limit)
+        expected = _scaled_outcome(lambda v: _interval_array_before(v, path), values)
+        assert _scaled_outcome(interval_array, values) == expected
+        if before is not None:
+            assert values.tobytes() == before.tobytes()
 
 
 def test_gaussian_intervals_half_widths():
