@@ -12,13 +12,17 @@ A cold call pays only for the code it runs:
   ``from relgauge import JmFit`` loads ``model_jm`` and what it needs, and
   ``from relgauge import *`` loads them all.
 - ``relgauge.cli`` imports a model module inside the handler that calls it,
-  so ``relgauge predict jm`` loads ``model_jm`` and none of the others.
+  so ``relgauge predict jm`` loads ``model_jm`` and none of the others, and
+  ``failure_data`` only for the verbs that read its formats or records.
 - numpy is imported inside the functions that build or draw arrays, never
   at module level, so the closed-form calls (predictions, economics from
   given parameters, fault-tolerance planning, the input-profile estimate)
   do not pay its start-up cost.
+- Records are built on the small ``record.Record`` base rather than as
+  dataclasses, so no call imports ``dataclasses`` or compiles a record's
+  methods when its module loads.
 
-tests/test_cli.py guards all three in fresh interpreters.
+tests/test_cli.py guards all four in fresh interpreters.
 """
 
 from __future__ import annotations

@@ -11,31 +11,46 @@ JSON line on standard error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import json
 import math
 import sys
-from datetime import datetime, timezone
+import time
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable
 
 # Each handler imports the model module it calls, so a call loads only its own
-# model. A fit's report is built by its model's ``report``; the handlers here
-# only read, fit and attach the covariance. The failure_data names stay globals
-# here because perfbench/tracing.py wraps them as cli attributes.
+# model, and failure_data is loaded only by the verbs that read its formats. A
+# fit's report is built by its model's ``report``; the handlers here only read,
+# fit and attach the covariance.
 from . import __version__
 from .errors import DataError, DomainError, EstimationError, OutOfRange, ParseError
-from .failure_data import (
-    Outcome,
-    intervals_from_epochs,
-    parse_debug_periods,
-    parse_failure_epochs,
-    parse_run_log,
-)
 from .numerics import check_level
+
+# The failure_data functions the handlers call, as attributes of this module:
+# __getattr__ imports them on first use, and the handlers call them through
+# _cli, so a wrapper set on the module (perfbench/tracing.py sets one) is the
+# function called.
+_FAILURE_DATA = (
+    "intervals_from_epochs",
+    "parse_debug_periods",
+    "parse_failure_epochs",
+    "parse_run_log",
+)
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    """Import the failure_data function ``name`` on first access and keep it in the namespace."""
+    if name not in _FAILURE_DATA:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import failure_data
+
+    value = getattr(failure_data, name)
+    globals()[name] = value  # later lookups skip this function
+    return value
 
 
 class UsageError(Exception):
@@ -82,12 +97,19 @@ def _read_input(inputs: list[dict], role: str, path: str) -> str:
         ) from None
 
 
+def _utc_now() -> str:
+    """The current UTC time as datetime's isoformat writes it, without importing datetime."""
+    seconds, micros = divmod(time.time_ns() // 1000, 1_000_000)
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+    return f"{stamp}.{micros:06d}+00:00" if micros else f"{stamp}+00:00"
+
+
 def _provenance(inputs: list[dict], seed: int | None) -> dict:
     return {
         "inputs": inputs,
         "seed": seed,
         "version": __version__,
-        "generated_at": datetime.now(timezone.utc).isoformat(),
+        "generated_at": _utc_now(),
     }
 
 
@@ -165,7 +187,7 @@ def _handle_fit_schumann(ns: argparse.Namespace, read: _Read) -> dict:
     from . import model_schumann
 
     check_level(ns.confidence)  # before the input is read, so a failing fit cannot hide it
-    periods = parse_debug_periods(read("input", ns.input))
+    periods = _cli.parse_debug_periods(read("input", ns.input))
     fit = model_schumann.fit_mle(periods, ns.instructions)
     fit = model_schumann.covariance(fit, periods)
     return model_schumann.report(fit, ns.confidence, len(periods))
@@ -175,7 +197,7 @@ def _handle_fit_jm(ns: argparse.Namespace, read: _Read) -> dict:
     from . import model_jm
 
     check_level(ns.confidence)  # before the input is read, so a failing fit cannot hide it
-    intervals = intervals_from_epochs(parse_failure_epochs(read("input", ns.input)))
+    intervals = _cli.intervals_from_epochs(_cli.parse_failure_epochs(read("input", ns.input)))
     fit = model_jm.fit_mle(intervals)
     fit = model_jm.covariance(fit, intervals)
     return model_jm.report(fit, ns.confidence)
@@ -184,13 +206,14 @@ def _handle_fit_jm(ns: argparse.Namespace, read: _Read) -> dict:
 def _handle_fit_weibull(ns: argparse.Namespace, read: _Read) -> dict:
     from . import model_weibull
 
-    intervals = intervals_from_epochs(parse_failure_epochs(read("input", ns.input)))
+    intervals = _cli.intervals_from_epochs(_cli.parse_failure_epochs(read("input", ns.input)))
     fit = model_weibull.fit_moments(intervals, model_weibull.MomentForm(ns.moment_form))
     return model_weibull.report(fit, len(intervals))
 
 
 def _handle_fit_nelson(ns: argparse.Namespace, read: _Read) -> dict:
     from . import model_nelson
+    from .failure_data import Outcome
 
     if ns.weights and not ns.simplified:
         raise UsageError("--weights requires --simplified")
@@ -204,7 +227,7 @@ def _handle_fit_nelson(ns: argparse.Namespace, read: _Read) -> dict:
         "certain_failure": any(q == 1.0 for q in qs),
     }
     if ns.simplified:
-        log = parse_run_log(read("simplified", ns.simplified))
+        log = _cli.parse_run_log(read("simplified", ns.simplified))
         error_free = [1 if r.outcome is Outcome.SUCCESS else 0 for r in log.runs]
         if ns.weights:
             weights = model_nelson.parse_weights(read("weights", ns.weights))
@@ -255,7 +278,7 @@ def _handle_faulttol(ns: argparse.Namespace, read: _Read) -> dict:
         total_time=ns.total_time, overhead=ns.overhead, failure_rate=ns.failure_rate
     )
     plan = fault_tolerance.optimal_module_time(config)
-    report = dataclasses.asdict(plan)
+    report = dict(vars(plan))
     if ns.simulate is not None:
         if ns.seed is None:
             raise UsageError("--simulate requires --seed")

@@ -13,16 +13,14 @@ the economically optimal amount of debugging.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, NoConvergence, OutOfRange, Underdetermined
-from .failure_data import read_columns
 from .numerics import Bracket, find_root_bracketed
+from .record import Record, set_field
 
 
-@dataclass(frozen=True)
-class DiscoveryParams:
+class DiscoveryParams(Record):
     """Exponential error-discovery model of one program under debugging.
 
     eps0
@@ -35,12 +33,13 @@ class DiscoveryParams:
         Execution speed in instructions per unit of operating time.
     """
 
-    eps0: float
-    tau0: float
-    commands: int
-    tempo: float
+    _fields = ("eps0", "tau0", "commands", "tempo")
 
-    def __post_init__(self) -> None:
+    def __init__(self, eps0: float, tau0: float, commands: int, tempo: float) -> None:
+        set_field(self, "eps0", eps0)
+        set_field(self, "tau0", tau0)
+        set_field(self, "commands", commands)
+        set_field(self, "tempo", tempo)
         if not (math.isfinite(self.eps0) and self.eps0 > 0.0):
             raise DomainError(f"eps0 must be positive, got {self.eps0}")
         if not (math.isfinite(self.tau0) and self.tau0 > 0.0):
@@ -51,8 +50,7 @@ class DiscoveryParams:
             raise DomainError(f"tempo must be positive, got {self.tempo}")
 
 
-@dataclass(frozen=True)
-class EconParams:
+class EconParams(Record):
     """Costs and horizon for the debugging trade-off.
 
     cost_error
@@ -63,12 +61,13 @@ class EconParams:
         Planned operating time of the released program.
     """
 
-    cost_error: float
-    cost_test: float
-    horizon: float
+    _fields = ("cost_error", "cost_test", "horizon")
 
-    def __post_init__(self) -> None:
-        for name in ("cost_error", "cost_test", "horizon"):
+    def __init__(self, cost_error: float, cost_test: float, horizon: float) -> None:
+        set_field(self, "cost_error", cost_error)
+        set_field(self, "cost_test", cost_test)
+        set_field(self, "horizon", horizon)
+        for name in self._fields:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise DomainError(f"{name} must be positive, got {value}")
@@ -245,5 +244,7 @@ def fit_discovery_curve(
 
 def parse_discovery(text: str) -> list[tuple[float, float]]:
     """Parse ``tau,corrected`` CSV text into (time, cumulative count) pairs."""
+    from .failure_data import read_columns  # here, so economics from parameters does not load it
+
     _, (taus, counts) = read_columns(text, (("tau", float), ("corrected", float)))
     return list(zip(taus, counts))

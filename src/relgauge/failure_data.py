@@ -21,13 +21,13 @@ import io
 import math
 import operator
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
 from . import numerics
 from .errors import DomainError, NoFailures, NotMonotone, ParseError
 from .numerics import all_at_least
+from .record import Record, set_field
 
 
 class Outcome(Enum):
@@ -35,25 +35,27 @@ class Outcome(Enum):
     FAILURE = "failure"
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(Record):
     """One test run: how long it ran and whether it failed."""
 
-    duration: float
-    outcome: Outcome
+    _fields = ("duration", "outcome")
 
-    def __post_init__(self) -> None:
+    def __init__(self, duration: float, outcome: Outcome) -> None:
+        set_field(self, "duration", duration)
+        set_field(self, "outcome", outcome)
         if not (math.isfinite(self.duration) and self.duration > 0.0):
             raise DomainError(f"run duration must be finite and positive, got {self.duration}")
         if not isinstance(self.outcome, Outcome):
             raise DomainError(f"outcome must be an Outcome value, got {self.outcome!r}")
 
 
-@dataclass(frozen=True)
-class RunLog:
+class RunLog(Record):
     """An ordered collection of test runs."""
 
-    runs: tuple[RunRecord, ...]
+    _fields = ("runs",)
+
+    def __init__(self, runs: tuple[RunRecord, ...]) -> None:
+        set_field(self, "runs", runs)
 
     @property
     def total_runs(self) -> int:
@@ -64,22 +66,24 @@ class RunLog:
         return sum(1 for r in self.runs if r.outcome is Outcome.FAILURE)
 
 
-@dataclass(frozen=True)
-class RunSummary:
+class RunSummary(Record):
     """Exposure-based rate summary of a run log."""
 
-    exposure: float
-    lambda_hat: float
-    t_hat: float
+    _fields = ("exposure", "lambda_hat", "t_hat")
+
+    def __init__(self, exposure: float, lambda_hat: float, t_hat: float) -> None:
+        set_field(self, "exposure", exposure)
+        set_field(self, "lambda_hat", lambda_hat)
+        set_field(self, "t_hat", t_hat)
 
 
-@dataclass(frozen=True)
-class FailureEpochs:
+class FailureEpochs(Record):
     """Cumulative failure times, strictly increasing and positive."""
 
-    epochs: tuple[float, ...]
+    _fields = ("epochs",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, epochs: tuple[float, ...]) -> None:
+        set_field(self, "epochs", epochs)
         e = self.epochs
         # Increasing from a positive first to a finite last: each finite and positive.
         with contextlib.suppress(TypeError, ValueError, OverflowError):
@@ -96,16 +100,16 @@ class FailureEpochs:
             prev = t
 
 
-@dataclass(frozen=True)
-class DebugPeriod:
+class DebugPeriod(Record):
     """One debugging period: elapsed debug time, corrections so far, test exposure, failures seen."""
 
-    tau: float
-    corrected: int
-    exposure: float
-    failures: int
+    _fields = ("tau", "corrected", "exposure", "failures")
 
-    def __post_init__(self) -> None:
+    def __init__(self, tau: float, corrected: int, exposure: float, failures: int) -> None:
+        set_field(self, "tau", tau)
+        set_field(self, "corrected", corrected)
+        set_field(self, "exposure", exposure)
+        set_field(self, "failures", failures)
         if not (math.isfinite(self.tau) and self.tau >= 0.0):
             raise DomainError(f"debug time must be finite and non-negative, got {self.tau}")
         if not (isinstance(self.corrected, int) and self.corrected >= 0):
@@ -116,8 +120,7 @@ class DebugPeriod:
             raise DomainError(f"failure count must be a non-negative integer, got {self.failures}")
 
 
-@dataclass(frozen=True, eq=False)
-class DebugPeriods(Sequence):
+class DebugPeriods(Record, Sequence):
     """Debugging periods held column by column, as :func:`parse_debug_periods` returns them.
 
     Indexing and iteration give DebugPeriod records, and it compares equal
@@ -125,12 +128,19 @@ class DebugPeriods(Sequence):
     DebugPeriod's rules.
     """
 
-    tau: tuple[float, ...]
-    corrected: tuple[int, ...]
-    exposure: tuple[float, ...]
-    failures: tuple[int, ...]
+    _fields = DebugPeriod._fields
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        tau: tuple[float, ...],
+        corrected: tuple[int, ...],
+        exposure: tuple[float, ...],
+        failures: tuple[int, ...],
+    ) -> None:
+        set_field(self, "tau", tau)
+        set_field(self, "corrected", corrected)
+        set_field(self, "exposure", exposure)
+        set_field(self, "failures", failures)
         if len({len(self.tau), len(self.corrected), len(self.exposure), len(self.failures)}) > 1:
             raise DomainError("period columns must have equal lengths")
         counts = _all_counts(self.corrected) and _all_counts(self.failures)
@@ -145,7 +155,7 @@ class DebugPeriods(Sequence):
         if isinstance(periods, DebugPeriods):
             return periods
         periods = list(periods)
-        return cls(*(tuple(getattr(p, name) for p in periods) for name in _PERIOD_FIELDS))
+        return cls(*(tuple(getattr(p, name) for p in periods) for name in cls._fields))
 
     def __len__(self) -> int:
         return len(self.tau)
@@ -161,9 +171,6 @@ class DebugPeriods(Sequence):
         if isinstance(other, Sequence) and not isinstance(other, str):
             return list(self) == list(other)
         return NotImplemented
-
-
-_PERIOD_FIELDS = ("tau", "corrected", "exposure", "failures")
 
 
 def _all_counts(values: Sequence) -> bool:

@@ -18,15 +18,14 @@ the module length minimizing the expected total.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError, OutOfRange
 from .numerics import Bracket, find_root_bracketed, seeded_rng
+from .record import Record, set_field
 
 
-@dataclass(frozen=True)
-class DualRunConfig:
+class DualRunConfig(Record):
     """Double-execution planning inputs.
 
     total_time
@@ -37,26 +36,31 @@ class DualRunConfig:
         Failure intensity lam of a single execution.
     """
 
-    total_time: float
-    overhead: float
-    failure_rate: float
+    _fields = ("total_time", "overhead", "failure_rate")
 
-    def __post_init__(self) -> None:
-        for name in ("total_time", "overhead", "failure_rate"):
+    def __init__(self, total_time: float, overhead: float, failure_rate: float) -> None:
+        set_field(self, "total_time", total_time)
+        set_field(self, "overhead", overhead)
+        set_field(self, "failure_rate", failure_rate)
+        for name in self._fields:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise DomainError(f"{name} must be positive, got {value}")
 
 
-@dataclass(frozen=True)
-class DualRunPlan:
+class DualRunPlan(Record):
     """Chosen module length and the performance it implies."""
 
-    t_star: float
-    module_count: float
-    tp_min: float
-    p1_at_t: float
-    boundary: bool
+    _fields = ("t_star", "module_count", "tp_min", "p1_at_t", "boundary")
+
+    def __init__(
+        self, t_star: float, module_count: float, tp_min: float, p1_at_t: float, boundary: bool
+    ) -> None:
+        set_field(self, "t_star", t_star)
+        set_field(self, "module_count", module_count)
+        set_field(self, "tp_min", tp_min)
+        set_field(self, "p1_at_t", p1_at_t)
+        set_field(self, "boundary", boundary)
 
 
 def rerun_probability(p1: float, i: int) -> float:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import Sequence
 
@@ -28,24 +27,38 @@ from .errors import (
 )
 from .numerics import at_data_scale, find_root_bracketed, fsum_array, gaussian_intervals
 from .numerics import interval_array, pole_sum, quotients, scan_bracket, seeded_rng, squares
+from .record import Record, set_field
 
 _RESIDUAL_LIMIT = 1e-9
 
 
-@dataclass(frozen=True)
-class JmFit:
-    """Fitted error count and per-error intensity, with optional uncertainty."""
+class JmFit(Record):
+    """Fitted error count and per-error intensity, with optional uncertainty.
 
-    e0_hat: float
-    k_hat: float
-    k_obs: int
-    var_e0: float | None = None
-    var_k: float | None = None
-    rho: float | None = None
-    # The stationarity residual that fit_mle checked at this root.
-    residual: float | None = field(default=None, compare=False)
+    ``residual`` is the stationarity residual that fit_mle checked at this
+    root; it takes no part in ``==`` or ``hash``.
+    """
 
-    def __post_init__(self) -> None:
+    _fields = ("e0_hat", "k_hat", "k_obs", "var_e0", "var_k", "rho", "residual")
+    _uncompared = ("residual",)
+
+    def __init__(
+        self,
+        e0_hat: float,
+        k_hat: float,
+        k_obs: int,
+        var_e0: float | None = None,
+        var_k: float | None = None,
+        rho: float | None = None,
+        residual: float | None = None,
+    ) -> None:
+        set_field(self, "e0_hat", e0_hat)
+        set_field(self, "k_hat", k_hat)
+        set_field(self, "k_obs", k_obs)
+        set_field(self, "var_e0", var_e0)
+        set_field(self, "var_k", var_k)
+        set_field(self, "rho", rho)
+        set_field(self, "residual", residual)
         if not (isinstance(self.k_obs, int) and self.k_obs >= 1):
             raise DomainError(f"k_obs must be an integer >= 1, got {self.k_obs}")
         if not (math.isfinite(self.e0_hat) and self.e0_hat > self.k_obs - 1):
@@ -67,16 +80,28 @@ def _residual_count(e0: float, i: int) -> float:
     return residual
 
 
-def intensity(e0: float, k_jm: float, i: int) -> float:
-    """Failure intensity while waiting for failure ``i``: k_jm * (e0 - i + 1)."""
+def _rate(e0: float, k_jm: float, i: int) -> float:
     if not (math.isfinite(k_jm) and k_jm > 0.0):
         raise DomainError(f"k_jm must be positive, got {k_jm}")
     return k_jm * _residual_count(e0, i)
 
 
+def intensity(e0: float, k_jm: float, i: int) -> float:
+    """Failure intensity while waiting for failure ``i``: k_jm * (e0 - i + 1).
+
+    OutOfRange when the product of a finite e0 - i + 1 and k_jm overflows a float.
+    """
+    rate = _rate(e0, k_jm, i)
+    if rate == math.inf and math.isfinite(e0):
+        raise OutOfRange(
+            f"the intensity k * (e0 - i + 1) = {k_jm} * {e0 - i + 1} overflows a float"
+        )
+    return rate
+
+
 def reliability(e0: float, k_jm: float, i: int, dt: float) -> float:
     """Probability of surviving ``dt`` beyond failure i-1 without failure i."""
-    rate = intensity(e0, k_jm, i)
+    rate = _rate(e0, k_jm, i)  # an overflowing rate gives 0 for any dt > 0
     if not (math.isfinite(dt) and dt >= 0.0):
         raise DomainError(f"dt must be finite and non-negative, got {dt}")
     return math.exp(-rate * dt)
@@ -207,8 +232,7 @@ def covariance(fit: JmFit, intervals: Sequence[float]) -> JmFit:
         raise SingularInformation(
             f"information determinant k*S2 - (A*k_hat)^2 = {denom} is not positive and finite"
         )
-    return replace(
-        fit,
+    return fit.replace(
         var_e0=k / denom,
         var_k=at_data_scale(s2 * k_unit**2 / denom, 2 * e, "var_k"),
         rho=a_k / math.sqrt(k * s2),

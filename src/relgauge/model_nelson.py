@@ -14,24 +14,24 @@ import contextlib
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, ParseError, WeightSumMismatch
 from .failure_data import read_columns
 from .numerics import all_at_least
+from .record import Record, set_field
 
 _SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class RunProfile:
+class RunProfile(Record):
     """Input-set probabilities and failure indicators for one run."""
 
-    probs: tuple[float, ...]
-    indicators: tuple[int, ...]
+    _fields = ("probs", "indicators")
 
-    def __post_init__(self) -> None:
+    def __init__(self, probs: tuple[float, ...], indicators: tuple[int, ...]) -> None:
+        set_field(self, "probs", probs)
+        set_field(self, "indicators", indicators)
         if len(self.probs) != len(self.indicators) or not self.probs:
             raise DomainError("probs and indicators must be non-empty and of equal length")
         # One pass per test accepts a valid profile: a NaN fails the sum
@@ -56,14 +56,14 @@ class RunProfile:
         raise DomainError(f"failure indicators must be 0 or 1, got {y}")
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
+class PartitionSpec(Record):
     """Disjoint input-domain paths with their hit probabilities and error rates."""
 
-    path_probs: tuple[float, ...]
-    path_error_rates: tuple[float, ...]
+    _fields = ("path_probs", "path_error_rates")
 
-    def __post_init__(self) -> None:
+    def __init__(self, path_probs: tuple[float, ...], path_error_rates: tuple[float, ...]) -> None:
+        set_field(self, "path_probs", path_probs)
+        set_field(self, "path_error_rates", path_error_rates)
         if len(self.path_probs) != len(self.path_error_rates) or not self.path_probs:
             raise DomainError("path lists must be non-empty and of equal length")
         for p in self.path_probs:

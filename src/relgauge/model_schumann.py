@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from . import numerics
@@ -35,6 +34,7 @@ from .errors import (
 from .failure_data import DebugPeriod, DebugPeriods, read_columns
 from .numerics import find_root_bracketed, fsum_array, gaussian_intervals, quotients, scan_bracket
 from .numerics import seeded_rng, squares
+from .record import Record, set_field
 
 _RESIDUAL_LIMIT = 1e-9
 # The largest mean numpy's Poisson sampler accepts (its POISSON_LAM_MAX),
@@ -42,25 +42,35 @@ _RESIDUAL_LIMIT = 1e-9
 _POISSON_MEAN_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
 
 
-@dataclass(frozen=True)
-class SchumannFit:
+class SchumannFit(Record):
     """Fitted error content and detection coefficient.
 
     ``e0_hat`` is the estimated initial error count (continuous), ``c_hat``
     the per-residual failure intensity.  Variance fields are populated by
-    :func:`covariance`.
+    :func:`covariance`.  ``residuals`` are the stationarity residuals that
+    fit_mle checked at this root; they take no part in ``==`` or ``hash``.
     """
 
-    e0_hat: float
-    c_hat: float
-    instructions: int
-    var_e0: float | None = None
-    var_c: float | None = None
-    rho: float | None = None
-    # The stationarity residuals that fit_mle checked at this root.
-    residuals: tuple[float, float] | None = field(default=None, compare=False)
+    _fields = ("e0_hat", "c_hat", "instructions", "var_e0", "var_c", "rho", "residuals")
+    _uncompared = ("residuals",)
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        e0_hat: float,
+        c_hat: float,
+        instructions: int,
+        var_e0: float | None = None,
+        var_c: float | None = None,
+        rho: float | None = None,
+        residuals: tuple[float, float] | None = None,
+    ) -> None:
+        set_field(self, "e0_hat", e0_hat)
+        set_field(self, "c_hat", c_hat)
+        set_field(self, "instructions", instructions)
+        set_field(self, "var_e0", var_e0)
+        set_field(self, "var_c", var_c)
+        set_field(self, "rho", rho)
+        set_field(self, "residuals", residuals)
         if not (isinstance(self.instructions, int) and self.instructions >= 1):
             raise DomainError(f"instructions must be an integer >= 1, got {self.instructions}")
         if not (math.isfinite(self.e0_hat) and self.e0_hat > 0.0):
@@ -198,10 +208,11 @@ def _c_estimates(periods: DebugPeriods, instructions: int) -> Callable[[float], 
 
     def estimates(e0: float) -> tuple[float, float]:
         exposed, rates = sums(e0)
-        c = (total / exposed if exposed else math.inf), rates / exposure_sum
-        if not (0.0 < min(c) and max(c) < math.inf):
+        c1, c2 = (total / exposed if exposed else math.inf), rates / exposure_sum
+        # Each on its own, so that a NaN estimate fails too.
+        if not (0.0 < c1 < math.inf and 0.0 < c2 < math.inf):
             raise OutOfRange(f"an estimate of c at e0 = {e0} is not a positive finite float")
-        return c
+        return c1, c2
 
     return estimates
 
@@ -334,7 +345,7 @@ def covariance(fit: SchumannFit, periods: Sequence[DebugPeriod]) -> SchumannFit:
             f"information determinant a11*a22 - a12^2 = {det} is not positive and finite"
         )
     rho = rho_numerator / math.sqrt(total * s2)
-    return replace(fit, var_c=a22 / det, var_e0=a11 / det, rho=rho)
+    return fit.replace(var_c=a22 / det, var_e0=a11 / det, rho=rho)
 
 
 def confidence_intervals(fit: SchumannFit, level: float = 0.95) -> dict[str, tuple[float, float]]:

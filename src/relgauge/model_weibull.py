@@ -18,13 +18,13 @@ moment ratio instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 from . import numerics
 from .errors import DegenerateSample, DomainError, NoConvergence, OutOfRange, TooFewIntervals
 from .numerics import Bracket, at_data_scale, find_root_bracketed, fsum_array, interval_array, seeded_rng
+from .record import Record, set_field
 
 _M_LO = 0.05
 _M_HI = 20.0
@@ -35,15 +35,17 @@ class MomentForm(Enum):
     RAW_RATIO = "literal"
 
 
-@dataclass(frozen=True)
-class WeibullFit:
+class WeibullFit(Record):
     """Shape and scale of a Weibull failure-time law."""
 
-    m: float
-    lam: float
-    moment_form: MomentForm = MomentForm.CV_CORRECTED
+    _fields = ("m", "lam", "moment_form")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, m: float, lam: float, moment_form: MomentForm = MomentForm.CV_CORRECTED
+    ) -> None:
+        set_field(self, "m", m)
+        set_field(self, "lam", lam)
+        set_field(self, "moment_form", moment_form)
         if not (math.isfinite(self.m) and self.m > 0.0):
             raise DomainError(f"shape must be positive, got {self.m}")
         if not (math.isfinite(self.lam) and self.lam > 0.0):

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, NonFinite, NoSignChange, OutOfRange
+from .record import Record, set_field
 
 DEFAULT_TOL_REL = 1e-10
 
@@ -56,8 +56,7 @@ _DIGAMMA_ASYMPTOTIC = 16.0  # smallest argument handed to the digamma expansion
 _DIGAMMA_COEFFS = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(Record):
     """Interval [lo, hi] expected to contain a sign change of the target function.
 
     ``f_lo`` and ``f_hi`` are the function's values at the ends when the
@@ -65,13 +64,21 @@ class Bracket:
     uses them instead of evaluating the ends again.
     """
 
-    lo: float
-    hi: float
-    tol_rel: float = DEFAULT_TOL_REL
-    f_lo: float | None = None
-    f_hi: float | None = None
+    _fields = ("lo", "hi", "tol_rel", "f_lo", "f_hi")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        lo: float,
+        hi: float,
+        tol_rel: float = DEFAULT_TOL_REL,
+        f_lo: float | None = None,
+        f_hi: float | None = None,
+    ) -> None:
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+        set_field(self, "tol_rel", tol_rel)
+        set_field(self, "f_lo", f_lo)
+        set_field(self, "f_hi", f_hi)
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
             raise DomainError(f"bracket requires finite lo < hi, got [{self.lo}, {self.hi}]")
         if not (math.isfinite(self.tol_rel) and self.tol_rel > 0.0):

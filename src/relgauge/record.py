@@ -1,0 +1,57 @@
+"""The base of the package's immutable value records.
+
+A record class names its fields, in constructor order, in ``_fields`` and
+writes its own ``__init__``: each field is stored with :func:`set_field`,
+then the values are checked.  :class:`Record` makes the instances
+immutable and gives them ``==``, ``hash``, ``repr`` and
+:meth:`Record.replace` from that one list, as a frozen dataclass would,
+without importing anything or compiling code when a record class is
+created.  Fields named in ``_uncompared`` are left out of ``==`` and
+``hash``.
+"""
+
+from __future__ import annotations
+
+# set_field(record, name, value) stores a field from __init__, past the frozen
+# __setattr__.  From Python 3.11 on it keeps the values in the instance's
+# compact attribute storage, where writing through self.__dict__ would make
+# a dict for every record.
+set_field = object.__setattr__
+
+
+class FrozenRecordError(AttributeError):
+    """A field of a record was assigned or deleted."""
+
+
+class Record:
+    """An immutable value: equal to records of exactly its class with the same compared fields."""
+
+    _fields: tuple[str, ...] = ()
+    _uncompared: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenRecordError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields if name not in self._uncompared])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({values})"
+
+    def replace(self, **changes):
+        """A new record with ``changes`` applied to this one's fields, checked as any record is."""
+        values = {name: getattr(self, name) for name in self._fields}
+        values.update(changes)
+        return type(self)(**values)

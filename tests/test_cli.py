@@ -722,6 +722,40 @@ def test_predict_schumann_overflowing_rate_is_out_of_range(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "ns",
+    [
+        0,
+        1_700_000_000_000_000_000,  # a whole second: no fraction, as isoformat writes it
+        1_700_000_000_000_000_999,  # under a microsecond past it, which is dropped
+        1_700_000_000_000_001_000,
+        1_700_000_000_123_456_789,
+        253_402_300_799_999_999_000,  # the last microsecond of 9999
+    ],
+)
+def test_generated_at_is_written_as_datetime_writes_it(monkeypatch, ns):
+    import datetime
+    import time
+
+    monkeypatch.setattr(time, "time_ns", lambda: ns)
+    epoch = datetime.datetime(1970, 1, 1, tzinfo=datetime.timezone.utc)
+    expected = (epoch + datetime.timedelta(microseconds=ns // 1000)).isoformat()
+    assert cli._provenance([], None)["generated_at"] == expected
+
+
+def test_predict_jm_overflowing_intensity_is_out_of_range(capsys):
+    # k * (e0 - i + 1) = 1e308 * 1e308 overflows; the report used to hold inf.
+    code, stdout, err = run(
+        capsys, "predict", "jm", "--e0", "1e308", "--k", "1e308", "--index", "1", "--dt", "1"
+    )
+    assert (code, stdout, len(err.strip().splitlines())) == (2, "", 1)
+    assert error_json(err) == {
+        "error": "OutOfRange",
+        "message": "the intensity k * (e0 - i + 1) = 1e+308 * 1e+308 overflows a float",
+        "exit_code": 2,
+    }
+
+
 def test_economics_underflowing_rate_is_out_of_range(capsys):
     # eps0 * tempo = 1e-300 * 1e-300 underflows to 0, the MTTF's denominator.
     code, stdout, err = run(
@@ -1120,7 +1154,8 @@ def test_package_import_loads_no_submodule():
 
 
 def test_cli_import_and_parser_load_no_model_module():
-    unwanted = sorted({f"relgauge.{m}" for m in _COLD_KINDS.values()}) + ["hashlib", "statistics"]
+    models = {f"relgauge.{m}" for m in _COLD_KINDS.values()} | {"relgauge.failure_data"}
+    unwanted = sorted(models) + ["dataclasses", "datetime", "hashlib", "statistics"]
     _fresh_python(f"""
 import sys
 import relgauge.cli
@@ -1130,12 +1165,14 @@ assert loaded == [], loaded
 """)
 
 
-# The relgauge submodules loaded by one CLI call, printed with its exit code.
+# The relgauge submodules loaded by one CLI call and whether it loaded
+# dataclasses, printed with its exit code.
 _MODULE_PROBE = """
 import json, sys
 import relgauge.cli
 code = relgauge.cli.run_cli(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("relgauge."))]))
+relgauge_modules = sorted(m for m in sys.modules if m.startswith("relgauge."))
+print(json.dumps([code, relgauge_modules, "dataclasses" in sys.modules]))
 """
 
 
@@ -1155,6 +1192,18 @@ _COLD_KINDS = {
     "predict_jm": "model_jm",
     "predict_schumann": "model_schumann",
     "predict_weibull": "model_weibull",
+}
+
+# The kinds that load failure_data: those that read one of its formats, and
+# the Schumann ones, whose model holds periods as failure_data records.
+_READS_FAILURE_DATA = {
+    "fit_jm",
+    "fit_weibull",
+    "fit_schumann",
+    "fit_nelson",
+    "economics_fit",
+    "simulate_schumann",
+    "predict_schumann",
 }
 
 
@@ -1178,10 +1227,14 @@ def _cold_argv(tmp_path, kind):
 @pytest.mark.parametrize("kind", _COLD_KINDS)
 def test_each_cold_kind_loads_only_its_model_module(tmp_path, kind):
     args = _cold_argv(tmp_path, kind)
-    code, loaded = json.loads(_fresh_python(_MODULE_PROBE, *args).stdout.splitlines()[-1])
+    probe = _fresh_python(_MODULE_PROBE, *args).stdout.splitlines()[-1]
+    code, loaded, dataclasses = json.loads(probe)
     assert code == 0, args
-    base = ["cli", "errors", "failure_data", "numerics", _COLD_KINDS[kind]]
+    base = ["cli", "errors", "numerics", "record", _COLD_KINDS[kind]]
+    if kind in _READS_FAILURE_DATA:
+        base.append("failure_data")
     assert loaded == sorted(f"relgauge.{m}" for m in base), args
+    assert not dataclasses, args
 
 
 def test_every_export_resolves_and_is_listed():

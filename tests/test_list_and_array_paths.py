@@ -10,7 +10,6 @@ real constant and at one below it; values come from the ranges the
 extreme-input tests use, scaled by powers of two up to the float limits.
 """
 
-import dataclasses
 import itertools
 import math
 import warnings
@@ -20,6 +19,7 @@ import pytest
 
 from relgauge import failure_data, model_jm, model_schumann, model_weibull, numerics
 from relgauge.failure_data import DebugPeriod
+from relgauge.record import Record
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -37,8 +37,8 @@ def _bits(value):
         return value.hex()
     if isinstance(value, (list, tuple)):
         return [_bits(v) for v in value]
-    if dataclasses.is_dataclass(value):
-        return {f.name: _bits(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, Record):  # every field, the ones == leaves out too
+        return {name: _bits(getattr(value, name)) for name in value._fields}
     return value
 
 
@@ -171,6 +171,16 @@ def test_schumann_zero_residual_is_out_of_range_without_a_warning():
 
     error = ("OutOfRange", "an estimate of c at e0 = 50.0 is not a positive finite float")
     assert _both_paths(run, len(periods)) == [(error, []), (error, [])]
+
+
+def test_schumann_nan_estimate_is_out_of_range():
+    """A period with no failures at a residual of 0 makes its rate term 0/0 = NaN:
+    the NaN estimate of c fails the check on both paths, though the other one is finite."""
+    periods = [DebugPeriod(1.0, 20, 1000.0, 10), DebugPeriod(2.0, 50, 1600.0, 0)]
+    fit = model_schumann.SchumannFit(e0_hat=50.0, c_hat=1.0, instructions=1)
+    error = ("OutOfRange", "an estimate of c at e0 = 50.0 is not a positive finite float")
+    residuals = lambda: model_schumann.stationarity_residuals(fit, periods)  # noqa: E731
+    assert _both_paths(lambda: _outcome(residuals), len(periods)) == [error, error]
 
 
 def test_quotients_and_squares_give_numpy_results_where_python_raises():

@@ -52,6 +52,12 @@ def test_intensity_exhausted():
         intensity(3.0, 0.5, 4)  # e0 - i + 1 = 0 exactly
 
 
+def test_intensity_overflow_is_out_of_range():
+    with pytest.raises(OutOfRange, match=r"k \* \(e0 - i \+ 1\) = 1e\+308 \* 1e\+308 overflows"):
+        intensity(1e308, 1e308, 1)
+    assert reliability(1e308, 1e308, 1, 1.0) == 0.0  # the survival probability itself is 0
+
+
 def test_reliability_examples():
     assert reliability(2.0, 0.5, 2, 0.0) == 1.0
     assert reliability(2.0, 0.5, 2, 2.0) == pytest.approx(math.exp(-1.0), rel=1e-12)

@@ -1,0 +1,234 @@
+"""The value-record contract that every exported record keeps.
+
+Each record is built by position and by keyword from one set of values
+and must: refuse assignment and deletion of its fields, compare equal
+only to records of exactly its class, hash as the tuple of its compared
+fields, repr as a dataclass would, and run its checks again on replace.
+"""
+
+import math
+
+import pytest
+
+import relgauge
+from relgauge.errors import DataError, DomainError, NotMonotone
+from relgauge.failure_data import Outcome
+from relgauge.model_weibull import MomentForm
+from relgauge.record import FrozenRecordError, Record
+
+_RUNS = (relgauge.RunRecord(2.0, Outcome.SUCCESS), relgauge.RunRecord(0.5, Outcome.FAILURE))
+
+# Each record: its class name, values in field order, the exact repr, and one
+# (field, value, error) that its checks reject, or None where it checks nothing.
+_CASES = [
+    (
+        "Bracket",
+        (0.5, 2.0, 1e-12, -1.0, 3.0),
+        "Bracket(lo=0.5, hi=2.0, tol_rel=1e-12, f_lo=-1.0, f_hi=3.0)",
+        ("lo", 3.0, DomainError),
+    ),
+    (
+        "DebugPeriod",
+        (1.0, 20, 1000.0, 10),
+        "DebugPeriod(tau=1.0, corrected=20, exposure=1000.0, failures=10)",
+        ("tau", -1.0, DomainError),
+    ),
+    (
+        "DebugPeriods",
+        ((1.0, 2.0), (20, 50), (1000.0, 1600.0), (10, 10)),
+        "DebugPeriods(tau=(1.0, 2.0), corrected=(20, 50), exposure=(1000.0, 1600.0), "
+        "failures=(10, 10))",
+        ("exposure", (1000.0, 0.0), DomainError),
+    ),
+    (
+        "DiscoveryParams",
+        (100.0, 2.5, 1000, 1e6),
+        "DiscoveryParams(eps0=100.0, tau0=2.5, commands=1000, tempo=1000000.0)",
+        ("commands", 0, DomainError),
+    ),
+    (
+        "DualRunConfig",
+        (100.0, 0.5, 0.01),
+        "DualRunConfig(total_time=100.0, overhead=0.5, failure_rate=0.01)",
+        ("overhead", -1.0, DomainError),
+    ),
+    (
+        "DualRunPlan",
+        (12.5, 8.0, 210.25, 0.875, False),
+        "DualRunPlan(t_star=12.5, module_count=8.0, tp_min=210.25, p1_at_t=0.875, boundary=False)",
+        None,
+    ),
+    (
+        "EconParams",
+        (1000.0, 2.0, 8760.0),
+        "EconParams(cost_error=1000.0, cost_test=2.0, horizon=8760.0)",
+        ("horizon", math.inf, DomainError),
+    ),
+    (
+        "FailureEpochs",
+        ((1.5, 4.0, 9.25),),
+        "FailureEpochs(epochs=(1.5, 4.0, 9.25))",
+        ("epochs", (2.0, 1.0), NotMonotone),
+    ),
+    (
+        "JmFit",
+        (31.25, 0.0075, 26, 4.5, 1e-06, -0.5, 2e-12),
+        "JmFit(e0_hat=31.25, k_hat=0.0075, k_obs=26, var_e0=4.5, var_k=1e-06, rho=-0.5, "
+        "residual=2e-12)",
+        ("e0_hat", 25.0, DomainError),
+    ),
+    (
+        "PartitionSpec",
+        ((0.25, 0.5), (0.125, 0.0)),
+        "PartitionSpec(path_probs=(0.25, 0.5), path_error_rates=(0.125, 0.0))",
+        ("path_error_rates", (1.0, 0.0), DomainError),
+    ),
+    (
+        "RunLog",
+        (_RUNS,),
+        "RunLog(runs=(RunRecord(duration=2.0, outcome=<Outcome.SUCCESS: 'success'>), "
+        "RunRecord(duration=0.5, outcome=<Outcome.FAILURE: 'failure'>)))",
+        None,
+    ),
+    (
+        "RunProfile",
+        ((0.75, 0.25), (0, 1)),
+        "RunProfile(probs=(0.75, 0.25), indicators=(0, 1))",
+        ("indicators", (0, 2), DomainError),
+    ),
+    (
+        "RunRecord",
+        (2.0, Outcome.FAILURE),
+        "RunRecord(duration=2.0, outcome=<Outcome.FAILURE: 'failure'>)",
+        ("outcome", "failure", DomainError),
+    ),
+    (
+        "RunSummary",
+        (2.5, 0.4, 2.5),
+        "RunSummary(exposure=2.5, lambda_hat=0.4, t_hat=2.5)",
+        None,
+    ),
+    (
+        "SchumannFit",
+        (120.0, 0.25, 10000, 9.0, 0.0004, 0.75, (1e-12, 3e-13)),
+        "SchumannFit(e0_hat=120.0, c_hat=0.25, instructions=10000, var_e0=9.0, var_c=0.0004, "
+        "rho=0.75, residuals=(1e-12, 3e-13))",
+        ("c_hat", 0.0, DomainError),
+    ),
+    (
+        "WeibullFit",
+        (0.75, 0.125, MomentForm.RAW_RATIO),
+        "WeibullFit(m=0.75, lam=0.125, moment_form=<MomentForm.RAW_RATIO: 'literal'>)",
+        ("moment_form", "cv", DomainError),
+    ),
+]
+
+_IDS = [case[0] for case in _CASES]
+
+
+def test_every_exported_record_is_covered():
+    exported = {name for name in relgauge.__all__ if isinstance(getattr(relgauge, name), type)}
+    records = {name for name in exported if issubclass(getattr(relgauge, name), Record)}
+    assert records == set(_IDS)
+
+
+@pytest.mark.parametrize("name, values, text, bad", _CASES, ids=_IDS)
+def test_built_by_position_or_keyword_alike(name, values, text, bad):
+    cls = getattr(relgauge, name)
+    record = cls(*values)
+    by_keyword = cls(**dict(zip(cls._fields, values)))
+    assert [getattr(record, f) for f in cls._fields] == list(values)
+    assert [getattr(by_keyword, f) for f in cls._fields] == list(values)
+    assert repr(record) == repr(by_keyword) == text
+    assert vars(record) == dict(zip(cls._fields, values))
+
+
+@pytest.mark.parametrize("name, values, text, bad", _CASES, ids=_IDS)
+def test_fields_cannot_be_assigned_or_deleted(name, values, text, bad):
+    record = getattr(relgauge, name)(*values)
+    for field in (*record._fields, "not_a_field"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'") as assigned:
+            setattr(record, field, 1.0)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'") as deleted:
+            delattr(record, field)
+        assert assigned.type is deleted.type is FrozenRecordError
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize("name, values, text, bad", _CASES, ids=_IDS)
+def test_replace_builds_a_checked_record(name, values, text, bad):
+    record = getattr(relgauge, name)(*values)
+    copy = record.replace()
+    assert copy is not record and repr(copy) == text
+    if bad is None:
+        return
+    field, value, error = bad
+    with pytest.raises(error):
+        record.replace(**{field: value})
+    assert issubclass(error, DataError)
+    with pytest.raises(TypeError):
+        record.replace(not_a_field=1.0)
+
+
+# DebugPeriods compares as a sequence of periods and is not hashable; see its own test.
+_VALUES = [case for case in _CASES if case[0] != "DebugPeriods"]
+
+
+@pytest.mark.parametrize("name, values, text, bad", _VALUES, ids=[case[0] for case in _VALUES])
+def test_equal_and_hash_as_the_tuple_of_compared_fields(name, values, text, bad):
+    cls = getattr(relgauge, name)
+    record = cls(*values)
+    assert record == cls(*values) and not record != cls(*values)
+    assert hash(record) == hash(cls(*values))
+    compared = tuple(getattr(record, f) for f in cls._fields if f not in cls._uncompared)
+    assert hash(record) == hash(compared)
+    assert record != compared and record != values  # a tuple of the same values is not equal
+    if isinstance(values[0], float):  # a record whose first field differs is not equal
+        assert record != record.replace(**{cls._fields[0]: 2.0 * values[0]})
+
+
+def test_equality_needs_exactly_the_same_class():
+    config = relgauge.DualRunConfig(1.0, 2.0, 3.0)
+    econ = relgauge.EconParams(1.0, 2.0, 3.0)
+    assert config != econ and econ != config
+    subclass = type("Config", (relgauge.DualRunConfig,), {})
+    assert subclass(1.0, 2.0, 3.0) != config
+
+
+@pytest.mark.parametrize(
+    "fit, field, other",
+    [
+        (relgauge.JmFit(31.25, 0.0075, 26, residual=2e-12), "residual", None),
+        (relgauge.SchumannFit(120.0, 0.25, 1000, residuals=(1e-12, 3e-13)), "residuals", (0.5, 0.5)),
+    ],
+)
+def test_fit_residuals_take_no_part_in_equality_or_hash(fit, field, other):
+    twin = fit.replace(**{field: other})
+    assert getattr(twin, field) == other
+    assert twin == fit and hash(twin) == hash(fit)
+    assert repr(twin) != repr(fit)
+    assert fit.replace(rho=0.5) != fit
+    # replace keeps the residuals it is not asked to change
+    assert getattr(fit.replace(rho=0.5), field) == getattr(fit, field)
+
+
+def test_defaults_are_those_of_the_constructor():
+    assert repr(relgauge.Bracket(0.0, 1.0)) == (
+        "Bracket(lo=0.0, hi=1.0, tol_rel=1e-10, f_lo=None, f_hi=None)"
+    )
+    assert repr(relgauge.JmFit(3.0, 0.5, 2)) == (
+        "JmFit(e0_hat=3.0, k_hat=0.5, k_obs=2, var_e0=None, var_k=None, rho=None, residual=None)"
+    )
+    assert relgauge.WeibullFit(1.0, 1.0).moment_form is MomentForm.CV_CORRECTED
+    with pytest.raises(TypeError):
+        relgauge.JmFit(3.0, 0.5)
+
+
+def test_debug_periods_keep_their_own_equality():
+    periods = relgauge.DebugPeriods((1.0, 2.0), (20, 50), (1000.0, 1600.0), (10, 10))
+    records = [relgauge.DebugPeriod(1.0, 20, 1000.0, 10), relgauge.DebugPeriod(2.0, 50, 1600.0, 10)]
+    assert periods == records and periods == tuple(records)
+    assert periods == relgauge.DebugPeriods.of(records)
+    assert periods != records[:1] and periods != "periods"
+    with pytest.raises(TypeError):
+        hash(periods)
