@@ -17,9 +17,9 @@ import json
 import math
 import sys
 import time
+from collections.abc import Callable
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable
 
 # Each handler imports the model module it calls, so a call loads only its own
 # model, and failure_data is loaded only by the verbs that read its formats. A

@@ -13,7 +13,8 @@ the economically optimal amount of debugging.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .errors import DomainError, NoConvergence, OutOfRange, Underdetermined
 from .numerics import Bracket, find_root_bracketed
@@ -145,10 +146,8 @@ def total_cost(params: DiscoveryParams, econ: EconParams, tau: float) -> float:
     return failure_losses + econ.cost_test * tau
 
 
-class DebugOptimum(NamedTuple):
-    tau_m: float
-    cost: float
-    boundary: bool
+# The optimal debugging time tau_m, the expected cost there, and whether tau_m is the boundary 0.
+DebugOptimum = namedtuple("DebugOptimum", ("tau_m", "cost", "boundary"))
 
 
 def optimal_debug_time(params: DiscoveryParams, econ: EconParams) -> DebugOptimum:

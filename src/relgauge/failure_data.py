@@ -20,9 +20,9 @@ import csv
 import io
 import math
 import operator
+import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
-from typing import Any
 
 from . import numerics
 from .errors import DomainError, NoFailures, NotMonotone, ParseError
@@ -78,19 +78,37 @@ class RunSummary(Record):
 
 
 class FailureEpochs(Record):
-    """Cumulative failure times, strictly increasing and positive."""
+    """Cumulative failure times, strictly increasing and positive.
+
+    ``epochs`` is kept as given, except that a 1-D float64 ndarray is kept
+    read-only, copied first if it is writable; :func:`parse_failure_epochs`
+    gives one for a file of at least ``numerics.ARRAY_MIN`` epochs.  Such a
+    record compares equal to, and hashes like, the record of the tuple of
+    its floats.
+    """
 
     _fields = ("epochs",)
 
-    def __init__(self, epochs: tuple[float, ...]) -> None:
+    def __init__(self, epochs: Sequence[float]) -> None:
+        array = _float_array(epochs)
+        if array and epochs.flags.writeable:
+            epochs = epochs.copy()
+            epochs.flags.writeable = False
         set_field(self, "epochs", epochs)
         e = self.epochs
         # Increasing from a positive first to a finite last: each finite and positive.
+        # An array is compared whole, and a NaN fails the comparison.
         with contextlib.suppress(TypeError, ValueError, OverflowError):
-            if not e or (e[0] > 0.0 and math.isfinite(e[-1]) and all(map(operator.lt, e, e[1:]))):
+            if not len(e) or (
+                e[0] > 0.0
+                and math.isfinite(e[-1])
+                and ((e[1:] > e[:-1]).all() if array else all(map(operator.lt, e, e[1:])))
+            ):
                 return
+        if array:
+            e = e.tolist()  # Python floats, so the first bad epoch is named as in a tuple
         prev = 0.0
-        for i, t in enumerate(self.epochs):
+        for i, t in enumerate(e):
             if not (math.isfinite(t) and t > 0.0):
                 raise DomainError(f"epoch {i + 1} must be finite and positive, got {t}")
             if t <= prev:
@@ -98,6 +116,16 @@ class FailureEpochs(Record):
                     f"epochs must be strictly increasing: epoch {i + 1} is {t} after {prev}"
                 )
             prev = t
+
+    def _key(self) -> tuple:
+        e = self.epochs
+        return (tuple(e.tolist()) if _float_array(e) else e,)
+
+
+def _float_array(values: object) -> bool:
+    """Whether ``values`` is a 1-D float64 ndarray; numpy is not imported to tell."""
+    np = sys.modules.get("numpy")
+    return np is not None and type(values) is np.ndarray and values.ndim == 1 and values.dtype == float
 
 
 class DebugPeriod(Record):
@@ -178,14 +206,16 @@ def _all_counts(values: Sequence) -> bool:
     return set(map(type, values)) <= {int} and min(values, default=0) >= 0
 
 
-_ColumnSpec = Sequence[tuple[str, Callable[[str], Any]]]
+_ColumnSpec = Sequence[tuple[str, Callable[[str], object]]]
 
 
 def read_columns(
     text: str,
     columns: _ColumnSpec,
-    build: Callable[[Sequence[int], list[list]], Any] = lambda rows, table: (rows, table),
-) -> Any:
+    build: Callable[[Sequence[int], list], object] = lambda rows, table: (rows, table),
+    *,
+    arrays: bool = False,
+) -> object:
     """``build(rows, table)`` of the row numbers and the columns (one list each) of CSV ``text``.
 
     ``columns`` names each expected column with the callable (``float``,
@@ -199,8 +229,12 @@ def read_columns(
     that one, and that row's ParseError is raised unless ``build`` raises
     first, so the first bad row in file order is the one reported.
     Without it the row numbers and the columns are returned.
+
+    With ``arrays``, a float column of a regular file (see
+    :func:`_split_columns`) of at least ``numerics.ARRAY_MIN`` rows is a
+    float64 ndarray of the same values instead of a list.
     """
-    table = _split_columns(text, columns)
+    table = _split_columns(text, columns, arrays)
     if table is not None:
         return build(range(2, len(table[0]) + 2), table)
     rows, values = [], []
@@ -218,7 +252,7 @@ def _transposed(rows: list[list], width: int) -> list[list]:
     return [list(column) for column in zip(*rows)] or [[] for _ in range(width)]
 
 
-def _split_columns(text: str, columns: _ColumnSpec) -> list[list] | None:
+def _split_columns(text: str, columns: _ColumnSpec, arrays: bool = False) -> list | None:
     """Each column of ``text`` converted whole, or None unless the file is regular.
 
     Regular means: no quote, a matching header, then only lines with one
@@ -228,6 +262,8 @@ def _split_columns(text: str, columns: _ColumnSpec) -> list[list] | None:
     reader.  "\r\n" and "\r" become "\n" as in the row reader, and lines
     are split on "\n" alone: csv ends a line at no other character
     (str.splitlines would also split on \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029).
+    With ``arrays`` and at least ``numerics.ARRAY_MIN`` lines, each float
+    column is filled into a float64 ndarray a block at a time.
     """
     if '"' in text:
         return None
@@ -239,28 +275,43 @@ def _split_columns(text: str, columns: _ColumnSpec) -> list[list] | None:
     for start in range(0, len(text) - block + 1, block):
         if text.find(",", start, start + block) < 0 and text.find("\n", start, start + block) < 0:
             return None
-    header, _, body = text.partition("\n")
+    newline = text.find("\n")
+    header = text if newline < 0 else text[:newline]
     if [h.strip().lower() for h in header.split(",")] != [name for name, _ in columns]:
         return None
-    body = body.rstrip("\n")  # csv skips the blank lines at the end
+    # The body, text[start:stop], is read in place: a copy of it would double the text's memory.
+    start, stop = len(header) + 1, len(text)
+    while stop > start and text[stop - 1] == "\n":  # csv skips the blank lines at the end
+        stop -= 1
     width = len(columns)
-    if width == 1 and "," in body:
+    if width == 1 and text.find(",", start, stop) >= 0:
         return None
+    lines = text.count("\n", start, stop) + 1 if arrays and stop > start else 0
+    if lines >= numerics.ARRAY_MIN:
+        import numpy as np
+
+        table: list = [np.empty(lines) if kind is float else [] for _, kind in columns]
+    else:
+        table = [[] for _ in columns]
     # The body is taken a block of lines at a time, so only one block's
-    # tokens are alive at once.
-    table: list[list] = [[] for _ in columns]
-    start = 0
-    while start < len(body):
-        end = body.find("\n", start + _SPLIT_CHARS)
-        end = len(body) if end < 0 else end
-        tokens = _block_columns(body[start:end], width)
+    # tokens, and an array column's floats, are alive at once.
+    row = 0
+    while start < stop:
+        end = text.find("\n", start + _SPLIT_CHARS, stop)
+        end = stop if end < 0 else end
+        tokens = _block_columns(text[start:end], width)
         if tokens is None:
             return None
+        count = len(tokens[0])
         try:
             for column, (_, kind), column_tokens in zip(table, columns, tokens):
-                column.extend(_converted(kind, column_tokens))
+                if type(column) is list:
+                    column.extend(_converted(kind, column_tokens))
+                else:
+                    column[row : row + count] = np.fromiter(map(float, column_tokens), float, count)
         except Exception:  # the row reader reports the first bad token, by row
             return None
+        row += count
         start = end + 1
     return table
 
@@ -281,7 +332,7 @@ def _block_columns(block: str, width: int) -> list[list[str]] | None:
     return [tokens[i::stride] for i in range(width)]
 
 
-def _converted(kind: Callable[[str], Any], tokens: list[str]) -> Iterable:
+def _converted(kind: Callable[[str], object], tokens: list[str]) -> Iterable:
     """``kind`` applied to each token, through a table of the distinct tokens for int.
 
     An int column where some token repeats the one before it (a run id, a
@@ -349,7 +400,7 @@ def _shown(token: str) -> str:
     return f"{token[:_SHOWN_CHARS]!r}... ({len(token)} characters)"
 
 
-def _convert(kind: Callable[[str], Any], token: str, name: str, row_number: int) -> Any:
+def _convert(kind: Callable[[str], object], token: str, name: str, row_number: int) -> object:
     try:
         return kind(token)
     except ValueError:
@@ -364,24 +415,44 @@ def parse_run_log(text: str) -> RunLog:
     outside the domain.
     """
     columns = (("duration", float), ("outcome", str))
-    return read_columns(text, columns, lambda rows, table: RunLog(tuple(map(_run_record, rows, *table))))
+    return read_columns(text, columns, _run_log)
 
 
-def _run_record(row_number: int, duration: float, outcome_token: str) -> RunRecord:
-    if not (math.isfinite(duration) and duration > 0.0):
-        raise DomainError(f"row {row_number}: run duration must be positive, got {duration}")
-    outcome_token = outcome_token.strip()
+def _run_log(rows: Sequence[int], table: list[list]) -> RunLog:
+    """The runs of the columns: the durations checked in C passes, each distinct outcome token read once."""
+    durations, tokens = table
+    outcome_of = {token: _known_outcome(token.strip().lower()) for token in set(tokens)}
+    outcomes = list(map(outcome_of.__getitem__, tokens))
+    if not (all_at_least(durations, 0.0, strict=True) and None not in outcomes):
+        for row_number, duration, token, outcome in zip(rows, durations, tokens, outcomes):
+            if not (math.isfinite(duration) and duration > 0.0):
+                raise DomainError(f"row {row_number}: run duration must be positive, got {duration}")
+            if outcome is None:
+                raise DomainError(f"row {row_number}: unknown outcome token {_shown(token.strip())}")
+    return RunLog(tuple(map(RunRecord, durations, outcomes)))
+
+
+def _known_outcome(key: str) -> Outcome | None:
     try:
-        outcome = Outcome(outcome_token.lower())
+        return Outcome(key)
     except ValueError:
-        raise DomainError(f"row {row_number}: unknown outcome token {_shown(outcome_token)}") from None
-    return RunRecord(duration, outcome)
+        return None
 
 
 def parse_failure_epochs(text: str) -> FailureEpochs:
-    """Parse single-column ``epoch`` CSV text into validated FailureEpochs."""
-    _, (epochs,) = read_columns(text, (("epoch", float),))
-    return FailureEpochs(tuple(epochs))
+    """Parse single-column ``epoch`` CSV text into validated FailureEpochs.
+
+    The epochs are a tuple of floats below ``numerics.ARRAY_MIN`` rows, and
+    a read-only float64 ndarray from there on.
+    """
+    _, (epochs,) = read_columns(text, (("epoch", float),), arrays=True)
+    if len(epochs) < numerics.ARRAY_MIN:
+        return FailureEpochs(tuple(epochs))
+    import numpy as np
+
+    epochs = np.asarray(epochs, dtype=float)  # the row reader's list, or the array as it is
+    epochs.flags.writeable = False
+    return FailureEpochs(epochs)
 
 
 def parse_debug_periods(text: str) -> DebugPeriods:
@@ -425,9 +496,10 @@ def intervals_from_epochs(epochs: FailureEpochs):
     """Difference cumulative failure epochs into inter-failure intervals.
 
     They are a list of floats below ``numerics.ARRAY_MIN`` epochs, so that a
-    small fit loads no numpy, and a float64 ndarray from there on.  The
-    first interval is measured from time zero.  A running sum of the
-    intervals gives the epochs back only when every subtraction is exact.
+    small fit loads no numpy, and a float64 ndarray from there on, differenced
+    in one pass when the epochs are an array already.  The first interval is
+    measured from time zero.  A running sum of the intervals gives the epochs
+    back only when every subtraction is exact.
     """
     e = epochs.epochs
     if len(e) < numerics.ARRAY_MIN:
@@ -435,4 +507,6 @@ def intervals_from_epochs(epochs: FailureEpochs):
         return list(map(operator.sub, x, [0.0, *x[:-1]]))
     import numpy as np
 
-    return np.diff(np.fromiter(e, dtype=float, count=len(e)), prepend=0.0)
+    if not _float_array(e):
+        e = np.fromiter(e, dtype=float, count=len(e))
+    return np.diff(e, prepend=0.0)

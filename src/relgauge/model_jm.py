@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from itertools import repeat
-from typing import Sequence
 
 from . import numerics
 from .errors import (

@@ -14,7 +14,7 @@ import contextlib
 import itertools
 import math
 import operator
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import DomainError, ParseError, WeightSumMismatch
 from .failure_data import read_columns

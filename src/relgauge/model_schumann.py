@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from . import numerics
 from .errors import (

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import numerics
 from .errors import DegenerateSample, DomainError, NoConvergence, OutOfRange, TooFewIntervals

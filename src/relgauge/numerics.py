@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable, Iterable, Sequence
 from itertools import chain
-from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, NonFinite, NoSignChange, OutOfRange
 from .record import Record, set_field

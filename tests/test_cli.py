@@ -1039,6 +1039,39 @@ def test_small_fits_do_not_load_numpy(tmp_path):
         assert _numpy_probe(args) == [0, [False, False, False]], args
 
 
+def test_numpy_free_verbs_do_not_import_typing(tmp_path):
+    """Without site (which may import typing itself), no verb that runs without numpy loads typing."""
+    periods = tmp_path / "periods.csv"
+    periods.write_text(PERIODS_TWO)
+    profile = tmp_path / "profile.csv"
+    profile.write_text(PROFILE_TWO_RUNS)
+    calls = [
+        ["predict", "jm", "--e0", "2", "--k", "0.5", "--index", "2", "--dt", "2.0"],
+        ["predict", "weibull", "--shape", "0.5", "--scale", "1.0", "--time", "4.0"],
+        ["predict", "schumann", "--e0", "100", "--c", "0.125", "--instructions", "1000",
+         "--corrected", "20", "--time", "1.0"],
+        ["economics", "--eps0", "100", "--tau0", "10", "--size", "10000", "--tempo", "1000",
+         "--cost-error", "7.5", "--cost-test", "1", "--horizon", "1"],
+        ["faulttol", "--total-time", "1000", "--overhead", "1", "--failure-rate", "0.001"],
+        ["fit", "nelson", "--profile", str(profile)],
+        ["fit", "jm", "--input", str(NTDS)],
+        ["fit", "weibull", "--input", str(NTDS)],
+        ["fit", "schumann", "--input", str(periods), "--instructions", "1000"],
+    ]
+    code = (
+        "import json, sys\n"
+        "import relgauge.cli\n"
+        "codes = [relgauge.cli.run_cli([*args, '--output', sys.argv[2]]) for args in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, 'typing' in sys.modules, 'numpy' in sys.modules]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", code, json.dumps(calls), str(tmp_path / "out.json")],
+        env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120, capture_output=True, text=True,
+    )
+    assert json.loads(child.stdout.splitlines()[-1]) == [[0] * len(calls), False, False]
+
+
 def test_fits_load_numpy_from_array_min_values_on(tmp_path):
     """The list path ends at numerics.ARRAY_MIN epochs, whatever sizes the benchmark uses."""
     for count, loaded in ((ARRAY_MIN - 1, False), (ARRAY_MIN, True)):

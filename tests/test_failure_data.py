@@ -97,6 +97,35 @@ def test_run_log_round_trip():
     assert _csv("duration,outcome", ((r.duration, r.outcome.value) for r in log.runs)) == text
 
 
+def _run_log_row_by_row(text):
+    """parse_run_log as each row was once checked: duration, then outcome, row by row."""
+    rows, (durations, tokens) = failure_data.read_columns(text, (("duration", float), ("outcome", str)))
+    runs = []
+    for row_number, duration, token in zip(rows, durations, tokens):
+        if not (math.isfinite(duration) and duration > 0.0):
+            raise DomainError(f"row {row_number}: run duration must be positive, got {duration}")
+        try:
+            outcome = Outcome(token.strip().lower())
+        except ValueError:
+            raise DomainError(f"row {row_number}: unknown outcome token {failure_data._shown(token.strip())}") from None
+        runs.append(RunRecord(duration, outcome))
+    return RunLog(tuple(runs))
+
+
+_DURATIONS = st.sampled_from(["1.5", "0.25", " 3 ", "-1", "0", "nan", "inf", "-0.0", "1e-320"])
+_OUTCOMES = st.sampled_from(["success", "failure", "SUCCESS", " Failure ", "crashed", "", "x" * 60])
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None)
+@hypothesis.given(
+    rows=st.lists(st.tuples(_DURATIONS, _OUTCOMES), max_size=8),
+    ending=st.sampled_from(["\n", "\r\n", '\n"1",success\n']),  # the last sends the file to the row reader
+)
+def test_run_log_reports_what_a_row_by_row_check_reports(rows, ending):
+    text = "duration,outcome" + "".join(f"\n{d},{o}" for d, o in rows) + ending
+    assert _outcome(lambda: parse_run_log(text)) == _outcome(lambda: _run_log_row_by_row(text))
+
+
 def test_summarize_runs_example():
     """Eight successes totaling 9.0 plus two failures totaling 1.0: exposure 10,
     rate 0.2, mean time to failure 5."""
@@ -439,9 +468,9 @@ def test_read_columns_builds_once():
 def test_each_value_is_checked_once(monkeypatch):
     """A file read row by row has its values checked once, as a regular file has."""
     records, periods, reads = [], [], []
-    run_record, debug_period = failure_data._run_record, failure_data.DebugPeriod
+    run_record, debug_period = failure_data.RunRecord, failure_data.DebugPeriod
     row_reader = failure_data._read_rows
-    monkeypatch.setattr(failure_data, "_run_record", lambda *args: records.append(1) or run_record(*args))
+    monkeypatch.setattr(failure_data, "RunRecord", lambda *args: records.append(1) or run_record(*args))
     monkeypatch.setattr(failure_data, "DebugPeriod", lambda *args: periods.append(1) or debug_period(*args))
     monkeypatch.setattr(failure_data, "_read_rows", lambda *args: reads.append(1) or row_reader(*args))
     for blank, row_reads in (([], 0), ([""], 2)):  # a regular file, then one read row by row

@@ -1,11 +1,12 @@
 """Tests for double-execution planning and its Monte Carlo oracle."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from relgauge.errors import DomainError
+from relgauge.errors import DomainError, OutOfRange
 from relgauge.fault_tolerance import (
     DualRunConfig,
     expected_executions,
@@ -193,3 +194,43 @@ def test_success_probability_bounds():
     assert success_probability(CONFIG, 1e-9) == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(DomainError):
         success_probability(CONFIG, -1.0)
+
+
+def _exact_t_star(overhead, failure_rate):
+    """The root of 2 lam t^2 exp(lam t) = a: t = (2 / lam) W(sqrt(a lam / 8)), W being Lambert's function."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        a, lam = mp.mpf(overhead), mp.mpf(failure_rate)
+        return 2 / lam * mp.lambertw(mp.sqrt(a * lam / 8)).real
+
+
+@pytest.mark.parametrize(
+    "overhead, failure_rate, simulate",
+    [
+        ("0.5", "7.2", False),  # 2 lam T^2 exp(lam T) overflows math.exp at T
+        ("0.5", "7.0", False),  # ... or the product at T
+        ("1e-300", "0.01", False),  # the root lies below T * 1e-15
+        ("0.5", "7.2", True),
+    ],
+)
+def test_plans_the_fixed_bracket_misses_have_the_exact_root(tmp_path, overhead, failure_rate, simulate):
+    from relgauge.cli import run_cli
+
+    out = tmp_path / "plan.json"
+    argv = ["faulttol", "--total-time", "100", "--overhead", overhead, "--failure-rate", failure_rate]
+    if simulate:
+        argv += ["--simulate", "1000", "--seed", "3"]
+    assert run_cli([*argv, "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    exact = _exact_t_star(float(overhead), float(failure_rate))
+    assert not report["boundary"]
+    assert abs(report["t_star"] - exact) <= 1e-12 * exact
+    assert report["module_count"] == 100.0 / report["t_star"]
+    if simulate:
+        assert report["simulation"]["module_time"] == report["t_star"]
+        assert report["simulation"]["modules"] == 1000
+
+
+def test_plan_whose_success_probability_underflows_is_out_of_range():
+    with pytest.raises(OutOfRange, match="underflows a float"):
+        optimal_module_time(DualRunConfig(total_time=1e5, overhead=1e300, failure_rate=1e300))

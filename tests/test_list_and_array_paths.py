@@ -11,14 +11,15 @@ extreme-input tests use, scaled by powers of two up to the float limits.
 """
 
 import itertools
+import json
 import math
 import warnings
 from unittest import mock
 
 import pytest
 
-from relgauge import failure_data, model_jm, model_schumann, model_weibull, numerics
-from relgauge.failure_data import DebugPeriod
+from relgauge import cli, failure_data, model_jm, model_schumann, model_weibull, numerics
+from relgauge.failure_data import DebugPeriod, FailureEpochs, intervals_from_epochs, parse_failure_epochs
 from relgauge.record import Record
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -37,6 +38,8 @@ def _bits(value):
         return value.hex()
     if isinstance(value, (list, tuple)):
         return [_bits(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _bits(v) for key, v in value.items()}
     if isinstance(value, Record):  # every field, the ones == leaves out too
         return {name: _bits(getattr(value, name)) for name in value._fields}
     return value
@@ -192,3 +195,85 @@ def test_quotients_and_squares_give_numpy_results_where_python_raises():
         squared = np.float_power(np.array([1e200, -1e200, 1e-200, -3.0, 0.5]), 2).tolist()
     assert _bits(numerics.quotients(a, b)) == _bits(expected)
     assert _bits(numerics.squares([1e200, -1e200, 1e-200, -3.0, 0.5])) == _bits(squared)
+
+
+@pytest.mark.parametrize("count", [numerics.ARRAY_MIN - 1, numerics.ARRAY_MIN, 10_000])
+def test_cli_epoch_fits_match_the_library_fits_on_the_same_floats(tmp_path, count):
+    """The CLI reads the file onto the list path below ARRAY_MIN epochs and into an array from
+    there on; its reports must be those of the library fits on a tuple of the same floats."""
+    np = pytest.importorskip("numpy")
+    rng = np.random.default_rng(count)
+    e0 = 1.25 * count
+    epochs = tuple(np.cumsum(rng.exponential(e0 / (e0 - np.arange(count)))).tolist())
+    path = tmp_path / "epochs.csv"
+    path.write_text("epoch\n" + "".join(f"{t!r}\n" for t in epochs))
+    intervals = intervals_from_epochs(FailureEpochs(epochs))
+    jm = model_jm.covariance(model_jm.fit_mle(intervals), intervals)
+    expected = {
+        "jm": model_jm.report(jm, 0.95),
+        "weibull": model_weibull.report(model_weibull.fit_moments(intervals), count),
+    }
+    for model, report in expected.items():
+        out = tmp_path / f"{model}.json"
+        assert cli.run_cli(["fit", model, "--input", str(path), "--output", str(out)]) == 0
+        written = json.loads(out.read_text())
+        del written["provenance"]
+        assert _bits(written) == _bits(json.loads(json.dumps(report))), model
+
+
+_EPOCH = (("epoch", float),)
+_EPOCH_SIZES = st.integers(0, 6) | st.sampled_from(
+    [numerics.ARRAY_MIN - 1, numerics.ARRAY_MIN, numerics.ARRAY_MIN + 1, 3 * numerics.ARRAY_MIN]
+)
+_EPOCH_EDITS = st.sampled_from(["crlf", "cr", "quote", "blank", "bad", "nan", "inf", "repeat", "decrease"])
+
+
+@st.composite
+def _epoch_texts(draw):
+    """Increasing epochs as text, with some of: other line ends, a quoted token, a blank line,
+    a token float() rejects, nan or inf, an epoch repeated or one that decreases."""
+    n = draw(_EPOCH_SIZES)
+    steps = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    scale = draw(st.sampled_from([1.0, 2.0**-1000, 2.0**900]))
+    lines = [repr(t * scale) for t in itertools.accumulate(steps)]
+    edits = draw(st.lists(_EPOCH_EDITS, max_size=3)) if lines else []
+    for edit in edits:
+        i = draw(st.integers(0, len(lines) - 1))
+        if edit == "quote":
+            lines[i] = f'"{lines[i]}"'
+        elif edit == "blank":
+            lines.insert(i, draw(st.sampled_from(["", "  "])))
+        elif edit == "bad":
+            lines[i] = draw(st.sampled_from(["x", "1.5.2", "0x1f", "1\x1c", "", "1,2"]))
+        elif edit in ("nan", "inf"):
+            lines[i] = draw(st.sampled_from([edit, f"-{edit}", f" {edit.upper()} "]))
+        elif edit == "repeat":
+            lines.insert(i, lines[i])
+        elif edit == "decrease" and i + 1 < len(lines):
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    ending = "\r\n" if "crlf" in edits else "\r" if "cr" in edits else "\n"
+    return ending.join(["epoch", *lines]) + draw(st.sampled_from(["", ending, ending * 2]))
+
+
+def _reference_intervals(text):
+    """The row reader's floats as a tuple, differenced on the tuple path."""
+    epochs = tuple(value for _, (value,) in failure_data._read_rows(text, _EPOCH))
+    return intervals_from_epochs(FailureEpochs(epochs))
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None)
+@hypothesis.given(text=_epoch_texts(), split=st.sampled_from([64, 1 << 16]))
+@hypothesis.example(text="epoch\n" + "".join(f"{i}.5\n" for i in range(numerics.ARRAY_MIN)), split=64)
+@hypothesis.example(text="epoch\n" + "".join(f"{i}.5\n" for i in range(numerics.ARRAY_MIN, 0, -1)), split=64)
+@hypothesis.example(text="epoch\n" + "".join(f"{i // 2 * 2 + 1}\n" for i in range(numerics.ARRAY_MIN)), split=64)
+@hypothesis.example(text="epoch\n" + "".join(f"{i + 1}\n" for i in range(numerics.ARRAY_MIN)) + "nan\n", split=64)
+@hypothesis.example(text="epoch\n" + "".join(f"{i + 1}\n" for i in range(numerics.ARRAY_MIN)) + "inf\n", split=64)
+def test_parsed_epochs_give_the_tuple_paths_intervals_and_errors(text, split):
+    """Blocks of ``split`` characters make the array fill span several blocks."""
+    np = pytest.importorskip("numpy")
+    with mock.patch.object(failure_data, "_SPLIT_CHARS", split):
+        got = _outcome(lambda: intervals_from_epochs(parse_failure_epochs(text)))
+        assert got == _outcome(lambda: _reference_intervals(text))
+        if isinstance(got, list):  # parsed and checked: a tuple below ARRAY_MIN epochs, an array from there on
+            epochs = parse_failure_epochs(text).epochs
+            assert type(epochs) is (tuple if len(epochs) < numerics.ARRAY_MIN else np.ndarray)

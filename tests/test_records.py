@@ -14,6 +14,7 @@ import relgauge
 from relgauge.errors import DataError, DomainError, NotMonotone
 from relgauge.failure_data import Outcome
 from relgauge.model_weibull import MomentForm
+from relgauge.numerics import ARRAY_MIN
 from relgauge.record import FrozenRecordError, Record
 
 _RUNS = (relgauge.RunRecord(2.0, Outcome.SUCCESS), relgauge.RunRecord(0.5, Outcome.FAILURE))
@@ -232,3 +233,34 @@ def test_debug_periods_keep_their_own_equality():
     assert periods != records[:1] and periods != "periods"
     with pytest.raises(TypeError):
         hash(periods)
+
+
+def test_failure_epochs_parsed_into_an_array_keep_the_record_contract():
+    """From ARRAY_MIN rows on a parsed file's epochs are a read-only float64 array; the record
+    equals and hashes like its twin built from a tuple of the same floats, and checks as it does."""
+    np = pytest.importorskip("numpy")
+    floats = tuple(0.5 + i for i in range(ARRAY_MIN))
+    parsed = relgauge.parse_failure_epochs("epoch\n" + "".join(f"{t!r}\n" for t in floats))
+    twin = relgauge.FailureEpochs(floats)
+    assert type(parsed.epochs) is np.ndarray and parsed.epochs.dtype == np.float64
+    assert type(twin.epochs) is tuple  # a tuple is kept at any size
+    assert parsed.epochs.tolist() == list(floats)
+    assert parsed == twin and twin == parsed and not parsed != twin
+    assert hash(parsed) == hash(twin) == hash((floats,))
+    assert parsed != relgauge.FailureEpochs((*floats[:-1], floats[-1] + 1.0))
+    with pytest.raises(ValueError):
+        parsed.epochs[0] = 0.25
+    with pytest.raises(FrozenRecordError):
+        parsed.epochs = floats
+    assert parsed.replace() == parsed and parsed.replace().epochs is parsed.epochs
+    with pytest.raises(NotMonotone, match="^epochs must be strictly increasing: epoch 2 is 0.5 after 0.5$"):
+        parsed.replace(epochs=np.array([0.5, 0.5, 1.0]))
+    with pytest.raises(DomainError, match="^epoch 3 must be finite and positive, got inf$"):
+        parsed.replace(epochs=np.array([0.5, 1.0, np.inf]))
+    with pytest.raises(DomainError, match="^epoch 2 must be finite and positive, got nan$"):
+        relgauge.FailureEpochs(np.array([0.5, np.nan, 1.0]))
+    # A writable array is copied, so changing it afterwards leaves the record as it was.
+    source = np.array(floats)
+    record = relgauge.FailureEpochs(source)
+    source[0] = 0.25
+    assert record == twin and not record.epochs.flags.writeable
