@@ -84,12 +84,19 @@ def expected_executions(p1: float) -> float:
 
 
 def success_probability(config: DualRunConfig, t: float) -> float:
-    """Probability that a single execution of a length-``t`` module succeeds."""
+    """Probability that a single execution of a length-``t`` module succeeds.
+
+    OutOfRange when exp(-lam * t) underflows to 0, which no module length
+    with any chance of success gives.
+    """
     if not (math.isfinite(t) and 0.0 < t <= config.total_time):
         raise DomainError(
             f"module length must lie in (0, {config.total_time}], got {t}"
         )
-    return math.exp(-config.failure_rate * t)
+    p1 = math.exp(-config.failure_rate * t)
+    if p1 == 0.0:
+        raise OutOfRange(f"the success probability exp(-lam * t) at t = {t} underflows a float")
+    return p1
 
 
 def total_time(config: DualRunConfig, t: float) -> float:
@@ -129,8 +136,6 @@ def optimal_module_time(config: DualRunConfig) -> DualRunPlan:
             t_star = find_root_bracketed(stationarity, bracket)
         else:
             t_star = _log_form_root(T, a, lam)
-            if math.exp(-lam * t_star) == 0.0:
-                raise OutOfRange(f"the success probability exp(-lam * t) at t* = {t_star} underflows a float")
         boundary = False
     return DualRunPlan(
         t_star=t_star,

@@ -11,11 +11,8 @@ and the fitter reports the absence of that trend as a first-class outcome
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
-from itertools import repeat
 
-from . import numerics
 from .errors import (
     DomainError,
     NoConvergence,
@@ -25,8 +22,8 @@ from .errors import (
     SingularInformation,
     TooFewIntervals,
 )
-from .numerics import at_data_scale, find_root_bracketed, fsum_array, gaussian_intervals
-from .numerics import interval_array, pole_sum, quotients, scan_bracket, seeded_rng, squares
+from .numerics import at_data_scale, find_root_bracketed, fsum_array, gaussian_intervals, index
+from .numerics import interval_array, pole_sum, power_sum, scan_bracket, seeded_rng
 from .record import Record, set_field
 
 _RESIDUAL_LIMIT = 1e-9
@@ -111,18 +108,11 @@ def stationarity_residual(e0: float, k: int, beta: float) -> float:
     """Relative defect of the likelihood stationarity condition at ``e0``.
 
     Zero exactly when sum(1/(e0 - i + 1)) equals k/(e0 - beta), beta = B/A.
-    The sum is taken term by term, so this is an O(k) check independent of
-    the O(1) :func:`numerics.pole_sum` that :func:`fit_mle`'s objective uses,
-    on lists below ``numerics.ARRAY_MIN`` terms and on a numpy array from there on.
+    The sum is taken term by term (:func:`numerics.power_sum`, infinite at
+    a pole), so this is an O(k) check independent of the O(1)
+    :func:`numerics.pole_sum` that :func:`fit_mle`'s objective uses.
     """
-    if k < numerics.ARRAY_MIN:
-        lhs = math.fsum(quotients(repeat(1.0), [e0 - i + 1 for i in range(1, k + 1)]))
-    else:
-        import numpy as np
-
-        with np.errstate(divide="ignore"):  # the sum is infinite at a pole
-            lhs = fsum_array(1.0 / (e0 - np.arange(1, k + 1) + 1))
-    return lhs * (e0 - beta) / k - 1.0
+    return power_sum(e0, index(k), -1) * (e0 - beta) / k - 1.0
 
 
 def fit_mle(intervals: Sequence[float]) -> JmFit:
@@ -134,10 +124,10 @@ def fit_mle(intervals: Sequence[float]) -> JmFit:
         sum_{i=1..k} 1/(e0 - i + 1) * (e0 - beta) / k = 1
 
     and then k_hat = k / (e0 * A - B).  A and B are summed once, over the
-    intervals at unit scale (:func:`numerics.interval_array`: a list below
-    ``numerics.ARRAY_MIN`` intervals, so a small fit loads no numpy); the
-    sum is :func:`numerics.pole_sum`, so each objective evaluation is O(1)
-    and a fit costs one O(k) pass for the sums plus one for the final
+    intervals at unit scale (:func:`numerics.interval_array`, a list for a
+    small fit, which then loads no numpy); the sum is
+    :func:`numerics.pole_sum`, so each objective evaluation is O(1) and a
+    fit costs one O(k) pass for the sums plus one for the final
     :func:`stationarity_residual` check.  That residual must be within
     1e-9, or change sign between the floats next to e0 where one ulp moves
     it by more (roots within about 1e-7 of the pole).  The root is
@@ -154,12 +144,7 @@ def fit_mle(intervals: Sequence[float]) -> JmFit:
     if k < 2:
         raise TooFewIntervals(f"need at least 2 intervals to fit two parameters, got {k}")
     a = fsum_array(x)
-    if k < numerics.ARRAY_MIN:
-        b = math.fsum(map(operator.mul, range(k), x))
-    else:
-        import numpy as np
-
-        b = fsum_array(np.arange(k, dtype=float) * x)
+    b = -power_sum(0.0, x, 1, index(k))  # B = -sum(j * (0 - x_j)), j = 0..k-1: negation is exact
     beta = b / a
 
     threshold = (k - 1) / 2.0
@@ -216,17 +201,9 @@ def covariance(fit: JmFit, intervals: Sequence[float]) -> JmFit:
     k = fit.k_obs
     k_unit = math.ldexp(fit.k_hat, e)  # k_hat for the intervals at unit scale
     a_k = fsum_array(x) * k_unit  # A * k_hat, from A at unit scale
-    # float_power calls the C library's pow, as Python's ** does, so each
-    # term keeps the bits of the scalar expression.  A square that overflows
-    # makes its term 0; one that underflows to 0 makes S2 infinite, which
-    # the determinant check below rejects.
-    if k < numerics.ARRAY_MIN:
-        s2 = math.fsum(quotients(repeat(1.0), squares([fit.e0_hat - i + 1 for i in range(1, k + 1)])))
-    else:
-        import numpy as np
-
-        with np.errstate(over="ignore", divide="ignore"):
-            s2 = fsum_array(1.0 / np.float_power(fit.e0_hat - np.arange(1, k + 1) + 1, 2))
+    # A square that overflows makes its term 0; one that underflows to 0
+    # makes S2 infinite, which the determinant check below rejects.
+    s2 = power_sum(fit.e0_hat, index(k), -2)
     denom = k * s2 - a_k**2
     if not 0.0 < denom < math.inf:
         raise SingularInformation(

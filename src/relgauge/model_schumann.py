@@ -17,10 +17,8 @@ errors decaying exponentially, lives in :mod:`debug_economics`.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Callable, Sequence
 
-from . import numerics
 from .errors import (
     DegenerateGamma,
     DomainError,
@@ -32,8 +30,8 @@ from .errors import (
     Underdetermined,
 )
 from .failure_data import DebugPeriod, DebugPeriods, read_columns
-from .numerics import find_root_bracketed, fsum_array, gaussian_intervals, quotients, scan_bracket
-from .numerics import seeded_rng, squares
+from .numerics import find_root_bracketed, floats, fsum_array, gaussian_intervals, power_sum, scan_bracket
+from .numerics import seeded_rng
 from .record import Record, set_field
 
 _RESIDUAL_LIMIT = 1e-9
@@ -174,40 +172,20 @@ def fit_two_period_from_totals(
 def _c_estimates(periods: DebugPeriods, instructions: int) -> Callable[[float], tuple[float, float]]:
     """e0 -> the two likelihood expressions for c, from exposures and from rates.
 
-    Each call sums, with fsum, two arrays formed from the residuals
-    e0/I - corrected_j/I, lists below ``numerics.ARRAY_MIN`` periods;
-    OutOfRange when an estimate is not a positive finite float.
+    Each call forms two exactly rounded sums over the residuals
+    r_j = e0/I - corrected_j/I, sum(H_j r_j) and sum(n_j / r_j)
+    (:func:`numerics.power_sum`); OutOfRange when an estimate is not a
+    positive finite float, which an infinite or NaN term makes it.
     """
-    corrected = [n / instructions for n in periods.corrected]
+    corrected = floats([n / instructions for n in periods.corrected])
+    exposure = floats(periods.exposure)
+    failures = floats(periods.failures)
     total = sum(periods.failures)
-    if len(periods) < numerics.ARRAY_MIN:
-        exposure = list(map(float, periods.exposure))
-        failures = list(map(float, periods.failures))
-
-        def sums(e0: float) -> tuple[float, float]:
-            scaled = e0 / instructions
-            residual = [scaled - c for c in corrected]
-            exposed = math.fsum(map(operator.mul, residual, exposure))
-            return exposed, math.fsum(quotients(failures, residual))
-
-    else:
-        import numpy as np
-
-        corrected = np.array(corrected, dtype=float)
-        exposure = np.array(periods.exposure, dtype=float)
-        failures = np.array(periods.failures, dtype=float)
-
-        def sums(e0: float) -> tuple[float, float]:
-            residual = e0 / instructions - corrected
-            # An infinite or NaN term, as the list path's quotients give it, makes
-            # its sum infinite or NaN, which the check below rejects.
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                return fsum_array(residual * exposure), fsum_array(failures / residual)
-
     exposure_sum = fsum_array(exposure)
 
     def estimates(e0: float) -> tuple[float, float]:
-        exposed, rates = sums(e0)
+        scaled = e0 / instructions
+        exposed, rates = power_sum(scaled, corrected, 1, exposure), power_sum(scaled, corrected, -1, failures)
         c1, c2 = (total / exposed if exposed else math.inf), rates / exposure_sum
         # Each on its own, so that a NaN estimate fails too.
         if not (0.0 < c1 < math.inf and 0.0 < c2 < math.inf):
@@ -298,46 +276,28 @@ def covariance(fit: SchumannFit, periods: Sequence[DebugPeriod]) -> SchumannFit:
     periods = DebugPeriods.of(periods)
     I = fit.instructions
     scaled = fit.e0_hat / I
-    residuals = [scaled - c / I for c in periods.corrected]
-    if not min(residuals) > 0.0:
-        corrected = next(c for c, r in zip(periods.corrected, residuals) if r <= 0.0)
+    fractions = [c / I for c in periods.corrected]
+    # Rounding keeps order, so these are the least and the largest residual scaled - c/I.
+    least, largest = scaled - max(fractions), scaled - min(fractions)
+    if not least > 0.0:
+        corrected = next(c for c, f in zip(periods.corrected, fractions) if scaled - f <= 0.0)
         raise ResidualNonPositive(
             f"period with corrected count {corrected} has non-positive residual at the fit"
         )
-    total = sum(periods.failures)
-    # Lists below numerics.ARRAY_MIN periods, numpy arrays from there on.
-    # float_power calls the C library's pow, as Python's ** does, so each
-    # square keeps the bits of the scalar expression; a term n/r^2 that
-    # overflows makes S2 infinite, which the determinant check rejects.
-    if len(periods) < numerics.ARRAY_MIN:
-        squared = squares(residuals)
-        finite = min(squared) > 0.0 and max(squared) < math.inf
-
-        def sum_of_quotients(denominators) -> float:  # fsum(n_j / d_j), the counts as floats
-            return math.fsum(quotients(list(map(float, periods.failures)), denominators))
-
-    else:
-        import numpy as np
-
-        residuals = np.array(residuals)
-        with np.errstate(over="ignore"):
-            squared = np.float_power(residuals, 2)
-        finite = squared.min() > 0.0 and squared.max() < math.inf
-
-        def sum_of_quotients(denominators) -> float:
-            with np.errstate(over="ignore"):  # an infinite term makes its sum infinite
-                return fsum_array(np.array(periods.failures, dtype=float) / denominators)
-
-    if not finite:
+    if not (least * least > 0.0 and largest * largest < math.inf):
         raise SingularInformation("a squared per-instruction residual is not a positive finite float")
+    total = sum(periods.failures)
+    corrected = floats(fractions)
     try:
-        s2 = sum_of_quotients(squared)
+        failures = floats(periods.failures)
+        # A term n/r^2 that overflows makes S2 infinite, which the determinant check rejects.
+        s2 = power_sum(scaled, corrected, -2, failures)
         a11 = total / fit.c_hat**2
         a22 = s2 / I**2
     except (ZeroDivisionError, OverflowError) as exc:
         # A count, c^2 or I^2 beyond a float's range: the entries cannot be formed in floats.
         raise SingularInformation(f"an information entry is not a finite float: {exc}") from None
-    rho_numerator = sum_of_quotients(residuals)
+    rho_numerator = power_sum(scaled, corrected, -1, failures)
     a12 = math.fsum(periods.exposure) / I
     det = a11 * a22 - a12 * a12
     if not 0.0 < det < math.inf:

@@ -21,9 +21,9 @@ import math
 from enum import Enum
 from collections.abc import Sequence
 
-from . import numerics
 from .errors import DegenerateSample, DomainError, NoConvergence, OutOfRange, TooFewIntervals
-from .numerics import Bracket, at_data_scale, find_root_bracketed, fsum_array, interval_array, seeded_rng
+from .numerics import Bracket, at_data_scale, find_root_bracketed, fsum_array, interval_array, power_sum
+from .numerics import seeded_rng
 from .record import Record, set_field
 
 _M_LO = 0.05
@@ -95,10 +95,10 @@ def fit_moments(
     """Method-of-moments (m, lam) from failure intervals.
 
     Sample moments use the 1/k normalization, over the intervals at unit
-    scale (:func:`numerics.interval_array`, a list below
-    ``numerics.ARRAY_MIN`` intervals): tbar = mean, s2 = mean squared
-    deviation.  The shape solves the gamma-ratio equation for the selected
-    ``form`` on m in [0.05, 20]; the scale follows as Gamma(1+1/m)/tbar.
+    scale (:func:`numerics.interval_array`): tbar = mean, s2 = mean squared
+    deviation, each an exactly rounded sum.  The shape solves the
+    gamma-ratio equation for the selected ``form`` on m in [0.05, 20]; the
+    scale follows as Gamma(1+1/m)/tbar.
 
     Raises TooFewIntervals for fewer than two intervals, DegenerateSample
     when the sample variance vanishes, OutOfRange when lam leaves the float
@@ -111,15 +111,7 @@ def fit_moments(
     if k < 2:
         raise TooFewIntervals(f"need at least 2 intervals to fit two parameters, got {k}")
     t_bar = fsum_array(x) / k
-    # float_power calls the C library's pow, as Python's ** does, so each
-    # square keeps the bits of the scalar expression.  The deviations lie
-    # in (-1, 1), so no square overflows.
-    if k < numerics.ARRAY_MIN:
-        s2 = math.fsum([(v - t_bar) ** 2 for v in x]) / k
-    else:
-        import numpy as np
-
-        s2 = fsum_array(np.float_power(x - t_bar, 2)) / k
+    s2 = power_sum(t_bar, x, 2) / k  # the deviations lie in (-1, 1), so no square overflows
     if s2 == 0.0:
         raise DegenerateSample("zero sample variance; the shape estimate diverges")
     ratio = s2 / t_bar**2

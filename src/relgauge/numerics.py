@@ -8,17 +8,19 @@ value the bracket carries), the pole sum
 sum(1/(e0 - i + 1)) in O(1) through the digamma function, an exactly
 rounded array sum with the bits of math.fsum (a few numpy passes of
 error-free extraction, and math.fsum itself below ARRAY_MIN values or for
-zero, infinite, NaN or near-overflow values), the checked failure
-intervals at unit scale that the JM and Weibull fits read, the quotients
-and squares that the fits' list path forms with numpy's results, the
+zero, infinite, NaN or near-overflow values), the exactly rounded sums
+sum(w_j * (x - a_j)^p) that the JM, Weibull and Schumann fits are made
+of, the checked failure intervals at unit scale that those fits read, the
 seeded generator every simulation draws from, and two-sided Gaussian
 confidence intervals.
 
-Below ARRAY_MIN values a fit runs on Python lists and never imports
-numpy, whose import costs more than such a fit; from there on it runs on
-numpy arrays, whose per-element cost is lower.  Every per-element step is
-+, -, *, / or the C library's pow, and every sum is exactly rounded, so
-both paths give the same bits.
+Below ARRAY_MIN values a fit's vectors are Python lists and the fit never
+imports numpy, whose import costs more than such a fit; from there on
+they are numpy arrays, whose per-element cost is lower.  Only
+:func:`floats`, :func:`index` and :func:`interval_array` choose between
+the two.  Every per-element step is +, -, * or / under IEEE 754 rules, a
+square is d * d and every sum is exactly rounded, so both paths give the
+same bits on any CPU.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Callable, Iterable, Sequence
-from itertools import chain
+from itertools import chain, repeat
 
 from .errors import DomainError, NonFinite, NoSignChange, OutOfRange
 from .record import Record, set_field
@@ -312,19 +314,53 @@ def quotients(numerators: Iterable[float], denominators: Sequence[float]) -> lis
         return list(map(_quotient, numerators, denominators))
 
 
-def _square(v: float) -> float:
-    try:
-        return v**2
-    except OverflowError:  # where np.float_power gives inf
-        return math.inf
+def floats(values: Sequence):
+    """The values as floats: a list below ARRAY_MIN values, a float64 ndarray from there on."""
+    if len(values) < ARRAY_MIN:
+        return list(map(float, values))
+    import numpy as np
+
+    return np.array(values, dtype=float)
 
 
-def squares(values: Sequence[float]) -> list[float]:
-    """v ** 2 for each value: the C library's pow, as np.float_power calls it; inf where it overflows."""
-    try:
-        return [v**2 for v in values]
-    except OverflowError:
-        return list(map(_square, values))
+def index(k: int):
+    """0, 1, ..., k - 1 as floats: a list below ARRAY_MIN, a float64 ndarray from there on."""
+    if k < ARRAY_MIN:
+        return list(map(float, range(k)))
+    import numpy as np
+
+    return np.arange(k, dtype=float)
+
+
+def power_sum(x: float, a, p: int, w=None) -> float:
+    """Exactly rounded sum over j of w_j * (x - a_j)^p, for p in (2, 1, -1, -2); w_j = 1 when w is None.
+
+    ``a`` and ``w`` are both lists or both float64 ndarrays, as
+    :func:`floats`, :func:`index` and :func:`interval_array` give them.  On
+    either kind a square is d * d, which IEEE 754 rounds the same way
+    everywhere, and a quotient follows IEEE 754: a zero divisor gives a
+    signed infinity, or NaN for 0/0, never an exception.  So both kinds
+    give the same bits, and an infinite or NaN term makes the sum infinite
+    or NaN (or math.fsum's ValueError for inf - inf).
+    """
+    if type(a) is list:
+        d = [x - v for v in a]
+        if p in (2, -2):
+            d = [v * v for v in d]
+        if p > 0:
+            return math.fsum(d if w is None else map(operator.mul, w, d))
+        return math.fsum(quotients(repeat(1.0) if w is None else w, d))
+    import numpy as np  # the caller's arrays have loaded it already
+
+    with np.errstate(all="ignore"):  # context-local, so silent and thread-safe
+        d = x - a  # the one new array: fewer live arrays keep the passes in cache
+        if p in (2, -2):
+            d *= d
+        if p < 0:
+            np.divide(1.0 if w is None else w, d, out=d)
+        elif w is not None:
+            d *= w
+    return fsum_array(d)
 
 
 def at_data_scale(rate: float, e: int, name: str) -> float:

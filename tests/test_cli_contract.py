@@ -67,6 +67,13 @@ VERBS = {
                         "--time": ("float", "1")},
 }
 
+# Flag values that random draws reach only now and then, tried on every run.
+EXAMPLES = {
+    # exp(-lam * t) underflows to 0 at the given module time, which numpy's sampler refuses.
+    "faulttol": [{"--total-time": "100", "--overhead": "1", "--failure-rate": str(2**63), "--simulate": "5",
+                  "--seed": "3", "--module-time": "20"}],
+}
+
 ODD_VALUES = {
     "float": EXTREME_FLOATS,
     "int": EXTREME_INTS,
@@ -137,4 +144,6 @@ def test_every_argv_ends_in_a_report_or_one_error_line(paths, verb):
                 argv.append(f"{flag}={paths[value] if kind == 'file' else value}")
         check_contract(argv)
 
+    for values in EXAMPLES.get(verb, ()):
+        check = hypothesis.example(values)(check)
     check()

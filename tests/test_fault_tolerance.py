@@ -234,3 +234,12 @@ def test_plans_the_fixed_bracket_misses_have_the_exact_root(tmp_path, overhead, 
 def test_plan_whose_success_probability_underflows_is_out_of_range():
     with pytest.raises(OutOfRange, match="underflows a float"):
         optimal_module_time(DualRunConfig(total_time=1e5, overhead=1e300, failure_rate=1e300))
+
+
+def test_simulated_module_whose_success_probability_underflows_is_out_of_range():
+    """exp(-lam * t) = 0 at a module length the caller chose: OutOfRange, not numpy's ValueError."""
+    config = DualRunConfig(total_time=100.0, overhead=1.0, failure_rate=2.0**63)
+    with pytest.raises(OutOfRange, match=r"exp\(-lam \* t\) at t = 20.0 underflows a float"):
+        success_probability(config, 20.0)
+    with pytest.raises(OutOfRange, match="underflows a float"):
+        simulate_dual_execution(config, 20.0, 5, seed=3)

@@ -8,12 +8,20 @@ path), and every float of every result must have the same bits, and every
 exception the same type and message.  Sizes are drawn on both sides of the
 real constant and at one below it; values come from the ranges the
 extreme-input tests use, scaled by powers of two up to the float limits.
+The kernel the fits are made of, ``numerics.power_sum``, is compared on a
+list and an array of the same floats, and the CLI's fit reports across
+numpy's SIMD dispatch levels.
 """
 
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -186,15 +194,60 @@ def test_schumann_nan_estimate_is_out_of_range():
     assert _both_paths(lambda: _outcome(residuals), len(periods)) == [error, error]
 
 
-def test_quotients_and_squares_give_numpy_results_where_python_raises():
+def test_quotients_give_numpy_results_where_python_raises():
     np = pytest.importorskip("numpy")
     a = [1.0, -1.0, 0.0, math.nan, math.inf, 2.0, 3.0]
     b = [0.0, 0.0, 0.0, 0.0, -0.0, -0.0, 1.5]
     with np.errstate(all="ignore"):
         expected = (np.array(a) / np.array(b)).tolist()
-        squared = np.float_power(np.array([1e200, -1e200, 1e-200, -3.0, 0.5]), 2).tolist()
     assert _bits(numerics.quotients(a, b)) == _bits(expected)
-    assert _bits(numerics.squares([1e200, -1e200, 1e-200, -3.0, 0.5])) == _bits(squared)
+
+
+# Values whose difference from x is zero of either sign, or whose square overflows to inf
+# or underflows to 0, beside ordinary ones.
+_KERNEL_VALUES = st.sampled_from([0.0, -0.0, 1e200, -1e200, 1e-200, 5e-324, 1.5, -3.0]) | st.floats(
+    -1e300, 1e300, allow_subnormal=True
+)
+
+
+def _rounded_square(d):
+    """d * d rounded once from the exact square; inf beyond the float range."""
+    try:
+        return float(Fraction(d) ** 2)
+    except OverflowError:
+        return math.inf
+
+
+@hypothesis.settings(max_examples=300, deadline=None, database=None)
+@hypothesis.given(
+    x=_KERNEL_VALUES,
+    a=st.lists(_KERNEL_VALUES, min_size=1, max_size=12),
+    weights=st.none() | st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e300]) | st.floats(-1e3, 1e3), min_size=1),
+    copies=st.sampled_from([1, numerics.ARRAY_MIN // 4 + 1]),
+)
+@hypothesis.example(x=0.0, a=[0.0, -0.0], weights=[1.0, -1.0], copies=1)  # +-0 divisors
+@hypothesis.example(x=-0.0, a=[0.0], weights=None, copies=1)  # a difference of -0.0
+@hypothesis.example(x=0.0, a=[0.0, 1.0], weights=[0.0, 1.0], copies=1)  # 0/0
+@hypothesis.example(x=1e200, a=[-1e200, 1.0], weights=None, copies=1)  # squares beyond the float range
+@hypothesis.example(x=1e-200, a=[0.0, 3e-200], weights=None, copies=1)  # squares that underflow to 0
+# Squares that glibc 2.36's pow, and so np.float_power and **, rounds the wrong way.
+@hypothesis.example(x=0.0, a=[0.8060503826503107, 0.5509191621786698], weights=None, copies=1)
+def test_power_sum_gives_the_same_bits_on_lists_and_arrays(x, a, weights, copies):
+    """Each p on a list and on an ndarray of the same floats: the same bits, or the same error.
+    ``copies`` repeats the values past ARRAY_MIN, so the array sum takes its extraction passes."""
+    np = pytest.importorskip("numpy")
+    a = a * copies
+    w = None if weights is None else [weights[j % len(weights)] for j in range(len(a))]
+    w_array = None if w is None else np.array(w)
+    for p in (2, 1, -1, -2):
+        listed = _outcome(lambda: numerics.power_sum(x, a, p, w))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nor may the array path warn
+            assert _outcome(lambda: numerics.power_sum(x, np.array(a), p, w_array)) == listed, p
+    if weights is None:  # each square is the correctly rounded one, on both kinds
+        expected = _outcome(lambda: math.fsum(_rounded_square(x - v) for v in a))
+        assert _outcome(lambda: numerics.power_sum(x, a, 2)) == expected
+        assert _outcome(lambda: numerics.power_sum(x, np.array(a), 2)) == expected
 
 
 @pytest.mark.parametrize("count", [numerics.ARRAY_MIN - 1, numerics.ARRAY_MIN, 10_000])
@@ -219,6 +272,56 @@ def test_cli_epoch_fits_match_the_library_fits_on_the_same_floats(tmp_path, coun
         written = json.loads(out.read_text())
         del written["provenance"]
         assert _bits(written) == _bits(json.loads(json.dumps(report))), model
+
+
+_FIT_CHILD = """
+import json, sys
+from relgauge.cli import run_cli
+for name, argv in json.loads(sys.argv[1]).items():
+    assert run_cli([*argv, "--output", f"{sys.argv[2]}/{name}.json"]) == 0, name
+"""
+
+
+def test_fit_reports_do_not_depend_on_the_simd_dispatch(tmp_path):
+    """fit jm, weibull and schumann below and above ARRAY_MIN records, rendered in a child with
+    numpy's default dispatch and in one with its AVX-512 kernels switched off (in the child
+    only): the reports are the same bytes, apart from the time they were written."""
+    np = pytest.importorskip("numpy")
+    rng = np.random.default_rng(30)
+    calls = {}
+    for count in (60, numerics.ARRAY_MIN + 44):
+        e0 = 1.25 * count
+        epochs = np.cumsum(rng.exponential(e0 / (e0 - np.arange(count))))
+        path = tmp_path / f"epochs{count}.csv"
+        path.write_text("epoch\n" + "".join(f"{t!r}\n" for t in epochs.tolist()))
+        for model in ("jm", "weibull"):
+            calls[f"{model}{count}"] = ["fit", model, "--input", str(path)]
+        corrected = np.floor(np.linspace(0.0, 0.7 * e0, count)).astype(int)
+        exposure = rng.uniform(0.5, 1.5, count)
+        failures = rng.poisson(10.0 * (e0 - corrected) / e0 * exposure)
+        path = tmp_path / f"periods{count}.csv"
+        rows = zip(range(count), corrected.tolist(), exposure.tolist(), failures.tolist())
+        path.write_text("tau,corrected,exposure,failures\n" + "".join(f"{j},{c},{h!r},{n}\n" for j, c, h, n in rows))
+        calls[f"schumann{count}"] = ["fit", "schumann", "--input", str(path), "--instructions", "1000"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    reports = []
+    for disabled in (None, "X86_V4 AVX512_ICL AVX512_SPR"):
+        out = tmp_path / f"out{len(reports)}"
+        out.mkdir()
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        child = subprocess.run(
+            [sys.executable, "-c", _FIT_CHILD, json.dumps(calls), str(out)],
+            env=env, timeout=120, capture_output=True, text=True,
+        )
+        assert child.returncode == 0, child.stderr
+        reports.append({
+            name: [line for line in (out / f"{name}.json").read_text().splitlines() if '"generated_at":' not in line]
+            for name in calls
+        })
+    assert reports[0] == reports[1]
 
 
 _EPOCH = (("epoch", float),)
