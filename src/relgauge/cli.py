@@ -13,13 +13,11 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import math
 import sys
 import time
+from _json import encode_basestring_ascii  # the C function json.encoder hands out on CPython
 from collections.abc import Callable
-from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 # Each handler imports the model module it calls, so a call loads only its own
 # model, and failure_data is loaded only by the verbs that read its formats. A
@@ -84,7 +82,8 @@ def _read_input(inputs: list[dict], role: str, path: str) -> str:
     """
     import hashlib
 
-    data = Path(path).read_bytes()
+    with open(path, "rb") as file:
+        data = file.read()
     inputs.append({"role": role, "path": path, "sha256": hashlib.sha256(data).hexdigest()})
     try:
         # Drop the mark after decoding, so an error offset counts from the file's start.
@@ -138,7 +137,8 @@ def _encode(value, pad: str = "") -> str:
     own; a list of plain floats is joined here in C, a block at a time.
     Dict keys must be strings.
     """
-    write = _SCALARS.get(type(value))
+    # A subclass of a scalar type (an IntEnum, say) is written as json.dumps writes its base type.
+    write = next((_SCALARS[t] for t in type(value).__mro__ if t in _SCALARS), None)
     if write is not None:
         return write(value)
     inner = pad + "  "
@@ -165,10 +165,8 @@ def _encode(value, pad: str = "") -> str:
             items = [
                 write(x) if (write := _SCALARS.get(type(x))) else _encode(x, inner) for x in value
             ]
-    elif isinstance(value, float):
-        return _float(value)
     else:
-        return json.dumps(value)  # a str or int subclass; TypeError for any other type
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
 
 
@@ -178,7 +176,8 @@ def _emit(report: dict, output: str | None) -> None:
     except ValueError as exc:
         raise OutOfRange(f"report holds a value that is not a finite number: {exc}") from exc
     if output:
-        Path(output).write_text(body, encoding="utf-8")
+        with open(output, "w", encoding="utf-8") as file:
+            file.write(body)
     else:
         sys.stdout.write(body)
 
@@ -473,10 +472,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _fail(exc: BaseException, code: int) -> int:
-    line = json.dumps(
-        {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
-    )
-    print(line, file=sys.stderr)
+    name, message = map(encode_basestring_ascii, (type(exc).__name__, str(exc)))
+    print(f'{{"error": {name}, "message": {message}, "exit_code": {code}}}', file=sys.stderr)
     return code
 
 

@@ -204,14 +204,14 @@ def covariance(fit: JmFit, intervals: Sequence[float]) -> JmFit:
     # A square that overflows makes its term 0; one that underflows to 0
     # makes S2 infinite, which the determinant check below rejects.
     s2 = power_sum(fit.e0_hat, index(k), -2)
-    denom = k * s2 - a_k**2
+    denom = k * s2 - a_k * a_k
     if not 0.0 < denom < math.inf:
         raise SingularInformation(
             f"information determinant k*S2 - (A*k_hat)^2 = {denom} is not positive and finite"
         )
     return fit.replace(
         var_e0=k / denom,
-        var_k=at_data_scale(s2 * k_unit**2 / denom, 2 * e, "var_k"),
+        var_k=at_data_scale(s2 * (k_unit * k_unit) / denom, 2 * e, "var_k"),
         rho=a_k / math.sqrt(k * s2),
     )
 

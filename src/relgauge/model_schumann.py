@@ -292,10 +292,10 @@ def covariance(fit: SchumannFit, periods: Sequence[DebugPeriod]) -> SchumannFit:
         failures = floats(periods.failures)
         # A term n/r^2 that overflows makes S2 infinite, which the determinant check rejects.
         s2 = power_sum(scaled, corrected, -2, failures)
-        a11 = total / fit.c_hat**2
+        a11 = total / (fit.c_hat * fit.c_hat)
         a22 = s2 / I**2
     except (ZeroDivisionError, OverflowError) as exc:
-        # A count, c^2 or I^2 beyond a float's range: the entries cannot be formed in floats.
+        # A count or I^2 past a float's range, or c^2 rounded to 0: the entries cannot be formed.
         raise SingularInformation(f"an information entry is not a finite float: {exc}") from None
     rho_numerator = power_sum(scaled, corrected, -1, failures)
     a12 = math.fsum(periods.exposure) / I

@@ -114,7 +114,7 @@ def fit_moments(
     s2 = power_sum(t_bar, x, 2) / k  # the deviations lie in (-1, 1), so no square overflows
     if s2 == 0.0:
         raise DegenerateSample("zero sample variance; the shape estimate diverges")
-    ratio = s2 / t_bar**2
+    ratio = s2 / (t_bar * t_bar)
     target = ratio + 1.0 if form is MomentForm.CV_CORRECTED else ratio
 
     def objective(m: float) -> float:

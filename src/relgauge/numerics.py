@@ -390,13 +390,16 @@ def check_level(level: float) -> None:
 
 
 def gaussian_intervals(level: float, **estimates: tuple[float, float]) -> dict[str, tuple[float, float]]:
-    """Two-sided Gaussian confidence intervals at ``level``, one per name=(estimate, variance)."""
-    from statistics import NormalDist  # only the fits with intervals need it
+    """Two-sided Gaussian confidence intervals at ``level``, one per name=(estimate, variance).
+
+    z is from the C kernel of ``statistics.NormalDist().inv_cdf``, without loading statistics.
+    """
+    from _statistics import _normal_dist_inv_cdf as inv_cdf  # only the fits with intervals need it
 
     check_level(level)
     upper = 0.5 + level / 2.0
     # upper rounds to 1 only at the largest level below 1; the lower tail is exact there.
-    z = NormalDist().inv_cdf(upper) if upper < 1.0 else -NormalDist().inv_cdf(0.5 - level / 2.0)
+    z = inv_cdf(upper, 0.0, 1.0) if upper < 1.0 else -inv_cdf(0.5 - level / 2.0, 0.0, 1.0)
     intervals = {}
     for name, (estimate, variance) in estimates.items():
         half = z * math.sqrt(variance)

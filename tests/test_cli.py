@@ -1,6 +1,9 @@
 """End-to-end tests for the command line interface."""
 
 import argparse
+import ast
+import builtins
+import errno
 import itertools
 import json
 import math
@@ -170,13 +173,13 @@ def test_each_input_file_is_read_once(tmp_path, capsys, monkeypatch):
     weights = tmp_path / "w.csv"
     weights.write_text("weight\n1.5\n0.5\n")
     opened = []
-    path_open = Path.open
+    builtin_open = builtins.open
 
-    def counting_open(self, *args, **kwargs):
-        opened.append(self.name)
-        return path_open(self, *args, **kwargs)
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.path.basename(file))
+        return builtin_open(file, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
     report = run_json(
         capsys,
         "fit", "nelson",
@@ -191,6 +194,19 @@ def test_missing_input_file(tmp_path, capsys):
     code, _, err = run(capsys, "fit", "jm", "--input", str(tmp_path / "absent.csv"))
     assert code == 2
     assert error_json(err)["exit_code"] == 2
+
+
+def test_os_errors_are_one_json_line_naming_the_path(tmp_path, capsys):
+    absent, output = str(tmp_path / "absent.csv"), str(tmp_path / "missing" / "r.json")
+    predict = ["predict", "jm", "--e0", "2", "--k", "0.5", "--index", "2", "--dt", "2.0"]
+    for argv, error, number, path in [
+        (["fit", "jm", "--input", absent], FileNotFoundError, errno.ENOENT, absent),
+        (["fit", "jm", "--input", str(tmp_path)], IsADirectoryError, errno.EISDIR, str(tmp_path)),
+        ([*predict, "--output", output], FileNotFoundError, errno.ENOENT, output),
+    ]:
+        message = str(error(number, os.strerror(number), path))
+        line = json.dumps({"error": error.__name__, "message": message, "exit_code": 2})
+        assert run(capsys, *argv) == (2, "", line + "\n"), argv
 
 
 ECONOMICS_COSTS = (
@@ -924,6 +940,18 @@ def test_fit_schumann_overflowing_exposure_is_out_of_range(tmp_path, capsys):
     assert (payload["exit_code"], payload["error"]) == (2, "OutOfRange")
 
 
+def test_fit_schumann_overflowing_c_square_is_a_singular_determinant(tmp_path, capsys):
+    # c is about 1e170, so c * c is inf and a11 = sum(n_j) / c^2 is 0.  Python's
+    # c**2 raised OverflowError, whose message was the C errno tuple.
+    text = "tau,corrected,exposure,failures\n1.0,20,1e-170,10\n2.0,50,1.6e-170,10\n"
+    payload = _fit_error(tmp_path, capsys, "schumann", text, "--instructions", "1000")
+    assert payload == {
+        "error": "SingularInformation",
+        "message": "information determinant a11*a22 - a12^2 = 0.0 is not positive and finite",
+        "exit_code": 3,
+    }
+
+
 def test_fit_jm_weighted_sum_past_the_float_range_is_no_convergence(tmp_path, capsys):
     # (i - 1) * x_i overflows in B at the data's scale, not at unit scale.
     # There B/A rounds to k - 1 = 2, so the root lies within about 1e-306 of
@@ -1040,7 +1068,8 @@ def test_small_fits_do_not_load_numpy(tmp_path):
 
 
 def test_numpy_free_verbs_do_not_import_typing(tmp_path):
-    """Without site (which may import typing itself), no verb that runs without numpy loads typing."""
+    """Without site (which may import typing or pathlib itself), no verb that runs
+    without numpy loads typing, nor pathlib, json, statistics, fractions or decimal."""
     periods = tmp_path / "periods.csv"
     periods.write_text(PERIODS_TWO)
     profile = tmp_path / "profile.csv"
@@ -1058,18 +1087,20 @@ def test_numpy_free_verbs_do_not_import_typing(tmp_path):
         ["fit", "weibull", "--input", str(NTDS)],
         ["fit", "schumann", "--input", str(periods), "--instructions", "1000"],
     ]
+    unwanted = ["typing", "numpy", "pathlib", "json", "statistics", "fractions", "decimal"]
+    # The child loads nothing but relgauge: its calls arrive as a literal and its result leaves as a repr.
     code = (
-        "import json, sys\n"
+        "import sys\n"
         "import relgauge.cli\n"
-        "codes = [relgauge.cli.run_cli([*args, '--output', sys.argv[2]]) for args in json.loads(sys.argv[1])]\n"
-        "print(json.dumps([codes, 'typing' in sys.modules, 'numpy' in sys.modules]))\n"
+        f"codes = [relgauge.cli.run_cli([*args, '--output', sys.argv[1]]) for args in {calls!r}]\n"
+        f"print(repr([codes, [m for m in {unwanted!r} if m in sys.modules]]))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     child = subprocess.run(
-        [sys.executable, "-S", "-c", code, json.dumps(calls), str(tmp_path / "out.json")],
+        [sys.executable, "-S", "-c", code, str(tmp_path / "out.json")],
         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120, capture_output=True, text=True,
     )
-    assert json.loads(child.stdout.splitlines()[-1]) == [[0] * len(calls), False, False]
+    assert ast.literal_eval(child.stdout.splitlines()[-1]) == [[0] * len(calls), []]
 
 
 def test_fits_load_numpy_from_array_min_values_on(tmp_path):

@@ -107,6 +107,7 @@ def _intervals(draw):
         intervals = draw(st.lists(st.floats(1e-300, 1e300) | st.floats(0.5, 2.0), min_size=n, max_size=n))
     if kind != "wide":  # scaled by up to 2^+-1000, toward the float limits
         j = draw(st.sampled_from([0, -1000, 1000]) | st.integers(-1000, 1000))
+        j = min(j, 1024 - math.frexp(max(intervals))[1])  # finite, and still up to the top binade
         intervals = [math.ldexp(x, j) for x in intervals]
     return intervals
 

@@ -546,6 +546,14 @@ def test_gaussian_intervals_at_the_largest_level_below_one():
     assert lo < lo_next < hi_next < hi
 
 
+def test_gaussian_intervals_call_the_kernel_statistics_calls():
+    """gaussian_intervals calls _statistics' kernel directly, so z has NormalDist().inv_cdf's bits."""
+    import _statistics
+    import statistics
+
+    assert _statistics._normal_dist_inv_cdf is statistics._normal_dist_inv_cdf
+
+
 @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, math.nan])
 def test_gaussian_intervals_level_must_lie_in_the_open_unit_interval(level):
     with pytest.raises(DomainError, match=r"^confidence level must lie in \(0, 1\), got "):
