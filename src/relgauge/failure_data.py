@@ -442,15 +442,13 @@ def _known_outcome(key: str) -> Outcome | None:
 def parse_failure_epochs(text: str) -> FailureEpochs:
     """Parse single-column ``epoch`` CSV text into validated FailureEpochs.
 
-    The epochs are a tuple of floats below ``numerics.ARRAY_MIN`` rows, and
-    a read-only float64 ndarray from there on.
+    The epochs are :func:`numerics.floats` of the column read: a tuple below
+    ``numerics.ARRAY_MIN`` rows, a read-only float64 ndarray from there on.
     """
-    _, (epochs,) = read_columns(text, (("epoch", float),), arrays=True)
-    if len(epochs) < numerics.ARRAY_MIN:
+    _, (column,) = read_columns(text, (("epoch", float),), arrays=True)
+    epochs = numerics.floats(column)  # the reader's array as it is
+    if type(epochs) is list:
         return FailureEpochs(tuple(epochs))
-    import numpy as np
-
-    epochs = np.asarray(epochs, dtype=float)  # the row reader's list, or the array as it is
     epochs.flags.writeable = False
     return FailureEpochs(epochs)
 
@@ -495,18 +493,15 @@ def summarize_runs(log: RunLog) -> RunSummary:
 def intervals_from_epochs(epochs: FailureEpochs):
     """Difference cumulative failure epochs into inter-failure intervals.
 
-    They are a list of floats below ``numerics.ARRAY_MIN`` epochs, so that a
-    small fit loads no numpy, and a float64 ndarray from there on, differenced
-    in one pass when the epochs are an array already.  The first interval is
-    measured from time zero.  A running sum of the intervals gives the epochs
-    back only when every subtraction is exact.
+    They are differenced on :func:`numerics.floats` of the epochs: a list
+    below ``numerics.ARRAY_MIN`` epochs, so a small fit loads no numpy, and
+    one ``np.diff`` of a float64 ndarray from there on.  The first interval
+    is measured from time zero.  A running sum of the intervals gives the
+    epochs back only when every subtraction is exact.
     """
-    e = epochs.epochs
-    if len(e) < numerics.ARRAY_MIN:
-        x = list(map(float, e))
+    x = numerics.floats(epochs.epochs)
+    if type(x) is list:
         return list(map(operator.sub, x, [0.0, *x[:-1]]))
-    import numpy as np
+    import numpy as np  # floats has loaded it
 
-    if not _float_array(e):
-        e = np.fromiter(e, dtype=float, count=len(e))
-    return np.diff(e, prepend=0.0)
+    return np.diff(x, prepend=0.0)

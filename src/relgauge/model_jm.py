@@ -69,6 +69,8 @@ class JmFit(Record):
 def _residual_count(e0: float, i: int) -> float:
     if not (isinstance(i, int) and i >= 1):
         raise DomainError(f"failure index must be an integer >= 1, got {i}")
+    if not math.isfinite(e0):
+        raise DomainError(f"e0 must be finite, got {e0}")
     residual = e0 - i + 1
     if residual <= 0.0:
         raise ResidualNonPositive(
@@ -86,10 +88,10 @@ def _rate(e0: float, k_jm: float, i: int) -> float:
 def intensity(e0: float, k_jm: float, i: int) -> float:
     """Failure intensity while waiting for failure ``i``: k_jm * (e0 - i + 1).
 
-    OutOfRange when the product of a finite e0 - i + 1 and k_jm overflows a float.
+    OutOfRange when the product of e0 - i + 1 and k_jm overflows a float.
     """
     rate = _rate(e0, k_jm, i)
-    if rate == math.inf and math.isfinite(e0):
+    if rate == math.inf:
         raise OutOfRange(
             f"the intensity k * (e0 - i + 1) = {k_jm} * {e0 - i + 1} overflows a float"
         )

@@ -55,19 +55,28 @@ class WeibullFit(Record):
 
 
 def hazard(fit: WeibullFit, t: float) -> float:
-    """Failure intensity at time ``t``; constant (equal to lam) iff m = 1."""
+    """Failure intensity at time ``t``, constant (equal to lam) iff m = 1; OutOfRange if it overflows."""
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"time must be finite and non-negative, got {t}")
     if t == 0.0 and fit.m < 1.0:
         raise DomainError("hazard diverges at t = 0 for shapes below 1")
-    return fit.m * fit.lam**fit.m * t ** (fit.m - 1.0)
+    try:
+        rate = fit.m * fit.lam**fit.m * t ** (fit.m - 1.0)
+    except OverflowError:
+        rate = math.inf
+    if rate == math.inf:
+        raise OutOfRange(f"the hazard at t = {t} overflows a float for shape {fit.m} and scale {fit.lam}")
+    return rate
 
 
 def reliability(fit: WeibullFit, t: float) -> float:
     """Probability of surviving to time ``t``."""
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"time must be finite and non-negative, got {t}")
-    return math.exp(-((fit.lam * t) ** fit.m))
+    try:
+        return math.exp(-((fit.lam * t) ** fit.m))
+    except OverflowError:  # (lam * t)^m beyond a float: exp(-inf) = 0 exactly
+        return 0.0
 
 
 def mttf(fit: WeibullFit) -> float:

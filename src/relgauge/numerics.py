@@ -17,10 +17,10 @@ confidence intervals.
 Below ARRAY_MIN values a fit's vectors are Python lists and the fit never
 imports numpy, whose import costs more than such a fit; from there on
 they are numpy arrays, whose per-element cost is lower.  Only
-:func:`floats`, :func:`index` and :func:`interval_array` choose between
-the two.  Every per-element step is +, -, * or / under IEEE 754 rules, a
-square is d * d and every sum is exactly rounded, so both paths give the
-same bits on any CPU.
+:func:`floats`, which makes them from a caller's values, and :func:`index`
+choose between the two.  Every per-element step is +, -, * or / under
+IEEE 754 rules, a square is d * d and every sum is exactly rounded, so
+both paths give the same bits on any CPU.
 """
 
 from __future__ import annotations
@@ -243,56 +243,29 @@ def all_at_least(values: Sequence, low: float, strict: bool = False) -> bool:
 def interval_array(intervals: Sequence[float]):
     """The checked intervals at unit scale, (x * 2^-e, e) with the largest in [0.5, 1).
 
-    x is a list of floats below ARRAY_MIN intervals and a float64 ndarray
-    from there on; an input without len() is made a list first.  A 1-D
-    native float64 ndarray is read as it is; anything else has the values
-    float() gives, and a None raises.  DomainError names the first that is
-    not finite and positive.  The scaling rounds nothing for intervals
-    within 2^1021 of the largest.
+    x is :func:`floats` of the intervals, listed first if they have no len().
+    DomainError names the first that is not finite and positive.  The
+    scaling, into a new array, rounds nothing for intervals within 2^1021
+    of the largest.
     """
     try:
-        n = len(intervals)
+        len(intervals)
     except TypeError:
         intervals = list(intervals)
-        n = len(intervals)
-    if n < ARRAY_MIN:
-        x = list(map(float, intervals))
+    x = floats(intervals)
+    if type(x) is list:
         bad = next((v for v in x if not 0.0 < v < math.inf), None)
         if bad is not None:
             raise DomainError(f"intervals must be finite and positive, got {bad}")
         e = math.frexp(max(x, default=0.0))[1]
         return [math.ldexp(v, -e) for v in x], e
-    import numpy as np  # loaded by the fits that call this; numerics itself needs no numpy
+    import numpy as np  # floats has loaded it
 
-    if type(intervals) is np.ndarray and intervals.ndim == 1 and intervals.dtype == float:
-        x = intervals
-    elif type(intervals) in (list, tuple):
-        x = _list_floats(intervals)
-    else:
-        x = np.fromiter(map(float, intervals), dtype=float)
     ok = (x > 0.0) & (x < math.inf)
     if not ok.all():
         raise DomainError(f"intervals must be finite and positive, got {float(x[ok.argmin()])}")
     e = math.frexp(x.max(initial=0.0))[1]
     return np.ldexp(x, -e), e
-
-
-def _list_floats(values: list | tuple):
-    """``np.fromiter(map(float, values))``, in one C pass when every value is finite and positive.
-
-    numpy converts each value as float() does, except that it reads None as
-    NaN; so a list that fails the check, or that numpy cannot convert, is
-    converted again through float(), which raises float()'s error.
-    """
-    import numpy as np
-
-    try:
-        x = np.fromiter(values, dtype=float, count=len(values))
-        if ((x > 0.0) & (x < math.inf)).all():
-            return x
-    except Exception:  # float() raises it again below
-        pass
-    return np.fromiter(map(float, values), dtype=float)
 
 
 def _quotient(a: float, b: float) -> float:
@@ -315,12 +288,18 @@ def quotients(numerators: Iterable[float], denominators: Sequence[float]) -> lis
 
 
 def floats(values: Sequence):
-    """The values as floats: a list below ARRAY_MIN values, a float64 ndarray from there on."""
+    """float() of each value: a list below ARRAY_MIN values, a float64 ndarray from there on.
+
+    Every fit vector is made here.  A 1-D native float64 ndarray is returned
+    as it is; other values go through float(), whose errors they raise.
+    """
     if len(values) < ARRAY_MIN:
         return list(map(float, values))
     import numpy as np
 
-    return np.array(values, dtype=float)
+    if type(values) is np.ndarray and values.ndim == 1 and values.dtype == float:
+        return values
+    return np.fromiter(map(float, values), float, count=len(values))
 
 
 def index(k: int):

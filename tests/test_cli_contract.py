@@ -72,6 +72,11 @@ EXAMPLES = {
     # exp(-lam * t) underflows to 0 at the given module time, which numpy's sampler refuses.
     "faulttol": [{"--total-time": "100", "--overhead": "1", "--failure-rate": str(2**63), "--simulate": "5",
                   "--seed": "3", "--module-time": "20"}],
+    # The hazard overflows a float.
+    "predict weibull": [{"--shape": "400", "--scale": "1", "--time": "10"},
+                        {"--shape": "1e308", "--scale": "1", "--time": "2"}],
+    # A non-finite e0, which the report could not hold.
+    "predict jm": [{"--e0": e0, "--k": "1", "--index": "1", "--dt": "1"} for e0 in ("nan", "inf")],
 }
 
 ODD_VALUES = {
@@ -147,3 +152,23 @@ def test_every_argv_ends_in_a_report_or_one_error_line(paths, verb):
     for values in EXAMPLES.get(verb, ()):
         check = hypothesis.example(values)(check)
     check()
+
+
+@pytest.mark.parametrize(
+    "argv, error, message",
+    [
+        ("predict weibull --shape 400 --scale 1 --time 10", "OutOfRange",
+         "the hazard at t = 10.0 overflows a float for shape 400.0 and scale 1.0"),
+        ("predict weibull --shape 1e308 --scale 1 --time 2", "OutOfRange",
+         "the hazard at t = 2.0 overflows a float for shape 1e+308 and scale 1.0"),
+        ("predict jm --e0 nan --k 1 --index 1 --dt 1", "DomainError", "e0 must be finite, got nan"),
+        ("predict jm --e0 inf --k 1 --index 1 --dt 1", "DomainError", "e0 must be finite, got inf"),
+    ],
+)
+def test_bad_values_are_named_in_one_error_line(argv, error, message):
+    """Exit 2 with one JSON line that names the value: no C errno tuple, and no
+    non-finite value left for the emitter to reject."""
+    code, stdout, stderr, caught = run_contained(argv.split())
+    assert (code, stdout, caught) == (2, "", [])
+    assert stderr.count("\n") == 1
+    assert json.loads(stderr) == {"error": error, "message": message, "exit_code": 2}

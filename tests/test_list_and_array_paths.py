@@ -13,6 +13,7 @@ list and an array of the same floats, and the CLI's fit reports across
 numpy's SIMD dispatch levels.
 """
 
+import ast
 import itertools
 import json
 import math
@@ -381,3 +382,26 @@ def test_parsed_epochs_give_the_tuple_paths_intervals_and_errors(text, split):
         if isinstance(got, list):  # parsed and checked: a tuple below ARRAY_MIN epochs, an array from there on
             epochs = parse_failure_epochs(text).epochs
             assert type(epochs) is (tuple if len(epochs) < numerics.ARRAY_MIN else np.ndarray)
+
+
+def _array_min_uses(node, function=None):
+    """(enclosing function or None, line) of each mention of ARRAY_MIN under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if "ARRAY_MIN" in (getattr(child, "id", None), getattr(child, "attr", None), getattr(child, "name", None)):
+            yield function, child.lineno
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from _array_min_uses(child, inner)
+
+
+def test_only_numerics_chooses_a_path_from_the_input_size():
+    """Outside ``numerics``, whose ``floats`` and ``index`` make every fit vector,
+    ``ARRAY_MIN`` is read only by ``failure_data._split_columns``, whose prefill
+    sizes the reader's memory rather than a fit's vectors."""
+    allowed, found = [], []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "relgauge").glob("*.py")):
+        if path.stem != "numerics":
+            for function, line in _array_min_uses(ast.parse(path.read_text())):
+                use = f"{path.stem}.{function}:{line}"
+                (allowed if (path.stem, function) == ("failure_data", "_split_columns") else found).append(use)
+    assert found == []
+    assert allowed  # the guard sees the one use it allows

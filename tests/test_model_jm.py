@@ -58,6 +58,13 @@ def test_intensity_overflow_is_out_of_range():
     assert reliability(1e308, 1e308, 1, 1.0) == 0.0  # the survival probability itself is 0
 
 
+@pytest.mark.parametrize("e0", [math.nan, math.inf, -math.inf])
+def test_non_finite_e0_is_a_domain_error(e0):
+    for call in (lambda: intensity(e0, 1.0, 1), lambda: reliability(e0, 1.0, 1, 1.0)):
+        with pytest.raises(DomainError, match=f"^e0 must be finite, got {e0}$"):
+            call()
+
+
 def test_reliability_examples():
     assert reliability(2.0, 0.5, 2, 0.0) == 1.0
     assert reliability(2.0, 0.5, 2, 2.0) == pytest.approx(math.exp(-1.0), rel=1e-12)

@@ -55,6 +55,18 @@ def test_reliability_examples():
     )
 
 
+@pytest.mark.parametrize("m, lam, t", [(400.0, 1.0, 10.0), (1e308, 1.0, 2.0), (2.0, 1e154, 1e154)])
+def test_overflow_gives_zero_reliability_and_an_out_of_range_hazard(m, lam, t):
+    """(lam t)^m beyond a float makes exp(-(lam t)^m) exactly 0; a hazard that
+    overflows, in ** or in the product, is OutOfRange naming the hazard, not
+    the C library's errno text."""
+    fit = WeibullFit(m=m, lam=lam)
+    assert reliability(fit, t) == 0.0
+    with pytest.raises(OutOfRange) as raised:
+        hazard(fit, t)
+    assert str(raised.value) == f"the hazard at t = {t} overflows a float for shape {m} and scale {lam}"
+
+
 def test_reliability_median_identity():
     for m in (0.5, 1.0, 2.0, 3.7):
         lam = 0.8

@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from relgauge import debug_economics, fault_tolerance, model_weibull, numerics
+from relgauge import debug_economics, fault_tolerance, model_jm, model_weibull, numerics
 from relgauge.debug_economics import fit_discovery_curve
 from relgauge.errors import DomainError, NonFinite, NoSignChange, OutOfRange, SingularInformation
-from relgauge.failure_data import DebugPeriod
+from relgauge.failure_data import DebugPeriod, FailureEpochs, intervals_from_epochs
 from relgauge.model_schumann import SchumannFit, covariance
 from relgauge.numerics import (
     Bracket,
@@ -30,6 +30,7 @@ from relgauge.numerics import (
     pole_sum,
     scan_bracket,
 )
+from relgauge.record import Record
 
 
 def bisect_oracle(f, lo, hi, tol=1e-10):
@@ -417,9 +418,9 @@ def test_fsum_array_bits_do_not_depend_on_the_simd_dispatch():
         assert kernel == reference
 
 
-# interval_array's two paths: the container it returns, and the numerics.ARRAY_MIN
-# that selects it (every input in these tests is below the constant as it is).
-_PATHS = ((np.ndarray, 0), (list, numerics.ARRAY_MIN))
+# interval_array's two paths: the container it returns, and a numerics.ARRAY_MIN
+# that selects it for every input in these tests.
+_PATHS = ((np.ndarray, 0), (list, 1 << 62))
 
 
 def test_interval_array_returns_the_checked_floats(monkeypatch):
@@ -494,6 +495,22 @@ _ODD_LISTS = [
 ]
 
 
+# At least ARRAY_MIN values, increasing unless a value is bad.
+_LONG = numerics.ARRAY_MIN + 3
+_LONG_INPUTS = [
+    [0.5 + 0.1 * i for i in range(_LONG)],
+    tuple(0.5 + 0.1 * i for i in range(_LONG)),
+    lambda: (0.25 * i for i in range(1, _LONG + 1)),  # a generator, made afresh for each call
+    np.arange(1, _LONG + 1, dtype=np.float32) * np.float32(0.1),
+    (np.arange(1.0, _LONG + 1) * 0.1).astype(">f8"),
+    _read_only(np.arange(1.0, _LONG + 1) * 0.3),
+    _read_only(np.concatenate(([3.0, 0.0, -1.0], np.arange(1.0, _LONG + 1)))),
+    [1.0, 2.0, None, *range(3, _LONG)],
+    [2**60 + 1 + 1000 * i for i in range(_LONG)],
+    tuple(2**60 + 1 + 1000 * i for i in range(_LONG)),
+]
+
+
 @pytest.mark.parametrize(
     "values",
     [
@@ -514,19 +531,63 @@ _ODD_LISTS = [
         np.array([]),
         [1.0, None],
         *_ODD_LISTS,
+        *_LONG_INPUTS,
     ],
 )
 def test_interval_array_gives_the_value_by_value_result_on_any_input(values, monkeypatch):
     """A 1-D native float64 ndarray is read as it is and anything else value
     by value, with the result or error that converting every value with
-    float() gives, on both paths; the caller's array keeps its values."""
+    float() gives, on both paths and at the constant as it is; the caller's
+    array keeps its values."""
+    make = values if callable(values) else lambda: values
     before = np.copy(values) if isinstance(values, np.ndarray) else None
-    for path, limit in _PATHS:
+    try:
+        size = len(make())
+    except TypeError:  # a generator, which interval_array lists first, or a 0-d array
+        size = len(list(make())) if callable(values) else 0
+    real = np.ndarray if size >= numerics.ARRAY_MIN else list
+    for path, limit in (*_PATHS, (real, numerics.ARRAY_MIN)):
         monkeypatch.setattr(numerics, "ARRAY_MIN", limit)
-        expected = _scaled_outcome(lambda v: _interval_array_before(v, path), values)
-        assert _scaled_outcome(interval_array, values) == expected
+        expected = _scaled_outcome(lambda v: _interval_array_before(v, path), make())
+        assert _scaled_outcome(interval_array, make()) == expected
         if before is not None:
             assert values.tobytes() == before.tobytes()
+
+
+def _float_outcome(call, values):
+    """``call`` on np.fromiter(map(float, values)), or the error float() raises on a value."""
+    try:
+        x = np.fromiter(map(float, values), dtype=float)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return _fit_outcome(call, x)
+
+
+def _fit_outcome(call, values):
+    try:
+        result = call(values)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return repr(result) if isinstance(result, Record) else (np.asarray(result).dtype.str, np.asarray(result).tobytes())
+
+
+@pytest.mark.parametrize("values", _LONG_INPUTS)
+def test_fits_read_a_long_input_as_float_reads_each_value(values):
+    """At ARRAY_MIN values or more the JM and Weibull fits, and the intervals of
+    epochs held in a tuple or an array, have the values of np.fromiter(map(float,
+    ...)) and the errors of float(); floats passes a native float64 ndarray
+    through as the same object."""
+    make = values if callable(values) else lambda: values
+    for call in (model_jm.fit_mle, model_weibull.fit_moments):
+        assert _fit_outcome(call, make()) == _float_outcome(call, make())
+    if isinstance(values, (tuple, np.ndarray)) and np.all(np.diff(values, prepend=0.0) > 0.0):
+        intervals = lambda e: intervals_from_epochs(FailureEpochs(e))  # noqa: E731
+        assert _fit_outcome(intervals, values) == _float_outcome(lambda x: np.diff(x, prepend=0.0), values)
+    if not callable(values):  # floats takes a sequence
+        assert _fit_outcome(numerics.floats, values) == _float_outcome(lambda x: x, values)
+    if isinstance(values, np.ndarray):
+        native = values.dtype.isnative and values.dtype == np.float64
+        assert (numerics.floats(values) is values) == native
 
 
 def test_gaussian_intervals_half_widths():
