@@ -109,33 +109,35 @@ def total_time(config: DualRunConfig, t: float) -> float:
 def optimal_module_time(config: DualRunConfig) -> DualRunPlan:
     """Module length minimizing :func:`total_time`.
 
-    The stationary condition is ``2 * lam * t^2 * exp(lam * t) = a``.  Its
-    left side increases from zero, so either a unique interior root exists
-    in (0, T] or the expected time is still decreasing at t = T, in which
-    case the plan sits on the boundary t = T and is flagged.  The root is
-    solved for over [T * 1e-15, T] where that brackets it with finite
-    values, and from :func:`_log_form_root` where the left side overflows
-    at T or the root lies below T * 1e-15.
+    The stationary condition is ``2 * lam * t^2 * exp(lam * t) = a``, solved
+    in its log form g(t) = log(2 lam / a) + 2 log t + lam t.  g increases,
+    so either a unique interior root exists in (0, T) or the expected time
+    is still decreasing at t = T (g(T) <= 0), in which case the plan sits on
+    the boundary t = T and is flagged.  With x0 = sqrt(a / (2 lam)) and
+    s = lam x0 / 2, the root is x0 W(s) / s, W being Lambert's function, and
+    s / (1 + s) <= W(s) <= log1p(s) places it in [x0 / (1 + s), x0 log1p(s) / s].
+    Halving the low end and doubling the high one moves g by more than
+    2 log 2 beyond it, far past the rounding of the ends, which are formed
+    from logarithms so that none of them overflows.  Over the bracket lam t
+    is at most about 4 log1p(s), so g is finite wherever it is solved; a
+    g(T) that is infinite leaves T above the bracket's high end.
     """
     T, a, lam = config.total_time, config.overhead, config.failure_rate
+    log_2lam_over_a = math.log(2.0) + math.log(lam) - math.log(a)
 
-    def stationarity(t: float) -> float:
-        try:
-            return 2.0 * lam * t * t * math.exp(lam * t) - a
-        except OverflowError:  # exp(lam * t) beyond a float: far above a
-            return math.inf
+    def log_form(t: float) -> float:
+        return log_2lam_over_a + 2.0 * math.log(t) + lam * t
 
-    at_end = stationarity(T)
+    at_end = log_form(T)
     if at_end <= 0.0:
         t_star, boundary = T, True
     else:
-        lo = T * 1e-15
-        at_lo = stationarity(lo)
-        if at_end < math.inf and at_lo <= 0.0:
-            bracket = Bracket(lo, T, tol_rel=1e-12, f_lo=at_lo, f_hi=at_end)
-            t_star = find_root_bracketed(stationarity, bracket)
-        else:
-            t_star = _log_form_root(T, a, lam)
+        log_x0 = -0.5 * log_2lam_over_a
+        s = math.sqrt(a / 8.0) * math.sqrt(lam)
+        lo = math.exp(log_x0 - math.log1p(s) - math.log(2.0))
+        log_hi = log_x0 + math.log(2.0) + (math.log(math.log1p(s) / s) if s > 0.0 else 0.0)
+        hi, f_hi = (T, at_end) if log_hi >= math.log(T) else (math.exp(log_hi), None)
+        t_star = find_root_bracketed(log_form, Bracket(lo, hi, tol_rel=1e-14, f_hi=f_hi))
         boundary = False
     return DualRunPlan(
         t_star=t_star,
@@ -144,30 +146,6 @@ def optimal_module_time(config: DualRunConfig) -> DualRunPlan:
         p1_at_t=success_probability(config, t_star),
         boundary=boundary,
     )
-
-
-def _log_form_root(T: float, a: float, lam: float) -> float:
-    """The root in (0, T) of the log form of the stationary condition.
-
-    g(t) = log(2 lam / a) + 2 log t + lam t increases and is finite over
-    the bracket below.  With x0 = sqrt(a / (2 lam)) and s = lam x0 / 2, the root is
-    x0 W(s) / s, W being Lambert's function, and s / (1 + s) <= W(s) <=
-    log1p(s) places it in [x0 / (1 + s), x0 log1p(s) / s].  Halving the low
-    end and doubling the high one moves g by more than 2 log 2 beyond it,
-    far past the rounding of the ends, which are formed from logarithms so
-    that none of them overflows.
-    """
-    log_2lam_over_a = math.log(2.0) + math.log(lam) - math.log(a)
-
-    def log_form(t: float) -> float:
-        return log_2lam_over_a + 2.0 * math.log(t) + lam * t
-
-    log_x0 = -0.5 * log_2lam_over_a
-    s = math.sqrt(a / 8.0) * math.sqrt(lam)
-    lo = math.exp(log_x0 - math.log1p(s) - math.log(2.0))
-    log_hi = log_x0 + math.log(2.0) + (math.log(math.log1p(s) / s) if s > 0.0 else 0.0)
-    hi = T if log_hi >= math.log(T) else math.exp(log_hi)
-    return find_root_bracketed(log_form, Bracket(lo, hi, tol_rel=1e-12))
 
 
 # Mean executions per module, {execution count: modules}, and the simulated elapsed time.

@@ -103,7 +103,7 @@ def reliability(e0: float, k_jm: float, i: int, dt: float) -> float:
     rate = _rate(e0, k_jm, i)  # an overflowing rate gives 0 for any dt > 0
     if not (math.isfinite(dt) and dt >= 0.0):
         raise DomainError(f"dt must be finite and non-negative, got {dt}")
-    return math.exp(-rate * dt)
+    return math.exp(-rate * dt) if dt > 0.0 else 1.0  # surviving no time is sure, and -inf * 0 is NaN
 
 
 def stationarity_residual(e0: float, k: int, beta: float) -> float:

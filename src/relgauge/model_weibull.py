@@ -64,7 +64,14 @@ def hazard(fit: WeibullFit, t: float) -> float:
         rate = fit.m * fit.lam**fit.m * t ** (fit.m - 1.0)
     except OverflowError:
         rate = math.inf
-    if rate == math.inf:
+    if not 0.0 < rate < math.inf:
+        # Only lam^m or t^(m - 1) left the float range.  This form is not the first
+        # choice because its power multiplies the rounding error of lam t by m - 1.
+        try:
+            rate = fit.m * fit.lam * (fit.lam * t) ** (fit.m - 1.0)
+        except OverflowError:
+            rate = math.inf
+    if not rate < math.inf:
         raise OutOfRange(f"the hazard at t = {t} overflows a float for shape {fit.m} and scale {fit.lam}")
     return rate
 

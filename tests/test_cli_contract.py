@@ -69,12 +69,16 @@ VERBS = {
 
 # Flag values that random draws reach only now and then, tried on every run.
 EXAMPLES = {
-    # exp(-lam * t) underflows to 0 at the given module time, which numpy's sampler refuses.
+    # exp(-lam * t) underflows to 0 at the given module time, which numpy's sampler refuses;
+    # and a boundary plan where 2 lam overflows a float.
     "faulttol": [{"--total-time": "100", "--overhead": "1", "--failure-rate": str(2**63), "--simulate": "5",
-                  "--seed": "3", "--module-time": "20"}],
-    # The hazard overflows a float.
+                  "--seed": "3", "--module-time": "20"},
+                 {"--total-time": "1e-306", "--overhead": "5.986657101827642e-118",
+                  "--failure-rate": "1.7976931348623157e308"}],
+    # The hazard overflows a float, and a hazard that is a float though scale^shape is not.
     "predict weibull": [{"--shape": "400", "--scale": "1", "--time": "10"},
-                        {"--shape": "1e308", "--scale": "1", "--time": "2"}],
+                        {"--shape": "1e308", "--scale": "1", "--time": "2"},
+                        {"--shape": "400", "--scale": "1e10", "--time": "1e-10"}],
     # A non-finite e0, which the report could not hold.
     "predict jm": [{"--e0": e0, "--k": "1", "--index": "1", "--dt": "1"} for e0 in ("nan", "inf")],
 }

@@ -204,28 +204,50 @@ def _exact_t_star(overhead, failure_rate):
         return 2 / lam * mp.lambertw(mp.sqrt(a * lam / 8)).real
 
 
+def _exact_boundary(total, overhead, failure_rate):
+    """Whether the log form log(2 lam / a) + 2 log T + lam T is at most 0, exactly."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        T, a, lam = mp.mpf(total), mp.mpf(overhead), mp.mpf(failure_rate)
+        return mp.log(2 * lam / a) + 2 * mp.log(T) + lam * T <= 0
+
+
 @pytest.mark.parametrize(
-    "overhead, failure_rate, simulate",
+    "total, overhead, failure_rate, simulate",
     [
-        ("0.5", "7.2", False),  # 2 lam T^2 exp(lam T) overflows math.exp at T
-        ("0.5", "7.0", False),  # ... or the product at T
-        ("1e-300", "0.01", False),  # the root lies below T * 1e-15
-        ("0.5", "7.2", True),
+        ("100", "0.5", "7.2", False),  # 2 lam T^2 exp(lam T) overflows math.exp at T
+        ("100", "0.5", "7.0", False),  # ... or the product at T
+        ("100", "1e-300", "0.01", False),  # the root lies below T * 1e-15
+        ("100", "0.5", "7.2", True),
+        # Below T * 1e-15 again, where that bracket's direct form was still finite.
+        ("1.9570707304426177e-75", "6.751356133072974e-293", "1e-131", False),
+        # Boundary plans where 2 lam overflows, once with T * 1e-15 below the
+        # log form's low end and once below the smallest normal float.
+        ("1e-306", "5.986657101827642e-118", "1.7976931348623157e308", False),
+        ("1e-313", "1.8499666953795915e-124", "1.7976931348623157e308", False),
     ],
+    # The plans with T = 100 are named by their other inputs, the rest by what they test.
+    ids=["0.5-7.2-False", "0.5-7.0-False", "1e-300-0.01-False", "0.5-7.2-True",
+         "root-below-T*1e-15", "boundary-2lam-overflows", "boundary-subnormal-T"],
 )
-def test_plans_the_fixed_bracket_misses_have_the_exact_root(tmp_path, overhead, failure_rate, simulate):
+def test_plans_the_fixed_bracket_misses_have_the_exact_root(tmp_path, total, overhead, failure_rate, simulate):
     from relgauge.cli import run_cli
 
     out = tmp_path / "plan.json"
-    argv = ["faulttol", "--total-time", "100", "--overhead", overhead, "--failure-rate", failure_rate]
+    argv = ["faulttol", "--total-time", total, "--overhead", overhead, "--failure-rate", failure_rate]
     if simulate:
         argv += ["--simulate", "1000", "--seed", "3"]
     assert run_cli([*argv, "--output", str(out)]) == 0
     report = json.loads(out.read_text())
-    exact = _exact_t_star(float(overhead), float(failure_rate))
-    assert not report["boundary"]
-    assert abs(report["t_star"] - exact) <= 1e-12 * exact
-    assert report["module_count"] == 100.0 / report["t_star"]
+    T = float(total)
+    assert report["boundary"] == _exact_boundary(T, float(overhead), float(failure_rate))
+    if report["boundary"]:
+        assert report["t_star"] == T
+    else:
+        exact = _exact_t_star(float(overhead), float(failure_rate))
+        # The log form's terms reach about 1400 at the extremes; its rounding moves t* by about 1e-13.
+        assert abs(report["t_star"] - exact) <= 2e-13 * exact
+    assert report["module_count"] == T / report["t_star"]
     if simulate:
         assert report["simulation"]["module_time"] == report["t_star"]
         assert report["simulation"]["modules"] == 1000

@@ -70,6 +70,12 @@ def test_reliability_examples():
     assert reliability(2.0, 0.5, 2, 2.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
+def test_reliability_over_no_time_is_one_where_the_rate_overflows():
+    """k (e0 - i + 1) = inf: -inf * 0 would be NaN, and over any time it is 0."""
+    assert reliability(1e308, 1e308, 1, 0.0) == 1.0
+    assert reliability(1e308, 1e308, 1, 1e-300) == 0.0
+
+
 def test_reliability_matches_schumann():
     """With k = c/I and corrected = i - 1 the two growth models describe the
     same process; their reliabilities agree to 1e-12."""

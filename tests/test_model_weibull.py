@@ -67,6 +67,25 @@ def test_overflow_gives_zero_reliability_and_an_out_of_range_hazard(m, lam, t):
     assert str(raised.value) == f"the hazard at t = {t} overflows a float for shape {m} and scale {lam}"
 
 
+@pytest.mark.parametrize(
+    "m, lam, t, expected",
+    [
+        (400.0, 1e10, 1e-10, 4e12),  # lam^m overflows, t^(m - 1) underflows
+        (400.0, 1e-10, 1e10, 4e-8),  # the other way round
+        (400.0, 0.1, 5.0, 400.0 * 0.1 * 0.5**399),  # lam^m underflows to 0 alone
+        (400.0, 5.85, 1e-5, 0.0),  # m lam^m overflows and t^(m - 1) is 0: inf * 0
+        (400.0, 10.0, 0.0, 0.0),  # lam^m overflows at t = 0
+    ],
+)
+def test_hazard_whose_factors_leave_the_float_range_is_formed_from_lam_t(m, lam, t, expected):
+    assert hazard(WeibullFit(m=m, lam=lam), t) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_hazard_keeps_the_bits_of_its_written_form_where_that_is_a_float():
+    for m, lam, t in [(0.5, 2.0, 1.0), (2.0, 1.0, 3.0), (0.7, 0.013, 41.0), (3.7, 1e-3, 1e5)]:
+        assert hazard(WeibullFit(m=m, lam=lam), t) == m * lam**m * t ** (m - 1.0)
+
+
 def test_reliability_median_identity():
     for m in (0.5, 1.0, 2.0, 3.7):
         lam = 0.8

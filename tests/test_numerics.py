@@ -164,7 +164,7 @@ def _weibull_fit():
 
 
 def _module_plan():
-    fault_tolerance.optimal_module_time(fault_tolerance.DualRunConfig(1000.0, 1.0, 0.001))
+    fault_tolerance.optimal_module_time(fault_tolerance.DualRunConfig(30.0, 1.0, 0.001))
 
 
 @pytest.mark.parametrize(

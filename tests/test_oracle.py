@@ -276,12 +276,28 @@ def test_discovery_tau0_is_within_tolerance_of_the_exact_root(seed):
     assert _relative(fit_tau0, root) <= DEFAULT_TOL_REL * max(1.0, float(kappa))
 
 
-FAULTTOL_TOL = 1e-12  # the relative bracket width optimal_module_time hands the solver
+FAULTTOL_TOL = 1e-14  # the relative bracket width optimal_module_time hands the solver
+# Beyond the benchmark's ranges the log form's terms reach about 1400, so
+# its rounding moves t* by up to about 1e-13 relative.
+FAULTTOL_FULL_RANGE_TOL = 2e-13
+SUBNORMAL_ULP = 5e-324
+
+
+def _full_range_value(rng, low=-1074, high=1024):
+    """A positive float with a binary exponent drawn from [low, high)."""
+    return math.ldexp(rng.uniform(1.0, 2.0), int(rng.integers(low, high)))
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_faulttol_t_star_is_within_tolerance_of_the_exact_root(seed):
-    """Seeded plans with an interior optimum: the root of 2 lam t^2 exp(lam t) / a - 1."""
+    """Seeded plans with an interior optimum: the root of 2 lam t^2 exp(lam t) / a - 1.
+
+    Then plans drawn over the whole float range, a fifth of them with a
+    subnormal root: the boundary flag is g(T) <= 0 for the exact log form g,
+    and an interior t* is within FAULTTOL_FULL_RANGE_TOL of the exact root
+    (2 / lam) W(sqrt(a lam / 8)), or within one ulp where that is wider.
+    Only a success probability exp(-lam t*) that underflows may raise.
+    """
     rng = np.random.default_rng(seed)
     total, lam = float(rng.uniform(10.0, 1e4)), float(10.0 ** rng.uniform(-6.0, -1.0))
     overhead = float(rng.uniform(1e-3, 0.5)) * 2.0 * lam * total**2 * np.exp(min(lam * total, 50.0))
@@ -290,3 +306,24 @@ def test_faulttol_t_star_is_within_tolerance_of_the_exact_root(seed):
     a, lam = mp.mpf(overhead), mp.mpf(lam)
     root, kappa = _exact_root(lambda t: 2 * lam * t * t * mp.exp(lam * t) / a - 1, plan.t_star)
     assert _relative(plan.t_star, root) <= FAULTTOL_TOL * max(1.0, float(kappa))
+
+    for draw in range(500):
+        if draw % 5:
+            total, overhead, lam = (_full_range_value(rng) for _ in range(3))
+        else:
+            total, overhead, lam = _full_range_value(rng), _full_range_value(rng, high=-997), _full_range_value(rng, 1014)
+        config = fault_tolerance.DualRunConfig(total, overhead, lam)
+        try:
+            plan = fault_tolerance.optimal_module_time(config)
+        except OutOfRange as error:
+            assert "underflows a float" in str(error), config
+            continue
+        with mp.workdps(50):
+            T, a, lam = mp.mpf(total), mp.mpf(overhead), mp.mpf(lam)
+            assert plan.boundary == (mp.log(2 * lam / a) + 2 * mp.log(T) + lam * T <= 0), config
+            if plan.boundary:
+                assert plan.t_star == total
+                continue
+            root = 2 / lam * mp.lambertw(mp.sqrt(a * lam / 8)).real
+            bound = max(FAULTTOL_FULL_RANGE_TOL * root, SUBNORMAL_ULP if root < sys.float_info.min else 0)
+            assert abs(mp.mpf(plan.t_star) - root) <= bound, config
