@@ -170,11 +170,23 @@ def _encode(value, pad: str = "") -> str:
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
 
 
+def _non_finite(value, path: str = "") -> str | None:
+    """The key path, such as ``ci.e0[1]``, of the first non-finite float in ``value``, in _encode's order."""
+    if isinstance(value, dict):
+        items = ((f"{path}.{key}" if path else key, value[key]) for key in sorted(value))
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{path}[{i}]", item) for i, item in enumerate(value))
+    else:
+        return path if isinstance(value, float) and not math.isfinite(value) else None
+    return next((found for key, item in items if (found := _non_finite(item, key)) is not None), None)
+
+
 def _emit(report: dict, output: str | None) -> None:
     try:
         body = _encode(report) + "\n"
     except ValueError as exc:
-        raise OutOfRange(f"report holds a value that is not a finite number: {exc}") from exc
+        field = _non_finite(report)
+        raise OutOfRange(f"report field {field} holds a value that is not a finite number: {exc}") from exc
     if output:
         with open(output, "w", encoding="utf-8") as file:
             file.write(body)

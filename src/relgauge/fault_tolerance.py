@@ -100,10 +100,8 @@ def success_probability(config: DualRunConfig, t: float) -> float:
 
 
 def total_time(config: DualRunConfig, t: float) -> float:
-    """Expected wall time of the computation with module length ``t``."""
-    p1 = success_probability(config, t)
-    executions = config.total_time / t * expected_executions(p1)
-    return executions * t + config.total_time * config.overhead / t
+    """Expected wall time T (2 / p1 + a / t) with module length ``t``; a float even where T a is not."""
+    return config.total_time * (expected_executions(success_probability(config, t)) + config.overhead / t)
 
 
 def optimal_module_time(config: DualRunConfig) -> DualRunPlan:

@@ -13,20 +13,10 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .errors import (
-    DomainError,
-    NoConvergence,
-    NoGrowthEvidence,
-    OutOfRange,
-    ResidualNonPositive,
-    SingularInformation,
-    TooFewIntervals,
-)
-from .numerics import at_data_scale, find_root_bracketed, fsum_array, gaussian_intervals, index
-from .numerics import interval_array, pole_sum, power_sum, scan_bracket, seeded_rng
+from .errors import DomainError, OutOfRange, ResidualNonPositive, TooFewIntervals
+from .numerics import GrowthLikelihood, at_data_scale, find_root_bracketed, gaussian_intervals, index
+from .numerics import interval_array, power_sum, scan_bracket, seeded_rng
 from .record import Record, set_field
-
-_RESIDUAL_LIMIT = 1e-9
 
 
 class JmFit(Record):
@@ -107,12 +97,10 @@ def reliability(e0: float, k_jm: float, i: int, dt: float) -> float:
 
 
 def stationarity_residual(e0: float, k: int, beta: float) -> float:
-    """Relative defect of the likelihood stationarity condition at ``e0``.
+    """Relative defect of the stationarity condition sum(1/(e0 - i + 1)) = k/(e0 - beta) at ``e0``.
 
-    Zero exactly when sum(1/(e0 - i + 1)) equals k/(e0 - beta), beta = B/A.
-    The sum is taken term by term (:func:`numerics.power_sum`, infinite at
-    a pole), so this is an O(k) check independent of the O(1)
-    :func:`numerics.pole_sum` that :func:`fit_mle`'s objective uses.
+    The sum is taken term by term (:func:`numerics.power_sum`, infinite at a
+    pole): an O(k) check apart from the O(1) :func:`numerics.pole_sum`.
     """
     return power_sum(e0, index(k), -1) * (e0 - beta) / k - 1.0
 
@@ -120,102 +108,43 @@ def stationarity_residual(e0: float, k: int, beta: float) -> float:
 def fit_mle(intervals: Sequence[float]) -> JmFit:
     """Maximum-likelihood (e0, k_jm) from ordered inter-failure intervals.
 
-    With A = sum(x_i), B = sum((i-1) * x_i) and beta = B/A, the stationary
-    e0 solves
-
-        sum_{i=1..k} 1/(e0 - i + 1) * (e0 - beta) / k = 1
-
-    and then k_hat = k / (e0 * A - B).  A and B are summed once, over the
-    intervals at unit scale (:func:`numerics.interval_array`, a list for a
-    small fit, which then loads no numpy); the sum is
-    :func:`numerics.pole_sum`, so each objective evaluation is O(1) and a
+    With A = sum(x_i), B = sum((i-1) * x_i) and beta = B/A, e0 solves
+    sum_{i=1..k} 1/(e0 - i + 1) * (e0 - beta) / k = 1 above the pole at
+    k - 1, and k_hat = k / (e0 * A - B): :class:`numerics.GrowthLikelihood`
+    with one failure per interval.  Each objective evaluation is O(1), so a
     fit costs one O(k) pass for the sums plus one for the final
-    :func:`stationarity_residual` check.  That residual must be within
-    1e-9, or change sign between the floats next to e0 where one ulp moves
-    it by more (roots within about 1e-7 of the pole).  The root is
-    bracketed at offsets growing 16-fold above the pole at e0 = k - 1.  A
-    finite root exists only when beta > (k-1)/2, i.e. when later intervals
-    are longer.  That is tested before the scan, which on the threshold
-    would bracket the O(1) objective's rounding to zero far above the pole;
-    NoGrowthEvidence carries the diagnostic.  NoConvergence when the scan
-    misses the root.
+    :func:`stationarity_residual` check.  NoGrowthEvidence, before any scan,
+    unless beta > (k-1)/2, i.e. later intervals are longer; NoConvergence
+    when the scan misses the root or the residual fails its 1e-9 check;
     OutOfRange when k_hat leaves the float range.
     """
     x, e = interval_array(intervals)
     k = len(x)
     if k < 2:
         raise TooFewIntervals(f"need at least 2 intervals to fit two parameters, got {k}")
-    a = fsum_array(x)
-    b = -power_sum(0.0, x, 1, index(k))  # B = -sum(j * (0 - x_j)), j = 0..k-1: negation is exact
-    beta = b / a
-
-    threshold = (k - 1) / 2.0
-    if beta <= threshold:
-        raise NoGrowthEvidence(
-            "the likelihood has no finite maximizer: early intervals are not shorter "
-            f"on average (interval-weighted mean index {beta:.6g} vs threshold {threshold:.6g})",
-            diagnostic={"b_over_a": beta, "threshold": threshold},
-        )
-
-    def objective(e0: float) -> float:
-        return pole_sum(e0, k) * (e0 - beta) / k - 1.0
-
-    bracket = scan_bracket(objective, float(k - 1))
-    if bracket is None:
-        raise NoConvergence(
-            f"interval-weighted mean index {beta:.17g} exceeds threshold {threshold:.6g}, but the "
-            "stationarity condition changes sign nowhere in the scanned range, from 1e-9 to "
-            f"2^60 * 1e-9 times {max(k - 1, 1)} above the pole at e0 = {k - 1}"
-        )
-    e0 = find_root_bracketed(objective, bracket)
-    # The bracket keeps e0 above k - 1 >= B/A by far more than rounding, so e0 * A > B.
-    k_hat = at_data_scale(k / (e0 * a - b), e, "k_hat")
-    residual = stationarity_residual(e0, k, beta)
-    if abs(residual) > _RESIDUAL_LIMIT:
-        sides = [stationarity_residual(math.nextafter(e0, to), k, beta) for to in (-math.inf, math.inf)]
-        if min(sides) > 0.0 or max(sides) < 0.0:
-            raise NoConvergence(
-                f"stationarity residual {residual:.3g} at the located root e0 = {e0!r} exceeds "
-                f"{_RESIDUAL_LIMIT} and keeps its sign at the floats next to it"
-            )
-    return JmFit(e0_hat=e0, k_hat=k_hat, k_obs=k, residual=residual)
+    likelihood = GrowthLikelihood(x)
+    e0, rate, residual = likelihood.fit(
+        scan_bracket, find_root_bracketed, lambda root: stationarity_residual(root, k, likelihood.m)
+    )
+    return JmFit(e0_hat=e0, k_hat=at_data_scale(rate, e, "k_hat"), k_obs=k, residual=residual)
 
 
 def covariance(fit: JmFit, intervals: Sequence[float]) -> JmFit:
     """Attach asymptotic variances and correlation to a fit.
 
-    With S2 = sum(1/(e0 - i + 1)^2) and A = sum(x_i):
-
-        var(e0) = k / (k*S2 - A^2*k_hat^2)
-        var(k)  = S2 * k_hat^2 / (k*S2 - A^2*k_hat^2)
-        rho     = A * k_hat / sqrt(k * S2)
-
-    var(k) is formed from k_hat for the intervals at unit scale and scaled
-    back once, so it is OutOfRange only when it leaves the float range
-    itself.  Raises SingularInformation when the denominator is not
-    positive, which includes every single-interval fit.
+    With S2 = sum(1/(e0 - i + 1)^2), A = sum(x_i) and d = k S2 - (A k_hat)^2,
+    var(e0) = k / d, var(k) = S2 k_hat^2 / d and rho = A k_hat / sqrt(k S2)
+    (:meth:`numerics.GrowthLikelihood.information`).  var(k) is formed at unit
+    scale and scaled back once, so it is OutOfRange only when it leaves the
+    float range itself.  SingularInformation unless d > 0, as for one interval.
     """
     x, e = interval_array(intervals)
     if len(x) != fit.k_obs:
         raise DomainError(
             f"fit was made from {fit.k_obs} intervals but {len(x)} were supplied"
         )
-    k = fit.k_obs
-    k_unit = math.ldexp(fit.k_hat, e)  # k_hat for the intervals at unit scale
-    a_k = fsum_array(x) * k_unit  # A * k_hat, from A at unit scale
-    # A square that overflows makes its term 0; one that underflows to 0
-    # makes S2 infinite, which the determinant check below rejects.
-    s2 = power_sum(fit.e0_hat, index(k), -2)
-    denom = k * s2 - a_k * a_k
-    if not 0.0 < denom < math.inf:
-        raise SingularInformation(
-            f"information determinant k*S2 - (A*k_hat)^2 = {denom} is not positive and finite"
-        )
-    return fit.replace(
-        var_e0=k / denom,
-        var_k=at_data_scale(s2 * (k_unit * k_unit) / denom, 2 * e, "var_k"),
-        rho=a_k / math.sqrt(k * s2),
-    )
+    var_e0, var_k, rho = GrowthLikelihood(x).information(fit.e0_hat, math.ldexp(fit.k_hat, e))
+    return fit.replace(var_e0=var_e0, var_k=at_data_scale(var_k, 2 * e, "var_k"), rho=rho)
 
 
 def confidence_intervals(fit: JmFit, level: float = 0.95) -> dict[str, tuple[float, float]]:

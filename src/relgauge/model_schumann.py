@@ -17,24 +17,15 @@ errors decaying exponentially, lives in :mod:`debug_economics`.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
-from .errors import (
-    DegenerateGamma,
-    DomainError,
-    NegativeEstimate,
-    NoConvergence,
-    OutOfRange,
-    ResidualNonPositive,
-    SingularInformation,
-    Underdetermined,
-)
+from .errors import DegenerateGamma, DomainError, NegativeEstimate, OutOfRange, ResidualNonPositive
+from .errors import SingularInformation, Underdetermined
 from .failure_data import DebugPeriod, DebugPeriods, read_columns
-from .numerics import find_root_bracketed, floats, fsum_array, gaussian_intervals, power_sum, scan_bracket
-from .numerics import seeded_rng
+from .numerics import GrowthLikelihood, at_data_scale, find_root_bracketed, floats, gaussian_intervals
+from .numerics import interval_array, power_sum, scan_bracket, seeded_rng
 from .record import Record, set_field
 
-_RESIDUAL_LIMIT = 1e-9
 # The largest mean numpy's Poisson sampler accepts (its POISSON_LAM_MAX),
 # written with the int64 maximum so that importing this module loads no numpy.
 _POISSON_MEAN_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
@@ -169,35 +160,22 @@ def fit_two_period_from_totals(
     )
 
 
-def _c_estimates(periods: DebugPeriods, instructions: int) -> Callable[[float], tuple[float, float]]:
-    """e0 -> the two likelihood expressions for c, from exposures and from rates.
+def stationarity_residuals(fit: SchumannFit, periods: Sequence[DebugPeriod]) -> tuple[float, float]:
+    """Relative residuals of c1 = sum(n_j) / sum(r_j H_j) and c2 = sum(n_j / r_j) / sum(H_j) at the fit.
 
-    Each call forms two exactly rounded sums over the residuals
-    r_j = e0/I - corrected_j/I, sum(H_j r_j) and sum(n_j / r_j)
-    (:func:`numerics.power_sum`); OutOfRange when an estimate is not a
+    r_j = e0/I - corrected_j/I; each sum is exactly rounded, apart from
+    :func:`fit_mle`'s likelihood.  OutOfRange when an estimate is not a
     positive finite float, which an infinite or NaN term makes it.
     """
-    corrected = floats([n / instructions for n in periods.corrected])
-    exposure = floats(periods.exposure)
-    failures = floats(periods.failures)
-    total = sum(periods.failures)
-    exposure_sum = fsum_array(exposure)
-
-    def estimates(e0: float) -> tuple[float, float]:
-        scaled = e0 / instructions
-        exposed, rates = power_sum(scaled, corrected, 1, exposure), power_sum(scaled, corrected, -1, failures)
-        c1, c2 = (total / exposed if exposed else math.inf), rates / exposure_sum
-        # Each on its own, so that a NaN estimate fails too.
-        if not (0.0 < c1 < math.inf and 0.0 < c2 < math.inf):
-            raise OutOfRange(f"an estimate of c at e0 = {e0} is not a positive finite float")
-        return c1, c2
-
-    return estimates
-
-
-def stationarity_residuals(fit: SchumannFit, periods: Sequence[DebugPeriod]) -> tuple[float, float]:
-    """Relative residuals of the two likelihood expressions for c at the fit."""
-    c1, c2 = _c_estimates(DebugPeriods.of(periods), fit.instructions)(fit.e0_hat)
+    periods = DebugPeriods.of(periods)
+    scaled = fit.e0_hat / fit.instructions
+    corrected = floats([n / fit.instructions for n in periods.corrected])
+    exposed = power_sum(scaled, corrected, 1, floats(periods.exposure))
+    c1 = sum(periods.failures) / exposed if exposed else math.inf
+    c2 = power_sum(scaled, corrected, -1, floats(periods.failures)) / math.fsum(periods.exposure)
+    # Each on its own, so that a NaN estimate fails too.
+    if not (0.0 < c1 < math.inf and 0.0 < c2 < math.inf):
+        raise OutOfRange(f"an estimate of c at e0 = {fit.e0_hat} is not a positive finite float")
     return abs(c1 / fit.c_hat - 1.0), abs(c2 / fit.c_hat - 1.0)
 
 
@@ -209,103 +187,54 @@ def _check_periods(periods: DebugPeriods, instructions: int) -> None:
     if sum(periods.failures) < 2:
         raise DomainError("need at least 2 failures overall to fit two parameters")
     if len(set(periods.corrected)) < 2:
-        raise Underdetermined(
-            "all periods share one corrected count, so the error total is unidentifiable"
-        )
+        raise Underdetermined("all periods share one corrected count, so the error total is unidentifiable")
 
 
 def fit_mle(periods: Sequence[DebugPeriod], instructions: int) -> SchumannFit:
     """Maximum-likelihood (e0, c) over any number of debugging periods.
 
-    The two likelihood expressions for c,
-
-        c = sum(n_j) / sum((e0/I - corrected_j/I) * H_j)
-        c = sum(n_j / (e0/I - corrected_j/I)) / sum(H_j),
-
-    agree only at the stationary e0, which is located by scanning upward
-    from the feasibility boundary (e0 slightly above the largest corrected
-    count) at offsets that grow 16-fold, then root-finding on the bracketed
-    sign change.  Both expressions come from one closure that builds the
-    per-period arrays once, so each evaluation is one O(P) pass.  Raises
-    OutOfRange when an estimate of c leaves the float range, and
-    NoConvergence when no sign change appears within 2^60 first offsets,
-    the signature of data without reliability growth.
+    With A = sum(H_j), B = sum(corrected_j H_j) and N = sum(n_j), e0 solves
+    sum_j n_j / (e0 - corrected_j) * (e0 - B/A) / N = 1 above the largest
+    corrected count, and c = I N / (e0 A - B): :class:`numerics.GrowthLikelihood`
+    with rate c / I, one exactly rounded O(P) sum per evaluation.
+    NoGrowthEvidence, before any scan, unless B/A exceeds the failure-weighted
+    mean corrected count; NoConvergence when the scan misses the root or the
+    residual fails its 1e-9 check; OutOfRange when c leaves the float range.
     """
     periods = DebugPeriods.of(periods)
     _check_periods(periods, instructions)
-    estimates = _c_estimates(periods, instructions)
-
-    def objective(e0: float) -> float:
-        c1, c2 = estimates(e0)
-        return c1 / c2 - 1.0
-
-    bracket = scan_bracket(objective, float(max(periods.corrected)))
-    if bracket is None:
-        raise NoConvergence(
-            "the likelihood stationarity condition has no root above the feasibility "
-            "boundary within 2^60 scan offsets; the periods show no reliability growth"
-        )
-    e0 = find_root_bracketed(objective, bracket)
-    c, c2 = estimates(e0)
+    h, e = interval_array(periods.exposure)
+    likelihood = GrowthLikelihood(h, periods.corrected, periods.failures)
+    e0, rate, residual = likelihood.fit(scan_bracket, find_root_bracketed, likelihood.residual)
+    size, f = math.frexp(instructions)  # I = size * 2^f, so I * rate cannot overflow at unit scale
+    c = at_data_scale(rate * size, e - f, "c_hat")
     # c is the exposure-form estimate itself, so its residual is exactly 0.
-    fit = SchumannFit(e0_hat=e0, c_hat=c, instructions=instructions, residuals=(0.0, abs(c2 / c - 1.0)))
-    if max(fit.residuals) > _RESIDUAL_LIMIT:
-        raise NoConvergence(
-            f"stationarity residuals exceed {_RESIDUAL_LIMIT} at the located root"
-        )
-    return fit
+    return SchumannFit(e0_hat=e0, c_hat=c, instructions=instructions, residuals=(0.0, abs(residual)))
 
 
 def covariance(fit: SchumannFit, periods: Sequence[DebugPeriod]) -> SchumannFit:
-    """Attach asymptotic variances and correlation from the observed information.
+    """Attach asymptotic variances and correlation from the observed information at (e0, c / I).
 
-    The information matrix in (c, e0) order is
-
-        [[sum(n_j)/c^2,           sum(H_j)/I        ],
-         [sum(H_j)/I,             sum(n_j/r_j^2)/I^2]]
-
-    with r_j the per-instruction residual in period j.  Its inverse gives
-    var(c) = a22/det and var(e0) = a11/det; the correlation magnitude is
-    ``sum(n_j/r_j) / sqrt(sum(n_j) * sum(n_j/r_j^2))``.  Raises
-    SingularInformation when the determinant is not positive and finite,
-    and when a square overflows or underflows a float, so that the entries
-    cannot be formed.
+    :meth:`numerics.GrowthLikelihood.information` forms var(c) at unit scale
+    and scales it back once, so it is OutOfRange only when it leaves the
+    float range itself.  SingularInformation for one period, whose
+    information has rank 1, or a determinant that is not positive and
+    finite; ResidualNonPositive when a corrected count is not below e0.
     """
     if len(periods) < 2:
         raise SingularInformation("a single period carries rank-1 information")
     periods = DebugPeriods.of(periods)
-    I = fit.instructions
-    scaled = fit.e0_hat / I
-    fractions = [c / I for c in periods.corrected]
-    # Rounding keeps order, so these are the least and the largest residual scaled - c/I.
-    least, largest = scaled - max(fractions), scaled - min(fractions)
-    if not least > 0.0:
-        corrected = next(c for c, f in zip(periods.corrected, fractions) if scaled - f <= 0.0)
+    exhausted = next((n for n in periods.corrected if n >= fit.e0_hat), None)
+    if exhausted is not None:
         raise ResidualNonPositive(
-            f"period with corrected count {corrected} has non-positive residual at the fit"
+            f"period with corrected count {exhausted} has non-positive residual at the fit"
         )
-    if not (least * least > 0.0 and largest * largest < math.inf):
-        raise SingularInformation("a squared per-instruction residual is not a positive finite float")
-    total = sum(periods.failures)
-    corrected = floats(fractions)
-    try:
-        failures = floats(periods.failures)
-        # A term n/r^2 that overflows makes S2 infinite, which the determinant check rejects.
-        s2 = power_sum(scaled, corrected, -2, failures)
-        a11 = total / (fit.c_hat * fit.c_hat)
-        a22 = s2 / I**2
-    except (ZeroDivisionError, OverflowError) as exc:
-        # A count or I^2 past a float's range, or c^2 rounded to 0: the entries cannot be formed.
-        raise SingularInformation(f"an information entry is not a finite float: {exc}") from None
-    rho_numerator = power_sum(scaled, corrected, -1, failures)
-    a12 = math.fsum(periods.exposure) / I
-    det = a11 * a22 - a12 * a12
-    if not 0.0 < det < math.inf:
-        raise SingularInformation(
-            f"information determinant a11*a22 - a12^2 = {det} is not positive and finite"
-        )
-    rho = rho_numerator / math.sqrt(total * s2)
-    return fit.replace(var_c=a22 / det, var_e0=a11 / det, rho=rho)
+    h, e = interval_array(periods.exposure)
+    size, f = math.frexp(fit.instructions)
+    likelihood = GrowthLikelihood(h, periods.corrected, periods.failures)
+    var_e0, var_rate, rho = likelihood.information(fit.e0_hat, math.ldexp(fit.c_hat, e - f) / size)
+    var_c = at_data_scale(var_rate * size * size, 2 * (e - f), "var_c")
+    return fit.replace(var_e0=var_e0, var_c=var_c, rho=rho)
 
 
 def confidence_intervals(fit: SchumannFit, level: float = 0.95) -> dict[str, tuple[float, float]]:

@@ -11,8 +11,9 @@ error-free extraction, and math.fsum itself below ARRAY_MIN values or for
 zero, infinite, NaN or near-overflow values), the exactly rounded sums
 sum(w_j * (x - a_j)^p) that the JM, Weibull and Schumann fits are made
 of, the checked failure intervals at unit scale that those fits read, the
-seeded generator every simulation draws from, and two-sided Gaussian
-confidence intervals.
+one likelihood of the JM and Schumann fits with its growth test, residual
+check and information, the seeded generator every simulation draws from,
+and two-sided Gaussian confidence intervals.
 
 Below ARRAY_MIN values a fit's vectors are Python lists and the fit never
 imports numpy, whose import costs more than such a fit; from there on
@@ -30,7 +31,8 @@ import operator
 from collections.abc import Callable, Iterable, Sequence
 from itertools import chain, repeat
 
-from .errors import DomainError, NonFinite, NoSignChange, OutOfRange
+from .errors import DomainError, NoConvergence, NoGrowthEvidence, NonFinite, NoSignChange, OutOfRange
+from .errors import SingularInformation
 from .record import Record, set_field
 
 DEFAULT_TOL_REL = 1e-10
@@ -42,12 +44,12 @@ _SCAN_FACTOR = 16.0
 _SCAN_POINTS = 16  # offsets s, 16 s, ..., 16^15 s = 2^60 s
 _SCAN_TOL_REL = 1e-13
 
+_RESIDUAL_LIMIT = 1e-9  # the largest stationarity residual a growth fit accepts
+
 # The fewest values the fits hand to numpy; below it they run on lists and
 # fsum_array is math.fsum itself.  With numpy already loaded, a whole fit
-# costs the same on both paths at about 224-256 intervals for JM with its
-# covariance and for Weibull, and at 288-320 periods for Schumann with its
-# covariance; so a Schumann fit on 256-319 periods takes the array path
-# though lists would be up to about 7 % faster there.
+# with its covariance costs the same on both paths at about 224-256
+# intervals for JM and Weibull and 208-224 periods for Schumann.
 ARRAY_MIN = 256
 _EXTRACT_PASSES = 6  # then math.fsum adds the remainders that are still nonzero
 
@@ -420,3 +422,93 @@ def pole_sum(e0: float, k: int) -> float:
     hi = lo + n
     terms += (math.log1p(n / lo), n / (2.0 * lo * hi), _digamma_tail(lo) - _digamma_tail(hi))
     return math.fsum(terms)
+
+
+class GrowthLikelihood:
+    """The likelihood of the JM and Schumann fits: sum_j w_j log(rate (x - a_j)) - rate sum_j (x - a_j) H_j.
+
+    Over corrected counts a_j, failures w_j and exposures H_j at unit scale
+    (:func:`interval_array`); Schumann's x is e0 and its rate c / I, and JM's
+    a_j = j = 0..k-1 with one failure each when ``corrected`` and ``failures``
+    are left out.  With A = sum(H_j), B = sum(a_j H_j), m = B/A and
+    N = sum(w_j), the rate is N / (x A - B) and x solves S1(x) (x - m) / N = 1
+    above the pole at the largest a_j; S1(x) = sum_j w_j / (x - a_j) is O(1)
+    for JM (:func:`pole_sum`).  :meth:`fit` sums B and m, which a covariance does not need.
+    """
+
+    def __init__(self, h, corrected: Sequence[int] | None = None, failures: Sequence[int] | None = None):
+        self.h, self.counts = h, (corrected, failures)
+        self.a = index(len(h)) if corrected is None else floats(corrected)
+        self.w = None if failures is None else floats(failures)
+        self.n = len(h) if failures is None else sum(failures)
+        self.pole = len(h) - 1 if corrected is None else max(corrected)
+        self.sum_h = fsum_array(h)
+
+    def fit(self, scan: Callable, solve: Callable, residual: Callable) -> tuple[float, float, float]:
+        """The stationary x, the rate N / (x A - B) there and ``residual(x)``, checked.
+
+        Callers pass their module's scan_bracket and find_root_bracketed, so
+        whatever replaces those names there sees each call.  The objective is
+        -G(x)/N with G(x) = sum_j w_j (m - a_j) / (x - a_j) <= (m - t) S1(x)
+        by Chebyshev's sum inequality, t = sum(w_j a_j) / N being the
+        failure-weighted mean count.  So NoGrowthEvidence unless m > t,
+        tested first on m and t each rounded once.  NoConvergence when the
+        scan finds no sign change, or when the residual exceeds 1e-9 and keeps
+        its sign at the floats next to x.  x lies above m by far more than
+        rounding, so x A > B.
+        """
+        self.sum_ah = -power_sum(0.0, self.h, 1, self.a)  # B = -sum(a_j (0 - H_j)): negation is exact
+        self.m = self.sum_ah / self.sum_h
+        if self.w is None:
+            threshold = (len(self.h) - 1) / 2.0
+        else:
+            threshold = sum(map(operator.mul, *self.counts)) / self.n
+        if self.m <= threshold:
+            raise NoGrowthEvidence(
+                "the likelihood has no finite maximizer: early intervals are not shorter "
+                f"on average (interval-weighted mean index {self.m:.6g} vs threshold {threshold:.6g})",
+                diagnostic={"b_over_a": self.m, "threshold": threshold},
+            )
+        bracket = scan(self.objective, float(self.pole))
+        if bracket is None:
+            raise NoConvergence(
+                f"interval-weighted mean index {self.m:.17g} exceeds threshold {threshold:.6g}, but the "
+                "stationarity condition changes sign nowhere in the scanned range, from 1e-9 to "
+                f"2^60 * 1e-9 times {max(self.pole, 1)} above the pole at e0 = {self.pole}"
+            )
+        x = solve(self.objective, bracket)
+        value = residual(x)
+        if abs(value) > _RESIDUAL_LIMIT:
+            sides = [residual(math.nextafter(x, to)) for to in (-math.inf, math.inf)]
+            if min(sides) > 0.0 or max(sides) < 0.0:
+                raise NoConvergence(
+                    f"stationarity residual {value:.3g} at the located root e0 = {x!r} exceeds "
+                    f"{_RESIDUAL_LIMIT} and keeps its sign at the floats next to it"
+                )
+        return x, self.n / (x * self.sum_h - self.sum_ah), value
+
+    def objective(self, x: float) -> float:
+        s1 = pole_sum(x, len(self.h)) if self.w is None else power_sum(x, self.a, -1, self.w)
+        return s1 * (x - self.m) / self.n - 1.0
+
+    def residual(self, x: float) -> float:
+        """The objective with S1 summed term by term: an O(P) check, infinite at a pole."""
+        return power_sum(x, self.a, -1, self.w) * (x - self.m) / self.n - 1.0
+
+    def information(self, x: float, rate: float) -> tuple[float, float, float]:
+        """(var(x), var(rate), rho) from the observed information at (x, rate), the rate at unit scale.
+
+        With S2 = sum(w_j / (x - a_j)^2) and d = N S2 - (A rate)^2: var(x) = N / d,
+        var(rate) = S2 rate^2 / d and rho = A rate / sqrt(N S2); SingularInformation
+        unless d is positive and finite, as for any single interval.
+        """
+        a_rate = self.sum_h * rate
+        # A square that overflows makes its term 0; one that underflows to 0
+        # makes S2 infinite, which the determinant check below rejects.
+        s2 = power_sum(x, self.a, -2, self.w)
+        denom = self.n * s2 - a_rate * a_rate
+        if not 0.0 < denom < math.inf:
+            raise SingularInformation(
+                f"information determinant k*S2 - (A*k_hat)^2 = {denom} is not positive and finite"
+            )
+        return self.n / denom, s2 * (rate * rate) / denom, a_rate / math.sqrt(self.n * s2)

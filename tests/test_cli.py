@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relgauge import cli, failure_data, model_jm, model_schumann
+from relgauge import cli, failure_data, model_jm, numerics
 from relgauge.cli import run_cli
 from relgauge.errors import OutOfRange
 from relgauge.numerics import ARRAY_MIN
@@ -348,16 +349,23 @@ def test_bad_level_is_reported_before_the_fit(tmp_path, capsys, args, text):
 
 
 @pytest.mark.parametrize(
-    "exposures, instructions",
+    "exposures, instructions, var_c",
     [
-        (("1000", "1600"), 10**165),  # each squared per-instruction residual underflows to 0
-        (("1000", "1600"), 10**158),  # I^2 overflows a float
-        (("1.0e170", "1.6e170"), 1000),  # c is about 1e-170: c^2 underflows to 0
-        (("1.0e160", "1.6e160"), 1000),  # c is about 1e-160: sum(n_j) / c^2 overflows
+        (("1000", "1600"), 10**165, None),  # var_c is about 1.5e322
+        (("1000", "1600"), 10**158, 1.5451388888888889e308),
+        (("1.0e170", "1.6e170"), 1000, None),  # var_c is about 1.5e-342
+        (("1.0e160", "1.6e160"), 1000, 1.5451388888888889e-316),
     ],
     ids=["residual-square", "instructions-square", "c-square", "infinite-entry"],
 )
-def test_fit_schumann_non_finite_information_is_singular(tmp_path, capsys, exposures, instructions):
+def test_fit_schumann_non_finite_information_is_singular(tmp_path, capsys, exposures, instructions, var_c):
+    """Periods whose squared residual, I^2, c^2 or N / c^2 leaves the float range.
+
+    The information matrix in (c, e0) could not hold these, and they were
+    reported as SingularInformation.  The information is formed at unit
+    scale now and is well conditioned here: var_c is reported where it is a
+    float, and is OutOfRange, naming it, where it is not.
+    """
     path = tmp_path / "periods.csv"
     path.write_text(
         "tau,corrected,exposure,failures\n"
@@ -367,8 +375,15 @@ def test_fit_schumann_non_finite_information_is_singular(tmp_path, capsys, expos
     code, stdout, err = run(
         capsys, "fit", "schumann", "--input", str(path), "--instructions", str(instructions)
     )
-    assert (code, stdout, len(err.strip().splitlines())) == (3, "", 1)
-    assert error_json(err)["error"] == "SingularInformation"
+    if var_c is None:
+        assert (code, stdout, len(err.strip().splitlines())) == (2, "", 1)
+        payload = error_json(err)
+        assert payload["error"] == "OutOfRange" and payload["message"].startswith("var_c = "), payload
+    else:
+        assert (code, err) == (0, "")
+        report = json.loads(stdout)
+        assert report["var_c"] == pytest.approx(var_c, rel=1e-9)
+        assert report["e0"] == pytest.approx(100.0, rel=1e-12)
 
 
 def test_fit_weibull_and_moment_forms(tmp_path, capsys):
@@ -933,23 +948,27 @@ def _fit_error(tmp_path, capsys, model, text, *flags):
 
 
 def test_fit_schumann_overflowing_exposure_is_out_of_range(tmp_path, capsys):
-    # residual * H overflows during the scan; numpy used to warn before an
-    # exit-3 NoConvergence line.
+    # residual * H overflowed during the scan at the data's scale: numpy used
+    # to warn before an exit-3 NoConvergence line, and then the estimates of
+    # c were OutOfRange.  At unit scale B/A rounds to the largest corrected
+    # count, 50, so the root lies beside the pole, closer than the scan reaches.
     text = "tau,corrected,exposure,failures\n1.0,20,1000.0,10\n2.0,50,1.7976931348623157e308,10\n"
     payload = _fit_error(tmp_path, capsys, "schumann", text, "--instructions", "1000")
-    assert (payload["exit_code"], payload["error"]) == (2, "OutOfRange")
+    assert (payload["exit_code"], payload["error"]) == (3, "NoConvergence")
+    assert "mean index 50 exceeds threshold 35" in payload["message"]
+    assert "scanned range" in payload["message"]
 
 
 def test_fit_schumann_overflowing_c_square_is_a_singular_determinant(tmp_path, capsys):
-    # c is about 1e170, so c * c is inf and a11 = sum(n_j) / c^2 is 0.  Python's
-    # c**2 raised OverflowError, whose message was the C errno tuple.
+    # c is about 1.25e172, so c * c is inf: a11 = sum(n_j) / c^2 was 0 and the
+    # determinant of the information in (c, e0) was 0.  At unit scale the
+    # information is regular, and var_c, about 1.5e344, is beyond a float.
     text = "tau,corrected,exposure,failures\n1.0,20,1e-170,10\n2.0,50,1.6e-170,10\n"
     payload = _fit_error(tmp_path, capsys, "schumann", text, "--instructions", "1000")
-    assert payload == {
-        "error": "SingularInformation",
-        "message": "information determinant a11*a22 - a12^2 = 0.0 is not positive and finite",
-        "exit_code": 3,
-    }
+    assert (payload["exit_code"], payload["error"]) == (2, "OutOfRange")
+    assert payload["message"].startswith("var_c = ") and payload["message"].endswith(
+        " is not a positive finite float"
+    )
 
 
 def test_fit_jm_weighted_sum_past_the_float_range_is_no_convergence(tmp_path, capsys):
@@ -1386,6 +1405,32 @@ def test_emit_non_finite_is_out_of_range(tmp_path, bad, place):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "report, field",
+    [
+        ({"xs": [1.0, math.inf, 2.0]}, "xs[1]"),
+        ({"xs": [[1, 2.0], [3, math.nan]], "a": -math.inf}, "a"),
+        ({"z": {"b": math.nan}, "a": {"b": 1.0, "c": (0.5, -math.inf)}}, "a.c[1]"),
+    ],
+    ids=["float-list", "first-in-key-order", "nested-dict"],
+)
+def test_emit_names_the_first_non_finite_field(tmp_path, report, field):
+    with pytest.raises(OutOfRange, match=f"^report field {re.escape(field)} holds a value that is not a finite number: "):
+        cli._emit(report, str(tmp_path / "report.json"))
+
+
+def test_non_finite_plan_field_is_named(capsys):
+    """T / t* = 1e300 / 2.3e-12 is beyond a float: the error names module_count."""
+    code, stdout, err = run(capsys, "faulttol", "--total-time", "1e300", "--overhead", "1e-300", "--failure-rate", "1e10")
+    assert (code, stdout, len(err.splitlines())) == (2, "", 1)
+    assert error_json(err) == {
+        "error": "OutOfRange",
+        "message": "report field module_count holds a value that is not a finite number: "
+        "Out of range float values are not JSON compliant: inf",
+        "exit_code": 2,
+    }
+
+
 def _verb_args(tmp_path):
     epochs = tmp_path / "failures.csv"
     epochs.write_text(EPOCHS_GROWTH)
@@ -1525,7 +1570,7 @@ def test_fallback_file_gives_the_same_report(tmp_path, capsys, monkeypatch):
 def test_fits_report_the_residuals_they_checked(tmp_path, capsys, monkeypatch):
     """Each fit computes its O(k) stationarity check once; the report reuses it."""
     calls = []
-    for module, name in ((model_jm, "stationarity_residual"), (model_schumann, "_c_estimates")):
+    for module, name in ((model_jm, "stationarity_residual"), (numerics.GrowthLikelihood, "residual")):
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
     epochs = tmp_path / "epochs.csv"
@@ -1534,4 +1579,4 @@ def test_fits_report_the_residuals_they_checked(tmp_path, capsys, monkeypatch):
     periods.write_text(PERIODS_TWO)
     run_json(capsys, "fit", "jm", "--input", str(epochs))
     run_json(capsys, "fit", "schumann", "--input", str(periods), "--instructions", "1000")
-    assert calls == ["stationarity_residual", "_c_estimates"]
+    assert calls == ["stationarity_residual", "residual"]

@@ -1,5 +1,7 @@
 """Tests for double-execution planning and its Monte Carlo oracle."""
 
+import contextlib
+import io
 import json
 import math
 
@@ -251,6 +253,24 @@ def test_plans_the_fixed_bracket_misses_have_the_exact_root(tmp_path, total, ove
     if simulate:
         assert report["simulation"]["module_time"] == report["t_star"]
         assert report["simulation"]["modules"] == 1000
+
+
+def test_minimal_time_is_a_float_where_t_times_a_is_not():
+    """T a = 1e400 is beyond a float, but T (2 / p1 + a / t*) = 5.8e277 is not:
+    the plan exits 0 with tp_min within 1e-13 of its 50-digit value."""
+    from relgauge.cli import run_cli
+
+    mp = pytest.importorskip("mpmath")
+    total, overhead, failure_rate = "1e200", "1e200", "1e-120"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run_cli(["faulttol", "--total-time", total, "--overhead", overhead, "--failure-rate", failure_rate]) == 0
+    report = json.loads(out.getvalue())
+    with mp.workdps(50):
+        T, a, lam = mp.mpf(total), mp.mpf(overhead), mp.mpf(failure_rate)
+        t = mp.mpf(_exact_t_star(overhead, failure_rate))
+        exact = T * (2 * mp.exp(lam * t) + a / t)
+        assert abs(report["tp_min"] - exact) <= 1e-13 * exact
 
 
 def test_plan_whose_success_probability_underflows_is_out_of_range():

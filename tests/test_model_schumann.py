@@ -1,22 +1,26 @@
 """Tests for the exponential reliability-growth model over debugging periods."""
 
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from relgauge import model_schumann
+from relgauge import model_jm, model_schumann, numerics
 from relgauge.errors import (
     DegenerateGamma,
     DomainError,
     NegativeEstimate,
     NoConvergence,
+    NoGrowthEvidence,
+    NonFinite,
     OutOfRange,
     ResidualNonPositive,
     SingularInformation,
     Underdetermined,
 )
-from relgauge.failure_data import DebugPeriod
+from relgauge.failure_data import DebugPeriod, intervals_from_epochs, parse_failure_epochs
 from relgauge.model_schumann import (
     SchumannFit,
     confidence_intervals,
@@ -126,10 +130,13 @@ def test_mle_identical_corrected_counts():
 
 
 def test_mle_no_growth():
-    # Failures concentrated late (after more corrections) contradict growth.
+    # Failures concentrated late (after more corrections) contradict growth:
+    # the exposure-weighted mean corrected count 35 does not exceed the
+    # failure-weighted one, (20 * 2 + 50 * 40) / 42.
     periods = [DebugPeriod(1.0, 20, 1000.0, 2), DebugPeriod(2.0, 50, 1000.0, 40)]
-    with pytest.raises(NoConvergence):
+    with pytest.raises(NoGrowthEvidence) as excinfo:
         fit_mle(periods, 1000)
+    assert excinfo.value.diagnostic == {"b_over_a": 35.0, "threshold": 2040 / 42}
 
 
 def test_mle_needs_two_periods():
@@ -315,12 +322,19 @@ def _golden_periods():
 
 
 def test_mle_golden_thousand_periods():
-    """A seeded 1000-period fit is pinned bit for bit: the array objective
-    sums the same terms as the per-period formulas did, with fsum."""
+    """A seeded 1000-period fit is pinned bit for bit, and its e0 is within
+    2 ulps of the root of the stationarity condition computed to 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
     periods, instructions = _golden_periods()
     fit = fit_mle(periods, instructions)
-    assert fit.e0_hat == float.fromhex("0x1.3dcd0bd4f80dcp+12")
-    assert fit.c_hat == float.fromhex("0x1.3999436455e88p+5")
+    assert fit.e0_hat == float.fromhex("0x1.3dcd0bd4f80dfp+12")
+    assert fit.c_hat == float.fromhex("0x1.3999436455e82p+5")
+    with mpmath.workdps(50):
+        a, w, h = ([mpmath.mpf(getattr(p, name)) for p in periods] for name in ("corrected", "failures", "exposure"))
+        m = mpmath.fsum(x * y for x, y in zip(a, h)) / mpmath.fsum(h)
+        n = mpmath.fsum(w)
+        root = mpmath.findroot(lambda x: mpmath.fsum(v / (x - c) for v, c in zip(w, a)) * (x - m) / n - 1, fit.e0_hat)
+        assert abs(fit.e0_hat - root) <= 2 * math.ulp(fit.e0_hat)
     # The pair the bisection-and-secant solver pinned has residuals no smaller.
     old_e0, old_c = float.fromhex("0x1.3dcd0bd4f80d9p+12"), float.fromhex("0x1.3999436455e8dp+5")
     old = SchumannFit(old_e0, old_c, instructions)
@@ -328,25 +342,22 @@ def test_mle_golden_thousand_periods():
 
 
 def test_mle_golden_evaluation_count(monkeypatch):
-    """The 1000-period fit makes at most 25 O(P) evaluations: scan, solve and final check."""
+    """The 1000-period fit makes at most 25 O(P) sums: B, scan, solve and final check."""
     calls = []
-    original = model_schumann._c_estimates
-
-    def counted(periods, instructions):
-        estimates = original(periods, instructions)
-        return lambda e0: calls.append(e0) or estimates(e0)
-
-    monkeypatch.setattr(model_schumann, "_c_estimates", counted)
+    original = numerics.power_sum
+    monkeypatch.setattr(numerics, "power_sum", lambda *args: calls.append(args[0]) or original(*args))
     fit_mle(*_golden_periods())
-    assert len(calls) <= 25
+    assert 0 < len(calls) <= 25
 
 
 def test_mle_scan_past_the_float_range_is_out_of_range():
-    """With a largest corrected count of 1e300 the scan's last offsets pass
-    the largest float, where c1 = N / sum(r_j H_j) is 0 and c2 underflows;
-    the objective used to divide 0 by 0."""
+    """A largest corrected count of 1e300 with almost no exposure.  The scan's
+    last offsets used to pass the largest float, where the objective divided
+    0 by 0, and then the estimates of c left the float range (OutOfRange).
+    B/A = 1 is below the failure-weighted mean count 5e299, so the fit now
+    stops at the growth test, before any scan."""
     periods = [DebugPeriod(1.0, 0, 1.0, 1), DebugPeriod(2.0, 10**300, 1e-300, 1)]
-    with pytest.raises(OutOfRange, match="estimate of c"):
+    with pytest.raises(NoGrowthEvidence):
         fit_mle(periods, 1)
 
 
@@ -387,29 +398,120 @@ def test_mle_objective_reads_no_period_after_setup(monkeypatch):
 
 
 def test_fit_carries_its_checked_residuals():
-    """fit_mle keeps the residuals it checked, so a report need not rebuild the columns."""
+    """fit_mle keeps the residuals it checked, so a report need not rebuild the columns:
+    0 for the exposure form of c, which is c itself, and the stationarity residual at e0."""
     periods, instructions = _golden_periods()
     fit = fit_mle(periods, instructions)
-    assert fit.residuals == stationarity_residuals(fit, periods)
+    h, _ = numerics.interval_array([p.exposure for p in periods])
+    likelihood = numerics.GrowthLikelihood(h, [p.corrected for p in periods], [p.failures for p in periods])
+    e0, _, residual = likelihood.fit(numerics.scan_bracket, numerics.find_root_bracketed, likelihood.residual)
+    assert e0 == fit.e0_hat and fit.residuals == (0.0, abs(residual)) == (0.0, abs(likelihood.residual(e0)))
+    assert max(stationarity_residuals(fit, periods)) <= 1e-15
     assert covariance(fit, periods).residuals == fit.residuals
     assert fit == SchumannFit(fit.e0_hat, fit.c_hat, instructions)
 
 
 def test_covariance_bits_match_the_period_loop():
+    """JM's information formulas at (e0, c / I), summed period by period over
+    the exposures at unit scale, H_j 2^-e with the largest in [0.5, 1)."""
     periods, instructions = _golden_periods()
     fit = covariance(fit_mle(periods, instructions), periods)
-    r = [fit.e0_hat / instructions - p.corrected / instructions for p in periods]
+    e = math.frexp(max(p.exposure for p in periods))[1]
+    size, f = math.frexp(instructions)
+    rate = math.ldexp(fit.c_hat, e - f) / size
     total = sum(p.failures for p in periods)
-    s2 = math.fsum(p.failures / x**2 for p, x in zip(periods, r))
-    a11 = total / fit.c_hat**2
-    a12 = math.fsum(p.exposure for p in periods) / instructions
-    a22 = s2 / instructions**2
-    det = a11 * a22 - a12 * a12
-    assert (fit.var_c, fit.var_e0) == (a22 / det, a11 / det)
-    assert fit.rho == math.fsum(p.failures / x for p, x in zip(periods, r)) / math.sqrt(total * s2)
+    s2 = math.fsum(p.failures / ((fit.e0_hat - p.corrected) * (fit.e0_hat - p.corrected)) for p in periods)
+    a_rate = math.fsum(math.ldexp(p.exposure, -e) for p in periods) * rate
+    denom = total * s2 - a_rate * a_rate
+    assert fit.var_e0 == total / denom
+    assert fit.var_c == math.ldexp(s2 * (rate * rate) / denom * size * size, 2 * (f - e))
+    assert fit.rho == a_rate / math.sqrt(total * s2)
 
 
 def test_covariance_names_the_first_exhausted_period():
     periods = PERIODS + [DebugPeriod(3.0, 120, 10.0, 1), DebugPeriod(4.0, 150, 10.0, 1)]
     with pytest.raises(ResidualNonPositive, match="corrected count 120 "):
         covariance(FIT, periods)
+
+
+NTDS = Path(__file__).with_name("ntds_epochs.csv")
+
+
+def _jm_and_one_failure_periods(intervals):
+    """Both fits with covariance: JM over the intervals, and Schumann over one
+    period per interval with corrected count i - 1, one failure and I = 1."""
+    periods = [DebugPeriod(float(j), j, x, 1) for j, x in enumerate(intervals)]
+    jm = model_jm.covariance(model_jm.fit_mle(intervals), intervals)
+    schumann = covariance(fit_mle(periods, 1), periods)
+    return jm, schumann
+
+
+def _assert_same_fit(jm, schumann):
+    pairs = [(jm.e0_hat, schumann.e0_hat), (jm.k_hat, schumann.c_hat), (jm.var_e0, schumann.var_e0),
+             (jm.var_k, schumann.var_c), (jm.rho, schumann.rho)]
+    for a, b in pairs:
+        assert b == pytest.approx(a, rel=1e-13, abs=0.0)
+
+
+def test_jm_is_schumann_with_one_failure_per_interval():
+    intervals = list(intervals_from_epochs(parse_failure_epochs(NTDS.read_text())))
+    _assert_same_fit(*_jm_and_one_failure_periods(intervals))
+
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+
+@hypothesis.settings(max_examples=40, deadline=None, database=None)
+@hypothesis.given(
+    k=st.integers(2, 300),
+    spare=st.floats(0.5, 50.0),
+    scale=st.floats(1e-3, 1e3),
+    draws=st.lists(st.floats(0.05, 5.0), min_size=300, max_size=300),
+)
+def test_jm_is_schumann_with_one_failure_per_interval_on_drawn_samples(k, spare, scale, draws):
+    """Intervals drawn from a JM process with e0 = k - 1 + spare: wherever JM fits, so does Schumann."""
+    e0 = k - 1 + spare
+    intervals = [scale * u / (e0 - i) for i, u in enumerate(draws[:k])]
+    try:
+        model_jm.fit_mle(intervals)
+    except (NoGrowthEvidence, NoConvergence):
+        hypothesis.assume(False)
+    _assert_same_fit(*_jm_and_one_failure_periods(intervals))
+
+
+@st.composite
+def _integer_periods(draw):
+    count = draw(st.integers(2, 30))
+    counts = st.integers(0, 2**20 - 1)
+    corrected = sorted(draw(st.lists(counts, min_size=count, max_size=count)))
+    exposures = draw(st.lists(st.integers(1, 2**20 - 1), min_size=count, max_size=count))
+    failures = draw(st.lists(st.integers(0, 2**20 - 1) | st.integers(0, 5), min_size=count, max_size=count))
+    return [DebugPeriod(float(j), c, float(h), n) for j, (c, h, n) in enumerate(zip(corrected, exposures, failures))]
+
+
+@hypothesis.settings(max_examples=300, deadline=None, database=None)
+@hypothesis.given(periods=_integer_periods())
+@hypothesis.example(periods=[DebugPeriod(1.0, 0, 2.0, 1), DebugPeriod(2.0, 2, 2.0, 1)])  # D = 0
+def test_growth_test_is_exact_on_integer_periods(periods):
+    """Integer exposures and counts below 2^20: every sum is exact, and B/A and
+    the failure-weighted mean count are each rounded once, so rounding keeps
+    their order.  D = sum(n_j (B/A - corrected_j)) <= 0, computed exactly,
+    always raises NoGrowthEvidence; D > 0 raises it only where the two means
+    round to the same float."""
+    corrected = [p.corrected for p in periods]
+    failures = [p.failures for p in periods]
+    hypothesis.assume(sum(failures) >= 2 and len(set(corrected)) >= 2)
+    m = Fraction(sum(c * int(p.exposure) for c, p in zip(corrected, periods)), sum(int(p.exposure) for p in periods))
+    threshold = Fraction(sum(map(int.__mul__, corrected, failures)), sum(failures))
+    try:
+        fit_mle(periods, 1000)
+        raised = False
+    except NoGrowthEvidence:
+        raised = True
+    except (NoConvergence, OutOfRange, NonFinite):
+        raised = False
+    if m <= threshold:
+        assert raised
+    elif raised:
+        assert float(m) == float(threshold)
