@@ -17,7 +17,9 @@ A cold call pays only for the code it runs:
 - numpy is imported inside the functions that build or draw arrays, never
   at module level, so the closed-form calls (predictions, economics from
   given parameters, fault-tolerance planning, the input-profile estimate)
-  do not pay its start-up cost.
+  do not pay its start-up cost, nor do fits on fewer than
+  ``numerics.ARRAY_MIN`` records or seeded simulations of fewer than
+  ``numerics.DRAWS_MIN`` draws, which draw numpy's stream in pure Python.
 - Records are built on the small ``record.Record`` base rather than as
   dataclasses, so no call imports ``dataclasses`` or compiles a record's
   methods when its module loads.

@@ -18,10 +18,10 @@ the module length minimizing the expected total.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .errors import DomainError, OutOfRange
-from .numerics import Bracket, find_root_bracketed, seeded_rng
+from .numerics import Bracket, find_root_bracketed, geometric_pair_sums
 from .record import Record, set_field
 
 
@@ -167,17 +167,20 @@ def simulate_dual_execution(
     if not (isinstance(modules, int) and modules >= 1):
         raise DomainError(f"module count must be a positive integer, got {modules}")
     p1 = success_probability(config, t)
-    import numpy as np
+    executions = geometric_pair_sums(seed, p1, modules)
+    if type(executions) is list:
+        histogram = dict(sorted(Counter(executions).items()))
+    else:
+        import numpy as np
 
-    rng = seeded_rng(seed)
-    executions = rng.geometric(p1, size=modules) + rng.geometric(p1, size=modules)
-    values, counts = np.unique(executions, return_counts=True)
+        values, counts = np.unique(executions, return_counts=True)
+        histogram = dict(zip(values.tolist(), counts.tolist()))
     # numpy clips a draw beyond the int64 range, so the sum of two wraps
     # negative; a largest count under this bound keeps the total in range.
+    values = list(histogram)
     if values[0] < 2 or values[-1] > (2**63 - 1) // modules:
         raise OutOfRange(f"execution counts overflow a 64-bit integer at success probability {p1}")
-    histogram = {int(v): int(c) for v, c in zip(values, counts)}
-    total = int(executions.sum())
+    total = sum(v * c for v, c in histogram.items())
     return SimulationResult(
         mean_executions=total / modules,
         histogram=histogram,

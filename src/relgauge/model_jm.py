@@ -11,11 +11,12 @@ and the fitter reports the absence of that trend as a first-class outcome
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 
 from .errors import DomainError, OutOfRange, ResidualNonPositive, TooFewIntervals
 from .numerics import GrowthLikelihood, at_data_scale, find_root_bracketed, gaussian_intervals, index
-from .numerics import interval_array, power_sum, scan_bracket, seeded_rng
+from .numerics import interval_array, power_sum, quotients, scan_bracket, uniforms
 from .record import Record, set_field
 
 
@@ -175,6 +176,8 @@ def generate_intervals(e0: float, k_jm: float, count: int, seed: int) -> list[fl
     """Draw ``count`` intervals with exponential law of rate k_jm * (e0 - i + 1).
 
     Inverse-CDF sampling on a seeded uniform stream; deterministic per seed.
+    Below numerics' draw threshold the uniforms are a list and the same
+    steps run in ``math``, whose bits are numpy's without its AVX-512 kernels.
     """
     if not (math.isfinite(e0) and e0 > 0.0 and math.isfinite(k_jm) and k_jm > 0.0):
         raise DomainError(f"model parameters must be positive, got e0={e0}, k_jm={k_jm}")
@@ -184,19 +187,26 @@ def generate_intervals(e0: float, k_jm: float, count: int, seed: int) -> list[fl
         raise DomainError(f"cannot observe {count} failures from e0 = {e0} errors")
     if count == 0:
         return []
-    import numpy as np
+    # A uniform draw of exactly 0.0 would yield a zero interval, which the
+    # likelihood cannot accept; each draw is clipped to the smallest positive
+    # normal float, which leaves an infinite or NaN draw as it is.
+    u = uniforms(seed, count)
+    if type(u) is list:
+        rates = [k_jm * (e0 - i) for i in range(count)]
+        draws = [max(d, sys.float_info.min) for d in quotients([-math.log1p(-v) for v in u], rates)]
+        finite = all(map(math.isfinite, rates)) and all(map(math.isfinite, draws))
+    else:
+        import numpy as np
 
-    u = seeded_rng(seed).random(count)
-    # A rate or a draw may overflow or underflow for extreme e0 or k_jm;
-    # errstate is context-local, so this stays silent and thread-safe.
-    with np.errstate(all="ignore"):
-        rates = k_jm * (e0 - np.arange(count))
-        draws = -np.log1p(-u) / rates
-    if not (np.isfinite(rates).all() and np.isfinite(draws).all()):
+        # A rate or a draw may overflow or underflow for extreme e0 or k_jm;
+        # errstate is context-local, so this stays silent and thread-safe.
+        with np.errstate(all="ignore"):
+            rates = k_jm * (e0 - np.arange(count))
+            draws = np.maximum(-np.log1p(-u) / rates, sys.float_info.min)
+        finite = np.isfinite(rates).all() and np.isfinite(draws).all()
+        draws = draws.tolist()
+    if not finite:
         raise OutOfRange(
             f"a failure rate or interval is not a finite float for e0 {e0} and k_jm {k_jm}"
         )
-    # A uniform draw of exactly 0.0 would yield a zero interval, which the
-    # likelihood cannot accept; clip to the smallest positive normal float.
-    draws = np.maximum(draws, np.finfo(float).tiny)
-    return draws.tolist()
+    return draws

@@ -23,11 +23,11 @@ from .errors import DegenerateGamma, DomainError, NegativeEstimate, OutOfRange, 
 from .errors import SingularInformation, Underdetermined
 from .failure_data import DebugPeriod, DebugPeriods, read_columns
 from .numerics import GrowthLikelihood, at_data_scale, find_root_bracketed, floats, gaussian_intervals
-from .numerics import interval_array, power_sum, scan_bracket, seeded_rng
+from .numerics import interval_array, poisson_draw, power_sum, scan_bracket, seeded_doubles
 from .record import Record, set_field
 
 # The largest mean numpy's Poisson sampler accepts (its POISSON_LAM_MAX),
-# written with the int64 maximum so that importing this module loads no numpy.
+# written with the int64 maximum; numerics.poisson_draw keeps to it too.
 _POISSON_MEAN_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
 
 
@@ -198,7 +198,8 @@ def fit_mle(periods: Sequence[DebugPeriod], instructions: int) -> SchumannFit:
     corrected count, and c = I N / (e0 A - B): :class:`numerics.GrowthLikelihood`
     with rate c / I, one exactly rounded O(P) sum per evaluation.
     NoGrowthEvidence, before any scan, unless B/A exceeds the failure-weighted
-    mean corrected count; NoConvergence when the scan misses the root or the
+    mean corrected count and lies below the largest corrected count with a
+    failure; NoConvergence when the scan misses the root or the
     residual fails its 1e-9 check; OutOfRange when c leaves the float range.
     """
     periods = DebugPeriods.of(periods)
@@ -273,7 +274,8 @@ def generate_periods(
 
     ``schedule`` lists (tau, corrected, exposure) triples with non-decreasing
     corrected counts not exceeding ``e0``.  Failure counts are Poisson with
-    mean ``c * (e0/I - corrected/I) * exposure``; deterministic per seed.
+    mean ``c * (e0/I - corrected/I) * exposure``, drawn as numpy's
+    ``default_rng(seed).poisson`` draws them, without loading numpy.
     """
     if not (math.isfinite(e0) and e0 > 0.0 and math.isfinite(c) and c > 0.0):
         raise DomainError(f"model parameters must be positive, got e0={e0}, c={c}")
@@ -287,7 +289,7 @@ def generate_periods(
             )
         DebugPeriod(tau, corrected, exposure, 0)  # raises for a bad tau or exposure
         previous = corrected
-    rng = seeded_rng(seed)
+    doubles = seeded_doubles(seed)
     periods = []
     for tau, corrected, exposure in schedule:
         mean = c * (e0 / instructions - corrected / instructions) * exposure
@@ -296,7 +298,7 @@ def generate_periods(
                 f"Poisson mean {mean} for the period at corrected count {corrected} "
                 f"exceeds the sampler's limit {_POISSON_MEAN_MAX:.6g}"
             )
-        count = int(rng.poisson(mean))
+        count = poisson_draw(doubles, mean)
         periods.append(DebugPeriod(tau=tau, corrected=corrected, exposure=exposure, failures=count))
     return periods
 

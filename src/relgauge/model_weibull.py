@@ -18,12 +18,13 @@ moment ratio instead.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from collections.abc import Sequence
 
 from .errors import DegenerateSample, DomainError, NoConvergence, OutOfRange, TooFewIntervals
 from .numerics import Bracket, at_data_scale, find_root_bracketed, fsum_array, interval_array, power_sum
-from .numerics import seeded_rng
+from .numerics import uniforms
 from .record import Record, set_field
 
 _M_LO = 0.05
@@ -164,21 +165,44 @@ def report(fit: WeibullFit, k: int) -> dict:
 
 
 def generate(m: float, lam: float, n: int, seed: int) -> list[float]:
-    """Draw ``n`` failure times by inverting the survival function on seeded uniforms."""
+    """Draw ``n`` failure times by inverting the survival function on seeded uniforms.
+
+    Below numerics' draw threshold the uniforms are a list and the same steps
+    run in ``math``, whose bits are numpy's without its AVX-512 kernels: a
+    power of 2.0 is a square and one of 0.5 a square root, as numpy's
+    ``ndarray ** scalar`` takes them.
+    """
     if not (math.isfinite(m) and m > 0.0 and math.isfinite(lam) and lam > 0.0):
         raise DomainError(f"parameters must be positive, got m={m}, lam={lam}")
     if not (isinstance(n, int) and n >= 0):
         raise DomainError(f"sample size must be an integer >= 0, got {n}")
-    import numpy as np
+    # 1 - u lies in (0, 1], so the log never overflows.  u exactly 0 would
+    # give a zero time: each draw is clipped to the smallest positive normal
+    # float, which leaves an infinite one as it is.
+    u = uniforms(seed, n)
+    power = 1.0 / m
+    if type(u) is list:
+        times = [-math.log(1.0 - v) for v in u]
+        if power == 2.0:
+            times = [t * t for t in times]
+        elif power == 0.5:
+            times = list(map(math.sqrt, times))
+        else:
+            try:
+                times = [t**power for t in times]
+            except OverflowError:  # numpy's power gives an infinity there
+                times = [math.inf]
+        draws = [max(t / lam, sys.float_info.min) for t in times]
+        finite = all(map(math.isfinite, draws))
+    else:
+        import numpy as np
 
-    rng = seeded_rng(seed)
-    u = 1.0 - rng.random(n)  # in (0, 1], so the log below never overflows
-    # The power or the division may still overflow for extreme m or lam;
-    # errstate is context-local, so this stays silent and thread-safe.
-    with np.errstate(over="ignore"):
-        draws = (-np.log(u)) ** (1.0 / m) / lam
-    if not np.isfinite(draws).all():
+        # The power or the division may still overflow for extreme m or lam;
+        # errstate is context-local, so this stays silent and thread-safe.
+        with np.errstate(over="ignore"):
+            draws = np.maximum((-np.log(1.0 - u)) ** power / lam, sys.float_info.min)
+        finite = np.isfinite(draws).all()
+        draws = draws.tolist()
+    if not finite:
         raise OutOfRange(f"a failure time overflows a float for shape {m} and scale {lam}")
-    # u exactly 1 would give a zero time; clip to keep every draw positive.
-    draws = np.maximum(draws, np.finfo(float).tiny)
-    return draws.tolist()
+    return draws

@@ -20,7 +20,7 @@ import pytest
 from relgauge import cli, failure_data, model_jm, numerics
 from relgauge.cli import run_cli
 from relgauge.errors import OutOfRange
-from relgauge.numerics import ARRAY_MIN
+from relgauge.numerics import ARRAY_MIN, DRAWS_MIN
 
 NTDS = Path(__file__).with_name("ntds_epochs.csv")
 EPOCHS_GROWTH = "epoch\n1.0\n3.0\n"
@@ -951,12 +951,13 @@ def test_fit_schumann_overflowing_exposure_is_out_of_range(tmp_path, capsys):
     # residual * H overflowed during the scan at the data's scale: numpy used
     # to warn before an exit-3 NoConvergence line, and then the estimates of
     # c were OutOfRange.  At unit scale B/A rounds to the largest corrected
-    # count, 50, so the root lies beside the pole, closer than the scan reaches.
+    # count with a failure, 50, so the root, if any, lies closer to the pole
+    # than a float resolves: NoGrowthEvidence before any scan (NoConvergence
+    # after a 16-point scan until the growth test compared B/A with that count).
     text = "tau,corrected,exposure,failures\n1.0,20,1000.0,10\n2.0,50,1.7976931348623157e308,10\n"
     payload = _fit_error(tmp_path, capsys, "schumann", text, "--instructions", "1000")
-    assert (payload["exit_code"], payload["error"]) == (3, "NoConvergence")
-    assert "mean index 50 exceeds threshold 35" in payload["message"]
-    assert "scanned range" in payload["message"]
+    assert (payload["exit_code"], payload["error"]) == (3, "NoGrowthEvidence")
+    assert "corrected count 50 is not below 50" in payload["message"]
 
 
 def test_fit_schumann_overflowing_c_square_is_a_singular_determinant(tmp_path, capsys):
@@ -1071,7 +1072,19 @@ def test_closed_form_verbs_do_not_load_numpy(tmp_path):
 
 
 def test_simulate_loads_numpy_when_it_draws(tmp_path):
-    args = ["simulate", "jm", "--e0", "50", "--k", "0.004", "--count", "40", "--seed", "7"]
+    """Seeded draws come from numpy's generator from numerics.DRAWS_MIN draws on, and at any
+    size for a faulttol success probability below 1/3, where numpy's geometric sampler inverts."""
+    faulttol = ["faulttol", "--total-time", "1000000", "--seed", "3"]
+    for draws, loaded in ((DRAWS_MIN - 1, False), (DRAWS_MIN, True)):
+        for args in (
+            ["simulate", "jm", "--e0", str(2 * DRAWS_MIN), "--k", "0.004", "--count", str(draws), "--seed", "7"],
+            ["simulate", "weibull", "--shape", "0.5", "--scale", "2.0", "--count", str(draws), "--seed", "3"],
+            # p1 = exp(-lam t) at the planned t is about 0.82; two draws a module
+            [*faulttol, "--overhead", "100", "--failure-rate", "0.001", "--simulate", str(draws // 2)],
+        ):
+            assert _numpy_probe(args) == [0, [False, False, loaded]], args
+    # p1 is about 0.22 at the planned t: below numpy's 1/3 for the geometric search
+    args = [*faulttol, "--overhead", "20200", "--failure-rate", "0.001", "--simulate", "10"]
     assert _numpy_probe(args) == [0, [False, False, True]]
 
 
@@ -1088,11 +1101,14 @@ def test_small_fits_do_not_load_numpy(tmp_path):
 
 def test_numpy_free_verbs_do_not_import_typing(tmp_path):
     """Without site (which may import typing or pathlib itself), no verb that runs
-    without numpy loads typing, nor pathlib, json, statistics, fractions or decimal."""
+    without numpy loads typing, nor pathlib, json, statistics, fractions or decimal;
+    the seeded draws are among them at the benchmark's cli-cold sizes."""
     periods = tmp_path / "periods.csv"
     periods.write_text(PERIODS_TWO)
     profile = tmp_path / "profile.csv"
     profile.write_text(PROFILE_TWO_RUNS)
+    schedule = tmp_path / "schedule.csv"  # Poisson means from about 20 down to 4: both of numpy's samplers
+    schedule.write_text("tau,corrected,exposure\n" + "".join(f"{j + 1}.0,{2 * j},1570.0\n" for j in range(40)))
     calls = [
         ["predict", "jm", "--e0", "2", "--k", "0.5", "--index", "2", "--dt", "2.0"],
         ["predict", "weibull", "--shape", "0.5", "--scale", "1.0", "--time", "4.0"],
@@ -1105,6 +1121,12 @@ def test_numpy_free_verbs_do_not_import_typing(tmp_path):
         ["fit", "jm", "--input", str(NTDS)],
         ["fit", "weibull", "--input", str(NTDS)],
         ["fit", "schumann", "--input", str(periods), "--instructions", "1000"],
+        ["simulate", "jm", "--e0", "50", "--k", "0.004", "--count", "40", "--seed", "7"],
+        ["simulate", "weibull", "--shape", "0.7", "--scale", "1.0", "--count", "50", "--seed", "3"],
+        ["simulate", "schumann", "--e0", "100", "--c", "0.125", "--instructions", "1000",
+         "--schedule", str(schedule), "--seed", "11"],
+        ["faulttol", "--total-time", "1000", "--overhead", "100", "--failure-rate", "0.001",
+         "--simulate", "1000", "--seed", "3"],
     ]
     unwanted = ["typing", "numpy", "pathlib", "json", "statistics", "fractions", "decimal"]
     # The child loads nothing but relgauge: its calls arrive as a literal and its result leaves as a repr.
@@ -1201,22 +1223,25 @@ for i, result in enumerate(results):
 
 
 def test_first_generator_calls_are_safe_across_threads():
-    """Four threads make the first, numpy-importing, calls at once; results match serial calls."""
+    """Four threads make their first generator calls at once: two small draws, which run on
+    the pure-Python stream, and one at numerics.DRAWS_MIN, which imports numpy, so that
+    numpy's first import is raced too; results match serial calls."""
     _fresh_python("""
 import sys, threading
-from relgauge import model_jm, model_weibull
+from relgauge import model_jm, model_weibull, numerics
 
 assert "numpy" not in sys.modules
 draws = [
     lambda seed: model_jm.generate_intervals(50.0, 0.004, 40, seed),
     lambda seed: model_weibull.generate(0.5, 2.0, 25, seed),
+    lambda seed: model_jm.generate_intervals(1e4, 0.004, numerics.DRAWS_MIN, seed),
 ]
 start = threading.Barrier(4, timeout=60)
 results = [None] * 4
 
 def work(i):
     start.wait()
-    results[i] = [draw(i) for draw in draws[i % 2 :] + draws[: i % 2]]
+    results[i] = [draw(i) for draw in draws[i % 3 :] + draws[: i % 3]]
 
 sys.setswitchinterval(1e-6)
 threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
@@ -1225,7 +1250,8 @@ for thread in threads:
 for thread in threads:
     thread.join(timeout=60)
 assert not any(thread.is_alive() for thread in threads)
-assert results == [[draw(i) for draw in draws[i % 2 :] + draws[: i % 2]] for i in range(4)], results
+assert "numpy" in sys.modules
+assert results == [[draw(i) for draw in draws[i % 3 :] + draws[: i % 3]] for i in range(4)], results
 """)
 
 

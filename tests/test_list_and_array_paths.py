@@ -9,8 +9,8 @@ exception the same type and message.  Sizes are drawn on both sides of the
 real constant and at one below it; values come from the ranges the
 extreme-input tests use, scaled by powers of two up to the float limits.
 The kernel the fits are made of, ``numerics.power_sum``, is compared on a
-list and an array of the same floats, and the CLI's fit reports across
-numpy's SIMD dispatch levels.
+list and an array of the same floats, and the CLI's fit reports and small
+simulations across numpy's SIMD dispatch levels.
 """
 
 import ast
@@ -286,12 +286,42 @@ def test_cli_epoch_fits_match_the_library_fits_on_the_same_floats(tmp_path, coun
         assert _bits(written) == _bits(json.loads(json.dumps(report))), model
 
 
+# argv: the calls as JSON, the output directory and, optionally, a value for numerics.DRAWS_MIN.
 _FIT_CHILD = """
 import json, sys
+from relgauge import numerics
 from relgauge.cli import run_cli
+if len(sys.argv) > 3:
+    numerics.DRAWS_MIN = int(sys.argv[3])
 for name, argv in json.loads(sys.argv[1]).items():
     assert run_cli([*argv, "--output", f"{sys.argv[2]}/{name}.json"]) == 0, name
 """
+
+
+def _reports_in_children(tmp_path, calls, children):
+    """Each call's report lines, less its time stamp, from one child per (NPY_DISABLE_CPU_FEATURES, argv tail)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    reports = []
+    for disabled, tail in children:
+        out = tmp_path / f"out{len(reports)}"
+        out.mkdir()
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        child = subprocess.run(
+            [sys.executable, "-c", _FIT_CHILD, json.dumps(calls), str(out), *tail],
+            env=env, timeout=120, capture_output=True, text=True,
+        )
+        assert child.returncode == 0, child.stderr
+        reports.append({
+            name: [line for line in (out / f"{name}.json").read_text().splitlines() if '"generated_at":' not in line]
+            for name in calls
+        })
+    return reports
+
+
+_NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
 
 
 def test_fit_reports_do_not_depend_on_the_simd_dispatch(tmp_path):
@@ -315,24 +345,24 @@ def test_fit_reports_do_not_depend_on_the_simd_dispatch(tmp_path):
         rows = zip(range(count), corrected.tolist(), exposure.tolist(), failures.tolist())
         path.write_text("tau,corrected,exposure,failures\n" + "".join(f"{j},{c},{h!r},{n}\n" for j, c, h, n in rows))
         calls[f"schumann{count}"] = ["fit", "schumann", "--input", str(path), "--instructions", "1000"]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    reports = []
-    for disabled in (None, "X86_V4 AVX512_ICL AVX512_SPR"):
-        out = tmp_path / f"out{len(reports)}"
-        out.mkdir()
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        env.pop("NPY_DISABLE_CPU_FEATURES", None)
-        if disabled:
-            env["NPY_DISABLE_CPU_FEATURES"] = disabled
-        child = subprocess.run(
-            [sys.executable, "-c", _FIT_CHILD, json.dumps(calls), str(out)],
-            env=env, timeout=120, capture_output=True, text=True,
-        )
-        assert child.returncode == 0, child.stderr
-        reports.append({
-            name: [line for line in (out / f"{name}.json").read_text().splitlines() if '"generated_at":' not in line]
-            for name in calls
-        })
+    reports = _reports_in_children(tmp_path, calls, [(None, []), (_NO_AVX512, [])])
+    assert reports[0] == reports[1]
+
+
+def test_small_simulations_give_baseline_numpys_bytes_on_any_dispatch(tmp_path):
+    """simulate jm and weibull below numerics.DRAWS_MIN draws run on lists in ``math`` with
+    numpy's default dispatch; their reports are the bytes of the array path in a child with
+    numpy's AVX-512 kernels switched off.  Weibull shapes 0.5 and 2 take numpy's square and
+    square-root fast paths for ``** 2.0`` and ``** 0.5``; shape 1 makes the power exact."""
+    shapes = ((0.5, 4000), (1.0, 500), (2.0, 4000), (0.7, 50), (0.3, 4000), (1.5, 500), (3.0, 4000))
+    calls = {
+        f"weibull{m}": ["simulate", "weibull", "--shape", repr(m), "--scale", "2", "--count", str(n), "--seed", "5"]
+        for m, n in shapes
+    }
+    for e0, k, count in ((50.0, 0.004, 40), (5000.0, 2e-4, 4000), (1e6, 1e-3, 3000)):
+        calls[f"jm{count}"] = ["simulate", "jm", "--e0", repr(e0), "--k", repr(k), "--count", str(count), "--seed", "7"]
+    assert max(int(argv[argv.index("--count") + 1]) for argv in calls.values()) < numerics.DRAWS_MIN
+    reports = _reports_in_children(tmp_path, calls, [(None, []), (_NO_AVX512, ["0"])])
     assert reports[0] == reports[1]
 
 
@@ -394,24 +424,28 @@ def test_parsed_epochs_give_the_tuple_paths_intervals_and_errors(text, split):
             assert type(epochs) is (tuple if len(epochs) < numerics.ARRAY_MIN else np.ndarray)
 
 
-def _array_min_uses(node, function=None):
-    """(enclosing function or None, line) of each mention of ARRAY_MIN under ``node``."""
+def _size_limit_uses(node, function=None):
+    """(name, enclosing function or None, line) of each mention of ARRAY_MIN or DRAWS_MIN under ``node``."""
     for child in ast.iter_child_nodes(node):
-        if "ARRAY_MIN" in (getattr(child, "id", None), getattr(child, "attr", None), getattr(child, "name", None)):
-            yield function, child.lineno
+        for name in ("ARRAY_MIN", "DRAWS_MIN"):
+            if name in (getattr(child, "id", None), getattr(child, "attr", None), getattr(child, "name", None)):
+                yield name, function, child.lineno
         inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
-        yield from _array_min_uses(child, inner)
+        yield from _size_limit_uses(child, inner)
 
 
 def test_only_numerics_chooses_a_path_from_the_input_size():
-    """Outside ``numerics``, whose ``floats`` and ``index`` make every fit vector,
-    ``ARRAY_MIN`` is read only by ``failure_data._split_columns``, whose prefill
-    sizes the reader's memory rather than a fit's vectors."""
+    """Outside ``numerics``, whose ``floats`` and ``index`` make every fit vector and whose
+    ``uniforms`` and ``geometric_pair_sums`` choose where seeded draws come from, ``ARRAY_MIN``
+    is read only by ``failure_data._split_columns``, whose prefill sizes the reader's
+    memory rather than a fit's vectors, and ``DRAWS_MIN`` by nothing."""
     allowed, found = [], []
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "relgauge").glob("*.py")):
         if path.stem != "numerics":
-            for function, line in _array_min_uses(ast.parse(path.read_text())):
-                use = f"{path.stem}.{function}:{line}"
-                (allowed if (path.stem, function) == ("failure_data", "_split_columns") else found).append(use)
+            for name, function, line in _size_limit_uses(ast.parse(path.read_text())):
+                use = f"{name} in {path.stem}.{function}:{line}"
+                ok = (name, path.stem, function) == ("ARRAY_MIN", "failure_data", "_split_columns")
+                (allowed if ok else found).append(use)
     assert found == []
     assert allowed  # the guard sees the one use it allows
+    assert any(name == "DRAWS_MIN" for name, _, _ in _size_limit_uses(ast.parse(Path(numerics.__file__).read_text())))

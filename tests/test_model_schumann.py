@@ -497,13 +497,16 @@ def test_growth_test_is_exact_on_integer_periods(periods):
     """Integer exposures and counts below 2^20: every sum is exact, and B/A and
     the failure-weighted mean count are each rounded once, so rounding keeps
     their order.  D = sum(n_j (B/A - corrected_j)) <= 0, computed exactly,
-    always raises NoGrowthEvidence; D > 0 raises it only where the two means
-    round to the same float."""
+    always raises NoGrowthEvidence, and so does a B/A at or above the largest
+    corrected count with a failure, where no root exists; otherwise it is
+    raised only where the two means round to the same float, or B/A rounds
+    up to that count."""
     corrected = [p.corrected for p in periods]
     failures = [p.failures for p in periods]
     hypothesis.assume(sum(failures) >= 2 and len(set(corrected)) >= 2)
     m = Fraction(sum(c * int(p.exposure) for c, p in zip(corrected, periods)), sum(int(p.exposure) for p in periods))
     threshold = Fraction(sum(map(int.__mul__, corrected, failures)), sum(failures))
+    top = max(c for c, n in zip(corrected, failures) if n)
     try:
         fit_mle(periods, 1000)
         raised = False
@@ -511,7 +514,19 @@ def test_growth_test_is_exact_on_integer_periods(periods):
         raised = True
     except (NoConvergence, OutOfRange, NonFinite):
         raised = False
-    if m <= threshold:
+    if m <= threshold or m >= top:
         assert raised
     elif raised:
-        assert float(m) == float(threshold)
+        assert float(m) in (float(threshold), top)
+
+
+def test_periods_whose_failures_lie_at_or_below_b_over_a_have_no_growth_evidence():
+    """Ten failure-free periods at corrected count 0, two failures at 0, none at 1:
+    B/A = 1/12 exceeds the failure-weighted mean count 0, but every failure sits
+    at or below B/A, so G(x) > 0 for every x and the likelihood has no root.
+    The fit used to scan 16 points and end in NoConvergence."""
+    periods = [DebugPeriod(float(j), 0, 1.0, 0) for j in range(10)]
+    periods += [DebugPeriod(10.0, 0, 1.0, 2), DebugPeriod(11.0, 1, 1.0, 0)]
+    with pytest.raises(NoGrowthEvidence, match="largest corrected count with a failure") as raised:
+        fit_mle(periods, 1)
+    assert raised.value.diagnostic == {"b_over_a": 1 / 12, "threshold": 0.0}
