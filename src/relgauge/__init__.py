@@ -18,13 +18,17 @@ A cold call pays only for the code it runs:
   at module level, so the closed-form calls (predictions, economics from
   given parameters, fault-tolerance planning, the input-profile estimate)
   do not pay its start-up cost, nor do fits on fewer than
-  ``numerics.ARRAY_MIN`` records or seeded simulations of fewer than
-  ``numerics.DRAWS_MIN`` draws, which draw numpy's stream in pure Python.
+  ``numerics.ARRAY_MIN`` records (the discovery-curve fit of ``economics
+  --fit`` included) or seeded simulations of fewer than
+  ``draws.DRAWS_MIN`` draws, which draw numpy's stream in pure Python.
+- argparse is imported only for ``--help``, ``--version`` and command
+  lines the CLI's own reader does not take, which are usage errors or
+  forms such as ``--flag=value``.
 - Records are built on the small ``record.Record`` base rather than as
   dataclasses, so no call imports ``dataclasses`` or compiles a record's
   methods when its module loads.
 
-tests/test_cli.py guards all four in fresh interpreters.
+tests/test_cli.py guards all five in fresh interpreters.
 """
 
 from __future__ import annotations

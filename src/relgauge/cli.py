@@ -10,14 +10,15 @@ JSON line on standard error.
 
 from __future__ import annotations
 
-import argparse
 import functools
+import gc
 import itertools
 import math
 import sys
 import time
 from _json import encode_basestring_ascii  # the C function json.encoder hands out on CPython
 from collections.abc import Callable
+from types import SimpleNamespace
 
 # Each handler imports the model module it calls, so a call loads only its own
 # model, and failure_data is loaded only by the verbs that read its formats. A
@@ -53,13 +54,6 @@ def __getattr__(name: str):
 
 class UsageError(Exception):
     """The command line itself is wrong: an unknown verb, a missing or malformed flag."""
-
-
-class _Parser(argparse.ArgumentParser):
-    """An argument parser that raises UsageError where argparse would print usage and exit."""
-
-    def error(self, message: str):
-        raise UsageError(f"{self.prog}: {message}")
 
 
 # Handlers read their input files through this: read(role, path) -> text.
@@ -194,7 +188,7 @@ def _emit(report: dict, output: str | None) -> None:
         sys.stdout.write(body)
 
 
-def _handle_fit_schumann(ns: argparse.Namespace, read: _Read) -> dict:
+def _handle_fit_schumann(ns: SimpleNamespace, read: _Read) -> dict:
     from . import model_schumann
 
     check_level(ns.confidence)  # before the input is read, so a failing fit cannot hide it
@@ -204,7 +198,7 @@ def _handle_fit_schumann(ns: argparse.Namespace, read: _Read) -> dict:
     return model_schumann.report(fit, ns.confidence, len(periods))
 
 
-def _handle_fit_jm(ns: argparse.Namespace, read: _Read) -> dict:
+def _handle_fit_jm(ns: SimpleNamespace, read: _Read) -> dict:
     from . import model_jm
 
     check_level(ns.confidence)  # before the input is read, so a failing fit cannot hide it
@@ -214,7 +208,7 @@ def _handle_fit_jm(ns: argparse.Namespace, read: _Read) -> dict:
     return model_jm.report(fit, ns.confidence)
 
 
-def _handle_fit_weibull(ns: argparse.Namespace, read: _Read) -> dict:
+def _handle_fit_weibull(ns: SimpleNamespace, read: _Read) -> dict:
     from . import model_weibull
 
     intervals = _cli.intervals_from_epochs(_cli.parse_failure_epochs(read("input", ns.input)))
@@ -222,7 +216,7 @@ def _handle_fit_weibull(ns: argparse.Namespace, read: _Read) -> dict:
     return model_weibull.report(fit, len(intervals))
 
 
-def _handle_fit_nelson(ns: argparse.Namespace, read: _Read) -> dict:
+def _handle_fit_nelson(ns: SimpleNamespace, read: _Read) -> dict:
     from . import model_nelson
     from .failure_data import Outcome
 
@@ -248,7 +242,7 @@ def _handle_fit_nelson(ns: argparse.Namespace, read: _Read) -> dict:
     return report
 
 
-def _handle_economics(ns: argparse.Namespace, read: _Read) -> dict:
+def _handle_economics(ns: SimpleNamespace, read: _Read) -> dict:
     from . import debug_economics
 
     if ns.fit and (ns.eps0 is not None or ns.tau0 is not None):
@@ -279,7 +273,7 @@ def _handle_economics(ns: argparse.Namespace, read: _Read) -> dict:
     return report
 
 
-def _handle_faulttol(ns: argparse.Namespace, read: _Read) -> dict:
+def _handle_faulttol(ns: SimpleNamespace, read: _Read) -> dict:
     from . import fault_tolerance
 
     for flag, value in (("--module-time", ns.module_time), ("--seed", ns.seed)):
@@ -306,7 +300,7 @@ def _handle_faulttol(ns: argparse.Namespace, read: _Read) -> dict:
     return report
 
 
-def _handle_simulate_jm(ns: argparse.Namespace, read: _Read) -> dict:
+def _handle_simulate_jm(ns: SimpleNamespace, read: _Read) -> dict:
     from . import model_jm
 
     _check_count("--count", ns.count)
@@ -318,7 +312,7 @@ def _handle_simulate_jm(ns: argparse.Namespace, read: _Read) -> dict:
     }
 
 
-def _handle_simulate_schumann(ns: argparse.Namespace, read: _Read) -> dict:
+def _handle_simulate_schumann(ns: SimpleNamespace, read: _Read) -> dict:
     from . import model_schumann
 
     schedule = model_schumann.parse_schedule(read("schedule", ns.schedule))
@@ -328,7 +322,7 @@ def _handle_simulate_schumann(ns: argparse.Namespace, read: _Read) -> dict:
     return {"model": "schumann", "periods": list(map(vars, periods))}
 
 
-def _handle_simulate_weibull(ns: argparse.Namespace, read: _Read) -> dict:
+def _handle_simulate_weibull(ns: SimpleNamespace, read: _Read) -> dict:
     from . import model_weibull
 
     _check_count("--count", ns.count)
@@ -336,7 +330,7 @@ def _handle_simulate_weibull(ns: argparse.Namespace, read: _Read) -> dict:
     return {"model": "weibull", "times": times}
 
 
-def _handle_predict_schumann(ns: argparse.Namespace, read: _Read) -> dict:
+def _handle_predict_schumann(ns: SimpleNamespace, read: _Read) -> dict:
     from . import model_schumann
 
     fit = model_schumann.SchumannFit(
@@ -350,7 +344,7 @@ def _handle_predict_schumann(ns: argparse.Namespace, read: _Read) -> dict:
     }
 
 
-def _handle_predict_jm(ns: argparse.Namespace, read: _Read) -> dict:
+def _handle_predict_jm(ns: SimpleNamespace, read: _Read) -> dict:
     from . import model_jm
 
     return {
@@ -360,7 +354,7 @@ def _handle_predict_jm(ns: argparse.Namespace, read: _Read) -> dict:
     }
 
 
-def _handle_predict_weibull(ns: argparse.Namespace, read: _Read) -> dict:
+def _handle_predict_weibull(ns: SimpleNamespace, read: _Read) -> dict:
     from . import model_weibull
 
     fit = model_weibull.WeibullFit(m=ns.shape, lam=ns.scale)
@@ -374,112 +368,156 @@ def _handle_predict_weibull(ns: argparse.Namespace, read: _Read) -> dict:
     return report
 
 
+# The verbs that take a model, with their help.
+_GROUPS = {
+    "fit": "estimate model parameters from CSV data",
+    "simulate": "generate seeded synthetic data",
+    "predict": "point predictions from given parameters",
+}
+_REQUIRED_FLOAT = {"type": float, "required": True}
+_REQUIRED_INT = {"type": int, "required": True}
+
+
+def _command(handler: Callable, help: str | None, flags: dict) -> tuple:
+    # --output last, so that every command's help lists its own flags first.
+    return handler, help, {**flags, "--output": {"help": "write the JSON report here instead of stdout"}}
+
+
+# Each command once: (verb, model or None) -> (handler, help, flags), each flag
+# with the keywords argparse's add_argument takes for it.  A command without
+# help is not listed in its verb's help.
+_COMMANDS = {
+    ("fit", "schumann"): _command(_handle_fit_schumann, "exponential growth model over debugging periods", {
+        "--input": {"required": True, "help": "periods.csv (tau,corrected,exposure,failures)"},
+        "--instructions": {**_REQUIRED_INT, "help": "program size in instructions"},
+        "--confidence": {"type": float, "default": 0.95},
+    }),
+    ("fit", "jm"): _command(_handle_fit_jm, "stepwise intensity model over failure epochs", {
+        "--input": {"required": True, "help": "failures.csv (epoch)"},
+        "--confidence": {"type": float, "default": 0.95},
+    }),
+    ("fit", "weibull"): _command(_handle_fit_weibull, "Weibull moment fit over failure epochs", {
+        "--input": {"required": True, "help": "failures.csv (epoch)"},
+        # The MomentForm values, spelled out so the parser does not load model_weibull.
+        "--moment-form": {"choices": ["cv", "literal"], "default": "cv"},
+    }),
+    ("fit", "nelson"): _command(_handle_fit_nelson, "input-profile reliability estimate", {
+        "--profile": {"required": True, "help": "profile.csv (p,y or run,p,y)"},
+        "--simplified": {"help": "runs.csv for the weighted run-fraction estimate"},
+        "--weights": {"help": "w.csv (weight) matching the runs file"},
+    }),
+    ("economics", None): _command(_handle_economics, "optimal debugging stop time", {
+        "--eps0": {"type": float, "help": "initial error count"},
+        "--tau0": {"type": float, "help": "discovery decay time constant"},
+        "--size": {**_REQUIRED_INT, "help": "program size in commands"},
+        "--tempo": {**_REQUIRED_FLOAT, "help": "commands executed per time unit"},
+        "--cost-error": {**_REQUIRED_FLOAT, "help": "loss per in-service failure"},
+        "--cost-test": {**_REQUIRED_FLOAT, "help": "cost per debugging time unit"},
+        "--horizon": {**_REQUIRED_FLOAT, "help": "planned operating time"},
+        "--fit": {"help": "discovery.csv (tau,corrected) to fit eps0 and tau0 from"},
+    }),
+    ("faulttol", None): _command(_handle_faulttol, "double-execution module planning", {
+        "--total-time": {**_REQUIRED_FLOAT, "help": "single-pass program time"},
+        "--overhead": {**_REQUIRED_FLOAT, "help": "per-module comparison overhead"},
+        "--failure-rate": {**_REQUIRED_FLOAT, "help": "failure intensity"},
+        "--simulate": {"type": int, "help": "also simulate this many modules"},
+        "--seed": {"type": int, "help": "seed for --simulate"},
+        "--module-time": {"type": float, "help": "simulate at this module time instead of t*"},
+    }),
+    ("simulate", "jm"): _command(_handle_simulate_jm, "inter-failure intervals", {
+        "--e0": _REQUIRED_FLOAT, "--k": _REQUIRED_FLOAT, "--count": _REQUIRED_INT, "--seed": _REQUIRED_INT,
+    }),
+    ("simulate", "schumann"): _command(_handle_simulate_schumann, "debugging-period failure counts", {
+        "--e0": _REQUIRED_FLOAT,
+        "--c": _REQUIRED_FLOAT,
+        "--instructions": _REQUIRED_INT,
+        "--schedule": {"required": True, "help": "schedule.csv (tau,corrected,exposure)"},
+        "--seed": _REQUIRED_INT,
+    }),
+    ("simulate", "weibull"): _command(_handle_simulate_weibull, "failure times", {
+        "--shape": _REQUIRED_FLOAT, "--scale": _REQUIRED_FLOAT, "--count": _REQUIRED_INT, "--seed": _REQUIRED_INT,
+    }),
+    # No help: a help string would list the model in `relgauge predict --help`.
+    ("predict", "schumann"): _command(_handle_predict_schumann, None, {
+        "--e0": _REQUIRED_FLOAT,
+        "--c": _REQUIRED_FLOAT,
+        "--instructions": _REQUIRED_INT,
+        "--corrected": {**_REQUIRED_INT, "help": "errors corrected so far"},
+        "--time": {**_REQUIRED_FLOAT, "help": "exposure to survive"},
+    }),
+    ("predict", "jm"): _command(_handle_predict_jm, None, {
+        "--e0": _REQUIRED_FLOAT,
+        "--k": _REQUIRED_FLOAT,
+        "--index": {**_REQUIRED_INT, "help": "failure index being awaited"},
+        "--dt": {**_REQUIRED_FLOAT, "help": "time beyond the last failure"},
+    }),
+    ("predict", "weibull"): _command(_handle_predict_weibull, None, {
+        "--shape": _REQUIRED_FLOAT, "--scale": _REQUIRED_FLOAT, "--time": _REQUIRED_FLOAT,
+    }),
+}
+
+
+def _read_args(args: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse makes of ``args`` when they read ``verb [model] --flag value ...``, else None.
+
+    Every flag must be one of the command's, in full and at most once, and
+    every required one present; no value may start with "-", and each must
+    convert with its flag's type and be one of its choices.  Anything else,
+    help and usage errors included, is left to argparse.
+    """
+    if not args or not all(type(arg) is str for arg in args):
+        return None
+    key = (args[0], args[1] if args[0] in _GROUPS and len(args) > 1 else None)
+    if key not in _COMMANDS:
+        return None
+    handler, _, flags = _COMMANDS[key]
+    rest = args[1 if key[1] is None else 2 :]
+    given = dict(zip(rest[::2], rest[1::2]))
+    if len(rest) % 2 or len(given) < len(rest) // 2 or not given.keys() <= flags.keys():
+        return None
+    values = {"verb": key[0], **({} if key[1] is None else {"model": key[1]}), "handler": handler}
+    for flag, spec in flags.items():
+        dest = flag[2:].replace("-", "_")
+        if flag not in given:
+            if spec.get("required"):
+                return None
+            values[dest] = spec.get("default")
+            continue
+        text = given[flag]
+        if text.startswith("-"):
+            return None
+        try:
+            values[dest] = spec.get("type", str)(text)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in spec and values[dest] not in spec["choices"]:
+            return None
+    return SimpleNamespace(**values)
+
+
 @functools.cache  # parse_args leaves the parser as it is, so one serves every call and thread
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="relgauge", description="Reliability estimation for tested software")
+def _build_parser():
+    """argparse's parser for ``_COMMANDS``, for the command lines :func:`_read_args` leaves to it."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """An argument parser that raises UsageError where argparse would print usage and exit."""
+
+        def error(self, message: str):
+            raise UsageError(f"{self.prog}: {message}")
+
+    parser = Parser(prog="relgauge", description="Reliability estimation for tested software")
     parser.add_argument("--version", action="version", version=f"relgauge {__version__}")
     verbs = parser.add_subparsers(dest="verb", required=True)
-    commands = []
-
-    def command(group, name: str, handler, **help) -> argparse.ArgumentParser:
-        p = group.add_parser(name, **help)
+    groups = {}
+    for (verb, model), (handler, help, flags) in _COMMANDS.items():
+        if model is not None and verb not in groups:  # created at its first model, so verbs keep their order
+            groups[verb] = verbs.add_parser(verb, help=_GROUPS[verb]).add_subparsers(dest="model", required=True)
+        group = verbs if model is None else groups[verb]
+        p = group.add_parser(model or verb, **({} if help is None else {"help": help}))
         p.set_defaults(handler=handler)
-        commands.append(p)
-        return p
-
-    def subcommands(name: str, help: str):
-        return verbs.add_parser(name, help=help).add_subparsers(dest="model", required=True)
-
-    fit = subcommands("fit", "estimate model parameters from CSV data")
-
-    p = command(
-        fit, "schumann", _handle_fit_schumann, help="exponential growth model over debugging periods"
-    )
-    p.add_argument("--input", required=True, help="periods.csv (tau,corrected,exposure,failures)")
-    p.add_argument("--instructions", type=int, required=True, help="program size in instructions")
-    p.add_argument("--confidence", type=float, default=0.95)
-
-    p = command(fit, "jm", _handle_fit_jm, help="stepwise intensity model over failure epochs")
-    p.add_argument("--input", required=True, help="failures.csv (epoch)")
-    p.add_argument("--confidence", type=float, default=0.95)
-
-    p = command(fit, "weibull", _handle_fit_weibull, help="Weibull moment fit over failure epochs")
-    p.add_argument("--input", required=True, help="failures.csv (epoch)")
-    p.add_argument(
-        "--moment-form",
-        # The MomentForm values, spelled out so the parser does not load model_weibull.
-        choices=["cv", "literal"],
-        default="cv",
-    )
-
-    p = command(fit, "nelson", _handle_fit_nelson, help="input-profile reliability estimate")
-    p.add_argument("--profile", required=True, help="profile.csv (p,y or run,p,y)")
-    p.add_argument("--simplified", help="runs.csv for the weighted run-fraction estimate")
-    p.add_argument("--weights", help="w.csv (weight) matching the runs file")
-
-    p = command(verbs, "economics", _handle_economics, help="optimal debugging stop time")
-    p.add_argument("--eps0", type=float, help="initial error count")
-    p.add_argument("--tau0", type=float, help="discovery decay time constant")
-    p.add_argument("--size", type=int, required=True, help="program size in commands")
-    p.add_argument("--tempo", type=float, required=True, help="commands executed per time unit")
-    p.add_argument("--cost-error", type=float, required=True, help="loss per in-service failure")
-    p.add_argument("--cost-test", type=float, required=True, help="cost per debugging time unit")
-    p.add_argument("--horizon", type=float, required=True, help="planned operating time")
-    p.add_argument("--fit", help="discovery.csv (tau,corrected) to fit eps0 and tau0 from")
-
-    p = command(verbs, "faulttol", _handle_faulttol, help="double-execution module planning")
-    p.add_argument("--total-time", type=float, required=True, help="single-pass program time")
-    p.add_argument("--overhead", type=float, required=True, help="per-module comparison overhead")
-    p.add_argument("--failure-rate", type=float, required=True, help="failure intensity")
-    p.add_argument("--simulate", type=int, help="also simulate this many modules")
-    p.add_argument("--seed", type=int, help="seed for --simulate")
-    p.add_argument("--module-time", type=float, help="simulate at this module time instead of t*")
-
-    simulate = subcommands("simulate", "generate seeded synthetic data")
-
-    p = command(simulate, "jm", _handle_simulate_jm, help="inter-failure intervals")
-    p.add_argument("--e0", type=float, required=True)
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-
-    p = command(simulate, "schumann", _handle_simulate_schumann, help="debugging-period failure counts")
-    p.add_argument("--e0", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--instructions", type=int, required=True)
-    p.add_argument("--schedule", required=True, help="schedule.csv (tau,corrected,exposure)")
-    p.add_argument("--seed", type=int, required=True)
-
-    p = command(simulate, "weibull", _handle_simulate_weibull, help="failure times")
-    p.add_argument("--shape", type=float, required=True)
-    p.add_argument("--scale", type=float, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-
-    predict = subcommands("predict", "point predictions from given parameters")
-
-    # No help: a help string would list the model in `relgauge predict --help`.
-    p = command(predict, "schumann", _handle_predict_schumann)
-    p.add_argument("--e0", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--instructions", type=int, required=True)
-    p.add_argument("--corrected", type=int, required=True, help="errors corrected so far")
-    p.add_argument("--time", type=float, required=True, help="exposure to survive")
-
-    p = command(predict, "jm", _handle_predict_jm)
-    p.add_argument("--e0", type=float, required=True)
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--index", type=int, required=True, help="failure index being awaited")
-    p.add_argument("--dt", type=float, required=True, help="time beyond the last failure")
-
-    p = command(predict, "weibull", _handle_predict_weibull)
-    p.add_argument("--shape", type=float, required=True)
-    p.add_argument("--scale", type=float, required=True)
-    p.add_argument("--time", type=float, required=True)
-
-    # Last, so that every command's help lists its own flags first.
-    for p in commands:
-        p.add_argument("--output", help="write the JSON report here instead of stdout")
+        for flag, spec in flags.items():
+            p.add_argument(flag, **spec)
     return parser
 
 
@@ -492,7 +530,7 @@ def _fail(exc: BaseException, code: int) -> int:
 def run_cli(args: list[str]) -> int:
     inputs: list[dict] = []
     try:
-        ns = _build_parser().parse_args(args)
+        ns = _read_args(args) or _build_parser().parse_args(args)
         report = ns.handler(ns, functools.partial(_read_input, inputs))
         report["provenance"] = _provenance(inputs, getattr(ns, "seed", None))
         _emit(report, ns.output)
@@ -514,7 +552,11 @@ def run_cli(args: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    code = run_cli(sys.argv[1:])
+    # The objects made so far leave the collector's view, so the collection at
+    # interpreter exit skips them; the OS frees their memory with the process.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

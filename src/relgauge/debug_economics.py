@@ -17,7 +17,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .errors import DomainError, NoConvergence, OutOfRange, Underdetermined
-from .numerics import Bracket, find_root_bracketed
+from .numerics import Bracket, dot, find_root_bracketed, floats
 from .record import Record, set_field
 
 
@@ -184,9 +184,14 @@ def fit_discovery_curve(
     pairs at strictly increasing positive times with non-decreasing counts.
     For fixed tau0 the best eps0 is available in closed form.  By the
     envelope theorem the slope of the error so profiled, taken in log tau0,
-    is 2 * eps0 * resid @ rate with rate = (tau / tau0) * exp(-tau / tau0),
-    so the fitted tau0 is where resid @ rate turns from negative to
+    is 2 * eps0 * resid . rate with rate = (tau / tau0) * exp(-tau / tau0),
+    so the fitted tau0 is where resid . rate turns from negative to
     positive, solved for over [tau_min / 100, 100 * tau_max].
+
+    Below numerics.ARRAY_MIN observations the fit runs on lists in
+    ``math``, from there on on numpy arrays; every dot product is
+    :func:`numerics.dot`, exactly rounded, so both give the same bits
+    wherever numpy's exp and expm1 are the C library's.
 
     Returns the fitted (eps0, tau0) pair, with eps0 in error counts (not
     per instruction).  Raises Underdetermined when fewer than three points
@@ -197,48 +202,77 @@ def fit_discovery_curve(
     """
     if not (isinstance(commands, int) and commands >= 1):
         raise DomainError(f"commands must be an integer >= 1, got {commands}")
-    obs = [(float(t), float(c)) for t, c in observations]
-    if len(obs) < 3:
-        raise Underdetermined(f"need at least 3 observations to fit two parameters, got {len(obs)}")
+    # The two columns, each made once; zip's strict pass rejects observations of unequal lengths.
+    taus, counts = map(floats, list(zip(*observations, strict=True)) or [(), ()])
+    if len(taus) < 3:
+        raise Underdetermined(f"need at least 3 observations to fit two parameters, got {len(taus)}")
+    _check_observations(taus, counts)
+    if counts[0] == counts[-1]:  # the counts do not decrease, so they are all equal
+        raise Underdetermined("corrected counts show no variation, tau0 is not identifiable")
+
+    lo, hi = float(taus[0]) / 100.0, float(taus[-1]) * 100.0
+    if not (lo > 0.0 and hi < math.inf):
+        raise OutOfRange(f"the search range [{lo}, {hi}] for tau0 leaves the float range")
+    if type(taus) is not list:
+        import numpy as np  # floats has loaded it
+
+    fitted = {}  # the best eps0 at each tau0 evaluated; the root is one of them
+
+    def profile(tau0: float) -> float:
+        """resid . rate / |rate|, of the sign of the profiled error's slope; the best eps0 goes to ``fitted``."""
+        # Extreme counts or times overflow here, as a non-finite value or an
+        # exception of math or math.fsum; the check below reports them.
+        try:
+            if type(taus) is list:
+                x = [t / tau0 for t in taus]
+                growth = [-math.expm1(-v) for v in x]
+                rate = [v * math.exp(-v) for v in x]
+                eps0 = dot(counts, growth) / dot(growth, growth)
+                resid = [c - eps0 * g for c, g in zip(counts, growth)]
+            else:
+                with np.errstate(all="ignore"):
+                    x = taus / tau0
+                    growth = -np.expm1(-x)
+                    rate = x * np.exp(-x)
+                    eps0 = dot(counts, growth) / dot(growth, growth)
+                    resid = counts - eps0 * growth
+            # Normalised, so the slope is not ~1e-41 at the low end, where a
+            # root solver that keeps the smallest |f| would stop.
+            slope = dot(resid, rate) / math.sqrt(dot(rate, rate))
+        except (OverflowError, ValueError, ZeroDivisionError):
+            slope = eps0 = math.nan
+        if not (math.isfinite(slope) and math.isfinite(eps0)):
+            raise OutOfRange(f"the least-squares fit at tau0 = {tau0} is not a finite float")
+        fitted[tau0] = eps0
+        return slope
+
+    slope_lo, slope_hi = profile(lo), profile(hi)
+    if not (slope_lo < 0.0 < slope_hi):
+        raise NoConvergence(f"no interior optimum for the discovery time constant within [{lo}, {hi}]")
+    # Solved in tau0 itself: the solver's relative tolerance has no scale at log tau0 = 0.
+    tau0 = find_root_bracketed(profile, Bracket(lo, hi, f_lo=slope_lo, f_hi=slope_hi))
+    return fitted[tau0], tau0
+
+
+def _check_observations(taus, counts) -> None:
+    """DomainError for the first observation whose time is not positive and above the one before,
+    or whose count is not finite and at least the one before (and 0)."""
+    if type(taus) is not list:
+        import numpy as np  # floats has loaded it
+
+        if (
+            np.isfinite(taus).all() and np.isfinite(counts).all() and taus[0] > 0.0 and counts[0] >= 0.0
+            and (taus[1:] > taus[:-1]).all() and (counts[1:] >= counts[:-1]).all()
+        ):
+            return  # whole-column passes; the rows are read one by one only to name a bad one
+        taus, counts = taus.tolist(), counts.tolist()
     prev_tau, prev_count = 0.0, 0.0
-    for tau, count in obs:
+    for tau, count in zip(taus, counts):
         if not (math.isfinite(tau) and tau > 0.0 and tau > prev_tau):
             raise DomainError(f"observation times must be positive and strictly increasing, got {tau}")
         if not (math.isfinite(count) and count >= prev_count):
             raise DomainError(f"corrected counts must be non-decreasing, got {count}")
         prev_tau, prev_count = tau, count
-    import numpy as np
-
-    taus = np.array([t for t, _ in obs])
-    counts = np.array([c for _, c in obs])
-    if counts.max() == counts.min():
-        raise Underdetermined("corrected counts show no variation, tau0 is not identifiable")
-
-    lo, hi = obs[0][0] / 100.0, obs[-1][0] * 100.0
-    if not (lo > 0.0 and hi < math.inf):
-        raise OutOfRange(f"the search range [{lo}, {hi}] for tau0 leaves the float range")
-
-    def profile(tau0: float) -> tuple[float, float]:
-        """resid @ rate / |rate|, of the sign of the profiled error's slope, and the best eps0."""
-        # Extreme counts or times overflow here; the check below reports them.
-        with np.errstate(all="ignore"):
-            x = taus / tau0
-            growth = -np.expm1(-x)
-            eps0 = counts @ growth / (growth @ growth)
-            rate = x * np.exp(-x)
-            # Normalised, so the slope is not ~1e-41 at the low end, where a
-            # root solver that keeps the smallest |f| would stop.
-            slope = float((counts - eps0 * growth) @ rate / np.sqrt(rate @ rate))
-        if not (math.isfinite(slope) and math.isfinite(eps0)):
-            raise OutOfRange(f"the least-squares fit at tau0 = {tau0} is not a finite float")
-        return slope, float(eps0)
-
-    slope_lo, slope_hi = profile(lo)[0], profile(hi)[0]
-    if not (slope_lo < 0.0 < slope_hi):
-        raise NoConvergence(f"no interior optimum for the discovery time constant within [{lo}, {hi}]")
-    # Solved in tau0 itself: the solver's relative tolerance has no scale at log tau0 = 0.
-    tau0 = find_root_bracketed(lambda t: profile(t)[0], Bracket(lo, hi, f_lo=slope_lo, f_hi=slope_hi))
-    return profile(tau0)[1], tau0
 
 
 def parse_discovery(text: str) -> list[tuple[float, float]]:

@@ -21,7 +21,7 @@ import math
 from collections import Counter, namedtuple
 
 from .errors import DomainError, OutOfRange
-from .numerics import Bracket, find_root_bracketed, geometric_pair_sums
+from .numerics import Bracket, find_root_bracketed
 from .record import Record, set_field
 
 
@@ -167,6 +167,8 @@ def simulate_dual_execution(
     if not (isinstance(modules, int) and modules >= 1):
         raise DomainError(f"module count must be a positive integer, got {modules}")
     p1 = success_probability(config, t)
+    from .draws import geometric_pair_sums  # here, so a plan without a simulation never compiles it
+
     executions = geometric_pair_sums(seed, p1, modules)
     if type(executions) is list:
         histogram = dict(sorted(Counter(executions).items()))

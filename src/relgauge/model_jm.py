@@ -16,7 +16,7 @@ from collections.abc import Sequence
 
 from .errors import DomainError, OutOfRange, ResidualNonPositive, TooFewIntervals
 from .numerics import GrowthLikelihood, at_data_scale, find_root_bracketed, gaussian_intervals, index
-from .numerics import interval_array, power_sum, quotients, scan_bracket, uniforms
+from .numerics import interval_array, power_sum, quotients, scan_bracket
 from .record import Record, set_field
 
 
@@ -176,7 +176,7 @@ def generate_intervals(e0: float, k_jm: float, count: int, seed: int) -> list[fl
     """Draw ``count`` intervals with exponential law of rate k_jm * (e0 - i + 1).
 
     Inverse-CDF sampling on a seeded uniform stream; deterministic per seed.
-    Below numerics' draw threshold the uniforms are a list and the same
+    Below draws.DRAWS_MIN the uniforms are a list and the same
     steps run in ``math``, whose bits are numpy's without its AVX-512 kernels.
     """
     if not (math.isfinite(e0) and e0 > 0.0 and math.isfinite(k_jm) and k_jm > 0.0):
@@ -190,6 +190,8 @@ def generate_intervals(e0: float, k_jm: float, count: int, seed: int) -> list[fl
     # A uniform draw of exactly 0.0 would yield a zero interval, which the
     # likelihood cannot accept; each draw is clipped to the smallest positive
     # normal float, which leaves an infinite or NaN draw as it is.
+    from .draws import uniforms  # here, so a call that draws nothing never compiles it
+
     u = uniforms(seed, count)
     if type(u) is list:
         rates = [k_jm * (e0 - i) for i in range(count)]

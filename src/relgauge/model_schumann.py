@@ -23,11 +23,11 @@ from .errors import DegenerateGamma, DomainError, NegativeEstimate, OutOfRange, 
 from .errors import SingularInformation, Underdetermined
 from .failure_data import DebugPeriod, DebugPeriods, read_columns
 from .numerics import GrowthLikelihood, at_data_scale, find_root_bracketed, floats, gaussian_intervals
-from .numerics import interval_array, poisson_draw, power_sum, scan_bracket, seeded_doubles
+from .numerics import interval_array, power_sum, scan_bracket
 from .record import Record, set_field
 
 # The largest mean numpy's Poisson sampler accepts (its POISSON_LAM_MAX),
-# written with the int64 maximum; numerics.poisson_draw keeps to it too.
+# written with the int64 maximum; draws.poisson_draw keeps to it too.
 _POISSON_MEAN_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
 
 
@@ -289,6 +289,8 @@ def generate_periods(
             )
         DebugPeriod(tau, corrected, exposure, 0)  # raises for a bad tau or exposure
         previous = corrected
+    from .draws import poisson_draw, seeded_doubles  # here, so a call that draws nothing never compiles them
+
     doubles = seeded_doubles(seed)
     periods = []
     for tau, corrected, exposure in schedule:

@@ -24,7 +24,6 @@ from collections.abc import Sequence
 
 from .errors import DegenerateSample, DomainError, NoConvergence, OutOfRange, TooFewIntervals
 from .numerics import Bracket, at_data_scale, find_root_bracketed, fsum_array, interval_array, power_sum
-from .numerics import uniforms
 from .record import Record, set_field
 
 _M_LO = 0.05
@@ -167,7 +166,7 @@ def report(fit: WeibullFit, k: int) -> dict:
 def generate(m: float, lam: float, n: int, seed: int) -> list[float]:
     """Draw ``n`` failure times by inverting the survival function on seeded uniforms.
 
-    Below numerics' draw threshold the uniforms are a list and the same steps
+    Below draws.DRAWS_MIN the uniforms are a list and the same steps
     run in ``math``, whose bits are numpy's without its AVX-512 kernels: a
     power of 2.0 is a square and one of 0.5 a square root, as numpy's
     ``ndarray ** scalar`` takes them.
@@ -179,6 +178,8 @@ def generate(m: float, lam: float, n: int, seed: int) -> list[float]:
     # 1 - u lies in (0, 1], so the log never overflows.  u exactly 0 would
     # give a zero time: each draw is clipped to the smallest positive normal
     # float, which leaves an infinite one as it is.
+    from .draws import uniforms  # here, so a call that draws nothing never compiles it
+
     u = uniforms(seed, n)
     power = 1.0 / m
     if type(u) is list:

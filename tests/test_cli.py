@@ -20,7 +20,8 @@ import pytest
 from relgauge import cli, failure_data, model_jm, numerics
 from relgauge.cli import run_cli
 from relgauge.errors import OutOfRange
-from relgauge.numerics import ARRAY_MIN, DRAWS_MIN
+from relgauge.draws import DRAWS_MIN
+from relgauge.numerics import ARRAY_MIN
 
 NTDS = Path(__file__).with_name("ntds_epochs.csv")
 EPOCHS_GROWTH = "epoch\n1.0\n3.0\n"
@@ -1072,7 +1073,7 @@ def test_closed_form_verbs_do_not_load_numpy(tmp_path):
 
 
 def test_simulate_loads_numpy_when_it_draws(tmp_path):
-    """Seeded draws come from numpy's generator from numerics.DRAWS_MIN draws on, and at any
+    """Seeded draws come from numpy's generator from draws.DRAWS_MIN draws on, and at any
     size for a faulttol success probability below 1/3, where numpy's geometric sampler inverts."""
     faulttol = ["faulttol", "--total-time", "1000000", "--seed", "3"]
     for draws, loaded in ((DRAWS_MIN - 1, False), (DRAWS_MIN, True)):
@@ -1099,12 +1100,24 @@ def test_small_fits_do_not_load_numpy(tmp_path):
         assert _numpy_probe(args) == [0, [False, False, False]], args
 
 
+def _discovery_text(rows: int) -> str:
+    """A discovery file of ``rows`` counts rising toward 300 with tau0 = rows / 3, and a little noise."""
+    counts = itertools.accumulate(
+        max(300.0 * (math.exp(-(t - 1) / (rows / 3)) - math.exp(-t / (rows / 3))) + (t % 3 - 1) * 0.25, 0.0)
+        for t in range(1, rows + 1)
+    )
+    return "tau,corrected\n" + "".join(f"{t}.0,{c!r}\n" for t, c in enumerate(counts, 1))
+
+
 def test_numpy_free_verbs_do_not_import_typing(tmp_path):
     """Without site (which may import typing or pathlib itself), no verb that runs
-    without numpy loads typing, nor pathlib, json, statistics, fractions or decimal;
-    the seeded draws are among them at the benchmark's cli-cold sizes."""
+    without numpy loads typing, nor pathlib, json, statistics, fractions or decimal,
+    nor argparse (with its gettext and shutil), which only help and usage errors need;
+    the seeded draws and the discovery fit are among them at the benchmark's cli-cold sizes."""
     periods = tmp_path / "periods.csv"
     periods.write_text(PERIODS_TWO)
+    discovery = tmp_path / "discovery.csv"
+    discovery.write_text(_discovery_text(20))
     profile = tmp_path / "profile.csv"
     profile.write_text(PROFILE_TWO_RUNS)
     schedule = tmp_path / "schedule.csv"  # Poisson means from about 20 down to 4: both of numpy's samplers
@@ -1127,8 +1140,10 @@ def test_numpy_free_verbs_do_not_import_typing(tmp_path):
          "--schedule", str(schedule), "--seed", "11"],
         ["faulttol", "--total-time", "1000", "--overhead", "100", "--failure-rate", "0.001",
          "--simulate", "1000", "--seed", "3"],
+        ["economics", "--fit", str(discovery), "--size", "10000", "--tempo", "1000",
+         "--cost-error", "7.5", "--cost-test", "1", "--horizon", "1"],
     ]
-    unwanted = ["typing", "numpy", "pathlib", "json", "statistics", "fractions", "decimal"]
+    unwanted = ["typing", "numpy", "pathlib", "json", "statistics", "fractions", "decimal", "argparse", "gettext", "shutil"]
     # The child loads nothing but relgauge: its calls arrive as a literal and its result leaves as a repr.
     code = (
         "import sys\n"
@@ -1152,6 +1167,50 @@ def test_fits_load_numpy_from_array_min_values_on(tmp_path):
         epochs = itertools.accumulate(1.0 / (count + 10 - i) for i in range(1, count + 1))
         path.write_text("epoch\n" + "".join(f"{t!r}\n" for t in epochs))
         assert _numpy_probe(["fit", "jm", "--input", str(path)]) == [0, [False, False, loaded]], count
+
+
+def test_economics_fit_loads_numpy_from_array_min_rows_on(tmp_path):
+    """The discovery fit runs on lists below numerics.ARRAY_MIN rows and on arrays from there on."""
+    for rows, loaded in ((ARRAY_MIN - 1, False), (ARRAY_MIN, True)):
+        path = tmp_path / f"discovery{rows}.csv"
+        path.write_text(_discovery_text(rows))
+        args = ["economics", "--fit", str(path), "--size", "10000", "--tempo", "1000",
+                "--cost-error", "7.5", "--cost-test", "1", "--horizon", "1"]
+        assert _numpy_probe(args) == [0, [False, False, loaded]], rows
+
+
+# cli.main() on the argv after the script's, with an exit hook that prints whether the
+# collector is frozen: main freezes it between run_cli and sys.exit; run_cli alone never does.
+_MAIN_PROBE = """
+import atexit, gc, sys
+from relgauge import cli
+if sys.argv[1] == "run_cli":
+    code = cli.run_cli(sys.argv[2:])
+    print("frozen", gc.get_freeze_count() > 0)
+    sys.exit(code)
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0))
+sys.argv[1:] = sys.argv[2:]
+cli.main()
+"""
+
+
+@pytest.mark.parametrize("entry", ["main", "run_cli"])
+def test_main_freezes_the_collector_before_exit_and_run_cli_never_does(tmp_path, entry):
+    report = tmp_path / "report.json"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    args = ["predict", "jm", "--e0", "2", "--k", "0.5", "--index", "2", "--dt", "2.0"]
+    for argv, code in (([*args, "--output", str(report)], 0), ([*args[:-1], "x"], 1)):
+        child = subprocess.run(
+            [sys.executable, "-c", _MAIN_PROBE, entry, *argv], env=env, timeout=120, capture_output=True, text=True
+        )
+        assert child.returncode == code, child.stderr
+        assert child.stdout == f"frozen {entry == 'main'}\n"
+        assert len(child.stderr.splitlines()) == code  # one JSON error line for the usage error
+    expected = {"model": "jm", "intensity": 0.5, "reliability": math.exp(-1.0)}
+    written = json.loads(report.read_text())
+    assert written.pop("provenance")["inputs"] == []
+    assert written == pytest.approx(expected, rel=1e-15)
 
 
 # run_cli on ``args`` with its report going to ``output``: the exit code and
@@ -1224,17 +1283,17 @@ for i, result in enumerate(results):
 
 def test_first_generator_calls_are_safe_across_threads():
     """Four threads make their first generator calls at once: two small draws, which run on
-    the pure-Python stream, and one at numerics.DRAWS_MIN, which imports numpy, so that
-    numpy's first import is raced too; results match serial calls."""
-    _fresh_python("""
+    the pure-Python stream, and one at draws.DRAWS_MIN, which imports numpy, so that
+    numpy's first import is raced too, and the first import of relgauge.draws; results match serial calls."""
+    _fresh_python(f"""
 import sys, threading
-from relgauge import model_jm, model_weibull, numerics
+from relgauge import model_jm, model_weibull
 
 assert "numpy" not in sys.modules
 draws = [
     lambda seed: model_jm.generate_intervals(50.0, 0.004, 40, seed),
     lambda seed: model_weibull.generate(0.5, 2.0, 25, seed),
-    lambda seed: model_jm.generate_intervals(1e4, 0.004, numerics.DRAWS_MIN, seed),
+    lambda seed: model_jm.generate_intervals(1e4, 0.004, {DRAWS_MIN}, seed),
 ]
 start = threading.Barrier(4, timeout=60)
 results = [None] * 4
@@ -1315,6 +1374,9 @@ _READS_FAILURE_DATA = {
     "predict_schumann",
 }
 
+# The kinds that draw, which alone load the seeded-draw module.
+_DRAWS = {"simulate_jm", "simulate_schumann", "simulate_weibull", "faulttol_simulate"}
+
 
 def _cold_argv(tmp_path, kind):
     weights = tmp_path / "w.csv"
@@ -1342,6 +1404,8 @@ def test_each_cold_kind_loads_only_its_model_module(tmp_path, kind):
     base = ["cli", "errors", "numerics", "record", _COLD_KINDS[kind]]
     if kind in _READS_FAILURE_DATA:
         base.append("failure_data")
+    if kind in _DRAWS:
+        base.append("draws")
     assert loaded == sorted(f"relgauge.{m}" for m in base), args
     assert not dataclasses, args
 

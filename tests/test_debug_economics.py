@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from relgauge import debug_economics
 from relgauge.debug_economics import (
     DiscoveryParams,
     EconParams,
@@ -238,14 +239,14 @@ def test_fit_discovery_round_trip_at_unit_tau0(monkeypatch):
     """tau0 = 1 puts log tau0 at 0; the fit still ends in a bounded number of evaluations."""
     truth = DiscoveryParams(eps0=100.0, tau0=1.0, commands=1000, tempo=1.0)
     observations = [(t, 1000 * cumulative_corrected(truth, t)) for t in (0.3, 0.7, 1.0, 1.5, 2.5, 4.0)]
-    # Each evaluation of the profiled error builds its growth curve with one np.expm1 call.
+    # Each evaluation of the profiled error takes four dot products.
     calls = []
-    expm1 = np.expm1
-    monkeypatch.setattr(np, "expm1", lambda x: calls.append(x) or expm1(x))
+    dot = debug_economics.dot
+    monkeypatch.setattr(debug_economics, "dot", lambda a, b: calls.append(a) or dot(a, b))
     eps0, tau0 = fit_discovery_curve(observations, 1000)
     assert eps0 == pytest.approx(100.0, rel=1e-6)
     assert tau0 == pytest.approx(1.0, rel=1e-6)
-    assert 0 < len(calls) <= 24
+    assert len(calls) % 4 == 0 and 0 < len(calls) // 4 <= 24
 
 
 def test_fit_discovery_edge_optimum_is_no_convergence():

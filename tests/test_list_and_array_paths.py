@@ -27,7 +27,7 @@ from unittest import mock
 
 import pytest
 
-from relgauge import cli, failure_data, model_jm, model_schumann, model_weibull, numerics
+from relgauge import cli, debug_economics, draws, failure_data, model_jm, model_schumann, model_weibull, numerics
 from relgauge.failure_data import DebugPeriod, FailureEpochs, intervals_from_epochs, parse_failure_epochs
 from relgauge.record import Record
 
@@ -286,13 +286,14 @@ def test_cli_epoch_fits_match_the_library_fits_on_the_same_floats(tmp_path, coun
         assert _bits(written) == _bits(json.loads(json.dumps(report))), model
 
 
-# argv: the calls as JSON, the output directory and, optionally, a value for numerics.DRAWS_MIN.
+# argv: the calls as JSON, the output directory and any settings such as draws.DRAWS_MIN=0.
 _FIT_CHILD = """
-import json, sys
-from relgauge import numerics
+import importlib, json, sys
 from relgauge.cli import run_cli
-if len(sys.argv) > 3:
-    numerics.DRAWS_MIN = int(sys.argv[3])
+for setting in sys.argv[3:]:
+    name, value = setting.split("=")
+    module, constant = name.split(".")
+    setattr(importlib.import_module(f"relgauge.{module}"), constant, int(value))
 for name, argv in json.loads(sys.argv[1]).items():
     assert run_cli([*argv, "--output", f"{sys.argv[2]}/{name}.json"]) == 0, name
 """
@@ -345,12 +346,131 @@ def test_fit_reports_do_not_depend_on_the_simd_dispatch(tmp_path):
         rows = zip(range(count), corrected.tolist(), exposure.tolist(), failures.tolist())
         path.write_text("tau,corrected,exposure,failures\n" + "".join(f"{j},{c},{h!r},{n}\n" for j, c, h, n in rows))
         calls[f"schumann{count}"] = ["fit", "schumann", "--input", str(path), "--instructions", "1000"]
+    calls["economics20"] = _discovery_calls(tmp_path, rng, [20])[0]
     reports = _reports_in_children(tmp_path, calls, [(None, []), (_NO_AVX512, [])])
     assert reports[0] == reports[1]
 
 
+def _discovery_calls(tmp_path, rng, sizes):
+    """One economics --fit call per size, each on a noisy discovery curve with eps0 about 300."""
+    np = pytest.importorskip("numpy")
+    calls = []
+    for rows in sizes:
+        tau0 = float(rng.uniform(5.0, 50.0))
+        taus = (tau0 / 8.0 * rng.uniform(0.5, 1.5, rows)).cumsum()
+        counts = np.maximum.accumulate(300.0 * -np.expm1(-taus / tau0) * rng.uniform(0.95, 1.05, rows))
+        path = tmp_path / f"discovery{len(calls)}.csv"
+        path.write_text("tau,corrected\n" + "".join(f"{t!r},{c!r}\n" for t, c in zip(taus.tolist(), counts.tolist())))
+        calls.append(["economics", "--fit", str(path), "--size", "10000", "--tempo", "1000",
+                      "--cost-error", "7.5", "--cost-test", "1", "--horizon", "1"])
+    return calls
+
+
+def test_small_discovery_fits_give_the_array_paths_bytes_without_avx512(tmp_path):
+    """economics --fit below ARRAY_MIN rows runs on lists in ``math`` with numpy's default
+    dispatch; its reports are the bytes of the array path, every size forced onto it, in a
+    child with numpy's AVX-512 kernels switched off, where numpy's exp and expm1 are libm's."""
+    np = pytest.importorskip("numpy")
+    sizes = [3, 5, 20, 20, 60, numerics.ARRAY_MIN - 1]
+    calls = {f"economics{i}": argv for i, argv in enumerate(_discovery_calls(tmp_path, np.random.default_rng(39), sizes))}
+    reports = _reports_in_children(tmp_path, calls, [(None, []), (_NO_AVX512, ["numerics.ARRAY_MIN=0"])])
+    assert reports[0] == reports[1]
+
+
+# Runs hypothesis in a child whose numpy has its AVX-512 kernels switched off: each drawn
+# discovery curve is fitted on both paths, whose results or errors must be the same.
+_DISCOVERY_CHILD = """
+import itertools, math
+from unittest import mock
+import hypothesis
+import hypothesis.strategies as st
+from relgauge import numerics
+from relgauge.debug_economics import fit_discovery_curve
+
+def outcome(observations, limit):
+    with mock.patch.object(numerics, "ARRAY_MIN", limit):
+        try:
+            return [v.hex() for v in fit_discovery_curve(observations, 1000)]
+        except Exception as exc:
+            return type(exc).__name__, str(exc)
+
+@st.composite
+def curves(draw):
+    n = draw(st.integers(3, 40))
+    scale = draw(st.sampled_from([1.0, 2.0**-1000, 2.0**-60, 2.0**60, 2.0**1000]))
+    steps = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    taus = [t * scale for t in itertools.accumulate(steps)]
+    kind = draw(st.sampled_from(["curve", "curve", "linear", "flat", "huge"]))
+    tau0 = draw(st.floats(1e-2, 1e2)) * taus[-1]
+    eps0 = draw(st.floats(1e-3, 1e6))
+    if kind == "curve":
+        counts = [eps0 * -math.expm1(-t / tau0) * draw(st.floats(0.9, 1.1)) for t in taus]
+    elif kind == "linear":
+        counts = [eps0 * t / taus[-1] for t in taus]
+    elif kind == "flat":
+        counts = [eps0] * n
+    else:
+        counts = [eps0 * 1e302 * draw(st.floats(1.0, 100.0)) for _ in taus]
+    counts = list(itertools.accumulate(counts, max))
+    return list(zip(taus, counts))
+
+@hypothesis.settings(max_examples=300, deadline=None, database=None)
+@hypothesis.given(observations=curves())
+def same_on_both_paths(observations):
+    assert outcome(observations, 0) == outcome(observations, 10**9), observations
+
+same_on_both_paths()
+"""
+
+
+def test_drawn_discovery_curves_give_the_same_bits_on_both_paths_without_avx512():
+    pytest.importorskip("numpy")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env["NPY_DISABLE_CPU_FEATURES"] = _NO_AVX512
+    child = subprocess.run([sys.executable, "-c", _DISCOVERY_CHILD], env=env, timeout=300, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr[-3000:]
+
+
+_FIT_ERRORS = [
+    [(1.0, 5.0), (2.0, 5.0), (3.0, 5.0)],  # constant counts
+    [(float(t), 2.0 * t) for t in range(1, 7)],  # the slope never changes sign
+    [(float(t), t * t) for t in range(1, 7)],
+    [(1.0, 1.0), (2.0, 1e308), (3.0, 1.7e308)],  # the dot products overflow
+    [(1e-300, 1.0), (1e10, 2.0), (2e10, 3.0)],  # growth underflows at the upper end
+    [(1e-300, 1.0), (1e300, 2.0), (2e300, 3.0)],  # and so does rate . rate
+    [(1.0, 5.0), (2.0, 6.0)],
+]
+_ROW_ERRORS = [
+    [(1e306, 1.0), (2e306, 2.0), (3e306, 5.0)],  # the search range overflows
+    [(5e-324, 1.0), (1.0, 2.0), (2.0, 5.0)],  # and underflows
+    [(1.0, 5.0), (1.0, 6.0), (2.0, 7.0)],  # times that do not increase
+    [(1.0, 5.0), (2.0, 4.0), (3.0, 7.0)],  # counts that decrease
+    [(1.0, -1.0), (2.0, 4.0), (3.0, 7.0)],
+    [(1.0, 5.0), (math.nan, 6.0), (3.0, 7.0)],
+    [(1.0, 5.0), (2.0, math.inf), (3.0, 7.0)],
+    [(0.0, 5.0), (2.0, 6.0), (3.0, 7.0)],
+]
+
+
+@pytest.mark.parametrize(
+    ("observations", "copies"),
+    [(rows, 1) for rows in _FIT_ERRORS + _ROW_ERRORS] + [(rows, numerics.ARRAY_MIN) for rows in _ROW_ERRORS],
+)
+def test_discovery_fit_errors_are_the_same_on_both_paths(observations, copies):
+    """Each error of the discovery fit, type and message, on lists and on arrays.  For the
+    checks of the rows and of the search range, ``copies`` repeats the last row's count at
+    later times, which keeps the first failure where it was."""
+    pytest.importorskip("numpy")
+    tau, count = observations[-1]
+    rows = observations + [(tau * (1.0 + j / 1024), count) for j in range(1, copies)]
+    list_path, array_path = _both_paths(lambda: _outcome(lambda: debug_economics.fit_discovery_curve(rows, 1000)), len(rows))
+    assert list_path == array_path
+    assert list_path[0] in ("OutOfRange", "Underdetermined", "NoConvergence", "DomainError"), list_path
+
+
 def test_small_simulations_give_baseline_numpys_bytes_on_any_dispatch(tmp_path):
-    """simulate jm and weibull below numerics.DRAWS_MIN draws run on lists in ``math`` with
+    """simulate jm and weibull below draws.DRAWS_MIN draws run on lists in ``math`` with
     numpy's default dispatch; their reports are the bytes of the array path in a child with
     numpy's AVX-512 kernels switched off.  Weibull shapes 0.5 and 2 take numpy's square and
     square-root fast paths for ``** 2.0`` and ``** 0.5``; shape 1 makes the power exact."""
@@ -361,8 +481,8 @@ def test_small_simulations_give_baseline_numpys_bytes_on_any_dispatch(tmp_path):
     }
     for e0, k, count in ((50.0, 0.004, 40), (5000.0, 2e-4, 4000), (1e6, 1e-3, 3000)):
         calls[f"jm{count}"] = ["simulate", "jm", "--e0", repr(e0), "--k", repr(k), "--count", str(count), "--seed", "7"]
-    assert max(int(argv[argv.index("--count") + 1]) for argv in calls.values()) < numerics.DRAWS_MIN
-    reports = _reports_in_children(tmp_path, calls, [(None, []), (_NO_AVX512, ["0"])])
+    assert max(int(argv[argv.index("--count") + 1]) for argv in calls.values()) < draws.DRAWS_MIN
+    reports = _reports_in_children(tmp_path, calls, [(None, []), (_NO_AVX512, ["draws.DRAWS_MIN=0"])])
     assert reports[0] == reports[1]
 
 
@@ -435,17 +555,20 @@ def _size_limit_uses(node, function=None):
 
 
 def test_only_numerics_chooses_a_path_from_the_input_size():
-    """Outside ``numerics``, whose ``floats`` and ``index`` make every fit vector and whose
-    ``uniforms`` and ``geometric_pair_sums`` choose where seeded draws come from, ``ARRAY_MIN``
-    is read only by ``failure_data._split_columns``, whose prefill sizes the reader's
-    memory rather than a fit's vectors, and ``DRAWS_MIN`` by nothing."""
-    allowed, found = [], []
+    """Outside ``numerics``, whose ``floats`` and ``index`` make every fit vector, ``ARRAY_MIN``
+    is read only by ``failure_data._split_columns``, whose prefill sizes the reader's memory
+    rather than a fit's vectors; outside ``draws``, whose ``uniforms`` and
+    ``geometric_pair_sums`` choose where seeded draws come from, ``DRAWS_MIN`` by nothing."""
+    owners = {"ARRAY_MIN": "numerics", "DRAWS_MIN": "draws"}
+    allowed, found, owned = [], [], set()
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "relgauge").glob("*.py")):
-        if path.stem != "numerics":
-            for name, function, line in _size_limit_uses(ast.parse(path.read_text())):
-                use = f"{name} in {path.stem}.{function}:{line}"
-                ok = (name, path.stem, function) == ("ARRAY_MIN", "failure_data", "_split_columns")
-                (allowed if ok else found).append(use)
+        for name, function, line in _size_limit_uses(ast.parse(path.read_text())):
+            if path.stem == owners[name]:
+                owned.add(name)
+                continue
+            use = f"{name} in {path.stem}.{function}:{line}"
+            ok = (name, path.stem, function) == ("ARRAY_MIN", "failure_data", "_split_columns")
+            (allowed if ok else found).append(use)
     assert found == []
     assert allowed  # the guard sees the one use it allows
-    assert any(name == "DRAWS_MIN" for name, _, _ in _size_limit_uses(ast.parse(Path(numerics.__file__).read_text())))
+    assert owned == set(owners)  # and the owners' own uses

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -233,9 +234,33 @@ def test_scan_bracket_exact_zero_at_scan_point():
     assert (first.lo, first.hi) == (1e-9 / 16, 1e-9)
 
 
+@pytest.mark.parametrize("scale", [1.0, 2.0**-600, 2.0**500])
+def test_dot_is_the_exactly_rounded_sum_of_the_products_on_lists_and_arrays(scale):
+    """Products that cancel to far below their size, and ones that overflow: the same
+    float or the same exception on a list and on an array of the same values."""
+    rng = np.random.default_rng(39)
+    n = numerics.ARRAY_MIN + 7
+    a = (rng.standard_normal(n) * 2.0 ** rng.integers(-40, 40, n) * scale).tolist()
+    b = rng.standard_normal(n).tolist()
+    cases = [(a, b), (a + a, b + [-v for v in b]), ([1e300] * n, [1e10] * n), ([1e300, -1e300] * n, [1e10] * 2 * n)]
+    for x, y in cases:
+        outcomes = []
+        for kind in (list, np.array):
+            try:
+                outcomes.append(numerics.dot(kind(x), kind(y)))
+            except (OverflowError, ValueError) as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+        if type(outcomes[0]) is float and math.isfinite(outcomes[0]):
+            exact = sum(map(Fraction, map(operator.mul, x, y)), Fraction(0))
+            assert outcomes[0] == float(exact)
+
+
 def test_fit_discovery_curve_golden():
     """The fit on one fixed dataset is pinned bit for bit, so a change to the
-    root solve that moves tau0 by even one ulp shows up here."""
+    root solve that moves tau0 by even one ulp shows up here.  Its 24 rows
+    run on lists, in ``math`` with exactly rounded dot products, so the bits
+    do not depend on numpy's SIMD dispatch."""
     taus = [float(t) for t in range(5, 125, 5)]
     counts = [29, 60, 85, 117, 140, 161, 178, 192, 202, 214, 226, 236, 246, 255,
               257, 264, 272, 274, 278, 278, 284, 290, 292, 295]

@@ -1,6 +1,6 @@
 """The pure-Python seeded stream and samplers give the installed numpy's bits.
 
-``numerics.seeded_doubles`` is ``np.random.default_rng(seed).random()``
+``draws.seeded_doubles`` is ``np.random.default_rng(seed).random()``
 (SeedSequence, PCG64 with XSL-RR output, next_double), ``poisson_draw`` is
 numpy's scalar ``random_poisson`` and ``geometric_search`` its
 ``random_geometric_search``, which ``geometric_pair_sums`` takes below
@@ -14,10 +14,10 @@ from itertools import islice
 
 import pytest
 
-from relgauge import numerics
+from relgauge import draws
 from relgauge.errors import DomainError
-from relgauge.numerics import DRAWS_MIN, geometric_pair_sums, geometric_search, poisson_draw, seeded_doubles
-from relgauge.numerics import uniforms
+from relgauge.draws import DRAWS_MIN, geometric_pair_sums, geometric_search, poisson_draw, seeded_doubles
+from relgauge.draws import uniforms
 
 np = pytest.importorskip("numpy")
 hypothesis = pytest.importorskip("hypothesis")
@@ -44,7 +44,7 @@ def test_bad_seed_is_the_same_domain_error_on_both_paths(seed, n):
     with pytest.raises(DomainError, match=r"^seed must be a non-negative integer, got ") as listed:
         uniforms(seed, n)
     with pytest.raises(DomainError) as numpys:
-        numerics.seeded_rng(seed)
+        draws.seeded_rng(seed)
     assert str(listed.value) == str(numpys.value)
     with pytest.raises(DomainError):
         seeded_doubles(seed)
