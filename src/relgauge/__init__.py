@@ -16,10 +16,10 @@ A cold call pays only for the code it runs:
   ``failure_data`` only for the verbs that read its formats or records.
 - numpy is imported inside the functions that build or draw arrays, never
   at module level, so the closed-form calls (predictions, economics from
-  given parameters, fault-tolerance planning, the input-profile estimate)
-  do not pay its start-up cost, nor do fits on fewer than
-  ``numerics.ARRAY_MIN`` records (the discovery-curve fit of ``economics
-  --fit`` included) or seeded simulations of fewer than
+  given parameters, fault-tolerance planning) do not pay its start-up
+  cost, nor do fits on fewer than ``numerics.ARRAY_MIN`` records or rows
+  (the discovery-curve fit of ``economics --fit`` and the input-profile
+  estimate included) or seeded simulations of fewer than
   ``draws.DRAWS_MIN`` draws, which draw numpy's stream in pure Python.
 - argparse is imported only for ``--help``, ``--version`` and command
   lines the CLI's own reader does not take, which are usage errors or

@@ -7,8 +7,11 @@ the offending 1-based row (the header is row 1) so bad files can be fixed
 without guesswork.  A regular file is split once and converted a whole
 column at a time, CR and CRLF line ends read as LF: a one-column file is
 split at its line ends alone, and an int column whose tokens repeat (run
-ids, 0/1 flags) calls int once per distinct token.  Any other file is read
-row by row, and that reader owns every error message.  A parser checks its
+ids, 0/1 flags) calls int once per distinct token.  Asked for arrays, a
+regular file of two or more columns and ``numerics.ARRAY_MIN`` rows or more
+(a run profile) is instead converted by numpy's C reader into float64 and
+int64 columns.  Any other file is read row by row, and that reader owns
+every error message.  A parser checks its
 values in one ``build`` hook, which :func:`read_columns` runs once, so the
 first bad row in file order is reported whichever path the file takes.
 """
@@ -21,6 +24,7 @@ import io
 import math
 import operator
 import sys
+import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
 
@@ -230,9 +234,12 @@ def read_columns(
     first, so the first bad row in file order is the one reported.
     Without it the row numbers and the columns are returned.
 
-    With ``arrays``, a float column of a regular file (see
-    :func:`_split_columns`) of at least ``numerics.ARRAY_MIN`` rows is a
-    float64 ndarray of the same values instead of a list.
+    With ``arrays``, a regular file (see :func:`_split_columns`) of at least
+    ``numerics.ARRAY_MIN`` rows gives arrays of the same values instead of
+    lists: a one-column file its float column as a float64 ndarray, and a
+    file of two or more float and int columns, read by numpy's C reader,
+    a float64 or int64 ndarray per column.  Where that reader would differ
+    from the row reader, the row reader reads the file, into lists.
     """
     table = _split_columns(text, columns, arrays)
     if table is not None:
@@ -262,8 +269,9 @@ def _split_columns(text: str, columns: _ColumnSpec, arrays: bool = False) -> lis
     reader.  "\r\n" and "\r" become "\n" as in the row reader, and lines
     are split on "\n" alone: csv ends a line at no other character
     (str.splitlines would also split on \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029).
-    With ``arrays`` and at least ``numerics.ARRAY_MIN`` lines, each float
-    column is filled into a float64 ndarray a block at a time.
+    With ``arrays`` and at least ``numerics.ARRAY_MIN`` lines, a file of
+    two or more columns is read by :func:`_loaded_columns`, and a one-column
+    file's float column is filled into a float64 ndarray a block at a time.
     """
     if '"' in text:
         return None
@@ -288,6 +296,8 @@ def _split_columns(text: str, columns: _ColumnSpec, arrays: bool = False) -> lis
         return None
     lines = text.count("\n", start, stop) + 1 if arrays and stop > start else 0
     if lines >= numerics.ARRAY_MIN:
+        if width > 1:
+            return _loaded_columns(text, start, stop, columns, lines)
         import numpy as np
 
         table: list = [np.empty(lines) if kind is float else [] for _, kind in columns]
@@ -314,6 +324,41 @@ def _split_columns(text: str, columns: _ColumnSpec, arrays: bool = False) -> lis
         row += count
         start = end + 1
     return table
+
+
+def _loaded_columns(text: str, start: int, stop: int, columns: _ColumnSpec, lines: int) -> list | None:
+    """The float64 and int64 columns of the body ``text[start:stop]`` read by numpy's C reader, or None.
+
+    np.loadtxt takes a block of lines at a time, as the split does.  It
+    strips the whitespace that str.strip strips and parses a float token
+    with float()'s own routine, so every token it takes has float()'s bits
+    or int()'s value.  It rejects the spellings it does not share with them
+    (1_0, non-ASCII digits, a fraction or exponent in an int column), a line
+    of another width, and an int beyond int64.  Any of these gives None, so
+    the row reader reports the first bad row.  So does any warning loadtxt
+    gives, as for a block of blank lines, or as older numpy did where it
+    truncated "1.0" into an int field; and so do fewer rows than lines,
+    since loadtxt skips blank lines.
+    """
+    import numpy as np
+
+    dtype = np.dtype([(name, {float: "f8", int: "i8"}[kind]) for name, kind in columns])
+    table = [np.empty(lines, dtype[name]) for name in dtype.names]
+    row = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        while start < stop:
+            end = text.find("\n", start + _SPLIT_CHARS, stop)
+            end = stop if end < 0 else end
+            try:
+                values = np.loadtxt(io.StringIO(text[start:end]), dtype, delimiter=",", comments=None, ndmin=1)
+                for column, name in zip(table, dtype.names):
+                    column[row : row + len(values)] = values[name]
+            except (ValueError, OverflowError, Warning):
+                return None
+            row += len(values)
+            start = end + 1
+    return table if row == lines else None
 
 
 def _block_columns(block: str, width: int) -> list[list[str]] | None:

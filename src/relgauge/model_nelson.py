@@ -14,7 +14,7 @@ import contextlib
 import itertools
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from .errors import DomainError, ParseError, WeightSumMismatch
 from .failure_data import read_columns
@@ -54,6 +54,77 @@ class RunProfile(Record):
                 return
         y = next(y for y in self.indicators if y not in (0, 1))
         raise DomainError(f"failure indicators must be 0 or 1, got {y}")
+
+
+class RunProfiles(Record, Sequence):
+    """Run profiles held as two columns, as :func:`parse_profiles` returns them.
+
+    Run j is rows ``starts[j]`` up to the next start of ``probs`` and
+    ``indicators``, two columns of equal length; ``starts`` begins at 0 and
+    increases within them.  The columns are checked once, with RunProfile's
+    rules; where one fails, the runs are checked in order, so the first bad
+    run raises RunProfile's error.  Indexing and iteration make each
+    RunProfile record when it is asked for, without a second check, and a
+    RunProfiles compares equal to any sequence of the same profiles.
+
+    Lists become tuples.  A float64 and an int64 array, as numpy's reader
+    gives them, have their p and y bounds checked in C passes and are held
+    as read-only memoryviews, whose items are Python numbers.
+    """
+
+    _fields = ("probs", "indicators", "starts")
+
+    def __init__(self, probs: Sequence[float], indicators: Sequence[int], starts: Sequence[int]) -> None:
+        starts = tuple(starts)
+        if len(probs) != len(indicators) or not len(probs):
+            raise DomainError("probs and indicators must be non-empty and of equal length")
+        if starts[:1] != (0,) or starts[-1] >= len(probs) or not all(map(operator.lt, starts, starts[1:])):
+            raise DomainError("run starts must begin at 0 and increase within the columns")
+        if isinstance(probs, Sequence):
+            valid = all_at_least(probs, 0.0) and set(indicators) <= {0, 1}
+            probs, indicators = tuple(probs), tuple(indicators)
+        else:  # a NaN fails the minimum's test
+            valid = 0.0 <= probs.min() and probs.max() < math.inf and 0 <= indicators.min() and indicators.max() <= 1
+            probs, indicators = memoryview(probs).toreadonly(), memoryview(indicators).toreadonly()
+        set_field(self, "probs", probs)
+        set_field(self, "indicators", indicators)
+        set_field(self, "starts", starts)
+        if not (valid and all(abs(math.fsum(probs[s:e]) - 1.0) <= _SUM_TOL for s, e in self._spans())):
+            for s, e in self._spans():
+                RunProfile(tuple(probs[s:e]), tuple(indicators[s:e]))  # raises for the first bad run
+
+    def _spans(self) -> Iterator[tuple[int, int]]:
+        return zip(self.starts, (*self.starts[1:], len(self.probs)))
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[j] for j in range(len(self))[index]]
+        j = range(len(self))[index]  # IndexError as a list raises it
+        end = self.starts[j + 1] if j + 1 < len(self) else len(self.probs)
+        return _checked_profile(self.probs[self.starts[j] : end], self.indicators[self.starts[j] : end])
+
+    def __iter__(self) -> Iterator[RunProfile]:
+        for s, e in self._spans():
+            yield _checked_profile(self.probs[s:e], self.indicators[s:e])
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __reduce__(self):  # a memoryview does not pickle; its items as tuples do
+        return RunProfiles, (tuple(self.probs), tuple(self.indicators), self.starts)
+
+
+def _checked_profile(probs: Sequence[float], indicators: Sequence[int]) -> RunProfile:
+    """The RunProfile of one run's slices of columns that RunProfiles has checked."""
+    profile = object.__new__(RunProfile)
+    set_field(profile, "probs", tuple(probs))
+    set_field(profile, "indicators", tuple(indicators))
+    return profile
 
 
 class PartitionSpec(Record):
@@ -135,33 +206,38 @@ def partitioned_single_run(spec: PartitionSpec) -> float:
     return min(1.0, max(0.0, 1.0 - failure_mass))
 
 
-def parse_profiles(text: str) -> list[RunProfile]:
-    """Parse profile CSV text into per-run profiles.
+def parse_profiles(text: str) -> RunProfiles:
+    """Parse profile CSV text into per-run profiles, held as columns.
 
     Two layouts are accepted, told apart by the header: ``p,y`` for a single
     run, or ``run,p,y`` where consecutive rows sharing a run id form one
     profile.  The rows of one run must be contiguous (ParseError names the
-    row where an earlier id reappears); runs keep their file order.
+    row where an earlier id reappears); runs keep their file order.  From
+    ``numerics.ARRAY_MIN`` rows on, a regular file is read into numpy
+    columns (see :func:`failure_data.read_columns`).
     """
     columns = (("p", float), ("y", int))
-    if not text.partition("\n")[0].strip().lstrip('"').lower().startswith("run"):
-        _, (probs, indicators) = read_columns(text, columns)
+    header = text[: text.find("\n")] if "\n" in text else text  # not a copy of the body
+    if not header.strip().lstrip('"').lower().startswith("run"):
+        _, (probs, indicators) = read_columns(text, columns, arrays=True)
         starts = [0]
     else:
-        starts, probs, indicators = read_columns(text, (("run", int),) + columns, _run_starts)
-    if not probs:
+        starts, probs, indicators = read_columns(text, (("run", int),) + columns, _run_starts, arrays=True)
+    if not len(probs):
         raise ParseError("profile file contains no data rows", row=2)
-    ends = starts[1:] + [len(probs)]
-    probs, indicators = tuple(probs), tuple(indicators)  # so that each slice is a tuple
-    return [RunProfile(probs[start:end], indicators[start:end]) for start, end in zip(starts, ends)]
+    return RunProfiles(probs, indicators, starts)
 
 
-def _run_starts(rows: Sequence[int], table: list[list]) -> tuple[list[int], list, list]:
+def _run_starts(rows: Sequence[int], table: list) -> tuple[list[int], object, object]:
     """Where each run starts, then the p and y columns; ParseError where a run id reappears."""
     runs, probs, indicators = table
     # A run starts where its id differs from the row before.
-    changed = map(operator.ne, runs, itertools.chain((None,), runs))
-    starts = list(itertools.compress(range(len(runs)), changed))
+    if type(runs) is list:
+        changed = map(operator.ne, runs, itertools.chain((None,), runs))
+        starts = list(itertools.compress(range(len(runs)), changed))
+    else:  # numpy's int64 column, of at least one row
+        starts = [0, *((runs[1:] != runs[:-1]).nonzero()[0] + 1).tolist()]
+        runs = memoryview(runs)  # whose items are Python ints
     seen: set[int] = set()
     for start in starts:
         if runs[start] in seen:

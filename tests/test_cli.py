@@ -1113,13 +1113,16 @@ def test_numpy_free_verbs_do_not_import_typing(tmp_path):
     """Without site (which may import typing or pathlib itself), no verb that runs
     without numpy loads typing, nor pathlib, json, statistics, fractions or decimal,
     nor argparse (with its gettext and shutil), which only help and usage errors need;
-    the seeded draws and the discovery fit are among them at the benchmark's cli-cold sizes."""
+    the seeded draws and the discovery fit are among them at the benchmark's cli-cold sizes,
+    and so is fit nelson on a profile of ARRAY_MIN - 1 rows."""
     periods = tmp_path / "periods.csv"
     periods.write_text(PERIODS_TWO)
     discovery = tmp_path / "discovery.csv"
     discovery.write_text(_discovery_text(20))
     profile = tmp_path / "profile.csv"
     profile.write_text(PROFILE_TWO_RUNS)
+    wide_profile = tmp_path / "wide_profile.csv"  # one row short of numpy's reader
+    wide_profile.write_text("p,y\n" + "".join(f"{1 / (ARRAY_MIN - 1)!r},{j % 2}\n" for j in range(ARRAY_MIN - 1)))
     schedule = tmp_path / "schedule.csv"  # Poisson means from about 20 down to 4: both of numpy's samplers
     schedule.write_text("tau,corrected,exposure\n" + "".join(f"{j + 1}.0,{2 * j},1570.0\n" for j in range(40)))
     calls = [
@@ -1131,6 +1134,7 @@ def test_numpy_free_verbs_do_not_import_typing(tmp_path):
          "--cost-error", "7.5", "--cost-test", "1", "--horizon", "1"],
         ["faulttol", "--total-time", "1000", "--overhead", "1", "--failure-rate", "0.001"],
         ["fit", "nelson", "--profile", str(profile)],
+        ["fit", "nelson", "--profile", str(wide_profile)],
         ["fit", "jm", "--input", str(NTDS)],
         ["fit", "weibull", "--input", str(NTDS)],
         ["fit", "schumann", "--input", str(periods), "--instructions", "1000"],

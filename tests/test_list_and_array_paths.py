@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -27,7 +28,8 @@ from unittest import mock
 
 import pytest
 
-from relgauge import cli, debug_economics, draws, failure_data, model_jm, model_schumann, model_weibull, numerics
+from relgauge import cli, debug_economics, draws, failure_data, model_jm, model_nelson, model_schumann, model_weibull
+from relgauge import numerics
 from relgauge.failure_data import DebugPeriod, FailureEpochs, intervals_from_epochs, parse_failure_epochs
 from relgauge.record import Record
 
@@ -284,6 +286,92 @@ def test_cli_epoch_fits_match_the_library_fits_on_the_same_floats(tmp_path, coun
         written = json.loads(out.read_text())
         del written["provenance"]
         assert _bits(written) == _bits(json.loads(json.dumps(report))), model
+
+
+def _profile_lines(count, layout):
+    """``count`` profile rows as text lines, in runs of up to 100 input sets whose p sum to 1."""
+    rng = random.Random(count)
+    lines, runs = [], []
+    for run, start in enumerate(range(0, count, count if layout == "p,y" else 100)):
+        weights = [rng.random() for _ in range(min(100, count - start) if layout != "p,y" else count)]
+        probs = tuple(w / math.fsum(weights) for w in weights)
+        ys = tuple(int(rng.random() < 0.05) for _ in probs)
+        runs.append(model_nelson.RunProfile(probs, ys))
+        prefix = "" if layout == "p,y" else f"{run + 1},"
+        lines += [f"{prefix}{p!r},{y}" for p, y in zip(probs, ys)]
+    return [layout, *lines], runs
+
+
+def _nelson_read_paths(text, count):
+    """parse_profiles(text) on numpy's reader and on the lists: (columns' type, profiles) or the error."""
+    outcomes = []
+    for limit in (0, count + 1):
+        with mock.patch.object(numerics, "ARRAY_MIN", limit):
+            try:
+                profiles = model_nelson.parse_profiles(text)
+            except Exception as exc:  # the type, message and row are what is compared
+                outcomes.append((type(exc).__name__, str(exc), getattr(exc, "row", None)))
+            else:
+                outcomes.append((type(profiles.probs).__name__, list(profiles)))
+    return outcomes
+
+
+@pytest.mark.parametrize("layout", ["p,y", "run,p,y"])
+@pytest.mark.parametrize("count", [numerics.ARRAY_MIN - 1, numerics.ARRAY_MIN, 10_000])
+def test_nelson_fits_give_the_same_bytes_on_both_read_paths(tmp_path, count, layout):
+    """fit nelson reads the profile with numpy's reader into columns from ARRAY_MIN rows on, and
+    into lists below; either way the runs are today's RunProfile records and the report's bytes
+    are the same."""
+    pytest.importorskip("numpy")
+    lines, runs = _profile_lines(count, layout)
+    path = tmp_path / "profile.csv"
+    path.write_text("\n".join(lines) + "\n")
+    arrays, lists = _nelson_read_paths(path.read_text(), count)
+    assert arrays == ("memoryview", runs) and lists == ("tuple", runs)
+    assert model_nelson.parse_profiles(path.read_text()) == runs
+    reports = []
+    for limit in (None, 0, count + 1):
+        with mock.patch.object(numerics, "ARRAY_MIN", numerics.ARRAY_MIN if limit is None else limit):
+            out = tmp_path / f"{limit}.json"
+            assert cli.run_cli(["fit", "nelson", "--profile", str(path), "--output", str(out)]) == 0
+            reports.append([line for line in out.read_text().splitlines() if '"generated_at":' not in line])
+    assert reports[0] == reports[1] == reports[2]
+    assert json.loads(out.read_text())["runs"] == len(runs)
+
+
+def _edited(line, p=str, y=str):
+    *run, prob, flag = line.split(",")
+    return ",".join([*run, p(prob), y(flag)])
+
+
+def _edit_profile(lines, edit):
+    """Make ``edit`` in the lines of a profile file; line 0 is the header, so line i is row i + 1."""
+    if edit == "reappearing run":  # the last row takes the first run's id
+        lines[-1] = "1," + lines[-1].split(",", 1)[1]
+    elif edit == "negative p":
+        lines[150] = _edited(lines[150], p=lambda p: f"-{p}")
+    elif edit == "p sum off by 2e-9":
+        lines[-5] = _edited(lines[-5], p=lambda p: repr(float(p) + 2e-9))
+    elif edit == "y = 2":
+        lines[200] = _edited(lines[200], y=lambda y: "2")
+    elif edit == "bad token after a bad value":  # the token's ParseError comes first on both paths
+        lines[30] = _edited(lines[30], p=lambda p: f"-{p}")
+        lines[-20] = _edited(lines[-20], p=lambda p: "x")
+
+
+@pytest.mark.parametrize(
+    "edit, layout",
+    [("reappearing run", "run,p,y")]
+    + [(edit, layout) for edit in ("negative p", "p sum off by 2e-9", "y = 2", "bad token after a bad value")
+       for layout in ("p,y", "run,p,y")],
+)
+def test_nelson_profile_errors_are_the_same_on_both_read_paths(edit, layout):
+    pytest.importorskip("numpy")
+    count = numerics.ARRAY_MIN + 244
+    lines, _ = _profile_lines(count, layout)
+    _edit_profile(lines, edit)
+    arrays, lists = _nelson_read_paths("\n".join(lines) + "\n", count)
+    assert arrays == lists and len(arrays) == 3, edit  # an error, not profiles
 
 
 # argv: the calls as JSON, the output directory and any settings such as draws.DRAWS_MIN=0.

@@ -1,7 +1,10 @@
 """Tests for structural reliability from input-profile runs."""
 
+import copy
+import itertools
 import math
 import operator
+import pickle
 
 import hypothesis
 import numpy as np
@@ -12,6 +15,7 @@ from relgauge.errors import DomainError, ParseError, WeightSumMismatch
 from relgauge.model_nelson import (
     PartitionSpec,
     RunProfile,
+    RunProfiles,
     failure_rate,
     parse_profiles,
     parse_weights,
@@ -314,3 +318,73 @@ def test_profile_files_give_the_bits_and_errors_of_the_products(runs, grouped):
         text = "p,y\n" + "".join(f"{p!r},{y}\n" for p, y in zip(*runs[0]))
     got = _outcome(lambda: [float.hex(run_failure_prob(profile)) for profile in parse_profiles(text)])
     assert got == _outcome(lambda: [float.hex(_q_before(*run)) for run in runs])
+
+
+def test_run_profiles_index_iterate_and_compare_as_the_list_of_records():
+    profiles = parse_profiles("run,p,y\n1,0.5,0\n1,0.5,1\n2,0.25,0\n2,0.75,0\n3,1.0,1\n")
+    expected = [RunProfile((0.5, 0.5), (0, 1)), RunProfile((0.25, 0.75), (0, 0)), RunProfile((1.0,), (1,))]
+    assert type(profiles) is RunProfiles and profiles.starts == (0, 2, 4)
+    assert len(profiles) == 3 and profiles == expected and expected == profiles
+    assert profiles != expected[:2] and profiles != expected[::-1]
+    assert list(profiles) == expected and profiles[-1] == expected[-1] and profiles[1:] == expected[1:]
+    assert profiles[::-2] == expected[::-2] and profiles.index(expected[1]) == 1 and expected[2] in profiles
+    assert next(iter(profiles)) is not profiles[0]  # each made when asked for
+    for index in (3, -4):
+        with pytest.raises(IndexError):
+            profiles[index]
+
+
+def test_run_profiles_hold_numpys_columns_as_read_only_memoryviews():
+    profiles = RunProfiles(np.array([0.5, 0.5, 1.0]), np.array([0, 1, 1]), [0, 2])
+    assert profiles.probs.readonly and profiles.indicators.readonly
+    assert profiles == [RunProfile((0.5, 0.5), (0, 1)), RunProfile((1.0,), (1,))]
+    assert [type(v) for v in profiles[1].probs + profiles[1].indicators] == [float, int]
+    for copied in (pickle.loads(pickle.dumps(profiles)), copy.deepcopy(profiles)):  # as the list of records did
+        assert type(copied) is RunProfiles and copied == profiles and copied.probs == (0.5, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("columns", [list, np.array])
+@pytest.mark.parametrize(
+    "probs, ys, starts",
+    [
+        ([0.5, 0.5], [1], [0]),  # columns of unequal length
+        ([], [], []),
+        ([0.5, 1.0], [0, 1], [1]),  # row 0 in no run
+        ([0.5, 0.5, 1.0], [0, 0, 1], [0, 2, 2]),
+        ([0.5, 0.5, 1.0], [0, 0, 1], [0, 2, 1]),
+        ([0.5, 0.5], [0, 1], [0, 2]),  # a start beyond the columns
+        ([0.5, 0.5], [0, 1], []),
+    ],
+)
+def test_run_profiles_refuse_columns_and_starts_that_do_not_make_runs(columns, probs, ys, starts):
+    with pytest.raises(DomainError):
+        RunProfiles(columns(probs), columns(ys), starts)
+
+
+def _largest_passing_sum() -> float:
+    """The largest float p with p - 1 <= 1e-9: RunProfile's sum test passes it and fails the next float."""
+    p = 1.0 + 1e-9
+    while p - 1.0 > 1e-9:
+        p = math.nextafter(p, 0.0)
+    while math.nextafter(p, 2.0) - 1.0 <= 1e-9:
+        p = math.nextafter(p, 2.0)
+    return p
+
+
+_EDGE = _largest_passing_sum()
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None)
+@hypothesis.given(runs=st.lists(_profile(st.sampled_from([0, 1, 2])), min_size=1, max_size=5))
+@hypothesis.example(runs=[((2.0**-54, 2.0**-54, _EDGE), (0, 0, 0))])  # a float64 pass sum passes, math.fsum's fails
+@hypothesis.example(runs=[((_EDGE,), (1,)), ((math.nextafter(_EDGE, 2.0),), (0,))])
+@hypothesis.example(runs=[((0.5, 0.5), (0, 1)), ((0.5, -0.5, 1.0), (0, 0, 2))])
+@hypothesis.example(runs=[((0.5, 0.5), (0, 2)), ((math.nan, 1.0), (0, 0))])  # the first bad run is named
+def test_run_profiles_check_their_columns_as_run_profile_checks_each_run(runs):
+    """On lists and on numpy's float64 and int64 columns: the records, or the first bad run's error."""
+    runs = [(probs, ys[: len(probs)]) for probs, ys in runs]
+    starts = list(itertools.accumulate(len(probs) for probs, _ in runs[:-1]))
+    probs, ys = [p for run, _ in runs for p in run], [y for _, run in runs for y in run]
+    expected = _outcome(lambda: [RunProfile(*run) for run in runs])
+    assert _outcome(lambda: list(RunProfiles(probs, ys, [0, *starts]))) == expected
+    assert _outcome(lambda: list(RunProfiles(np.array(probs), np.array(ys, np.int64), [0, *starts]))) == expected
