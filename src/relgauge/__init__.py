@@ -15,7 +15,9 @@ A cold call pays only for the code it runs:
   so ``relgauge predict jm`` loads ``model_jm`` and none of the others, and
   ``failure_data`` only for the verbs that read its formats or records.
 - numpy is imported inside the functions that build or draw arrays, never
-  at module level, so the closed-form calls (predictions, economics from
+  at module level (``decimal_columns``, which imports it, is itself
+  imported by the reader only for a file of ``numerics.ARRAY_MIN`` rows or
+  more), so the closed-form calls (predictions, economics from
   given parameters, fault-tolerance planning) do not pay its start-up
   cost, nor do fits on fewer than ``numerics.ARRAY_MIN`` records or rows
   (the discovery-curve fit of ``economics --fit`` and the input-profile

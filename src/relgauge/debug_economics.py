@@ -277,7 +277,7 @@ def _check_observations(taus, counts) -> None:
 
 def parse_discovery(text: str) -> list[tuple[float, float]]:
     """Parse ``tau,corrected`` CSV text into (time, cumulative count) pairs."""
-    from .failure_data import read_columns  # here, so economics from parameters does not load it
+    from .failure_data import listed, read_columns  # here, so economics from parameters does not load it
 
-    _, (taus, counts) = read_columns(text, (("tau", float), ("corrected", float)))
-    return list(zip(taus, counts))
+    _, table = read_columns(text, (("tau", float), ("corrected", float)), arrays=True)
+    return list(zip(*listed(table)))

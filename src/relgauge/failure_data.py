@@ -8,10 +8,11 @@ without guesswork.  A regular file is split once and converted a whole
 column at a time, CR and CRLF line ends read as LF: a one-column file is
 split at its line ends alone, and an int column whose tokens repeat (run
 ids, 0/1 flags) calls int once per distinct token.  Asked for arrays, a
-regular file of two or more columns and ``numerics.ARRAY_MIN`` rows or more
-(a run profile) is instead converted by numpy's C reader into float64 and
-int64 columns.  Any other file is read row by row, and that reader owns
-every error message.  A parser checks its
+regular file of float and int columns and ``numerics.ARRAY_MIN`` rows or
+more (epochs, periods, profiles, discovery rows) is instead converted by
+:mod:`relgauge.decimal_columns` into float64 and int64 columns, in numpy
+passes that give float()'s bits and int()'s values.  Any other file is read
+row by row, and that reader owns every error message.  A parser checks its
 values in one ``build`` hook, which :func:`read_columns` runs once, so the
 first bad row in file order is reported whichever path the file takes.
 """
@@ -24,7 +25,6 @@ import io
 import math
 import operator
 import sys
-import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
 
@@ -235,11 +235,10 @@ def read_columns(
     Without it the row numbers and the columns are returned.
 
     With ``arrays``, a regular file (see :func:`_split_columns`) of at least
-    ``numerics.ARRAY_MIN`` rows gives arrays of the same values instead of
-    lists: a one-column file its float column as a float64 ndarray, and a
-    file of two or more float and int columns, read by numpy's C reader,
-    a float64 or int64 ndarray per column.  Where that reader would differ
-    from the row reader, the row reader reads the file, into lists.
+    ``numerics.ARRAY_MIN`` rows and only float and int columns gives arrays
+    of the same values instead of lists: a float64 or int64 ndarray per
+    column, converted by :mod:`relgauge.decimal_columns`.  A file that
+    converter cannot take token for token, the row reader reads, into lists.
     """
     table = _split_columns(text, columns, arrays)
     if table is not None:
@@ -269,9 +268,10 @@ def _split_columns(text: str, columns: _ColumnSpec, arrays: bool = False) -> lis
     reader.  "\r\n" and "\r" become "\n" as in the row reader, and lines
     are split on "\n" alone: csv ends a line at no other character
     (str.splitlines would also split on \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029).
-    With ``arrays`` and at least ``numerics.ARRAY_MIN`` lines, a file of
-    two or more columns is read by :func:`_loaded_columns`, and a one-column
-    file's float column is filled into a float64 ndarray a block at a time.
+    With ``arrays``, at least ``numerics.ARRAY_MIN`` lines and only float
+    and int columns, :func:`decimal_columns.arrays` converts the body into
+    ndarrays, or gives None where a line or a token is not one the callables
+    take as they are.
     """
     if '"' in text:
         return None
@@ -295,70 +295,25 @@ def _split_columns(text: str, columns: _ColumnSpec, arrays: bool = False) -> lis
     if width == 1 and text.find(",", start, stop) >= 0:
         return None
     lines = text.count("\n", start, stop) + 1 if arrays and stop > start else 0
-    if lines >= numerics.ARRAY_MIN:
-        if width > 1:
-            return _loaded_columns(text, start, stop, columns, lines)
-        import numpy as np
+    if lines >= numerics.ARRAY_MIN and {kind for _, kind in columns} <= {float, int}:
+        from . import decimal_columns  # here, so a smaller file never compiles it
 
-        table: list = [np.empty(lines) if kind is float else [] for _, kind in columns]
-    else:
-        table = [[] for _ in columns]
-    # The body is taken a block of lines at a time, so only one block's
-    # tokens, and an array column's floats, are alive at once.
-    row = 0
+        return decimal_columns.arrays(text, start, stop, [kind for _, kind in columns], lines)
+    # The body is taken a block of lines at a time, so only one block's tokens are alive at once.
+    table: list = [[] for _ in columns]
     while start < stop:
         end = text.find("\n", start + _SPLIT_CHARS, stop)
         end = stop if end < 0 else end
         tokens = _block_columns(text[start:end], width)
         if tokens is None:
             return None
-        count = len(tokens[0])
         try:
             for column, (_, kind), column_tokens in zip(table, columns, tokens):
-                if type(column) is list:
-                    column.extend(_converted(kind, column_tokens))
-                else:
-                    column[row : row + count] = np.fromiter(map(float, column_tokens), float, count)
+                column.extend(_converted(kind, column_tokens))
         except Exception:  # the row reader reports the first bad token, by row
             return None
-        row += count
         start = end + 1
     return table
-
-
-def _loaded_columns(text: str, start: int, stop: int, columns: _ColumnSpec, lines: int) -> list | None:
-    """The float64 and int64 columns of the body ``text[start:stop]`` read by numpy's C reader, or None.
-
-    np.loadtxt takes a block of lines at a time, as the split does.  It
-    strips the whitespace that str.strip strips and parses a float token
-    with float()'s own routine, so every token it takes has float()'s bits
-    or int()'s value.  It rejects the spellings it does not share with them
-    (1_0, non-ASCII digits, a fraction or exponent in an int column), a line
-    of another width, and an int beyond int64.  Any of these gives None, so
-    the row reader reports the first bad row.  So does any warning loadtxt
-    gives, as for a block of blank lines, or as older numpy did where it
-    truncated "1.0" into an int field; and so do fewer rows than lines,
-    since loadtxt skips blank lines.
-    """
-    import numpy as np
-
-    dtype = np.dtype([(name, {float: "f8", int: "i8"}[kind]) for name, kind in columns])
-    table = [np.empty(lines, dtype[name]) for name in dtype.names]
-    row = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        while start < stop:
-            end = text.find("\n", start + _SPLIT_CHARS, stop)
-            end = stop if end < 0 else end
-            try:
-                values = np.loadtxt(io.StringIO(text[start:end]), dtype, delimiter=",", comments=None, ndmin=1)
-                for column, name in zip(table, dtype.names):
-                    column[row : row + len(values)] = values[name]
-            except (ValueError, OverflowError, Warning):
-                return None
-            row += len(values)
-            start = end + 1
-    return table if row == lines else None
 
 
 def _block_columns(block: str, width: int) -> list[list[str]] | None:
@@ -375,6 +330,11 @@ def _block_columns(block: str, width: int) -> list[list[str]] | None:
     if len(tokens) != lines * stride - 1 or tokens[width::stride].count("\n") != lines - 1:
         return None
     return [tokens[i::stride] for i in range(width)]
+
+
+def listed(table: list) -> list[list]:
+    """Each column of ``table`` as a list of Python floats and ints: an ndarray's by ``tolist``."""
+    return [column if type(column) is list else column.tolist() for column in table]
 
 
 def _converted(kind: Callable[[str], object], tokens: list[str]) -> Iterable:
@@ -501,10 +461,11 @@ def parse_failure_epochs(text: str) -> FailureEpochs:
 def parse_debug_periods(text: str) -> DebugPeriods:
     """Parse ``tau,corrected,exposure,failures`` CSV text into checked period columns."""
     columns = (("tau", float), ("corrected", int), ("exposure", float), ("failures", int))
-    return read_columns(text, columns, _debug_periods)
+    return read_columns(text, columns, _debug_periods, arrays=True)
 
 
-def _debug_periods(rows: Sequence[int], table: list[list]) -> DebugPeriods:
+def _debug_periods(rows: Sequence[int], table: list) -> DebugPeriods:
+    table = listed(table)
     try:
         return DebugPeriods(*map(tuple, table))
     except DomainError:

@@ -71,6 +71,11 @@ def hazard(fit: WeibullFit, t: float) -> float:
             rate = fit.m * fit.lam * (fit.lam * t) ** (fit.m - 1.0)
         except OverflowError:
             rate = math.inf
+        except ZeroDivisionError:  # lam t underflowed to 0 for a shape below 1: the hazard in logs
+            try:
+                rate = math.exp(math.log(fit.m) + fit.m * math.log(fit.lam) + (fit.m - 1.0) * math.log(t))
+            except OverflowError:
+                rate = math.inf
     if not rate < math.inf:
         raise OutOfRange(f"the hazard at t = {t} overflows a float for shape {fit.m} and scale {fit.lam}")
     return rate

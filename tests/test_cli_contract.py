@@ -14,6 +14,7 @@ import warnings
 
 import pytest
 
+from relgauge import model_weibull
 from relgauge.cli import run_cli
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -158,6 +159,11 @@ def test_every_argv_ends_in_a_report_or_one_error_line(paths, verb):
     check()
 
 
+# Shape, scale and time where scale * time underflows to 0 below a shape of 1, once a
+# ZeroDivisionError traceback: the hazard is about shape / time = 59.5, and the mttf beyond a float.
+_UNDERFLOWING_WEIBULL = ("2.196217713707e-311", "4.94984165082482e-165", "3.68820164174e-313")
+
+
 @pytest.mark.parametrize(
     "argv, error, message",
     [
@@ -165,6 +171,9 @@ def test_every_argv_ends_in_a_report_or_one_error_line(paths, verb):
          "the hazard at t = 10.0 overflows a float for shape 400.0 and scale 1.0"),
         ("predict weibull --shape 1e308 --scale 1 --time 2", "OutOfRange",
          "the hazard at t = 2.0 overflows a float for shape 1e+308 and scale 1.0"),
+        ("predict weibull --shape {} --scale {} --time {}".format(*_UNDERFLOWING_WEIBULL), "OutOfRange",
+         "report field mttf holds a value that is not a finite number: "
+         "Out of range float values are not JSON compliant: inf"),
         ("predict jm --e0 nan --k 1 --index 1 --dt 1", "DomainError", "e0 must be finite, got nan"),
         ("predict jm --e0 inf --k 1 --index 1 --dt 1", "DomainError", "e0 must be finite, got inf"),
     ],
@@ -176,3 +185,14 @@ def test_bad_values_are_named_in_one_error_line(argv, error, message):
     assert (code, stdout, caught) == (2, "", [])
     assert stderr.count("\n") == 1
     assert json.loads(stderr) == {"error": error, "message": message, "exit_code": 2}
+
+
+def test_a_hazard_whose_scale_times_time_underflows_is_taken_in_logs():
+    """m lam^m t^(m - 1) where lam t underflows to 0 for m < 1, against its 50-digit value."""
+    mpmath = pytest.importorskip("mpmath")
+    m, lam, t = map(float, _UNDERFLOWING_WEIBULL)
+    with mpmath.workdps(50):
+        exact = mpmath.mpf(m) * mpmath.mpf(lam) ** m * mpmath.mpf(t) ** (mpmath.mpf(m) - 1)
+        # The log form's error is that of its exponent, about 720 units of 2^-53 here.
+        assert abs(model_weibull.hazard(model_weibull.WeibullFit(m, lam), t) - exact) <= 1e-12 * exact
+    assert float(exact) == pytest.approx(59.547116, rel=1e-7)

@@ -5,6 +5,9 @@ import itertools
 import math
 import operator
 import pickle
+import sys
+import threading
+import warnings
 
 import hypothesis
 import numpy as np
@@ -388,3 +391,40 @@ def test_run_profiles_check_their_columns_as_run_profile_checks_each_run(runs):
     expected = _outcome(lambda: [RunProfile(*run) for run in runs])
     assert _outcome(lambda: list(RunProfiles(probs, ys, [0, *starts]))) == expected
     assert _outcome(lambda: list(RunProfiles(np.array(probs), np.array(ys, np.int64), [0, *starts]))) == expected
+
+
+def test_concurrent_profile_reads_leave_other_threads_warnings_alone():
+    """Three threads read a 1,000-row profile while a fourth warns under an "ignore" filter:
+    no warning of the fourth becomes an exception, and the process's filters end as they began."""
+    text = "run,p,y\n" + "".join(f"{run},0.1,{(run + i) % 2}\n" for run in range(1, 101) for i in range(10))
+    expected = parse_profiles(text)
+    results, raised = [], []
+
+    def read():
+        results.extend(parse_profiles(text) == expected for _ in range(40))
+
+    readers = [threading.Thread(target=read) for _ in range(3)]
+
+    def warn():
+        while any(reader.is_alive() for reader in readers):
+            try:
+                warnings.warn("benign", UserWarning)
+            except Warning as exc:
+                raised.append(exc)
+
+    interval = sys.getswitchinterval()
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "benign", UserWarning)
+        before = list(warnings.filters)
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [*readers, threading.Thread(target=warn)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert warnings.filters == before
+    assert raised == [] and results == [True] * 120

@@ -1,15 +1,15 @@
 """Property test: the columnar fast path reads exactly what the row-by-row reader reads."""
 
 import csv
-import io
+import re
 import struct
 import warnings
 from unittest import mock
 
 import pytest
 
-from relgauge import failure_data, numerics
-from relgauge.errors import RelgaugeError
+from relgauge import decimal_columns, failure_data, numerics
+from relgauge.errors import ParseError, RelgaugeError
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -118,9 +118,9 @@ def test_fast_path_matches_row_reader_on_any_text(columns, body):
     assert _outcome(lambda: _read_columns_by_row(text, columns)) == reference
 
 
-# From numerics.ARRAY_MIN lines on, read_columns(..., arrays=True) reads a regular file of two
-# or more columns with numpy's C reader.  It must take a file exactly when its tokens give the
-# row reader's values, and leave every other file to the row reader.
+# From numerics.ARRAY_MIN lines on, read_columns(..., arrays=True) converts a regular file of
+# float and int columns with decimal_columns.  It must take a file exactly when its tokens give
+# the row reader's values, and leave every other file to the row reader.
 _NUMERIC_LAYOUTS = [
     (("run", int), ("p", float), ("y", int)),
     (("p", float), ("y", int)),
@@ -132,11 +132,12 @@ _NUMBERS = {
     float: ["0.5", "1", "-0.0", "1e3", "2.5E-3", ".5", "5.", "+7", "1e400", "1e-400", "0.1000000000000000055511151231257827"],
     int: ["0", "1", "7", "-3", "+5", "007", "-0", str(2**63 - 1), str(-(2**63))],
 }
-# Tokens the row reader may take but numpy's reader does not, or that neither takes.
+# Tokens that are not plain decimals: the callables take some, the row reader some more after
+# str.strip, and neither takes the rest.
 _OTHERS = {
     float: ["1_0", "١", "١.٥", "１", "inf", "-Infinity", "nan", "-nan", "+NaN", "infinit",
-            "nan(1)", "0x10", "1.5e", "", " ", "x", "1 2", "1\x002", "1#2"],
-    int: ["1.0", "1e2", "1_0", str(2**63), str(-(2**63) - 1), "١", "７", "\xb2", "", " ", "x", "0x1f",
+            "nan(1)", "0x10", "1.5e", ".", "1..2", "", " ", "x", "1 2", "1\x002", "1#2"],
+    int: ["1.0", "1.", ".", "1e2", "1_0", str(2**63), str(-(2**63) - 1), "١", "７", "\xb2", "", " ", "x", "0x1f",
           "1" * 4301, "- 1", "1#2"],
 }
 _ROW_EDITS = st.sampled_from(["token", "token", "trailing comma", "short", "long", "blank", "spaces"])
@@ -186,6 +187,21 @@ def _read_columns_by_row_as_python(text, columns):
     return zip(rows, zip(*(column if type(column) is list else column.tolist() for column in table)))
 
 
+def _check_numeric_text(case, split):
+    """Blocks of ``split`` characters make the converter read the file in several blocks."""
+    columns, text = case
+    reference = _values(lambda: failure_data._read_rows(text, columns))
+    with mock.patch.object(failure_data, "_SPLIT_CHARS", split), \
+            mock.patch.object(decimal_columns, "BLOCK_CHARS", split), warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning may reach stderr
+        table = failure_data._split_columns(text, columns, arrays=True)
+        assert _values(lambda: _read_columns_by_row_as_python(text, columns)) == reference
+    if table is not None:  # the converter took the file: an array per column, of the row reader's values
+        assert {type(column).__name__ for column in table} == {"ndarray"}
+        rows = range(2, len(table[0]) + 2)
+        assert _values(lambda: zip(rows, zip(*(column.tolist() for column in table)))) == reference
+
+
 @hypothesis.settings(max_examples=120, deadline=None, database=None)
 @hypothesis.given(case=_numeric_texts(), split=st.sampled_from([64, 1 << 16]))
 @hypothesis.example(case=(_NUMERIC_LAYOUTS[0], "run,p,y\n" + "1,0.5,0\n" * 300), split=64)
@@ -195,60 +211,72 @@ def _read_columns_by_row_as_python(text, columns):
 @hypothesis.example(case=(_NUMERIC_LAYOUTS[1], "p,y\n" + "1_0,0\n" * 300), split=1 << 16)
 @hypothesis.example(case=(_NUMERIC_LAYOUTS[1], "p,y\n" + "0.5,0\n" * 300 + "0.5,1#2\n"), split=1 << 16)  # no comments
 @hypothesis.example(case=(_NUMERIC_LAYOUTS[1], "p,y\n" + " -nan\x1c,\xa01 \n" * 300), split=1 << 16)
+@hypothesis.example(case=(_NUMERIC_LAYOUTS[1], "p,y\n" + "0.5,0\n" * 300 + ".,0\n"), split=64)  # a dot alone
+@hypothesis.example(case=(_NUMERIC_LAYOUTS[1], "p,y\n" + "0.5,0\n" * 300 + "1\n1,1,1\n"), split=1 << 16)  # widths that cancel out
 def test_numpys_reader_gives_the_row_readers_columns_or_leaves_the_file_to_it(case, split):
-    """Blocks of ``split`` characters make numpy's reader read the file in several blocks."""
-    columns, text = case
-    reference = _values(lambda: failure_data._read_rows(text, columns))
-    with mock.patch.object(failure_data, "_SPLIT_CHARS", split), warnings.catch_warnings():
-        warnings.simplefilter("error")  # no numpy warning may reach stderr
-        table = failure_data._split_columns(text, columns, arrays=True)
-        assert _values(lambda: _read_columns_by_row_as_python(text, columns)) == reference
-    if table is not None:  # numpy's reader took the file: an array per column, of the row reader's values
-        assert {type(column).__name__ for column in table} == {"ndarray"}
-        rows = range(2, len(table[0]) + 2)
-        assert _values(lambda: zip(rows, zip(*(column.tolist() for column in table)))) == reference
+    _check_numeric_text(case, split)
+
+
+@hypothesis.settings(max_examples=40, deadline=None, database=None)
+@hypothesis.given(case=_numeric_texts(), split=st.sampled_from([64, 1 << 16]))
+def test_the_token_by_token_branch_gives_the_row_readers_columns_or_leaves_the_file_to_it(case, split):
+    """As where np.longdouble is not x87's format: every token goes to its column's callable."""
+    with mock.patch.object(decimal_columns, "X87", False):
+        _check_numeric_text(case, split)
 
 
 def test_numpys_reader_takes_padded_tokens_and_leaves_the_rest_to_the_row_reader():
-    pytest.importorskip("numpy")
+    """A token its column's callable takes as it is stays on the array path, with the row
+    reader's value: padding, "1_0", digits that are not ASCII.  The row reader takes the rest."""
     columns = _NUMERIC_LAYOUTS[0]
     rows = numerics.ARRAY_MIN
-    taken = "run,p,y\n" + "\x1c 7\xa0,\t-nan , 1\x0c\n" * rows
+    taken = "run,p,y\n" + " 7\xa0,\t-nan , 1\x0c\n" * (rows - 2) + "1_0,1_0.5,\u0661\n" + "+7,5.,007\n"
     table = failure_data._split_columns(taken, columns, arrays=True)
     assert [column.dtype.str for column in table] == ["<i8", "<f8", "<i8"]
-    assert table[0].tolist() == [7] * rows and table[2].tolist() == [1] * rows
+    assert table[0].tolist() == [7] * (rows - 2) + [10, 7] and table[2].tolist() == [1] * (rows - 2) + [1, 7]
     assert struct.pack("<d", float(table[1][0])) == struct.pack("<d", float("-nan"))
-    for odd in ("1_0,0.5,0", "١,0.5,0", "1,0.5,1.0", f"{2**63},0.5,0", "1,0.5,0,", "1,0.5", "", "  ", "1,0.5,0#"):
+    assert table[1][-2:].tolist() == [10.5, 5.0]
+    for odd in ("\x1c1,0.5,0", "1,0.5,1.0", f"{2**63},0.5,0", "1,0.5,0,", "1,0.5", "", "  ", "1,0.5,0#", "1,.,0", "1,,0", "1,0.5,",
+                "1,1\n1,1,1,1"):  # the last: a short and a long line, as many fields as two lines
         text = "run,p,y\n" + "1,0.5,0\n" * rows + odd + "\n1,0.5,0\n"
         assert failure_data._split_columns(text, columns, arrays=True) is None, odd
-    # Below ARRAY_MIN lines, and for one column, the split reads the file.
+    # Below ARRAY_MIN lines the split reads the file into lists, and from there a one-column file too is converted.
     assert type(failure_data._split_columns("run,p,y\n" + "1,0.5,0\n" * (rows - 1), columns, True)[0]) is list
     assert type(failure_data._split_columns("p\n" + "0.5\n" * rows, (("p", float),), True)[0]).__name__ == "ndarray"
 
 
-def test_any_warning_from_numpys_reader_leaves_the_file_to_the_row_reader():
-    """As numpy 1.23-1.26 did for "1.0" in an int64 field: a DeprecationWarning, and the value truncated."""
-    np = pytest.importorskip("numpy")
-    loadtxt = np.loadtxt
+def test_numpys_integer_reader_sees_only_digits_and_commas():
+    """np.fromstring warns only where it meets text it cannot read, and numpy's warnings are
+    left alone: a token that is not plain reaches it as zeros, with no sign, dot or exponent."""
+    fromstring, seen = decimal_columns.np.fromstring, []
 
-    def truncating(*args, **kwargs):
-        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
-        return loadtxt(*args, **kwargs)
+    def recording(data, *args, **kwargs):
+        seen.append(data)
+        return fromstring(data, *args, **kwargs)
 
-    text = "p,y\n" + "0.5,1\n" * numerics.ARRAY_MIN
-    with mock.patch.object(np, "loadtxt", truncating), warnings.catch_warnings():
+    odd = ["-0.0", "1e5", "+2", " 3 ", "1_0", "9" * 30, "0." + "0" * 30 + "1", "nan", "-inf"]
+    taken = "p,y\n" + "".join(f"{token},{i % 2}\n" for i, token in enumerate(odd * 30))
+    refused = taken + "..,0\n.,1\n1.2.3,0\n"
+    columns = _NUMERIC_LAYOUTS[1]
+    with mock.patch.object(decimal_columns.np, "fromstring", recording), warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert failure_data._split_columns(text, _NUMERIC_LAYOUTS[1], arrays=True) is None
-    assert len(failure_data._split_columns(text, _NUMERIC_LAYOUTS[1], arrays=True)[0]) == numerics.ARRAY_MIN
+        table = failure_data._split_columns(taken, columns, arrays=True)
+        assert failure_data._split_columns(refused, columns, arrays=True) is None
+    assert len(seen) == 2 and all(re.fullmatch(rb"[0-9]+(,[0-9]+)*", data) for data in seen)
+    reference = _values(lambda: failure_data._read_rows(taken, columns))
+    assert _values(lambda: zip(range(2, len(table[0]) + 2), zip(*(c.tolist() for c in table)))) == reference
 
 
-@pytest.mark.parametrize("token", ["1.0", "1e2", "1_0"])
-def test_numpy_refuses_a_float_spelling_in_an_int64_field(token):
-    """numpy 1.23-1.26 read such a token into an int field with a DeprecationWarning, truncated;
-    from 2.0 on loadtxt raises, and the row reader reports the row (pyproject.toml: numpy>=2.0)."""
-    np = pytest.importorskip("numpy")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError):
-            np.loadtxt(io.StringIO(f"0.5,{token}\n"), np.dtype([("p", "f8"), ("y", "i8")]), delimiter=",",
-                       comments=None, ndmin=1)
+@pytest.mark.parametrize("token", ["1.0", "1e2", "1.", ".5", "0x1"])
+def test_a_float_spelling_in_an_int_column_leaves_the_file_to_the_row_reader(token):
+    """int() refuses it, so the row reader reads the file and names the row; "1_0", which int() takes, stays."""
+    text = "p,y\n" + "0.5,0\n" * numerics.ARRAY_MIN + f"0.5,{token}\n"
+    columns = _NUMERIC_LAYOUTS[1]
+    for x87 in sorted({decimal_columns.X87, False}):
+        with mock.patch.object(decimal_columns, "X87", x87):
+            assert failure_data._split_columns(text, columns, arrays=True) is None
+            with pytest.raises(ParseError, match=f"could not parse y from {re.escape(repr(token))}") as caught:
+                failure_data.read_columns(text, columns, arrays=True)
+            assert caught.value.row == numerics.ARRAY_MIN + 2
+            table = failure_data._split_columns(text.replace(token, "1_0"), columns, arrays=True)
+            assert table[1].tolist() == [0] * numerics.ARRAY_MIN + [10]
