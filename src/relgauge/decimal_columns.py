@@ -28,8 +28,6 @@ import sys
 
 import numpy as np
 
-from .failure_data import _block_columns
-
 # About the text converted at a time.  On the benchmark's fit-large files
 # (10^5 rows; a 2-vCPU x86-64 VM), whole files gave 15.9 operations/s with
 # a 101.5 MB peak, and blocks of 2^16 and 2^18 characters 22.2/s and
@@ -83,6 +81,22 @@ def _each_token(block: str, kinds: list) -> list | None:
         return [np.fromiter(map(kind, column), _DTYPES[kind], count) for kind, column in zip(kinds, tokens)]
     except (ValueError, OverflowError):  # a token the callable rejects, or an int beyond int64
         return None
+
+
+def _block_columns(block: str, width: int) -> list[list[str]] | None:
+    """The tokens of each column of a block of lines, or None unless each line has ``width`` fields."""
+    if width == 1:
+        tokens = block.split("\n")
+        return None if "" in tokens else [tokens]  # an empty token is a blank line
+    # A "\n" token between lines marks where each line's fields end; no
+    # field holds a "\n", so the marks sit every width + 1 tokens exactly
+    # when every line has one field per column, and a blank line has one.
+    stride = width + 1
+    lines = block.count("\n") + 1
+    tokens = block.replace("\n", ",\n,").split(",")
+    if len(tokens) != lines * stride - 1 or tokens[width::stride].count("\n") != lines - 1:
+        return None
+    return [tokens[i::stride] for i in range(width)]
 
 
 def _exact_block(block: str, kinds: list) -> list | None:

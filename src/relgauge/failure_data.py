@@ -4,17 +4,16 @@ Three record shapes cover every estimator in the package: per-run outcome
 logs, cumulative failure epochs, and per-debugging-period counts.  Every
 CSV parser in the package reads through :func:`read_columns`, which reports
 the offending 1-based row (the header is row 1) so bad files can be fixed
-without guesswork.  A regular file is split once and converted a whole
-column at a time, CR and CRLF line ends read as LF: a one-column file is
-split at its line ends alone, and an int column whose tokens repeat (run
-ids, 0/1 flags) calls int once per distinct token.  Asked for arrays, a
-regular file of float and int columns and ``numerics.ARRAY_MIN`` rows or
-more (epochs, periods, profiles, discovery rows) is instead converted by
-:mod:`relgauge.decimal_columns` into float64 and int64 columns, in numpy
-passes that give float()'s bits and int()'s values.  Any other file is read
-row by row, and that reader owns every error message.  A parser checks its
-values in one ``build`` hook, which :func:`read_columns` runs once, so the
-first bad row in file order is reported whichever path the file takes.
+without guesswork.  Asked for arrays, a regular file of float and int
+columns and ``numerics.ARRAY_MIN`` rows or more (epochs, periods, profiles,
+discovery rows) is converted by :mod:`relgauge.decimal_columns` into
+float64 and int64 columns, in numpy passes that give float()'s bits and
+int()'s values, CR and CRLF line ends read as LF.  Every other file (run
+logs, weights, schedules, smaller files, and any file that converter
+refuses) is read row by row by csv's reader, which owns every error
+message.  A parser checks its values in one ``build`` hook, which
+:func:`read_columns` runs once, so the first bad row in file order is
+reported whichever path the file takes.
 """
 
 from __future__ import annotations
@@ -234,13 +233,14 @@ def read_columns(
     first, so the first bad row in file order is the one reported.
     Without it the row numbers and the columns are returned.
 
-    With ``arrays``, a regular file (see :func:`_split_columns`) of at least
+    With ``arrays``, a regular file (see :func:`_array_columns`) of at least
     ``numerics.ARRAY_MIN`` rows and only float and int columns gives arrays
     of the same values instead of lists: a float64 or int64 ndarray per
-    column, converted by :mod:`relgauge.decimal_columns`.  A file that
-    converter cannot take token for token, the row reader reads, into lists.
+    column, converted by :mod:`relgauge.decimal_columns`.  Every other file,
+    and one that converter cannot take token for token, the row reader
+    reads, into lists.
     """
-    table = _split_columns(text, columns, arrays)
+    table = _array_columns(text, columns) if arrays else None
     if table is not None:
         return build(range(2, len(table[0]) + 2), table)
     rows, values = [], []
@@ -258,27 +258,26 @@ def _transposed(rows: list[list], width: int) -> list[list]:
     return [list(column) for column in zip(*rows)] or [[] for _ in range(width)]
 
 
-def _split_columns(text: str, columns: _ColumnSpec, arrays: bool = False) -> list | None:
-    """Each column of ``text`` converted whole, or None unless the file is regular.
+def _array_columns(text: str, columns: _ColumnSpec) -> list | None:
+    """The ndarray columns of ``text`` from :mod:`relgauge.decimal_columns`, or None.
 
-    Regular means: no quote, a matching header, then only lines with one
-    field per column, no blank line between them, no field over csv's
-    size limit, and every token accepted by its column's callable.  csv
-    then yields exactly these rows, so the values are those of the row
-    reader.  "\r\n" and "\r" become "\n" as in the row reader, and lines
-    are split on "\n" alone: csv ends a line at no other character
-    (str.splitlines would also split on \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029).
-    With ``arrays``, at least ``numerics.ARRAY_MIN`` lines and only float
-    and int columns, :func:`decimal_columns.arrays` converts the body into
-    ndarrays, or gives None where a line or a token is not one the callables
-    take as they are.
+    Only a regular file of float and int columns and at least
+    ``numerics.ARRAY_MIN`` lines is converted.  Regular means: no quote, no
+    field over csv's size limit, and a matching header.  csv then splits the
+    body at its commas and line ends alone, and the converter gives None for
+    any line or token that the callables do not take as they are, so the
+    values are those of the row reader.  "\r\n" and "\r" become "\n" as in
+    the row reader, and lines are split on "\n" alone: csv ends a line at no
+    other character (str.splitlines would also split on \v, \f, \x1c-\x1e,
+    \x85, \u2028 and \u2029).
     """
-    if '"' in text:
+    kinds = [kind for _, kind in columns]
+    if not set(kinds) <= {float, int} or '"' in text:
         return None
     if "\r" in text:  # the test costs a fortieth of the two scans it spares
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    # A field over the limit would hold a whole aligned block of half the
-    # limit with no separator in it.
+    # A field over the limit, which float() would read as inf, would hold a
+    # whole aligned block of half the limit with no separator in it.
     block = max(csv.field_size_limit() // 2, 1)
     for start in range(0, len(text) - block + 1, block):
         if text.find(",", start, start + block) < 0 and text.find("\n", start, start + block) < 0:
@@ -291,66 +290,17 @@ def _split_columns(text: str, columns: _ColumnSpec, arrays: bool = False) -> lis
     start, stop = len(header) + 1, len(text)
     while stop > start and text[stop - 1] == "\n":  # csv skips the blank lines at the end
         stop -= 1
-    width = len(columns)
-    if width == 1 and text.find(",", start, stop) >= 0:
+    lines = text.count("\n", start, stop) + 1 if stop > start else 0
+    if lines < numerics.ARRAY_MIN:
         return None
-    lines = text.count("\n", start, stop) + 1 if arrays and stop > start else 0
-    if lines >= numerics.ARRAY_MIN and {kind for _, kind in columns} <= {float, int}:
-        from . import decimal_columns  # here, so a smaller file never compiles it
+    from . import decimal_columns  # here, so a smaller file never compiles it
 
-        return decimal_columns.arrays(text, start, stop, [kind for _, kind in columns], lines)
-    # The body is taken a block of lines at a time, so only one block's tokens are alive at once.
-    table: list = [[] for _ in columns]
-    while start < stop:
-        end = text.find("\n", start + _SPLIT_CHARS, stop)
-        end = stop if end < 0 else end
-        tokens = _block_columns(text[start:end], width)
-        if tokens is None:
-            return None
-        try:
-            for column, (_, kind), column_tokens in zip(table, columns, tokens):
-                column.extend(_converted(kind, column_tokens))
-        except Exception:  # the row reader reports the first bad token, by row
-            return None
-        start = end + 1
-    return table
-
-
-def _block_columns(block: str, width: int) -> list[list[str]] | None:
-    """The tokens of each column of a block of lines, or None unless each line has ``width`` fields."""
-    if width == 1:
-        tokens = block.split("\n")
-        return None if "" in tokens else [tokens]  # an empty token is a blank line
-    # A "\n" token between lines marks where each line's fields end; no
-    # field holds a "\n", so the marks sit every width + 1 tokens exactly
-    # when every line has one field per column, and a blank line has one.
-    stride = width + 1
-    lines = block.count("\n") + 1
-    tokens = block.replace("\n", ",\n,").split(",")
-    if len(tokens) != lines * stride - 1 or tokens[width::stride].count("\n") != lines - 1:
-        return None
-    return [tokens[i::stride] for i in range(width)]
+    return decimal_columns.arrays(text, start, stop, kinds, lines)
 
 
 def listed(table: list) -> list[list]:
     """Each column of ``table`` as a list of Python floats and ints: an ndarray's by ``tolist``."""
     return [column if type(column) is list else column.tolist() for column in table]
-
-
-def _converted(kind: Callable[[str], object], tokens: list[str]) -> Iterable:
-    """``kind`` applied to each token, through a table of the distinct tokens for int.
-
-    An int column where some token repeats the one before it (a run id, a
-    0/1 flag) calls int once per distinct token.  One with no such repeat,
-    such as a cumulative count, calls it per token, as a table would not pay.
-    """
-    if kind is not int or not any(map(operator.eq, tokens, tokens[1:])):
-        return map(kind, tokens)
-    values = {token: int(token) for token in set(tokens)}
-    return map(values.__getitem__, tokens)
-
-
-_SPLIT_CHARS = 1 << 16  # about the text split at a time
 
 
 def _read_rows(text: str, columns: _ColumnSpec) -> Iterator[tuple[int, list]]:

@@ -85,8 +85,12 @@ def reliability(fit: WeibullFit, t: float) -> float:
     """Probability of surviving to time ``t``."""
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"time must be finite and non-negative, got {t}")
+    lam_t = fit.lam * t
     try:
-        return math.exp(-((fit.lam * t) ** fit.m))
+        if t > 0.0 and not sys.float_info.min <= lam_t < math.inf:
+            # lam t is 0, subnormal or inf, where (lam t)^m may be a normal float: the power in logs
+            return math.exp(-math.exp(fit.m * (math.log(fit.lam) + math.log(t))))
+        return math.exp(-(lam_t**fit.m))
     except OverflowError:  # (lam * t)^m beyond a float: exp(-inf) = 0 exactly
         return 0.0
 

@@ -13,7 +13,10 @@ each verb's ordinary argv, each flag at each odd value or left out, and
 every example.
 
 A call is identical when its exit code, stderr and report, less
-``provenance.generated_at``, are the same bytes.  The one JSON line printed
+``provenance.generated_at``, are the same bytes.  A call where ``run_cli``
+raises is recorded as the exception's type and message instead; it is
+identical only to the same exception, and a call that raises in this
+checkout breaks the contract.  The one JSON line printed
 lists how many calls are identical; each moved float field by verb and key
 path (list indices written ``[]``) with how many calls moved it and its
 largest relative move; each other change of a report; and each changed exit
@@ -37,16 +40,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK_RUNS = [("cli-cold", 1), ("cli-cold", 2), ("cli-cold", 5), ("fit-large", 5), ("simulate-emit", 1)]
 
-# Runs in each tree's child process: argv lists in a JSON file, one [code, stdout, stderr] line out per call.
+# Runs in each tree's child process: argv lists in a JSON file, one line out per call, either
+# [code, stdout, stderr] or, where run_cli raised, the string "raised <type>: <message>".
 _CHILD = """
 import contextlib, io, json, sys
 from relgauge.cli import run_cli
 with open(sys.argv[1]) as calls, open(sys.argv[2], "w") as out:
     for argv in json.load(calls):
         stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = run_cli(argv)
-        out.write(json.dumps([code, stdout.getvalue(), stderr.getvalue()]) + "\\n")
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                result = [run_cli(argv), stdout.getvalue(), stderr.getvalue()]
+        except Exception as exc:
+            result = f"raised {type(exc).__name__}: {exc}"
+        out.write(json.dumps(result) + "\\n")
 """
 
 
@@ -86,8 +93,9 @@ def benchmark_argv(workdir: Path) -> list[list[str]]:
     return [op.args for workload in workloads_run for op in workload.ops]
 
 
-def run_tree(src: Path, calls: list[list[str]], workdir: Path) -> list[tuple[int, str, str]]:
-    """(exit code, stdout, stderr) of each call, all run by ``src``'s run_cli in one child process."""
+def run_tree(src: Path, calls: list[list[str]], workdir: Path) -> list[tuple[int, str, str] | str]:
+    """(exit code, stdout, stderr) of each call, or the exception it raised as "raised <type>: <message>",
+    all run by ``src``'s run_cli in one child process."""
     workdir.mkdir(parents=True, exist_ok=True)
     argv_file, out_file = workdir / "argv.json", workdir / "results.jsonl"
     argv_file.write_text(json.dumps(calls))
@@ -95,11 +103,15 @@ def run_tree(src: Path, calls: list[list[str]], workdir: Path) -> list[tuple[int
     env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
     subprocess.run([sys.executable, "-c", _CHILD, str(argv_file), str(out_file)], env=env, check=True)
     with open(out_file) as lines:
-        return [tuple(json.loads(line)) for line in lines]
+        return [result if type(result) is str else tuple(result) for result in map(json.loads, lines)]
 
 
-def _stable(stdout: str) -> str:
-    return "".join(line for line in stdout.splitlines(keepends=True) if '"generated_at": ' not in line)
+def _compared(result: tuple[int, str, str] | str) -> tuple[int, str, str] | str:
+    """A call's result with the report's generated_at line dropped."""
+    if type(result) is str:  # the exception run_cli raised
+        return result
+    code, stdout, stderr = result
+    return code, "".join(line for line in stdout.splitlines(keepends=True) if '"generated_at": ' not in line), stderr
 
 
 def _walk(path: str, old, new, moved: dict, changed: list) -> None:
@@ -117,22 +129,25 @@ def _walk(path: str, old, new, moved: dict, changed: list) -> None:
         changed.append({"path": path, "parent": repr(old)[:200], "change": repr(new)[:200]})
 
 
-def _outcome(code: int, stderr: str) -> str:
+def _outcome(result: tuple[int, str, str] | str) -> str:
+    if type(result) is str:  # the exception run_cli raised
+        return result
+    code, _, stderr = result
     return f"exit {code}" + (f": {stderr.strip()}" if stderr else "")
 
 
 def compare(calls: list[list[str]], parent: list, change: list) -> dict:
     """The summary of ``change``'s results against ``parent``'s, call by call."""
     summary = {"calls": len(calls), "identical": 0, "moved": {}, "changed": [], "contract": []}
-    for argv, (code_p, out_p, err_p), (code_c, out_c, err_c) in zip(calls, parent, change, strict=True):
-        if _breaks_contract(code_c, err_c):
-            summary["contract"].append({"argv": argv, "outcome": _outcome(code_c, err_c)})
-        if (code_p, err_p, _stable(out_p)) == (code_c, err_c, _stable(out_c)):
+    for argv, old, new in zip(calls, parent, change, strict=True):
+        if _breaks_contract(new):
+            summary["contract"].append({"argv": argv, "outcome": _outcome(new)})
+        if _compared(old) == _compared(new):
             summary["identical"] += 1
-        elif (code_p, err_p, code_c) == (0, "", 0) and not err_c:
+        elif old[::2] == (0, "") == new[::2]:  # both exit 0 with nothing on stderr: the reports differ
             verb = " ".join(argv[:2] if argv[0] in ("fit", "simulate", "predict") else argv[:1])
             moved, changed = {}, []
-            reports = [json.loads(out) for out in (out_p, out_c)]
+            reports = [json.loads(result[1]) for result in (old, new)]
             for report in reports:
                 report.get("provenance", {}).pop("generated_at", None)
             _walk("", *reports, moved, changed)
@@ -143,14 +158,15 @@ def compare(calls: list[list[str]], parent: list, change: list) -> dict:
                 total["largest_relative_move"] = max(total["largest_relative_move"], move)
             summary["changed"] += [{"argv": argv, **entry} for entry in changed]
         else:
-            summary["changed"].append(
-                {"argv": argv, "parent": _outcome(code_p, err_p), "change": _outcome(code_c, err_c)}
-            )
+            summary["changed"].append({"argv": argv, "parent": _outcome(old), "change": _outcome(new)})
     return summary
 
 
-def _breaks_contract(code: int, stderr: str) -> bool:
+def _breaks_contract(result: tuple[int, str, str] | str) -> bool:
     """Whether a call broke the CLI's promise: exit 0 and nothing on stderr, or 1-3 and one JSON line."""
+    if type(result) is str:  # run_cli raised
+        return True
+    code, _, stderr = result
     if code == 0:
         return stderr != ""
     lines = stderr.splitlines()

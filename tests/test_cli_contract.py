@@ -68,6 +68,10 @@ VERBS = {
                         "--time": ("float", "1")},
 }
 
+# Shape, scale and time where scale * time underflows to 0 below a shape of 1, once a
+# ZeroDivisionError traceback: the hazard is about shape / time = 59.5, and the mttf beyond a float.
+_UNDERFLOWING_WEIBULL = ("2.196217713707e-311", "4.94984165082482e-165", "3.68820164174e-313")
+
 # Flag values that random draws reach only now and then, tried on every run.
 EXAMPLES = {
     # exp(-lam * t) underflows to 0 at the given module time, which numpy's sampler refuses;
@@ -76,10 +80,15 @@ EXAMPLES = {
                   "--seed": "3", "--module-time": "20"},
                  {"--total-time": "1e-306", "--overhead": "5.986657101827642e-118",
                   "--failure-rate": "1.7976931348623157e308"}],
-    # The hazard overflows a float, and a hazard that is a float though scale^shape is not.
+    # The hazard overflows a float; a hazard that is a float though scale^shape is not;
+    # scale * time underflowing to 0, twice (the second reports a reliability of 0.99646);
+    # and scale * time beyond a float, where the reliability exp(-(scale * time)^shape) = 8.13e-110 is not.
     "predict weibull": [{"--shape": "400", "--scale": "1", "--time": "10"},
                         {"--shape": "1e308", "--scale": "1", "--time": "2"},
-                        {"--shape": "400", "--scale": "1e10", "--time": "1e-10"}],
+                        {"--shape": "400", "--scale": "1e10", "--time": "1e-10"},
+                        dict(zip(("--shape", "--scale", "--time"), _UNDERFLOWING_WEIBULL)),
+                        {"--shape": "0.007", "--scale": "1e-60", "--time": "1e-290"},
+                        {"--shape": "0.004", "--scale": "1e300", "--time": "1e300"}],
     # A non-finite e0, which the report could not hold.
     "predict jm": [{"--e0": e0, "--k": "1", "--index": "1", "--dt": "1"} for e0 in ("nan", "inf")],
 }
@@ -157,11 +166,6 @@ def test_every_argv_ends_in_a_report_or_one_error_line(paths, verb):
     for values in EXAMPLES.get(verb, ()):
         check = hypothesis.example(values)(check)
     check()
-
-
-# Shape, scale and time where scale * time underflows to 0 below a shape of 1, once a
-# ZeroDivisionError traceback: the hazard is about shape / time = 59.5, and the mttf beyond a float.
-_UNDERFLOWING_WEIBULL = ("2.196217713707e-311", "4.94984165082482e-165", "3.68820164174e-313")
 
 
 @pytest.mark.parametrize(

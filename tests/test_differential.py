@@ -49,6 +49,27 @@ def test_a_float_nudged_by_an_ulp_is_reported_under_its_path(tmp_path):
     assert move["calls"] == 1 and 0.0 < move["largest_relative_move"] <= 2.0**-52
 
 
+def test_a_call_that_raises_is_its_own_outcome(tmp_path):
+    """A copy of src whose predict weibull raises: the call is listed as changed, not a crash of the
+    tool, and as a broken promise where the checkout raises; the other call is identical."""
+    ignore = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(differential.ROOT / "src", tmp_path / "raising", ignore=ignore)
+    model = tmp_path / "raising" / "relgauge" / "model_weibull.py"
+    text = model.read_text()
+    head = 'def reliability(fit: WeibullFit, t: float) -> float:\n    """Probability of surviving to time ``t``."""\n'
+    assert text.count(head) == 1
+    model.write_text(text.replace(head, head + "    1 / 0\n"))
+    calls = [["predict", "weibull", "--shape", "2", "--scale", "1", "--time", "1"], ["fit", "jm", "--input", str(NTDS)]]
+    raising = differential.run_tree(tmp_path / "raising", calls, tmp_path / "raising-run")
+    mended = differential.run_tree(differential.ROOT / "src", calls, tmp_path / "mended-run")
+    assert raising[0] == "raised ZeroDivisionError: division by zero"
+    summary = differential.compare(calls, raising, mended)
+    assert (summary["identical"], summary["contract"]) == (1, [])
+    assert summary["changed"] == [{"argv": calls[0], "parent": raising[0], "change": "exit 0"}]
+    summary = differential.compare(calls, mended, raising)
+    assert summary["contract"] == [{"argv": calls[0], "outcome": raising[0]}]
+
+
 def test_broken_promises_are_listed():
     """A warning after exit 0, a non-JSON error line and an exit code outside 0-3 are listed."""
     results = [

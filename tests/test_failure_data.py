@@ -454,7 +454,7 @@ def test_read_columns_builds_once():
         return "built"
 
     columns = (("a", float), ("b", int))
-    for text in ("a,b\n1,2\n3,4\n", "a,b\r\n1,2\r\n\r\n3,4\r\n"):  # columnar, then row by row
+    for text in ("a,b\n1,2\n3,4\n", "a,b\r\n1,2\r\n\r\n3,4\r\n"):  # LF, then CRLF with a blank line
         assert failure_data.read_columns(text, columns, build) == "built"
     assert calls == [([2, 3], [[1.0, 3.0], [2, 4]]), ([2, 4], [[1.0, 3.0], [2, 4]])]
     calls.clear()
@@ -466,20 +466,17 @@ def test_read_columns_builds_once():
 
 
 def test_each_value_is_checked_once(monkeypatch):
-    """A file read row by row has its values checked once, as a regular file has."""
-    records, periods, reads = [], [], []
+    """Each run is checked once, and the period columns are checked whole, with or without a blank line."""
+    records, periods = [], []
     run_record, debug_period = failure_data.RunRecord, failure_data.DebugPeriod
-    row_reader = failure_data._read_rows
     monkeypatch.setattr(failure_data, "RunRecord", lambda *args: records.append(1) or run_record(*args))
     monkeypatch.setattr(failure_data, "DebugPeriod", lambda *args: periods.append(1) or debug_period(*args))
-    monkeypatch.setattr(failure_data, "_read_rows", lambda *args: reads.append(1) or row_reader(*args))
-    for blank, row_reads in (([], 0), ([""], 2)):  # a regular file, then one read row by row
+    for blank in ([], [""]):
         parse_run_log("\n".join(["duration,outcome", "1.0,success", *blank, "2.0,failure", "3.0,success", ""]))
         assert len(records) == 3
         periods_text = ["tau,corrected,exposure,failures", "1.0,20,1000,10", *blank, "2.0,50,1600,10", ""]
         parse_debug_periods("\n".join(periods_text))
         assert not periods  # the columns are checked whole
-        assert len(reads) == row_reads
         records.clear()
 
 
@@ -489,33 +486,51 @@ def _fallback_cases():
         yield parser, header, rows, header.count(",") + 1
 
 
+# The parsers that read with arrays=True, with the i-th valid row of a file of ARRAY_MIN rows.
+ARRAY_CASES = [
+    (parse_failure_epochs, "epoch", lambda i: f"{i + 1}.5"),
+    (parse_debug_periods, "tau,corrected,exposure,failures", lambda i: f"{i + 1}.0,{i},1000.0,{i % 3}"),
+    (parse_discovery, "tau,corrected", lambda i: f"{i + 1},{i}.5"),
+    (parse_profiles, "p,y", lambda i: f"{1 / numerics.ARRAY_MIN!r},{i % 2}"),
+    (parse_profiles, "run,p,y", lambda i: f"{i // 8 + 1},0.125,{i % 2}"),
+]
+
+
+def _all_cases():
+    """The parser cases, then the files of ARRAY_MIN rows, which a regular file keeps on the array path."""
+    yield from _fallback_cases()
+    for parser, header, row in ARRAY_CASES:
+        yield parser, header, [*map(row, range(numerics.ARRAY_MIN))], header.count(",") + 1
+
+
 def test_line_ends_are_read_whole(monkeypatch):
-    """CRLF, CR and trailing blank lines keep a file on the columnar path, with the LF result."""
+    """CRLF, CR and trailing blank lines give the LF result, and keep a file of ARRAY_MIN rows on the array path."""
     reads = []
     row_reader = failure_data._read_rows
     monkeypatch.setattr(failure_data, "_read_rows", lambda *args: reads.append(1) or row_reader(*args))
-    for parser, header, rows, _ in _fallback_cases():
+    for parser, header, rows, _ in _all_cases():
         plain = "\n".join([header, *rows]) + "\n"
         expected = parser(plain)
         for newline in ("\r\n", "\r"):
             assert parser(plain.replace("\n", newline)) == expected, (parser.__name__, newline)
             assert parser(plain.replace("\n", newline) + newline * 2) == expected, (parser.__name__, newline)
         assert parser(plain + "\n\n") == expected, parser.__name__
-        assert not reads, parser.__name__
+        assert bool(reads) == (len(rows) < numerics.ARRAY_MIN), (parser.__name__, header)
+        reads.clear()
 
 
-# Each way a file leaves the columnar path, with what the row reader makes of it:
-# the same result as the plain file, or its own ParseError.
+# Each way a file leaves the array path, with what the row reader makes of it:
+# the same result as the plain file, or its own ParseError.  Each edits the first two rows.
 FALLBACK_TRIGGERS = {
-    "quoted token": (lambda h, r, w: [h, '"' + r[0].replace(",", '","') + '"', r[1]], None),
-    "blank line": (lambda h, r, w: [h, r[0], "", r[1]], None),
-    "wrong width": (lambda h, r, w: [h, r[0], r[1] + ",1"], "^row 3: expected {w} fields, got {w1}$"),
+    "quoted token": (lambda h, r, w: [h, '"' + r[0].replace(",", '","') + '"', *r[1:]], None),
+    "blank line": (lambda h, r, w: [h, r[0], "", *r[1:]], None),
+    "wrong width": (lambda h, r, w: [h, r[0], r[1] + ",1", *r[2:]], "^row 3: expected {w} fields, got {w1}$"),
     "field over the csv limit": (
-        lambda h, r, w: [h, r[0], " " * csv.field_size_limit() + r[1]],
+        lambda h, r, w: [h, r[0], " " * csv.field_size_limit() + r[1], *r[2:]],
         r"^row 3: field larger than field limit \(\d+\)$",
     ),
     "failed conversion": (
-        lambda h, r, w: [h, r[0], ",".join(["?", *r[1].split(",")[1:]])],
+        lambda h, r, w: [h, r[0], ",".join(["?", *r[1].split(",")[1:]]), *r[2:]],
         "^row 3: could not parse .* from '\\?'$",
     ),
 }
@@ -527,9 +542,9 @@ def test_fallback_trigger(trigger, monkeypatch):
     reads = []
     row_reader = failure_data._read_rows
     monkeypatch.setattr(failure_data, "_read_rows", lambda *args: reads.append(1) or row_reader(*args))
-    for parser, header, rows, width in _fallback_cases():
+    for parser, header, rows, width in _all_cases():
         expected = parser("\n".join([header, *rows]) + "\n")
-        assert not reads  # the plain file is read whole
+        assert bool(reads) == (len(rows) < numerics.ARRAY_MIN), parser.__name__  # a large file is read whole
         text = "\n".join(build(header, rows, width)) + "\n"
         if error is None:
             assert parser(text) == expected

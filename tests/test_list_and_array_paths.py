@@ -624,7 +624,9 @@ def _reference_intervals(text):
 def test_parsed_epochs_give_the_tuple_paths_intervals_and_errors(text, split):
     """Blocks of ``split`` characters make the array fill span several blocks."""
     np = pytest.importorskip("numpy")
-    with mock.patch.object(failure_data, "_SPLIT_CHARS", split):
+    from relgauge import decimal_columns
+
+    with mock.patch.object(decimal_columns, "BLOCK_CHARS", split):
         got = _outcome(lambda: intervals_from_epochs(parse_failure_epochs(text)))
         assert got == _outcome(lambda: _reference_intervals(text))
         if isinstance(got, list):  # parsed and checked: a tuple below ARRAY_MIN epochs, an array from there on
@@ -644,7 +646,7 @@ def _size_limit_uses(node, function=None):
 
 def test_only_numerics_chooses_a_path_from_the_input_size():
     """Outside ``numerics``, whose ``floats`` and ``index`` make every fit vector, ``ARRAY_MIN``
-    is read only by ``failure_data._split_columns``, whose prefill sizes the reader's memory
+    is read only by ``failure_data._array_columns``, which chooses how a file is read
     rather than a fit's vectors; outside ``draws``, whose ``uniforms`` and
     ``geometric_pair_sums`` choose where seeded draws come from, ``DRAWS_MIN`` by nothing."""
     owners = {"ARRAY_MIN": "numerics", "DRAWS_MIN": "draws"}
@@ -655,7 +657,7 @@ def test_only_numerics_chooses_a_path_from_the_input_size():
                 owned.add(name)
                 continue
             use = f"{name} in {path.stem}.{function}:{line}"
-            ok = (name, path.stem, function) == ("ARRAY_MIN", "failure_data", "_split_columns")
+            ok = (name, path.stem, function) == ("ARRAY_MIN", "failure_data", "_array_columns")
             (allowed if ok else found).append(use)
     assert found == []
     assert allowed  # the guard sees the one use it allows

@@ -55,6 +55,20 @@ def test_reliability_examples():
     )
 
 
+@pytest.mark.parametrize(
+    "m, lam, t, exact",
+    [
+        (2.196217713707e-311, 4.94984165082482e-165, 3.68820164174e-313, 0.36787944117144232),
+        (0.007, 1e-60, 1e-290, 0.99645815329659572),  # lam t underflows to 0
+        (0.001, 1e300, 1e300, 0.018665624561518915),  # lam t overflows
+    ],
+)
+def test_reliability_where_lam_t_leaves_the_normal_range(m, lam, t, exact):
+    """(lam t)^m formed in logs; each exact value is mpmath's at 60 digits."""
+    assert abs(reliability(WeibullFit(m=m, lam=lam), t) - exact) <= 2 * math.ulp(exact)
+    assert reliability(WeibullFit(m=m, lam=lam), 0.0) == 1.0
+
+
 @pytest.mark.parametrize("m, lam, t", [(400.0, 1.0, 10.0), (1e308, 1.0, 2.0), (2.0, 1e154, 1e154)])
 def test_overflow_gives_zero_reliability_and_an_out_of_range_hazard(m, lam, t):
     """(lam t)^m beyond a float makes exp(-(lam t)^m) exactly 0; a hazard that

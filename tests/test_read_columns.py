@@ -1,5 +1,7 @@
-"""Property test: the columnar fast path reads exactly what the row-by-row reader reads."""
+"""Property test: the array path reads exactly what the row-by-row reader reads."""
 
+import builtins
+import contextlib
 import csv
 import re
 import struct
@@ -73,9 +75,9 @@ def _outcome(read):
 
 
 def _read_columns_by_row(text, columns):
-    """read_columns' rows and columns zipped back into (row_number, values) pairs."""
-    rows, table = failure_data.read_columns(text, columns)
-    return zip(rows, zip(*table))
+    """read_columns' rows and columns, as Python values, zipped back into (row_number, values) pairs."""
+    rows, table = failure_data.read_columns(text, columns, arrays=True)
+    return zip(rows, zip(*failure_data.listed(table)))
 
 
 _FLOAT_STR = LAYOUTS[3]
@@ -105,9 +107,6 @@ def test_fast_path_matches_row_reader(case):
     columns, text = case
     reference = _outcome(lambda: failure_data._read_rows(text, columns))
     assert _outcome(lambda: _read_columns_by_row(text, columns)) == reference
-    table = failure_data._split_columns(text, columns)
-    if table is not None:
-        assert [values for _, values in reference[1]] == [list(map(repr, row)) for row in zip(*table)]
 
 
 @hypothesis.settings(max_examples=60, deadline=None)
@@ -182,20 +181,14 @@ def _values(read):
         return type(exc).__name__, str(exc)
 
 
-def _read_columns_by_row_as_python(text, columns):
-    rows, table = failure_data.read_columns(text, columns, arrays=True)
-    return zip(rows, zip(*(column if type(column) is list else column.tolist() for column in table)))
-
-
 def _check_numeric_text(case, split):
     """Blocks of ``split`` characters make the converter read the file in several blocks."""
     columns, text = case
     reference = _values(lambda: failure_data._read_rows(text, columns))
-    with mock.patch.object(failure_data, "_SPLIT_CHARS", split), \
-            mock.patch.object(decimal_columns, "BLOCK_CHARS", split), warnings.catch_warnings():
+    with mock.patch.object(decimal_columns, "BLOCK_CHARS", split), warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy warning may reach stderr
-        table = failure_data._split_columns(text, columns, arrays=True)
-        assert _values(lambda: _read_columns_by_row_as_python(text, columns)) == reference
+        table = failure_data._array_columns(text, columns)
+        assert _values(lambda: _read_columns_by_row(text, columns)) == reference
     if table is not None:  # the converter took the file: an array per column, of the row reader's values
         assert {type(column).__name__ for column in table} == {"ndarray"}
         rows = range(2, len(table[0]) + 2)
@@ -231,7 +224,7 @@ def test_numpys_reader_takes_padded_tokens_and_leaves_the_rest_to_the_row_reader
     columns = _NUMERIC_LAYOUTS[0]
     rows = numerics.ARRAY_MIN
     taken = "run,p,y\n" + " 7\xa0,\t-nan , 1\x0c\n" * (rows - 2) + "1_0,1_0.5,\u0661\n" + "+7,5.,007\n"
-    table = failure_data._split_columns(taken, columns, arrays=True)
+    table = failure_data._array_columns(taken, columns)
     assert [column.dtype.str for column in table] == ["<i8", "<f8", "<i8"]
     assert table[0].tolist() == [7] * (rows - 2) + [10, 7] and table[2].tolist() == [1] * (rows - 2) + [1, 7]
     assert struct.pack("<d", float(table[1][0])) == struct.pack("<d", float("-nan"))
@@ -239,10 +232,12 @@ def test_numpys_reader_takes_padded_tokens_and_leaves_the_rest_to_the_row_reader
     for odd in ("\x1c1,0.5,0", "1,0.5,1.0", f"{2**63},0.5,0", "1,0.5,0,", "1,0.5", "", "  ", "1,0.5,0#", "1,.,0", "1,,0", "1,0.5,",
                 "1,1\n1,1,1,1"):  # the last: a short and a long line, as many fields as two lines
         text = "run,p,y\n" + "1,0.5,0\n" * rows + odd + "\n1,0.5,0\n"
-        assert failure_data._split_columns(text, columns, arrays=True) is None, odd
-    # Below ARRAY_MIN lines the split reads the file into lists, and from there a one-column file too is converted.
-    assert type(failure_data._split_columns("run,p,y\n" + "1,0.5,0\n" * (rows - 1), columns, True)[0]) is list
-    assert type(failure_data._split_columns("p\n" + "0.5\n" * rows, (("p", float),), True)[0]).__name__ == "ndarray"
+        assert failure_data._array_columns(text, columns) is None, odd
+    # Below ARRAY_MIN lines the row reader reads the file into lists; from there a one-column file too is converted.
+    small = "run,p,y\n" + "1,0.5,0\n" * (rows - 1)
+    assert failure_data._array_columns(small, columns) is None
+    assert type(failure_data.read_columns(small, columns, arrays=True)[1][0]) is list
+    assert type(failure_data._array_columns("p\n" + "0.5\n" * rows, (("p", float),))[0]).__name__ == "ndarray"
 
 
 def test_numpys_integer_reader_sees_only_digits_and_commas():
@@ -260,8 +255,8 @@ def test_numpys_integer_reader_sees_only_digits_and_commas():
     columns = _NUMERIC_LAYOUTS[1]
     with mock.patch.object(decimal_columns.np, "fromstring", recording), warnings.catch_warnings():
         warnings.simplefilter("error")
-        table = failure_data._split_columns(taken, columns, arrays=True)
-        assert failure_data._split_columns(refused, columns, arrays=True) is None
+        table = failure_data._array_columns(taken, columns)
+        assert failure_data._array_columns(refused, columns) is None
     assert len(seen) == 2 and all(re.fullmatch(rb"[0-9]+(,[0-9]+)*", data) for data in seen)
     reference = _values(lambda: failure_data._read_rows(taken, columns))
     assert _values(lambda: zip(range(2, len(table[0]) + 2), zip(*(c.tolist() for c in table)))) == reference
@@ -274,9 +269,60 @@ def test_a_float_spelling_in_an_int_column_leaves_the_file_to_the_row_reader(tok
     columns = _NUMERIC_LAYOUTS[1]
     for x87 in sorted({decimal_columns.X87, False}):
         with mock.patch.object(decimal_columns, "X87", x87):
-            assert failure_data._split_columns(text, columns, arrays=True) is None
+            assert failure_data._array_columns(text, columns) is None
             with pytest.raises(ParseError, match=f"could not parse y from {re.escape(repr(token))}") as caught:
                 failure_data.read_columns(text, columns, arrays=True)
             assert caught.value.row == numerics.ARRAY_MIN + 2
-            table = failure_data._split_columns(text.replace(token, "1_0"), columns, arrays=True)
+            table = failure_data._array_columns(text.replace(token, "1_0"), columns)
             assert table[1].tolist() == [0] * numerics.ARRAY_MIN + [10]
+
+
+# Tokens that neither the row reader nor the converter takes, for the threshold test.
+_BAD = ["x", "1.5.2", "1e", "--1", "1 2", "0x1f", "1,2", "1\x002"]
+
+
+@st.composite
+def _threshold_texts(draw):
+    """Columns, a regular row, one bad token with its row and column, and a line end."""
+    columns = draw(st.sampled_from([(("epoch", float),), *_NUMERIC_LAYOUTS]))
+    row = [draw(st.sampled_from(_NUMBERS[kind])) for _, kind in columns]
+    bad = (draw(st.integers(0, numerics.ARRAY_MIN - 2)), draw(st.integers(0, len(columns) - 1)), draw(st.sampled_from(_BAD)))
+    return columns, row, bad, draw(st.sampled_from(["\n", "\r\n", "\r"]))
+
+
+@contextlib.contextmanager
+def _imports():
+    """The (name, fromlist) of each import statement run in the block."""
+    seen, real = [], builtins.__import__
+
+    def recording(name, *args):
+        seen.append((name, args[2] if len(args) > 2 else None))
+        return real(name, *args)
+
+    with mock.patch("builtins.__import__", recording):
+        yield seen
+
+
+@hypothesis.settings(max_examples=60, deadline=None, database=None)
+@hypothesis.given(_threshold_texts())
+def test_both_sides_of_the_array_threshold_give_the_row_readers_values_and_errors(case):
+    """ARRAY_MIN - 1 rows take the row reader and ARRAY_MIN rows the converter: the same values,
+    and one bad token gives the same first error and row on both sides.  Below the threshold
+    a read loads neither decimal_columns nor numpy."""
+    columns, row, (bad_row, bad_column, token), newline = case
+    errors = []
+    for rows in (numerics.ARRAY_MIN - 1, numerics.ARRAY_MIN):
+        lines = [list(row) for _ in range(rows)]
+        for text in (None, token):
+            if text is not None:
+                lines[bad_row][bad_column] = token
+            text = newline.join([",".join(name for name, _ in columns), *map(",".join, lines)]) + newline
+            reference = _values(lambda: failure_data._read_rows(text, columns))
+            with _imports() as imported:
+                got = _values(lambda: _read_columns_by_row(text, columns))
+            assert got == reference
+            if rows < numerics.ARRAY_MIN:
+                assert not [i for i in imported if "numpy" in str(i) or "decimal_columns" in str(i)], imported
+        assert got[0] != "rows"
+        errors.append(got)
+    assert errors[0] == errors[1]
