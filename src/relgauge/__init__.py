@@ -27,8 +27,10 @@ A cold call pays only for the code it runs:
   lines the CLI's own reader does not take, which are usage errors or
   forms such as ``--flag=value``.
 - Records are built on the small ``record.Record`` base rather than as
-  dataclasses, so no call imports ``dataclasses`` or compiles a record's
-  methods when its module loads.
+  dataclasses: each names its fields once, in ``_fields`` with
+  ``_defaults``, and ``Record``'s one constructor binds and checks them, so
+  no call imports ``dataclasses`` or compiles a record's methods when its
+  module loads.
 
 tests/test_cli.py guards all five in fresh interpreters.
 """

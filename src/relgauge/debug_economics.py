@@ -18,7 +18,7 @@ from collections.abc import Sequence
 
 from .errors import DomainError, NoConvergence, OutOfRange, Underdetermined
 from .numerics import Bracket, dot, find_root_bracketed, floats
-from .record import Record, set_field
+from .record import Record
 
 
 class DiscoveryParams(Record):
@@ -36,11 +36,7 @@ class DiscoveryParams(Record):
 
     _fields = ("eps0", "tau0", "commands", "tempo")
 
-    def __init__(self, eps0: float, tau0: float, commands: int, tempo: float) -> None:
-        set_field(self, "eps0", eps0)
-        set_field(self, "tau0", tau0)
-        set_field(self, "commands", commands)
-        set_field(self, "tempo", tempo)
+    def _check(self) -> None:
         if not (math.isfinite(self.eps0) and self.eps0 > 0.0):
             raise DomainError(f"eps0 must be positive, got {self.eps0}")
         if not (math.isfinite(self.tau0) and self.tau0 > 0.0):
@@ -64,10 +60,7 @@ class EconParams(Record):
 
     _fields = ("cost_error", "cost_test", "horizon")
 
-    def __init__(self, cost_error: float, cost_test: float, horizon: float) -> None:
-        set_field(self, "cost_error", cost_error)
-        set_field(self, "cost_test", cost_test)
-        set_field(self, "horizon", horizon)
+    def _check(self) -> None:
         for name in self._fields:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):

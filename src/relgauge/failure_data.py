@@ -43,9 +43,7 @@ class RunRecord(Record):
 
     _fields = ("duration", "outcome")
 
-    def __init__(self, duration: float, outcome: Outcome) -> None:
-        set_field(self, "duration", duration)
-        set_field(self, "outcome", outcome)
+    def _check(self) -> None:
         if not (math.isfinite(self.duration) and self.duration > 0.0):
             raise DomainError(f"run duration must be finite and positive, got {self.duration}")
         if not isinstance(self.outcome, Outcome):
@@ -56,9 +54,6 @@ class RunLog(Record):
     """An ordered collection of test runs."""
 
     _fields = ("runs",)
-
-    def __init__(self, runs: tuple[RunRecord, ...]) -> None:
-        set_field(self, "runs", runs)
 
     @property
     def total_runs(self) -> int:
@@ -73,11 +68,6 @@ class RunSummary(Record):
     """Exposure-based rate summary of a run log."""
 
     _fields = ("exposure", "lambda_hat", "t_hat")
-
-    def __init__(self, exposure: float, lambda_hat: float, t_hat: float) -> None:
-        set_field(self, "exposure", exposure)
-        set_field(self, "lambda_hat", lambda_hat)
-        set_field(self, "t_hat", t_hat)
 
 
 class FailureEpochs(Record):
@@ -136,11 +126,7 @@ class DebugPeriod(Record):
 
     _fields = ("tau", "corrected", "exposure", "failures")
 
-    def __init__(self, tau: float, corrected: int, exposure: float, failures: int) -> None:
-        set_field(self, "tau", tau)
-        set_field(self, "corrected", corrected)
-        set_field(self, "exposure", exposure)
-        set_field(self, "failures", failures)
+    def _check(self) -> None:
         if not (math.isfinite(self.tau) and self.tau >= 0.0):
             raise DomainError(f"debug time must be finite and non-negative, got {self.tau}")
         if not (isinstance(self.corrected, int) and self.corrected >= 0):
@@ -161,17 +147,7 @@ class DebugPeriods(Record, Sequence):
 
     _fields = DebugPeriod._fields
 
-    def __init__(
-        self,
-        tau: tuple[float, ...],
-        corrected: tuple[int, ...],
-        exposure: tuple[float, ...],
-        failures: tuple[int, ...],
-    ) -> None:
-        set_field(self, "tau", tau)
-        set_field(self, "corrected", corrected)
-        set_field(self, "exposure", exposure)
-        set_field(self, "failures", failures)
+    def _check(self) -> None:
         if len({len(self.tau), len(self.corrected), len(self.exposure), len(self.failures)}) > 1:
             raise DomainError("period columns must have equal lengths")
         counts = _all_counts(self.corrected) and _all_counts(self.failures)

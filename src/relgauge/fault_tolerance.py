@@ -22,7 +22,7 @@ from collections import Counter, namedtuple
 
 from .errors import DomainError, OutOfRange
 from .numerics import Bracket, find_root_bracketed
-from .record import Record, set_field
+from .record import Record
 
 
 class DualRunConfig(Record):
@@ -38,10 +38,7 @@ class DualRunConfig(Record):
 
     _fields = ("total_time", "overhead", "failure_rate")
 
-    def __init__(self, total_time: float, overhead: float, failure_rate: float) -> None:
-        set_field(self, "total_time", total_time)
-        set_field(self, "overhead", overhead)
-        set_field(self, "failure_rate", failure_rate)
+    def _check(self) -> None:
         for name in self._fields:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
@@ -52,15 +49,6 @@ class DualRunPlan(Record):
     """Chosen module length and the performance it implies."""
 
     _fields = ("t_star", "module_count", "tp_min", "p1_at_t", "boundary")
-
-    def __init__(
-        self, t_star: float, module_count: float, tp_min: float, p1_at_t: float, boundary: bool
-    ) -> None:
-        set_field(self, "t_star", t_star)
-        set_field(self, "module_count", module_count)
-        set_field(self, "tp_min", tp_min)
-        set_field(self, "p1_at_t", p1_at_t)
-        set_field(self, "boundary", boundary)
 
 
 def rerun_probability(p1: float, i: int) -> float:

@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from .errors import DomainError, OutOfRange, ResidualNonPositive, TooFewIntervals
 from .numerics import GrowthLikelihood, at_data_scale, find_root_bracketed, gaussian_intervals, index
 from .numerics import interval_array, power_sum, quotients, scan_bracket
-from .record import Record, set_field
+from .record import Record
 
 
 class JmFit(Record):
@@ -28,25 +28,10 @@ class JmFit(Record):
     """
 
     _fields = ("e0_hat", "k_hat", "k_obs", "var_e0", "var_k", "rho", "residual")
+    _defaults = {"var_e0": None, "var_k": None, "rho": None, "residual": None}
     _uncompared = ("residual",)
 
-    def __init__(
-        self,
-        e0_hat: float,
-        k_hat: float,
-        k_obs: int,
-        var_e0: float | None = None,
-        var_k: float | None = None,
-        rho: float | None = None,
-        residual: float | None = None,
-    ) -> None:
-        set_field(self, "e0_hat", e0_hat)
-        set_field(self, "k_hat", k_hat)
-        set_field(self, "k_obs", k_obs)
-        set_field(self, "var_e0", var_e0)
-        set_field(self, "var_k", var_k)
-        set_field(self, "rho", rho)
-        set_field(self, "residual", residual)
+    def _check(self) -> None:
         if not (isinstance(self.k_obs, int) and self.k_obs >= 1):
             raise DomainError(f"k_obs must be an integer >= 1, got {self.k_obs}")
         if not (math.isfinite(self.e0_hat) and self.e0_hat > self.k_obs - 1):

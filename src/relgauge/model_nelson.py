@@ -29,9 +29,7 @@ class RunProfile(Record):
 
     _fields = ("probs", "indicators")
 
-    def __init__(self, probs: tuple[float, ...], indicators: tuple[int, ...]) -> None:
-        set_field(self, "probs", probs)
-        set_field(self, "indicators", indicators)
+    def _check(self) -> None:
         if len(self.probs) != len(self.indicators) or not self.probs:
             raise DomainError("probs and indicators must be non-empty and of equal length")
         # One pass per test accepts a valid profile: a NaN fails the sum
@@ -132,9 +130,7 @@ class PartitionSpec(Record):
 
     _fields = ("path_probs", "path_error_rates")
 
-    def __init__(self, path_probs: tuple[float, ...], path_error_rates: tuple[float, ...]) -> None:
-        set_field(self, "path_probs", path_probs)
-        set_field(self, "path_error_rates", path_error_rates)
+    def _check(self) -> None:
         if len(self.path_probs) != len(self.path_error_rates) or not self.path_probs:
             raise DomainError("path lists must be non-empty and of equal length")
         for p in self.path_probs:

@@ -24,7 +24,7 @@ from .errors import SingularInformation, Underdetermined
 from .failure_data import DebugPeriod, DebugPeriods, read_columns
 from .numerics import GrowthLikelihood, at_data_scale, find_root_bracketed, floats, gaussian_intervals
 from .numerics import interval_array, power_sum, scan_bracket
-from .record import Record, set_field
+from .record import Record
 
 # The largest mean numpy's Poisson sampler accepts (its POISSON_LAM_MAX),
 # written with the int64 maximum; draws.poisson_draw keeps to it too.
@@ -41,25 +41,10 @@ class SchumannFit(Record):
     """
 
     _fields = ("e0_hat", "c_hat", "instructions", "var_e0", "var_c", "rho", "residuals")
+    _defaults = {"var_e0": None, "var_c": None, "rho": None, "residuals": None}
     _uncompared = ("residuals",)
 
-    def __init__(
-        self,
-        e0_hat: float,
-        c_hat: float,
-        instructions: int,
-        var_e0: float | None = None,
-        var_c: float | None = None,
-        rho: float | None = None,
-        residuals: tuple[float, float] | None = None,
-    ) -> None:
-        set_field(self, "e0_hat", e0_hat)
-        set_field(self, "c_hat", c_hat)
-        set_field(self, "instructions", instructions)
-        set_field(self, "var_e0", var_e0)
-        set_field(self, "var_c", var_c)
-        set_field(self, "rho", rho)
-        set_field(self, "residuals", residuals)
+    def _check(self) -> None:
         if not (isinstance(self.instructions, int) and self.instructions >= 1):
             raise DomainError(f"instructions must be an integer >= 1, got {self.instructions}")
         if not (math.isfinite(self.e0_hat) and self.e0_hat > 0.0):

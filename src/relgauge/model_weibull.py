@@ -24,7 +24,7 @@ from collections.abc import Sequence
 
 from .errors import DegenerateSample, DomainError, NoConvergence, OutOfRange, TooFewIntervals
 from .numerics import Bracket, at_data_scale, find_root_bracketed, fsum_array, interval_array, power_sum
-from .record import Record, set_field
+from .record import Record
 
 _M_LO = 0.05
 _M_HI = 20.0
@@ -39,13 +39,9 @@ class WeibullFit(Record):
     """Shape and scale of a Weibull failure-time law."""
 
     _fields = ("m", "lam", "moment_form")
+    _defaults = {"moment_form": MomentForm.CV_CORRECTED}
 
-    def __init__(
-        self, m: float, lam: float, moment_form: MomentForm = MomentForm.CV_CORRECTED
-    ) -> None:
-        set_field(self, "m", m)
-        set_field(self, "lam", lam)
-        set_field(self, "moment_form", moment_form)
+    def _check(self) -> None:
         if not (math.isfinite(self.m) and self.m > 0.0):
             raise DomainError(f"shape must be positive, got {self.m}")
         if not (math.isfinite(self.lam) and self.lam > 0.0):
@@ -65,13 +61,14 @@ def hazard(fit: WeibullFit, t: float) -> float:
     except OverflowError:
         rate = math.inf
     if not 0.0 < rate < math.inf:
-        # Only lam^m or t^(m - 1) left the float range.  This form is not the first
-        # choice because its power multiplies the rounding error of lam t by m - 1.
+        # lam^m or t^(m - 1) left the float range: formed from lam t.  This form is not the
+        # first choice because its power multiplies the rounding error of lam t by m - 1.
         try:
             rate = fit.m * fit.lam * (fit.lam * t) ** (fit.m - 1.0)
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):  # ZeroDivisionError: lam t is 0 for a shape below 1
             rate = math.inf
-        except ZeroDivisionError:  # lam t underflowed to 0 for a shape below 1: the hazard in logs
+        if t > 0.0 and not 0.0 < rate < math.inf:
+            # (lam t)^(m - 1) left the float range too, though the hazard may not: in logs
             try:
                 rate = math.exp(math.log(fit.m) + fit.m * math.log(fit.lam) + (fit.m - 1.0) * math.log(t))
             except OverflowError:
@@ -96,15 +93,21 @@ def reliability(fit: WeibullFit, t: float) -> float:
 
 
 def mttf(fit: WeibullFit) -> float:
-    """Mean failure time Gamma(1 + 1/m) / lam.
+    """Mean failure time Gamma(1 + 1/m) / lam; OutOfRange where it is beyond a float.
 
     Where Gamma(1 + 1/m) alone overflows, the quotient is taken in log space.
     """
-    log_g = math.lgamma(1.0 + 1.0 / fit.m)
     try:
-        return math.exp(log_g) / fit.lam
+        log_g = math.lgamma(1.0 + 1.0 / fit.m)
+        try:
+            mean = math.exp(log_g) / fit.lam
+        except OverflowError:
+            mean = math.exp(log_g - math.log(fit.lam))
     except OverflowError:
-        return math.exp(log_g - math.log(fit.lam))
+        mean = math.inf
+    if not mean < math.inf:
+        raise OutOfRange(f"the mttf overflows a float for shape {fit.m} and scale {fit.lam}")
+    return mean
 
 
 def gamma_moment_ratio(m: float) -> float:

@@ -37,7 +37,7 @@ from itertools import chain, repeat
 
 from .errors import DomainError, NoConvergence, NoGrowthEvidence, NonFinite, NoSignChange, OutOfRange
 from .errors import SingularInformation
-from .record import Record, set_field
+from .record import Record
 
 DEFAULT_TOL_REL = 1e-10
 
@@ -73,20 +73,9 @@ class Bracket(Record):
     """
 
     _fields = ("lo", "hi", "tol_rel", "f_lo", "f_hi")
+    _defaults = {"tol_rel": DEFAULT_TOL_REL, "f_lo": None, "f_hi": None}
 
-    def __init__(
-        self,
-        lo: float,
-        hi: float,
-        tol_rel: float = DEFAULT_TOL_REL,
-        f_lo: float | None = None,
-        f_hi: float | None = None,
-    ) -> None:
-        set_field(self, "lo", lo)
-        set_field(self, "hi", hi)
-        set_field(self, "tol_rel", tol_rel)
-        set_field(self, "f_lo", f_lo)
-        set_field(self, "f_hi", f_hi)
+    def _check(self) -> None:
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
             raise DomainError(f"bracket requires finite lo < hi, got [{self.lo}, {self.hi}]")
         if not (math.isfinite(self.tol_rel) and self.tol_rel > 0.0):

@@ -81,11 +81,16 @@ EXAMPLES = {
                  {"--total-time": "1e-306", "--overhead": "5.986657101827642e-118",
                   "--failure-rate": "1.7976931348623157e308"}],
     # The hazard overflows a float; a hazard that is a float though scale^shape is not;
-    # scale * time underflowing to 0, twice (the second reports a reliability of 0.99646);
-    # and scale * time beyond a float, where the reliability exp(-(scale * time)^shape) = 8.13e-110 is not.
+    # one that is a float though scale^shape and (scale * time)^(shape - 1) are not (3.1958e-249);
+    # the mttf beyond a float; scale * time underflowing to 0, twice (the second reports a
+    # reliability of 0.99646); and scale * time beyond a float, where the reliability
+    # exp(-(scale * time)^shape) = 8.13e-110 is not.
     "predict weibull": [{"--shape": "400", "--scale": "1", "--time": "10"},
                         {"--shape": "1e308", "--scale": "1", "--time": "2"},
                         {"--shape": "400", "--scale": "1e10", "--time": "1e-10"},
+                        {"--shape": "11.430170286001507", "--scale": "3.338723491881624e+90",
+                         "--time": "7.435155108076496e-124"},
+                        {"--shape": "0.001", "--scale": "1", "--time": "1"},
                         dict(zip(("--shape", "--scale", "--time"), _UNDERFLOWING_WEIBULL)),
                         {"--shape": "0.007", "--scale": "1e-60", "--time": "1e-290"},
                         {"--shape": "0.004", "--scale": "1e300", "--time": "1e300"}],
@@ -176,8 +181,9 @@ def test_every_argv_ends_in_a_report_or_one_error_line(paths, verb):
         ("predict weibull --shape 1e308 --scale 1 --time 2", "OutOfRange",
          "the hazard at t = 2.0 overflows a float for shape 1e+308 and scale 1.0"),
         ("predict weibull --shape {} --scale {} --time {}".format(*_UNDERFLOWING_WEIBULL), "OutOfRange",
-         "report field mttf holds a value that is not a finite number: "
-         "Out of range float values are not JSON compliant: inf"),
+         "the mttf overflows a float for shape 2.196217713707e-311 and scale 4.94984165082482e-165"),
+        ("predict weibull --shape 0.001 --scale 1 --time 1", "OutOfRange",
+         "the mttf overflows a float for shape 0.001 and scale 1.0"),
         ("predict jm --e0 nan --k 1 --index 1 --dt 1", "DomainError", "e0 must be finite, got nan"),
         ("predict jm --e0 inf --k 1 --index 1 --dt 1", "DomainError", "e0 must be finite, got inf"),
     ],

@@ -95,6 +95,16 @@ def test_hazard_whose_factors_leave_the_float_range_is_formed_from_lam_t(m, lam,
     assert hazard(WeibullFit(m=m, lam=lam), t) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+def test_hazard_in_logs_where_lam_t_to_the_m_minus_1_leaves_the_float_range():
+    """lam^m overflows and (lam t)^(m - 1) underflows, though the hazard is a float."""
+    mpmath = pytest.importorskip("mpmath")
+    m, lam, t = 11.430170286001507, 3.338723491881624e90, 7.435155108076496e-124
+    with mpmath.workdps(60):
+        exact = mpmath.mpf(m) * mpmath.mpf(lam) ** m * mpmath.mpf(t) ** (mpmath.mpf(m) - 1)
+        assert abs(hazard(WeibullFit(m=m, lam=lam), t) - exact) <= 1e-12 * exact
+    assert float(exact) == pytest.approx(3.1958039123225714e-249, rel=1e-15)
+
+
 def test_hazard_keeps_the_bits_of_its_written_form_where_that_is_a_float():
     for m, lam, t in [(0.5, 2.0, 1.0), (2.0, 1.0, 3.0), (0.7, 0.013, 41.0), (3.7, 1e-3, 1e5)]:
         assert hazard(WeibullFit(m=m, lam=lam), t) == m * lam**m * t ** (m - 1.0)
@@ -122,8 +132,10 @@ def test_mttf_when_the_gamma_factor_alone_overflows():
     # Gamma(201) is about 7.9e374, past a float; divided by 1e300 it is not.
     expected = math.exp(math.lgamma(201.0) - math.log(1e300))
     assert mttf(WeibullFit(m=0.005, lam=1e300)) == pytest.approx(expected, rel=1e-11)
-    with pytest.raises(OverflowError):
-        mttf(WeibullFit(m=0.001, lam=1.0))  # a mean past a float still raises
+    # A mean past a float is OutOfRange naming the mttf, whichever step overflows.
+    for m, lam in [(0.001, 1.0), (1e-300, 1.0), (0.05, 1e-320)]:
+        with pytest.raises(OutOfRange, match=f"^the mttf overflows a float for shape {m} and scale {lam}$"):
+            mttf(WeibullFit(m=m, lam=lam))
 
 
 def test_gamma_moment_ratio_values():

@@ -1,12 +1,16 @@
 """The value-record contract that every exported record keeps.
 
 Each record is built by position and by keyword from one set of values
-and must: refuse assignment and deletion of its fields, compare equal
-only to records of exactly its class, hash as the tuple of its compared
-fields, repr as a dataclass would, and run its checks again on replace.
+and must: refuse the arguments a signature would refuse, fill left-out
+fields from its defaults, refuse assignment and deletion of its fields,
+compare equal only to records of exactly its class, hash as the tuple of
+its compared fields, repr as a dataclass would, and run its checks again
+on replace.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
@@ -223,6 +227,55 @@ def test_defaults_are_those_of_the_constructor():
     assert relgauge.WeibullFit(1.0, 1.0).moment_form is MomentForm.CV_CORRECTED
     with pytest.raises(TypeError):
         relgauge.JmFit(3.0, 0.5)
+
+
+@pytest.mark.parametrize("name, values, text, bad", _CASES, ids=_IDS)
+def test_arguments_a_signature_would_refuse_raise_type_error(name, values, text, bad):
+    cls = getattr(relgauge, name)
+    first = cls._fields[0]
+    with pytest.raises(TypeError, match="positional arguments"):
+        cls(*values, values[-1])
+    with pytest.raises(TypeError, match=f"missing .*'{first}'"):
+        cls(**dict(zip(cls._fields[1:], values[1:])))
+    with pytest.raises(TypeError, match="unexpected keyword argument 'not_a_field'"):
+        cls(*values, not_a_field=1.0)
+    with pytest.raises(TypeError, match=f"multiple values for argument '{first}'"):
+        cls(values[0], **dict(zip(cls._fields, values)))
+
+
+@pytest.mark.parametrize("name, values, text, bad", _CASES, ids=_IDS)
+def test_left_out_fields_take_the_class_defaults(name, values, text, bad):
+    cls = getattr(relgauge, name)
+    given = [field for field in cls._fields if field not in cls._defaults]
+    assert cls._fields[: len(given)] == tuple(given)  # defaults are trailing
+    record = cls(*values[: len(given)])
+    assert {field: getattr(record, field) for field in cls._fields[len(given) :]} == cls._defaults
+
+
+def _calls_of(node, name, owner=None):
+    """The top-level class or function under which each call of ``name`` below ``node`` sits."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and getattr(child.func, "id", None) == name:
+            yield owner
+        inner = child.name if owner is None and isinstance(child, (ast.ClassDef, ast.FunctionDef)) else owner
+        yield from _calls_of(child, name, inner)
+
+
+def test_only_records_that_convert_their_values_write_a_constructor():
+    """Record's one constructor binds and stores every other record's fields: among Record
+    subclasses only FailureEpochs and RunProfiles define __init__, and set_field is called
+    only in ``record`` itself, in those two and in ``model_nelson._checked_profile``."""
+    constructors, stores = set(), set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "relgauge").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and "Record" in [getattr(b, "id", None) for b in node.bases]:
+                if any(isinstance(item, ast.FunctionDef) and item.name == "__init__" for item in node.body):
+                    constructors.add(node.name)
+        if path.stem != "record":
+            stores.update(f"{path.stem}.{owner}" for owner in _calls_of(tree, "set_field"))
+    assert constructors == {"FailureEpochs", "RunProfiles"}
+    assert stores == {"failure_data.FailureEpochs", "model_nelson.RunProfiles", "model_nelson._checked_profile"}
 
 
 def test_debug_periods_keep_their_own_equality():
