@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from .errors import DomainError, NoConvergence, OutOfRange, Underdetermined
 from .numerics import Bracket, dot, find_root_bracketed, floats
@@ -109,13 +109,33 @@ def mttf(params: DiscoveryParams, tau: float) -> float:
     """Mean operating time to failure after debugging for ``tau``.
 
     Grows exponentially in ``tau``: each time constant of debugging
-    multiplies the expected life by e.
+    multiplies the expected life by e.  Where eps0 * tempo or the product
+    leaves the float range it is taken in logs, and OutOfRange only where
+    the mttf itself is beyond a float.
     """
     tau = _check_tau(tau)
     rate = params.eps0 * params.tempo
-    if rate == 0.0:
-        raise OutOfRange(f"the failure rate eps0 * tempo = {params.eps0} * {params.tempo} underflows to 0")
-    return params.commands / rate * math.exp(tau / params.tau0)
+    if 0.0 < rate < math.inf:
+        try:
+            value = params.commands / rate * math.exp(tau / params.tau0)
+        except OverflowError:
+            value = math.inf
+        if 0.0 < value < math.inf:
+            return value
+    # The rate or the product leaves the float range, though the mttf may not: taken in logs.
+    log_mttf = math.fsum([math.log(params.commands), -math.log(params.eps0), -math.log(params.tempo), tau / params.tau0])
+    return _exp_of(log_mttf, f"the mttf commands / (eps0 * tempo) * exp(tau / tau0) = exp({log_mttf})")
+
+
+def _exp_of(log_value: float, name: str) -> float:
+    """exp(log_value); OutOfRange naming ``name`` where that is beyond a float."""
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise OutOfRange(f"{name} is beyond a float")
+    return value
 
 
 def reliability(params: DiscoveryParams, tau: float, t: float) -> float:
@@ -139,6 +159,39 @@ def total_cost(params: DiscoveryParams, econ: EconParams, tau: float) -> float:
     return failure_losses + econ.cost_test * tau
 
 
+class DiscoveryRows(Record, Sequence):
+    """(tau, cumulative corrected count) pairs held as two columns, as :func:`parse_discovery` returns them.
+
+    Indexing and iteration give (tau, count) tuples of Python floats, and it
+    compares equal to any sequence of the same pairs, a list of tuples
+    included.  The columns are held as they are given: tuples below
+    ``numerics.ARRAY_MIN`` rows of a file, the reader's read-only float64
+    ndarrays from there on, which :func:`fit_discovery_curve` takes as they are.
+    """
+
+    _fields = ("taus", "counts")
+
+    def _check(self) -> None:
+        if len(self.taus) != len(self.counts):
+            raise DomainError("discovery columns must have equal lengths")
+
+    def __len__(self) -> int:
+        return len(self.taus)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return DiscoveryRows(self.taus[index], self.counts[index])
+        return float(self.taus[index]), float(self.counts[index])
+
+    def __iter__(self) -> Iterator[tuple[float, float]]:
+        return zip(*(column.tolist() if hasattr(column, "tolist") else column for column in (self.taus, self.counts)))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return list(self) == list(other)
+        return NotImplemented
+
+
 # The optimal debugging time tau_m, the expected cost there, and whether tau_m is the boundary 0.
 DebugOptimum = namedtuple("DebugOptimum", ("tau_m", "cost", "boundary"))
 
@@ -149,23 +202,43 @@ def optimal_debug_time(params: DiscoveryParams, econ: EconParams) -> DebugOptimu
     The stationary point is ``tau0 * ln(arg)`` with
     ``arg = cost_error * horizon * eps0 * tempo / (cost_test * commands * tau0)``.
     When ``arg`` is below one the stationary point would be negative, so the
-    minimum sits at the boundary tau = 0 and the result is flagged.
+    minimum sits at the boundary tau = 0 and the result is flagged.  Where
+    ``arg`` is not a finite float, ln(arg) is an exactly rounded sum of
+    logs, and the cost at tau_m is cost_test * (tau0 + tau_m), or at the
+    boundary the failure losses in logs; OutOfRange where the cost is
+    beyond a float.
     """
     denominator = econ.cost_test * params.commands * params.tau0
     numerator = econ.cost_error * econ.horizon * params.eps0 * params.tempo
     arg = numerator / denominator if denominator > 0.0 else math.inf
-    if not math.isfinite(arg):
-        raise OutOfRange(
-            f"the optimum's log argument arg = {numerator} / {denominator} is not a finite float"
-        )
-    if arg < 1.0:
-        return DebugOptimum(0.0, total_cost(params, econ, 0.0), True)
-    tau_m = params.tau0 * math.log(arg)
+    if math.isfinite(arg):
+        if arg < 1.0:
+            return DebugOptimum(0.0, total_cost(params, econ, 0.0), True)
+        tau_m = params.tau0 * math.log(arg)
+        if not math.isfinite(tau_m):
+            raise OutOfRange(
+                f"the optimal debugging time tau0 * ln(arg) overflows: tau0 = {params.tau0}, arg = {arg}"
+            )
+        return DebugOptimum(tau_m, total_cost(params, econ, tau_m), False)
+    # arg leaves the float range, though its log does not: ln(arg) as a sum of logs, rounded once.
+    log_losses = [*map(math.log, (econ.cost_error, econ.horizon, params.eps0, params.tempo)), -math.log(params.commands)]
+    log_arg = math.fsum([*log_losses, -math.log(econ.cost_test), -math.log(params.tau0)])
+    if log_arg < 0.0:  # the cost at tau = 0 is the failure losses
+        log_cost = math.fsum(log_losses)
+        return DebugOptimum(0.0, _exp_of(log_cost, f"the cost at tau = 0, exp({log_cost}),"), True)
+    tau_m = params.tau0 * log_arg
     if not math.isfinite(tau_m):
         raise OutOfRange(
-            f"the optimal debugging time tau0 * ln(arg) overflows: tau0 = {params.tau0}, arg = {arg}"
+            f"the optimal debugging time tau0 * ln(arg) overflows: tau0 = {params.tau0}, ln(arg) = {log_arg}"
         )
-    return DebugOptimum(tau_m, total_cost(params, econ, tau_m), False)
+    # At tau_m the failure losses are arg * cost_test * tau0 * exp(-tau_m / tau0) = cost_test * tau0.
+    cost = econ.cost_test * (params.tau0 + tau_m)
+    if not 0.0 < cost < math.inf:
+        raise OutOfRange(
+            f"the cost at the optimum cost_test * (tau0 + tau_m) = {econ.cost_test} * ({params.tau0} + {tau_m}) "
+            "is beyond a float"
+        )
+    return DebugOptimum(tau_m, cost, False)
 
 
 def fit_discovery_curve(
@@ -195,8 +268,10 @@ def fit_discovery_curve(
     """
     if not (isinstance(commands, int) and commands >= 1):
         raise DomainError(f"commands must be an integer >= 1, got {commands}")
-    # The two columns, each made once; zip's strict pass rejects observations of unequal lengths.
-    taus, counts = map(floats, list(zip(*observations, strict=True)) or [(), ()])
+    if isinstance(observations, DiscoveryRows):  # the reader's columns, as they are
+        taus, counts = floats(observations.taus), floats(observations.counts)
+    else:  # the two columns, each made once; zip's strict pass rejects observations of unequal lengths
+        taus, counts = map(floats, list(zip(*observations, strict=True)) or [(), ()])
     if len(taus) < 3:
         raise Underdetermined(f"need at least 3 observations to fit two parameters, got {len(taus)}")
     _check_observations(taus, counts)
@@ -268,9 +343,12 @@ def _check_observations(taus, counts) -> None:
         prev_tau, prev_count = tau, count
 
 
-def parse_discovery(text: str) -> list[tuple[float, float]]:
-    """Parse ``tau,corrected`` CSV text into (time, cumulative count) pairs."""
-    from .failure_data import listed, read_columns  # here, so economics from parameters does not load it
+def parse_discovery(text: str) -> DiscoveryRows:
+    """Parse ``tau,corrected`` CSV text into (time, cumulative count) pairs, held as the columns read."""
+    from .failure_data import read_columns  # here, so economics from parameters does not load it
 
-    _, table = read_columns(text, (("tau", float), ("corrected", float)), arrays=True)
-    return list(zip(*listed(table)))
+    _, (taus, counts) = read_columns(text, (("tau", float), ("corrected", float)), arrays=True)
+    if type(taus) is list:
+        return DiscoveryRows(tuple(taus), tuple(counts))
+    taus.flags.writeable = counts.flags.writeable = False
+    return DiscoveryRows(taus, counts)

@@ -48,13 +48,18 @@ _COMMA_LINES = bytes.maketrans(b"\n", b",")
 _DTYPES = {float: np.float64, int: np.int64}
 
 
-def arrays(text: str, start: int, stop: int, kinds: list, lines: int) -> list | None:
+def arrays(text: str, start: int, stop: int, kinds: list) -> list | None:
     """The float64 or int64 column of each kind in the body ``text[start:stop]``, or None.
 
-    ``kinds`` holds ``float`` or ``int`` per column, and the body has
-    ``lines`` lines, none of them blank at its end.
+    ``kinds`` holds ``float`` or ``int`` per column, and the body has no
+    blank line at its end.  The lines are not counted: a line the converter
+    takes holds a character per field and a separator after each, so the
+    columns are made that long, filled a block at a time and cut to the
+    lines read.  Pages of the tail are never written, so they never take
+    memory, and the cut gives them back.
     """
-    table = [np.empty(lines, _DTYPES[kind]) for kind in kinds]
+    width = len(kinds)
+    table = [np.empty((stop - start + 1) // (2 * width), _DTYPES[kind]) for kind in kinds]
     row = 0
     while start < stop:
         end = text.find("\n", start + BLOCK_CHARS, stop)
@@ -68,6 +73,8 @@ def arrays(text: str, start: int, stop: int, kinds: list, lines: int) -> list | 
             column[row : row + count] = column_values
         row += count
         start = end + 1
+    for column in table:
+        column.resize(row, refcheck=False)  # no view of it exists yet
     return table
 
 

@@ -142,7 +142,10 @@ class DebugPeriods(Record, Sequence):
 
     Indexing and iteration give DebugPeriod records, and it compares equal
     to any sequence of the same periods.  Each column is checked once, with
-    DebugPeriod's rules.
+    DebugPeriod's rules.  The columns are held as they are given: tuples
+    below ``numerics.ARRAY_MIN`` periods of a file, and from there on the
+    reader's read-only float64 and int64 ndarrays, checked in whole-array
+    passes, whose items the records get as Python floats and ints.
     """
 
     _fields = DebugPeriod._fields
@@ -150,11 +153,17 @@ class DebugPeriods(Record, Sequence):
     def _check(self) -> None:
         if len({len(self.tau), len(self.corrected), len(self.exposure), len(self.failures)}) > 1:
             raise DomainError("period columns must have equal lengths")
-        counts = _all_counts(self.corrected) and _all_counts(self.failures)
-        times = all_at_least(self.tau, 0.0) and all_at_least(self.exposure, 0.0, strict=True)
+        if not len(self):
+            return
+        if _period_arrays(self):  # a NaN fails each minimum's test
+            counts = min(self.corrected.min(), self.failures.min()) >= 0
+            times = self.tau.min() >= 0.0 and self.exposure.min() > 0.0
+            times = times and max(self.tau.max(), self.exposure.max()) < math.inf
+        else:
+            counts = _all_counts(self.corrected) and _all_counts(self.failures)
+            times = all_at_least(self.tau, 0.0) and all_at_least(self.exposure, 0.0, strict=True)
         if not (counts and times):
-            for values in zip(self.tau, self.corrected, self.exposure, self.failures):
-                DebugPeriod(*values)  # raises for the first bad period
+            list(self)  # each record checks itself, so the first bad period raises
 
     @classmethod
     def of(cls, periods: Iterable[DebugPeriod]) -> DebugPeriods:
@@ -168,16 +177,27 @@ class DebugPeriods(Record, Sequence):
         return len(self.tau)
 
     def __getitem__(self, index):
-        values = (self.tau[index], self.corrected[index], self.exposure[index], self.failures[index])
-        return DebugPeriods(*values) if isinstance(index, slice) else DebugPeriod(*values)
+        values = [self.tau[index], self.corrected[index], self.exposure[index], self.failures[index]]
+        if isinstance(index, slice):
+            return DebugPeriods(*values)
+        return DebugPeriod(*(value.item() for value in values) if _period_arrays(self) else values)
 
     def __iter__(self) -> Iterator[DebugPeriod]:
-        return map(DebugPeriod, self.tau, self.corrected, self.exposure, self.failures)
+        columns = self.tau, self.corrected, self.exposure, self.failures
+        if _period_arrays(self):
+            columns = [column.tolist() for column in columns]  # Python floats and ints
+        return map(DebugPeriod, *columns)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Sequence) and not isinstance(other, str):
             return list(self) == list(other)
         return NotImplemented
+
+
+def _period_arrays(periods: DebugPeriods) -> bool:
+    """Whether the columns are float64, int64, float64 and int64 ndarrays, as the reader makes them."""
+    columns = periods.tau, periods.corrected, periods.exposure, periods.failures
+    return [getattr(column, "dtype", None) for column in columns] == ["f8", "i8", "f8", "i8"]
 
 
 def _all_counts(values: Sequence) -> bool:
@@ -266,12 +286,16 @@ def _array_columns(text: str, columns: _ColumnSpec) -> list | None:
     start, stop = len(header) + 1, len(text)
     while stop > start and text[stop - 1] == "\n":  # csv skips the blank lines at the end
         stop -= 1
-    lines = text.count("\n", start, stop) + 1 if stop > start else 0
-    if lines < numerics.ARRAY_MIN:
-        return None
+    # ARRAY_MIN lines or more: the line ends are found up to that many lines, not counted.
+    lines, end = int(stop > start), start
+    while lines < numerics.ARRAY_MIN:
+        end = text.find("\n", end, stop) + 1
+        if not end:
+            return None
+        lines += 1
     from . import decimal_columns  # here, so a smaller file never compiles it
 
-    return decimal_columns.arrays(text, start, stop, kinds, lines)
+    return decimal_columns.arrays(text, start, stop, kinds)
 
 
 def listed(table: list) -> list[list]:
@@ -391,11 +415,13 @@ def parse_debug_periods(text: str) -> DebugPeriods:
 
 
 def _debug_periods(rows: Sequence[int], table: list) -> DebugPeriods:
-    table = listed(table)
+    arrays = type(table[0]) is not list
+    for column in table if arrays else ():
+        column.flags.writeable = False  # the reader's own arrays, held as they are
     try:
-        return DebugPeriods(*map(tuple, table))
+        return DebugPeriods(*(table if arrays else map(tuple, table)))
     except DomainError:
-        for row_number, *values in zip(rows, *table):
+        for row_number, *values in zip(rows, *listed(table)):
             try:
                 DebugPeriod(*values)
             except DomainError as exc:

@@ -81,14 +81,17 @@ class RunProfiles(Record, Sequence):
         if isinstance(probs, Sequence):
             valid = all_at_least(probs, 0.0) and set(indicators) <= {0, 1}
             probs, indicators = tuple(probs), tuple(indicators)
+            unsettled = range(len(starts))
         else:  # a NaN fails the minimum's test
             valid = 0.0 <= probs.min() and probs.max() < math.inf and 0 <= indicators.min() and indicators.max() <= 1
+            unsettled = _unsettled(probs, starts) if valid else []
             probs, indicators = memoryview(probs).toreadonly(), memoryview(indicators).toreadonly()
         set_field(self, "probs", probs)
         set_field(self, "indicators", indicators)
         set_field(self, "starts", starts)
-        if not (valid and all(abs(math.fsum(probs[s:e]) - 1.0) <= _SUM_TOL for s, e in self._spans())):
-            for s, e in self._spans():
+        spans = list(self._spans())
+        if not (valid and all(abs(math.fsum(probs[slice(*spans[j])]) - 1.0) <= _SUM_TOL for j in unsettled)):
+            for s, e in spans:
                 RunProfile(tuple(probs[s:e]), tuple(indicators[s:e]))  # raises for the first bad run
 
     def _spans(self) -> Iterator[tuple[int, int]]:
@@ -115,6 +118,26 @@ class RunProfiles(Record, Sequence):
 
     def __reduce__(self):  # a memoryview does not pickle; its items as tuples do
         return RunProfiles, (tuple(self.probs), tuple(self.indicators), self.starts)
+
+
+def _unsettled(probs, starts: tuple[int, ...]) -> list[int]:
+    """The runs of finite non-negative ``probs`` whose sum a screen cannot place within _SUM_TOL of 1.
+
+    ``np.add.reduceat`` sums each run in some order of float64 additions.
+    For n non-negative terms any such order errs by at most
+    (n - 1) u / (1 - (n - 1) u) times the exact sum S, u = 2^-53 (Higham,
+    "Accuracy and Stability of Numerical Algorithms", 2nd ed., 4.2), which
+    is below (n - 1) 2^-52 where S is near 1; rounding S, as math.fsum does,
+    moves it by at most 2^-52 more.  So a run whose computed sum lies within
+    _SUM_TOL - (n + 2) 2^-52 of 1 passes math.fsum's test, and only the
+    others are left to it.
+    """
+    import numpy as np  # the caller's arrays have loaded it
+
+    with np.errstate(all="ignore"):  # a sum may overflow; context-local, so silent and thread-safe
+        off = np.abs(np.add.reduceat(probs, starts) - 1.0)
+    lengths = np.diff(starts, append=len(probs))
+    return np.flatnonzero(~(off <= _SUM_TOL - (lengths + 2) * 2.0**-52)).tolist()
 
 
 def _checked_profile(probs: Sequence[float], indicators: Sequence[int]) -> RunProfile:

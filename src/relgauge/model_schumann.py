@@ -22,8 +22,8 @@ from collections.abc import Sequence
 from .errors import DegenerateGamma, DomainError, NegativeEstimate, OutOfRange, ResidualNonPositive
 from .errors import SingularInformation, Underdetermined
 from .failure_data import DebugPeriod, DebugPeriods, read_columns
-from .numerics import GrowthLikelihood, at_data_scale, find_root_bracketed, floats, gaussian_intervals
-from .numerics import interval_array, power_sum, scan_bracket
+from .numerics import GrowthLikelihood, at_data_scale, find_root_bracketed, floats, fsum_array, gaussian_intervals
+from .numerics import int_bounds, int_ratios, int_sum, interval_array, power_sum, scan_bracket
 from .record import Record
 
 # The largest mean numpy's Poisson sampler accepts (its POISSON_LAM_MAX),
@@ -154,10 +154,11 @@ def stationarity_residuals(fit: SchumannFit, periods: Sequence[DebugPeriod]) -> 
     """
     periods = DebugPeriods.of(periods)
     scaled = fit.e0_hat / fit.instructions
-    corrected = floats([n / fit.instructions for n in periods.corrected])
-    exposed = power_sum(scaled, corrected, 1, floats(periods.exposure))
-    c1 = sum(periods.failures) / exposed if exposed else math.inf
-    c2 = power_sum(scaled, corrected, -1, floats(periods.failures)) / math.fsum(periods.exposure)
+    corrected = int_ratios(periods.corrected, fit.instructions)
+    exposure = floats(periods.exposure)
+    exposed = power_sum(scaled, corrected, 1, exposure)
+    c1 = int_sum(periods.failures) / exposed if exposed else math.inf
+    c2 = power_sum(scaled, corrected, -1, floats(periods.failures)) / fsum_array(exposure)
     # Each on its own, so that a NaN estimate fails too.
     if not (0.0 < c1 < math.inf and 0.0 < c2 < math.inf):
         raise OutOfRange(f"an estimate of c at e0 = {fit.e0_hat} is not a positive finite float")
@@ -169,9 +170,10 @@ def _check_periods(periods: DebugPeriods, instructions: int) -> None:
         raise DomainError(f"instructions must be an integer >= 1, got {instructions}")
     if len(periods) < 2:
         raise Underdetermined(f"need at least 2 debugging periods, got {len(periods)}")
-    if sum(periods.failures) < 2:
+    if int_sum(periods.failures) < 2:
         raise DomainError("need at least 2 failures overall to fit two parameters")
-    if len(set(periods.corrected)) < 2:
+    least, largest = int_bounds(periods.corrected)
+    if least == largest:
         raise Underdetermined("all periods share one corrected count, so the error total is unidentifiable")
 
 
@@ -210,8 +212,8 @@ def covariance(fit: SchumannFit, periods: Sequence[DebugPeriod]) -> SchumannFit:
     if len(periods) < 2:
         raise SingularInformation("a single period carries rank-1 information")
     periods = DebugPeriods.of(periods)
-    exhausted = next((n for n in periods.corrected if n >= fit.e0_hat), None)
-    if exhausted is not None:
+    if int_bounds(periods.corrected)[1] >= fit.e0_hat:  # an int and a float compare exactly
+        exhausted = next(p.corrected for p in periods if p.corrected >= fit.e0_hat)
         raise ResidualNonPositive(
             f"period with corrected count {exhausted} has non-positive residual at the fit"
         )

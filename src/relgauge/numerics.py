@@ -10,7 +10,8 @@ rounded array sum with the bits of math.fsum (a few numpy passes of
 error-free extraction, and math.fsum itself below ARRAY_MIN values or for
 zero, infinite, NaN or near-overflow values), the exactly rounded sums
 sum(w_j * (x - a_j)^p) that the JM, Weibull and Schumann fits are made
-of, the exactly rounded dot product of the discovery-curve fit, the
+of, the exactly rounded dot product of the discovery-curve fit, exact
+sums, bounds and quotients of int count columns, the
 checked failure intervals at unit scale that those fits read, the one
 likelihood of the JM and Schumann fits with its growth test, residual
 check and information, and two-sided Gaussian confidence intervals.  The
@@ -286,15 +287,63 @@ def floats(values: Sequence):
     """float() of each value: a list below ARRAY_MIN values, a float64 ndarray from there on.
 
     Every fit vector is made here.  A 1-D native float64 ndarray is returned
-    as it is; other values go through float(), whose errors they raise.
+    as it is, and an int64 one is cast, which rounds each int to nearest,
+    ties to even, as float() does; other values go through float(), whose
+    errors they raise.
     """
     if len(values) < ARRAY_MIN:
         return list(map(float, values))
     import numpy as np
 
-    if type(values) is np.ndarray and values.ndim == 1 and values.dtype == float:
-        return values
+    if type(values) is np.ndarray and values.ndim == 1 and values.dtype in (np.float64, np.int64):
+        return values if values.dtype == float else values.astype(float)
     return np.fromiter(map(float, values), float, count=len(values))
+
+
+def _int_array(values) -> bool:
+    """Whether ``values`` is an int64 ndarray, told without importing numpy."""
+    return getattr(values, "dtype", None) == "int64"
+
+
+def int_sum(values: Sequence[int], weights: Sequence[int] | None = None) -> int:
+    """The exact sum of the ints ``values``, each times its weight if ``weights`` is given.
+
+    Two int64 ndarrays are summed in int64 where no partial sum can leave
+    it, len * max|v| * max|w| < 2^63; otherwise, as any other values are,
+    over Python ints.
+    """
+    if _int_array(values):
+        bound = len(values) and len(values) * _magnitude(values) * (1 if weights is None else _magnitude(weights))
+        if bound < 2**63:
+            return int(values.sum() if weights is None else values @ weights)
+        values, weights = values.tolist(), None if weights is None else weights.tolist()
+    return sum(values) if weights is None else sum(map(operator.mul, values, weights))
+
+
+def _magnitude(values) -> int:
+    return max(int(values.max()), -int(values.min()))
+
+
+def int_ratios(values: Sequence[int], divisor: int):
+    """:func:`floats` of v / divisor for the ints ``values``, each rounded once, as int / int rounds it.
+
+    An int64 ndarray within 2^53, with a divisor within it too, is divided
+    as float64, whose quotient of two exact floats is rounded once.
+    """
+    if _int_array(values) and len(values) and max(_magnitude(values), abs(divisor)) <= 2**53:
+        return floats(values / float(divisor))
+    return floats([v / divisor for v in (values.tolist() if _int_array(values) else values)])
+
+
+def int_bounds(values: Sequence[int], where: Sequence[int] | None = None) -> tuple[int, int]:
+    """The least and the largest of the ints ``values``, of those whose ``where`` is nonzero if given."""
+    if _int_array(values):
+        if where is not None:
+            values = values[where != 0]
+        return int(values.min()), int(values.max())
+    if where is not None:
+        values = [v for v, w in zip(values, where) if w]
+    return min(values), max(values)
 
 
 def index(k: int):
@@ -440,8 +489,8 @@ class GrowthLikelihood:
         self.h, self.counts = h, (corrected, failures)
         self.a = index(len(h)) if corrected is None else floats(corrected)
         self.w = None if failures is None else floats(failures)
-        self.n = len(h) if failures is None else sum(failures)
-        self.pole = len(h) - 1 if corrected is None else max(corrected)
+        self.n = len(h) if failures is None else int_sum(failures)
+        self.pole = len(h) - 1 if corrected is None else int_bounds(corrected)[1]
         self.sum_h = fsum_array(h)
 
     def fit(self, scan: Callable, solve: Callable, residual: Callable) -> tuple[float, float, float]:
@@ -463,7 +512,7 @@ class GrowthLikelihood:
         if self.w is None:
             threshold = (len(self.h) - 1) / 2.0
         else:
-            threshold = sum(map(operator.mul, *self.counts)) / self.n
+            threshold = int_sum(*self.counts) / self.n
         if self.m <= threshold:
             raise NoGrowthEvidence(
                 "the likelihood has no finite maximizer: early intervals are not shorter "
@@ -471,7 +520,7 @@ class GrowthLikelihood:
                 diagnostic={"b_over_a": self.m, "threshold": threshold},
             )
         if self.w is not None:
-            top = max(a for a, w in zip(*self.counts) if w)
+            top = int_bounds(*self.counts)[1]
             if not self.m < top:  # then every a_j with a failure is at most m, and G(x) >= 0 for all x
                 raise NoGrowthEvidence(
                     "the likelihood has no finite maximizer: the exposure-weighted mean corrected "

@@ -96,6 +96,12 @@ EXAMPLES = {
                         {"--shape": "0.004", "--scale": "1e300", "--time": "1e300"}],
     # A non-finite e0, which the report could not hold.
     "predict jm": [{"--e0": e0, "--k": "1", "--index": "1", "--dt": "1"} for e0 in ("nan", "inf")],
+    # eps0 * tempo overflows, so the mttf is taken in logs (1e-301, once reported as 0.0); and the
+    # optimum's argument overflows too, so ln(arg) is a sum of logs (tau_m 2555.87, once refused).
+    "economics": [dict(zip(("--eps0", "--tau0", "--size", "--tempo", "--cost-error", "--horizon", "--cost-test"),
+                           values))
+                  for values in (("1e200", "10", "1000", "1e200", "1e-300", "1", "1"),
+                                 ("1e200", "10", "1000", "1e200", "1e10", "1e5", "1e300"))],
 }
 
 ODD_VALUES = {
@@ -195,6 +201,27 @@ def test_bad_values_are_named_in_one_error_line(argv, error, message):
     assert (code, stdout, caught) == (2, "", [])
     assert stderr.count("\n") == 1
     assert json.loads(stderr) == {"error": error, "message": message, "exit_code": 2}
+
+
+@pytest.mark.parametrize("values", EXAMPLES["economics"])
+def test_economics_beyond_the_float_range_is_taken_in_logs(values):
+    """tau_m, the cost there and the mttf there, each within 1e-12 of its 50-digit value."""
+    mpmath = pytest.importorskip("mpmath")
+    code, stdout, stderr, caught = run_contained(["economics", *(f"{flag}={value}" for flag, value in values.items())])
+    assert (code, stderr, caught) == (0, "", [])
+    report = json.loads(stdout)
+    with mpmath.workdps(50):
+        eps0, tau0, size, tempo, cost_error, horizon, cost_test = (mpmath.mpf(float(v)) for v in values.values())
+        losses = cost_error * horizon * eps0 * tempo / size
+        tau_m = tau0 * mpmath.log(losses / (cost_test * tau0))
+        exact = {
+            "tau_m": tau_m,
+            "cost_at_tau_m": losses * mpmath.exp(-tau_m / tau0) + cost_test * tau_m,
+            "mttf_at_tau_m": size / (eps0 * tempo) * mpmath.exp(tau_m / tau0),
+        }
+        for key, value in exact.items():
+            assert abs(report[key] - value) <= 1e-12 * value, key
+    assert report["boundary"] is False
 
 
 def test_a_hazard_whose_scale_times_time_underflows_is_taken_in_logs():

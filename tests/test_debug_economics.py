@@ -277,15 +277,22 @@ def test_parse_discovery():
     assert observations == [(10.0, 63.2), (20.0, 86.5)]
 
 
-def test_optimal_debug_time_overflowed_argument_is_out_of_range():
-    """Finite parameters whose log argument overflows (or whose denominator
-    underflows) are the computation's own limit, not bad input."""
+def test_optimal_debug_time_takes_an_overflowing_argument_in_logs():
+    """Where the log argument overflows (or its denominator underflows), tau_m = tau0 ln(arg)
+    comes from a sum of logs and the cost there is cost_test (tau0 + tau_m); a cost beyond a
+    float, and a tau_m that overflows, are the computation's own limit, not bad input."""
+    mpmath = pytest.importorskip("mpmath")
     overflow = DiscoveryParams(eps0=1e300, tau0=1e-3, commands=1, tempo=1e300)
     econ = EconParams(cost_error=1e300, cost_test=1e-300, horizon=1.0)
-    with pytest.raises(OutOfRange, match="arg"):
-        optimal_debug_time(overflow, econ)
+    optimum = optimal_debug_time(overflow, econ)
+    with mpmath.workdps(50):
+        e = mpmath.mpf
+        tau_m = e(1e-3) * mpmath.log(e(1e300) ** 3 / (e(1e-300) * e(1e-3)))
+        cost = e(1e-300) * e(1e-3) + e(1e-300) * tau_m
+        assert abs(optimum.tau_m - tau_m) <= 1e-14 * tau_m and abs(optimum.cost - cost) <= 1e-14 * cost
+    assert optimum.boundary is False
     underflow = DiscoveryParams(eps0=1.0, tau0=1e-200, commands=1, tempo=1.0)
-    with pytest.raises(OutOfRange, match="arg"):
+    with pytest.raises(OutOfRange, match="^the cost at the optimum .* is beyond a float$"):
         optimal_debug_time(underflow, EconParams(cost_error=1.0, cost_test=1e-200, horizon=1.0))
     # arg is finite, but tau0 * ln(arg) is not.
     huge_tau0 = DiscoveryParams(eps0=1.7e308, tau0=1e306, commands=1, tempo=1.0)

@@ -83,7 +83,7 @@ def _bits(table):
 def _converted(rows, kinds, x87, block_chars):
     text = "\n".join(",".join(row[: len(kinds)]) for row in rows)
     with mock.patch.object(decimal_columns, "X87", x87), mock.patch.object(decimal_columns, "BLOCK_CHARS", block_chars):
-        return decimal_columns.arrays(text, 0, len(text), kinds, len(rows))
+        return decimal_columns.arrays(text, 0, len(text), kinds)
 
 
 @pytest.mark.parametrize("x87", BRANCHES)

@@ -706,3 +706,23 @@ def test_pole_sum_requires_e0_above_the_pole():
         pole_sum(99.0, 100)
     with pytest.raises(DomainError):
         pole_sum(math.nan, 3)
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None)
+@hypothesis.given(
+    values=st.lists(st.integers(-(2**63), 2**63 - 1) | st.integers(2**53 - 4, 2**53 + 4), min_size=1, max_size=300),
+    divisor=st.integers(1, 2**53 + 4) | st.integers(1, 2**70),
+)
+def test_int64_columns_give_pythons_sums_bounds_floats_and_quotients(values, divisor):
+    """An int64 column and its list of ints: the same exact sums (past int64 too), bounds, floats
+    (each int rounded once) and v / divisor (rounded once, as int / int rounds it)."""
+    column = np.array(values, np.int64)
+    weights = column[::-1].copy()
+    assert numerics.int_sum(column) == sum(values)
+    assert numerics.int_sum(column, weights) == sum(map(operator.mul, values, values[::-1]))
+    assert numerics.int_bounds(column) == (min(values), max(values))
+    if any(values):
+        assert numerics.int_bounds(column, weights) == numerics.int_bounds(values, values[::-1])
+    assert [x.hex() for x in np.asarray(numerics.floats(column)).tolist()] == [float(v).hex() for v in values]
+    ratios = np.asarray(numerics.int_ratios(column, divisor)).tolist()
+    assert [x.hex() for x in ratios] == [(v / divisor).hex() for v in values]
