@@ -297,6 +297,7 @@ def _handle_faulttol(ns: SimpleNamespace, read: _Read) -> dict:
             "histogram": [[i, c] for i, c in sorted(result.histogram.items())],
             "elapsed": result.elapsed,
         }
+    fault_tolerance.check_plan(config, plan)  # after the simulation's own errors
     return report
 
 

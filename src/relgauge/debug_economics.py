@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 from .errors import DomainError, NoConvergence, OutOfRange, Underdetermined
 from .numerics import Bracket, dot, find_root_bracketed, floats
-from .record import Record
+from .record import Columns, Record
 
 
 class DiscoveryParams(Record):
@@ -146,50 +146,44 @@ def reliability(params: DiscoveryParams, tau: float, t: float) -> float:
 
 
 def total_cost(params: DiscoveryParams, econ: EconParams, tau: float) -> float:
-    """Expected in-service failure losses plus debugging cost at ``tau``."""
+    """Expected in-service failure losses plus debugging cost at ``tau``; the losses in logs
+    where a partial product of cost_error * horizon * eps0 * tempo leaves the normal range."""
     tau = _check_tau(tau)
-    failure_losses = (
-        econ.cost_error
-        * econ.horizon
-        * params.eps0
-        * params.tempo
-        / params.commands
-        * math.exp(-tau / params.tau0)
-    )
+    product = _normal_product(econ.cost_error, econ.horizon, params.eps0, params.tempo)
+    if product:
+        failure_losses = product / params.commands * math.exp(-tau / params.tau0)
+    else:  # the exp of an exactly rounded sum of logs
+        logs = map(math.log, (econ.cost_error, econ.horizon, params.eps0, params.tempo))
+        log_losses = math.fsum([*logs, -math.log(params.commands), -tau / params.tau0])
+        failure_losses = math.exp(log_losses) if log_losses < _LOG_MAX else math.inf
     return failure_losses + econ.cost_test * tau
 
 
-class DiscoveryRows(Record, Sequence):
+# The largest log whose exp is a float, and the least normal float.
+_LOG_MAX, _NORMAL_MIN = math.log(1.7976931348623157e308), 2.2250738585072014e-308
+
+
+def _normal_product(*factors: float) -> float:
+    """The product of ``factors`` left to right; 0.0 where a partial product leaves the normal range."""
+    product = 1.0
+    for factor in factors:
+        product *= factor
+        if not _NORMAL_MIN <= product < math.inf:
+            return 0.0
+    return product
+
+
+class DiscoveryRows(Columns):
     """(tau, cumulative corrected count) pairs held as two columns, as :func:`parse_discovery` returns them.
 
-    Indexing and iteration give (tau, count) tuples of Python floats, and it
-    compares equal to any sequence of the same pairs, a list of tuples
-    included.  The columns are held as they are given: tuples below
-    ``numerics.ARRAY_MIN`` rows of a file, the reader's read-only float64
-    ndarrays from there on, which :func:`fit_discovery_curve` takes as they are.
+    The rows are (tau, count) tuples of Python floats, and
+    :func:`fit_discovery_curve` takes the columns as they are.
     """
 
     _fields = ("taus", "counts")
 
-    def _check(self) -> None:
-        if len(self.taus) != len(self.counts):
-            raise DomainError("discovery columns must have equal lengths")
-
-    def __len__(self) -> int:
-        return len(self.taus)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return DiscoveryRows(self.taus[index], self.counts[index])
-        return float(self.taus[index]), float(self.counts[index])
-
-    def __iter__(self) -> Iterator[tuple[float, float]]:
-        return zip(*(column.tolist() if hasattr(column, "tolist") else column for column in (self.taus, self.counts)))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Sequence) and not isinstance(other, str):
-            return list(self) == list(other)
-        return NotImplemented
+    def _row(self, views: list, j: int) -> tuple[float, float]:
+        return float(views[0][j]), float(views[1][j])
 
 
 # The optimal debugging time tau_m, the expected cost there, and whether tau_m is the boundary 0.
@@ -203,14 +197,15 @@ def optimal_debug_time(params: DiscoveryParams, econ: EconParams) -> DebugOptimu
     ``arg = cost_error * horizon * eps0 * tempo / (cost_test * commands * tau0)``.
     When ``arg`` is below one the stationary point would be negative, so the
     minimum sits at the boundary tau = 0 and the result is flagged.  Where
-    ``arg`` is not a finite float, ln(arg) is an exactly rounded sum of
+    ``arg`` is not a finite float, or a partial product of its numerator or
+    denominator is not a normal one, ln(arg) is an exactly rounded sum of
     logs, and the cost at tau_m is cost_test * (tau0 + tau_m), or at the
     boundary the failure losses in logs; OutOfRange where the cost is
     beyond a float.
     """
-    denominator = econ.cost_test * params.commands * params.tau0
-    numerator = econ.cost_error * econ.horizon * params.eps0 * params.tempo
-    arg = numerator / denominator if denominator > 0.0 else math.inf
+    numerator = _normal_product(econ.cost_error, econ.horizon, params.eps0, params.tempo)
+    denominator = _normal_product(econ.cost_test, params.commands, params.tau0)
+    arg = numerator / denominator if numerator and denominator else math.inf
     if math.isfinite(arg):
         if arg < 1.0:
             return DebugOptimum(0.0, total_cost(params, econ, 0.0), True)
@@ -220,7 +215,7 @@ def optimal_debug_time(params: DiscoveryParams, econ: EconParams) -> DebugOptimu
                 f"the optimal debugging time tau0 * ln(arg) overflows: tau0 = {params.tau0}, arg = {arg}"
             )
         return DebugOptimum(tau_m, total_cost(params, econ, tau_m), False)
-    # arg leaves the float range, though its log does not: ln(arg) as a sum of logs, rounded once.
+    # A partial product or arg leaves the float range, though ln(arg) does not: a sum of logs, rounded once.
     log_losses = [*map(math.log, (econ.cost_error, econ.horizon, params.eps0, params.tempo)), -math.log(params.commands)]
     log_arg = math.fsum([*log_losses, -math.log(econ.cost_test), -math.log(params.tau0)])
     if log_arg < 0.0:  # the cost at tau = 0 is the failure losses
@@ -268,10 +263,9 @@ def fit_discovery_curve(
     """
     if not (isinstance(commands, int) and commands >= 1):
         raise DomainError(f"commands must be an integer >= 1, got {commands}")
-    if isinstance(observations, DiscoveryRows):  # the reader's columns, as they are
-        taus, counts = floats(observations.taus), floats(observations.counts)
-    else:  # the two columns, each made once; zip's strict pass rejects observations of unequal lengths
-        taus, counts = map(floats, list(zip(*observations, strict=True)) or [(), ()])
+    if not isinstance(observations, DiscoveryRows):  # zip's strict pass refuses pairs of unequal lengths
+        observations = DiscoveryRows(*(list(zip(*observations, strict=True)) or [(), ()]))
+    taus, counts = floats(observations.taus), floats(observations.counts)  # the reader's columns as they are
     if len(taus) < 3:
         raise Underdetermined(f"need at least 3 observations to fit two parameters, got {len(taus)}")
     _check_observations(taus, counts)
@@ -347,8 +341,5 @@ def parse_discovery(text: str) -> DiscoveryRows:
     """Parse ``tau,corrected`` CSV text into (time, cumulative count) pairs, held as the columns read."""
     from .failure_data import read_columns  # here, so economics from parameters does not load it
 
-    _, (taus, counts) = read_columns(text, (("tau", float), ("corrected", float)), arrays=True)
-    if type(taus) is list:
-        return DiscoveryRows(tuple(taus), tuple(counts))
-    taus.flags.writeable = counts.flags.writeable = False
-    return DiscoveryRows(taus, counts)
+    _, columns = read_columns(text, (("tau", float), ("corrected", float)), arrays=True)
+    return DiscoveryRows(*columns)

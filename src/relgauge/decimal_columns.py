@@ -49,7 +49,7 @@ _DTYPES = {float: np.float64, int: np.int64}
 
 
 def arrays(text: str, start: int, stop: int, kinds: list) -> list | None:
-    """The float64 or int64 column of each kind in the body ``text[start:stop]``, or None.
+    """The read-only float64 or int64 column of each kind in the body ``text[start:stop]``, or None.
 
     ``kinds`` holds ``float`` or ``int`` per column, and the body has no
     blank line at its end.  The lines are not counted: a line the converter
@@ -75,6 +75,7 @@ def arrays(text: str, start: int, stop: int, kinds: list) -> list | None:
         start = end + 1
     for column in table:
         column.resize(row, refcheck=False)  # no view of it exists yet
+        column.flags.writeable = False  # so a record holds it as it is
     return table
 
 

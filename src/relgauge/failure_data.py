@@ -1,8 +1,9 @@
 """Failure observations and the CSV formats they travel in.
 
 Three record shapes cover every estimator in the package: per-run outcome
-logs, cumulative failure epochs, and per-debugging-period counts.  Every
-CSV parser in the package reads through :func:`read_columns`, which reports
+logs, and cumulative failure epochs and per-debugging-period counts, held
+as the parser's columns by :class:`record.Columns` records.  Every CSV
+parser in the package reads through :func:`read_columns`, which reports
 the offending 1-based row (the header is row 1) so bad files can be fixed
 without guesswork.  Asked for arrays, a regular file of float and int
 columns and ``numerics.ARRAY_MIN`` rows or more (epochs, periods, profiles,
@@ -23,14 +24,13 @@ import csv
 import io
 import math
 import operator
-import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
 
 from . import numerics
 from .errors import DomainError, NoFailures, NotMonotone, ParseError
 from .numerics import all_at_least
-from .record import Record, set_field
+from .record import Columns, Record
 
 
 class Outcome(Enum):
@@ -70,24 +70,12 @@ class RunSummary(Record):
     _fields = ("exposure", "lambda_hat", "t_hat")
 
 
-class FailureEpochs(Record):
-    """Cumulative failure times, strictly increasing and positive.
-
-    ``epochs`` is kept as given, except that a 1-D float64 ndarray is kept
-    read-only, copied first if it is writable; :func:`parse_failure_epochs`
-    gives one for a file of at least ``numerics.ARRAY_MIN`` epochs.  Such a
-    record compares equal to, and hashes like, the record of the tuple of
-    its floats.
-    """
+class FailureEpochs(Columns):
+    """Cumulative failure times, strictly increasing and positive: one column, whose rows are the epochs."""
 
     _fields = ("epochs",)
 
-    def __init__(self, epochs: Sequence[float]) -> None:
-        array = _float_array(epochs)
-        if array and epochs.flags.writeable:
-            epochs = epochs.copy()
-            epochs.flags.writeable = False
-        set_field(self, "epochs", epochs)
+    def _check(self) -> None:
         e = self.epochs
         # Increasing from a positive first to a finite last: each finite and positive.
         # An array is compared whole, and a NaN fails the comparison.
@@ -95,13 +83,11 @@ class FailureEpochs(Record):
             if not len(e) or (
                 e[0] > 0.0
                 and math.isfinite(e[-1])
-                and ((e[1:] > e[:-1]).all() if array else all(map(operator.lt, e, e[1:])))
+                and (all(map(operator.lt, e, e[1:])) if type(e) is tuple else (e[1:] > e[:-1]).all())
             ):
                 return
-        if array:
-            e = e.tolist()  # Python floats, so the first bad epoch is named as in a tuple
         prev = 0.0
-        for i, t in enumerate(e):
+        for i, t in enumerate(self):  # Python numbers, so the first bad epoch is named as in a tuple
             if not (math.isfinite(t) and t > 0.0):
                 raise DomainError(f"epoch {i + 1} must be finite and positive, got {t}")
             if t <= prev:
@@ -110,15 +96,8 @@ class FailureEpochs(Record):
                 )
             prev = t
 
-    def _key(self) -> tuple:
-        e = self.epochs
-        return (tuple(e.tolist()) if _float_array(e) else e,)
-
-
-def _float_array(values: object) -> bool:
-    """Whether ``values`` is a 1-D float64 ndarray; numpy is not imported to tell."""
-    np = sys.modules.get("numpy")
-    return np is not None and type(values) is np.ndarray and values.ndim == 1 and values.dtype == float
+    def _row(self, views: list, j: int) -> float:
+        return views[0][j]
 
 
 class DebugPeriod(Record):
@@ -137,33 +116,27 @@ class DebugPeriod(Record):
             raise DomainError(f"failure count must be a non-negative integer, got {self.failures}")
 
 
-class DebugPeriods(Record, Sequence):
+class DebugPeriods(Columns):
     """Debugging periods held column by column, as :func:`parse_debug_periods` returns them.
 
-    Indexing and iteration give DebugPeriod records, and it compares equal
-    to any sequence of the same periods.  Each column is checked once, with
-    DebugPeriod's rules.  The columns are held as they are given: tuples
-    below ``numerics.ARRAY_MIN`` periods of a file, and from there on the
-    reader's read-only float64 and int64 ndarrays, checked in whole-array
-    passes, whose items the records get as Python floats and ints.
+    The rows are DebugPeriod records.  The columns are checked once, with
+    DebugPeriod's rules, in C or whole-array passes; where one fails, the
+    periods are checked in order, so the first bad one raises.
     """
 
     _fields = DebugPeriod._fields
 
     def _check(self) -> None:
-        if len({len(self.tau), len(self.corrected), len(self.exposure), len(self.failures)}) > 1:
-            raise DomainError("period columns must have equal lengths")
-        if not len(self):
-            return
-        if _period_arrays(self):  # a NaN fails each minimum's test
-            counts = min(self.corrected.min(), self.failures.min()) >= 0
-            times = self.tau.min() >= 0.0 and self.exposure.min() > 0.0
-            times = times and max(self.tau.max(), self.exposure.max()) < math.inf
-        else:
-            counts = _all_counts(self.corrected) and _all_counts(self.failures)
-            times = all_at_least(self.tau, 0.0) and all_at_least(self.exposure, 0.0, strict=True)
-        if not (counts and times):
-            list(self)  # each record checks itself, so the first bad period raises
+        if not (
+            _all_counts(self.corrected)
+            and _all_counts(self.failures)
+            and all_at_least(self.tau, 0.0)
+            and all_at_least(self.exposure, 0.0, strict=True)
+        ):
+            list(map(DebugPeriod, *self._views()))  # each period checks itself, so the first bad one raises
+
+    def _row(self, views: list, j: int) -> DebugPeriod:
+        return DebugPeriod._unchecked(*[view[j] for view in views])
 
     @classmethod
     def of(cls, periods: Iterable[DebugPeriod]) -> DebugPeriods:
@@ -173,36 +146,12 @@ class DebugPeriods(Record, Sequence):
         periods = list(periods)
         return cls(*(tuple(getattr(p, name) for p in periods) for name in cls._fields))
 
-    def __len__(self) -> int:
-        return len(self.tau)
-
-    def __getitem__(self, index):
-        values = [self.tau[index], self.corrected[index], self.exposure[index], self.failures[index]]
-        if isinstance(index, slice):
-            return DebugPeriods(*values)
-        return DebugPeriod(*(value.item() for value in values) if _period_arrays(self) else values)
-
-    def __iter__(self) -> Iterator[DebugPeriod]:
-        columns = self.tau, self.corrected, self.exposure, self.failures
-        if _period_arrays(self):
-            columns = [column.tolist() for column in columns]  # Python floats and ints
-        return map(DebugPeriod, *columns)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Sequence) and not isinstance(other, str):
-            return list(self) == list(other)
-        return NotImplemented
-
-
-def _period_arrays(periods: DebugPeriods) -> bool:
-    """Whether the columns are float64, int64, float64 and int64 ndarrays, as the reader makes them."""
-    columns = periods.tau, periods.corrected, periods.exposure, periods.failures
-    return [getattr(column, "dtype", None) for column in columns] == ["f8", "i8", "f8", "i8"]
-
 
 def _all_counts(values: Sequence) -> bool:
     """Whether every value is a non-negative int, in C passes; False when unsure."""
-    return set(map(type, values)) <= {int} and min(values, default=0) >= 0
+    if type(values) is tuple:
+        return set(map(type, values)) <= {int} and min(values, default=0) >= 0
+    return values.dtype.kind in "iu" and values.min(initial=0) >= 0
 
 
 _ColumnSpec = Sequence[tuple[str, Callable[[str], object]]]
@@ -401,11 +350,7 @@ def parse_failure_epochs(text: str) -> FailureEpochs:
     ``numerics.ARRAY_MIN`` rows, a read-only float64 ndarray from there on.
     """
     _, (column,) = read_columns(text, (("epoch", float),), arrays=True)
-    epochs = numerics.floats(column)  # the reader's array as it is
-    if type(epochs) is list:
-        return FailureEpochs(tuple(epochs))
-    epochs.flags.writeable = False
-    return FailureEpochs(epochs)
+    return FailureEpochs(numerics.floats(column))  # the reader's array as it is
 
 
 def parse_debug_periods(text: str) -> DebugPeriods:
@@ -415,11 +360,8 @@ def parse_debug_periods(text: str) -> DebugPeriods:
 
 
 def _debug_periods(rows: Sequence[int], table: list) -> DebugPeriods:
-    arrays = type(table[0]) is not list
-    for column in table if arrays else ():
-        column.flags.writeable = False  # the reader's own arrays, held as they are
     try:
-        return DebugPeriods(*(table if arrays else map(tuple, table)))
+        return DebugPeriods(*table)
     except DomainError:
         for row_number, *values in zip(rows, *listed(table)):
             try:

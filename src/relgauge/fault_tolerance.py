@@ -88,8 +88,14 @@ def success_probability(config: DualRunConfig, t: float) -> float:
 
 
 def total_time(config: DualRunConfig, t: float) -> float:
-    """Expected wall time T (2 / p1 + a / t) with module length ``t``; a float even where T a is not."""
-    return config.total_time * (expected_executions(success_probability(config, t)) + config.overhead / t)
+    """Expected wall time T (2 / p1 + a / t) with module length ``t``; a float even where T a is not.
+
+    Where a / t overflows it is 2 T / p1 + a (T / t): T / t >= 1, so that is infinite only where the
+    wall time is beyond a float.
+    """
+    T, p1 = config.total_time, success_probability(config, t)
+    value = T * (expected_executions(p1) + config.overhead / t)
+    return value if value < math.inf else 2.0 * T / p1 + config.overhead * (T / t)
 
 
 def optimal_module_time(config: DualRunConfig) -> DualRunPlan:
@@ -132,6 +138,14 @@ def optimal_module_time(config: DualRunConfig) -> DualRunPlan:
         p1_at_t=success_probability(config, t_star),
         boundary=boundary,
     )
+
+
+def check_plan(config: DualRunConfig, plan: DualRunPlan) -> None:
+    """OutOfRange naming the formula of a module count or tp_min of ``plan`` that is beyond a float."""
+    for field, formula in (("module_count", "T / t*"), ("tp_min", "2 T / p1 + a T / t*")):
+        if getattr(plan, field) == math.inf:
+            T = config.total_time
+            raise OutOfRange(f"{field} = {formula} overflows a float for T = {T}, t* = {plan.t_star}")
 
 
 # Mean executions per module, {execution count: modules}, and the simulated elapsed time.

@@ -10,16 +10,15 @@ weighted estimator and a partitioned single-run form are also provided.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 from .errors import DomainError, ParseError, WeightSumMismatch
 from .failure_data import read_columns
 from .numerics import all_at_least
-from .record import Record, set_field
+from .record import Columns, Record
 
 _SUM_TOL = 1e-9
 
@@ -32,95 +31,65 @@ class RunProfile(Record):
     def _check(self) -> None:
         if len(self.probs) != len(self.indicators) or not self.probs:
             raise DomainError("probs and indicators must be non-empty and of equal length")
-        # One pass per test accepts a valid profile: a NaN fails the sum
-        # test, and an infinity the minimum or the sum test.
-        with contextlib.suppress(TypeError, ValueError, OverflowError):
-            if (
-                min(self.probs) >= 0.0
-                and abs(math.fsum(self.probs) - 1.0) <= _SUM_TOL
-                and set(self.indicators) <= {0, 1}
-            ):
-                return
-        if not all_at_least(self.probs, 0.0):
-            p = next(p for p in self.probs if not (math.isfinite(p) and p >= 0.0))
-            raise DomainError(f"profile probabilities must be non-negative, got {p}")
+        for p in self.probs:
+            if not (math.isfinite(p) and p >= 0.0):
+                raise DomainError(f"profile probabilities must be non-negative, got {p}")
         total = math.fsum(self.probs)
         if abs(total - 1.0) > _SUM_TOL:
             raise DomainError(f"profile probabilities must sum to 1, got {total}")
-        with contextlib.suppress(TypeError):  # an unhashable indicator is named below
-            if set(self.indicators) <= {0, 1}:
-                return
-        y = next(y for y in self.indicators if y not in (0, 1))
-        raise DomainError(f"failure indicators must be 0 or 1, got {y}")
+        for y in self.indicators:
+            if y not in (0, 1):
+                raise DomainError(f"failure indicators must be 0 or 1, got {y}")
 
 
-class RunProfiles(Record, Sequence):
+class RunProfiles(Columns):
     """Run profiles held as two columns, as :func:`parse_profiles` returns them.
 
     Run j is rows ``starts[j]`` up to the next start of ``probs`` and
     ``indicators``, two columns of equal length; ``starts`` begins at 0 and
-    increases within them.  The columns are checked once, with RunProfile's
-    rules; where one fails, the runs are checked in order, so the first bad
-    run raises RunProfile's error.  Indexing and iteration make each
-    RunProfile record when it is asked for, without a second check, and a
-    RunProfiles compares equal to any sequence of the same profiles.
-
-    Lists become tuples.  A float64 and an int64 array, as numpy's reader
-    gives them, have their p and y bounds checked in C passes and are held
-    as read-only memoryviews, whose items are Python numbers.
+    increases within them.  A row of the record is a run's RunProfile.  The
+    columns are checked once, with RunProfile's rules: tuples in C passes,
+    numpy's in whole-array passes, each run's sum screened by
+    :func:`_unsettled`.  Where one fails, the first bad run raises.
     """
 
     _fields = ("probs", "indicators", "starts")
+    _columns = ("starts",)
 
-    def __init__(self, probs: Sequence[float], indicators: Sequence[int], starts: Sequence[int]) -> None:
-        starts = tuple(starts)
+    def _check(self) -> None:
+        probs, indicators, starts = self.probs, self.indicators, self.starts
         if len(probs) != len(indicators) or not len(probs):
             raise DomainError("probs and indicators must be non-empty and of equal length")
-        if starts[:1] != (0,) or starts[-1] >= len(probs) or not all(map(operator.lt, starts, starts[1:])):
+        increasing = all(map(operator.lt, starts, starts[1:]))
+        if not (len(starts) and starts[0] == 0 and starts[-1] < len(probs) and increasing):
             raise DomainError("run starts must begin at 0 and increase within the columns")
-        if isinstance(probs, Sequence):
-            valid = all_at_least(probs, 0.0) and set(indicators) <= {0, 1}
-            probs, indicators = tuple(probs), tuple(indicators)
-            unsettled = range(len(starts))
-        else:  # a NaN fails the minimum's test
-            valid = 0.0 <= probs.min() and probs.max() < math.inf and 0 <= indicators.min() and indicators.max() <= 1
-            unsettled = _unsettled(probs, starts) if valid else []
-            probs, indicators = memoryview(probs).toreadonly(), memoryview(indicators).toreadonly()
-        set_field(self, "probs", probs)
-        set_field(self, "indicators", indicators)
-        set_field(self, "starts", starts)
-        spans = list(self._spans())
-        if not (valid and all(abs(math.fsum(probs[slice(*spans[j])]) - 1.0) <= _SUM_TOL for j in unsettled)):
+        if type(indicators) is tuple:
+            binary = set(indicators) <= {0, 1}
+        else:
+            binary = ((indicators == 0) | (indicators == 1)).all()
+        valid = all_at_least(probs, 0.0) and binary
+        unsettled = range(len(starts)) if type(probs) is tuple else _unsettled(probs, starts) if valid else []
+        p, y, at = self._views()
+        spans = list(zip(at, (*at[1:], len(p))))
+        if not (valid and all(abs(math.fsum(p[slice(*spans[j])]) - 1.0) <= _SUM_TOL for j in unsettled)):
             for s, e in spans:
-                RunProfile(tuple(probs[s:e]), tuple(indicators[s:e]))  # raises for the first bad run
+                RunProfile(tuple(p[s:e]), tuple(y[s:e]))  # raises for the first bad run
 
-    def _spans(self) -> Iterator[tuple[int, int]]:
-        return zip(self.starts, (*self.starts[1:], len(self.probs)))
+    def _row(self, views: list, j: int) -> RunProfile:
+        probs, indicators, starts = views
+        end = starts[j + 1] if j + 1 < len(starts) else len(probs)
+        return RunProfile._unchecked(tuple(probs[starts[j] : end]), tuple(indicators[starts[j] : end]))
 
-    def __len__(self) -> int:
-        return len(self.starts)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[j] for j in range(len(self))[index]]
-        j = range(len(self))[index]  # IndexError as a list raises it
-        end = self.starts[j + 1] if j + 1 < len(self) else len(self.probs)
-        return _checked_profile(self.probs[self.starts[j] : end], self.indicators[self.starts[j] : end])
-
-    def __iter__(self) -> Iterator[RunProfile]:
-        for s, e in self._spans():
-            yield _checked_profile(self.probs[s:e], self.indicators[s:e])
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Sequence) and not isinstance(other, str):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __reduce__(self):  # a memoryview does not pickle; its items as tuples do
-        return RunProfiles, (tuple(self.probs), tuple(self.indicators), self.starts)
+    def _sliced(self, index: slice) -> RunProfiles:
+        runs = [self[j] for j in range(len(self))[index]]
+        return RunProfiles(
+            [p for run in runs for p in run.probs],
+            [y for run in runs for y in run.indicators],
+            list(itertools.accumulate([len(run.probs) for run in runs[:-1]], initial=0)),
+        )
 
 
-def _unsettled(probs, starts: tuple[int, ...]) -> list[int]:
+def _unsettled(probs, starts: Sequence[int]) -> list[int]:
     """The runs of finite non-negative ``probs`` whose sum a screen cannot place within _SUM_TOL of 1.
 
     ``np.add.reduceat`` sums each run in some order of float64 additions.
@@ -138,14 +107,6 @@ def _unsettled(probs, starts: tuple[int, ...]) -> list[int]:
         off = np.abs(np.add.reduceat(probs, starts) - 1.0)
     lengths = np.diff(starts, append=len(probs))
     return np.flatnonzero(~(off <= _SUM_TOL - (lengths + 2) * 2.0**-52)).tolist()
-
-
-def _checked_profile(probs: Sequence[float], indicators: Sequence[int]) -> RunProfile:
-    """The RunProfile of one run's slices of columns that RunProfiles has checked."""
-    profile = object.__new__(RunProfile)
-    set_field(profile, "probs", tuple(probs))
-    set_field(profile, "indicators", tuple(indicators))
-    return profile
 
 
 class PartitionSpec(Record):
@@ -256,7 +217,6 @@ def _run_starts(rows: Sequence[int], table: list) -> tuple[list[int], object, ob
         starts = list(itertools.compress(range(len(runs)), changed))
     else:  # numpy's int64 column, of at least one row
         starts = [0, *((runs[1:] != runs[:-1]).nonzero()[0] + 1).tolist()]
-        runs = memoryview(runs)  # whose items are Python ints
     seen: set[int] = set()
     for start in starts:
         if runs[start] in seen:

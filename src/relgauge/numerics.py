@@ -223,11 +223,15 @@ def fsum_array(values) -> float:
 def all_at_least(values: Sequence, low: float, strict: bool = False) -> bool:
     """Whether every value is finite and at least ``low`` (above it if ``strict``), in C passes.
 
-    Anything else, a value of an unexpected type included, gives False and
-    never an exception: callers then check item by item, which finds the
-    first bad value and raises its own error.
+    An ndarray is tested in whole-array passes.  Anything else, a value of
+    an unexpected type included, gives False and never an exception:
+    callers then check item by item, which finds the first bad value and
+    raises its own error.
     """
     try:
+        if hasattr(values, "dtype"):  # an ndarray: a NaN fails both tests
+            least = values.min() if len(values) else math.inf
+            return (least > low if strict else least >= low) and (not len(values) or values.max() < math.inf)
         if not all(map(math.isfinite, values)):
             return False
         least = min(values, default=math.inf)

@@ -1515,13 +1515,12 @@ def test_emit_names_the_first_non_finite_field(tmp_path, report, field):
 
 
 def test_non_finite_plan_field_is_named(capsys):
-    """T / t* = 1e300 / 2.3e-12 is beyond a float: the error names module_count."""
+    """T / t* = 1e300 / 7.1e-156 is beyond a float: the error names module_count and its formula."""
     code, stdout, err = run(capsys, "faulttol", "--total-time", "1e300", "--overhead", "1e-300", "--failure-rate", "1e10")
     assert (code, stdout, len(err.splitlines())) == (2, "", 1)
     assert error_json(err) == {
         "error": "OutOfRange",
-        "message": "report field module_count holds a value that is not a finite number: "
-        "Out of range float values are not JSON compliant: inf",
+        "message": "module_count = T / t* overflows a float for T = 1e+300, t* = 7.071067811865493e-156",
         "exit_code": 2,
     }
 

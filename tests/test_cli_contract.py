@@ -10,6 +10,7 @@ values and from the extremes of a float and an int.
 import contextlib
 import io
 import json
+import math
 import warnings
 
 import pytest
@@ -72,6 +73,10 @@ VERBS = {
 # ZeroDivisionError traceback: the hazard is about shape / time = 59.5, and the mttf beyond a float.
 _UNDERFLOWING_WEIBULL = ("2.196217713707e-311", "4.94984165082482e-165", "3.68820164174e-313")
 
+# Total time, overhead and failure rate of a boundary plan (t* = T) whose a / t overflows a float,
+# once refused; mpmath gives tp_min 7.3261472786613596e218.
+_FLOAT_TP_MIN = ("1.2982733083358023e-294", "7.32614727866136e+218", "3.9657876933994313e-141")
+
 # Flag values that random draws reach only now and then, tried on every run.
 EXAMPLES = {
     # exp(-lam * t) underflows to 0 at the given module time, which numpy's sampler refuses;
@@ -79,7 +84,9 @@ EXAMPLES = {
     "faulttol": [{"--total-time": "100", "--overhead": "1", "--failure-rate": str(2**63), "--simulate": "5",
                   "--seed": "3", "--module-time": "20"},
                  {"--total-time": "1e-306", "--overhead": "5.986657101827642e-118",
-                  "--failure-rate": "1.7976931348623157e308"}],
+                  "--failure-rate": "1.7976931348623157e308"},
+                 # A boundary plan where a / t overflows though tp_min = 2 T / p1 + a T / t does not.
+                 dict(zip(("--total-time", "--overhead", "--failure-rate"), _FLOAT_TP_MIN))],
     # The hazard overflows a float; a hazard that is a float though scale^shape is not;
     # one that is a float though scale^shape and (scale * time)^(shape - 1) are not (3.1958e-249);
     # the mttf beyond a float; scale * time underflowing to 0, twice (the second reports a
@@ -96,12 +103,20 @@ EXAMPLES = {
                         {"--shape": "0.004", "--scale": "1e300", "--time": "1e300"}],
     # A non-finite e0, which the report could not hold.
     "predict jm": [{"--e0": e0, "--k": "1", "--index": "1", "--dt": "1"} for e0 in ("nan", "inf")],
-    # eps0 * tempo overflows, so the mttf is taken in logs (1e-301, once reported as 0.0); and the
-    # optimum's argument overflows too, so ln(arg) is a sum of logs (tau_m 2555.87, once refused).
+    # eps0 * tempo overflows, so the mttf is taken in logs (1e-301, once reported as 0.0); the
+    # optimum's argument overflows too, so ln(arg) is a sum of logs (tau_m 2555.87, once refused);
+    # and cost_error * horizon * eps0 underflows, where the optimum is interior (tau_m 6.66e-244)
+    # and then at the boundary (cost 2.31e-205), each once reported as 0.0.
     "economics": [dict(zip(("--eps0", "--tau0", "--size", "--tempo", "--cost-error", "--horizon", "--cost-test"),
                            values))
                   for values in (("1e200", "10", "1000", "1e200", "1e-300", "1", "1"),
-                                 ("1e200", "10", "1000", "1e200", "1e10", "1e5", "1e300"))],
+                                 ("1e200", "10", "1000", "1e200", "1e10", "1e5", "1e300"),
+                                 ("6.26982053042164e-269", "1.955999494893404e-246", "184771274956356840",
+                                  "1.1435223019951218e+248", "1.2843786993804724e-247", "9.010218488621965e+106",
+                                  "3.2696963782634816e-80"),
+                                 ("3.307854091623683e-262", "1.5513431161395293e-300", "2156118268492546342",
+                                  "3.3795731384858986e+291", "9.915586610014672e-107", "4.484050243662316e-111",
+                                  "4.055656732371798e+293"))],
 }
 
 ODD_VALUES = {
@@ -160,6 +175,7 @@ def check_contract(argv):
         line = json.loads(stderr, parse_constant=_reject_constant)
         assert list(line) == ["error", "message", "exit_code"], argv
         assert line["exit_code"] == code, argv
+    return code
 
 
 @pytest.mark.parametrize("verb", list(VERBS))
@@ -192,6 +208,10 @@ def test_every_argv_ends_in_a_report_or_one_error_line(paths, verb):
          "the mttf overflows a float for shape 0.001 and scale 1.0"),
         ("predict jm --e0 nan --k 1 --index 1 --dt 1", "DomainError", "e0 must be finite, got nan"),
         ("predict jm --e0 inf --k 1 --index 1 --dt 1", "DomainError", "e0 must be finite, got inf"),
+        ("faulttol --total-time 1e300 --overhead 1e-300 --failure-rate 1", "OutOfRange",
+         "module_count = T / t* overflows a float for T = 1e+300, t* = 7.071067811865557e-151"),
+        ("faulttol --total-time 1.7e308 --overhead 1 --failure-rate 1e-308", "OutOfRange",
+         "tp_min = 2 T / p1 + a T / t* overflows a float for T = 1.7e+308, t* = 7.071067811865526e+153"),
     ],
 )
 def test_bad_values_are_named_in_one_error_line(argv, error, message):
@@ -205,7 +225,9 @@ def test_bad_values_are_named_in_one_error_line(argv, error, message):
 
 @pytest.mark.parametrize("values", EXAMPLES["economics"])
 def test_economics_beyond_the_float_range_is_taken_in_logs(values):
-    """tau_m, the cost there and the mttf there, each within 1e-12 of its 50-digit value."""
+    """tau_m, the cost there and the mttf there, each within 1e-12 of its 50-digit value, or
+    within one unit of the least subnormal where it is that small, and the boundary flagged
+    where arg is below 1."""
     mpmath = pytest.importorskip("mpmath")
     code, stdout, stderr, caught = run_contained(["economics", *(f"{flag}={value}" for flag, value in values.items())])
     assert (code, stderr, caught) == (0, "", [])
@@ -213,15 +235,31 @@ def test_economics_beyond_the_float_range_is_taken_in_logs(values):
     with mpmath.workdps(50):
         eps0, tau0, size, tempo, cost_error, horizon, cost_test = (mpmath.mpf(float(v)) for v in values.values())
         losses = cost_error * horizon * eps0 * tempo / size
-        tau_m = tau0 * mpmath.log(losses / (cost_test * tau0))
+        tau_m = max(tau0 * mpmath.log(losses / (cost_test * tau0)), 0)
         exact = {
             "tau_m": tau_m,
             "cost_at_tau_m": losses * mpmath.exp(-tau_m / tau0) + cost_test * tau_m,
             "mttf_at_tau_m": size / (eps0 * tempo) * mpmath.exp(tau_m / tau0),
         }
         for key, value in exact.items():
-            assert abs(report[key] - value) <= 1e-12 * value, key
-    assert report["boundary"] is False
+            assert abs(report[key] - value) <= 1e-12 * value + 2.0**-1074, key
+    assert report["boundary"] is (tau_m == 0)
+
+
+def test_a_tp_min_that_is_a_float_is_reported():
+    """The boundary plan whose a / t overflows: tp_min within 1e-12 of its 50-digit value."""
+    mpmath = pytest.importorskip("mpmath")
+    argv = ["faulttol", *(f"{flag}={value}" for flag, value in zip(("--total-time", "--overhead", "--failure-rate"),
+                                                                   _FLOAT_TP_MIN))]
+    code, stdout, stderr, caught = run_contained(argv)
+    assert (code, stderr, caught) == (0, "", [])
+    report = json.loads(stdout)
+    assert report["boundary"] is True and report["t_star"] == float(_FLOAT_TP_MIN[0])
+    with mpmath.workdps(50):
+        total, overhead, rate = map(mpmath.mpf, map(float, _FLOAT_TP_MIN))
+        exact = 2 * total * mpmath.exp(rate * total) + overhead  # t* = T, so a T / t = a
+    assert abs(report["tp_min"] - exact) <= 1e-12 * exact
+    assert float(exact) == pytest.approx(7.3261472786613596e218, rel=1e-15)
 
 
 def test_a_hazard_whose_scale_times_time_underflows_is_taken_in_logs():
@@ -233,3 +271,29 @@ def test_a_hazard_whose_scale_times_time_underflows_is_taken_in_logs():
         # The log form's error is that of its exponent, about 720 units of 2^-53 here.
         assert abs(model_weibull.hazard(model_weibull.WeibullFit(m, lam), t) - exact) <= 1e-12 * exact
     assert float(exact) == pytest.approx(59.547116, rel=1e-7)
+
+
+# The closed-form verbs: their other flags at ordinary values, and their float flags.
+FULL_RANGE = {
+    "predict jm": (["--index=3"], ("--e0", "--k", "--dt")),
+    "predict weibull": ([], ("--shape", "--scale", "--time")),
+    "economics": (["--size=10000"], ("--eps0", "--tau0", "--tempo", "--cost-error", "--cost-test", "--horizon")),
+    "faulttol": ([], ("--total-time", "--overhead", "--failure-rate")),
+}
+# A positive float of any binary exponent, subnormals included: m 2^e with m in [1, 2).
+ANY_EXPONENT = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-1074, 1023))
+
+
+@pytest.mark.parametrize("verb", list(FULL_RANGE))
+def test_float_flags_over_every_binary_exponent_give_a_report_or_one_error_line(verb):
+    """Every float flag of a closed-form verb drawn over all binary exponents at once: each call
+    exits 0 with strict JSON or 2 with one JSON error line, and lets no warning out."""
+    fixed, flags = FULL_RANGE[verb]
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(st.lists(ANY_EXPONENT, min_size=len(flags), max_size=len(flags)))
+    def check(values):
+        argv = [*verb.split(), *fixed, *(f"{flag}={value!r}" for flag, value in zip(flags, values))]
+        assert check_contract(argv) in (0, 2), argv
+
+    check()

@@ -327,7 +327,7 @@ def test_nelson_fits_give_the_same_bytes_on_both_read_paths(tmp_path, count, lay
     path = tmp_path / "profile.csv"
     path.write_text("\n".join(lines) + "\n")
     arrays, lists = _nelson_read_paths(path.read_text(), count)
-    assert arrays == ("memoryview", runs) and lists == ("tuple", runs)
+    assert arrays == ("ndarray", runs) and lists == ("tuple", runs)
     assert model_nelson.parse_profiles(path.read_text()) == runs
     reports = []
     for limit in (None, 0, count + 1):

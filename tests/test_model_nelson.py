@@ -337,13 +337,14 @@ def test_run_profiles_index_iterate_and_compare_as_the_list_of_records():
             profiles[index]
 
 
-def test_run_profiles_hold_numpys_columns_as_read_only_memoryviews():
+def test_run_profiles_hold_numpys_columns_as_read_only_ndarrays():
     profiles = RunProfiles(np.array([0.5, 0.5, 1.0]), np.array([0, 1, 1]), [0, 2])
-    assert profiles.probs.readonly and profiles.indicators.readonly
+    assert not profiles.probs.flags.writeable and not profiles.indicators.flags.writeable
     assert profiles == [RunProfile((0.5, 0.5), (0, 1)), RunProfile((1.0,), (1,))]
     assert [type(v) for v in profiles[1].probs + profiles[1].indicators] == [float, int]
     for copied in (pickle.loads(pickle.dumps(profiles)), copy.deepcopy(profiles)):  # as the list of records did
-        assert type(copied) is RunProfiles and copied == profiles and copied.probs == (0.5, 0.5, 1.0)
+        assert type(copied) is RunProfiles and copied == profiles and copied.probs.tolist() == [0.5, 0.5, 1.0]
+        assert not copied.probs.flags.writeable
 
 
 @pytest.mark.parametrize("columns", [list, np.array])

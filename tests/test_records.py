@@ -9,17 +9,23 @@ on replace.
 """
 
 import ast
+import copy
+import importlib
 import math
+import pickle
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import relgauge
+from relgauge.debug_economics import DiscoveryRows, parse_discovery
 from relgauge.errors import DataError, DomainError, NotMonotone
 from relgauge.failure_data import Outcome
+from relgauge.model_nelson import RunProfiles, parse_profiles
 from relgauge.model_weibull import MomentForm
 from relgauge.numerics import ARRAY_MIN
-from relgauge.record import FrozenRecordError, Record
+from relgauge.record import Columns, FrozenRecordError, Record
 
 _RUNS = (relgauge.RunRecord(2.0, Outcome.SUCCESS), relgauge.RunRecord(0.5, Outcome.FAILURE))
 
@@ -175,8 +181,8 @@ def test_replace_builds_a_checked_record(name, values, text, bad):
         record.replace(not_a_field=1.0)
 
 
-# DebugPeriods compares as a sequence of periods and is not hashable; see its own test.
-_VALUES = [case for case in _CASES if case[0] != "DebugPeriods"]
+# The column records compare and hash as the sequence of their rows; see the column-record tests.
+_VALUES = [case for case in _CASES if case[0] not in ("DebugPeriods", "FailureEpochs")]
 
 
 @pytest.mark.parametrize("name, values, text, bad", _VALUES, ids=[case[0] for case in _VALUES])
@@ -261,21 +267,34 @@ def _calls_of(node, name, owner=None):
         yield from _calls_of(child, name, inner)
 
 
+_PROTOCOL = {"__init__", "__len__", "__getitem__", "__iter__", "__eq__", "__reduce__"}
+
+
 def test_only_records_that_convert_their_values_write_a_constructor():
-    """Record's one constructor binds and stores every other record's fields: among Record
-    subclasses only FailureEpochs and RunProfiles define __init__, and set_field is called
-    only in ``record`` itself, in those two and in ``model_nelson._checked_profile``."""
-    constructors, stores = set(), set()
-    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "relgauge").glob("*.py")):
+    """Record's one constructor and Columns' one sequence protocol serve every record: no Record
+    subclass outside ``record`` defines __init__, __len__, __getitem__, __iter__, __eq__ or
+    __reduce__, and set_field is called only in ``record`` itself."""
+    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "relgauge").glob("*.py"))
+    records = {"Record", "Columns"}
+    for path in paths:
+        module = importlib.import_module(f"relgauge.{path.stem}")
+        records.update(name for name, value in vars(module).items() if isinstance(value, type) and issubclass(value, Record))
+    written, stores = set(), set()
+    for path in paths:
+        if path.stem == "record":
+            continue
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and "Record" in [getattr(b, "id", None) for b in node.bases]:
-                if any(isinstance(item, ast.FunctionDef) and item.name == "__init__" for item in node.body):
-                    constructors.add(node.name)
-        if path.stem != "record":
-            stores.update(f"{path.stem}.{owner}" for owner in _calls_of(tree, "set_field"))
-    assert constructors == {"FailureEpochs", "RunProfiles"}
-    assert stores == {"failure_data.FailureEpochs", "model_nelson.RunProfiles", "model_nelson._checked_profile"}
+            bases = {getattr(base, "id", getattr(base, "attr", None)) for base in getattr(node, "bases", ())}
+            if isinstance(node, ast.ClassDef) and bases & records:
+                for item in node.body:
+                    names = [item.name] if isinstance(item, ast.FunctionDef) else [
+                        getattr(target, "id", None) for target in getattr(item, "targets", ())]
+                    written.update(f"{node.name}.{name}" for name in names if name in _PROTOCOL)
+        stores.update(f"{path.stem}.{owner}" for owner in _calls_of(tree, "set_field"))
+    assert written == set()
+    assert stores == set()
+    assert set(_COLUMN_CLASSES) <= records  # the guard sees the records it guards
 
 
 def test_debug_periods_keep_their_own_equality():
@@ -284,13 +303,13 @@ def test_debug_periods_keep_their_own_equality():
     assert periods == records and periods == tuple(records)
     assert periods == relgauge.DebugPeriods.of(records)
     assert periods != records[:1] and periods != "periods"
-    with pytest.raises(TypeError):
-        hash(periods)
+    assert hash(periods) == hash(tuple(records))
 
 
 def test_failure_epochs_parsed_into_an_array_keep_the_record_contract():
     """From ARRAY_MIN rows on a parsed file's epochs are a read-only float64 array; the record
-    equals and hashes like its twin built from a tuple of the same floats, and checks as it does."""
+    equals and hashes like its twin built from a tuple of the same floats, and like that tuple,
+    and checks as it does."""
     np = pytest.importorskip("numpy")
     floats = tuple(0.5 + i for i in range(ARRAY_MIN))
     parsed = relgauge.parse_failure_epochs("epoch\n" + "".join(f"{t!r}\n" for t in floats))
@@ -299,7 +318,7 @@ def test_failure_epochs_parsed_into_an_array_keep_the_record_contract():
     assert type(twin.epochs) is tuple  # a tuple is kept at any size
     assert parsed.epochs.tolist() == list(floats)
     assert parsed == twin and twin == parsed and not parsed != twin
-    assert hash(parsed) == hash(twin) == hash((floats,))
+    assert hash(parsed) == hash(twin) == hash(floats)
     assert parsed != relgauge.FailureEpochs((*floats[:-1], floats[-1] + 1.0))
     with pytest.raises(ValueError):
         parsed.epochs[0] = 0.25
@@ -317,3 +336,116 @@ def test_failure_epochs_parsed_into_an_array_keep_the_record_contract():
     record = relgauge.FailureEpochs(source)
     source[0] = 0.25
     assert record == twin and not record.epochs.flags.writeable
+
+
+# Each column record: its parser, a file of n rows for it, and its columns as tuples of three rows.
+_COLUMN_RECORDS = {
+    "FailureEpochs": (
+        relgauge.parse_failure_epochs,
+        lambda n: "epoch\n" + "".join(f"{0.5 + j!r}\n" for j in range(n)),
+        ((1, 2.5, 4),),
+    ),
+    "DebugPeriods": (
+        relgauge.parse_debug_periods,
+        lambda n: "tau,corrected,exposure,failures\n" + "".join(f"{0.5 * j!r},{3 * j},{10.0 + j!r},{n - j}\n" for j in range(n)),
+        ((0, 1.5, 2.0), (0, 20, 50), (1000, 1600.0, 2.5), (10, 10, 0)),
+    ),
+    "RunProfiles": (
+        parse_profiles,
+        # Runs of two rows, the last of one where n is odd.
+        lambda n: "run,p,y\n" + "".join(f"{j // 2},{1.0 if j == n - 1 and n % 2 else 0.5},{int(j % 3 == 0)}\n" for j in range(n)),
+        ((0.5, 0.5, 1.0, 0.25, 0.75), (0, 1, 1, 0, 0), (0, 2, 3)),
+    ),
+    "DiscoveryRows": (
+        parse_discovery,
+        lambda n: "tau,corrected\n" + "".join(f"{j + 1}.0,{j}.5\n" for j in range(n)),
+        ((1, 2, 3), (1, 2, 3)),
+    ),
+}
+_COLUMN_CLASSES = {
+    "FailureEpochs": relgauge.FailureEpochs, "DebugPeriods": relgauge.DebugPeriods,
+    "RunProfiles": RunProfiles, "DiscoveryRows": DiscoveryRows,
+}
+
+
+def _column_record(name, source):
+    """The record ``name`` built from tuples, or parsed from a file of ``source`` rows."""
+    parse, text, columns = _COLUMN_RECORDS[name]
+    if source == "tuples":
+        return _COLUMN_CLASSES[name](*columns)
+    if source >= ARRAY_MIN:
+        pytest.importorskip("numpy")
+    return parse(text(source))
+
+
+def test_every_column_record_is_covered():
+    found = {cls for cls in map(type, map(_column_record, _COLUMN_RECORDS, ["tuples"] * 4))}
+    assert found == set(_COLUMN_CLASSES.values()) and all(issubclass(cls, Columns) for cls in found)
+
+
+@pytest.mark.parametrize("source", ["tuples", ARRAY_MIN - 1, ARRAY_MIN])
+@pytest.mark.parametrize("name", list(_COLUMN_RECORDS))
+def test_column_records_read_as_the_sequence_of_their_rows(name, source):
+    """len, indexing, iteration and own-type slices agree; the record equals, and hashes like,
+    the list and the tuple of its rows; pickle and deepcopy rebuild it through its constructor."""
+    cls = _COLUMN_CLASSES[name]
+    record = _column_record(name, source)
+    held = [getattr(record, field) for field in cls._fields]
+    arrays = source != "tuples" and source >= ARRAY_MIN
+    assert [type(column).__name__ for column in held] == [
+        "ndarray" if arrays and field != "starts" else "tuple" for field in cls._fields]
+    assert all(not column.flags.writeable for column in held if type(column) is not tuple)
+    assert "<memory" not in repr(record)
+    rows = list(record)
+    assert len(rows) == len(record) >= 3
+    # The same rows, to the type of each number, by index and by iteration.
+    assert [repr(record[j]) for j in range(len(record))] == [repr(row) for row in rows]
+    assert repr(record[-1]) == repr(rows[-1]) and repr(record[-len(rows)]) == repr(rows[0])
+    for index in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            record[index]
+    for index in (slice(1, 3), slice(None, None, 2), slice(-2, None)):  # a slice is checked as any record is
+        part = record[index]
+        assert type(part) is cls and list(part) == rows[index] and part == rows[index]
+    assert record == rows and rows == record and record == tuple(rows) and not record != rows
+    assert record != rows[:-1] and record != rows[::-1] and record != "rows"
+    assert hash(record) == hash(tuple(record)) == hash(tuple(rows))
+    for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(copied) is cls and copied == record and hash(copied) == hash(record)
+        assert [type(getattr(copied, field)) for field in cls._fields] == list(map(type, held))
+        for column in (getattr(copied, field) for field in cls._fields):
+            if type(column) is not tuple:
+                assert not column.flags.writeable
+                with pytest.raises(ValueError):
+                    column[0] = -1
+    with mock.patch.object(cls, "_check", autospec=True) as check:  # the copies are checked again
+        pickle.loads(pickle.dumps(record))
+        copy.deepcopy(record)
+    assert check.call_count == 2
+
+
+def test_discovery_rows_are_floats_by_index_and_by_iteration():
+    rows = DiscoveryRows((1, 2, 3), (1, 2, 3))
+    assert rows[0] == (1.0, 1.0) and repr(next(iter(rows))) == repr(rows[0]) == "(1.0, 1.0)"
+
+
+def test_column_records_refuse_columns_of_unequal_length_or_shape():
+    np = pytest.importorskip("numpy")
+    with pytest.raises(DomainError, match="^DiscoveryRows columns must have equal lengths$"):
+        DiscoveryRows((1.0, 2.0), (1.0,))
+    with pytest.raises(DomainError, match="^a column must be a 1-D array of numbers, got 2-D of float64$"):
+        relgauge.FailureEpochs(np.ones((2, 2)))
+
+
+def test_column_records_hold_no_array_that_something_else_may_write():
+    np = pytest.importorskip("numpy")
+    source = np.array([1.0, 2.0, 3.0])
+    view = source[:]
+    view.flags.writeable = False
+    for given in (source, view):  # a writable array, and a read-only view of one, are copied
+        record = relgauge.FailureEpochs(given)
+        source[0] = -1.0
+        assert record == [1.0, 2.0, 3.0] and not record.epochs.flags.writeable
+        source[0] = 1.0
+    held = relgauge.FailureEpochs(np.array([1.0, 2.0, 3.0]))
+    assert held[1:].epochs.base is held.epochs  # a slice of a held array is held as it is
