@@ -200,8 +200,9 @@ def optimal_debug_time(params: DiscoveryParams, econ: EconParams) -> DebugOptimu
     ``arg`` is not a finite float, or a partial product of its numerator or
     denominator is not a normal one, ln(arg) is an exactly rounded sum of
     logs, and the cost at tau_m is cost_test * (tau0 + tau_m), or at the
-    boundary the failure losses in logs; OutOfRange where the cost is
-    beyond a float.
+    boundary the failure losses in logs.  Where tau0 or tau_m is subnormal,
+    the cost at tau_m is :func:`_interior_cost`.  OutOfRange where the cost
+    is beyond a float.
     """
     numerator = _normal_product(econ.cost_error, econ.horizon, params.eps0, params.tempo)
     denominator = _normal_product(econ.cost_test, params.commands, params.tau0)
@@ -209,11 +210,14 @@ def optimal_debug_time(params: DiscoveryParams, econ: EconParams) -> DebugOptimu
     if math.isfinite(arg):
         if arg < 1.0:
             return DebugOptimum(0.0, total_cost(params, econ, 0.0), True)
-        tau_m = params.tau0 * math.log(arg)
+        log_arg = math.log(arg)
+        tau_m = params.tau0 * log_arg
         if not math.isfinite(tau_m):
             raise OutOfRange(
                 f"the optimal debugging time tau0 * ln(arg) overflows: tau0 = {params.tau0}, arg = {arg}"
             )
+        if _subnormal(params.tau0, tau_m):
+            return DebugOptimum(tau_m, _interior_cost(params, econ, log_arg), False)
         return DebugOptimum(tau_m, total_cost(params, econ, tau_m), False)
     # A partial product or arg leaves the float range, though ln(arg) does not: a sum of logs, rounded once.
     log_losses = [*map(math.log, (econ.cost_error, econ.horizon, params.eps0, params.tempo)), -math.log(params.commands)]
@@ -226,6 +230,8 @@ def optimal_debug_time(params: DiscoveryParams, econ: EconParams) -> DebugOptimu
         raise OutOfRange(
             f"the optimal debugging time tau0 * ln(arg) overflows: tau0 = {params.tau0}, ln(arg) = {log_arg}"
         )
+    if _subnormal(params.tau0, tau_m):
+        return DebugOptimum(tau_m, _interior_cost(params, econ, log_arg), False)
     # At tau_m the failure losses are arg * cost_test * tau0 * exp(-tau_m / tau0) = cost_test * tau0.
     cost = econ.cost_test * (params.tau0 + tau_m)
     if not 0.0 < cost < math.inf:
@@ -234,6 +240,26 @@ def optimal_debug_time(params: DiscoveryParams, econ: EconParams) -> DebugOptimu
             "is beyond a float"
         )
     return DebugOptimum(tau_m, cost, False)
+
+
+def _subnormal(*values: float) -> bool:
+    """Whether one of the non-negative ``values`` is subnormal."""
+    return any(0.0 < value < _NORMAL_MIN for value in values)
+
+
+def _interior_cost(params: DiscoveryParams, econ: EconParams, log_arg: float) -> float:
+    """The cost at tau_m = tau0 * ln(arg), cost_test * tau0 * (1 + ln arg), for a subnormal tau0 or tau_m.
+
+    The failure losses there are cost_test * tau0, so no subnormal tau_m
+    enters the cost.  The product is taken left to right where each partial
+    product is a normal float, else as the exp of an exactly rounded sum of
+    logs; OutOfRange where the cost is beyond a float.
+    """
+    cost = _normal_product(econ.cost_test, params.tau0, 1.0 + log_arg)
+    if cost:
+        return cost
+    log_cost = math.fsum([math.log(econ.cost_test), math.log(params.tau0), math.log1p(log_arg)])
+    return _exp_of(log_cost, f"the cost at the optimum cost_test * tau0 * (1 + ln arg) = exp({log_cost})")
 
 
 def fit_discovery_curve(

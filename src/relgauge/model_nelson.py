@@ -50,7 +50,8 @@ class RunProfiles(Columns):
     increases within them.  A row of the record is a run's RunProfile.  The
     columns are checked once, with RunProfile's rules: tuples in C passes,
     numpy's in whole-array passes, each run's sum screened by
-    :func:`_unsettled`.  Where one fails, the first bad run raises.
+    :func:`_unsettled`.  Where one fails, the first bad run raises.  The
+    record holds at least one run, so a slice that selects none is ``()``.
     """
 
     _fields = ("probs", "indicators", "starts")
@@ -80,8 +81,10 @@ class RunProfiles(Columns):
         end = starts[j + 1] if j + 1 < len(starts) else len(probs)
         return RunProfile._unchecked(tuple(probs[starts[j] : end]), tuple(indicators[starts[j] : end]))
 
-    def _sliced(self, index: slice) -> RunProfiles:
+    def _sliced(self, index: slice) -> RunProfiles | tuple:
         runs = [self[j] for j in range(len(self))[index]]
+        if not runs:
+            return ()
         return RunProfiles(
             [p for run in runs for p in run.probs],
             [y for run in runs for y in run.indicators],

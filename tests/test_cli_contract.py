@@ -15,7 +15,7 @@ import warnings
 
 import pytest
 
-from relgauge import model_weibull
+from relgauge import debug_economics, model_weibull
 from relgauge.cli import run_cli
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -106,7 +106,9 @@ EXAMPLES = {
     # eps0 * tempo overflows, so the mttf is taken in logs (1e-301, once reported as 0.0); the
     # optimum's argument overflows too, so ln(arg) is a sum of logs (tau_m 2555.87, once refused);
     # and cost_error * horizon * eps0 underflows, where the optimum is interior (tau_m 6.66e-244)
-    # and then at the boundary (cost 2.31e-205), each once reported as 0.0.
+    # and then at the boundary (cost 2.31e-205), each once reported as 0.0; and a subnormal tau0
+    # and tau_m, where the mttf exp(730.19) is beyond a float and the cost 3.0567001969047e-42
+    # was once off by 3e-12 of itself.
     "economics": [dict(zip(("--eps0", "--tau0", "--size", "--tempo", "--cost-error", "--horizon", "--cost-test"),
                            values))
                   for values in (("1e200", "10", "1000", "1e200", "1e-300", "1", "1"),
@@ -116,7 +118,9 @@ EXAMPLES = {
                                   "3.2696963782634816e-80"),
                                  ("3.307854091623683e-262", "1.5513431161395293e-300", "2156118268492546342",
                                   "3.3795731384858986e+291", "9.915586610014672e-107", "4.484050243662316e-111",
-                                  "4.055656732371798e+293"))],
+                                  "4.055656732371798e+293"),
+                                 ("1.338558690376673e-162", "1.95317376e-316", "2421", "5.354522042844848e+222",
+                                  "2.5237613490610373e-05", "1.8293719478176978e+277", "1.8123440942738366e+271"))],
 }
 
 ODD_VALUES = {
@@ -227,13 +231,13 @@ def test_bad_values_are_named_in_one_error_line(argv, error, message):
 def test_economics_beyond_the_float_range_is_taken_in_logs(values):
     """tau_m, the cost there and the mttf there, each within 1e-12 of its 50-digit value, or
     within one unit of the least subnormal where it is that small, and the boundary flagged
-    where arg is below 1."""
+    where arg is below 1.  Where the mttf is beyond a float, the call exits 2 naming it, and
+    tau_m and the cost are those of ``optimal_debug_time`` on the same values."""
     mpmath = pytest.importorskip("mpmath")
     code, stdout, stderr, caught = run_contained(["economics", *(f"{flag}={value}" for flag, value in values.items())])
-    assert (code, stderr, caught) == (0, "", [])
-    report = json.loads(stdout)
+    floats = [float(v) for v in values.values()]
     with mpmath.workdps(50):
-        eps0, tau0, size, tempo, cost_error, horizon, cost_test = (mpmath.mpf(float(v)) for v in values.values())
+        eps0, tau0, size, tempo, cost_error, horizon, cost_test = map(mpmath.mpf, floats)
         losses = cost_error * horizon * eps0 * tempo / size
         tau_m = max(tau0 * mpmath.log(losses / (cost_test * tau0)), 0)
         exact = {
@@ -241,6 +245,19 @@ def test_economics_beyond_the_float_range_is_taken_in_logs(values):
             "cost_at_tau_m": losses * mpmath.exp(-tau_m / tau0) + cost_test * tau_m,
             "mttf_at_tau_m": size / (eps0 * tempo) * mpmath.exp(tau_m / tau0),
         }
+        if exact["mttf_at_tau_m"] < mpmath.mpf(2) ** 1024:
+            assert (code, stderr, caught) == (0, "", [])
+            report = json.loads(stdout)
+        else:
+            assert (code, stdout, caught) == (2, "", [])
+            assert json.loads(stderr)["message"].startswith("the mttf commands / (eps0 * tempo)")
+            eps0, tau0, size, tempo, cost_error, horizon, cost_test = floats
+            optimum = debug_economics.optimal_debug_time(
+                debug_economics.DiscoveryParams(eps0, tau0, int(size), tempo),
+                debug_economics.EconParams(cost_error=cost_error, cost_test=cost_test, horizon=horizon),
+            )
+            report = {"tau_m": optimum.tau_m, "cost_at_tau_m": optimum.cost, "boundary": optimum.boundary}
+            del exact["mttf_at_tau_m"]
         for key, value in exact.items():
             assert abs(report[key] - value) <= 1e-12 * value + 2.0**-1074, key
     assert report["boundary"] is (tau_m == 0)

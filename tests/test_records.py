@@ -407,6 +407,9 @@ def test_column_records_read_as_the_sequence_of_their_rows(name, source):
     for index in (slice(1, 3), slice(None, None, 2), slice(-2, None)):  # a slice is checked as any record is
         part = record[index]
         assert type(part) is cls and list(part) == rows[index] and part == rows[index]
+    if cls is RunProfiles:  # a record of no run is refused, so a slice that selects none is ()
+        for empty in (record[len(rows):], record[2:1], record[::-1][len(rows):]):
+            assert type(empty) is tuple and empty == ()
     assert record == rows and rows == record and record == tuple(rows) and not record != rows
     assert record != rows[:-1] and record != rows[::-1] and record != "rows"
     assert hash(record) == hash(tuple(record)) == hash(tuple(rows))
