@@ -32,7 +32,8 @@ A cold call pays only for the code it runs:
   no call imports ``dataclasses`` or compiles a record's methods when its
   module loads.
 
-tests/test_cli.py guards all five in fresh interpreters.
+tests/test_cli.py guards all five in fresh interpreters that import the
+copy the tests imported, so CI runs them on the installed package.
 """
 
 from __future__ import annotations

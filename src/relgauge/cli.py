@@ -267,7 +267,7 @@ def _handle_economics(ns: SimpleNamespace, read: _Read) -> dict:
             "tau_m": optimum.tau_m,
             "cost_at_tau_m": optimum.cost,
             "boundary": optimum.boundary,
-            "mttf_at_tau_m": debug_economics.mttf(params, optimum.tau_m),
+            "mttf_at_tau_m": debug_economics.mttf_at_optimum(params, econ, optimum),
         }
     )
     return report

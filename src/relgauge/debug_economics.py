@@ -198,28 +198,33 @@ def optimal_debug_time(params: DiscoveryParams, econ: EconParams) -> DebugOptimu
     When ``arg`` is below one the stationary point would be negative, so the
     minimum sits at the boundary tau = 0 and the result is flagged.  Where
     ``arg`` is not a finite float, or a partial product of its numerator or
-    denominator is not a normal one, ln(arg) is an exactly rounded sum of
-    logs, and the cost at tau_m is cost_test * (tau0 + tau_m), or at the
-    boundary the failure losses in logs.  Where tau0 or tau_m is subnormal,
-    the cost at tau_m is :func:`_interior_cost`.  OutOfRange where the cost
-    is beyond a float.
+    denominator is not a normal one, or :func:`total_cost` at the optimum
+    underflows to 0, ln(arg) is an exactly rounded sum of logs, and the cost
+    at tau_m is cost_test * (tau0 + tau_m), or at the boundary the failure
+    losses in logs.  Where tau0 or tau_m is subnormal, the cost at tau_m is
+    :func:`_interior_cost`.  OutOfRange where the cost is beyond a float,
+    a cost that underflows to 0 included.
     """
     numerator = _normal_product(econ.cost_error, econ.horizon, params.eps0, params.tempo)
     denominator = _normal_product(econ.cost_test, params.commands, params.tau0)
     arg = numerator / denominator if numerator and denominator else math.inf
     if math.isfinite(arg):
         if arg < 1.0:
-            return DebugOptimum(0.0, total_cost(params, econ, 0.0), True)
-        log_arg = math.log(arg)
-        tau_m = params.tau0 * log_arg
-        if not math.isfinite(tau_m):
-            raise OutOfRange(
-                f"the optimal debugging time tau0 * ln(arg) overflows: tau0 = {params.tau0}, arg = {arg}"
-            )
-        if _subnormal(params.tau0, tau_m):
-            return DebugOptimum(tau_m, _interior_cost(params, econ, log_arg), False)
-        return DebugOptimum(tau_m, total_cost(params, econ, tau_m), False)
-    # A partial product or arg leaves the float range, though ln(arg) does not: a sum of logs, rounded once.
+            optimum = DebugOptimum(0.0, total_cost(params, econ, 0.0), True)
+        else:
+            log_arg = math.log(arg)
+            tau_m = params.tau0 * log_arg
+            if not math.isfinite(tau_m):
+                raise OutOfRange(
+                    f"the optimal debugging time tau0 * ln(arg) overflows: tau0 = {params.tau0}, arg = {arg}"
+                )
+            if _subnormal(params.tau0, tau_m):
+                return DebugOptimum(tau_m, _interior_cost(params, econ, log_arg), False)
+            optimum = DebugOptimum(tau_m, total_cost(params, econ, tau_m), False)
+        if optimum.cost:
+            return optimum
+    # A partial product or arg leaves the float range, or the cost underflows to 0, though
+    # ln(arg) may not: a sum of logs, rounded once.
     log_losses = [*map(math.log, (econ.cost_error, econ.horizon, params.eps0, params.tempo)), -math.log(params.commands)]
     log_arg = math.fsum([*log_losses, -math.log(econ.cost_test), -math.log(params.tau0)])
     if log_arg < 0.0:  # the cost at tau = 0 is the failure losses
@@ -240,6 +245,26 @@ def optimal_debug_time(params: DiscoveryParams, econ: EconParams) -> DebugOptimu
             "is beyond a float"
         )
     return DebugOptimum(tau_m, cost, False)
+
+
+def mttf_at_optimum(params: DiscoveryParams, econ: EconParams, optimum: DebugOptimum) -> float:
+    """:func:`mttf` at ``optimum.tau_m``, or from ln arg where a subnormal tau0 or tau_m is too coarse for that.
+
+    exp(tau_m / tau0) = arg at an interior optimum, so the mttf there is
+    commands / (eps0 * tempo) * arg = cost_error * horizon / (cost_test * tau0),
+    taken where every partial product is normal, else in logs; OutOfRange
+    where it is beyond a float.
+    """
+    if optimum.boundary or not _subnormal(params.tau0, optimum.tau_m):
+        return mttf(params, optimum.tau_m)
+    numerator = _normal_product(econ.cost_error, econ.horizon)
+    denominator = _normal_product(econ.cost_test, params.tau0)
+    value = numerator / denominator if numerator and denominator else 0.0
+    if _NORMAL_MIN <= value < math.inf:
+        return value
+    logs = [math.log(econ.cost_error), math.log(econ.horizon), -math.log(econ.cost_test), -math.log(params.tau0)]
+    log_mttf = math.fsum(logs)
+    return _exp_of(log_mttf, f"the mttf commands / (eps0 * tempo) * arg = exp({log_mttf})")
 
 
 def _subnormal(*values: float) -> bool:

@@ -16,7 +16,7 @@ from collections.abc import Sequence
 
 from .errors import DomainError, OutOfRange, ResidualNonPositive, TooFewIntervals
 from .numerics import GrowthLikelihood, at_data_scale, find_root_bracketed, gaussian_intervals, index
-from .numerics import interval_array, power_sum, quotients, scan_bracket
+from .numerics import interval_array, power_sum, quotients
 from .record import Record
 
 
@@ -109,9 +109,7 @@ def fit_mle(intervals: Sequence[float]) -> JmFit:
     if k < 2:
         raise TooFewIntervals(f"need at least 2 intervals to fit two parameters, got {k}")
     likelihood = GrowthLikelihood(x)
-    e0, rate, residual = likelihood.fit(
-        scan_bracket, find_root_bracketed, lambda root: stationarity_residual(root, k, likelihood.m)
-    )
+    e0, rate, residual = likelihood.fit(find_root_bracketed, lambda root: stationarity_residual(root, k, likelihood.m))
     return JmFit(e0_hat=e0, k_hat=at_data_scale(rate, e, "k_hat"), k_obs=k, residual=residual)
 
 

@@ -23,7 +23,7 @@ from .errors import DegenerateGamma, DomainError, NegativeEstimate, OutOfRange, 
 from .errors import SingularInformation, Underdetermined
 from .failure_data import DebugPeriod, DebugPeriods, read_columns
 from .numerics import GrowthLikelihood, at_data_scale, find_root_bracketed, floats, fsum_array, gaussian_intervals
-from .numerics import int_bounds, int_ratios, int_sum, interval_array, power_sum, scan_bracket
+from .numerics import int_bounds, int_ratios, int_sum, interval_array, power_sum
 from .record import Record
 
 # The largest mean numpy's Poisson sampler accepts (its POISSON_LAM_MAX),
@@ -193,7 +193,7 @@ def fit_mle(periods: Sequence[DebugPeriod], instructions: int) -> SchumannFit:
     _check_periods(periods, instructions)
     h, e = interval_array(periods.exposure)
     likelihood = GrowthLikelihood(h, periods.corrected, periods.failures)
-    e0, rate, residual = likelihood.fit(scan_bracket, find_root_bracketed, likelihood.residual)
+    e0, rate, residual = likelihood.fit(find_root_bracketed, likelihood.residual)
     size, f = math.frexp(instructions)  # I = size * 2^f, so I * rate cannot overflow at unit scale
     c = at_data_scale(rate * size, e - f, "c_hat")
     # c is the exposure-form estimate itself, so its residual is exactly 0.

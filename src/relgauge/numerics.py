@@ -497,11 +497,12 @@ class GrowthLikelihood:
         self.pole = len(h) - 1 if corrected is None else int_bounds(corrected)[1]
         self.sum_h = fsum_array(h)
 
-    def fit(self, scan: Callable, solve: Callable, residual: Callable) -> tuple[float, float, float]:
+    def fit(self, solve: Callable, residual: Callable) -> tuple[float, float, float]:
         """The stationary x, the rate N / (x A - B) there and ``residual(x)``, checked.
 
-        Callers pass their module's scan_bracket and find_root_bracketed, so
-        whatever replaces those names there sees each call.  The objective is
+        The bracket comes from :func:`scan_bracket`.  Callers pass their
+        module's find_root_bracketed, so whatever replaces that name there
+        sees each solve.  The objective is
         -G(x)/N with G(x) = sum_j w_j (m - a_j) / (x - a_j) <= (m - t) S1(x)
         by Chebyshev's sum inequality, t = sum(w_j a_j) / N being the
         failure-weighted mean count.  So NoGrowthEvidence unless m > t,
@@ -531,7 +532,7 @@ class GrowthLikelihood:
                     f"count {self.m:.6g} is not below {top}, the largest corrected count with a failure",
                     diagnostic={"b_over_a": self.m, "threshold": float(top)},
                 )
-        bracket = scan(self.objective, float(self.pole))
+        bracket = scan_bracket(self.objective, float(self.pole))
         if bracket is None:
             raise NoConvergence(
                 f"interval-weighted mean index {self.m:.17g} exceeds threshold {threshold:.6g}, but the "

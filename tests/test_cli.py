@@ -433,6 +433,7 @@ def test_fit_nelson(tmp_path, capsys):
         "--weights",
         str(weights),
     )
+    assert report["runs"] == 2
     assert report["q"] == pytest.approx([0.1, 0.2], rel=1e-12)
     assert report["reliability"] == pytest.approx(0.72, rel=1e-12)
     assert report["certain_failure"] is False
@@ -508,6 +509,7 @@ def test_faulttol_plan(capsys):
     assert report["t_star"] == pytest.approx(22.11, abs=0.01)
     assert report["tp_min"] == pytest.approx(2089.95, abs=0.1)
     assert report["boundary"] is False
+    assert report.keys() == {"boundary", "module_count", "p1_at_t", "provenance", "t_star", "tp_min"}
 
 
 def test_faulttol_simulate_needs_seed(capsys):
@@ -1020,9 +1022,14 @@ def test_output_file_and_determinism(tmp_path, capsys):
 
 
 def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a new interpreter that imports this checkout's relgauge."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    """Run ``code`` in a new interpreter that imports the relgauge this process imported.
+
+    Its parent directory goes first on the child's PYTHONPATH, so the fresh-interpreter guards
+    check whichever copy the suite runs against: ``src`` with PYTHONPATH=src, and the installed
+    package when the suite runs without it, as CI runs it.
+    """
+    home = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [home, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
         [sys.executable, "-c", code, *args], env=env, check=True, timeout=120, capture_output=True, text=True
     )
@@ -1156,10 +1163,10 @@ def test_numpy_free_verbs_do_not_import_typing(tmp_path):
         f"codes = [relgauge.cli.run_cli([*args, '--output', sys.argv[1]]) for args in {calls!r}]\n"
         f"print(repr([codes, [m for m in {unwanted!r} if m in sys.modules]]))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    home = str(Path(cli.__file__).resolve().parents[1])
     child = subprocess.run(
         [sys.executable, "-S", "-c", code, str(tmp_path / "out.json")],
-        env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": home}, check=True, timeout=120, capture_output=True, text=True,
     )
     assert ast.literal_eval(child.stdout.splitlines()[-1]) == [[0] * len(calls), []]
 
@@ -1202,8 +1209,8 @@ cli.main()
 @pytest.mark.parametrize("entry", ["main", "run_cli"])
 def test_main_freezes_the_collector_before_exit_and_run_cli_never_does(tmp_path, entry):
     report = tmp_path / "report.json"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    home = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [home, os.environ.get("PYTHONPATH")]))}
     args = ["predict", "jm", "--e0", "2", "--k", "0.5", "--index", "2", "--dt", "2.0"]
     for argv, code in (([*args, "--output", str(report)], 0), ([*args[:-1], "x"], 1)):
         child = subprocess.run(

@@ -108,7 +108,8 @@ EXAMPLES = {
     # and cost_error * horizon * eps0 underflows, where the optimum is interior (tau_m 6.66e-244)
     # and then at the boundary (cost 2.31e-205), each once reported as 0.0; and a subnormal tau0
     # and tau_m, where the mttf exp(730.19) is beyond a float and the cost 3.0567001969047e-42
-    # was once off by 3e-12 of itself.
+    # was once off by 3e-12 of itself; and a subnormal tau0 and tau_m where the mttf at tau_m is 12,
+    # once reported as 7.389 from the rounded tau_m / tau0.
     "economics": [dict(zip(("--eps0", "--tau0", "--size", "--tempo", "--cost-error", "--horizon", "--cost-test"),
                            values))
                   for values in (("1e200", "10", "1000", "1e200", "1e-300", "1", "1"),
@@ -120,7 +121,8 @@ EXAMPLES = {
                                   "3.3795731384858986e+291", "9.915586610014672e-107", "4.484050243662316e-111",
                                   "4.055656732371798e+293"),
                                  ("1.338558690376673e-162", "1.95317376e-316", "2421", "5.354522042844848e+222",
-                                  "2.5237613490610373e-05", "1.8293719478176978e+277", "1.8123440942738366e+271"))],
+                                  "2.5237613490610373e-05", "1.8293719478176978e+277", "1.8123440942738366e+271"),
+                                 ("1", "5e-324", "1", "1", "6e-323", "1", "1"))],
 }
 
 ODD_VALUES = {
@@ -216,6 +218,12 @@ def test_every_argv_ends_in_a_report_or_one_error_line(paths, verb):
          "module_count = T / t* overflows a float for T = 1e+300, t* = 7.071067811865557e-151"),
         ("faulttol --total-time 1.7e308 --overhead 1 --failure-rate 1e-308", "OutOfRange",
          "tp_min = 2 T / p1 + a T / t* overflows a float for T = 1.7e+308, t* = 7.071067811865526e+153"),
+        ("faulttol --total-time 100 --overhead 1 --failure-rate 9223372036854775808 --simulate 5 --seed 3 "
+         "--module-time 20", "OutOfRange", "the success probability exp(-lam * t) at t = 20.0 underflows a float"),
+        # The failure losses at tau = 0 underflow to 0 from normal partial products: refused, as where
+        # a partial product underflows (once reported as a cost of 0.0).
+        ("economics --eps0 1 --tau0 1 --size 4000000000000000000 --tempo 1e-7 --cost-error 1e-300 "
+         "--cost-test 1 --horizon 1", "OutOfRange", "the cost at tau = 0, exp(-749.7264495841847), is beyond a float"),
     ],
 )
 def test_bad_values_are_named_in_one_error_line(argv, error, message):

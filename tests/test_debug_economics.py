@@ -13,6 +13,7 @@ from relgauge.debug_economics import (
     failure_probability,
     fit_discovery_curve,
     mttf,
+    mttf_at_optimum,
     optimal_debug_time,
     parse_discovery,
     reliability,
@@ -300,23 +301,24 @@ def test_optimal_debug_time_takes_an_overflowing_argument_in_logs():
         optimal_debug_time(huge_tau0, EconParams(cost_error=1.0, cost_test=1e-300, horizon=1.0))
 
 
-def test_the_cost_at_a_subnormal_tau0_is_within_1e_12_of_its_50_digit_value():
+def test_the_cost_and_mttf_at_a_subnormal_tau0_are_within_1e_12_of_their_50_digit_values():
     """300 seeded draws with a subnormal tau0 and the other values over the float range: the
-    cost at the optimum, cost_test * tau0 * (1 + ln arg) where that is interior, is within 1e-12
-    of its 50-digit value or one unit of the least subnormal, or OutOfRange where the cost is
-    beyond a float.  Summing a subnormal tau_m into it once put costs outside that bound."""
+    cost at the optimum, cost_test * tau0 * (1 + ln arg) where that is interior, and the mttf
+    there are each within 1e-12 of its 50-digit value or one unit of the least subnormal, or
+    OutOfRange where it is beyond a float.  Summing a subnormal tau_m into the cost once put
+    costs outside that bound, and taking the mttf from the rounded tau_m / tau0 put mttfs outside it."""
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(47)
 
     def draw(lo, hi):
         return math.ldexp(float(rng.uniform(0.5, 1.0)), int(rng.integers(lo, hi)))
 
-    costs = 0
+    costs = mttfs = 0
     for _ in range(300):
         params = DiscoveryParams(draw(-1074, 1024), draw(-1074, -1021), int(rng.integers(1, 2**62)), draw(-1074, 1024))
         econ = EconParams(cost_error=draw(-1074, 1024), cost_test=draw(-1074, 1024), horizon=draw(-1074, 1024))
         try:
-            cost = optimal_debug_time(params, econ).cost
+            optimum = optimal_debug_time(params, econ)
         except OutOfRange:
             continue
         costs += 1
@@ -325,5 +327,12 @@ def test_the_cost_at_a_subnormal_tau0_is_within_1e_12_of_its_50_digit_value():
             losses = mpmath.mpf(econ.cost_error) * econ.horizon * eps0 * tempo / commands
             tau_m = max(tau0 * mpmath.log(losses / (econ.cost_test * tau0)), 0)
             exact = losses * mpmath.exp(-tau_m / tau0) + econ.cost_test * tau_m
-            assert abs(cost - exact) <= 1e-12 * exact + 2.0**-1074, (params, econ)
-    assert costs > 100
+            assert abs(optimum.cost - exact) <= 1e-12 * exact + 2.0**-1074, (params, econ)
+            exact = commands / (eps0 * tempo) * mpmath.exp(tau_m / tau0)
+            if mpmath.mpf(2) ** -1075 < exact < mpmath.mpf(2) ** 1024:
+                mttfs += 1
+                assert abs(mttf_at_optimum(params, econ, optimum) - exact) <= 1e-12 * exact + 2.0**-1074, (params, econ)
+            else:
+                with pytest.raises(OutOfRange, match="^the mttf commands / [(]eps0 [*] tempo[)]"):
+                    mttf_at_optimum(params, econ, optimum)
+    assert costs > 100 and mttfs > 50

@@ -48,24 +48,28 @@ def test_weibull_shapes(form):
     assert fit.m == pytest.approx(WEIBULL_M[form.value], rel=REL)
 
 
-def _report(capsys, *args):
-    code = run_cli(["fit", *args, "--input", str(NTDS)])
+def _report(capsys, *args, path=NTDS):
+    code = run_cli(["fit", *args, "--input", str(path)])
     captured = capsys.readouterr()
     assert code == 0, captured.err
     return json.loads(captured.out)
 
 
-def test_fit_jm_on_the_file(capsys):
+def test_fit_jm_on_the_file(capsys, tmp_path):
     report = _report(capsys, "jm")
     assert (report["model"], report["k_obs"], report["e0_rounded"]) == ("jm", 26, 31)
     assert report["e0"] == pytest.approx(JM_E0, rel=REL)
     assert report["k"] == pytest.approx(JM_K, rel=REL)
     assert report["residuals"][0] <= 1e-9
+    crlf = tmp_path / "ntds_crlf.csv"
+    crlf.write_bytes(NTDS.read_bytes().replace(b"\n", b"\r\n"))
+    assert _report(capsys, "jm", path=crlf)["e0"] == report["e0"]
 
 
 @pytest.mark.parametrize("form", ["cv", "literal"])
 def test_fit_weibull_on_the_file(capsys, form):
     report = _report(capsys, "weibull", "--moment-form", form)
     assert (report["model"], report["k_obs"], report["moment_form"]) == ("weibull", 26, form)
+    assert report.keys() == {"k_obs", "lambda", "m", "model", "moment_form", "mttf", "provenance"}
     assert report["m"] == pytest.approx(WEIBULL_M[form], rel=REL)
     assert report["mttf"] == pytest.approx(250 / 26, rel=REL)

@@ -389,12 +389,12 @@ for name, argv in json.loads(sys.argv[1]).items():
 
 def _reports_in_children(tmp_path, calls, children):
     """Each call's report lines, less its time stamp, from one child per (NPY_DISABLE_CPU_FEATURES, argv tail)."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    home = str(Path(cli.__file__).resolve().parents[1])  # the directory holding the imported relgauge
     reports = []
     for disabled, tail in children:
         out = tmp_path / f"out{len(reports)}"
         out.mkdir()
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [home, os.environ.get("PYTHONPATH")]))}
         env.pop("NPY_DISABLE_CPU_FEATURES", None)
         if disabled:
             env["NPY_DISABLE_CPU_FEATURES"] = disabled
@@ -513,8 +513,8 @@ same_on_both_paths()
 
 def test_drawn_discovery_curves_give_the_same_bits_on_both_paths_without_avx512():
     pytest.importorskip("numpy")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    home = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [home, os.environ.get("PYTHONPATH")]))}
     env["NPY_DISABLE_CPU_FEATURES"] = _NO_AVX512
     child = subprocess.run([sys.executable, "-c", _DISCOVERY_CHILD], env=env, timeout=300, capture_output=True, text=True)
     assert child.returncode == 0, child.stderr[-3000:]

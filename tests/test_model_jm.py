@@ -142,7 +142,7 @@ def test_fit_on_the_no_growth_boundary_is_no_growth(intervals):
 
 def test_fit_on_the_boundary_is_decided_before_the_scan(monkeypatch):
     """The boundary test needs no objective evaluation at all."""
-    monkeypatch.setattr(model_jm, "scan_bracket", lambda f, floor: pytest.fail("scanned"))
+    monkeypatch.setattr(numerics, "scan_bracket", lambda f, floor: pytest.fail("scanned"))
     with pytest.raises(NoGrowthEvidence):
         fit_mle([1.0, 2.0, 1.0])
 

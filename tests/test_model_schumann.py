@@ -379,8 +379,11 @@ def test_mle_objective_reads_no_period_after_setup(monkeypatch):
     periods, instructions = _golden_periods()
     watched = [_WatchedPeriod(p.tau, p.corrected, p.exposure, p.failures) for p in periods[:200]]
 
+    calls = []
+
     def watch(solver):
         def wrapped(*args):
+            calls.append(solver.__name__)
             _WatchedPeriod.watching = True
             try:
                 return solver(*args)
@@ -389,12 +392,13 @@ def test_mle_objective_reads_no_period_after_setup(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(model_schumann, "scan_bracket", watch(model_schumann.scan_bracket))
+    monkeypatch.setattr(numerics, "scan_bracket", watch(numerics.scan_bracket))
     monkeypatch.setattr(model_schumann, "find_root_bracketed", watch(model_schumann.find_root_bracketed))
     monkeypatch.setattr(_WatchedPeriod, "reads", 0)
     fit = fit_mle(watched, instructions)
     assert fit.e0_hat > max(p.corrected for p in periods[:200])
     assert _WatchedPeriod.reads == 0
+    assert calls == ["scan_bracket", "find_root_bracketed"]  # both watched, the scan first
 
 
 def test_fit_carries_its_checked_residuals():
@@ -404,7 +408,7 @@ def test_fit_carries_its_checked_residuals():
     fit = fit_mle(periods, instructions)
     h, _ = numerics.interval_array([p.exposure for p in periods])
     likelihood = numerics.GrowthLikelihood(h, [p.corrected for p in periods], [p.failures for p in periods])
-    e0, _, residual = likelihood.fit(numerics.scan_bracket, numerics.find_root_bracketed, likelihood.residual)
+    e0, _, residual = likelihood.fit(numerics.find_root_bracketed, likelihood.residual)
     assert e0 == fit.e0_hat and fit.residuals == (0.0, abs(residual)) == (0.0, abs(likelihood.residual(e0)))
     assert max(stationarity_residuals(fit, periods)) <= 1e-15
     assert covariance(fit, periods).residuals == fit.residuals

@@ -428,10 +428,10 @@ def test_fsum_array_bits_do_not_depend_on_the_simd_dispatch():
         "for x in arrays:\n"
         "    print(fsum_array(x).hex(), math.fsum(x.tolist()).hex())\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    home = str(Path(numerics.__file__).resolve().parents[1])  # the directory holding the imported relgauge
     env = {
         **os.environ,
-        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        "PYTHONPATH": os.pathsep.join(filter(None, [home, os.environ.get("PYTHONPATH")])),
         "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
     }
     child = subprocess.run([sys.executable, "-c", code], env=env, timeout=120, capture_output=True, text=True)
