@@ -10,6 +10,7 @@ JSON line on standard error.
 
 from __future__ import annotations
 
+import _thread
 import functools
 import gc
 import itertools
@@ -17,7 +18,7 @@ import math
 import sys
 import time
 from _json import encode_basestring_ascii  # the C function json.encoder hands out on CPython
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from types import SimpleNamespace
 
 # Each handler imports the model module it calls, so a call loads only its own
@@ -106,86 +107,120 @@ def _provenance(inputs: list[dict], seed: int | None) -> dict:
     }
 
 
-def _float(value: float) -> str:
-    if not math.isfinite(value):
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    return float.__repr__(value)
-
-
-_BLOCK = 4096  # floats joined at a time
+_BLOCK = 4096  # items of one list joined at a time
 
 # How json.dumps writes each plain scalar type.
 _SCALARS = {
     str: encode_basestring_ascii,
     int: int.__repr__,
-    float: _float,
+    float: float.__repr__,
     bool: lambda value: "true" if value else "false",
     type(None): lambda value: "null",
 }
+_STDOUT_LOCK = _thread.allocate_lock()  # one report at a time on stdout
 
 
-def _encode(value, pad: str = "") -> str:
-    """``value`` laid out as json.dumps(indent=2, sort_keys=True, allow_nan=False) does.
+def _writer(value) -> Callable[[object], str] | None:
+    """How json.dumps writes ``value`` if it is a scalar; a subclass (an IntEnum, say) is written as its base type."""
+    return next((_SCALARS[t] for t in type(value).__mro__ if t in _SCALARS), None)
 
-    json's indented encoder is pure Python and handles each item on its
-    own; a list of plain floats is joined here in C, a block at a time.
-    Dict keys must be strings.
+
+def _non_finite(value) -> tuple[str, float] | None:
+    """The key path, such as ``.ci.e0[1]``, and the value of the first non-finite float in ``value``, in _text's order.
+
+    Raises json's TypeError where an object it cannot write comes first.
+    Dict keys must be strings.  A list of plain scalars is checked in C.
     """
-    # A subclass of a scalar type (an IntEnum, say) is written as json.dumps writes its base type.
-    write = next((_SCALARS[t] for t in type(value).__mro__ if t in _SCALARS), None)
-    if write is not None:
-        return write(value)
-    inner = pad + "  "
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        brackets = "{}"
-        items = (
-            f"{encode_basestring_ascii(key)}: {_encode(value[key], inner)}" for key in sorted(value)
-        )
+        keys = sorted(value)
+        for key in keys:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        items = list(map(value.__getitem__, keys))
     elif isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        brackets = "[]"
-        if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
-            # Joined a block at a time, so the item strings of one block at most are alive.
-            sep = f",\n{inner}"
-            items = (
-                sep.join(map(float.__repr__, value[i : i + _BLOCK]))
-                for i in range(0, len(value), _BLOCK)
-            )
-        else:
-            # Item by item; a non-finite float raises when it is reached.
-            items = [
-                write(x) if (write := _SCALARS.get(type(x))) else _encode(x, inner) for x in value
-            ]
+        keys, items = None, value
+    elif (write := _writer(value)) is not None:
+        return ("", value) if write is float.__repr__ and not math.isfinite(value) else None
     else:
         raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+    kinds = set(map(type, items))
+    if kinds <= _SCALARS.keys():  # plain scalars only: the floats among them are checked in C
+        floats = items if kinds == {float} else [x for x in items if type(x) is float] if float in kinds else ()
+        if all(map(math.isfinite, floats)):
+            return None
+    for i, item in enumerate(items):
+        if (found := _non_finite(item)) is not None:
+            return (f"[{i}]" if keys is None else f".{keys[i]}") + found[0], found[1]
+    return None
 
 
-def _non_finite(value, path: str = "") -> str | None:
-    """The key path, such as ``ci.e0[1]``, of the first non-finite float in ``value``, in _encode's order."""
-    if isinstance(value, dict):
-        items = ((f"{path}.{key}" if path else key, value[key]) for key in sorted(value))
-    elif isinstance(value, (list, tuple)):
-        items = ((f"{path}[{i}]", item) for i, item in enumerate(value))
+def _text(value, pad: str = "") -> Iterator[str]:
+    """``value``'s text as json.dumps(indent=2, sort_keys=True) lays it out, in pieces.
+
+    json's indented encoder is pure Python and handles each item on its
+    own; a list's items are joined here a _BLOCK at a time, in C when they
+    are of one plain scalar type, so a list or dict inside a list is held
+    whole as text.  ``value`` must have passed :func:`_non_finite`.
+    """
+    if not isinstance(value, (dict, list, tuple)):
+        yield _writer(value)(value)
+        return
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    if not value:
+        yield brackets
+        return
+    inner = pad + "  "
+    sep = f",\n{inner}"
+    yield f"{brackets[0]}\n{inner}"
+    if brackets == "{}":
+        for i, key in enumerate(sorted(value)):
+            item = value[key]
+            head = f"{sep if i else ''}{encode_basestring_ascii(key)}: "
+            if (write := _SCALARS.get(type(item))) is not None:
+                yield head + write(item)
+            else:
+                yield head
+                yield from _text(item, inner)
     else:
-        return path if isinstance(value, float) and not math.isfinite(value) else None
-    return next((found for key, item in items if (found := _non_finite(item, key)) is not None), None)
+        kinds = set(map(type, value))
+        write = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        for start in range(0, len(value), _BLOCK):
+            if start:
+                yield sep
+            block = value[start : start + _BLOCK]
+            if write is not None:  # items of one plain scalar type, joined in C
+                yield sep.join(map(write, block))
+            else:
+                yield sep.join(
+                    each(item) if (each := _SCALARS.get(type(item))) else "".join(_text(item, inner))
+                    for item in block
+                )
+    yield f"\n{pad}{brackets[1]}"
 
 
 def _emit(report: dict, output: str | None) -> None:
-    try:
-        body = _encode(report) + "\n"
-    except ValueError as exc:
-        field = _non_finite(report)
-        raise OutOfRange(f"report field {field} holds a value that is not a finite number: {exc}") from exc
+    """Write ``report`` to the file ``output``, or to stdout, as it is encoded.
+
+    Every error is raised before the file is opened or a byte is written:
+    json's TypeError for an object it cannot write, OutOfRange naming the
+    first non-finite float.  Reports on stdout from several threads are
+    written one after another, each whole.
+    """
+    if (found := _non_finite(report)) is not None:
+        field, value = found
+        raise OutOfRange(
+            f"report field {field.removeprefix('.')} holds a value that is not a finite number: "
+            f"Out of range float values are not JSON compliant: {value!r}"
+        )
     if output:
         with open(output, "w", encoding="utf-8") as file:
-            file.write(body)
+            file.writelines(_text(report))
+            file.write("\n")
     else:
-        sys.stdout.write(body)
+        with _STDOUT_LOCK:
+            sys.stdout.writelines(_text(report))
+            sys.stdout.write("\n")
+            sys.stdout.flush()  # a reader that has gone is this call's error, not one at exit
 
 
 def _handle_fit_schumann(ns: SimpleNamespace, read: _Read) -> dict:
@@ -554,6 +589,14 @@ def run_cli(args: list[str]) -> int:
 
 def main() -> None:
     code = run_cli(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError as exc:  # stdout's reader has gone; run_cli has said so unless it printed --help
+        import os
+
+        code = code or _fail(exc, 2)
+        # What stdout still holds goes nowhere, so that the flush at exit cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     # The objects made so far leave the collector's view, so the collection at
     # interpreter exit skips them; the OS frees their memory with the process.
     gc.freeze()

@@ -25,6 +25,8 @@ from .errors import DomainError
 # 4,095 draws the list path costs about 3 ms more for JM and 6 ms more for
 # Weibull, while a cold call breaks even only near 10^5 draws.
 DRAWS_MIN = 4096
+# Geometric draws added to the first column at a time, in geometric_pair_sums.
+DRAW_BLOCK = 1 << 16
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit LCG multiplier
 # Stirling's series coefficients of numpy's random_loggam, as it writes them.
@@ -124,7 +126,8 @@ def uniforms(seed: int, n: int):
 def geometric_pair_sums(seed: int, p: float, n: int):
     """``rng.geometric(p, size=n) + rng.geometric(p, size=n)`` for ``rng = default_rng(seed)`` and p in (0, 1].
 
-    A list, or numpy's int64 array.  numpy's random_geometric searches the
+    A list, or numpy's int64 array, which holds the first column while the
+    second is added to it a block at a time.  numpy's random_geometric searches the
     cumulative probabilities when p is at least its literal below, and
     inverts an exponential drawn from its ziggurat tables otherwise.  The
     search is ported: at such a p, below DRAWS_MIN draws in all, the sums
@@ -134,7 +137,13 @@ def geometric_pair_sums(seed: int, p: float, n: int):
         draws = geometric_search(seeded_doubles(seed), p, 2 * n)
         return list(map(operator.add, draws[:n], draws[n:]))
     rng = seeded_rng(seed)
-    return rng.geometric(p, size=n) + rng.geometric(p, size=n)
+    sums = rng.geometric(p, size=n)
+    # numpy's generator draws one element after another, so DRAW_BLOCK draws
+    # at a time are the second column's values, and no second array of n is made.
+    for start in range(0, n, DRAW_BLOCK):
+        block = sums[start : start + DRAW_BLOCK]
+        block += rng.geometric(p, size=block.size)
+    return sums
 
 
 def geometric_search(doubles: Iterator[float], p: float, n: int) -> list[int]:

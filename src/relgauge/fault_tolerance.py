@@ -152,6 +152,30 @@ def check_plan(config: DualRunConfig, plan: DualRunPlan) -> None:
 SimulationResult = namedtuple("SimulationResult", ("mean_executions", "histogram", "elapsed"))
 
 
+# Sorted values compared at a time in _histogram: its bools are this many, not n.
+_RUN_BLOCK = 1 << 16
+
+
+def _histogram(executions) -> dict[int, int]:
+    """Each value of the int64 array ``executions``, in ascending order, with its count; sorts it in place.
+
+    The runs' starts are found _RUN_BLOCK values at a time, so no other
+    array of its length is made: neither np.unique's sorted copy nor an n-long
+    comparison.
+    """
+    import numpy as np
+
+    executions.sort()
+    n = executions.size
+    starts = [np.zeros(1, dtype=np.intp)]
+    for start in range(0, n - 1, _RUN_BLOCK):
+        window = executions[start : start + _RUN_BLOCK + 1]
+        starts.append(np.flatnonzero(window[1:] != window[:-1]) + (start + 1))
+    starts = np.concatenate(starts)
+    counts = np.diff(starts, append=n)
+    return dict(zip(executions[starts].tolist(), counts.tolist()))
+
+
 def simulate_dual_execution(
     config: DualRunConfig, t: float, modules: int, seed: int
 ) -> SimulationResult:
@@ -175,10 +199,7 @@ def simulate_dual_execution(
     if type(executions) is list:
         histogram = dict(sorted(Counter(executions).items()))
     else:
-        import numpy as np
-
-        values, counts = np.unique(executions, return_counts=True)
-        histogram = dict(zip(values.tolist(), counts.tolist()))
+        histogram = _histogram(executions)
     # numpy clips a draw beyond the int64 range, so the sum of two wraps
     # negative; a largest count under this bound keeps the total in range.
     values = list(histogram)

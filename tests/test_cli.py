@@ -4,6 +4,7 @@ import argparse
 import ast
 import builtins
 import errno
+import io
 import itertools
 import json
 import math
@@ -11,6 +12,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -1021,18 +1024,53 @@ def test_output_file_and_determinism(tmp_path, capsys):
     assert all("generated_at" in a for a, _ in diff)
 
 
-def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a new interpreter that imports the relgauge this process imported.
+def _child_env() -> dict[str, str]:
+    """The environment of a new interpreter that imports the relgauge this process imported.
 
     Its parent directory goes first on the child's PYTHONPATH, so the fresh-interpreter guards
     check whichever copy the suite runs against: ``src`` with PYTHONPATH=src, and the installed
     package when the suite runs without it, as CI runs it.
     """
     home = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [home, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [home, os.environ.get("PYTHONPATH")]))}
+
+
+def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports the relgauge this process imported."""
     return subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, check=True, timeout=120, capture_output=True, text=True
+        [sys.executable, "-c", code, *args], env=_child_env(), check=True, timeout=120, capture_output=True, text=True
     )
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["PYTHONUNBUFFERED=1", "buffered"])
+@pytest.mark.parametrize(
+    "args, taken",
+    [
+        (["simulate", "weibull", "--shape", "0.7", "--scale", "1", "--count", "200000", "--seed", "1"], b'{\n  "model'),
+        (["predict", "jm", "--e0", "2", "--k", "0.5", "--index", "2", "--dt", "2"], b""),
+    ],
+    ids=["cut-short", "small-report"],
+)
+def test_closed_stdout_exits_2_with_one_line(unbuffered, args, taken):
+    """The reader takes a few bytes, or none, and closes the pipe: the call exits 2 with one error line.
+
+    Cut short, the next block's write fails: unbuffered, one write of the whole report would lose
+    the rest without an error and exit 0.  A small report fails at its flush, not at exit, where
+    Python would print a traceback and exit 120.
+    """
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with subprocess.Popen(
+        [sys.executable, "-m", "relgauge.cli", *args], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as child:
+        assert child.stdout.read(len(taken)) == taken
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        code = child.wait(timeout=120)
+    assert (code, len(err.splitlines())) == (2, 1), err
+    assert error_json(err) == {"error": "BrokenPipeError", "message": "[Errno 32] Broken pipe", "exit_code": 2}
 
 
 def test_cli_import_does_not_load_scipy():
@@ -1293,6 +1331,42 @@ for i, result in enumerate(results):
 """, str(tmp_path), json.dumps(calls))
 
 
+def test_reports_on_stdout_from_threads_come_whole(monkeypatch):
+    """Four threads write reports of four blocks or more to one stdout at once: each comes whole, as a solo call writes it."""
+    args = ["simulate", "weibull", "--shape", "0.7", "--scale", "1", "--count", str(3 * cli._BLOCK + 1), "--seed"]
+    solo = []
+    for seed in range(4):
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        assert run_cli([*args, str(seed)]) == 0
+        solo.append(sys.stdout.getvalue())
+    start = threading.Barrier(4, timeout=60)
+    codes = [None] * 4
+
+    def work(seed):
+        start.wait()
+        codes[seed] = run_cli([*args, str(seed)])
+
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert codes == [0] * 4
+    reports = [report + "\n}\n" for report in sys.stdout.getvalue().split("\n}\n")[:-1]]
+
+    def timeless(text):
+        return re.sub(r'"generated_at": "[^"]*"', "", text)
+
+    assert sorted(map(timeless, reports)) == sorted(map(timeless, solo))
+
+
 def test_first_generator_calls_are_safe_across_threads():
     """Four threads make their first generator calls at once: two small draws, which run on
     the pure-Python stream, and one at draws.DRAWS_MIN, which imports numpy, so that
@@ -1489,6 +1563,38 @@ def test_emit_long_float_lists_match_json_dumps(tmp_path):
     assert out.read_text() == json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _emit_peak(report: dict, output: str | None) -> int:
+    """The most memory, by tracemalloc, that one _emit call holds at once beyond what it was given."""
+    cli._emit(report, output)  # the first call sets up the codec and the file layers outside the count
+    tracemalloc.start()
+    try:
+        cli._emit(report, output)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["output", "stdout"])
+def test_emit_holds_a_few_blocks_of_text(tmp_path, monkeypatch, to_file):
+    """Two float lists of 2^17 floats: the text of a few blocks is alive at once, never the report's."""
+    rng = np.random.default_rng(3)
+    report = {"a": rng.random(1 << 17).tolist(), "b": rng.exponential(1.0, 1 << 17).tolist()}
+    out = tmp_path / "report.json"
+    cli._emit(report, str(out))
+    block_chars = out.stat().st_size * cli._BLOCK / (2 << 17)
+    if not to_file:
+        monkeypatch.setattr(sys, "stdout", open(os.devnull, "w"))
+    try:
+        peak = _emit_peak(report, str(out) if to_file else None)
+    finally:
+        if not to_file:
+            sys.stdout.close()
+    assert peak <= 8 * block_chars
+
+
+_LAST_BLOCK = 2 * cli._BLOCK + 5  # the index of a float in a float list's third block
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
     "place",
@@ -1496,15 +1602,19 @@ def test_emit_long_float_lists_match_json_dumps(tmp_path):
         lambda x: {"xs": [1.0, x, 2.0]},
         lambda x: {"xs": [[1, 2.0], [3, x]]},
         lambda x: {"a": {"b": x}, "z": [1.0]},
+        lambda x: {"a": [0.5] * _LAST_BLOCK, "xs": [0.25] * _LAST_BLOCK + [x]},
     ],
-    ids=["float-list", "nested-list", "dict-value"],
+    ids=["float-list", "nested-list", "dict-value", "last-block"],
 )
-def test_emit_non_finite_is_out_of_range(tmp_path, bad, place):
+def test_emit_non_finite_is_out_of_range(tmp_path, capsys, bad, place):
+    """The error is raised before the file is opened and before a byte reaches stdout."""
     out = tmp_path / "report.json"
-    with pytest.raises(OutOfRange) as info:
-        cli._emit(place(bad), str(out))
-    assert f"Out of range float values are not JSON compliant: {bad!r}" in str(info.value)
+    for output in (str(out), None):
+        with pytest.raises(OutOfRange) as info:
+            cli._emit(place(bad), output)
+        assert f"Out of range float values are not JSON compliant: {bad!r}" in str(info.value)
     assert not out.exists()
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(
@@ -1513,8 +1623,9 @@ def test_emit_non_finite_is_out_of_range(tmp_path, bad, place):
         ({"xs": [1.0, math.inf, 2.0]}, "xs[1]"),
         ({"xs": [[1, 2.0], [3, math.nan]], "a": -math.inf}, "a"),
         ({"z": {"b": math.nan}, "a": {"b": 1.0, "c": (0.5, -math.inf)}}, "a.c[1]"),
+        ({"xs": [0.5] * _LAST_BLOCK + [math.inf]}, f"xs[{_LAST_BLOCK}]"),
     ],
-    ids=["float-list", "first-in-key-order", "nested-dict"],
+    ids=["float-list", "first-in-key-order", "nested-dict", "last-block"],
 )
 def test_emit_names_the_first_non_finite_field(tmp_path, report, field):
     with pytest.raises(OutOfRange, match=f"^report field {re.escape(field)} holds a value that is not a finite number: "):

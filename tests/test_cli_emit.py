@@ -6,10 +6,12 @@ import enum
 import io
 import json
 import json.encoder
+import math
 
 import pytest
 
 from relgauge import cli
+from relgauge.errors import OutOfRange
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -64,6 +66,55 @@ def test_emit_writes_scalar_subclasses_as_json_dumps_does():
     with pytest.raises(TypeError) as written:
         cli._emit({"x": [object()]}, None)
     assert str(written.value) == str(raised.value)
+
+
+_LONG = [i / 7.0 for i in range(3 * cli._BLOCK)]
+
+
+@pytest.mark.parametrize(
+    "item",
+    [
+        lambda i: [i, i % 5],
+        lambda i: {"tau": i / 3.0, "failures": i % 7, "name": "p"},
+        lambda i: i,
+        lambda i: i % 2 == 0,
+        lambda i: None if i % 3 else str(i),
+        lambda i: _Code.TWO if i % 2 else 0.5,
+    ],
+    ids=["pairs", "dicts", "ints", "bools", "mixed-scalars", "scalar-subclass"],
+)
+def test_emit_lists_of_more_than_one_block_match_json_dumps(tmp_path, item):
+    """A list's items are joined a block at a time, whatever they are: the text is json.dumps's."""
+    report = {"a": 1, "xs": [item(i) for i in range(2 * cli._BLOCK + 3)], "z": []}
+    path = tmp_path / "report.json"
+    cli._emit(report, str(path))
+    assert path.read_text() == json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        (object(), TypeError, "^Object of type object is not JSON serializable$"),
+        (
+            math.inf,
+            OutOfRange,
+            f"^report field z\\[{3 * cli._BLOCK - 1}\\] holds a value that is not a finite number: "
+            "Out of range float values are not JSON compliant: inf$",
+        ),
+    ],
+    ids=["type-error", "out-of-range"],
+)
+def test_emit_error_in_the_last_block_writes_nothing(tmp_path, bad, error, message):
+    """A report longer than one block with a bad value in its last: nothing on stdout, no output file."""
+    report = {"a": _LONG, "z": _LONG[:-1] + [bad]}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(error, match=message):
+        cli._emit(report, None)
+    assert out.getvalue() == ""
+    path = tmp_path / "report.json"
+    with pytest.raises(error, match=message):
+        cli._emit(report, str(path))
+    assert not path.exists()
 
 
 def test_encoder_is_the_one_json_uses():

@@ -4,10 +4,13 @@ import contextlib
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from relgauge import fault_tolerance
+from relgauge.draws import DRAW_BLOCK, DRAWS_MIN, geometric_pair_sums
 from relgauge.errors import DomainError, OutOfRange
 from relgauge.fault_tolerance import (
     DualRunConfig,
@@ -20,6 +23,7 @@ from relgauge.fault_tolerance import (
 )
 
 CONFIG = DualRunConfig(total_time=1000.0, overhead=1.0, failure_rate=0.001)
+RUN_BLOCK = fault_tolerance._RUN_BLOCK
 
 
 def bisect_oracle(f, lo, hi, tol=1e-10):
@@ -183,6 +187,32 @@ def test_simulation_histogram_matches_distribution():
             continue
         se = math.sqrt(modules * p * (1.0 - p))
         assert abs(count - expected) <= 4.0 * se
+
+
+@pytest.mark.parametrize("p", [0.5, 0.2, 1e-4])
+@pytest.mark.parametrize("n", [1, RUN_BLOCK - 1, RUN_BLOCK, RUN_BLOCK + 1, RUN_BLOCK + 2, 3 * RUN_BLOCK + 7])
+def test_histogram_from_run_starts_is_np_uniques(p, n):
+    """Sorted in place and read a block at a time, the histogram is np.unique's values and counts."""
+    sums = np.array(geometric_pair_sums(4, p, n), dtype=np.int64)  # below DRAWS_MIN draws and p >= 1/3, a list
+    values, counts = np.unique(sums, return_counts=True)
+    histogram = fault_tolerance._histogram(sums)
+    assert list(histogram) == values.tolist()
+    assert list(histogram.values()) == counts.tolist()
+    assert np.array_equal(sums, np.sort(sums))
+
+
+def test_simulation_holds_one_array_of_its_draws():
+    """tracemalloc counts numpy's buffers: a simulation of n modules allocates n int64 and two draw blocks at most."""
+    modules = 1 << 20
+    simulate_dual_execution(CONFIG, 22.0, DRAWS_MIN, seed=5)  # numpy and the draws module load outside the count
+    tracemalloc.start()
+    try:
+        result = simulate_dual_execution(CONFIG, 22.0, modules, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(result.histogram.values()) == modules
+    assert peak <= 8 * modules + 2 * 8 * DRAW_BLOCK
 
 
 def test_simulation_domain():

@@ -16,7 +16,7 @@ import pytest
 
 from relgauge import draws
 from relgauge.errors import DomainError
-from relgauge.draws import DRAWS_MIN, geometric_pair_sums, geometric_search, poisson_draw, seeded_doubles
+from relgauge.draws import DRAW_BLOCK, DRAWS_MIN, geometric_pair_sums, geometric_search, poisson_draw, seeded_doubles
 from relgauge.draws import uniforms
 
 np = pytest.importorskip("numpy")
@@ -93,6 +93,8 @@ def test_geometric_search_is_numpys(seed, p):
         (0.5, DRAWS_MIN // 2 - 1, True),
         (0.5, DRAWS_MIN // 2, False),
         (math.nextafter(1 / 3, 0.0), 10, False),
+        # numpy's second column is added DRAW_BLOCK draws at a time, on either side of p = 1/3.
+        *((p, n, False) for p in (0.5, 0.2) for n in (DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 3 * DRAW_BLOCK + 7)),
     ],
 )
 def test_geometric_pair_sums_leave_numpy_at_the_threshold_and_below_one_third(p, n, listed):
